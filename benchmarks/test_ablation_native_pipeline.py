@@ -5,10 +5,13 @@ Times one *full* Groth16 proof (POLY + all five MSMs) per curve under
 three configurations of the same pipeline:
 
 * **python** — the scalar reference backend;
-* **numpy-scalar** — the numpy limb backend with ``REPRO_NATIVE=0``,
-  i.e. the float-limb sweeps with scalar Montgomery bucket folds;
+* **numpy-scalar** — the numpy backend with ``REPRO_NATIVE=0``: its
+  two-floor fallback, i.e. the float-limb NTT sweep plus the same
+  scalar loops as ``python`` for pointwise passes and every curve op —
+  the only place a compiler-less whole proof is timed;
 * **native-tuned** — the numpy backend with the compiled CIOS kernels
-  (Stockham NTT passes, batched pointwise vmul).
+  (Stockham NTT passes, pointwise passes, Jacobian point kernels and
+  the segmented bucket tree).
 
 One shared :class:`~repro.backend.autotune.KernelAutotuner` supplies
 every configuration's MSM (k, M) and the certified carry-clean cadence,
@@ -160,7 +163,8 @@ def _write_outputs(rows):
         "",
         "`native tuned` routes the NTT butterflies, pointwise passes "
         "and Jacobian bucket folds through the compiled CIOS kernels; "
-        "`numpy scalar` is the same pipeline with `REPRO_NATIVE=0`. "
+        "`numpy scalar` is the same pipeline with `REPRO_NATIVE=0` — "
+        "the float-limb NTT sweep, scalar loops for everything else. "
         "One shared autotuner supplies every row's MSM (k, M) and "
         "certified carry-clean cadence, so the rows differ only in the "
         "kernel floor. A `native vs python` below 1.0x is a regression "

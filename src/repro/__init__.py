@@ -4,8 +4,9 @@
 Packages:
 
 * :mod:`repro.ff` - finite fields (int, 64-bit Montgomery, base-2^52 DFP).
-* :mod:`repro.backend` - pluggable batch compute engines (pure-Python
-  and vectorized NumPy limb-matrix; ``REPRO_BACKEND=python|numpy``).
+* :mod:`repro.backend` - pluggable batch compute engines (pure-Python,
+  and runtime-compiled C kernels with a NumPy float-limb NTT fallback;
+  ``REPRO_BACKEND=python|numpy``).
 * :mod:`repro.curves` - elliptic-curve groups and pairings.
 * :mod:`repro.gpusim` - GPU/CPU execution model and cost accounting.
 * :mod:`repro.ntt` - POLY stage: reference, baseline-GPU and GZKP NTTs.

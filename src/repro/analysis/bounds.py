@@ -4,7 +4,7 @@ The float-limb kernels are only correct while every intermediate stays
 *exactly representable*: float64 lanes must never exceed 2^53, int64
 lanes never 2^63, and the magic-constant rounding trick needs its
 operand inside the constant's binade. Those claims live as comments in
-:mod:`repro.backend.numpy_limb` / :mod:`repro.backend.numpy_curve` /
+:mod:`repro.backend.numpy_limb` / :mod:`repro.backend.native` /
 :mod:`repro.ff.dfp`; this module turns them into machine-checked
 certificates.
 
@@ -13,16 +13,13 @@ dataflow. Each kernel family is modelled as magnitude arithmetic on
 per-row bounds (pure Python ints — no float can round, no int64 can
 wrap inside the certifier itself), and every step that the real kernel
 performs in float64 or int64 records a :class:`~repro.analysis.report.
-BoundCheck` into a tracker that keeps the worst case seen. Five
+BoundCheck` into a tracker that keeps the worst case seen. Four
 families are covered:
 
 * ``dfp`` — the base-2^52 Dekker two-product multiplier.
-* ``numpy-limb`` — the base-2^22 float64 engine: Stockham sweep with
-  per-pass twiddle matmuls, the ``clean_every`` cadence, the schoolbook
-  ``vmul``, and both egress pipelines.
-* ``soa-curve`` — the int64 struct-of-arrays Jacobian kernels,
-  replaying the exact formula sequences of ``batch_jdouble`` /
-  ``batch_jadd`` / ``batch_jmixed_add``.
+* ``numpy-limb`` — the base-2^22 float64 NTT engine: Stockham sweep
+  with per-pass twiddle matmuls, the ``clean_every`` cadence, and the
+  egress pipeline.
 * ``native-mont`` — the compiled CIOS Montgomery kernels
   (:mod:`repro.backend.native`): u128 accumulator range, scratch
   width, and the canonicality invariants the raw-domain Stockham
@@ -57,7 +54,6 @@ __all__ = [
     "certify_numpy_limb",
     "certify_native_mont",
     "certify_native_jacobian",
-    "certify_soa_curve",
     "certify_modulus",
     "certify_all",
 ]
@@ -284,67 +280,6 @@ def _egress_checks(rows: List[int], geom: LimbGeometry,
     )
 
 
-# -- numpy-limb: vmul model ----------------------------------------------------
-
-
-def _vmul_checks(geom: LimbGeometry, trk: _Tracker) -> None:
-    """Model ``NumpyLimbBackend.vmul``: unsigned schoolbook diagonals in
-    float64, then the ``_wide_egress`` int64 carry loop."""
-    lb, ld, lg = geom.limb_bits, geom.ld, geom.lg
-    mask = (1 << lb) - 1
-    limb_max = [mask] * (ld - 1) + [geom.top_data_max] + [0] * (lg - ld)
-    trk.hit(
-        "vmul/term", mask * mask, F53, "float53",
-        "each limb product must be float-exact",
-    )
-    nl = 2 * lg - 1
-    diag = [0] * nl
-    for i in range(lg):
-        for j in range(lg):
-            diag[i + j] += limb_max[i] * limb_max[j]
-    trk.hit(
-        "vmul/diagonal", max(diag), F53, "float53",
-        "per-diagonal accumulation (at most LD nonzero terms) must stay "
-        "float-exact",
-    )
-    carry = 0
-    for j in range(nl):
-        t = diag[j] + carry
-        trk.hit("vmul/egress-int64", t, I63, "int64",
-                "wide-egress per-limb value + carry must fit int64")
-        carry = t >> lb
-    ew32 = (lb * nl + 28 + 31) // 32 + 1
-    total = sum(d << (lb * k) for k, d in enumerate(diag))
-    trk.hit(
-        "vmul/word-capacity", total, 1 << (32 * ew32), "carry",
-        "the full double-width product must fit the egress word buffer",
-    )
-
-
-def _vmul_witness(geom: LimbGeometry) -> dict:
-    """An achievable input whose exact max diagonal the property tests
-    reproduce on the real kernel: all-ones body limbs under the largest
-    feasible top data limb."""
-    lb, ld, lg = geom.limb_bits, geom.ld, geom.lg
-    mask = (1 << lb) - 1
-    w = lb * (ld - 1)
-    low = (1 << w) - 1 if ld > 1 else 0
-    value = geom.p - 1
-    for top in (geom.top_data_max, geom.top_data_max - 1):
-        if top < 0:
-            continue
-        cand = (top << w) | low
-        if 0 < cand < geom.p:
-            value = cand
-            break
-    limbs = [(value >> (lb * j)) & mask for j in range(lg)]
-    diag = [0] * (2 * lg - 1)
-    for i in range(lg):
-        for j in range(lg):
-            diag[i + j] += limbs[i] * limbs[j]
-    return {"value": value, "magnitude": max(diag), "check": "vmul/diagonal"}
-
-
 # -- numpy-limb: certificate ---------------------------------------------------
 
 
@@ -364,7 +299,7 @@ def certify_numpy_limb(name: str, modulus: int,
     trk.hit(
         "geom/guard-rows", abs(geom.lg - (geom.ld + 2)), 1, "structure",
         "two guard rows are required so balanced values < p never touch "
-        "the top row (twiddle/fold matrices vanish there)",
+        "the top row (twiddle matrices vanish there)",
     )
     trk.hit(
         "geom/top-data-limb", geom.top_data_max, half, "carry",
@@ -379,13 +314,6 @@ def certify_numpy_limb(name: str, modulus: int,
     )
     _simulate_sweep(limb_bits, geom.lg, geom.ld, geom.top_data_max,
                     cadence, trk, geom=geom)
-    _vmul_checks(geom, trk)
-    witness = _vmul_witness(geom)
-    trk.hit(
-        "vmul/attained-diagonal", witness["magnitude"], F53, "float53",
-        "exact diagonal magnitude of the constructed witness input "
-        "(reproduced bit-exactly by the property tests)",
-    )
     return KernelCertificate(
         family="numpy-limb",
         modulus_name=name,
@@ -401,7 +329,6 @@ def certify_numpy_limb(name: str, modulus: int,
             "sweep_passes": max(MIN_SWEEP_PASSES, 4 * cadence + 4),
         },
         checks=trk.checks(),
-        witnesses={"vmul": witness},
     )
 
 
@@ -498,254 +425,6 @@ def certify_dfp(name: str, modulus: int) -> KernelCertificate:
                 "check": "dfp/product",
             }
         },
-    )
-
-
-# -- SoA int64 curve kernels ---------------------------------------------------
-
-
-class _SoaVal:
-    """Magnitude state of one ``_LV`` lane vector: the code's own
-    ``mag`` bookkeeping (drives its control flow) plus the certifier's
-    sound per-row-class bounds (drive the checks). Rows split the same
-    way as the sweep model: body rows (< ld), the first guard row (ld,
-    reached only by balancing/fold carries), and the top guard row
-    (lg - 1, reached only by carry rounds)."""
-
-    __slots__ = ("code_mag", "body", "guard", "top")
-
-    def __init__(self, code_mag: int, body: int, guard: int, top: int):
-        self.code_mag = code_mag
-        self.body = body
-        self.guard = guard
-        self.top = top
-
-    @property
-    def peak(self) -> int:
-        return max(self.body, self.guard, self.top)
-
-
-class _SoaModel:
-    """Mirror of ``numpy_curve._VecField`` in magnitude arithmetic.
-
-    Control flow (when to normalize, the mul pre-normalize loop) follows
-    the code's optimistic ``mag`` values exactly; every int64/float64
-    step is checked against the certifier's independent sound bounds, so
-    a pass certifies the kernel even where its internal bookkeeping is
-    approximate."""
-
-    def __init__(self, geom: LimbGeometry, trk: _Tracker):
-        self.geom = geom
-        self.trk = trk
-        self.lb = geom.limb_bits
-        self.half = 1 << (geom.limb_bits - 1)
-        self.base = 1 << geom.limb_bits
-
-    def from_ints(self) -> _SoaVal:
-        # ingress limbs are unsigned < 2^22 and never reach guard rows
-        return _SoaVal(self.base, self.base - 1, 0, 0)
-
-    def from_const(self) -> _SoaVal:
-        # balanced limbs of a value < p: body <= 2^21, guard row holds
-        # at most the balancing carry, top row zero
-        return _SoaVal(self.half + 2, self.half, 1, 0)
-
-    def _carry_round(self, body: int, guard: int, top: int, tag: str):
-        """One ``_VecField._carry`` round. The carry into the guard row
-        comes from a body row; the carry into the top row comes from the
-        guard row; the top row re-absorbs its own carry."""
-        trk = self.trk
-        trk.hit(f"{tag}/int64-round", max(body, guard, top) + self.half,
-                I63, "int64",
-                "x + HALF in the shift-carry must fit int64")
-        c_body = ((body + self.half) >> self.lb) + 1
-        c_guard = ((guard + self.half) >> self.lb) + 1
-        c_top = ((top + self.half) >> self.lb) + 1
-        trk.hit(
-            f"{tag}/int64-top", top + (c_top << self.lb) + c_guard, I63,
-            "int64",
-            "the top row's re-absorbed carry intermediate must fit "
-            "int64",
-        )
-        return (self.half + c_body, self.half + c_body, top + c_guard)
-
-    def normalize(self, v: _SoaVal, tag: str) -> _SoaVal:
-        body, guard, top = v.body, v.guard, v.top
-        for _ in range(2):
-            body, guard, top = self._carry_round(body, guard, top, tag)
-        self.trk.hit(
-            "soa/normalize-residual", max(body, guard), self.base,
-            "carry",
-            "two carry rounds must bring body limbs back under one "
-            "limb base",
-        )
-        return _SoaVal(self.half + 2, body, guard, top)
-
-    def _lazy(self, out: _SoaVal) -> _SoaVal:
-        self.trk.hit("soa/lazy-int64", out.peak, I63, "int64",
-                     "lazy add/sub/scale lanes must fit int64")
-        if out.code_mag > (1 << 28):
-            return self.normalize(out, "soa/lazy-normalize")
-        return out
-
-    def add(self, a: _SoaVal, b: _SoaVal) -> _SoaVal:
-        return self._lazy(_SoaVal(a.code_mag + b.code_mag,
-                                  a.body + b.body, a.guard + b.guard,
-                                  a.top + b.top))
-
-    sub = add  # same magnitude arithmetic
-
-    def mul_small(self, a: _SoaVal, k: int) -> _SoaVal:
-        return self._lazy(_SoaVal(a.code_mag * k, a.body * k,
-                                  a.guard * k, a.top * k))
-
-    def mul(self, a: _SoaVal, b: _SoaVal) -> _SoaVal:
-        trk = self.trk
-        lg, ld = self.geom.lg, self.geom.ld
-        while a.code_mag * b.code_mag > F53:
-            if a.code_mag >= b.code_mag:
-                a = self.normalize(a, "soa/mul-prenormalize")
-            else:
-                b = self.normalize(b, "soa/mul-prenormalize")
-        ma = a.peak
-        mb = b.peak
-        trk.hit("soa/mul-term-int64", ma * mb, I63, "int64",
-                "per-lane limb products must fit int64")
-        # prod rows 0..2lg-3 accumulate <= lg diagonal terms; the
-        # second-from-top row is the single a[lg-1]*b[lg-1] term and the
-        # top row starts empty (diagonals reach index 2lg-2 only).
-        p_body = lg * ma * mb
-        p_guard = a.top * b.top
-        p_top = 0
-        trk.hit("soa/mul-rowsum-int64", p_body, I63, "int64",
-                "diagonal accumulation over LG terms must fit int64")
-        for _ in range(2):
-            p_body, p_guard, p_top = self._carry_round(
-                p_body, p_guard, p_top, "soa/mul-prod-carry")
-        # fold matmul: float64 over prod rows ld..2lg-2; fold-matrix
-        # entries are balanced limbs of values < p (body <= 2^21, guard
-        # row <= 1, top row zero).
-        p_peak = max(p_body, p_guard, p_top)
-        trk.hit("soa/fold-cast", p_peak, F53, "float53",
-                "high product rows must be exact when cast to float64 "
-                "for the fold matmul")
-        ncols = 2 * lg - 1 - ld
-        col_sum = ncols * p_peak
-        trk.hit("soa/fold-term", self.half * p_peak, F53, "float53",
-                "each fold-matrix product must be float-exact")
-        trk.hit("soa/fold-rowsum", self.half * col_sum, F53, "float53",
-                "fold matmul partial sums must stay float-exact")
-        out_body = self.half * col_sum + self.half * p_top + p_body
-        out_guard = col_sum + p_top
-        out_top = 0
-        trk.hit("soa/fold-out-int64", max(out_body, out_guard), I63,
-                "int64", "folded + low-row accumulation must fit int64")
-        trk.hit(
-            "soa/topfold-zero", out_top if lg == ld + 2 else 1, 1,
-            "structure",
-            "the fold matrices' top row vanishes (lg = ld + 2), so the "
-            "pre-topfold guard row is structurally zero and the top "
-            "fold moves nothing",
-        )
-        for _ in range(2):
-            out_body, out_guard, out_top = self._carry_round(
-                out_body, out_guard, out_top, "soa/mul-out-carry")
-        self.trk.hit(
-            "soa/normalize-residual", max(out_body, out_guard),
-            self.base, "carry",
-            "two carry rounds must bring body limbs back under one "
-            "limb base",
-        )
-        return _SoaVal(self.half + 2, out_body, out_guard, out_top)
-
-    def to_ints(self, v: _SoaVal) -> None:
-        if v.code_mag > (1 << 26):
-            v = self.normalize(v, "soa/egress-normalize")
-        self.trk.hit("soa/egress-float", v.peak, F53, "float53",
-                     "egress limbs must be exact when cast to float64")
-
-
-def _replay_jdouble(m: _SoaModel, a_is_zero: bool) -> None:
-    x = m.from_ints()
-    y = m.from_ints()
-    z = m.from_ints()
-    ysq = m.mul(y, y)
-    s = m.mul_small(m.mul(x, ysq), 4)
-    if a_is_zero:
-        mm = m.mul_small(m.mul(x, x), 3)
-    else:
-        z2 = m.mul(z, z)
-        mm = m.add(m.mul_small(m.mul(x, x), 3),
-                   m.mul(m.mul(z2, z2), m.from_const()))
-    x3 = m.sub(m.mul(mm, mm), m.mul_small(s, 2))
-    y3 = m.sub(m.mul(mm, m.sub(s, x3)),
-               m.mul_small(m.mul(ysq, ysq), 8))
-    z3 = m.mul_small(m.mul(y, z), 2)
-    for v in (x3, y3, z3):
-        m.to_ints(v)
-
-
-def _replay_jadd(m: _SoaModel) -> None:
-    x1, y1, z1 = m.from_ints(), m.from_ints(), m.from_ints()
-    x2, y2, z2 = m.from_ints(), m.from_ints(), m.from_ints()
-    z1sq = m.mul(z1, z1)
-    z2sq = m.mul(z2, z2)
-    u1 = m.mul(x1, z2sq)
-    u2 = m.mul(x2, z1sq)
-    s1 = m.mul(y1, m.mul(z2sq, z2))
-    s2 = m.mul(y2, m.mul(z1sq, z1))
-    h = m.sub(u2, u1)
-    r = m.sub(s2, s1)
-    m.to_ints(h)
-    m.to_ints(r)
-    hsq = m.mul(h, h)
-    hcu = m.mul(hsq, h)
-    u1hsq = m.mul(u1, hsq)
-    x3 = m.sub(m.sub(m.mul(r, r), hcu), m.mul_small(u1hsq, 2))
-    y3 = m.sub(m.mul(r, m.sub(u1hsq, x3)), m.mul(s1, hcu))
-    z3 = m.mul(h, m.mul(z1, z2))
-    for v in (x3, y3, z3):
-        m.to_ints(v)
-
-
-def _replay_jmixed(m: _SoaModel) -> None:
-    x1, y1, z1 = m.from_ints(), m.from_ints(), m.from_ints()
-    x2, y2 = m.from_ints(), m.from_ints()
-    z1sq = m.mul(z1, z1)
-    u2 = m.mul(x2, z1sq)
-    s2 = m.mul(y2, m.mul(z1sq, z1))
-    h = m.sub(u2, x1)
-    r = m.sub(s2, y1)
-    m.to_ints(h)
-    m.to_ints(r)
-    hsq = m.mul(h, h)
-    hcu = m.mul(hsq, h)
-    u1hsq = m.mul(x1, hsq)
-    x3 = m.sub(m.sub(m.mul(r, r), hcu), m.mul_small(u1hsq, 2))
-    y3 = m.sub(m.mul(r, m.sub(u1hsq, x3)), m.mul(y1, hcu))
-    z3 = m.mul(h, z1)
-    for v in (x3, y3, z3):
-        m.to_ints(v)
-
-
-def certify_soa_curve(name: str, modulus: int,
-                      limb_bits: int = 22) -> KernelCertificate:
-    """Certify the int64 SoA Jacobian kernels by replaying the exact
-    formula sequences of batch_jdouble / batch_jadd / batch_jmixed_add
-    through the magnitude model (both curve-constant branches)."""
-    geom = limb_geometry(modulus, limb_bits)
-    trk = _Tracker()
-    model = _SoaModel(geom, trk)
-    _replay_jdouble(model, a_is_zero=True)
-    _replay_jdouble(model, a_is_zero=False)
-    _replay_jadd(model)
-    _replay_jmixed(model)
-    return KernelCertificate(
-        family="soa-curve",
-        modulus_name=name,
-        modulus_bits=geom.bits,
-        params={"limb_bits": limb_bits, "ld": geom.ld, "lg": geom.lg},
-        checks=trk.checks(),
     )
 
 
@@ -1077,11 +756,10 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
 
 
 def certify_modulus(name: str, modulus: int) -> List[KernelCertificate]:
-    """All five family certificates for one modulus."""
+    """All four family certificates for one modulus."""
     return [
         certify_dfp(name, modulus),
         certify_numpy_limb(name, modulus),
-        certify_soa_curve(name, modulus),
         certify_native_mont(name, modulus),
         certify_native_jacobian(name, modulus),
     ]

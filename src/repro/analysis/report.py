@@ -76,7 +76,7 @@ class BoundCheck:
 class KernelCertificate:
     """All checks for one (kernel family, modulus) pair."""
 
-    family: str            # "dfp" | "numpy-limb" | "soa-curve" | "native-mont"
+    family: str            # "dfp" | "numpy-limb" | "native-mont" | "native-jacobian"
     modulus_name: str
     modulus_bits: int
     params: Dict[str, int] = field(default_factory=dict)

@@ -320,7 +320,7 @@ class TaintEngine:
         self.registry = registry
         # repro.analysis is exempt from its own scan (as with R001):
         # it handles no witness data, and its abstract kernel models
-        # (_SoaModel.mul/add, _MontReplay.add) share names with real
+        # (_MontReplay.mul/add) share names with real
         # kernel ops — analyzing them would join certifier params into
         # every kernel call site's secret set.
         self.mods = [m for m in mods

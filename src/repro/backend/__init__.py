@@ -6,11 +6,13 @@ Jacobian point ops. Two implementations ship:
 
 * ``python`` — :class:`~repro.backend.pybackend.PythonBackend`, the
   historical per-element int loops, extracted verbatim (the default);
-* ``numpy`` — :class:`~repro.backend.numpy_limb.NumpyLimbBackend`, a
-  vectorized limb-matrix engine after the paper's DFP library (§4.3),
-  plus struct-of-arrays curve kernels and a segmented bucket reduction
-  for the MSM hot path (:mod:`repro.backend.numpy_curve`, backed by the
-  runtime-compiled Montgomery kernels of :mod:`repro.backend.native`).
+* ``numpy`` — :class:`~repro.backend.numpy_limb.NumpyLimbBackend`:
+  every op runs the runtime-compiled C kernel of
+  :mod:`repro.backend.native` when one is loaded for its modulus/group
+  (NTT sweeps, pointwise passes, fused Jacobian point kernels and the
+  segmented bucket tree of :mod:`repro.backend.numpy_curve`), and the
+  inherited scalar loop otherwise. The one vectorized fallback kept is
+  the float-limb NTT sweep after the paper's DFP library (§4.3).
 
 Selection: pass a backend (or its name) explicitly to the engines, or
 set ``REPRO_BACKEND=python|numpy`` in the environment. Backends are

@@ -11,8 +11,9 @@ fused NTT sweeps, is reproduced exactly by the backend).
 This base class is itself a complete backend: every method has a
 pure-Python default that preserves today's exact evaluation order, so
 :class:`~repro.backend.pybackend.PythonBackend` is simply this class
-with a name. Vectorized backends override the methods where batching
-pays (see :mod:`repro.backend.numpy_limb`).
+with a name. :mod:`repro.backend.numpy_limb` overrides a method only
+where it has a kernel that beats this loop — an override must beat the
+loop it overrides.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ class ComputeBackend:
         """One doubling of every point (a fold step of the MSM engines).
 
         Overrides must be bit-identical to this loop, including the op
-        counts ``group`` emits (vectorized implementations patch the
-        rare special-case lanes with the scalar formulas to keep both)."""
+        counts ``group`` emits (the native kernels patch the rare
+        special-case lanes with the scalar formulas to keep both)."""
         return [group.jdouble(p) for p in points]
 
     def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> List:
@@ -182,19 +183,16 @@ class ComputeBackend:
         """Bucket-reduction: sum of (j+1) * buckets[j] over Jacobian
         buckets, returned as a Jacobian point.
 
-        This default is the exact ordered running-suffix fold of
+        This is the exact ordered running-suffix fold of
         :func:`repro.msm.pippenger.bucket_reduce` (2 jadds per bucket),
-        counting through ``group.counter`` as the fold always has.
-        Overrides MAY reassociate (e.g. the numpy backend's log-depth
-        batched suffix scan) under the same contract as
-        :meth:`accumulate_buckets`: the result may be any group-equal
-        Jacobian representative (every consumer normalizes via
-        ``group.from_jacobian``), and the PADD totals emitted must match
-        the ordered fold's exactly. The ordered fold skips counting
-        when an operand is the point at infinity (empty buckets), so
-        reassociating overrides must reproduce that data-dependent
-        count; the one divergence window is a bucket colliding with a
-        partial suffix sum — a discrete-log event for honest inputs."""
+        counting through ``group.counter`` as the fold always has, and
+        every in-repo backend runs it (DESIGN.md, "Compute backends",
+        records the rows that decided so). An override MAY reassociate
+        under the same contract as :meth:`accumulate_buckets` — any
+        group-equal Jacobian representative (every consumer normalizes
+        via ``group.from_jacobian``), PADD/PDBL totals identical to
+        this fold's, including its data-dependent skips when an operand
+        is the point at infinity."""
         from repro.msm.pippenger import bucket_reduce
 
         return bucket_reduce(group, buckets)

@@ -12,9 +12,12 @@ compile/cache-hit events.
 
 Families: ``ntt`` (Stockham sweeps), ``pointwise`` (vmul / coset /
 scale), ``jacobian`` (batch point kernels + segmented bucket trees).
-Modes: ``native`` (compiled C kernels) vs ``fallback`` (limb-matrix or
-scalar path). Counts are *dispatch decisions*, not element counts — one
-``note()`` per batched call.
+Modes: ``native`` (compiled C kernels) vs ``fallback`` — the float-limb
+Stockham sweep for ``ntt``, the inherited scalar loop for everything
+else. A batch that stays scalar only because it is below a size
+threshold is a choice, not a degradation, and is not counted. Counts
+are *dispatch decisions*, not element counts — one ``note()`` per
+batched call.
 """
 
 from __future__ import annotations

@@ -1,28 +1,27 @@
-"""Vectorized struct-of-arrays curve arithmetic for the MSM hot path.
+"""Native-kernel struct-of-arrays curve arithmetic for the MSM hot path.
 
-Two engines live here, split by what each is for:
+Everything here drives the runtime-compiled C layer of
+:mod:`repro.backend.native`; a group those kernels cannot serve
+(``REPRO_NATIVE=0``, no compiler, over-wide modulus, a coordinate field
+that is neither prime nor Fq2 = Fq[i]/(i^2 + c0)) gets ``None`` back
+and :class:`~repro.backend.numpy_limb.NumpyLimbBackend` runs the
+inherited scalar loop instead — there is no vectorized middle tier.
+:func:`_native_engine` is the one place that decides which native field
+serves a group.
 
 * **Batch Jacobian kernels** (:func:`batch_jdouble`, :func:`batch_jadd`,
   :func:`batch_jmixed_add`) run the *same* formulas as
   :class:`~repro.curves.weierstrass.CurveGroup` over struct-of-arrays
-  lanes. The preferred engine is the runtime-compiled C layer of
-  :mod:`repro.backend.native`: raw canonical word rows go straight into
-  fused Jacobian kernels (Montgomery encode -> formula -> decode all
-  in-kernel, G1 prime-field lanes and G2 Fq2 Karatsuba lanes), which
-  return bit-identical coordinates plus the Montgomery h/r planes whose
-  zero tests route the special lanes. When the native kernels are
-  unavailable (``REPRO_NATIVE=0``, no compiler, over-wide modulus), G1
-  falls back to the base-2^22 int64 limb engine of
-  :mod:`repro.backend.numpy_limb` below — coordinates become (LG, n)
-  int64 limb matrices, every field multiply is one lazily-reduced
-  schoolbook pass over all lanes, canonicalization happens once at
-  egress — and G2 falls back to the scalar loop. Special cases
-  (infinity, P == Q -> double, P == -Q -> infinity) are detected per
-  lane — input coordinates are canonical, so z == 0 / y == 0 / q is
-  None are free; the computed comparisons (u1 == u2, s1 == s2) are
-  exact because both engines canonicalize before testing — and those
-  rare lanes are patched with the self-counting scalar formulas,
-  keeping op-count parity exact on every path.
+  lanes: raw canonical word rows go straight into fused Jacobian
+  kernels (Montgomery encode -> formula -> decode all in-kernel, G1
+  prime-field lanes and G2 Fq2 Karatsuba lanes), which return
+  bit-identical coordinates plus the Montgomery h/r planes whose zero
+  tests route the special lanes. Special cases (infinity, P == Q ->
+  double, P == -Q -> infinity) are detected per lane — input
+  coordinates are canonical, so z == 0 / y == 0 / q is None are free,
+  and the h/r zero tests are exact because x -> x*R mod p is a
+  bijection — and those rare lanes are patched with the self-counting
+  scalar formulas, keeping op-count parity exact.
 
 * **Segmented bucket reduction** (:func:`accumulate_buckets_segmented`)
   replaces the ordered per-entry fold of bucket accumulation with a
@@ -31,18 +30,12 @@ Two engines live here, split by what each is for:
   same-bucket lanes and combines every pair with a single shared
   Montgomery batch inversion (one field inversion per round, 6 muls per
   combine instead of the ~11 of a mixed Jacobian add). Field lanes are
-  Montgomery-domain word rows driven by the runtime-compiled kernels of
-  :mod:`repro.backend.native`; when those are unavailable the caller
-  falls back to the scalar fold. Bucket results are group-equal to the
-  scalar fold's (written as (x, y, 1) Jacobian representatives) and
-  PADD/PDBL totals match the scalar schedule — see
+  Montgomery-domain word rows (one plane for G1, two Karatsuba planes
+  for Fq2). Bucket results are group-equal to the scalar fold's
+  (written as (x, y, 1) Jacobian representatives) and PADD/PDBL totals
+  match the scalar schedule — see
   :meth:`repro.backend.base.ComputeBackend.accumulate_buckets` for the
   exact contract.
-
-Both engines support G1 (prime-field coordinates); the segmented tree
-also supports G2 over a quadratic extension Fq2 = Fq[i]/(i^2 + c0)
-(Karatsuba over the native base-field lanes). Anything else falls back
-to the scalar path.
 """
 
 from __future__ import annotations
@@ -51,13 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backend import coverage as _coverage
 from repro.backend.native import get_native_field
-from repro.backend.numpy_limb import (
-    LIMB_BITS,
-    _balanced_limb_cols,
-    _geometry,
-    _ints_to_limbs,
-    _limbs_to_ints,
-)
 from repro.curves.fieldops import ExtFieldOps, IntFieldOps
 
 try:  # keep importable without numpy (mirrors numpy_limb)
@@ -68,7 +54,6 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 __all__ = [
     "MIN_VECTOR_LANES",
     "SEGMENTED_MIN_ENTRIES",
-    "supports_group",
     "native_point_op_muls",
     "batch_jdouble",
     "batch_jadd",
@@ -84,179 +69,23 @@ MIN_VECTOR_LANES = 16
 #: scalar fold it replaces
 SEGMENTED_MIN_ENTRIES = 64
 
-_HALF_I = 1 << (LIMB_BITS - 1)
 
-
-def supports_group(group) -> bool:
-    """True when the batch Jacobian kernels can vectorize this group:
-    prime-field coordinates always (native kernels, else the int64 limb
-    engine), Fq2 = Fq[i]/(i^2 + c0) extension lanes when the native
-    kernels are loaded (the limb engine has no extension arithmetic, so
-    G2 without native falls back to the scalar loop)."""
-    if _np is None:
-        return False
+def _native_engine(group, prime_cls, fq2_cls):
+    """The one "which native field serves this group" rule: prime-field
+    coordinates run over their own modulus, Fq2 = Fq[i]/(i^2 + c0)
+    lanes over the base field's; anything else — or no loaded kernels
+    for that modulus (``get_native_field`` is None without a compiler,
+    numpy or under ``REPRO_NATIVE=0``) — has no native engine."""
     o = group.ops
     if isinstance(o, IntFieldOps):
-        return True
-    if isinstance(o, ExtFieldOps):
-        f = o.field
-        return (f.degree == 2 and f.modulus_coeffs[1] == 0
-                and get_native_field(f.base.modulus) is not None)
-    return False
-
-
-# -- int64 limb-vector field (SoA lanes for the Jacobian kernels) --------------
-
-
-class _LV:
-    """A lane vector: (LG, m) int64 limb matrix + body-magnitude bound.
-
-    ``mag`` bounds the *body* limbs (rows 0..LG-2); the top guard limb
-    holds the accumulated overflow of the represented value and is kept
-    tiny (|top| <= ~2) by the top-fold step of :meth:`_VecField.mul` and
-    the structure of ingress (canonical values never reach the guard
-    rows)."""
-
-    __slots__ = ("arr", "mag")
-
-    def __init__(self, arr: "_np.ndarray", mag: int):
-        self.arr = arr
-        self.mag = mag
-
-
-class _VecField:
-    """Batched arithmetic over one prime modulus in base-2^22 int64
-    limbs, lane axis last: shapes are (LG, m).
-
-    Reuses the geometry/ingress/egress machinery of
-    :mod:`repro.backend.numpy_limb` but accumulates products in int64
-    (exact while magnitudes stay under the tracked caps) and folds the
-    high half of a product back below the modulus with a precomputed
-    constant matrix — the same lazy-reduction idea as ``vmul``, kept in
-    integer arithmetic so intermediate lane values can be chained
-    without a canonicalizing egress after every op."""
-
-    def __init__(self, modulus: int):
-        self.geom = _geometry(modulus)
-        self.p = modulus
-        lg, ld = self.geom.lg, self.geom.ld
-        self.lg = lg
-        self.ld = ld
-        # Column j is the balanced limb vector of 2^(22*(ld+j)) mod p;
-        # multiplying the high rows of a double-width product by this
-        # matrix re-expresses them below 2^(22*ld), i.e. lazily reduces.
-        foldT = _balanced_limb_cols(
-            self.geom, [pow(2, LIMB_BITS * j, modulus) for j in range(ld, 2 * lg)]
-        ).T.copy()  # (lg, 2*lg - ld)
-        # Split fold: the float matmul covers every high row except the
-        # topmost (its entries can exceed float exactness); that last
-        # row's contribution is added as an exact int64 outer product.
-        self._fold_f = _np.ascontiguousarray(foldT[:, :-1])
-        self._fold_last = foldT[:, -1].astype(_np.int64).reshape(lg, 1)
-        # Balanced limbs of 2^(22*(lg-1)) mod p: folds the top guard
-        # limb's overflow back into the body (rows above ld are zero
-        # because the folded value is < 2^(22*ld)).
-        self._top_fold = (
-            _balanced_limb_cols(self.geom, [pow(2, LIMB_BITS * (lg - 1), modulus)])
-            .T.copy()
-            .astype(_np.int64)
-        )
-
-    # -- conversions -----------------------------------------------------------
-
-    def from_ints(self, vals: Sequence[int]) -> _LV:
-        arr = _ints_to_limbs(self.geom, vals).T.copy().astype(_np.int64)
-        return _LV(arr, 1 << LIMB_BITS)
-
-    def from_const(self, value: int) -> _LV:
-        arr = (
-            _balanced_limb_cols(self.geom, [value % self.p]).T.copy().astype(_np.int64)
-        )
-        return _LV(arr, _HALF_I + 2)  # (lg, 1): broadcasts across lanes
-
-    def to_ints(self, v: _LV) -> List[int]:
-        if v.mag > (1 << 26):
-            self.normalize(v)
-        return _limbs_to_ints(self.geom, v.arr.T.astype(_np.float64))
-
-    def gather(self, v: _LV, idx) -> _LV:
-        return _LV(_np.ascontiguousarray(v.arr[:, idx]), v.mag)
-
-    # -- limb maintenance ------------------------------------------------------
-
-    @staticmethod
-    def _carry(arr: "_np.ndarray") -> None:
-        """One balanced carry round; the top row re-absorbs its own
-        carry (value-preserving: nothing is ever dropped)."""
-        d = (arr + _HALF_I) >> LIMB_BITS
-        arr -= d << LIMB_BITS
-        arr[1:] += d[:-1]
-        arr[-1] += d[-1] << LIMB_BITS
-
-    def normalize(self, v: _LV) -> _LV:
-        self._carry(v.arr)
-        self._carry(v.arr)
-        v.mag = _HALF_I + 2
-        return v
-
-    # -- arithmetic (lazy mod-p congruence; canonical only at egress) ----------
-
-    def add(self, a: _LV, b: _LV) -> _LV:
-        out = _LV(a.arr + b.arr, a.mag + b.mag)
-        if out.mag > (1 << 28):
-            self.normalize(out)
-        return out
-
-    def sub(self, a: _LV, b: _LV) -> _LV:
-        out = _LV(a.arr - b.arr, a.mag + b.mag)
-        if out.mag > (1 << 28):
-            self.normalize(out)
-        return out
-
-    def mul_small(self, a: _LV, k: int) -> _LV:
-        out = _LV(a.arr * k, a.mag * k)
-        if out.mag > (1 << 28):
-            self.normalize(out)
-        return out
-
-    def mul(self, a: _LV, b: _LV) -> _LV:
-        while a.mag * b.mag > (1 << 53):
-            self.normalize(a if a.mag >= b.mag else b)
-        lg = self.lg
-        m = max(a.arr.shape[1], b.arr.shape[1])
-        prod = _np.zeros((2 * lg, m), dtype=_np.int64)
-        tmp = _np.empty((lg, m), dtype=_np.int64)
-        _np.multiply(a.arr, b.arr[0], out=prod[0:lg])
-        for j in range(1, lg):
-            # diagonal accumulation: row sums stay under LG * magA*magB
-            # <= 37 * 2^53 < 2^63, exact in int64
-            _np.multiply(a.arr, b.arr[j], out=tmp)
-            prod[j : j + lg] += tmp
-        self._carry(prod)
-        self._carry(prod)
-        out = _np.matmul(
-            self._fold_f, prod[self.ld : -1].astype(_np.float64)
-        ).astype(_np.int64)
-        out += self._fold_last * prod[-1]
-        out[: self.ld] += prod[: self.ld]
-        # fold the top guard limb's overflow down so chained products
-        # never grow the guard rows
-        top = out[-1].copy()
-        out[-1] = 0
-        out += self._top_fold * top
-        self._carry(out)
-        self._carry(out)
-        return _LV(out, _HALF_I + 2)
-
-
-_VEC_FIELDS: Dict[int, _VecField] = {}
-
-
-def _vec_field(modulus: int) -> _VecField:
-    vf = _VEC_FIELDS.get(modulus)
-    if vf is None:
-        vf = _VEC_FIELDS[modulus] = _VecField(modulus)
-    return vf
+        cls, modulus = prime_cls, o.field.modulus
+    elif (isinstance(o, ExtFieldOps) and o.field.degree == 2
+          and o.field.modulus_coeffs[1] == 0):
+        cls, modulus = fq2_cls, o.field.base.modulus
+    else:
+        return None
+    nf = get_native_field(modulus)
+    return None if nf is None else cls(group, nf)
 
 
 # -- native Jacobian engines (raw rows in, raw rows out) -----------------------
@@ -378,19 +207,8 @@ class _JacNativeFq2:
 
 def _jac_engine(group):
     """The native Jacobian lane engine for this group, or None when
-    the compiled kernels cannot serve it (callers then fall back to
-    the int64 limb engine for G1, the scalar loop for G2)."""
-    o = group.ops
-    if isinstance(o, IntFieldOps):
-        nf = get_native_field(o.field.modulus)
-        return None if nf is None else _JacNativeG1(group, nf)
-    if isinstance(o, ExtFieldOps):
-        f = o.field
-        if f.degree != 2 or f.modulus_coeffs[1] != 0:
-            return None
-        nf = get_native_field(f.base.modulus)
-        return None if nf is None else _JacNativeFq2(group, nf)
-    return None
+    the compiled kernels cannot serve it."""
+    return _native_engine(group, _JacNativeG1, _JacNativeFq2)
 
 
 def native_point_op_muls(group) -> Optional[Dict[str, int]]:
@@ -417,9 +235,15 @@ def native_point_op_muls(group) -> Optional[Dict[str, int]]:
 # -- batch Jacobian kernels ----------------------------------------------------
 
 
-def batch_jdouble(group, points: Sequence) -> List:
+def batch_jdouble(group, points: Sequence) -> Optional[List]:
     """SoA doubling of every point; bit-identical to
-    ``[group.jdouble(p) for p in points]`` including op counts."""
+    ``[group.jdouble(p) for p in points]`` including op counts. None
+    (caller runs that scalar loop) when the group has no native
+    engine."""
+    eng = _jac_engine(group)
+    if eng is None:
+        _coverage.note("jacobian", "fallback")
+        return None
     o = group.ops
     results: List = [None] * len(points)
     act: List[int] = []
@@ -430,19 +254,8 @@ def batch_jdouble(group, points: Sequence) -> List:
             act.append(i)
     if not act:
         return results
-    eng = _jac_engine(group)
-    if eng is not None:
-        _coverage.note("jacobian", "native")
-        xi, yi, zi = eng.jdouble([points[i] for i in act])
-    else:
-        _coverage.note("jacobian", "fallback")
-        if not isinstance(o, IntFieldOps):
-            # extension lanes have no limb fallback: scalar loop
-            # (self-counting, so return before the batch counts below)
-            for i in act:
-                results[i] = group.jdouble(points[i])
-            return results
-        xi, yi, zi = _vec_jdouble(group, [points[i] for i in act])
+    _coverage.note("jacobian", "native")
+    xi, yi, zi = eng.jdouble([points[i] for i in act])
     for k, i in enumerate(act):
         results[i] = (xi[k], yi[k], zi[k])
     group._count("pdbl", len(act))
@@ -450,34 +263,11 @@ def batch_jdouble(group, points: Sequence) -> List:
     return results
 
 
-def _vec_jdouble(group, pts: Sequence):
-    """The int64 limb-engine doubling body (G1 fallback path)."""
-    consts = group.formula_constants()
-    vf = _vec_field(group.ops.field.modulus)
-    X = vf.from_ints([p[0] for p in pts])
-    Y = vf.from_ints([p[1] for p in pts])
-    Z = vf.from_ints([p[2] for p in pts])
-    ysq = vf.mul(Y, Y)
-    s = vf.mul_small(vf.mul(X, ysq), 4)
-    if consts["a_is_zero"]:
-        m = vf.mul_small(vf.mul(X, X), 3)
-    else:
-        z2 = vf.mul(Z, Z)
-        m = vf.add(
-            vf.mul_small(vf.mul(X, X), 3),
-            vf.mul(vf.mul(z2, z2), vf.from_const(consts["a"])),
-        )
-    x3 = vf.sub(vf.mul(m, m), vf.mul_small(s, 2))
-    y3 = vf.sub(vf.mul(m, vf.sub(s, x3)), vf.mul_small(vf.mul(ysq, ysq), 8))
-    z3 = vf.mul_small(vf.mul(Y, Z), 2)
-    return vf.to_ints(x3), vf.to_ints(y3), vf.to_ints(z3)
-
-
 def _patch_masked_lanes(group, results, act, ps, xi, yi, zi, hz, rz):
     """Write back native add/mixed-add outputs, routing the masked
     special lanes exactly like the scalar formulas: h == 0 and r == 0
     is P == Q (the self-counting double), h == 0 alone is P == -Q
-    (infinity, count-free). Returns the normal-lane count."""
+    (infinity, count-free), and bulk-count the normal lanes' padds."""
     o = group.ops
     n_normal = 0
     for k, i in enumerate(act):
@@ -489,13 +279,18 @@ def _patch_masked_lanes(group, results, act, ps, xi, yi, zi, hz, rz):
         else:
             results[i] = (xi[k], yi[k], zi[k])
             n_normal += 1
-    return n_normal
+    group._count("padd", n_normal)
 
 
-def batch_jadd(group, ps: Sequence, qs: Sequence) -> List:
+def batch_jadd(group, ps: Sequence, qs: Sequence) -> Optional[List]:
     """SoA pairwise Jacobian addition; bit-identical to the scalar
-    loop. Doubling lanes (u1 == u2, s1 == s2) are patched with the
+    loop (None without a native engine, as :func:`batch_jdouble`).
+    Doubling lanes (u1 == u2, s1 == s2) are patched with the
     self-counting scalar ``jdouble`` so counts stay exact."""
+    eng = _jac_engine(group)
+    if eng is None:
+        _coverage.note("jacobian", "fallback")
+        return None
     o = group.ops
     n = len(ps)
     results: List = [None] * n
@@ -509,66 +304,21 @@ def batch_jadd(group, ps: Sequence, qs: Sequence) -> List:
             act.append(i)
     if not act:
         return results
-    eng = _jac_engine(group)
-    if eng is not None:
-        _coverage.note("jacobian", "native")
-        xi, yi, zi, hz, rz = eng.jadd([ps[i] for i in act],
-                                      [qs[i] for i in act])
-        n_normal = _patch_masked_lanes(group, results, act, ps,
-                                       xi, yi, zi, hz, rz)
-        group._count("padd", n_normal)
-        return results
-    _coverage.note("jacobian", "fallback")
-    if not isinstance(o, IntFieldOps):
-        for i in act:
-            results[i] = group.jadd(ps[i], qs[i])  # self-counting
-        return results
-    vf = _vec_field(o.field.modulus)
-    X1 = vf.from_ints([ps[i][0] for i in act])
-    Y1 = vf.from_ints([ps[i][1] for i in act])
-    Z1 = vf.from_ints([ps[i][2] for i in act])
-    X2 = vf.from_ints([qs[i][0] for i in act])
-    Y2 = vf.from_ints([qs[i][1] for i in act])
-    Z2 = vf.from_ints([qs[i][2] for i in act])
-    z1sq = vf.mul(Z1, Z1)
-    z2sq = vf.mul(Z2, Z2)
-    u1 = vf.mul(X1, z2sq)
-    u2 = vf.mul(X2, z1sq)
-    s1 = vf.mul(Y1, vf.mul(z2sq, Z2))
-    s2 = vf.mul(Y2, vf.mul(z1sq, Z1))
-    h = vf.sub(u2, u1)
-    r = vf.sub(s2, s1)
-    hi = vf.to_ints(vf.gather(h, slice(None)))
-    special = [k for k, v in enumerate(hi) if v == 0]
-    sp = frozenset(special)
-    if special:
-        ri = vf.to_ints(vf.gather(r, special))
-        for k, rv in zip(special, ri):
-            i = act[k]
-            if rv == 0:
-                results[i] = group.jdouble(ps[i])  # counts pdbl + padd
-            else:
-                results[i] = (1, 1, 0)  # P + (-P): no counts
-    hsq = vf.mul(h, h)
-    hcu = vf.mul(hsq, h)
-    u1hsq = vf.mul(u1, hsq)
-    x3 = vf.sub(vf.sub(vf.mul(r, r), hcu), vf.mul_small(u1hsq, 2))
-    y3 = vf.sub(vf.mul(r, vf.sub(u1hsq, x3)), vf.mul(s1, hcu))
-    z3 = vf.mul(h, vf.mul(Z1, Z2))
-    xi, yi, zi = vf.to_ints(x3), vf.to_ints(y3), vf.to_ints(z3)
-    n_normal = 0
-    for k, i in enumerate(act):
-        if k in sp:
-            continue
-        results[i] = (xi[k], yi[k], zi[k])
-        n_normal += 1
-    group._count("padd", n_normal)
+    _coverage.note("jacobian", "native")
+    xi, yi, zi, hz, rz = eng.jadd([ps[i] for i in act],
+                                  [qs[i] for i in act])
+    _patch_masked_lanes(group, results, act, ps, xi, yi, zi, hz, rz)
     return results
 
 
-def batch_jmixed_add(group, ps: Sequence, qs: Sequence) -> List:
+def batch_jmixed_add(group, ps: Sequence, qs: Sequence) -> Optional[List]:
     """SoA pairwise Jacobian += affine addition; bit-identical to the
-    scalar loop (same special-case routing as :func:`batch_jadd`)."""
+    scalar loop (same special-case routing and None contract as
+    :func:`batch_jadd`)."""
+    eng = _jac_engine(group)
+    if eng is None:
+        _coverage.note("jacobian", "fallback")
+        return None
     o = group.ops
     n = len(ps)
     results: List = [None] * n
@@ -582,56 +332,10 @@ def batch_jmixed_add(group, ps: Sequence, qs: Sequence) -> List:
             act.append(i)
     if not act:
         return results
-    eng = _jac_engine(group)
-    if eng is not None:
-        _coverage.note("jacobian", "native")
-        xi, yi, zi, hz, rz = eng.jmadd([ps[i] for i in act],
-                                       [qs[i] for i in act])
-        n_normal = _patch_masked_lanes(group, results, act, ps,
-                                       xi, yi, zi, hz, rz)
-        group._count("padd", n_normal)
-        return results
-    _coverage.note("jacobian", "fallback")
-    if not isinstance(o, IntFieldOps):
-        for i in act:
-            results[i] = group.jmixed_add(ps[i], qs[i])  # self-counting
-        return results
-    vf = _vec_field(o.field.modulus)
-    X1 = vf.from_ints([ps[i][0] for i in act])
-    Y1 = vf.from_ints([ps[i][1] for i in act])
-    Z1 = vf.from_ints([ps[i][2] for i in act])
-    X2 = vf.from_ints([qs[i][0] for i in act])
-    Y2 = vf.from_ints([qs[i][1] for i in act])
-    z1sq = vf.mul(Z1, Z1)
-    u2 = vf.mul(X2, z1sq)
-    s2 = vf.mul(Y2, vf.mul(z1sq, Z1))
-    h = vf.sub(u2, X1)
-    r = vf.sub(s2, Y1)
-    hi = vf.to_ints(vf.gather(h, slice(None)))
-    special = [k for k, v in enumerate(hi) if v == 0]
-    sp = frozenset(special)
-    if special:
-        ri = vf.to_ints(vf.gather(r, special))
-        for k, rv in zip(special, ri):
-            i = act[k]
-            if rv == 0:
-                results[i] = group.jdouble(ps[i])
-            else:
-                results[i] = (1, 1, 0)
-    hsq = vf.mul(h, h)
-    hcu = vf.mul(hsq, h)
-    u1hsq = vf.mul(X1, hsq)
-    x3 = vf.sub(vf.sub(vf.mul(r, r), hcu), vf.mul_small(u1hsq, 2))
-    y3 = vf.sub(vf.mul(r, vf.sub(u1hsq, x3)), vf.mul(Y1, hcu))
-    z3 = vf.mul(h, Z1)
-    xi, yi, zi = vf.to_ints(x3), vf.to_ints(y3), vf.to_ints(z3)
-    n_normal = 0
-    for k, i in enumerate(act):
-        if k in sp:
-            continue
-        results[i] = (xi[k], yi[k], zi[k])
-        n_normal += 1
-    group._count("padd", n_normal)
+    _coverage.note("jacobian", "native")
+    xi, yi, zi, hz, rz = eng.jmadd([ps[i] for i in act],
+                                   [qs[i] for i in act])
+    _patch_masked_lanes(group, results, act, ps, xi, yi, zi, hz, rz)
     return results
 
 
@@ -848,28 +552,15 @@ class _ExtLanes(_PlaneLanes):
         return (self.nf.encode([inv.coeffs[0]]), self.nf.encode([inv.coeffs[1]]))
 
 
-def _make_lane_engine(group):
-    o = group.ops
-    if isinstance(o, IntFieldOps):
-        nf = get_native_field(o.field.modulus)
-        return None if nf is None else _G1Lanes(group, nf)
-    if isinstance(o, ExtFieldOps):
-        f = o.field
-        if f.degree != 2 or f.modulus_coeffs[1] != 0:
-            return None
-        nf = get_native_field(f.base.modulus)
-        return None if nf is None else _ExtLanes(group, nf)
-    return None
-
-
 def accumulate_buckets_segmented(group, buckets: List,
                                  entries: Sequence[Tuple[int, object]]
                                  ) -> Optional[List]:
     """Sorted log-depth batch-affine bucket accumulation.
 
-    Returns None (caller falls back to the scalar fold) when numpy or
-    the native kernels are unavailable, the group's coordinate field is
-    unsupported, or the batch is too small to pay for the setup.
+    Returns None (caller falls back to the scalar fold) when the batch
+    is too small to pay for the setup — silently, it is a size choice —
+    or when the group has no native engine, which coverage records as a
+    ``jacobian`` fallback.
 
     Entries are stable-sorted by bucket index; buckets that receive the
     same x-coordinate more than once are folded scalar-first (the
@@ -884,14 +575,14 @@ def accumulate_buckets_segmented(group, buckets: List,
     ``buckets`` as (x, y, 1) Jacobian representatives (group-equal to
     the scalar fold; merged with the self-counting ``jadd`` when the
     incoming bucket is not infinity)."""
-    if _np is None:
-        return None
     items = [(idx, pt) for idx, pt in entries if pt is not None]
     if len(items) < SEGMENTED_MIN_ENTRIES:
         return None
-    eng = _make_lane_engine(group)
+    eng = _native_engine(group, _G1Lanes, _ExtLanes)
     if eng is None:
+        _coverage.note("jacobian", "fallback")
         return None
+    _coverage.note("jacobian", "native")
     idxs = _np.fromiter((i for i, _ in items), dtype=_np.int64, count=len(items))
     order = _np.argsort(idxs, kind="stable")
     curb = idxs[order]

@@ -115,8 +115,6 @@ class _Geometry:
 _GEOMS: Dict[int, _Geometry] = {}
 #: pass-matrix cache: (modulus, n, omega) -> list of (L, LG, LG) arrays
 _TABLES: Dict[Tuple[int, int, int], list] = {}
-#: power-ladder cache for vmul_powers: (modulus, g) -> [1, g, g^2, ...]
-_POWER_LADDERS: Dict[Tuple[int, int], List[int]] = {}
 
 
 def _geometry(modulus: int) -> _Geometry:
@@ -318,15 +316,15 @@ def _stockham_ntt(field, vals: Sequence[int], omega: int) -> List[int]:
 
 
 class NumpyLimbBackend(ComputeBackend):
-    """Vectorized limb-matrix engine; overrides the ops where batching
-    pays. NTT sweeps and pointwise products run as fused limb-matrix
-    passes here; curve ops route to :mod:`repro.backend.numpy_curve`:
-    the batch Jacobian kernels run the group-law formulas as
-    struct-of-arrays rows over this module's limb engine (bit-identical
-    to the scalar path), and bucket accumulation uses the segmented
-    batch-affine tree over the runtime-compiled Montgomery kernels of
-    :mod:`repro.backend.native`. Small batches and unsupported
-    coordinate fields fall back to the inherited scalar loops."""
+    """One dispatch rule for every op: the native C kernel when one is
+    loaded for this modulus/group (:mod:`repro.backend.native`, driven
+    for curve ops through :mod:`repro.backend.numpy_curve`), otherwise
+    the inherited scalar loop. The single exception is the NTT, whose
+    compiler-less fallback is this module's fused limb-matrix Stockham
+    sweep — the one middle-tier kernel that beats the scalar loop it
+    overrides (DESIGN.md, "Compute backends"). ``digits_matrix`` is
+    vectorized unconditionally. Small batches stay on the scalar
+    loops."""
 
     name = "numpy"
     fuses_ntt_sweeps = True
@@ -384,56 +382,31 @@ class NumpyLimbBackend(ComputeBackend):
     # -- batch field arithmetic -------------------------------------------------
 
     def vmul_powers(self, field, xs: Sequence[int], g: int) -> List[int]:
-        """Coset scaling without the serial dependency: the power
-        ladder g^i is materialized once per (modulus, g) — extended on
-        demand and cached across calls — then applied with a single
-        batched :meth:`vmul`. Residues match the scalar accumulator
-        loop exactly (both are canonical products mod p)."""
-        n = len(xs)
-        if n < 2:
-            return super().vmul_powers(field, xs, g)
-        p = field.modulus
-        g %= p
-        nf = get_native_field(p)
-        if nf is not None:
-            # Raw rows times the cached Montgomery ladder: one CIOS mul
-            # per element, ladder built by one sequential C sweep.
-            _coverage.note("pointwise", "native")
-            return nf.vmul_powers_ints([x % p for x in xs], g)
-        key = (p, g)
-        pows = _POWER_LADDERS.get(key)
-        if pows is None:
-            pows = _POWER_LADDERS[key] = [1]
-        while len(pows) < n:
-            pows.append(pows[-1] * g % p)
-        return self.vmul(field, xs, pows[:n])
+        """Coset scaling: raw rows times the cached Montgomery ladder —
+        one CIOS mul per element, ladder built by one sequential C
+        sweep — when the kernels are loaded, scalar loop otherwise."""
+        if len(xs) >= 2:
+            p = field.modulus
+            nf = get_native_field(p)
+            if nf is not None:
+                _coverage.note("pointwise", "native")
+                return nf.vmul_powers_ints([x % p for x in xs], g % p)
+            _coverage.note("pointwise", "fallback")
+        return super().vmul_powers(field, xs, g)
 
     def vmul(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
-        """Lazy-reduction schoolbook product across the N axis: limb
-        outer products accumulated per diagonal, one canonicalization at
-        egress."""
-        if not xs:
-            return []
-        p = field.modulus
-        nf = get_native_field(p)
-        if nf is not None:
-            # Two batched CIOS muls (x*y*R^-1, then fold by R^2): no
-            # limb-matrix traffic, no per-element Python egress.
-            _coverage.note("pointwise", "native")
-            return nf.vmul_ints([x % p for x in xs],
-                                [y % p for y in ys])
-        _coverage.note("pointwise", "fallback")
-        geom = _geometry(field.modulus)
-        a = _ints_to_limbs(geom, [x % p for x in xs])
-        b = _ints_to_limbs(geom, [y % p for y in ys])
-        lg = geom.lg
-        nl = 2 * lg - 1
-        prod = _np.zeros((len(xs), nl), dtype=_np.float64)
-        for j in range(lg):
-            # limbs are unsigned < 2^22 here; each product < 2^44 and a
-            # diagonal sums at most LG of them: exact in float64.
-            prod[:, j:j + lg] += a * b[:, j:j + 1]
-        return self._wide_egress(geom, prod, nl)
+        """Pointwise product: two batched CIOS muls (x*y*R^-1, then
+        fold by R^2) when the kernels are loaded, scalar loop
+        otherwise."""
+        if xs:
+            p = field.modulus
+            nf = get_native_field(p)
+            if nf is not None:
+                _coverage.note("pointwise", "native")
+                return nf.vmul_ints([x % p for x in xs],
+                                    [y % p for y in ys])
+            _coverage.note("pointwise", "fallback")
+        return super().vmul(field, xs, ys)
 
     def vscale(self, field, xs: Sequence[int], k: int) -> List[int]:
         """Whole-vector scale by one constant: a broadcast native mul
@@ -498,143 +471,41 @@ class NumpyLimbBackend(ComputeBackend):
         return out
 
     # -- batch curve ops --------------------------------------------------------
+    # numpy_curve returns None (and notes the coverage fallback) when
+    # the group has no native engine; below the lane/entry thresholds
+    # the scalar loop is a size choice and stays silent.
 
     def batch_jdouble(self, group, points: Sequence) -> List:
         from repro.backend import numpy_curve as _nc
 
         if len(points) >= _nc.MIN_VECTOR_LANES:
-            if _nc.supports_group(group):
-                return _nc.batch_jdouble(group, points)
-            _coverage.note("jacobian", "fallback")
+            out = _nc.batch_jdouble(group, points)
+            if out is not None:
+                return out
         return super().batch_jdouble(group, points)
 
     def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> List:
         from repro.backend import numpy_curve as _nc
 
         if len(ps) >= _nc.MIN_VECTOR_LANES:
-            if _nc.supports_group(group):
-                return _nc.batch_jadd(group, ps, qs)
-            _coverage.note("jacobian", "fallback")
+            out = _nc.batch_jadd(group, ps, qs)
+            if out is not None:
+                return out
         return super().batch_jadd(group, ps, qs)
 
     def batch_jmixed_add(self, group, ps: Sequence, qs: Sequence) -> List:
         from repro.backend import numpy_curve as _nc
 
         if len(ps) >= _nc.MIN_VECTOR_LANES:
-            if _nc.supports_group(group):
-                return _nc.batch_jmixed_add(group, ps, qs)
-            _coverage.note("jacobian", "fallback")
+            out = _nc.batch_jmixed_add(group, ps, qs)
+            if out is not None:
+                return out
         return super().batch_jmixed_add(group, ps, qs)
 
     def accumulate_buckets(self, group, buckets: List, entries) -> List:
         from repro.backend import numpy_curve as _nc
 
         out = _nc.accumulate_buckets_segmented(group, buckets, entries)
-        if out is None:  # too small / unsupported field / no native kernels
+        if out is None:
             return super().accumulate_buckets(group, buckets, entries)
-        _coverage.note("jacobian", "native")
         return out
-
-    def bucket_reduce(self, group, buckets: Sequence):
-        """Log-depth batched suffix scan: suffix sums via Hillis-Steele
-        rounds of :meth:`batch_jadd`, then a log-depth tree sum — the
-        parallel-prefix structure of §4.1's final step, with each round
-        one SoA batch call instead of a serial 2-PADD-per-bucket chain.
-
-        Count contract (see the base method): the scan performs more
-        jadds than the ordered fold, so counting is detached from the
-        group during the batched rounds and the fold's exact
-        data-dependent PADD total — derivable from the bucket infinity
-        mask alone, outside the documented discrete-log-rare collision
-        window — is emitted analytically, keeping python/numpy op
-        totals identical."""
-        from repro.backend import numpy_curve as _nc
-
-        m = len(buckets)
-        if m < _nc.MIN_VECTOR_LANES:
-            return super().bucket_reduce(group, buckets)
-
-        counter = group.counter
-        if counter is not None:
-            # The ordered fold counts one padd per jadd whose operands
-            # are both finite; running/total go (and stay) finite as
-            # soon as they absorb the first finite bucket. One formal
-            # equality exists: right after the first finite bucket, if
-            # the next bucket is empty, total == running (both equal
-            # that bucket) and jadd routes to jdouble — the only
-            # mask-determined pdbl in the fold.
-            padds = pdbl = 0
-            seen = 0
-            first = None
-            for t, b in enumerate(reversed(buckets)):
-                finite = not group.jis_infinity(b)
-                if finite:
-                    seen += 1
-                    if first is None:
-                        first = t
-                    elif seen > 1:
-                        padds += 1          # running-chain add
-                if first is not None and t > first:
-                    padds += 1              # total-chain event
-                    if t == first + 1 and not finite:
-                        pdbl += 1           # equality -> jdouble
-            if padds:
-                counter.count("padd", padds)
-            if pdbl:
-                counter.count("pdbl", pdbl)
-            group.counter = None
-        try:
-            # suffix[j] = buckets[j] + ... + buckets[m-1]: a prefix scan
-            # over the reversed array, log2(m) batched rounds.
-            suffix = list(reversed(buckets))
-            distance = 1
-            while distance < m:
-                merged = self.batch_jadd(group, suffix[distance:],
-                                         suffix[:m - distance])
-                suffix[distance:] = merged
-                distance <<= 1
-            # total = sum of all suffix sums, as a log-depth tree.
-            values = suffix
-            while len(values) > 1:
-                half = len(values) // 2
-                paired = self.batch_jadd(group, values[0:2 * half:2],
-                                         values[1:2 * half:2])
-                if len(values) % 2:
-                    paired.append(values[-1])
-                values = paired
-            return values[0]
-        finally:
-            if counter is not None:
-                group.counter = counter
-
-    @staticmethod
-    def _wide_egress(geom: _Geometry, prod: "_np.ndarray",
-                     nl: int) -> List[int]:
-        """Non-negative product limbs -> canonical ints (one % p each)."""
-        n = prod.shape[0]
-        acc = prod.astype(_np.int64)
-        carry = _np.zeros(n, dtype=_np.int64)
-        for j in range(nl):
-            t = acc[:, j] + carry
-            carry = t >> LIMB_BITS
-            acc[:, j] = t & _MASK
-        ew32 = (LIMB_BITS * nl + 28 + 31) // 32 + 1
-        words = _np.zeros((ew32, n), dtype=_np.int64)
-        for j in range(nl):
-            w, r = divmod(LIMB_BITS * j, 32)
-            v = acc[:, j] << r
-            words[w] |= v & 0xFFFFFFFF
-            words[w + 1] |= v >> 32
-        w, r = divmod(LIMB_BITS * nl, 32)
-        v = carry << r
-        words[w] |= v & 0xFFFFFFFF
-        if w + 1 < ew32:
-            words[w + 1] |= v >> 32
-        raw = words.T.astype("<u4").tobytes()
-        stride = ew32 * 4
-        p = geom.p
-        from_bytes = int.from_bytes
-        return [
-            from_bytes(raw[i * stride:(i + 1) * stride], "little") % p
-            for i in range(n)
-        ]

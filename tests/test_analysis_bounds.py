@@ -10,7 +10,6 @@ from repro.analysis.bounds import (
     certify_modulus,
     certify_native_mont,
     certify_numpy_limb,
-    certify_soa_curve,
     limb_geometry,
 )
 from repro.analysis.report import AnalysisReport
@@ -26,8 +25,10 @@ BN254_R = SCALAR_FIELDS["ALT-BN128"].modulus
 
 def test_certify_all_passes_at_head():
     certs = certify_all()
-    # 5 families x 6 distinct moduli (Fr + Fq of three curves)
-    assert len(certs) == 30
+    # 4 families x 6 distinct moduli (Fr + Fq of three curves)
+    assert len(certs) == 24
+    assert {c.family for c in certs} == {
+        "dfp", "numpy-limb", "native-mont", "native-jacobian"}
     bad = [(c.family, c.modulus_name, [v.name for v in c.violations()])
            for c in certs if not c.ok]
     assert bad == []
@@ -140,31 +141,13 @@ def test_dfp_certificate_structure():
     assert w["magnitude"] == w["limb"] * w["limb"]
 
 
-def test_vmul_witness_is_feasible():
-    for modulus in ALL_FIELDS:
-        cert = certify_numpy_limb("m", modulus)
-        w = cert.witnesses["vmul"]
-        assert 0 < w["value"] < modulus
-        bound = cert.check(w["check"])
-        assert bound is not None
-        assert w["magnitude"] <= bound.bound
-
-
-def test_soa_certificate_covers_all_kernels():
-    cert = certify_soa_curve("ALT-BN128.Fq", BASE_FIELDS["ALT-BN128"].modulus)
-    assert cert.ok
-    names = {c.name for c in cert.checks}
-    assert {"soa/mul-term-int64", "soa/fold-rowsum", "soa/topfold-zero",
-            "soa/egress-float"} <= names
-
-
 def test_report_json_round_trips():
     import json
 
     report = AnalysisReport(certificates=certify_modulus("m", BN254_R))
     data = json.loads(report.to_json())
     assert data["ok"] is True
-    assert len(data["certificates"]) == 5
+    assert len(data["certificates"]) == 4
     for cert in data["certificates"]:
         for check in cert["checks"]:
             assert check["bound"] < check["limit"]

@@ -1,13 +1,13 @@
 """Property tests tying the certifier's claims back to the real
-kernels: Dekker two-product exactness at boundary limbs, and the vmul
-witnesses whose certified worst-case diagonal magnitude the real limb
-pipeline reproduces bit-exactly."""
+kernels: Dekker two-product exactness at boundary limbs and the DFP
+witness whose certified product magnitude the real multiplier
+reproduces bit-exactly."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.bounds import certify_dfp, certify_numpy_limb
+from repro.analysis.bounds import certify_dfp
 from repro.ff.dfp import DFP_BASE_BITS, DfpMultiplier, two_product
 from repro.ff.params import SCALAR_FIELDS
 
@@ -61,52 +61,3 @@ def test_dfp_raw_mul_exact_random(data):
     a = data.draw(st.integers(min_value=0, max_value=p - 1))
     b = data.draw(st.integers(min_value=0, max_value=p - 1))
     assert DfpMultiplier(p).mod_mul(a, b) == a * b % p
-
-
-def _real_vmul_diagonals(modulus: int, value: int):
-    """Replay the real backend's vmul accumulation (same dtype, same
-    slice-add schedule) on one lane and return the diagonal vector the
-    kernel hands to ``_wide_egress``."""
-    np = pytest.importorskip("numpy")
-    nl_mod = pytest.importorskip("repro.backend.numpy_limb")
-    geom = nl_mod._geometry(modulus)
-    a = nl_mod._ints_to_limbs(geom, [value])
-    lg = geom.lg
-    prod = np.zeros((1, 2 * lg - 1), dtype=np.float64)
-    for j in range(lg):
-        prod[:, j:j + lg] += a * a[:, j:j + 1]
-    return prod[0]
-
-
-@pytest.mark.parametrize("curve", CURVES)
-def test_vmul_witness_attained_on_real_kernel(curve):
-    """The certifier's adversarial vmul input drives the real float64
-    pipeline to exactly the magnitude named in the certificate — and
-    that magnitude stays under the 2^53 exactness ceiling."""
-    field = SCALAR_FIELDS[curve]
-    cert = certify_numpy_limb(curve, field.modulus)
-    w = cert.witnesses["vmul"]
-    diag = _real_vmul_diagonals(field.modulus, w["value"])
-    peak = int(max(diag))
-    assert float(peak) == max(diag)  # still an exact-integer double
-    assert peak == w["magnitude"]
-    assert peak <= cert.check("vmul/diagonal").bound < 1 << 53
-    # and the full product emerges correct through the real egress
-    be = pytest.importorskip("repro.backend.numpy_limb")
-    if be.numpy_available():
-        out = be.NumpyLimbBackend().vmul(field, [w["value"]], [w["value"]])
-        assert out == [w["value"] * w["value"] % field.modulus]
-
-
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_vmul_diagonals_never_exceed_certified_bound(data):
-    """Random canonical inputs stay at or below the certified worst
-    case on every modulus."""
-    curve = data.draw(st.sampled_from(CURVES))
-    field = SCALAR_FIELDS[curve]
-    cert = certify_numpy_limb(curve, field.modulus)
-    bound = cert.check("vmul/diagonal").bound
-    v = data.draw(st.integers(min_value=0, max_value=field.modulus - 1))
-    diag = _real_vmul_diagonals(field.modulus, v)
-    assert int(max(diag)) <= bound

@@ -1,8 +1,9 @@
 """Batched SoA curve kernels vs the scalar reference.
 
-The numpy backend's vectorized Jacobian kernels and segmented bucket
-reduction (:mod:`repro.backend.numpy_curve`) must be *bit-identical* to
-the scalar group law on every curve — including every special case
+The numpy backend's batch Jacobian ops and segmented bucket reduction
+(:mod:`repro.backend.numpy_curve`; the scalar loop when no native
+kernel is loaded) must be *bit-identical* to the scalar group law on
+every curve — including every special case
 (infinity, doubling, cancellation, mixed representatives) — and must
 emit identical op-count totals. The one documented relaxation: bucket
 accumulation may return any group-equal Jacobian representative, so
@@ -22,14 +23,7 @@ import pytest
 from repro.backend import get_backend
 from repro.backend import numpy_curve
 from repro.backend.native import native_available
-from repro.backend.numpy_curve import (
-    accumulate_buckets_segmented,
-    batch_jadd,
-    batch_jdouble,
-    batch_jmixed_add,
-    supports_group,
-    _vec_field,
-)
+from repro.backend.numpy_curve import accumulate_buckets_segmented
 from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
 
@@ -38,6 +32,7 @@ numpy = pytest.importorskip("numpy")
 CURVE_NAMES = ["ALT-BN128", "BLS12-381", "MNT4753"]
 
 PY = get_backend("python")
+NP = get_backend("numpy")
 
 
 def offset_chain(group, n, seed):
@@ -65,43 +60,11 @@ def jacobian_reps(group, pts, start=2):
 
 
 @pytest.mark.parametrize("name", CURVE_NAMES)
-class TestVecFieldExact:
-    """The int64 limb engine under the batch kernels is exact, including
-    chained products (the top-limb fold keeps magnitudes bounded)."""
-
-    def test_mul_chains(self, name):
-        q = CURVES[name].fq.modulus
-        vf = _vec_field(q)
-        rng = random.Random(q % 10007)
-        m = 129
-        av = [rng.randrange(q) for _ in range(m)]
-        bv = [rng.randrange(q) for _ in range(m)]
-        a, b = vf.from_ints(av), vf.from_ints(bv)
-        c = vf.mul(a, b)
-        assert vf.to_ints(c) == [x * y % q for x, y in zip(av, bv)]
-        d = vf.mul(c, c)
-        e = vf.mul(vf.mul(d, d), vf.mul(d, a))
-        assert vf.to_ints(e) == [
-            pow(x * y, 6, q) * x % q for x, y in zip(av, bv)
-        ]
-
-    def test_add_sub_small_chains(self, name):
-        q = CURVES[name].fq.modulus
-        vf = _vec_field(q)
-        rng = random.Random(q % 65537)
-        av = [rng.randrange(q) for _ in range(64)]
-        bv = [rng.randrange(q) for _ in range(64)]
-        a, b = vf.from_ints(av), vf.from_ints(bv)
-        r = vf.sub(vf.mul_small(vf.add(a, b), 8), vf.mul(a, vf.from_const(777)))
-        assert vf.to_ints(r) == [
-            ((x + y) * 8 - x * 777) % q for x, y in zip(av, bv)
-        ]
-
-
-@pytest.mark.parametrize("name", CURVE_NAMES)
 class TestBatchKernelsBitIdentical:
-    """batch_j* == the scalar loop, lane for lane, count for count.
-    MNT4753 has a != 0 (the general doubling branch)."""
+    """The numpy backend's batch_j* == the scalar loop, lane for lane,
+    count for count, at lane counts above ``MIN_VECTOR_LANES`` (native
+    kernels when loaded, the inherited loop otherwise). MNT4753 has
+    a != 0 (the general doubling branch)."""
 
     def _run(self, group, batch_fn, scalar_fn, ps, qs=None):
         c_ref, c_vec = OpCounter(), OpCounter()
@@ -119,10 +82,9 @@ class TestBatchKernelsBitIdentical:
 
     def test_jdouble(self, name):
         g1 = CURVES[name].g1
-        assert supports_group(g1)
         pts = offset_chain(g1, 20, seed=1)
         lanes = jacobian_reps(g1, pts) + [(1, 1, 0)]
-        self._run(g1, batch_jdouble, g1.jdouble, lanes)
+        self._run(g1, NP.batch_jdouble, g1.jdouble, lanes)
 
     def test_jadd_special_lanes(self, name):
         g1 = CURVES[name].g1
@@ -133,7 +95,7 @@ class TestBatchKernelsBitIdentical:
         # (inf, P), (P, inf), P + P across representatives, P + (-P)
         ps = jz + [inf, jz[0], jz[1], jz[2]]
         qs = jp + [jp[0], inf, (pts[1][0], pts[1][1], 1), g1.jneg(jp[2])]
-        self._run(g1, batch_jadd, g1.jadd, ps, qs)
+        self._run(g1, NP.batch_jadd, g1.jadd, ps, qs)
 
     def test_jmixed_special_lanes(self, name):
         g1 = CURVES[name].g1
@@ -142,21 +104,20 @@ class TestBatchKernelsBitIdentical:
         inf = (1, 1, 0)
         ps = jz + [jz[0], inf, jz[1], jz[2]]
         qs = list(pts) + [None, pts[5], pts[1], g1.neg(pts[2])]
-        self._run(g1, batch_jmixed_add, g1.jmixed_add, ps, qs)
+        self._run(g1, NP.batch_jmixed_add, g1.jmixed_add, ps, qs)
 
     def test_backend_dispatch_matches_python(self, name, monkeypatch):
         """Through the public backend API (thresholds lowered so the
         vector path engages at test sizes)."""
         monkeypatch.setattr(numpy_curve, "MIN_VECTOR_LANES", 1)
-        npb = get_backend("numpy")
         g1 = CURVES[name].g1
         pts = offset_chain(g1, 8, seed=4)
         jp = [g1.to_jacobian(p) for p in pts]
-        assert npb.batch_jdouble(g1, jp) == PY.batch_jdouble(g1, jp)
-        assert npb.batch_jadd(g1, jp, jp[::-1]) == PY.batch_jadd(
+        assert NP.batch_jdouble(g1, jp) == PY.batch_jdouble(g1, jp)
+        assert NP.batch_jadd(g1, jp, jp[::-1]) == PY.batch_jadd(
             g1, jp, jp[::-1]
         )
-        assert npb.batch_jmixed_add(g1, jp, pts) == PY.batch_jmixed_add(
+        assert NP.batch_jmixed_add(g1, jp, pts) == PY.batch_jmixed_add(
             g1, jp, pts
         )
 
@@ -238,7 +199,6 @@ class TestSegmentedBuckets:
         monkeypatch.setattr(numpy_curve, "get_native_field",
                             lambda modulus: None)
         monkeypatch.setattr(numpy_curve, "SEGMENTED_MIN_ENTRIES", 1)
-        npb = get_backend("numpy")
         g1 = CURVES["BLS12-381"].g1
         o = g1.ops
         entries = self._entries(g1, 96, 8, seed=12)
@@ -249,7 +209,7 @@ class TestSegmentedBuckets:
         g1.counter = c_ref
         PY.accumulate_buckets(g1, ref, entries)
         g1.counter = c_vec
-        npb.accumulate_buckets(g1, got, entries)
+        NP.accumulate_buckets(g1, got, entries)
         g1.counter = None
         assert got == ref  # scalar fold: bit-identical, not just group-equal
         assert c_ref._totals == c_vec._totals

@@ -255,8 +255,8 @@ class TestDigitsMatrix:
 
 
 class TestBucketReduce:
-    """The batched log-depth suffix scan must be group-equal to the
-    ordered running-suffix fold and emit the identical padd total —
+    """Cross-backend contract of ``bucket_reduce``: group-equal to the
+    ordered running-suffix fold with the identical padd total —
     including the data-dependent skips for empty buckets."""
 
     def _buckets(self, n, infinity_at, seed=3):
@@ -297,14 +297,6 @@ class TestBucketReduce:
         got = NP.bucket_reduce(bn128_g1, buckets)
         assert bn128_g1.from_jacobian(got) is None or \
             bn128_g1.jis_infinity(got)
-
-    def test_small_input_uses_scalar_path(self):
-        # below the vector-lane threshold the numpy backend delegates
-        # to the exact ordered fold
-        buckets = self._buckets(5, {1})
-        ref = PY.bucket_reduce(bn128_g1, list(buckets))
-        got = NP.bucket_reduce(bn128_g1, list(buckets))
-        assert bn128_g1.from_jacobian(got) == bn128_g1.from_jacobian(ref)
 
     def test_counter_not_installed_stays_uncounted(self):
         """bucket_reduce must not clobber a counter another caller

@@ -1,0 +1,131 @@
+"""Every fallback branch ``coverage`` counts, forced and checked.
+
+With the compiled kernels switched off in-process the ``numpy`` backend
+has exactly two floors left: the float-limb Stockham sweep for ``ntt``
+and the inherited scalar loop for everything else. So on every curve
+and both groups each op must return *exactly* the ``python`` backend's
+values (not merely group-equal ones) with identical ``OpCounter``
+totals — on lane mixes that hit every special case — the coverage
+tally must call every dispatch a fallback, and ``bucket_reduce`` must
+cost the ordered fold's two ``jadd`` calls per bucket.
+"""
+
+import random
+
+import pytest
+
+from repro.backend import coverage, get_backend, native, numpy_curve
+from repro.curves import CURVES
+from repro.ff.opcount import OpCounter
+from tests.test_backend_curve_equivalence import jacobian_reps, offset_chain
+
+pytest.importorskip("numpy")
+
+PY = get_backend("python")
+NP = get_backend("numpy")
+
+GROUPS = [(name, which) for name in ("ALT-BN128", "BLS12-381", "MNT4753")
+          for which in ("g1", "g2")]
+
+
+@pytest.fixture
+def native_off(monkeypatch):
+    """The loader re-probes when the env toggle flips, so this holds for
+    one test and the next caller gets its kernels back."""
+    monkeypatch.setenv(native.NATIVE_ENV_VAR, "0")
+    assert not native.native_available()
+    coverage.reset()
+    yield
+    coverage.reset()
+
+
+def _both(group, op, *args):
+    """Run ``op`` on both backends (each on its own copy of the list
+    arguments: bucket accumulation writes in place); return the
+    (python, numpy) results after checking the op-count totals agree."""
+    out, totals = [], []
+    for backend in (PY, NP):
+        group.counter = counter = OpCounter()
+        try:
+            out.append(getattr(backend, op)(group, *map(list, args)))
+        finally:
+            group.counter = None
+        totals.append(counter.totals())
+    assert totals[0] == totals[1], op
+    return out
+
+
+@pytest.mark.parametrize("name,which", GROUPS)
+def test_numpy_without_native_is_the_python_backend(name, which, native_off,
+                                                    monkeypatch):
+    curve = CURVES[name]
+    group = getattr(curve, which)
+    o = group.ops
+    inf = (o.one, o.one, o.zero)
+    rng = random.Random(f"{name}/{which}")
+
+    pts = offset_chain(group, 72, seed=rng.getrandbits(32))
+    jz = jacobian_reps(group, pts)
+    assert len(jz[:20]) >= numpy_curve.MIN_VECTOR_LANES
+
+    # -- batch Jacobian ops: infinity either side, P == Q (same and
+    # different representative), P == -Q, q is None
+    ref, got = _both(group, "batch_jdouble", jz[:20] + [inf])
+    assert got == ref
+    other_rep, = jacobian_reps(group, [pts[1]], start=9)
+    ref, got = _both(
+        group, "batch_jadd",
+        jz[:20] + [inf, jz[0], jz[1], jz[1], jz[2]],
+        jz[20:40] + [jz[3], inf, jz[1], other_rep, group.jneg(jz[2])])
+    assert got == ref
+    ref, got = _both(
+        group, "batch_jmixed_add",
+        jz[:20] + [jz[0], inf, jz[1], jz[2]],
+        pts[20:40] + [None, pts[5], pts[1], group.neg(pts[2])])
+    assert got == ref
+
+    # -- bucket accumulation: a duplicate, a cancellation and a skipped
+    # entry among enough entries to get past the size threshold
+    entries = [(rng.randrange(8), p) for p in pts]
+    entries[11] = entries[10]
+    entries[31] = (entries[30][0], group.neg(entries[30][1]))
+    entries[50] = (3, None)
+    assert len(entries) >= numpy_curve.SEGMENTED_MIN_ENTRIES
+    before = coverage.snapshot()["jacobian"]["fallback"]
+    ref, got = _both(group, "accumulate_buckets", [inf] * 8, entries)
+    assert got == ref
+    assert coverage.snapshot()["jacobian"]["fallback"] == before + 1
+    # ... while a batch below the threshold is a size choice, not a
+    # degradation, and stays out of the tally
+    ref, got = _both(group, "accumulate_buckets", [inf] * 8, entries[:4])
+    assert got == ref
+    assert coverage.snapshot()["jacobian"]["fallback"] == before + 1
+
+    # -- bucket reduction: the ordered fold, 2 jadds per bucket
+    m = 256
+    buckets = [inf if j % 7 == 3 else jz[j % len(jz)] for j in range(m)]
+    ref, got = _both(group, "bucket_reduce", buckets)
+    assert got == ref
+    calls = []
+    jadd = group.jadd
+    with monkeypatch.context() as spy:
+        spy.setattr(group, "jadd",
+                    lambda p, q: calls.append(1) or jadd(p, q))
+        NP.bucket_reduce(group, buckets)
+    assert len(calls) == 2 * m
+
+    # -- pointwise passes and the NTT over the curve's scalar field
+    fr = curve.fr
+    p = fr.modulus
+    xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(29)]
+    ys = [p - 1, 0, p - 1] + [rng.randrange(p) for _ in range(29)]
+    k = rng.randrange(p)
+    assert NP.vmul(fr, xs, ys) == PY.vmul(fr, xs, ys)
+    assert NP.vmul_powers(fr, xs, k) == PY.vmul_powers(fr, xs, k)
+    assert NP.vscale(fr, xs, k) == PY.vscale(fr, xs, k)
+    assert NP.ntt(fr, xs) == PY.ntt(fr, xs)
+
+    snap = coverage.snapshot()
+    for family in coverage.FAMILIES:
+        assert snap[family]["fallback"] > 0, family
+        assert snap[family].get("native", 0) == 0, family
