@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.declass import declassify
+from repro.errors import FieldError
 
 __all__ = ["ComputeBackend"]
 
@@ -28,12 +29,16 @@ __all__ = ["ComputeBackend"]
 class ComputeBackend:
     """Batch compute interface shared by NTT, MSM and polynomial paths.
 
-    Field ops take a :class:`~repro.ff.primefield.PrimeField` and plain
-    canonical ints; curve ops take a
+    Field ops take a :class:`~repro.ff.primefield.PrimeField` and a
+    vector that is either a sequence of ints or this backend's
+    *resident vector* (:meth:`resident`); curve ops take a
     :class:`~repro.curves.weierstrass.CurveGroup` and its point tuples.
-    Methods never mutate their inputs unless documented (bucket
-    accumulation mutates the bucket list in place, matching the MSM
-    engines' usage).
+    The seven vector ops — :meth:`ntt`, :meth:`intt`, :meth:`vadd`,
+    :meth:`vsub`, :meth:`vmul`, :meth:`vscale`, :meth:`vmul_powers` —
+    return the representation they were handed: ints in, a ``list`` of
+    canonical ints out; resident in, resident out. Methods never mutate
+    their inputs unless documented (bucket accumulation mutates the
+    bucket list in place, matching the MSM engines' usage).
     """
 
     name = "abstract"
@@ -41,17 +46,44 @@ class ComputeBackend:
     #: batched executor may substitute for its per-group schedule.
     fuses_ntt_sweeps = False
 
+    # -- resident vectors --------------------------------------------------------
+
+    def resident(self, field, values: Sequence[int]):
+        """``values`` reduced mod p in the form this backend's kernels
+        keep between calls — the one ingress of a chain of vector ops.
+        Here that form is the canonical ``list`` itself; a backend with
+        a kernel-side layout returns an immutable ``Sequence[int]`` over
+        it, and returns an already-resident vector as the same object
+        (so ``be.resident(field, v) is v`` tells a caller it was handed
+        one)."""
+        p = field.modulus
+        return [v % p for v in values]
+
+    def ints(self, vec: Sequence[int]) -> List[int]:
+        """A fresh ``list`` of the canonical ints of a vector — the one
+        egress of a chain of vector ops."""
+        return list(vec)
+
     # -- batch field arithmetic -------------------------------------------------
 
+    @staticmethod
+    def _check_pair(xs: Sequence[int], ys: Sequence[int]) -> None:
+        if len(xs) != len(ys):
+            raise FieldError(
+                f"length mismatch: {len(xs)} vs {len(ys)}")
+
     def vadd(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+        self._check_pair(xs, ys)
         p = field.modulus
         return [(a + b) % p for a, b in zip(xs, ys)]
 
     def vsub(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+        self._check_pair(xs, ys)
         p = field.modulus
         return [(a - b) % p for a, b in zip(xs, ys)]
 
     def vmul(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+        self._check_pair(xs, ys)
         p = field.modulus
         return [a * b % p for a, b in zip(xs, ys)]
 
@@ -108,9 +140,12 @@ class ComputeBackend:
         Byte-identical to :func:`repro.ntt.reference.ntt` (which is the
         default route into this method), including the op counts it
         emits: per iteration N/2 butterflies, N/2 fr_muls, N fr_adds.
+        Raises :class:`~repro.errors.NttError` unless ``len(values)`` is
+        a power of two; size 1 is the identity.
         """
-        from repro.ntt.reference import _ntt_inplace
+        from repro.ntt.reference import _check_size, _ntt_inplace
 
+        _check_size(len(values))
         a = [v % field.modulus for v in values]
         if omega is None:
             omega = field.root_of_unity(len(a))
@@ -119,9 +154,12 @@ class ComputeBackend:
 
     def intt(self, field, values: Sequence[int], counter=None) -> List[int]:
         """Inverse sweep including the 1/N scale (counts fr_mul N)."""
-        a = self.ntt(field, values, omega=field.inv_root_of_unity(len(values)),
+        from repro.ntt.reference import _check_size
+
+        n = len(values)
+        _check_size(n)
+        a = self.ntt(field, values, omega=field.inv_root_of_unity(n),
                      counter=counter)
-        n = len(a)
         n_inv = field.inv(n)
         p = field.modulus
         for i in range(n):

@@ -43,11 +43,14 @@ gate.
 
 Lanes are C-contiguous ``(n, w)`` uint64 arrays, one row per field
 element, little-endian words. Curve kernels keep rows **in the
-Montgomery domain** (x·R mod p, R = 2^(64w)); the NTT/pointwise entry
-points instead take *raw* canonical rows and fold the R factors into
-their constants (Montgomery-encoded twiddles, R^2 rows, Montgomery power
-ladders), so crossing into and out of the native field path costs no
-extra conversion multiplies. Residues are canonical — kept in [0, p) by
+Montgomery domain** (x·R mod p, R = 2^(64w)); the NTT/pointwise row
+ops instead take and return *raw* canonical rows and fold the R factors
+into their constants (Montgomery-encoded twiddles, R^2 rows, Montgomery
+power ladders), so crossing into and out of the native field path costs
+no extra conversion multiplies. This module has no int-in/int-out field
+op: the backend's resident vector (:mod:`repro.backend.numpy_limb`)
+holds raw rows across a whole chain of calls and owns the one ingress
+and the one egress. Residues are canonical — kept in [0, p) by
 a final conditional subtract — so equality and zero tests are plain
 NumPy array compares, with no lazy-reduction bookkeeping.
 """
@@ -1099,10 +1102,19 @@ class NativeField:
     :meth:`affine_combine`/:meth:`batch_inverse`) are C-contiguous
     ``(n, w)`` uint64 rows of canonical Montgomery residues;
     ``encode``/``decode`` cross the int <-> Montgomery boundary. The
-    NTT/pointwise entry points (:meth:`ntt_ints`, :meth:`vmul_ints`,
-    :meth:`vmul_powers_ints`, :meth:`vscale_ints`) take and return
-    plain canonical ints, keeping the rows in the raw domain with the
-    R factors folded into cached Montgomery constants.
+    NTT/pointwise row ops (:meth:`ntt_rows`, :meth:`mul_raw`, and
+    :meth:`mul`/:meth:`mul_const` against :meth:`mont_ladder` /
+    :meth:`encode_const` operands) work on *raw* canonical rows with
+    the R factors folded into cached Montgomery constants; they never
+    see a python int. The int <-> raw-row boundary
+    (:meth:`words_from_ints` / :meth:`ints_from_words`) is crossed by
+    :class:`~repro.backend.numpy_limb.NumpyLimbBackend` alone, once on
+    the way in and once on the way out of a resident vector.
+
+    No op writes into an operand's rows unless the caller passes that
+    array as ``out=``; result rows and Stockham scratch are allocated
+    per call (operands may be witness-derived — only the public
+    twiddle and ladder tables are cached on the instance).
     """
 
     def __init__(self, lib, modulus: int, w: int):
@@ -1188,9 +1200,19 @@ class NativeField:
             a = _np.ascontiguousarray(a)
         return a
 
+    def _prep_pair(self, a: "_np.ndarray", b: "_np.ndarray"):
+        """Both operands of a pairwise kernel: C is told ``a``'s row
+        count, so ``b`` must have exactly as many rows to read."""
+        a, b = self._prep(a), self._prep(b)
+        if a.shape != b.shape:
+            raise ValueError(
+                f"pairwise kernel operands differ in shape: "
+                f"{a.shape} vs {b.shape}")
+        return a, b
+
     def mul(self, a: "_np.ndarray", b: "_np.ndarray",
             out: Optional["_np.ndarray"] = None) -> "_np.ndarray":
-        a, b = self._prep(a), self._prep(b)
+        a, b = self._prep_pair(a, b)
         if out is None:
             out = _np.empty_like(a)
         self.lib.mont_mul_batch(out.ctypes.data, a.ctypes.data,
@@ -1213,7 +1235,7 @@ class NativeField:
 
     def sub(self, a: "_np.ndarray", b: "_np.ndarray",
             out: Optional["_np.ndarray"] = None) -> "_np.ndarray":
-        a, b = self._prep(a), self._prep(b)
+        a, b = self._prep_pair(a, b)
         if out is None:
             out = _np.empty_like(a)
         self.lib.mod_sub_batch(out.ctypes.data, a.ctypes.data,
@@ -1223,7 +1245,7 @@ class NativeField:
 
     def add(self, a: "_np.ndarray", b: "_np.ndarray",
             out: Optional["_np.ndarray"] = None) -> "_np.ndarray":
-        a, b = self._prep(a), self._prep(b)
+        a, b = self._prep_pair(a, b)
         if out is None:
             out = _np.empty_like(a)
         self.lib.mod_add_batch(out.ctypes.data, a.ctypes.data,
@@ -1387,35 +1409,36 @@ class NativeField:
             rows = self._twiddles[key] = self.encode(table.values)
         return rows
 
-    def ntt_ints(self, field, vals: Sequence[int],
-                 omega: int) -> List[int]:
-        """Whole forward Stockham sweep over raw canonical rows;
-        natural order in and out, bit-identical to the scalar DIT
-        reference. ``field`` supplies the memoized twiddle table."""
-        n = len(vals)
-        data = self.words_from_ints(vals)
+    def ntt_rows(self, field, rows: "_np.ndarray",
+                 omega: int) -> "_np.ndarray":
+        """Whole forward Stockham sweep over raw canonical rows into
+        fresh rows; natural order in and out, bit-identical to the
+        scalar DIT reference. ``field`` supplies the memoized twiddle
+        table. The kernel ping-pongs between its two buffers from the
+        second pass on, so it runs on a copy of the operand."""
+        n = rows.shape[0]
+        data = _np.array(rows, dtype="<u8", order="C")
         scratch = _np.empty_like(data)
         tw = self._mont_twiddle_rows(field, n, omega)
         self.lib.ntt_stockham(data.ctypes.data, scratch.ctypes.data,
                               tw.ctypes.data, n, n.bit_length() - 1,
                               self._n_words.ctypes.data, self.n0inv,
                               self.w)
-        return self.ints_from_words(data)
+        return data
 
-    def vmul_ints(self, xs: Sequence[int],
-                  ys: Sequence[int]) -> List[int]:
-        """Pointwise x*y mod p over raw ints: one batched CIOS product
-        (x*y*R^-1) plus one broadcast mul by R^2 folds the result back
-        to the raw domain — two muls per element, no encode/decode."""
-        a = self.words_from_ints(xs)
-        b = self.words_from_ints(ys)
-        self.mul(a, b, out=a)
-        self.mul_const(a, self._r2_words, out=a)
-        return self.ints_from_words(a)
+    def mul_raw(self, a: "_np.ndarray", b: "_np.ndarray") -> "_np.ndarray":
+        """Pointwise x*y mod p of two raw row sets, raw out: one
+        batched CIOS product (x*y*R^-1) plus one broadcast mul by R^2
+        folds the result back to the raw domain — two muls per
+        element, no encode/decode."""
+        out = self.mul(a, b)
+        return self.mul_const(out, self._r2_words, out=out)
 
-    def _mont_ladder(self, g: int, n: int) -> "_np.ndarray":
+    def mont_ladder(self, g: int, n: int) -> "_np.ndarray":
         """Cached Montgomery power ladder rows[i] = g^i * R, grown
-        geometrically; one sequential C sweep builds it."""
+        geometrically; one sequential C sweep builds it. Raw rows
+        times the ladder are the coset scaling x[i] * g^i with the R
+        factors cancelled — one mul per element."""
         g %= self.p
         arr = self._ladders.get(g)
         if arr is None or arr.shape[0] < n:
@@ -1429,22 +1452,6 @@ class NativeField:
                                  self.w)
             arr = self._ladders[g] = out
         return arr[:n]
-
-    def vmul_powers_ints(self, xs: Sequence[int], g: int) -> List[int]:
-        """Coset scaling x[i] * g^i mod p: raw rows times the cached
-        Montgomery ladder — the R factors cancel, one mul per element."""
-        n = len(xs)
-        a = self.words_from_ints(xs)
-        ladder = self._mont_ladder(g, n)
-        self.mul(a, ladder, out=a)
-        return self.ints_from_words(a)
-
-    def vscale_ints(self, xs: Sequence[int], k: int) -> List[int]:
-        """x[i] * k mod p: one broadcast mul by the Montgomery row of
-        k (raw row times k*R lands back in the raw domain)."""
-        a = self.words_from_ints(xs)
-        self.mul_const(a, self.encode_const(k), out=a)
-        return self.ints_from_words(a)
 
     # -- predicates (free: Montgomery residues are canonical) -------------------
 

@@ -424,6 +424,9 @@ class _PlaneLanes:
             cur = self.mul(ev, od)
         inv = self.inv_root(cur)
         for ev, od in reversed(stack):
+            # an odd level was padded with a one: drop that lane's
+            # inverse so both kernel operands have this level's rows
+            inv = self.gather(inv, slice(0, self.nrows(ev)))
             left = self.mul(inv, od)
             right = self.mul(inv, ev)
             inv = self.interleave(left, right)

@@ -35,6 +35,8 @@ PythonBackend` — enforced by the cross-backend equality tests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _Sequence
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.declass import declassify
@@ -47,7 +49,8 @@ try:  # numpy ships with the repo's environment, but stay importable without
 except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
 
-__all__ = ["NumpyLimbBackend", "numpy_available", "configure_clean_cadence"]
+__all__ = ["NumpyLimbBackend", "ResidentVector", "numpy_available",
+           "configure_clean_cadence"]
 
 #: limb width in bits (see module docstring for why not the paper's 52)
 LIMB_BITS = 22
@@ -312,6 +315,70 @@ def _stockham_ntt(field, vals: Sequence[int], omega: int) -> List[int]:
     return _limbs_to_ints(geom, _np.ascontiguousarray(state.reshape(n, lg)))
 
 
+# -- resident vectors ----------------------------------------------------------
+
+
+class ResidentVector(_Sequence):
+    """A field vector held as the native kernels hold it: ``(n, w)``
+    little-endian uint64 rows of *raw* (not Montgomery) residues, every
+    row canonical in [0, p).
+
+    This is :class:`NumpyLimbBackend`'s resident form. The seven vector
+    ops hand one back whenever they are handed one, so a chain of calls
+    (the POLY stage's seven NTTs and eleven pointwise passes) converts
+    ints to rows once on the way in and rows to ints once on the way
+    out. It is immutable — the rows are marked read-only and no op
+    writes into an operand — so aliased operands (``vmul(v, v)``) and
+    returning an operand unchanged (the size-1 NTT) are both safe.
+
+    It is also a read-only ``Sequence[int]``: code that knows nothing
+    about it (another backend, a user's NTT engine) reads canonical
+    ints, decoded once on first access. The limb tier has no resident
+    form — its float limb rows are only *congruent* mod p between
+    passes and are canonicalised by the very conversion a resident
+    form would skip — so without kernels ``resident()`` is the base
+    class's reduced list.
+    """
+
+    __slots__ = ("nf", "rows", "_ints")
+
+    def __init__(self, nf, rows: "_np.ndarray"):
+        rows.flags.writeable = False
+        self.nf = nf
+        self.rows = rows
+        self._ints: Optional[List[int]] = None
+
+    def _decoded(self) -> List[int]:
+        """The single egress: raw rows -> canonical ints, once."""
+        if self._ints is None:
+            self._ints = self.nf.ints_from_words(self.rows)
+        return self._ints
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other):
+        if isinstance(other, ResidentVector):
+            # canonical rows: equal values are equal words
+            return (self.nf.p == other.nf.p
+                    and _np.array_equal(self.rows, other.rows))
+        if isinstance(other, (list, tuple)):
+            return self._decoded() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"<ResidentVector n={len(self)} "
+                f"p~2^{self.nf.p.bit_length()}>")
+
+
 # -- the backend ---------------------------------------------------------------
 
 
@@ -324,7 +391,14 @@ class NumpyLimbBackend(ComputeBackend):
     sweep — the one middle-tier kernel that beats the scalar loop it
     overrides (DESIGN.md, "Compute backends"). ``digits_matrix`` is
     vectorized unconditionally. Small batches stay on the scalar
-    loops."""
+    loops.
+
+    The field ops run on :class:`ResidentVector` rows and are
+    type-preserving over them (:meth:`_lift`): an int caller gets
+    ``egress(op(ingress(x)))`` through the same code a resident caller
+    runs, and this class is the only place ints become word rows
+    (:meth:`_rows_of`) or word rows become ints
+    (``NativeField.ints_from_words``)."""
 
     name = "numpy"
     fuses_ntt_sweeps = True
@@ -336,91 +410,153 @@ class NumpyLimbBackend(ComputeBackend):
                 "REPRO_BACKEND=python"
             )
 
+    # -- resident vectors --------------------------------------------------------
+
+    @staticmethod
+    def _rows_of(nf, values: Sequence[int]) -> "_np.ndarray":
+        """The single ingress: any ints (negative, >= p) -> canonical
+        raw rows. A resident vector already is its rows."""
+        if isinstance(values, ResidentVector):
+            return values.rows
+        p = nf.p
+        return nf.words_from_ints([v % p for v in values])
+
+    def resident(self, field, values: Sequence[int]):
+        """A :class:`ResidentVector` when the kernels are loaded for
+        this modulus (an already-resident vector is returned as is),
+        the reduced list otherwise."""
+        if isinstance(values, ResidentVector):
+            return values
+        nf = get_native_field(field.modulus)
+        if nf is None:
+            return super().resident(field, values)
+        return ResidentVector(nf, self._rows_of(nf, values))
+
+    def _lift(self, field, family: str, floor: Optional[int], *operands):
+        """Route one vector op. Returns ``(nf, rows, wrap)`` — the
+        native field, one raw-row array per operand, and the wrapper
+        that turns result rows into what the caller was handed — or
+        ``None`` when the op belongs to the scalar/limb fallback.
+
+        Any resident operand keeps the op resident (and ``wrap`` builds
+        a :class:`ResidentVector`). An all-int call converts only when
+        it has at least ``floor`` elements (``None``: never — the op's
+        C time cannot repay the conversions) and the kernels are
+        loaded; ``wrap`` is then the egress to a list. Notes the
+        coverage tally as a dispatch decision; a batch below its floor
+        is a size choice and stays silent."""
+        held = [v for v in operands if isinstance(v, ResidentVector)]
+        if held:
+            nf = held[0].nf
+            wrap = partial(ResidentVector, nf)
+        else:
+            if floor is None or len(operands[0]) < floor:
+                return None
+            nf = get_native_field(field.modulus)
+            if nf is None:
+                _coverage.note(family, "fallback")
+                return None
+            wrap = nf.ints_from_words
+        _coverage.note(family, "native")
+        return nf, [self._rows_of(nf, v) for v in operands], wrap
+
     # -- fused NTT sweeps -------------------------------------------------------
 
     def ntt(self, field, values: Sequence[int], omega: Optional[int] = None,
             counter=None) -> List[int]:
-        a = [v % field.modulus for v in values]
-        n = len(a)
-        if n & (n - 1):
-            # Match the reference's error pathway for bad sizes.
-            from repro.ntt.reference import _check_size
+        from repro.ntt.reference import _check_size
 
-            _check_size(n)
+        n = len(values)
+        log_n = _check_size(n)
         if omega is None:
             omega = field.root_of_unity(n)
         if counter is not None:
             # Identical totals to the scalar sweep's per-iteration counts.
-            log_n = n.bit_length() - 1
             counter.count("butterfly", (n // 2) * log_n)
             counter.count("fr_mul", (n // 2) * log_n)
             counter.count("fr_add", n * log_n)
-        if n < 2:
-            return a
-        nf = get_native_field(field.modulus)
-        if nf is not None:
-            # Native Stockham sweep: same pass structure and twiddle
-            # table as the limb-matrix path, canonical ints out — the
-            # counts above already cover it.
-            _coverage.note("ntt", "native")
-            return nf.ntt_ints(field, a, omega)
-        _coverage.note("ntt", "fallback")
-        return _stockham_ntt(field, a, omega)
+        if n == 1:  # the identity, on either representation
+            return (values if isinstance(values, ResidentVector)
+                    else super().resident(field, values))
+        lifted = self._lift(field, "ntt", 2, values)
+        if lifted is None:
+            return _stockham_ntt(field, super().resident(field, values),
+                                 omega)
+        # Native Stockham sweep: same pass structure and twiddle table
+        # as the limb-matrix path — the counts above already cover it.
+        nf, (rows,), wrap = lifted
+        return wrap(nf.ntt_rows(field, rows, omega))
 
     def intt(self, field, values: Sequence[int], counter=None) -> List[int]:
         """Inverse sweep; the 1/N scale runs through :meth:`vscale`
         (native broadcast mul when available) with the reference's
-        fr_mul count."""
-        a = self.ntt(field, values,
-                     omega=field.inv_root_of_unity(len(values)),
-                     counter=counter)
-        n = len(a)
+        fr_mul count. Int callers are lifted once around both steps."""
+        from repro.ntt.reference import _check_size
+
+        n = len(values)
+        _check_size(n)
+        vec = self.resident(field, values)
+        out = self.ntt(field, vec, omega=field.inv_root_of_unity(n),
+                       counter=counter)
         if counter is not None:
             counter.count("fr_mul", n)
-        return self.vscale(field, a, field.inv(n))
+        out = self.vscale(field, out, field.inv(n))
+        return out if vec is values else self.ints(out)
 
     # -- batch field arithmetic -------------------------------------------------
+
+    def vadd(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+        """Resident operands: one ``mod_add_batch``. Int operands keep
+        the scalar loop: two ingresses and an egress around one modular
+        add cost 7-10x the loop they would replace (DESIGN.md)."""
+        self._check_pair(xs, ys)
+        lifted = self._lift(field, "pointwise", None, xs, ys)
+        if lifted is None:
+            return super().vadd(field, xs, ys)
+        nf, (a, b), wrap = lifted
+        return wrap(nf.add(a, b))
+
+    def vsub(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+        """Resident operands: one ``mod_sub_batch``; int operands keep
+        the scalar loop (see :meth:`vadd`)."""
+        self._check_pair(xs, ys)
+        lifted = self._lift(field, "pointwise", None, xs, ys)
+        if lifted is None:
+            return super().vsub(field, xs, ys)
+        nf, (a, b), wrap = lifted
+        return wrap(nf.sub(a, b))
 
     def vmul_powers(self, field, xs: Sequence[int], g: int) -> List[int]:
         """Coset scaling: raw rows times the cached Montgomery ladder —
         one CIOS mul per element, ladder built by one sequential C
         sweep — when the kernels are loaded, scalar loop otherwise."""
-        if len(xs) >= 2:
-            p = field.modulus
-            nf = get_native_field(p)
-            if nf is not None:
-                _coverage.note("pointwise", "native")
-                return nf.vmul_powers_ints([x % p for x in xs], g % p)
-            _coverage.note("pointwise", "fallback")
-        return super().vmul_powers(field, xs, g)
+        lifted = self._lift(field, "pointwise", 2, xs)
+        if lifted is None:
+            return super().vmul_powers(field, xs, g)
+        nf, (a,), wrap = lifted
+        return wrap(nf.mul(a, nf.mont_ladder(g, a.shape[0])))
 
     def vmul(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
         """Pointwise product: two batched CIOS muls (x*y*R^-1, then
         fold by R^2) when the kernels are loaded, scalar loop
         otherwise."""
-        if xs:
-            p = field.modulus
-            nf = get_native_field(p)
-            if nf is not None:
-                _coverage.note("pointwise", "native")
-                return nf.vmul_ints([x % p for x in xs],
-                                    [y % p for y in ys])
-            _coverage.note("pointwise", "fallback")
-        return super().vmul(field, xs, ys)
+        self._check_pair(xs, ys)
+        lifted = self._lift(field, "pointwise", 1, xs, ys)
+        if lifted is None:
+            return super().vmul(field, xs, ys)
+        nf, (a, b), wrap = lifted
+        return wrap(nf.mul_raw(a, b))
 
     def vscale(self, field, xs: Sequence[int], k: int) -> List[int]:
         """Whole-vector scale by one constant: a broadcast native mul
         against the Montgomery row of k when the kernels are loaded
         (the inverse NTT's 1/N scale and the quotient's z_inv scale),
         scalar loop otherwise."""
-        if len(xs) >= 2:
-            nf = get_native_field(field.modulus)
-            if nf is not None:
-                p = field.modulus
-                _coverage.note("pointwise", "native")
-                return nf.vscale_ints([x % p for x in xs], k)
-            _coverage.note("pointwise", "fallback")
-        return super().vscale(field, xs, k)
+        lifted = self._lift(field, "pointwise", 2, xs)
+        if lifted is None:
+            return super().vscale(field, xs, k)
+        nf, (a,), wrap = lifted
+        return wrap(nf.mul_const(a, nf.encode_const(k)))
 
     # -- scalar front-end -------------------------------------------------------
 

@@ -36,21 +36,24 @@ def run_batched_ntt(field: PrimeField, values: Sequence[int], plan: BatchPlan,
     the whole transform in one batched engine call instead: the result
     stays byte-identical and the emitted op-count totals are unchanged
     (the plan only redistributes the same butterflies), so traces never
-    depend on the backend.
+    depend on the backend. On that route ``values`` — ints or the
+    backend's resident vector — is handed over untouched (the backend
+    canonicalises at its own ingress) and comes back in the same
+    representation.
     """
     from repro.backend import get_backend
 
     be = get_backend(backend)
-    a = [field.reduce(v) for v in values]
-    n = len(a)
+    n = len(values)
     if n != plan.n:
         raise NttError(f"plan is for N={plan.n}, vector has {n}")
-    p = field.modulus
     if omega is None:
         omega = field.root_of_unity(n)
     if be.fuses_ntt_sweeps:
-        return be.ntt(field, a, omega=omega, counter=counter)
+        return be.ntt(field, values, omega=omega, counter=counter)
 
+    p = field.modulus
+    a = [field.reduce(v) for v in values]
     bit_reverse_permute(a)
     for batch in plan.batches:
         n_groups = n >> batch.width

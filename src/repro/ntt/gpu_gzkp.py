@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.backend import get_backend
 from repro.errors import NttError
 from repro.ff.opcount import OpCounter
 from repro.ff.primefield import PrimeField
@@ -33,6 +34,7 @@ from repro.gpusim.trace import DFP_BACKEND, Trace
 from repro.gpusim.device import GpuDevice
 from repro.ntt.batching import BatchPlan, plan_batches
 from repro.ntt.executor import run_batched_ntt
+from repro.ntt.reference import _check_size
 
 __all__ = ["GzkpNttConfig", "GzkpNtt"]
 
@@ -104,27 +106,30 @@ class GzkpNtt:
     def compute(self, values: Sequence[int],
                 counter: Optional[OpCounter] = None) -> List[int]:
         """Run the forward NTT with the GZKP schedule (ground-truth math,
-        GPU-faithful gather/scatter order)."""
+        GPU-faithful gather/scatter order). Ints in, a list out; the
+        backend's resident vector in, a resident vector out."""
         if len(values) == 1:  # the size-1 NTT is the identity
-            return list(values)
+            return get_backend(self.backend).ntt(self.field, values)
         return run_batched_ntt(self.field, values, self.batch_plan(len(values)),
                                counter=counter, backend=self.backend)
 
     def compute_inverse(self, values: Sequence[int],
                         counter: Optional[OpCounter] = None) -> List[int]:
-        from repro.backend import get_backend
-
+        """Inverse transform plus the 1/N scale, in the caller's
+        representation: an int vector is made resident once around
+        both steps, a resident vector stays resident."""
+        be = get_backend(self.backend)
         n = len(values)
         if n == 1:  # identity, and inv(1) scaling is a no-op
-            return list(values)
-        omega_inv = self.field.inv_root_of_unity(n)
-        out = run_batched_ntt(self.field, values, self.batch_plan(n),
-                              omega=omega_inv, counter=counter,
-                              backend=self.backend)
+            return be.ntt(self.field, values)
+        vec = be.resident(self.field, values)
+        out = run_batched_ntt(self.field, vec, self.batch_plan(n),
+                              omega=self.field.inv_root_of_unity(n),
+                              counter=counter, backend=be)
         if counter is not None:
             counter.count("fr_mul", n)
-        return get_backend(self.backend).vscale(self.field, out,
-                                                self.field.inv(n))
+        out = be.vscale(self.field, out, self.field.inv(n))
+        return out if vec is values else be.ints(out)
 
     # -- analytic plan --------------------------------------------------------------------
 
@@ -180,8 +185,5 @@ class GzkpNtt:
             batch_idx += 1
         return timeline
 
-    @staticmethod
-    def _log(n: int) -> int:
-        if n <= 0 or n & (n - 1):
-            raise NttError(f"NTT size must be a power of two, got {n}")
-        return n.bit_length() - 1
+    #: log2 of a power-of-two size (NttError otherwise)
+    _log = staticmethod(_check_size)

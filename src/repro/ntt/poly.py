@@ -35,7 +35,15 @@ class PolyStage:
     """Computes H's coefficients from a, b, c evaluations using any NTT
     engine exposing ``compute`` / ``compute_inverse`` (GZKP, baseline or
     CPU model) — the engines are interchangeable because they are all
-    functionally exact."""
+    functionally exact.
+
+    Vectors travel between the stage's calls as the backend's resident
+    vectors (:meth:`~repro.backend.base.ComputeBackend.resident`): a, b
+    and c become resident once, every NTT and pointwise pass hands back
+    what it was handed, and h is turned into ints once. A resident
+    vector is also a ``Sequence[int]``, so an engine that only knows
+    ints still computes the right H — it merely pays a conversion the
+    type-preserving engines skip."""
 
     def __init__(self, field: PrimeField, engine, backend=None):
         self.field = field
@@ -64,17 +72,25 @@ class PolyStage:
 
     def coset_ntt(self, coeffs: Sequence[int],
                   counter: Optional[OpCounter] = None) -> List[int]:
-        """Evaluate a coefficient vector on the coset g * <omega>."""
+        """Evaluate a coefficient vector on the coset g * <omega> (ints
+        in, a list out; resident in, resident out)."""
+        be = self._backend()
+        vec = be.resident(self.field, coeffs)
         g = self._coset_generator()
-        return self.engine.compute(self._scale_by_powers(coeffs, g, counter),
-                                   counter=counter)
+        out = self.engine.compute(self._scale_by_powers(vec, g, counter),
+                                  counter=counter)
+        return out if vec is coeffs else be.ints(out)
 
     def coset_intt(self, evals: Sequence[int],
                    counter: Optional[OpCounter] = None) -> List[int]:
-        """Interpolate coefficients from evaluations on the coset."""
+        """Interpolate coefficients from evaluations on the coset (ints
+        in, a list out; resident in, resident out)."""
+        be = self._backend()
+        vec = be.resident(self.field, evals)
         g_inv = self.field.inv(self._coset_generator())
-        coeffs = self.engine.compute_inverse(evals, counter=counter)
-        return self._scale_by_powers(coeffs, g_inv, counter)
+        coeffs = self.engine.compute_inverse(vec, counter=counter)
+        out = self._scale_by_powers(coeffs, g_inv, counter)
+        return out if vec is evals else be.ints(out)
 
     # -- the stage ----------------------------------------------------------------
 
@@ -89,7 +105,9 @@ class PolyStage:
 
         With ``telemetry`` attached, each of the seven NTT operations
         (and the pointwise quotient pass) reports its own sub-span under
-        the caller's current span.
+        the caller's current span. The int -> resident conversions of
+        a, b, c are inside the three INTT spans and the resident -> int
+        conversion of h inside the last one.
         """
         n = len(a)
         if not (len(b) == len(c) == n):
@@ -97,29 +115,31 @@ class PolyStage:
         if n == 0 or n & (n - 1):
             raise NttError(f"POLY stage needs a power-of-two domain, got {n}")
         p = self.field.modulus
+        backend = self._backend()
 
-        def intt(name, values):
-            with maybe_span(telemetry, name) as sp:
-                return self.engine.compute_inverse(
-                    values, counter=sp.counter if telemetry else counter)
-
-        def coset(name, fn, values):
+        def step(name, fn, values):
             with maybe_span(telemetry, name) as sp:
                 return fn(values, sp.counter if telemetry else counter)
 
-        a_coeffs = intt("INTT-a", a)                                 # NTT 1
-        b_coeffs = intt("INTT-b", b)                                 # NTT 2
-        c_coeffs = intt("INTT-c", c)                                 # NTT 3
+        def intt_of_ints(values, counter):
+            return self.engine.compute_inverse(
+                backend.resident(self.field, values), counter=counter)
 
-        a_coset = coset("coset-NTT-a", self.coset_ntt, a_coeffs)     # NTT 4
-        b_coset = coset("coset-NTT-b", self.coset_ntt, b_coeffs)     # NTT 5
-        c_coset = coset("coset-NTT-c", self.coset_ntt, c_coeffs)     # NTT 6
+        def coset_intt_to_ints(evals, counter):
+            return backend.ints(self.coset_intt(evals, counter))
+
+        a_coeffs = step("INTT-a", intt_of_ints, a)                   # NTT 1
+        b_coeffs = step("INTT-b", intt_of_ints, b)                   # NTT 2
+        c_coeffs = step("INTT-c", intt_of_ints, c)                   # NTT 3
+
+        a_coset = step("coset-NTT-a", self.coset_ntt, a_coeffs)      # NTT 4
+        b_coset = step("coset-NTT-b", self.coset_ntt, b_coeffs)      # NTT 5
+        c_coset = step("coset-NTT-c", self.coset_ntt, c_coeffs)      # NTT 6
 
         with maybe_span(telemetry, "pointwise-quotient") as sp:
             pw_counter = sp.counter if telemetry else counter
             g = self._coset_generator()
             z_inv = self.field.inv((pow(g, n, p) - 1) % p)
-            backend = self._backend()
             h_coset = backend.vscale(
                 self.field,
                 backend.vsub(self.field,
@@ -131,7 +151,7 @@ class PolyStage:
                 pw_counter.count("fr_mul", 2 * n)
                 pw_counter.count("fr_add", n)
 
-        return coset("coset-INTT-h", self.coset_intt, h_coset)       # NTT 7
+        return step("coset-INTT-h", coset_intt_to_ints, h_coset)     # NTT 7
 
     # -- analytic plan ----------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from repro.backend import get_backend
 from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint
-from repro.errors import NttError, ProofError
+from repro.errors import ProofError
 from repro.ff.opcount import OpCounter
 from repro.ntt.poly import PolyStage
 from repro.service.telemetry import Telemetry, maybe_span
@@ -55,24 +55,20 @@ class Proof:
 class _BackendNttEngine:
     """Minimal NTT engine for the default prover: routes straight
     through the compute-backend registry (the same math every backend
-    is bit-exact against), with no detour via the reference module."""
+    is bit-exact against), with no detour via the reference module.
+    Vectors — ints or the backend's resident form — are forwarded
+    untouched; the backend checks the size (``NttError``) and hands
+    back the representation it was given."""
 
     def __init__(self, field, backend=None):
         self.field = field
         self.backend = backend
 
-    @staticmethod
-    def _check_size(n: int) -> None:
-        if n == 0 or n & (n - 1):
-            raise NttError(f"NTT size must be a power of two, got {n}")
-
     def compute(self, values, counter=None):
-        self._check_size(len(values))
         return get_backend(self.backend).ntt(self.field, values,
                                              counter=counter)
 
     def compute_inverse(self, values, counter=None):
-        self._check_size(len(values))
         return get_backend(self.backend).intt(self.field, values,
                                               counter=counter)
 

@@ -2,8 +2,10 @@
 
 With the compiled kernels switched off in-process the ``numpy`` backend
 has exactly two floors left: the float-limb Stockham sweep for ``ntt``
-and the inherited scalar loop for everything else. So on every curve
-and both groups each op must return *exactly* the ``python`` backend's
+and the inherited scalar loop for everything else (``resident()`` is
+then the reduced list, so the native ``vadd``/``vsub`` route, which
+only resident operands take, is out of reach). So on every curve and
+both groups each op must return *exactly* the ``python`` backend's
 values (not merely group-equal ones) with identical ``OpCounter``
 totals — on lane mixes that hit every special case — the coverage
 tally must call every dispatch a fallback, and ``bucket_reduce`` must
@@ -120,6 +122,9 @@ def test_numpy_without_native_is_the_python_backend(name, which, native_off,
     xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(29)]
     ys = [p - 1, 0, p - 1] + [rng.randrange(p) for _ in range(29)]
     k = rng.randrange(p)
+    assert type(NP.resident(fr, xs)) is list  # no kernels, no rows
+    assert NP.vadd(fr, xs, ys) == PY.vadd(fr, xs, ys)
+    assert NP.vsub(fr, xs, ys) == PY.vsub(fr, xs, ys)
     assert NP.vmul(fr, xs, ys) == PY.vmul(fr, xs, ys)
     assert NP.vmul_powers(fr, xs, k) == PY.vmul_powers(fr, xs, k)
     assert NP.vscale(fr, xs, k) == PY.vscale(fr, xs, k)

@@ -1,5 +1,11 @@
 """Native kernel loader + NTT/vmul kernel tests.
 
+Kernel parity is asserted at both levels that exist since the
+``*_ints`` shims went away: the row-level ``NativeField`` ops
+(``ntt_rows`` / ``mul_raw`` / ``mul`` x ``mont_ladder`` / ``mul_const``
+over ``words_from_ints`` rows) and the ``numpy`` backend's int-in /
+int-out ops that wrap them.
+
 The loader scenarios (corrupt cached artifact, compile failure, the
 two-process first-compile race) run in subprocesses with a private
 ``REPRO_NATIVE_CACHE``: the parent test process keeps its own loaded
@@ -15,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import native
+from repro.backend import get_backend, native
 from repro.ff.params import SCALAR_FIELDS
 from repro.ff.primefield import PrimeField
 from repro.ntt.reference import intt, ntt
@@ -118,7 +124,8 @@ p = SCALAR_FIELDS["ALT-BN128"].modulus
 f = native.get_native_field(p)
 xs = [(i * 7919 + 13) % p for i in range(64)]
 ys = [(i * 104729 + 3) % p for i in range(64)]
-out = f.vmul_ints(xs, ys)
+out = f.ints_from_words(f.mul_raw(f.words_from_ints(xs),
+                                  f.words_from_ints(ys)))
 assert out == [(x * y) % p for x, y in zip(xs, ys)]
 print(json.dumps({"ok": True,
                   "events": [e["kind"] for e in native.kernel_events()]}))
@@ -179,7 +186,9 @@ def test_corrupt_const_block_recomputes(tmp_path, monkeypatch):
         native.reset_native()
         f2 = native.get_native_field(p)
         xs = [123456789, p - 2]
-        assert f2.vmul_ints(xs, xs) == [(x * x) % p for x in xs]
+        rows = f2.words_from_ints(xs)
+        assert f2.ints_from_words(f2.mul_raw(rows, rows)) == \
+            [(x * x) % p for x in xs]
         assert native._load_const_block(path, p, f2.w) is not None
     finally:
         monkeypatch.delenv("REPRO_NATIVE_CACHE")
@@ -198,9 +207,13 @@ def test_ntt_matches_reference(curve, n):
     p = field.modulus
     vals = [(i * 2654435761 + 17) % p for i in range(n)]
     omega = field.root_of_unity(n)
-    got = nf.ntt_ints(field, vals, omega)
+    rows = nf.words_from_ints(vals)
+    got = nf.ints_from_words(nf.ntt_rows(field, rows, omega))
     want = ntt(field, vals, backend="python")
     assert got == want
+    # the sweep ran on a copy: the operand rows still hold the input
+    assert nf.ints_from_words(rows) == vals
+    assert get_backend("numpy").ntt(field, vals) == want
 
 
 @pytest.mark.parametrize("curve", CURVE_NAMES)
@@ -209,22 +222,44 @@ def test_ntt_roundtrip_through_reference_intt(curve):
     nf = native.get_native_field(field.modulus)
     p = field.modulus
     vals = [(i * i + 5) % p for i in range(128)]
-    fwd = nf.ntt_ints(field, vals, field.root_of_unity(128))
+    fwd = nf.ints_from_words(nf.ntt_rows(field, nf.words_from_ints(vals),
+                                         field.root_of_unity(128)))
     assert intt(field, fwd, backend="python") == vals
 
 
 @pytest.mark.parametrize("curve", CURVE_NAMES)
 def test_pointwise_kernels(curve):
-    p = SCALAR_FIELDS[curve].modulus
+    field = PrimeField(SCALAR_FIELDS[curve].modulus)
+    p = field.modulus
     nf = native.get_native_field(p)
+    be = get_backend("numpy")
     xs = [(i * 7 + 1) % p for i in range(33)]
     ys = [(p - 1 - i * 3) % p for i in range(33)]
-    assert nf.vmul_ints(xs, ys) == [(x * y) % p for x, y in zip(xs, ys)]
+    a, b = nf.words_from_ints(xs), nf.words_from_ints(ys)
+    want = [(x * y) % p for x, y in zip(xs, ys)]
+    assert nf.ints_from_words(nf.mul_raw(a, b)) == want
+    assert be.vmul(field, xs, ys) == want
     g = 22222222222
-    assert nf.vmul_powers_ints(xs, g) == \
-        [(x * pow(g, i, p)) % p for i, x in enumerate(xs)]
+    want = [(x * pow(g, i, p)) % p for i, x in enumerate(xs)]
+    assert nf.ints_from_words(nf.mul(a, nf.mont_ladder(g, 33))) == want
+    assert be.vmul_powers(field, xs, g) == want
     k = p - 12345
-    assert nf.vscale_ints(xs, k) == [(x * k) % p for x in xs]
+    want = [(x * k) % p for x in xs]
+    assert nf.ints_from_words(nf.mul_const(a, nf.encode_const(k))) == want
+    assert be.vscale(field, xs, k) == want
+    # no row op wrote into its operands
+    assert nf.ints_from_words(a) == xs and nf.ints_from_words(b) == ys
+
+
+def test_pairwise_row_ops_reject_mismatched_row_counts():
+    """C is told the first operand's row count; a shorter second
+    operand used to be read past its end."""
+    nf = native.get_native_field(SCALAR_FIELDS["ALT-BN128"].modulus)
+    a = nf.words_from_ints(list(range(1, 9)))
+    b = nf.words_from_ints([3, 5])
+    for op in (nf.mul, nf.sub, nf.add, nf.mul_raw):
+        with pytest.raises(ValueError):
+            op(a, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -247,14 +282,14 @@ def test_encode_decode_roundtrip_property(data):
 @given(st.data())
 def test_vmul_property(data):
     for curve in CURVE_NAMES:
-        p = SCALAR_FIELDS[curve].modulus
-        nf = native.get_native_field(p)
+        field = PrimeField(SCALAR_FIELDS[curve].modulus)
+        p = field.modulus
         n = data.draw(st.integers(min_value=1, max_value=12))
         xs = data.draw(st.lists(st.integers(0, p - 1),
                                 min_size=n, max_size=n))
         ys = data.draw(st.lists(st.integers(0, p - 1),
                                 min_size=n, max_size=n))
-        assert nf.vmul_ints(xs, ys) == \
+        assert get_backend("numpy").vmul(field, xs, ys) == \
             [(x * y) % p for x, y in zip(xs, ys)]
 
 
