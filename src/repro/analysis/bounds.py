@@ -554,12 +554,14 @@ class _MontReplay:
     sub = add
 
 
-def _native_dbl_muls(a_is_zero: bool) -> int:
-    """mont_mul count of ``jac_dbl_fp`` (encode, formula, decode)."""
+def _native_dbl_muls(a_is_zero: bool, fused: bool = True) -> int:
+    """mont_mul count of ``jac_dbl_fp`` (encode, formula, decode) —
+    or, with ``fused=False``, of the bucket fold's ``jpt_fp_dbl``,
+    which is the same formula on rows that already are Montgomery
+    residues: no conversion on either side."""
     m = _MontReplay()
-    x = m.mul()  # encode X by R^2
-    y = m.mul()  # encode Y
-    z = m.mul()  # encode Z
+    x, y, z = ((m.mul() for _ in range(3)) if fused  # encode by R^2
+               else ("x_mont", "y_mont", "z_mont"))
     ysq = m.mul(y, y)
     s = m.add(m.mul(x, ysq))  # 4xy^2 via two add-doublings
     mm = m.add(m.mul(x, x))  # 3x^2 via adds
@@ -570,15 +572,17 @@ def _native_dbl_muls(a_is_zero: bool) -> int:
     x3 = m.sub(m.mul(mm, mm), s)
     y3 = m.sub(m.mul(mm, m.sub(s, x3)), m.mul(ysq, ysq))
     m.mul(y, z)  # z3 = 2yz
-    for _ in range(3):
+    for _ in range(3 if fused else 0):
         m.mul()  # decode x3 / y3 / z3 by the raw one-row
     return m.muls
 
 
-def _native_add_muls() -> int:
-    """mont_mul count of ``jac_add_fp``."""
+def _native_add_muls(fused: bool = True) -> int:
+    """mont_mul count of ``jac_add_fp`` — or, with ``fused=False``, of
+    the bucket fold's conversion-free ``jpt_fp_add``."""
     m = _MontReplay()
-    x1, y1, z1, x2, y2, z2 = (m.mul() for _ in range(6))  # encode
+    x1, y1, z1, x2, y2, z2 = ((m.mul() for _ in range(6)) if fused  # encode
+                              else ("x1", "y1", "z1", "x2", "y2", "z2"))
     z1q = m.mul(z1, z1)
     z2q = m.mul(z2, z2)
     u1 = m.mul(x1, z2q)
@@ -593,7 +597,7 @@ def _native_add_muls() -> int:
     x3 = m.sub(m.sub(m.mul(r, r), hcu), u1h)
     m.sub(m.mul(r, m.sub(u1h, x3)), m.mul(s1, hcu))  # y3
     m.mul(h, m.mul(z1, z2))  # z3
-    for _ in range(3):
+    for _ in range(3 if fused else 0):
         m.mul()  # decode
     return m.muls
 
@@ -634,7 +638,9 @@ def _karatsuba_base_muls() -> int:
 def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     """Certify the fused raw-domain Jacobian point kernels
     (``jac_dbl_fp`` / ``jac_add_fp`` / ``jac_madd_fp`` and their Fq2
-    Karatsuba twins in :mod:`repro.backend.native`).
+    Karatsuba twins in :mod:`repro.backend.native`) and the sequential
+    Montgomery-domain bucket fold (``bucket_fold_fp`` /
+    ``bucket_fold_fq2``) built from the same primitives.
 
     The kernels compose exactly three primitives — ``mont_mul_one``,
     ``mod_add_one``, ``mod_sub_one`` — so their safety reduces to the
@@ -646,7 +652,10 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     canonical difference is zero; (3) the per-op Montgomery-mul counts
     equal the paper's formula constants plus the fused conversions —
     the same totals :func:`repro.backend.numpy_curve.
-    native_point_op_muls` feeds the autotuner's (k, M) pricing.
+    native_point_op_muls` feeds the autotuner's (k, M) pricing. The
+    fold restates (1) and (2) for its own in-C branch tests and
+    replays its ``jadd``/``jdouble`` at exactly the formula counts,
+    with zero conversions.
     """
     import math as _math
 
@@ -733,6 +742,53 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
         "each Fq2 product must cost exactly 3 base-field muls "
         "(Karatsuba), the ratio the G2 fq_mul_factor prices",
     )
+    # The sequential bucket fold (bucket_fold_fp / bucket_fold_fq2):
+    # Montgomery rows in, Montgomery point out, special cases routed in
+    # C. Same three primitives, so the same gates — restated per kernel
+    # because the fold *branches* on word compares where the batch
+    # kernels only emit planes for Python to test.
+    fold_add = _native_add_muls(fused=False)
+    fold_dbl_a0 = _native_dbl_muls(a_is_zero=True, fused=False)
+    fold_dbl_a = _native_dbl_muls(a_is_zero=False, fused=False)
+    trk.hit(
+        "fold/scratch-width", w, max_words - 1, "structure",
+        "the fold's jpt structs are [32]-word coordinates like every "
+        "other kernel scratch; the loader gates word width at "
+        "MAX_WORDS - 2",
+    )
+    trk.hit(
+        "fold/mont-closure", p - 1, p, "carry",
+        "bucket rows enter as mont_mul_one outputs (canonical) and "
+        "every fold op maps [0, p) to [0, p), so the in-C z == 0, "
+        "y == 0, u1 == u2 and s1 == s2 word compares see one "
+        "representative per field value",
+    )
+    trk.hit(
+        "fold/discriminant-exact", _math.gcd(R % p, p) - 1 if p > 1
+        else 1, 1, "structure",
+        "x -> x*R mod p must be a bijection (gcd(R, p) = 1) so the "
+        "fold's in-C equality tests on Montgomery words decide exactly "
+        "the scalar formulas' u1 == u2 / s1 == s2 / z == 0 branches — "
+        "its padd/pdbl tallies are the ordered fold's, never a guess",
+    )
+    trk.hit(
+        "fold/add-mul-parity", abs(fold_add - _PADD_FQ_MULS), 1,
+        "structure",
+        "the fold's jadd must spend exactly the formula's 16 muls: "
+        "zero fused conversions",
+    )
+    trk.hit(
+        "fold/dbl-mul-parity", abs(fold_dbl_a0 - _PDBL_FQ_MULS), 1,
+        "structure",
+        "the fold's jdouble (a = 0) must spend exactly the formula's "
+        "7 muls: zero fused conversions",
+    )
+    trk.hit(
+        "fold/dbl-a-mul-parity", abs(fold_dbl_a - (_PDBL_FQ_MULS + 3)), 1,
+        "structure",
+        "the fold's jdouble (a != 0) adds exactly the z^4 * a term's "
+        "3 muls",
+    )
     return KernelCertificate(
         family="native-jacobian",
         modulus_name=name,
@@ -745,6 +801,10 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
             "native_muls": {
                 "pdbl": dbl_a0, "pdbl_a": dbl_a,
                 "padd": add_c, "pmixed": madd_c,
+            },
+            "fold_muls": {
+                "pdbl": fold_dbl_a0, "pdbl_a": fold_dbl_a,
+                "padd": fold_add,
             },
             "karatsuba_base_muls": _karatsuba_base_muls(),
         },

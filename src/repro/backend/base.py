@@ -31,14 +31,23 @@ class ComputeBackend:
 
     Field ops take a :class:`~repro.ff.primefield.PrimeField` and a
     vector that is either a sequence of ints or this backend's
-    *resident vector* (:meth:`resident`); curve ops take a
-    :class:`~repro.curves.weierstrass.CurveGroup` and its point tuples.
-    The seven vector ops — :meth:`ntt`, :meth:`intt`, :meth:`vadd`,
-    :meth:`vsub`, :meth:`vmul`, :meth:`vscale`, :meth:`vmul_powers` —
-    return the representation they were handed: ints in, a ``list`` of
-    canonical ints out; resident in, resident out. Methods never mutate
-    their inputs unless documented (bucket accumulation mutates the
-    bucket list in place, matching the MSM engines' usage).
+    *resident vector* (:meth:`resident`). The seven vector ops —
+    :meth:`ntt`, :meth:`intt`, :meth:`vadd`, :meth:`vsub`, :meth:`vmul`,
+    :meth:`vscale`, :meth:`vmul_powers` — return the representation
+    they were handed: ints in, a ``list`` of canonical ints out;
+    resident in, resident out.
+
+    Curve ops take a :class:`~repro.curves.weierstrass.CurveGroup` and
+    rows of its points, each either a python list of point tuples or
+    one of this backend's two *resident rows*: an affine row
+    (:meth:`resident_points`; the MSM checkpoint table is made of
+    them) and a Jacobian bucket row (what :meth:`accumulate_table`,
+    :meth:`batch_to_jacobian`, :meth:`batch_jdouble` and
+    :meth:`batch_jadd` return when handed resident rows). They are
+    type-preserving in the same way — lists in, a ``list`` out — and
+    here both resident forms *are* plain lists. Methods never mutate
+    their inputs unless documented (:meth:`accumulate_buckets` mutates
+    the bucket list in place, matching the MSM engines' usage).
     """
 
     name = "abstract"
@@ -131,6 +140,26 @@ class ComputeBackend:
 
         return [scalar_digits(s, scalar_bits, window) for s in scalars]
 
+    def digit_entries(self, digits, window: int, interval: int):
+        """The non-zero digits of a :meth:`digits_matrix` result as
+        GZKP point-merging entries, in the scalar loop's order (scalar
+        by scalar, window by window): index vectors ``(slot_idx,
+        row_idx, col_idx)`` where the digit d of scalar i at window
+        t = row * interval + w reads checkpoint-table point
+        ``table[row][i]`` into sub-bucket ``w * (2^window - 1) + d - 1``.
+        Lists here; a backend whose digit matrix is an array returns
+        arrays."""
+        n_buckets = (1 << window) - 1
+        slot_idx, row_idx, col_idx = [], [], []
+        for i, row in enumerate(digits):
+            for t, d in enumerate(row):
+                if d:
+                    block, residual = divmod(t, interval)
+                    slot_idx.append(residual * n_buckets + d - 1)
+                    row_idx.append(block)
+                    col_idx.append(i)
+        return slot_idx, row_idx, col_idx
+
     # -- fused NTT sweeps -------------------------------------------------------
 
     def ntt(self, field, values: Sequence[int], omega: Optional[int] = None,
@@ -168,19 +197,45 @@ class ComputeBackend:
             counter.count("fr_mul", n)
         return a
 
+    # -- resident point rows ------------------------------------------------------
+
+    def resident_points(self, group, points: Sequence) -> Sequence:
+        """A row of affine points (``None`` = infinity) in the form this
+        backend's kernels keep between calls — the one ingress of a
+        checkpoint table, at setup. Here that form is a plain ``list``;
+        a backend with a kernel-side layout returns an immutable
+        read-only ``Sequence`` over it (indexing, slicing, iterating
+        and ``==`` decode just what is read), and returns an
+        already-resident row as the same object."""
+        return list(points)
+
+    def batch_to_jacobian(self, group, points: Sequence) -> Sequence:
+        """``group.to_jacobian`` of every point of an affine row, as a
+        Jacobian row of the same kind (list in, list out)."""
+        return [group.to_jacobian(p) for p in points]
+
+    def batch_from_jacobian(self, group, points: Sequence) -> Sequence:
+        """``group.from_jacobian`` of every point of a Jacobian row, as
+        an affine row of the same kind. Overrides may share one
+        inversion across the row; the affine coordinates are unique, so
+        the result is identical either way."""
+        return [group.from_jacobian(p) for p in points]
+
     # -- batch curve ops (Jacobian) ---------------------------------------------
 
-    def batch_jdouble(self, group, points: Sequence) -> List:
+    def batch_jdouble(self, group, points: Sequence) -> Sequence:
         """One doubling of every point (a fold step of the MSM engines).
 
         Overrides must be bit-identical to this loop, including the op
-        counts ``group`` emits (the native kernels patch the rare
-        special-case lanes with the scalar formulas to keep both)."""
+        counts ``group`` emits (special-case lanes are routed exactly
+        as the scalar formulas route them), and hand a resident bucket
+        row back for a resident bucket row."""
         return [group.jdouble(p) for p in points]
 
-    def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> List:
+    def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> Sequence:
         """Pairwise Jacobian addition of two equal-length point rows
-        (same bit-identity contract as :meth:`batch_jdouble`)."""
+        (same bit-identity and type-preservation contract as
+        :meth:`batch_jdouble`; the rows may be the same object)."""
         return [group.jadd(p, q) for p, q in zip(ps, qs)]
 
     def batch_jmixed_add(self, group, ps: Sequence, qs: Sequence) -> List:
@@ -190,8 +245,12 @@ class ComputeBackend:
 
     def accumulate_buckets(self, group, buckets: List,
                            entries: Sequence[Tuple[int, object]]) -> List:
-        """Point-merging: fold (bucket index, affine point) entries into
-        ``buckets`` in place.
+        """Point-merging over python points: fold (bucket index, affine
+        point) entries into the python list ``buckets`` in place and
+        return it — the front-end of the window-per-thread engines
+        (:class:`~repro.msm.pippenger.SubMsmPippenger`); GZKP's own
+        merge reads a checkpoint table through :meth:`accumulate_table`
+        under the same contract.
 
         This default folds in the engines' original scalar order.
         Overrides MAY reassociate the per-bucket sums (e.g. the
@@ -217,20 +276,43 @@ class ComputeBackend:
             buckets[idx] = group.jmixed_add(buckets[idx], point)
         return buckets
 
+    def accumulate_table(self, group, table: Sequence, n_slots: int,
+                         slot_idx: Sequence[int], row_idx: Sequence[int],
+                         col_idx: Sequence[int]) -> Sequence:
+        """Point-merging off a checkpoint table: entry j adds the affine
+        point ``table[row_idx[j]][col_idx[j]]`` into bucket
+        ``slot_idx[j]`` of a fresh row of ``n_slots`` infinity buckets,
+        which is returned (a Jacobian row of the table rows' kind: a
+        ``list`` here, a resident bucket row from a backend whose table
+        rows are resident). The index vectors are what
+        :meth:`digit_entries` produces.
+
+        This default is the ordered ``jmixed_add`` loop in entry order;
+        overrides may reassociate under exactly the contract of
+        :meth:`accumulate_buckets` (group-equal buckets, PADD/PDBL
+        totals of the ordered fold)."""
+        o = group.ops
+        buckets = [(o.one, o.one, o.zero)] * n_slots
+        for slot, row, col in zip(slot_idx, row_idx, col_idx):
+            buckets[slot] = group.jmixed_add(buckets[slot], table[row][col])
+        return buckets
+
     def bucket_reduce(self, group, buckets: Sequence):
-        """Bucket-reduction: sum of (j+1) * buckets[j] over Jacobian
-        buckets, returned as a Jacobian point.
+        """Bucket-reduction: sum of (j+1) * buckets[j] over a row of
+        Jacobian buckets (a list or a resident bucket row), returned as
+        one Jacobian point tuple.
 
         This is the exact ordered running-suffix fold of
         :func:`repro.msm.pippenger.bucket_reduce` (2 jadds per bucket),
-        counting through ``group.counter`` as the fold always has, and
-        every in-repo backend runs it (DESIGN.md, "Compute backends",
-        records the rows that decided so). An override MAY reassociate
-        under the same contract as :meth:`accumulate_buckets` — any
-        group-equal Jacobian representative (every consumer normalizes
-        via ``group.from_jacobian``), PADD/PDBL totals identical to
-        this fold's, including its data-dependent skips when an operand
-        is the point at infinity."""
+        counting through ``group.counter`` as the fold always has. An
+        override must beat this loop (DESIGN.md, "Compute backends",
+        records the scan that did not and the sequential C fold that
+        does) and MAY return any group-equal Jacobian representative
+        (every consumer normalizes via ``group.from_jacobian``), with
+        PADD/PDBL totals identical to this fold's, including its
+        data-dependent skips when an operand is the point at infinity
+        and its doubling/cancellation routing when two operands share
+        an x."""
         from repro.msm.pippenger import bucket_reduce
 
         return bucket_reduce(group, buckets)

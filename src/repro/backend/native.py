@@ -11,9 +11,10 @@ ablation its headroom and, since this module grew the Stockham sweep,
 the full-proof native ablation too.
 
 So this module compiles one small C file (batch kernels: CIOS Montgomery
-multiply, modular add/sub, a fused batch-affine combine, a whole-vector
-Stockham NTT sweep, a sequential power ladder and a broadcast constant
-multiply, all over little-endian 64-bit word rows) with the system
+multiply, modular add/sub, a fused batch-affine combine, fused Jacobian
+point kernels, a sequential bucket fold, a whole-vector Stockham NTT
+sweep, a sequential power ladder and a broadcast constant multiply, all
+over little-endian 64-bit word rows) with the system
 compiler at first use, caches the shared object keyed by a source hash,
 and loads it with :mod:`ctypes`. There is no build step, no new package
 dependency, and no platform assumption beyond "a C compiler exists":
@@ -703,6 +704,306 @@ void jac_madd_fq2(uint64_t *ox, uint64_t *oy, uint64_t *oz,
         fq2_dec(oz + off, Z1[0], Z1[1], N, n0inv, w);
     }
 }
+
+/* -- sequential bucket fold ------------------------------------------------
+
+   Bucket-reduction sum_j (j+1)*B_j as the ordered running-suffix fold
+   of repro.msm.pippenger.bucket_reduce, last bucket first:
+       running += B_j;  total += running        (2 jadds per bucket)
+   Bucket rows arrive *already in the Montgomery domain* and the result
+   leaves in it — no conversion mul anywhere in here — as out = [x|y|z].
+   jadd/jdouble are CurveGroup's formulas in CurveGroup's operand order
+   with its special-case routing done in C on canonical words: z == 0
+   is infinity (the other operand comes back, count-free), u1 == u2 and
+   s1 == s2 is P == Q (the doubling: one pdbl + one padd, or count-free
+   infinity when y == 0), u1 == u2 alone is P == -Q (count-free
+   infinity), anything else one padd. tally[0] += padds, tally[1] +=
+   pdbls, exactly what the scalar fold books through group._count. No
+   operand row is written. */
+
+typedef struct { uint64_t x[32], y[32], z[32]; } jpt_fp;
+
+static inline int words_zero(const uint64_t *a, int w)
+{
+    uint64_t acc = 0;
+    for (int j = 0; j < w; j++) acc |= a[j];
+    return acc == 0;
+}
+
+static inline int words_eq(const uint64_t *a, const uint64_t *b, int w)
+{
+    uint64_t acc = 0;
+    for (int j = 0; j < w; j++) acc |= a[j] ^ b[j];
+    return acc == 0;
+}
+
+static inline void words_copy(uint64_t *o, const uint64_t *a, int w)
+{
+    for (int j = 0; j < w; j++) o[j] = a[j];
+}
+
+static inline void jpt_fp_set_inf(jpt_fp *o, int w)
+{
+    for (int j = 0; j < w; j++) o->x[j] = o->y[j] = o->z[j] = 0;
+}
+
+static inline void jpt_fp_copy(jpt_fp *o, const jpt_fp *a, int w)
+{
+    if (o == a) return;
+    words_copy(o->x, a->x, w);
+    words_copy(o->y, a->y, w);
+    words_copy(o->z, a->z, w);
+}
+
+/* o = 2p; o may alias p. */
+static void jpt_fp_dbl(jpt_fp *o, const jpt_fp *p, uint64_t *tally,
+                       const uint64_t *am, const uint64_t *N,
+                       uint64_t n0inv, int w)
+{
+    uint64_t ysq[32], s[32], m[32], t[32], u[32], z3[32];
+    if (words_zero(p->z, w) || words_zero(p->y, w)) {
+        jpt_fp_set_inf(o, w);
+        return;
+    }
+    mont_mul_one(ysq, p->y, p->y, N, n0inv, w);
+    mont_mul_one(s, p->x, ysq, N, n0inv, w);
+    mod_add_one(s, s, s, N, w);
+    mod_add_one(s, s, s, N, w);               /* s = 4*x*y^2 */
+    mont_mul_one(m, p->x, p->x, N, n0inv, w);
+    mod_add_one(t, m, m, N, w);
+    mod_add_one(m, m, t, N, w);               /* m = 3*x^2 */
+    if (am) {
+        mont_mul_one(t, p->z, p->z, N, n0inv, w);
+        mont_mul_one(t, t, t, N, n0inv, w);
+        mont_mul_one(t, t, am, N, n0inv, w);
+        mod_add_one(m, m, t, N, w);           /* + a*z^4 */
+    }
+    mont_mul_one(z3, p->y, p->z, N, n0inv, w);
+    mod_add_one(z3, z3, z3, N, w);            /* z3 = 2*y*z */
+    mont_mul_one(t, m, m, N, n0inv, w);
+    mod_add_one(u, s, s, N, w);
+    mod_sub_one(t, t, u, N, w);               /* x3 = m^2 - 2s */
+    mod_sub_one(u, s, t, N, w);
+    mont_mul_one(u, m, u, N, n0inv, w);       /* m*(s - x3) */
+    mont_mul_one(ysq, ysq, ysq, N, n0inv, w);
+    mod_add_one(ysq, ysq, ysq, N, w);
+    mod_add_one(ysq, ysq, ysq, N, w);
+    mod_add_one(ysq, ysq, ysq, N, w);         /* 8*y^4 */
+    mod_sub_one(o->y, u, ysq, N, w);          /* y3 */
+    words_copy(o->x, t, w);
+    words_copy(o->z, z3, w);
+    tally[0]++;
+    tally[1]++;
+}
+
+/* o = p + q; o may alias p or q. */
+static void jpt_fp_add(jpt_fp *o, const jpt_fp *p, const jpt_fp *q,
+                       uint64_t *tally, const uint64_t *am,
+                       const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t z1q[32], z2q[32], u1[32], u2[32], s1[32], s2[32];
+    uint64_t h[32], r[32], t[32], u[32], z3[32];
+    if (words_zero(p->z, w)) { jpt_fp_copy(o, q, w); return; }
+    if (words_zero(q->z, w)) { jpt_fp_copy(o, p, w); return; }
+    mont_mul_one(z1q, p->z, p->z, N, n0inv, w);
+    mont_mul_one(z2q, q->z, q->z, N, n0inv, w);
+    mont_mul_one(u1, p->x, z2q, N, n0inv, w);
+    mont_mul_one(u2, q->x, z1q, N, n0inv, w);
+    mont_mul_one(t, z2q, q->z, N, n0inv, w);
+    mont_mul_one(s1, p->y, t, N, n0inv, w);
+    mont_mul_one(t, z1q, p->z, N, n0inv, w);
+    mont_mul_one(s2, q->y, t, N, n0inv, w);
+    if (words_eq(u1, u2, w)) {
+        if (words_eq(s1, s2, w))
+            jpt_fp_dbl(o, p, tally, am, N, n0inv, w);
+        else
+            jpt_fp_set_inf(o, w);
+        return;
+    }
+    mod_sub_one(h, u2, u1, N, w);
+    mod_sub_one(r, s2, s1, N, w);
+    mont_mul_one(z3, p->z, q->z, N, n0inv, w);
+    mont_mul_one(z3, h, z3, N, n0inv, w);     /* z3 = h*z1*z2 */
+    mont_mul_one(t, h, h, N, n0inv, w);       /* h^2 */
+    mont_mul_one(u1, u1, t, N, n0inv, w);     /* u1*h^2 */
+    mont_mul_one(t, t, h, N, n0inv, w);       /* h^3 */
+    mont_mul_one(s1, s1, t, N, n0inv, w);     /* s1*h^3 */
+    mont_mul_one(u, r, r, N, n0inv, w);
+    mod_sub_one(u, u, t, N, w);
+    mod_add_one(t, u1, u1, N, w);
+    mod_sub_one(u, u, t, N, w);               /* x3 */
+    mod_sub_one(t, u1, u, N, w);
+    mont_mul_one(t, r, t, N, n0inv, w);
+    mod_sub_one(o->y, t, s1, N, w);           /* y3 */
+    words_copy(o->x, u, w);
+    words_copy(o->z, z3, w);
+    tally[0]++;
+}
+
+void bucket_fold_fp(uint64_t *out, uint64_t *tally,
+                    const uint64_t *x, const uint64_t *y, const uint64_t *z,
+                    size_t n, const uint64_t *am, const uint64_t *N,
+                    uint64_t n0inv, int w)
+{
+    jpt_fp running, total, b;
+    jpt_fp_set_inf(&running, w);
+    jpt_fp_set_inf(&total, w);
+    for (size_t k = n; k-- > 0;) {
+        words_copy(b.x, x + k * w, w);
+        words_copy(b.y, y + k * w, w);
+        words_copy(b.z, z + k * w, w);
+        jpt_fp_add(&running, &running, &b, tally, am, N, n0inv, w);
+        jpt_fp_add(&total, &total, &running, tally, am, N, n0inv, w);
+    }
+    words_copy(out, total.x, w);
+    words_copy(out + w, total.y, w);
+    words_copy(out + 2 * w, total.z, w);
+}
+
+/* The Fq2 twin: packed (n, 2w) Montgomery rows, out = [x|y|z] of 2w
+   words each; am is the packed Montgomery row of a, or NULL. */
+
+typedef struct { uint64_t x[2][32], y[2][32], z[2][32]; } jpt_fq2;
+
+static inline int fq2_zero(uint64_t a[2][32], int w)
+{
+    return words_zero(a[0], w) && words_zero(a[1], w);
+}
+
+static inline int fq2_eq(uint64_t a[2][32], uint64_t b[2][32], int w)
+{
+    return words_eq(a[0], b[0], w) && words_eq(a[1], b[1], w);
+}
+
+static inline void fq2_copy(uint64_t o[2][32], uint64_t a[2][32], int w)
+{
+    words_copy(o[0], a[0], w);
+    words_copy(o[1], a[1], w);
+}
+
+static inline void jpt_fq2_set_inf(jpt_fq2 *o, int w)
+{
+    for (int c = 0; c < 2; c++)
+        for (int j = 0; j < w; j++)
+            o->x[c][j] = o->y[c][j] = o->z[c][j] = 0;
+}
+
+static inline void jpt_fq2_copy(jpt_fq2 *o, jpt_fq2 *a, int w)
+{
+    if (o == a) return;
+    fq2_copy(o->x, a->x, w);
+    fq2_copy(o->y, a->y, w);
+    fq2_copy(o->z, a->z, w);
+}
+
+static void jpt_fq2_dbl(jpt_fq2 *o, jpt_fq2 *p, uint64_t *tally,
+                        const uint64_t *am, const uint64_t *c0m,
+                        const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t ysq[2][32], s[2][32], m[2][32], t[2][32], u[2][32], z3[2][32];
+    if (fq2_zero(p->z, w) || fq2_zero(p->y, w)) {
+        jpt_fq2_set_inf(o, w);
+        return;
+    }
+    fq2_mul_one(ysq[0], ysq[1], p->y[0], p->y[1], p->y[0], p->y[1], c0m, N, n0inv, w);
+    fq2_mul_one(s[0], s[1], p->x[0], p->x[1], ysq[0], ysq[1], c0m, N, n0inv, w);
+    fq2_add2(s[0], s[1], s[0], s[1], s[0], s[1], N, w);
+    fq2_add2(s[0], s[1], s[0], s[1], s[0], s[1], N, w);
+    fq2_mul_one(m[0], m[1], p->x[0], p->x[1], p->x[0], p->x[1], c0m, N, n0inv, w);
+    fq2_add2(t[0], t[1], m[0], m[1], m[0], m[1], N, w);
+    fq2_add2(m[0], m[1], m[0], m[1], t[0], t[1], N, w);
+    if (am) {
+        fq2_mul_one(t[0], t[1], p->z[0], p->z[1], p->z[0], p->z[1], c0m, N, n0inv, w);
+        fq2_mul_one(t[0], t[1], t[0], t[1], t[0], t[1], c0m, N, n0inv, w);
+        fq2_mul_one(t[0], t[1], t[0], t[1], am, am + w, c0m, N, n0inv, w);
+        fq2_add2(m[0], m[1], m[0], m[1], t[0], t[1], N, w);
+    }
+    fq2_mul_one(z3[0], z3[1], p->y[0], p->y[1], p->z[0], p->z[1], c0m, N, n0inv, w);
+    fq2_add2(z3[0], z3[1], z3[0], z3[1], z3[0], z3[1], N, w);
+    fq2_mul_one(t[0], t[1], m[0], m[1], m[0], m[1], c0m, N, n0inv, w);
+    fq2_add2(u[0], u[1], s[0], s[1], s[0], s[1], N, w);
+    fq2_sub2(t[0], t[1], t[0], t[1], u[0], u[1], N, w);
+    fq2_sub2(u[0], u[1], s[0], s[1], t[0], t[1], N, w);
+    fq2_mul_one(u[0], u[1], m[0], m[1], u[0], u[1], c0m, N, n0inv, w);
+    fq2_mul_one(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], c0m, N, n0inv, w);
+    fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
+    fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
+    fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
+    fq2_sub2(o->y[0], o->y[1], u[0], u[1], ysq[0], ysq[1], N, w);
+    fq2_copy(o->x, t, w);
+    fq2_copy(o->z, z3, w);
+    tally[0]++;
+    tally[1]++;
+}
+
+static void jpt_fq2_add(jpt_fq2 *o, jpt_fq2 *p, jpt_fq2 *q,
+                        uint64_t *tally, const uint64_t *am,
+                        const uint64_t *c0m, const uint64_t *N,
+                        uint64_t n0inv, int w)
+{
+    uint64_t z1q[2][32], z2q[2][32], u1[2][32], u2[2][32], s1[2][32];
+    uint64_t s2[2][32], h[2][32], r[2][32], t[2][32], u[2][32], z3[2][32];
+    if (fq2_zero(p->z, w)) { jpt_fq2_copy(o, q, w); return; }
+    if (fq2_zero(q->z, w)) { jpt_fq2_copy(o, p, w); return; }
+    fq2_mul_one(z1q[0], z1q[1], p->z[0], p->z[1], p->z[0], p->z[1], c0m, N, n0inv, w);
+    fq2_mul_one(z2q[0], z2q[1], q->z[0], q->z[1], q->z[0], q->z[1], c0m, N, n0inv, w);
+    fq2_mul_one(u1[0], u1[1], p->x[0], p->x[1], z2q[0], z2q[1], c0m, N, n0inv, w);
+    fq2_mul_one(u2[0], u2[1], q->x[0], q->x[1], z1q[0], z1q[1], c0m, N, n0inv, w);
+    fq2_mul_one(t[0], t[1], z2q[0], z2q[1], q->z[0], q->z[1], c0m, N, n0inv, w);
+    fq2_mul_one(s1[0], s1[1], p->y[0], p->y[1], t[0], t[1], c0m, N, n0inv, w);
+    fq2_mul_one(t[0], t[1], z1q[0], z1q[1], p->z[0], p->z[1], c0m, N, n0inv, w);
+    fq2_mul_one(s2[0], s2[1], q->y[0], q->y[1], t[0], t[1], c0m, N, n0inv, w);
+    if (fq2_eq(u1, u2, w)) {
+        if (fq2_eq(s1, s2, w))
+            jpt_fq2_dbl(o, p, tally, am, c0m, N, n0inv, w);
+        else
+            jpt_fq2_set_inf(o, w);
+        return;
+    }
+    fq2_sub2(h[0], h[1], u2[0], u2[1], u1[0], u1[1], N, w);
+    fq2_sub2(r[0], r[1], s2[0], s2[1], s1[0], s1[1], N, w);
+    fq2_mul_one(z3[0], z3[1], p->z[0], p->z[1], q->z[0], q->z[1], c0m, N, n0inv, w);
+    fq2_mul_one(z3[0], z3[1], h[0], h[1], z3[0], z3[1], c0m, N, n0inv, w);
+    fq2_mul_one(t[0], t[1], h[0], h[1], h[0], h[1], c0m, N, n0inv, w);
+    fq2_mul_one(u1[0], u1[1], u1[0], u1[1], t[0], t[1], c0m, N, n0inv, w);
+    fq2_mul_one(t[0], t[1], t[0], t[1], h[0], h[1], c0m, N, n0inv, w);
+    fq2_mul_one(s1[0], s1[1], s1[0], s1[1], t[0], t[1], c0m, N, n0inv, w);
+    fq2_mul_one(u[0], u[1], r[0], r[1], r[0], r[1], c0m, N, n0inv, w);
+    fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
+    fq2_add2(t[0], t[1], u1[0], u1[1], u1[0], u1[1], N, w);
+    fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
+    fq2_sub2(t[0], t[1], u1[0], u1[1], u[0], u[1], N, w);
+    fq2_mul_one(t[0], t[1], r[0], r[1], t[0], t[1], c0m, N, n0inv, w);
+    fq2_sub2(o->y[0], o->y[1], t[0], t[1], s1[0], s1[1], N, w);
+    fq2_copy(o->x, u, w);
+    fq2_copy(o->z, z3, w);
+    tally[0]++;
+}
+
+void bucket_fold_fq2(uint64_t *out, uint64_t *tally,
+                     const uint64_t *x, const uint64_t *y, const uint64_t *z,
+                     size_t n, const uint64_t *am, const uint64_t *c0m,
+                     const uint64_t *N, uint64_t n0inv, int w)
+{
+    jpt_fq2 running, total, b;
+    jpt_fq2_set_inf(&running, w);
+    jpt_fq2_set_inf(&total, w);
+    for (size_t k = n; k-- > 0;) {
+        size_t off = k * 2 * w;
+        for (int c = 0; c < 2; c++) {
+            words_copy(b.x[c], x + off + c * w, w);
+            words_copy(b.y[c], y + off + c * w, w);
+            words_copy(b.z[c], z + off + c * w, w);
+        }
+        jpt_fq2_add(&running, &running, &b, tally, am, c0m, N, n0inv, w);
+        jpt_fq2_add(&total, &total, &running, tally, am, c0m, N, n0inv, w);
+    }
+    for (int c = 0; c < 2; c++) {
+        words_copy(out + c * w, total.x[c], w);
+        words_copy(out + (2 + c) * w, total.y[c], w);
+        words_copy(out + (4 + c) * w, total.z[c], w);
+    }
+}
 """
 
 # module-level load state: None = not attempted, False = unavailable
@@ -933,6 +1234,12 @@ def _bind(lib) -> None:
     lib.jac_madd_fq2.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
                                  ptr, ptr, size, ptr, ptr, ptr, u64, i32]
     lib.jac_madd_fq2.restype = None
+    lib.bucket_fold_fp.argtypes = [ptr, ptr, ptr, ptr, ptr, size, ptr, ptr,
+                                   u64, i32]
+    lib.bucket_fold_fp.restype = None
+    lib.bucket_fold_fq2.argtypes = [ptr, ptr, ptr, ptr, ptr, size, ptr, ptr,
+                                    ptr, u64, i32]
+    lib.bucket_fold_fq2.restype = None
 
 
 def _compile_and_load():
@@ -1099,9 +1406,11 @@ class NativeField:
     """Batched Montgomery-domain arithmetic over one prime modulus.
 
     Curve-path arrays (:meth:`mul`/:meth:`sub`/:meth:`add`/
-    :meth:`affine_combine`/:meth:`batch_inverse`) are C-contiguous
-    ``(n, w)`` uint64 rows of canonical Montgomery residues;
-    ``encode``/``decode`` cross the int <-> Montgomery boundary. The
+    :meth:`affine_combine`/:meth:`batch_inverse`/:meth:`bucket_fold`)
+    are C-contiguous ``(n, w)`` uint64 rows of canonical Montgomery
+    residues; :meth:`to_mont`/:meth:`from_mont` move rows between the
+    raw and the Montgomery domain and ``encode``/``decode`` add the
+    int boundary. The
     NTT/pointwise row ops (:meth:`ntt_rows`, :meth:`mul_raw`, and
     :meth:`mul`/:meth:`mul_const` against :meth:`mont_ladder` /
     :meth:`encode_const` operands) work on *raw* canonical rows with
@@ -1168,15 +1477,24 @@ class NativeField:
         return [from_bytes(raw[i * stride:(i + 1) * stride], "little")
                 for i in range(arr.shape[0])]
 
+    def to_mont(self, rows: "_np.ndarray",
+                out: Optional["_np.ndarray"] = None) -> "_np.ndarray":
+        """Raw canonical rows -> Montgomery rows (one batched mul by
+        R^2), into fresh rows unless ``out`` is given."""
+        return self.mul_const(rows, self._r2_words, out=out)
+
+    def from_mont(self, rows: "_np.ndarray") -> "_np.ndarray":
+        """Montgomery rows -> raw canonical rows (one batched mul by 1)."""
+        return self.mul_const(rows, self._one_words)
+
     def encode(self, vals: Sequence[int]) -> "_np.ndarray":
-        """Canonical ints -> Montgomery rows (one batched mul by R^2)."""
+        """Canonical ints -> Montgomery rows."""
         raw = self.words_from_ints(vals)
-        return self.mul_const(raw, self._r2_words, out=raw)
+        return self.to_mont(raw, out=raw)
 
     def decode(self, arr: "_np.ndarray") -> List[int]:
-        """Montgomery rows -> canonical ints (one batched mul by 1)."""
-        plain = self.mul_const(self._prep(arr), self._one_words)
-        return self.ints_from_words(plain)
+        """Montgomery rows -> canonical ints."""
+        return self.ints_from_words(self.from_mont(arr))
 
     def decode_one(self, row: "_np.ndarray") -> int:
         """One Montgomery row -> canonical int (pure Python; used for
@@ -1279,8 +1597,8 @@ class NativeField:
         self.lib.mont_prefix_mul(pref.ctypes.data, a.ctypes.data, n,
                                  self._n_words.ctypes.data, self.n0inv,
                                  self.w)
-        total = self.decode_one(pref[n - 1])
-        tinv = self.encode([pow(total, -1, self.p)])
+        tinv = self.encode_const(pow(self.decode_one(pref[n - 1]), -1,
+                                     self.p))
         out = _np.empty_like(a)
         self.lib.mont_batch_inv_back(out.ctypes.data, pref.ctypes.data,
                                      a.ctypes.data, tinv.ctypes.data, n,
@@ -1391,6 +1709,30 @@ class NativeField:
             self._opt_ptr(c0_row), self._r2_words.ctypes.data,
             self._n_words.ctypes.data, self.n0inv, self.w)
         return ox, oy, oz, oh, orr
+
+    # -- sequential bucket fold over Montgomery rows -----------------------------
+    #
+    # Bucket planes in, the fold's one Jacobian total out as (3, w) —
+    # Fq2: (3, 2w) — Montgomery rows, plus the fold's own padd/pdbl
+    # tallies. Operand rows are only read; the result and the tally are
+    # allocated here, per call (buckets are witness-derived).
+
+    def _fold(self, kernel, x, y, z, *const_rows):
+        x, y = self._prep_pair(x, y)
+        x, z = self._prep_pair(x, z)
+        out = _np.empty((3, x.shape[1]), dtype="<u8")
+        tally = _np.zeros(2, dtype="<u8")
+        kernel(out.ctypes.data, tally.ctypes.data, x.ctypes.data,
+               y.ctypes.data, z.ctypes.data, x.shape[0],
+               *(self._opt_ptr(row) for row in const_rows),
+               self._n_words.ctypes.data, self.n0inv, self.w)
+        return out, int(tally[0]), int(tally[1])
+
+    def bucket_fold(self, x, y, z, a_row=None):
+        return self._fold(self.lib.bucket_fold_fp, x, y, z, a_row)
+
+    def bucket_fold2(self, x, y, z, a_row=None, c0_row=None):
+        return self._fold(self.lib.bucket_fold_fq2, x, y, z, a_row, c0_row)
 
     # -- NTT / pointwise over raw rows ------------------------------------------
 

@@ -398,7 +398,10 @@ class NumpyLimbBackend(ComputeBackend):
     ``egress(op(ingress(x)))`` through the same code a resident caller
     runs, and this class is the only place ints become word rows
     (:meth:`_rows_of`) or word rows become ints
-    (``NativeField.ints_from_words``)."""
+    (``NativeField.ints_from_words``). The curve ops do the same over
+    :mod:`repro.backend.numpy_curve`'s two resident point rows (affine
+    table rows, Jacobian bucket rows), whose int boundary lives
+    there."""
 
     name = "numpy"
     fuses_ntt_sweeps = True
@@ -606,24 +609,64 @@ class NumpyLimbBackend(ComputeBackend):
             _np.bitwise_and(acc, mask, out=out[:, t])
         return out
 
+    def digit_entries(self, digits, window: int, interval: int):
+        """Index arithmetic on whole vectors over the non-zero digits
+        only; row-major ``nonzero`` order is the scalar loop's exact
+        entry order. Returns int64 arrays."""
+        dm = _np.asarray(digits, dtype=_np.int64)
+        nz_i, nz_t = dm.nonzero()
+        blocks = nz_t // interval
+        slot_idx = ((nz_t - blocks * interval) * ((1 << window) - 1)
+                    + dm[nz_i, nz_t] - 1)
+        return slot_idx, blocks, nz_i
+
     # -- batch curve ops --------------------------------------------------------
     # numpy_curve returns None (and notes the coverage fallback) when
     # the group has no native engine; below the lane/entry thresholds
-    # the scalar loop is a size choice and stays silent.
+    # the scalar loop is a size choice and stays silent. A resident row
+    # stays on the kernels whatever its length, and its read-only
+    # Sequence behaviour keeps every inherited loop correct for it.
 
-    def batch_jdouble(self, group, points: Sequence) -> List:
+    def resident_points(self, group, points: Sequence) -> Sequence:
+        """A :class:`~repro.backend.numpy_curve.ResidentPoints` row when
+        the kernels serve this group (an already-resident row is
+        returned as is), a plain list otherwise."""
         from repro.backend import numpy_curve as _nc
 
-        if len(points) >= _nc.MIN_VECTOR_LANES:
+        out = _nc.resident_points(group, points)
+        return super().resident_points(group, points) if out is None else out
+
+    def batch_to_jacobian(self, group, points: Sequence) -> Sequence:
+        from repro.backend import numpy_curve as _nc
+
+        if isinstance(points, _nc.ResidentPoints):
+            out = _nc.batch_to_jacobian(group, points)
+            if out is not None:
+                return out
+        return super().batch_to_jacobian(group, points)
+
+    def batch_from_jacobian(self, group, points: Sequence) -> Sequence:
+        from repro.backend import numpy_curve as _nc
+
+        if isinstance(points, _nc.ResidentBuckets):
+            out = _nc.batch_from_jacobian(group, points)
+            if out is not None:
+                return out
+        return super().batch_from_jacobian(group, points)
+
+    def batch_jdouble(self, group, points: Sequence) -> Sequence:
+        from repro.backend import numpy_curve as _nc
+
+        if _nc.vectorizes(points):
             out = _nc.batch_jdouble(group, points)
             if out is not None:
                 return out
         return super().batch_jdouble(group, points)
 
-    def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> List:
+    def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> Sequence:
         from repro.backend import numpy_curve as _nc
 
-        if len(ps) >= _nc.MIN_VECTOR_LANES:
+        if _nc.vectorizes(ps, qs):
             out = _nc.batch_jadd(group, ps, qs)
             if out is not None:
                 return out
@@ -645,3 +688,29 @@ class NumpyLimbBackend(ComputeBackend):
         if out is None:
             return super().accumulate_buckets(group, buckets, entries)
         return out
+
+    def accumulate_table(self, group, table: Sequence, n_slots: int,
+                         slot_idx, row_idx, col_idx) -> Sequence:
+        from repro.backend import numpy_curve as _nc
+
+        out = _nc.accumulate_table_segmented(group, table, n_slots,
+                                             slot_idx, row_idx, col_idx)
+        if out is None:
+            return super().accumulate_table(
+                group, table, n_slots,
+                *(_np.asarray(v).tolist()
+                  for v in (slot_idx, row_idx, col_idx)))
+        return out
+
+    def bucket_reduce(self, group, buckets: Sequence):
+        """One call into the sequential C fold (2 ``jadd``s per bucket,
+        special cases routed in C, tallies booked here) when the
+        kernels serve this group; the inherited ordered loop
+        otherwise."""
+        from repro.backend import numpy_curve as _nc
+
+        if _nc.vectorizes(buckets):
+            out = _nc.bucket_reduce(group, buckets)
+            if out is not None:
+                return out
+        return super().bucket_reduce(group, buckets)

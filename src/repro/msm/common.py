@@ -1,12 +1,38 @@
-"""Shared geometry helpers for the MSM cost models."""
+"""Shared helpers of the MSM engines: cost-model geometry and the
+op-counter scope every functional ``compute`` runs under."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator, Optional
+
 from repro.curves.weierstrass import CurveGroup
 from repro.ff.extension import ExtensionField
+from repro.ff.opcount import OpCounter
 
 __all__ = ["coord_bits", "coord_words", "affine_point_bytes",
-           "jacobian_point_bytes", "fq_mul_factor_of"]
+           "jacobian_point_bytes", "fq_mul_factor_of", "counting"]
+
+
+@contextmanager
+def counting(group: CurveGroup, counter: Optional[OpCounter],
+             phase: Optional[str] = None) -> Iterator[None]:
+    """Count the block's group ops on ``counter`` — attributed to
+    ``phase`` when one is named — and put back whatever counter the
+    group carried before, so an MSM run inside somebody else's counted
+    region never detaches it. With ``counter=None`` the block runs
+    under the group's current counter, untouched."""
+    previous = group.counter
+    if counter is not None:
+        group.counter = counter
+    try:
+        if counter is not None and phase is not None:
+            with counter.phase(phase):
+                yield
+        else:
+            yield
+    finally:
+        group.counter = previous
 
 
 def coord_bits(group: CurveGroup) -> int:

@@ -10,6 +10,15 @@ object makes the caller-supplied-table hazard structural — a table can
 no longer silently be replayed under a different (window, interval)
 resolution, which would mis-weight every entry.
 
+The table *is* resident: its rows are in the compute backend's own
+affine row form (``ComputeBackend.resident_points`` — Montgomery word
+planes on the native ``numpy`` route, plain lists on the reference
+backend), built in that form and held in that form only, so a proof's
+point-merging gathers rows and never rebuilds a point. Rows are
+read-only sequences of affine points whatever the form; the table is
+public proving-key data, which is why it may live here while bucket
+rows (witness-derived) never do.
+
 :class:`MsmContextCache` keeps contexts resident across proofs the way
 the paper assumes tables stay resident on the card: an LRU bounded both
 by entry count and by the summed ``preprocess_bytes`` footprint, with a
@@ -22,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import MsmError
 
@@ -73,7 +82,7 @@ class MsmContext:
     scalar_bits: int
     n: int                        # length of the bound point vector
     cfg: object                   # GzkpMsmConfig the table was built under
-    table: List[List]             # checkpoint rows (row 0 = the points)
+    table: Sequence[Sequence]     # resident checkpoint rows (row 0 = the points)
     #: optional provenance label (e.g. the proving-key query name)
     label: str = ""
 

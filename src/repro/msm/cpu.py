@@ -16,7 +16,7 @@ from repro.ff.opcount import OpCounter
 from repro.gpusim import cost
 from repro.gpusim.trace import Trace
 from repro.gpusim.device import CpuDevice
-from repro.msm.common import coord_bits
+from repro.msm.common import coord_bits, counting
 from repro.msm.pippenger import bucket_reduce
 from repro.msm.naive import check_msm_inputs
 from repro.msm.windows import DigitStats, num_windows, scalar_digits
@@ -49,14 +49,12 @@ class CpuMsm:
                 counter: Optional[OpCounter] = None) -> AffinePoint:
         """Single bucket-method pass (the multi-thread split changes
         scheduling, not math)."""
-        check_msm_inputs(self.group, scalars, points)
+        check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
         k = optimal_cpu_window(len(scalars), self.scalar_bits)
         w = num_windows(self.scalar_bits, k)
-        if counter is not None:
-            self.group.counter = counter
-        try:
+        with counting(self.group, counter):
             o = self.group.ops
             infinity = (o.one, o.one, o.zero)
             acc = infinity
@@ -71,9 +69,6 @@ class CpuMsm:
                         buckets[d - 1] = self.group.jmixed_add(buckets[d - 1], p)
                 acc = self.group.jadd(acc, bucket_reduce(self.group, buckets))
             return self.group.from_jacobian(acc)
-        finally:
-            if counter is not None:
-                self.group.counter = None
 
     def plan(self, n: int, stats: Optional[DigitStats] = None) -> Trace:
         k = optimal_cpu_window(n, self.scalar_bits)

@@ -45,6 +45,7 @@ from repro.gpusim.device import GpuDevice
 from repro.msm.common import (
     affine_point_bytes,
     coord_bits,
+    counting,
     jacobian_point_bytes,
 )
 from repro.msm.context import MsmContext, check_table
@@ -163,20 +164,27 @@ class GzkpMsm:
     # -- preprocessing (functional) ------------------------------------------------------
 
     def preprocess(self, points: Sequence[AffinePoint],
-                   cfg: GzkpMsmConfig) -> List[List[AffinePoint]]:
+                   cfg: GzkpMsmConfig) -> List[Sequence[AffinePoint]]:
         """Checkpoint table: row m holds 2^(m*M*k) * P_i for every point
         (row 0 is the input itself). Runs at system-setup time in GZKP —
-        the point vector never changes for an application (§4.1)."""
+        the point vector never changes for an application (§4.1).
+
+        Rows are in the compute backend's resident form
+        (``resident_points``) and the doubling chain between two
+        checkpoints runs on the backend's Jacobian rows, so on a
+        backend with a kernel-side layout the table is born in word
+        rows — each checkpoint row normalised with one shared inversion
+        — and on the reference backend every step is the plain list
+        loop it always was."""
         backend = self._compute_backend()
-        rows = [list(points)]
+        rows = [backend.resident_points(self.group, points)]
         n_checkpoints = math.ceil(cfg.n_windows / cfg.interval)
         step = cfg.interval * cfg.window  # doublings between checkpoints
         for _ in range(1, n_checkpoints):
-            prev = rows[-1]
-            jps = [self.group.to_jacobian(p) for p in prev]
+            jps = backend.batch_to_jacobian(self.group, rows[-1])
             for _ in range(step):  # whole row doubled per step (batch op)
                 jps = backend.batch_jdouble(self.group, jps)
-            rows.append([self.group.from_jacobian(jp) for jp in jps])
+            rows.append(backend.batch_from_jacobian(self.group, jps))
         return rows
 
     def build_context(self, points: Sequence[AffinePoint],
@@ -196,14 +204,8 @@ class GzkpMsm:
         cfg = self.configure(n)
         with maybe_span(telemetry, "preprocess", label=label, n=n) as sp:
             c = counter if counter is not None else sp.counter
-            previous = self.group.counter
-            if c is not None:
-                self.group.counter = c
-            try:
-                with _maybe_phase(c, "preprocess"):
-                    table = self.preprocess(points, cfg)
-            finally:
-                self.group.counter = previous
+            with counting(self.group, c, "preprocess"):
+                table = self.preprocess(points, cfg)
         return MsmContext(group=self.group, scalar_bits=self.scalar_bits,
                           n=n, cfg=cfg, table=table, label=label)
 
@@ -211,7 +213,7 @@ class GzkpMsm:
 
     def compute(self, scalars: Sequence[int], points: Sequence[AffinePoint],
                 counter: Optional[OpCounter] = None,
-                table: Optional[List[List[AffinePoint]]] = None,
+                table: Optional[Sequence[Sequence[AffinePoint]]] = None,
                 telemetry=None,
                 context: Optional[MsmContext] = None) -> AffinePoint:
         """Consolidated MSM via residual sub-buckets (the performant
@@ -219,10 +221,15 @@ class GzkpMsm:
 
         With ``context`` (from :meth:`build_context`) the profiling
         search and checkpoint build are both skipped — the amortized
-        per-proof path. A raw ``table`` is validated against the
-        resolved config (a table preprocessed under a different config
-        would silently mis-weight every entry); with neither, the table
-        is built in-call and its doublings are counted under a
+        per-proof path, which only *reads* the resident table: digit
+        matrix -> entry index vectors -> the backend gathers table rows
+        into buckets -> residual fold -> bucket-reduction, all on the
+        backend's rows, and one ``from_jacobian`` at the end. A raw
+        ``table`` is validated against the resolved config (a table
+        preprocessed under a different config would silently mis-weight
+        every entry) and ingested row by row (``resident_points`` — a
+        no-op for rows that already are resident); with neither, the
+        table is built in-call and its doublings are counted under a
         dedicated ``preprocess`` phase/span. With ``telemetry``
         attached, the kernel phases (point-merging, bucket-reduction)
         report wall-clock sub-spans under the caller's current span; op
@@ -230,18 +237,20 @@ class GzkpMsm:
         same names."""
         from repro.service.telemetry import maybe_span
 
-        check_msm_inputs(self.group, scalars, points)
+        check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
         cfg = self.configure(len(scalars))
+        group = self.group
+        backend = self._compute_backend()
         if context is not None:
             if table is not None and table is not context.table:
                 raise MsmError("pass either table= or context=, not both")
-            if not context.matches(self.group, len(points)):
+            if not context.matches(group, len(points)):
                 raise MsmError(
                     f"MSM context bound to {context.n} point(s) on "
                     f"{getattr(context.group, 'name', '?')}; call is "
-                    f"{len(points)} point(s) on {self.group.name}"
+                    f"{len(points)} point(s) on {group.name}"
                 )
             if context.cfg != cfg:
                 raise MsmError(
@@ -251,76 +260,45 @@ class GzkpMsm:
             table = context.table
         elif table is not None:
             check_table(table, cfg, len(points))
-        previous = self.group.counter
-        if counter is not None:
-            self.group.counter = counter
-        backend = self._compute_backend()
-        try:
+            table = [backend.resident_points(group, row) for row in table]
+        with counting(group, counter):
             if table is None:
                 with maybe_span(telemetry, "preprocess"), \
-                        _maybe_phase(counter, "preprocess"):
+                        counting(group, counter, "preprocess"):
                     table = self.preprocess(points, cfg)
-            o = self.group.ops
-            infinity = (o.one, o.one, o.zero)
             k, m = cfg.window, cfg.interval
             n_buckets = (1 << k) - 1
-            # Sub-buckets indexed [residual w][digit - 1], flattened to
-            # one bucket array so the merge is a single batch call.
-            flat = [infinity] * (m * n_buckets)
             with maybe_span(telemetry, "point-merging"), \
-                    _maybe_phase(counter, "point-merging"):
+                    counting(group, counter, "point-merging"):
                 # Scalar front-end: every window of every scalar in one
-                # backend call (vectorized word extraction on numpy).
+                # backend call, then one entry per non-zero digit as
+                # index vectors into the table and into the sub-buckets
+                # — indexed [residual w][digit - 1], flattened to one
+                # row so the merge is a single batch call.
                 dm = backend.digits_matrix(scalars, self.scalar_bits, k)
-                if hasattr(dm, "nonzero"):
-                    # Array form: entry construction touches only the
-                    # nonzero digits, with the index arithmetic done on
-                    # whole vectors. Row-major nonzero order preserves
-                    # the scalar loop's exact entry order.
-                    nz_i, nz_t = dm.nonzero()
-                    digits = dm[nz_i, nz_t]
-                    blocks = nz_t // m
-                    flat_idx = (nz_t - blocks * m) * n_buckets + digits - 1
-                    entries = [
-                        (ix, table[b][i])
-                        for ix, b, i in zip(flat_idx.tolist(),
-                                            blocks.tolist(), nz_i.tolist())
-                    ]
-                else:
-                    entries = []
-                    for i, row in enumerate(dm):
-                        for t, d in enumerate(row):
-                            if not d:
-                                continue
-                            block, residual = divmod(t, m)
-                            entries.append(
-                                (residual * n_buckets + d - 1,
-                                 table[block][i])
-                            )
                 # Backends may reassociate each bucket's sum (the numpy
                 # backend runs a sorted segmented batch-affine tree) and
                 # return any group-equal Jacobian representative; the
                 # fold below only jadd/jdoubles them, so the final point
                 # is unchanged and op counts stay exact — see
                 # ComputeBackend.accumulate_buckets for the contract.
-                backend.accumulate_buckets(self.group, flat, entries)
-                sub = [flat[w * n_buckets:(w + 1) * n_buckets]
-                       for w in range(m)]
+                sub = backend.accumulate_table(
+                    group, table, m * n_buckets,
+                    *backend.digit_entries(dm, k, m))
                 # Fold residual classes: B_d = sum_w 2^(w*k) B_{d,w}.
-                buckets = list(sub[m - 1])
+                buckets = sub[(m - 1) * n_buckets:]
                 for residual in range(m - 2, -1, -1):
                     for _ in range(k):
-                        buckets = backend.batch_jdouble(self.group, buckets)
-                    buckets = backend.batch_jadd(self.group, buckets,
-                                                 sub[residual])
+                        buckets = backend.batch_jdouble(group, buckets)
+                    buckets = backend.batch_jadd(
+                        group, buckets,
+                        sub[residual * n_buckets:(residual + 1) * n_buckets])
             with maybe_span(telemetry, "bucket-reduction"), \
-                    _maybe_phase(counter, "bucket-reduction"):
+                    counting(group, counter, "bucket-reduction"):
                 # Backend contract mirrors accumulate_buckets: any
                 # group-equal representative, ordered-fold op counts.
-                total = backend.bucket_reduce(self.group, buckets)
-            return self.group.from_jacobian(total)
-        finally:
-            self.group.counter = previous
+                total = backend.bucket_reduce(group, buckets)
+            return group.from_jacobian(total)
 
     def compute_literal(self, scalars: Sequence[int],
                         points: Sequence[AffinePoint],
@@ -328,15 +306,12 @@ class GzkpMsm:
         """Algorithm 1 exactly as printed in the paper: per-entry
         doubling chains from the nearest checkpoint. Used to validate
         that the residual realisation computes the same function."""
-        check_msm_inputs(self.group, scalars, points)
+        check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
         cfg = self.configure(len(scalars))
-        previous = self.group.counter
-        if counter is not None:
-            self.group.counter = counter
-        try:
-            with _maybe_phase(counter, "preprocess"):
+        with counting(self.group, counter):
+            with counting(self.group, counter, "preprocess"):
                 table = self.preprocess(points, cfg)
             o = self.group.ops
             infinity = (o.one, o.one, o.zero)
@@ -358,8 +333,6 @@ class GzkpMsm:
                         buckets[d - 1] = self.group.jadd(buckets[d - 1], tmp)
             total = bucket_reduce(self.group, buckets)
             return self.group.from_jacobian(total)
-        finally:
-            self.group.counter = previous
 
     # -- analytic plan --------------------------------------------------------------------------
 
@@ -517,20 +490,3 @@ class GzkpMsm:
         timeline.add("parallel bucket reduction", "bucket-reduction",
                      reduce_trace)
         return timeline
-
-
-class _maybe_phase:
-    """Context manager: OpCounter.phase when a counter is present,
-    otherwise a no-op."""
-
-    def __init__(self, counter: Optional[OpCounter], name: str):
-        self._cm = counter.phase(name) if counter is not None else None
-
-    def __enter__(self):
-        if self._cm is not None:
-            self._cm.__enter__()
-
-    def __exit__(self, *exc):
-        if self._cm is not None:
-            return self._cm.__exit__(*exc)
-        return False

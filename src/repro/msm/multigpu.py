@@ -52,7 +52,7 @@ class MultiGpuMsm:
                 counter: Optional[OpCounter] = None) -> AffinePoint:
         """Each card runs the full GZKP MSM on its slice; partial results
         are PADD-combined on the host (a handful of operations)."""
-        check_msm_inputs(self.group, scalars, points)
+        check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
         partials = []

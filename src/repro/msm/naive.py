@@ -13,8 +13,13 @@ __all__ = ["naive_msm", "check_msm_inputs"]
 
 
 def check_msm_inputs(group: CurveGroup, scalars: Sequence[int],
-                     points: Sequence[AffinePoint]) -> None:
-    """Shared input validation for every MSM implementation."""
+                     points: Sequence[AffinePoint],
+                     scalar_bits: Optional[int] = None) -> None:
+    """Shared input validation for every MSM implementation. The
+    windowed engines decompose exactly ``scalar_bits`` bits, so they
+    pass it and a wider scalar is refused rather than truncated; the
+    double-and-add oracle reduces mod the group order itself and passes
+    none."""
     if len(scalars) != len(points):
         raise MsmError(
             f"scalar/point length mismatch: {len(scalars)} vs {len(points)}"
@@ -22,6 +27,9 @@ def check_msm_inputs(group: CurveGroup, scalars: Sequence[int],
     for s in scalars:
         if s < 0:
             raise MsmError("scalars must be non-negative (reduce mod r first)")
+        if scalar_bits is not None and s.bit_length() > scalar_bits:
+            raise MsmError(f"scalars must fit {scalar_bits} bits "
+                           "(reduce mod r first)")
 
 
 def naive_msm(group: CurveGroup, scalars: Sequence[int],

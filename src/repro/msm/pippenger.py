@@ -29,7 +29,7 @@ from repro.ff.opcount import OpCounter
 from repro.gpusim import cost
 from repro.gpusim.trace import INT_BACKEND, Trace
 from repro.gpusim.device import GpuDevice
-from repro.msm.common import affine_point_bytes, coord_bits
+from repro.msm.common import affine_point_bytes, coord_bits, counting
 from repro.msm.naive import check_msm_inputs
 from repro.msm.windows import DigitStats, num_windows, scalar_digits
 
@@ -92,15 +92,13 @@ class SubMsmPippenger:
 
     def compute(self, scalars: Sequence[int], points: Sequence[AffinePoint],
                 counter: Optional[OpCounter] = None) -> AffinePoint:
-        check_msm_inputs(self.group, scalars, points)
+        check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
         from repro.backend import get_backend
 
         backend = get_backend(self.backend)
-        if counter is not None:
-            self.group.counter = counter
-        try:
+        with counting(self.group, counter):
             cfg = self.configure(len(scalars))
             w = num_windows(self.scalar_bits, self.window)
             o = self.group.ops
@@ -133,16 +131,11 @@ class SubMsmPippenger:
             # Window-reduction (CPU side in bellperson): Horner.
             acc = infinity
             for t in range(w - 1, -1, -1):
-                for _ in range(self.window if t < w - 1 else 0):
-                    pass  # doublings applied below for clarity
                 if t < w - 1:
                     for _ in range(self.window):
                         acc = self.group.jdouble(acc)
                 acc = self.group.jadd(acc, window_totals[t])
             return self.group.from_jacobian(acc)
-        finally:
-            if counter is not None:
-                self.group.counter = None
 
     # -- analytic plan ----------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro.analysis.declass import declassify
 from repro.curves.weierstrass import AffinePoint, CurveGroup
 from repro.errors import MsmError
 from repro.ff.opcount import OpCounter
+from repro.msm.common import counting
 from repro.msm.naive import check_msm_inputs
 from repro.msm.pippenger import bucket_reduce
 from repro.msm.windows import num_windows
@@ -78,13 +79,11 @@ class SignedConsolidatedMsm:
 
     def compute(self, scalars: Sequence[int], points: Sequence[AffinePoint],
                 counter: Optional[OpCounter] = None) -> AffinePoint:
-        check_msm_inputs(self.group, scalars, points)
+        check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
         group = self.group
-        if counter is not None:
-            group.counter = counter
-        try:
+        with counting(group, counter):
             o = group.ops
             infinity = (o.one, o.one, o.zero)
             k = self.window
@@ -115,6 +114,3 @@ class SignedConsolidatedMsm:
                     buckets[d - 1] = group.jmixed_add(buckets[d - 1], point)
             total = bucket_reduce(group, buckets)
             return group.from_jacobian(total)
-        finally:
-            if counter is not None:
-                group.counter = None

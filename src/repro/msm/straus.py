@@ -22,7 +22,7 @@ from repro.ff.opcount import OpCounter
 from repro.gpusim import cost
 from repro.gpusim.trace import INT_BACKEND, Trace
 from repro.gpusim.device import GpuDevice
-from repro.msm.common import affine_point_bytes, coord_bits
+from repro.msm.common import affine_point_bytes, coord_bits, counting
 from repro.msm.naive import check_msm_inputs
 from repro.msm.windows import DigitStats, num_windows, scalar_digits
 
@@ -57,12 +57,10 @@ class StrausMsm:
 
     def compute(self, scalars: Sequence[int], points: Sequence[AffinePoint],
                 counter: Optional[OpCounter] = None) -> AffinePoint:
-        check_msm_inputs(self.group, scalars, points)
+        check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
-        if counter is not None:
-            self.group.counter = counter
-        try:
+        with counting(self.group, counter):
             tables = self._tables(points)
             digits = [scalar_digits(s, self.scalar_bits, self.window)
                       for s in scalars]
@@ -78,9 +76,6 @@ class StrausMsm:
                     if d:
                         acc = self.group.jadd(acc, tables[i][d - 1])
             return self.group.from_jacobian(acc)
-        finally:
-            if counter is not None:
-                self.group.counter = None
 
     # -- analytic plan -----------------------------------------------------------------
 

@@ -8,8 +8,10 @@ only resident operands take, is out of reach). So on every curve and
 both groups each op must return *exactly* the ``python`` backend's
 values (not merely group-equal ones) with identical ``OpCounter``
 totals — on lane mixes that hit every special case — the coverage
-tally must call every dispatch a fallback, and ``bucket_reduce`` must
-cost the ordered fold's two ``jadd`` calls per bucket.
+tally must call every dispatch a fallback, both resident point forms
+must be plain lists, and ``bucket_reduce`` must cost the ordered fold's
+two ``jadd`` calls per bucket. (With the kernels on, the same buckets
+go through one C call whose *tallies* are those of the 2m calls.)
 """
 
 import random
@@ -21,7 +23,7 @@ from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
 from tests.test_backend_curve_equivalence import jacobian_reps, offset_chain
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 PY = get_backend("python")
 NP = get_backend("numpy")
@@ -103,6 +105,34 @@ def test_numpy_without_native_is_the_python_backend(name, which, native_off,
     assert got == ref
     assert coverage.snapshot()["jacobian"]["fallback"] == before + 1
 
+    # -- the table front-end: both resident forms are lists and the
+    # merge is the ordered jmixed_add loop, whether the index vectors
+    # come as lists or as the numpy backend's arrays
+    table = [pts[:36], pts[36:]]
+    table[1][7] = None
+    table[1][8] = table[0][8]
+    assert all(type(NP.resident_points(group, row)) is list for row in table)
+    slots = [rng.randrange(8) for _ in range(90)]
+    rows = [rng.randrange(2) for _ in range(90)]
+    cols = [rng.randrange(36) for _ in range(90)]
+    slots[40:42], rows[40:42], cols[40:42] = [3, 3], [0, 1], [8, 8]
+    before = coverage.snapshot()["jacobian"]["fallback"]
+    merged, totals = [], []
+    for backend, lift in ((PY, list), (NP, list), (NP, np.array)):
+        group.counter = counter = OpCounter()
+        try:
+            merged.append(backend.accumulate_table(
+                group, table, 8, lift(slots), lift(rows), lift(cols)))
+        finally:
+            group.counter = None
+        totals.append(counter.totals())
+    assert all(type(got) is list and got == merged[0] for got in merged)
+    assert totals[1] == totals[2] == totals[0]
+    assert coverage.snapshot()["jacobian"]["fallback"] == before + 2
+    jac = NP.batch_to_jacobian(group, table[1])
+    assert type(jac) is list and jac == PY.batch_to_jacobian(group, table[1])
+    assert NP.batch_from_jacobian(group, jac) == table[1]
+
     # -- bucket reduction: the ordered fold, 2 jadds per bucket
     m = 256
     buckets = [inf if j % 7 == 3 else jz[j % len(jz)] for j in range(m)]
@@ -134,3 +164,38 @@ def test_numpy_without_native_is_the_python_backend(name, which, native_off,
     for family in coverage.FAMILIES:
         assert snap[family]["fallback"] > 0, family
         assert snap[family].get("native", 0) == 0, family
+
+
+@pytest.mark.skipif(not native.native_available(),
+                    reason="no C compiler for the native kernels")
+@pytest.mark.parametrize("name,which", GROUPS)
+def test_native_bucket_reduce_tallies_are_2m_minus_skips(name, which,
+                                                         monkeypatch):
+    """The native-on sibling of the 2m-calls assertion above: a list of
+    buckets goes through one C fold — no python ``jadd`` at all — whose
+    padd tally is the 2m adds minus the count-free ones (an infinity
+    operand on either side), with a doubling where the running sum
+    repeats."""
+    group = getattr(CURVES[name], which)
+    o = group.ops
+    inf = (o.one, o.one, o.zero)
+    jz = jacobian_reps(group, offset_chain(group, 30, seed=5))
+    m = 64
+    buckets = [inf if j % 7 == 3 else jz[j % len(jz)] for j in range(m)]
+    buckets[m - 2] = buckets[m - 1]  # running == B_j: the in-C doubling
+    finite = sum(1 for b in buckets if b is not inf)
+    calls = []
+    with monkeypatch.context() as spy:
+        spy.setattr(group, "jadd", lambda p, q: calls.append(1))
+        group.counter = counter = OpCounter()
+        try:
+            got = NP.bucket_reduce(group, buckets)
+        finally:
+            group.counter = None
+    assert calls == []
+    # running += B_j is count-free for infinity buckets and for the
+    # first finite one; total += running only for the very first
+    assert counter.total("padd") == (finite - 1) + (m - 1)
+    assert counter.total("pdbl") == 1
+    assert group.from_jacobian(got) == group.from_jacobian(
+        PY.bucket_reduce(group, buckets))

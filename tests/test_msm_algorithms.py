@@ -116,6 +116,28 @@ class TestMsmCorrectness:
         with pytest.raises(MsmError):
             algorithm.compute(scs[:3], pts)
 
+    def test_overlong_scalar_rejected(self, algorithm):
+        """The digit decomposition reads ``scalar_bits`` bits (rounded
+        up to whole windows); anything above was silently dropped and
+        the MSM returned the wrong point. Every engine refuses it."""
+        _, pts = fixture_points(2, seed=8)
+        with pytest.raises(MsmError, match="reduce mod r first"):
+            algorithm.compute([(1 << 256) + 5, 1], pts)
+        with pytest.raises(MsmError, match="reduce mod r first"):
+            algorithm.compute([1 << L, 1], pts)
+        widest = [(1 << L) - 1, 1]
+        assert algorithm.compute(widest, pts) == naive_msm(G, widest, pts)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_overlong_scalar_rejected_on_both_backends(self, backend):
+        pytest.importorskip("numpy")
+        _, pts = fixture_points(2, seed=8)
+        engine = GzkpMsm(G, L, V100, window=4, backend=backend)
+        with pytest.raises(MsmError, match="reduce mod r first"):
+            engine.compute([(1 << 256) + 5, 1], pts)
+        with pytest.raises(MsmError, match="reduce mod r first"):
+            engine.compute_literal([(1 << 256) + 5, 1], pts)
+
 
 class TestMsmOtherGroups:
     def test_bls12_381_g1(self):

@@ -16,7 +16,17 @@ from repro.curves.params import CURVES
 from repro.errors import MsmError, ServiceError
 from repro.ff import OpCounter
 from repro.gpusim import V100
-from repro.msm import GzkpMsm, MsmContext, MsmContextCache, naive_msm
+from repro.gpusim.device import XEON_5117
+from repro.msm import (
+    CpuMsm,
+    GzkpMsm,
+    MsmContext,
+    MsmContextCache,
+    SignedConsolidatedMsm,
+    StrausMsm,
+    SubMsmPippenger,
+    naive_msm,
+)
 from repro.msm.context import check_table, expected_table_rows
 from repro.service.registry import CIRCUIT_REGISTRY
 from repro.service.service import ProofJob, ProvingService
@@ -101,19 +111,36 @@ class TestMsmContext:
             _engine(window=7).compute(scs, pts, context=ctx)
 
     def test_group_counter_preserved(self):
-        """compute/compute_literal must restore a pre-installed group
-        counter instead of resetting it to None."""
-        scs, pts = _inputs()
-        engine = _engine()
+        """Every engine restores a pre-installed group counter instead
+        of resetting it to None (``msm.common.counting``) — also when
+        the call raises — and counts on its own counter meanwhile."""
+        scs, pts = _inputs(n=6)
+        runs = {
+            "gzkp": _engine().compute,
+            "gzkp-literal": _engine().compute_literal,
+            "gzkp-build-context": _engine().build_context,
+            "pippenger": SubMsmPippenger(bn128_g1, L, V100).compute,
+            "straus": StrausMsm(bn128_g1, L, V100, window=4).compute,
+            "cpu": CpuMsm(bn128_g1, L, XEON_5117).compute,
+            "signed": SignedConsolidatedMsm(bn128_g1, L, 6).compute,
+        }
         outer = OpCounter()
         bn128_g1.counter = outer
         try:
-            engine.compute(scs, pts)
-            assert bn128_g1.counter is outer
-            engine.compute(scs, pts, counter=OpCounter())
-            assert bn128_g1.counter is outer
-            engine.compute_literal(scs, pts, counter=OpCounter())
-            assert bn128_g1.counter is outer
+            for name, run in runs.items():
+                args = (pts,) if name == "gzkp-build-context" else (scs, pts)
+                run(*args)
+                assert bn128_g1.counter is outer, name
+                seen = dict(outer.totals())
+                inner = OpCounter()
+                run(*args, counter=inner)
+                assert bn128_g1.counter is outer, name
+                assert inner.total("padd") > 0, name
+                assert outer.totals() == seen, name
+                if len(args) == 2:
+                    with pytest.raises(MsmError):
+                        run([-1] + scs[1:], pts, counter=OpCounter())
+                    assert bn128_g1.counter is outer, name
         finally:
             bn128_g1.counter = None
 

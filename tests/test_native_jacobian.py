@@ -7,7 +7,9 @@ through every special-lane mix the mask routing can see: infinity on
 either side, P == Q (same and different Jacobian representatives),
 P == -Q, and q is None on the mixed path. Hypothesis drives the lane
 mixes; the point pools are deterministic offset chains so a collision
-between unrelated lanes is a discrete-log event.
+between unrelated lanes is a discrete-log event. The sequential bucket
+fold (``bucket_fold`` and its Fq2 twin) routes the same cases in C and
+is fuzzed against the ordered scalar fold the same way.
 
 Also here: the native-coverage counters those dispatches feed, the
 LRU prune that bounds the persistent kernel cache, and the cross-checks
@@ -97,6 +99,7 @@ def _assert_parity(group, batch_fn, scalar_fn, ps, qs):
 
 ADD_KINDS = ("normal", "p_inf", "q_inf", "eq", "eq_rep", "neg")
 MIXED_KINDS = ("normal", "q_none", "p_inf", "eq", "neg")
+FOLD_KINDS = ("point", "inf", "same", "cancel", "y0")
 
 
 def _build_add_lanes(group, name, which, kinds):
@@ -155,6 +158,31 @@ def _build_mixed_lanes(group, name, which, kinds):
     return ps, qs
 
 
+def fold_lanes(group, pool, kinds):
+    """Buckets whose ordered fold (last bucket first) meets the asked
+    special cases: ``same`` repeats the running sum (the in-C doubling),
+    ``cancel`` is its negation under another representative, ``y0`` is
+    a synthetic (x, 0, z) lane — on no curve, but neither the scalar
+    formulas nor the kernel ask, and both must stop doubling at it."""
+    o = group.ops
+    inf = (o.one, o.one, o.zero)
+    running, out = inf, []
+    for i, kind in enumerate(kinds):
+        if kind == "inf":
+            b = inf
+        elif kind == "same" and not o.is_zero(running[2]):
+            b = running
+        elif kind == "cancel" and not o.is_zero(running[2]):
+            b = _neg(group, _jrep(group, group.from_jacobian(running), 3 + i))
+        elif kind == "y0":
+            b = (pool[i % len(pool)][0], o.zero, o.coerce(2 + i))
+        else:
+            b = _jrep(group, pool[i % len(pool)], 2 + i)
+        out.append(b)
+        running = group.jadd(running, b)
+    return out[::-1]
+
+
 # -- tiny tier-1 smoke (every curve, G1 + G2, one mix of every lane) -----------
 
 
@@ -209,6 +237,35 @@ def test_fuzz_jmixed_lane_mixes(name, kinds, data):
     ps, qs = _build_mixed_lanes(group, name, which, kinds)
     _assert_parity(group, numpy_curve.batch_jmixed_add, group.jmixed_add,
                    ps, qs)
+
+
+@pytest.mark.parametrize("name", CURVE_NAMES)
+@settings(max_examples=12, deadline=None)
+@given(kinds=st.lists(st.sampled_from(FOLD_KINDS), min_size=0, max_size=8),
+       data=st.data())
+def test_fuzz_bucket_fold_lane_mixes(name, kinds, data):
+    """The C fold == ``pippenger.bucket_reduce``: coordinates of the
+    total bit for bit (same formulas, same order) and its in-C
+    padd/pdbl tallies, through infinity runs, repeated running sums
+    (the in-C doubling), cancellations and y == 0 lanes."""
+    from repro.msm.pippenger import bucket_reduce
+
+    which = data.draw(st.sampled_from(["g1", "g2"]), label="group")
+    group = _group(name, which)
+    buckets = fold_lanes(group, _pool(name, which), kinds)
+    c_ref, c_vec = OpCounter(), OpCounter()
+    group.counter = c_ref
+    try:
+        exp = bucket_reduce(group, buckets)
+        group.counter = c_vec
+        got = numpy_curve.bucket_reduce(group, buckets)
+    finally:
+        group.counter = None
+    if group.ops.is_zero(exp[2]):
+        assert group.ops.is_zero(got[2])
+    else:
+        assert got == exp
+    assert +c_ref._totals == +c_vec._totals
 
 
 # -- coverage counters ---------------------------------------------------------
