@@ -24,12 +24,13 @@ families are covered:
   (:mod:`repro.backend.native`): u128 accumulator range, scratch
   width, and the canonicality invariants the raw-domain Stockham
   butterflies rest on.
-* ``native-jacobian`` — the fused raw-domain Jacobian point kernels
-  built on those CIOS primitives: the same accumulator/scratch gates,
-  the canonicality closure every fused encode -> formula -> decode
-  chain relies on, exactness of the Montgomery h/r special-lane
-  planes, and machine-checked Montgomery-mul counts per point op
-  (formula muls + fused conversions, Karatsuba 3-mul Fq2 tower).
+* ``native-jacobian`` — the Montgomery-domain Jacobian point kernels
+  built on those CIOS primitives (one doubling and one addition per
+  coordinate field behind the lane loops and the bucket fold): the
+  same accumulator/scratch gates, the canonicality closure their in-C
+  word compares rely on, exactness of those compares as special-case
+  discriminants, and machine-checked Montgomery-mul counts per point
+  op (exactly the formulas', Karatsuba 3-mul Fq2 tower).
 
 This module must stay importable from the kernels it certifies (the
 runtime cadence guard in ``numpy_limb`` imports
@@ -523,23 +524,22 @@ def certify_native_mont(name: str, modulus: int) -> KernelCertificate:
     )
 
 
-# -- native fused Jacobian point kernels ---------------------------------------
+# -- native Jacobian point kernels ---------------------------------------------
 
 #: the paper's Jacobian formula mul counts (mirrors
-#: ``CurveGroup.PDBL_FQ_MULS`` etc.; the cross-check test asserts they
-#: agree so the parity checks below can stay import-free)
+#: ``CurveGroup.PDBL_FQ_MULS`` / ``PADD_FQ_MULS``; the cross-check test
+#: asserts they agree so the parity checks below can stay import-free)
 _PDBL_FQ_MULS = 7
 _PADD_FQ_MULS = 16
-_PMIXED_FQ_MULS = 11
 
 
 class _MontReplay:
-    """Montgomery-mul counter for the fused Jacobian kernels. Every
-    value in a kernel is an abstract *canonical* residue: mont_mul_one
-    returns canonical outputs whenever the CIOS pre-subtract bound
-    holds, and mod_add_one / mod_sub_one are closed over canonical
-    inputs — so replaying the op sequence both counts the muls and
-    witnesses that no op ever sees a non-canonical operand."""
+    """Montgomery-mul counter for the Jacobian kernels. Every value in
+    a kernel is an abstract *canonical* residue: mont_mul_one returns
+    canonical outputs whenever the CIOS pre-subtract bound holds, and
+    mod_add_one / mod_sub_one are closed over canonical inputs — so
+    replaying the op sequence both counts the muls and witnesses that
+    no op ever sees a non-canonical operand."""
 
     def __init__(self) -> None:
         self.muls = 0
@@ -554,14 +554,10 @@ class _MontReplay:
     sub = add
 
 
-def _native_dbl_muls(a_is_zero: bool, fused: bool = True) -> int:
-    """mont_mul count of ``jac_dbl_fp`` (encode, formula, decode) —
-    or, with ``fused=False``, of the bucket fold's ``jpt_fp_dbl``,
-    which is the same formula on rows that already are Montgomery
-    residues: no conversion on either side."""
+def _native_dbl_muls(a_is_zero: bool) -> int:
+    """mont_mul count of ``jpt_fp_dbl``."""
     m = _MontReplay()
-    x, y, z = ((m.mul() for _ in range(3)) if fused  # encode by R^2
-               else ("x_mont", "y_mont", "z_mont"))
+    x, y, z = "x_mont", "y_mont", "z_mont"
     ysq = m.mul(y, y)
     s = m.add(m.mul(x, ysq))  # 4xy^2 via two add-doublings
     mm = m.add(m.mul(x, x))  # 3x^2 via adds
@@ -570,19 +566,15 @@ def _native_dbl_muls(a_is_zero: bool, fused: bool = True) -> int:
         t = m.mul(t, t)
         mm = m.add(mm, m.mul(t, "a_mont"))
     x3 = m.sub(m.mul(mm, mm), s)
-    y3 = m.sub(m.mul(mm, m.sub(s, x3)), m.mul(ysq, ysq))
+    m.sub(m.mul(mm, m.sub(s, x3)), m.mul(ysq, ysq))  # y3
     m.mul(y, z)  # z3 = 2yz
-    for _ in range(3 if fused else 0):
-        m.mul()  # decode x3 / y3 / z3 by the raw one-row
     return m.muls
 
 
-def _native_add_muls(fused: bool = True) -> int:
-    """mont_mul count of ``jac_add_fp`` — or, with ``fused=False``, of
-    the bucket fold's conversion-free ``jpt_fp_add``."""
+def _native_add_muls() -> int:
+    """mont_mul count of ``jpt_fp_add``."""
     m = _MontReplay()
-    x1, y1, z1, x2, y2, z2 = ((m.mul() for _ in range(6)) if fused  # encode
-                              else ("x1", "y1", "z1", "x2", "y2", "z2"))
+    x1, y1, z1, x2, y2, z2 = "x1", "y1", "z1", "x2", "y2", "z2"
     z1q = m.mul(z1, z1)
     z2q = m.mul(z2, z2)
     u1 = m.mul(x1, z2q)
@@ -597,28 +589,6 @@ def _native_add_muls(fused: bool = True) -> int:
     x3 = m.sub(m.sub(m.mul(r, r), hcu), u1h)
     m.sub(m.mul(r, m.sub(u1h, x3)), m.mul(s1, hcu))  # y3
     m.mul(h, m.mul(z1, z2))  # z3
-    for _ in range(3 if fused else 0):
-        m.mul()  # decode
-    return m.muls
-
-
-def _native_madd_muls() -> int:
-    """mont_mul count of ``jac_madd_fp``."""
-    m = _MontReplay()
-    x1, y1, z1, x2, y2 = (m.mul() for _ in range(5))  # encode
-    z1q = m.mul(z1, z1)
-    u2 = m.mul(x2, z1q)
-    s2 = m.mul(y2, m.mul(z1q, z1))
-    h = m.sub(u2, x1)
-    r = m.sub(s2, y1)
-    hsq = m.mul(h, h)
-    hcu = m.mul(hsq, h)
-    u1h = m.mul(x1, hsq)
-    x3 = m.sub(m.sub(m.mul(r, r), hcu), u1h)
-    m.sub(m.mul(r, m.sub(u1h, x3)), m.mul(y1, hcu))  # y3
-    m.mul(h, z1)  # z3
-    for _ in range(3):
-        m.mul()  # decode
     return m.muls
 
 
@@ -636,26 +606,24 @@ def _karatsuba_base_muls() -> int:
 
 
 def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
-    """Certify the fused raw-domain Jacobian point kernels
-    (``jac_dbl_fp`` / ``jac_add_fp`` / ``jac_madd_fp`` and their Fq2
-    Karatsuba twins in :mod:`repro.backend.native`) and the sequential
-    Montgomery-domain bucket fold (``bucket_fold_fp`` /
-    ``bucket_fold_fq2``) built from the same primitives.
+    """Certify the Jacobian point kernels of :mod:`repro.backend.native`:
+    ``jpt_fp_dbl`` / ``jpt_fp_add`` and their Fq2 Karatsuba twins, the
+    one doubling and one addition that the lane loops (``jac_dbl_*`` /
+    ``jac_add_*``) and the sequential fold (``bucket_fold_*``) run on
+    Montgomery rows.
 
-    The kernels compose exactly three primitives — ``mont_mul_one``,
-    ``mod_add_one``, ``mod_sub_one`` — so their safety reduces to the
-    CIOS gates of :func:`certify_native_mont` plus three kernel-level
-    invariants: (1) canonicality closure, every op's operands stay in
-    [0, p) through the whole encode -> formula -> decode chain; (2) the
-    emitted Montgomery h/r planes are exact special-lane discriminants,
-    because x -> x*R mod p is a bijection for odd p so h == 0 iff the
-    canonical difference is zero; (3) the per-op Montgomery-mul counts
-    equal the paper's formula constants plus the fused conversions —
-    the same totals :func:`repro.backend.numpy_curve.
-    native_point_op_muls` feeds the autotuner's (k, M) pricing. The
-    fold restates (1) and (2) for its own in-C branch tests and
-    replays its ``jadd``/``jdouble`` at exactly the formula counts,
-    with zero conversions.
+    They compose exactly three primitives — ``mont_mul_one``,
+    ``mod_add_one``, ``mod_sub_one`` — on ``[32]``-word scratch, so
+    their safety reduces to the CIOS gates of
+    :func:`certify_native_mont` plus three kernel-level invariants:
+    (1) canonicality closure, every op's operands stay in [0, p) from
+    the rows' ingress to their egress; (2) the in-C word compares
+    (z == 0, y == 0, u1 == u2, s1 == s2) are exact special-case
+    discriminants, because x -> x*R mod p is a bijection for odd p, so
+    the routing and the padd/pdbl tallies are the scalar formulas';
+    (3) the per-op Montgomery-mul counts equal the paper's formula
+    constants, with no conversion mul on either side — the same
+    constants the autotuner's (k, M) search prices.
     """
     import math as _math
 
@@ -667,127 +635,69 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     M = (1 << 64) - 1
     trk = _Tracker()
     trk.hit(
-        "jac/odd-modulus", 1 - (p & 1), 1, "structure",
+        "odd-modulus", 1 - (p & 1), 1, "structure",
         "the kernels' mont_mul_one needs n0inv = -N^-1 mod 2^64, which "
         "exists only for odd moduli",
     )
     trk.hit(
-        "jac/scratch-width", w, max_words - 1, "structure",
-        "point kernels reuse the CIOS scratch; the loader gates word "
-        "width at MAX_WORDS - 2",
+        "scratch-width", w, max_words - 1, "structure",
+        "the jpt structs are [32]-word coordinates like every other "
+        "kernel scratch; the loader gates word width at MAX_WORDS - 2",
     )
     trk.hit(
-        "jac/mul-accumulator", M * M + M + M, 1 << 128, "u128",
+        "mul-accumulator", M * M + M + M, 1 << 128, "u128",
         "the shared CIOS multiply accumulator must not wrap unsigned "
         "__int128",
     )
     trk.hit(
-        "jac/reduce-accumulator", M * M + M + M, 1 << 128, "u128",
+        "reduce-accumulator", M * M + M + M, 1 << 128, "u128",
         "the shared CIOS reduction accumulator must not wrap unsigned "
         "__int128",
     )
     pre_sub = ((p - 1) ** 2 + (R - 1) * p) // R
     trk.hit(
-        "jac/pre-subtract", pre_sub, 2 * p, "carry",
+        "pre-subtract", pre_sub, 2 * p, "carry",
         "mont_mul_one's conditional subtract canonicalizes only if the "
         "raw CIOS output stays below 2p — the fact the closure check "
         "rests on",
     )
     trk.hit(
-        "jac/mont-closure", p - 1, p, "carry",
-        "every kernel op (mont mul / canonical add / canonical sub) "
-        "maps [0, p) operands to [0, p) outputs, so the fused encode -> "
-        "formula -> decode chain never leaves the canonical range",
+        "mont-closure", p - 1, p, "carry",
+        "point rows enter as mont_mul_one outputs (canonical) and every "
+        "kernel op (mont mul / canonical add / canonical sub) maps "
+        "[0, p) to [0, p), so the in-C z == 0, y == 0, u1 == u2 and "
+        "s1 == s2 word compares see one representative per field value",
     )
     trk.hit(
-        "jac/special-plane-exact", _math.gcd(R % p, p) - 1 if p > 1
+        "discriminant-exact", _math.gcd(R % p, p) - 1 if p > 1
         else 1, 1, "structure",
         "x -> x*R mod p must be a bijection (gcd(R, p) = 1) so the "
-        "Montgomery h/r planes are zero exactly when the canonical "
-        "u2 - u1 / s2 - s1 differences are — the special-lane routing "
-        "is exact, never heuristic",
+        "in-C equality tests on Montgomery words decide exactly the "
+        "scalar formulas' u1 == u2 / s1 == s2 / z == 0 branches — the "
+        "padd/pdbl tallies are the scalar loop's, never a guess",
     )
-    # Per-op mul parity: replayed kernel counts vs formula constants
-    # plus fused conversions (enc rows x 1 + dec rows x 1 each).
     dbl_a0 = _native_dbl_muls(a_is_zero=True)
     dbl_a = _native_dbl_muls(a_is_zero=False)
     add_c = _native_add_muls()
-    madd_c = _native_madd_muls()
     trk.hit(
-        "jac/dbl-mul-parity", abs(dbl_a0 - (_PDBL_FQ_MULS + 6)), 1,
-        "structure",
-        "jac_dbl (a = 0) must spend exactly the formula's 7 muls plus "
-        "3 encodes + 3 decodes",
+        "add-mul-parity", abs(add_c - _PADD_FQ_MULS), 1, "structure",
+        "jadd must spend exactly the formula's 16 muls: no conversion",
     )
     trk.hit(
-        "jac/dbl-a-mul-parity", abs(dbl_a - (_PDBL_FQ_MULS + 3 + 6)), 1,
-        "structure",
-        "jac_dbl (a != 0) adds exactly the z^4 * a term's 3 muls",
+        "dbl-mul-parity", abs(dbl_a0 - _PDBL_FQ_MULS), 1, "structure",
+        "jdouble (a = 0) must spend exactly the formula's 7 muls: no "
+        "conversion",
     )
     trk.hit(
-        "jac/add-mul-parity", abs(add_c - (_PADD_FQ_MULS + 9)), 1,
+        "dbl-a-mul-parity", abs(dbl_a - (_PDBL_FQ_MULS + 3)), 1,
         "structure",
-        "jac_add must spend exactly the formula's 16 muls plus "
-        "6 encodes + 3 decodes",
+        "jdouble (a != 0) adds exactly the z^4 * a term's 3 muls",
     )
     trk.hit(
-        "jac/madd-mul-parity", abs(madd_c - (_PMIXED_FQ_MULS + 8)), 1,
-        "structure",
-        "jac_madd must spend exactly the formula's 11 muls plus "
-        "5 encodes + 3 decodes",
-    )
-    trk.hit(
-        "jac/karatsuba-muls", abs(_karatsuba_base_muls() - 3), 1,
+        "karatsuba-muls", abs(_karatsuba_base_muls() - 3), 1,
         "structure",
         "each Fq2 product must cost exactly 3 base-field muls "
         "(Karatsuba), the ratio the G2 fq_mul_factor prices",
-    )
-    # The sequential bucket fold (bucket_fold_fp / bucket_fold_fq2):
-    # Montgomery rows in, Montgomery point out, special cases routed in
-    # C. Same three primitives, so the same gates — restated per kernel
-    # because the fold *branches* on word compares where the batch
-    # kernels only emit planes for Python to test.
-    fold_add = _native_add_muls(fused=False)
-    fold_dbl_a0 = _native_dbl_muls(a_is_zero=True, fused=False)
-    fold_dbl_a = _native_dbl_muls(a_is_zero=False, fused=False)
-    trk.hit(
-        "fold/scratch-width", w, max_words - 1, "structure",
-        "the fold's jpt structs are [32]-word coordinates like every "
-        "other kernel scratch; the loader gates word width at "
-        "MAX_WORDS - 2",
-    )
-    trk.hit(
-        "fold/mont-closure", p - 1, p, "carry",
-        "bucket rows enter as mont_mul_one outputs (canonical) and "
-        "every fold op maps [0, p) to [0, p), so the in-C z == 0, "
-        "y == 0, u1 == u2 and s1 == s2 word compares see one "
-        "representative per field value",
-    )
-    trk.hit(
-        "fold/discriminant-exact", _math.gcd(R % p, p) - 1 if p > 1
-        else 1, 1, "structure",
-        "x -> x*R mod p must be a bijection (gcd(R, p) = 1) so the "
-        "fold's in-C equality tests on Montgomery words decide exactly "
-        "the scalar formulas' u1 == u2 / s1 == s2 / z == 0 branches — "
-        "its padd/pdbl tallies are the ordered fold's, never a guess",
-    )
-    trk.hit(
-        "fold/add-mul-parity", abs(fold_add - _PADD_FQ_MULS), 1,
-        "structure",
-        "the fold's jadd must spend exactly the formula's 16 muls: "
-        "zero fused conversions",
-    )
-    trk.hit(
-        "fold/dbl-mul-parity", abs(fold_dbl_a0 - _PDBL_FQ_MULS), 1,
-        "structure",
-        "the fold's jdouble (a = 0) must spend exactly the formula's "
-        "7 muls: zero fused conversions",
-    )
-    trk.hit(
-        "fold/dbl-a-mul-parity", abs(fold_dbl_a - (_PDBL_FQ_MULS + 3)), 1,
-        "structure",
-        "the fold's jdouble (a != 0) adds exactly the z^4 * a term's "
-        "3 muls",
     )
     return KernelCertificate(
         family="native-jacobian",
@@ -798,14 +708,7 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
             "max_words": max_words,
             "radix_bits": 64,
             "pre_subtract_bound": pre_sub,
-            "native_muls": {
-                "pdbl": dbl_a0, "pdbl_a": dbl_a,
-                "padd": add_c, "pmixed": madd_c,
-            },
-            "fold_muls": {
-                "pdbl": fold_dbl_a0, "pdbl_a": fold_dbl_a,
-                "padd": fold_add,
-            },
+            "native_muls": {"pdbl": dbl_a0, "pdbl_a": dbl_a, "padd": add_c},
             "karatsuba_base_muls": _karatsuba_base_muls(),
         },
         checks=trk.checks(),

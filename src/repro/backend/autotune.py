@@ -50,8 +50,12 @@ class TuningError(ReproError):
 
 #: window search range, matching the stock profiling sweep (§4.1)
 WINDOW_RANGE = range(6, 25)
-#: schema tag of persisted profiles; bump on layout change
-PROFILE_VERSION = 1
+#: schema tag of persisted profiles; bump on a layout change and on a
+#: change of what the search prices — any in-range (k, M) revalidates,
+#: so an old-pricing choice would otherwise be pinned forever.
+#: 2: the search prices the engine's own plan (version 1 added the
+#: point kernels' fused raw <-> Montgomery conversions, since deleted)
+PROFILE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -75,23 +79,6 @@ class TunedProfile:
     #: "search" when freshly tuned, "disk" when a persisted profile
     #: passed re-certification and revalidation
     source: str = "search"
-
-
-def _native_point_muls(engine):
-    """Per-op mul costs on the native Jacobian floor for this engine's
-    group, or None when the engine's compute backend would not dispatch
-    to the compiled kernels (scalar backend, ``REPRO_NATIVE=0``,
-    over-wide modulus, unsupported coordinate field)."""
-    from repro.backend import get_backend
-    from repro.backend.numpy_curve import native_point_op_muls
-
-    try:
-        backend = get_backend(engine.backend)
-    except Exception:
-        return None
-    if getattr(backend, "name", "") != "numpy":
-        return None
-    return native_point_op_muls(engine.group)
 
 
 def _profiles_dir() -> str:
@@ -154,15 +141,13 @@ class KernelAutotuner:
 
     def _search_msm(self, engine, n: int):
         """Joint (k, M) sweep under the preprocessing memory budget,
-        priced by the engine's full cost plan. When the engine's group
-        runs on the native Jacobian kernels the per-op mul costs are
-        replaced with that floor (formula muls + fused encode/decode),
-        so the knee lands where the shipped kernels put it; any (k, M)
-        is bit-identity-preserving, so this only shifts throughput."""
+        priced by the engine's full cost plan — the formula constants
+        the native point kernels spend exactly (the ``native-jacobian``
+        certificate replays them). Any (k, M) is
+        bit-identity-preserving, so this only shifts throughput."""
         from repro.msm.windows import num_windows
 
         budget = self._budget(engine)
-        point_muls = _native_point_muls(engine)
         best = None
         best_seconds = float("inf")
         for k in WINDOW_RANGE:
@@ -176,9 +161,7 @@ class KernelAutotuner:
                 if m > m_floor and cand.preprocess_bytes > budget:
                     continue  # pragma: no cover - sparser is smaller
                 seconds = engine.device.time_of(
-                    engine._plan_with_cfg(n, cand, None,
-                                          point_muls=point_muls)
-                )
+                    engine._plan_with_cfg(n, cand, None))
                 if seconds < best_seconds:
                     best, best_seconds = cand, seconds
                 if m - m_floor >= 8:
@@ -288,8 +271,8 @@ class KernelAutotuner:
                 f"{geom.bits}-bit modulus: "
                 f"{[v.name for v in native_cert.violations()]}"
             )
-        # The bucket folds run the fused Jacobian point kernels on the
-        # same CIOS floor; a modulus they cannot certify is not tunable.
+        # The MSM runs the Jacobian point kernels on the same CIOS
+        # floor; a modulus they cannot certify is not tunable.
         jac_cert = certify_native_jacobian(name or f"mod-{geom.bits}b",
                                            modulus)
         if not jac_cert.ok:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.declass import declassify
-from repro.errors import FieldError
+from repro.errors import CurveError, FieldError
 
 __all__ = ["ComputeBackend"]
 
@@ -76,10 +76,11 @@ class ComputeBackend:
     # -- batch field arithmetic -------------------------------------------------
 
     @staticmethod
-    def _check_pair(xs: Sequence[int], ys: Sequence[int]) -> None:
+    def _check_pair(xs: Sequence, ys: Sequence, error=FieldError) -> None:
+        """Two operands of a pairwise op (field vectors, or point rows
+        with ``error=CurveError``) must be equally long."""
         if len(xs) != len(ys):
-            raise FieldError(
-                f"length mismatch: {len(xs)} vs {len(ys)}")
+            raise error(f"length mismatch: {len(xs)} vs {len(ys)}")
 
     def vadd(self, field, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
         self._check_pair(xs, ys)
@@ -235,12 +236,17 @@ class ComputeBackend:
     def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> Sequence:
         """Pairwise Jacobian addition of two equal-length point rows
         (same bit-identity and type-preservation contract as
-        :meth:`batch_jdouble`; the rows may be the same object)."""
+        :meth:`batch_jdouble`; the rows may be the same object).
+        Rows of different lengths raise
+        :class:`~repro.errors.CurveError`."""
+        self._check_pair(ps, qs, CurveError)
         return [group.jadd(p, q) for p, q in zip(ps, qs)]
 
     def batch_jmixed_add(self, group, ps: Sequence, qs: Sequence) -> List:
         """Pairwise Jacobian += affine addition (same bit-identity
-        contract as :meth:`batch_jdouble`)."""
+        contract as :meth:`batch_jdouble`, same length check as
+        :meth:`batch_jadd`)."""
+        self._check_pair(ps, qs, CurveError)
         return [group.jmixed_add(p, q) for p, q in zip(ps, qs)]
 
     def accumulate_buckets(self, group, buckets: List,

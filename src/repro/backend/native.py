@@ -11,10 +11,11 @@ ablation its headroom and, since this module grew the Stockham sweep,
 the full-proof native ablation too.
 
 So this module compiles one small C file (batch kernels: CIOS Montgomery
-multiply, modular add/sub, a fused batch-affine combine, fused Jacobian
-point kernels, a sequential bucket fold, a whole-vector Stockham NTT
-sweep, a sequential power ladder and a broadcast constant multiply, all
-over little-endian 64-bit word rows) with the system
+multiply, modular add/sub, a fused batch-affine combine, the Jacobian
+point kernels — one doubling and one addition per coordinate field,
+looped per lane and folded sequentially over buckets — a whole-vector
+Stockham NTT sweep, a sequential power ladder and a broadcast constant
+multiply, all over little-endian 64-bit word rows) with the system
 compiler at first use, caches the shared object keyed by a source hash,
 and loads it with :mod:`ctypes`. There is no build step, no new package
 dependency, and no platform assumption beyond "a C compiler exists":
@@ -43,8 +44,11 @@ telemetry and CI asserts against for the warm-cache "zero recompiles"
 gate.
 
 Lanes are C-contiguous ``(n, w)`` uint64 arrays, one row per field
-element, little-endian words. Curve kernels keep rows **in the
-Montgomery domain** (x·R mod p, R = 2^(64w)); the NTT/pointwise row
+element, little-endian words. Curve kernels — the affine tree's lane
+ops and the Jacobian point kernels alike — take and return rows **in
+the Montgomery domain** (x·R mod p, R = 2^(64w)) and convert nothing,
+so a point converts once on its way in and once on its way out however
+many kernels it crosses; the NTT/pointwise row
 ops instead take and return *raw* canonical rows and fold the R factors
 into their constants (Montgomery-encoded twiddles, R^2 rows, Montgomery
 power ladders), so crossing into and out of the native field path costs
@@ -333,176 +337,12 @@ void affine_combine_batch(uint64_t *x3, uint64_t *y3,
     }
 }
 
-/* -- batched SoA Jacobian point kernels ----------------------------------
+/* -- Fq2 arithmetic (degree-2 extension, i^2 = -c0) ----------------------
 
-   Raw canonical (n, w) word rows in, raw canonical rows out: each lane
-   is Montgomery-encoded in-kernel (muls by r2), run through the exact
-   operation sequence of repro.curves.weierstrass's jdouble/jadd/
-   jmixed_add (every Montgomery product and modular add/sub is
-   canonicalized, so values track the scalar fold step for step), and
-   decoded with a final mul by 1 — the decoded outputs are bit-identical
-   to the scalar formulas, not merely group-equal.
-
-   The add kernels also emit the Montgomery h = u2 - u1 and r = s2 - s1
-   planes: h == 0 / r == 0 iff the canonical field values coincide, so
-   the Python wrapper zero-tests them to route special lanes (P == Q ->
-   the self-counting double, P == -Q -> infinity) exactly like the int64
-   engine. Special lanes compute garbage in the main sequence (there is
-   no division to fault on); the wrapper overwrites their output rows. */
-
-static inline void mont_dec_one(uint64_t *op, const uint64_t *ap,
-                                const uint64_t *N, uint64_t n0inv, int w)
-{
-    uint64_t one[32];
-    for (int j = 0; j < w; j++) one[j] = 0;
-    one[0] = 1;
-    mont_mul_one(op, ap, one, N, n0inv, w);
-}
-
-/* am is the Montgomery row of the curve's a coefficient, or NULL when
-   a == 0 (the a*z^4 term of the general doubling is skipped). */
-void jac_dbl_fp(uint64_t *ox, uint64_t *oy, uint64_t *oz,
-                const uint64_t *x, const uint64_t *y, const uint64_t *z,
-                size_t n, const uint64_t *am, const uint64_t *r2,
-                const uint64_t *N, uint64_t n0inv, int w)
-{
-    uint64_t X[32], Y[32], Z[32], ysq[32], s[32], m[32], t[32], u[32];
-    for (size_t k = 0; k < n; k++) {
-        size_t off = k * w;
-        mont_mul_one(X, x + off, r2, N, n0inv, w);
-        mont_mul_one(Y, y + off, r2, N, n0inv, w);
-        mont_mul_one(Z, z + off, r2, N, n0inv, w);
-        mont_mul_one(ysq, Y, Y, N, n0inv, w);
-        mont_mul_one(s, X, ysq, N, n0inv, w);
-        mod_add_one(s, s, s, N, w);
-        mod_add_one(s, s, s, N, w);               /* s = 4*x*y^2 */
-        mont_mul_one(m, X, X, N, n0inv, w);
-        mod_add_one(t, m, m, N, w);
-        mod_add_one(m, m, t, N, w);               /* m = 3*x^2 */
-        if (am) {
-            mont_mul_one(t, Z, Z, N, n0inv, w);
-            mont_mul_one(t, t, t, N, n0inv, w);
-            mont_mul_one(t, t, am, N, n0inv, w);
-            mod_add_one(m, m, t, N, w);           /* + a*z^4 */
-        }
-        mont_mul_one(t, m, m, N, n0inv, w);
-        mod_add_one(u, s, s, N, w);
-        mod_sub_one(t, t, u, N, w);               /* x3 = m^2 - 2s */
-        mod_sub_one(u, s, t, N, w);
-        mont_mul_one(u, m, u, N, n0inv, w);       /* m*(s - x3) */
-        mont_mul_one(ysq, ysq, ysq, N, n0inv, w);
-        mod_add_one(ysq, ysq, ysq, N, w);
-        mod_add_one(ysq, ysq, ysq, N, w);
-        mod_add_one(ysq, ysq, ysq, N, w);         /* 8*y^4 */
-        mod_sub_one(u, u, ysq, N, w);             /* y3 */
-        mont_mul_one(Y, Y, Z, N, n0inv, w);
-        mod_add_one(Y, Y, Y, N, w);               /* z3 = 2*y*z */
-        mont_dec_one(ox + off, t, N, n0inv, w);
-        mont_dec_one(oy + off, u, N, n0inv, w);
-        mont_dec_one(oz + off, Y, N, n0inv, w);
-    }
-}
-
-void jac_add_fp(uint64_t *ox, uint64_t *oy, uint64_t *oz,
-                uint64_t *oh, uint64_t *orr,
-                const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
-                const uint64_t *x2, const uint64_t *y2, const uint64_t *z2,
-                size_t n, const uint64_t *r2, const uint64_t *N,
-                uint64_t n0inv, int w)
-{
-    uint64_t X1[32], Y1[32], Z1[32], X2[32], Y2[32], Z2[32];
-    uint64_t z1q[32], z2q[32], u1[32], s1[32], h[32], r[32];
-    uint64_t t[32], u[32];
-    for (size_t k = 0; k < n; k++) {
-        size_t off = k * w;
-        mont_mul_one(X1, x1 + off, r2, N, n0inv, w);
-        mont_mul_one(Y1, y1 + off, r2, N, n0inv, w);
-        mont_mul_one(Z1, z1 + off, r2, N, n0inv, w);
-        mont_mul_one(X2, x2 + off, r2, N, n0inv, w);
-        mont_mul_one(Y2, y2 + off, r2, N, n0inv, w);
-        mont_mul_one(Z2, z2 + off, r2, N, n0inv, w);
-        mont_mul_one(z1q, Z1, Z1, N, n0inv, w);
-        mont_mul_one(z2q, Z2, Z2, N, n0inv, w);
-        mont_mul_one(u1, X1, z2q, N, n0inv, w);
-        mont_mul_one(t, X2, z1q, N, n0inv, w);    /* u2 */
-        mod_sub_one(h, t, u1, N, w);
-        mont_mul_one(u, z2q, Z2, N, n0inv, w);
-        mont_mul_one(s1, Y1, u, N, n0inv, w);
-        mont_mul_one(u, z1q, Z1, N, n0inv, w);
-        mont_mul_one(u, Y2, u, N, n0inv, w);      /* s2 */
-        mod_sub_one(r, u, s1, N, w);
-        for (int j = 0; j < w; j++) {
-            oh[off + j] = h[j];
-            orr[off + j] = r[j];
-        }
-        mont_mul_one(t, h, h, N, n0inv, w);       /* h^2 */
-        mont_mul_one(u1, u1, t, N, n0inv, w);     /* u1*h^2 */
-        mont_mul_one(t, t, h, N, n0inv, w);       /* h^3 */
-        mont_mul_one(s1, s1, t, N, n0inv, w);     /* s1*h^3 */
-        mont_mul_one(u, r, r, N, n0inv, w);
-        mod_sub_one(u, u, t, N, w);
-        mod_add_one(t, u1, u1, N, w);
-        mod_sub_one(u, u, t, N, w);               /* x3 */
-        mod_sub_one(t, u1, u, N, w);
-        mont_mul_one(t, r, t, N, n0inv, w);
-        mod_sub_one(t, t, s1, N, w);              /* y3 */
-        mont_mul_one(Z1, Z1, Z2, N, n0inv, w);
-        mont_mul_one(Z1, h, Z1, N, n0inv, w);     /* z3 = h*z1*z2 */
-        mont_dec_one(ox + off, u, N, n0inv, w);
-        mont_dec_one(oy + off, t, N, n0inv, w);
-        mont_dec_one(oz + off, Z1, N, n0inv, w);
-    }
-}
-
-void jac_madd_fp(uint64_t *ox, uint64_t *oy, uint64_t *oz,
-                 uint64_t *oh, uint64_t *orr,
-                 const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
-                 const uint64_t *x2, const uint64_t *y2,
-                 size_t n, const uint64_t *r2, const uint64_t *N,
-                 uint64_t n0inv, int w)
-{
-    uint64_t X1[32], Y1[32], Z1[32], X2[32], Y2[32];
-    uint64_t z1q[32], h[32], r[32], t[32], u[32];
-    for (size_t k = 0; k < n; k++) {
-        size_t off = k * w;
-        mont_mul_one(X1, x1 + off, r2, N, n0inv, w);
-        mont_mul_one(Y1, y1 + off, r2, N, n0inv, w);
-        mont_mul_one(Z1, z1 + off, r2, N, n0inv, w);
-        mont_mul_one(X2, x2 + off, r2, N, n0inv, w);
-        mont_mul_one(Y2, y2 + off, r2, N, n0inv, w);
-        mont_mul_one(z1q, Z1, Z1, N, n0inv, w);
-        mont_mul_one(t, X2, z1q, N, n0inv, w);    /* u2 */
-        mod_sub_one(h, t, X1, N, w);
-        mont_mul_one(u, z1q, Z1, N, n0inv, w);
-        mont_mul_one(u, Y2, u, N, n0inv, w);      /* s2 */
-        mod_sub_one(r, u, Y1, N, w);
-        for (int j = 0; j < w; j++) {
-            oh[off + j] = h[j];
-            orr[off + j] = r[j];
-        }
-        mont_mul_one(t, h, h, N, n0inv, w);       /* h^2 */
-        mont_mul_one(X1, X1, t, N, n0inv, w);     /* x1*h^2 */
-        mont_mul_one(t, t, h, N, n0inv, w);       /* h^3 */
-        mont_mul_one(Y1, Y1, t, N, n0inv, w);     /* y1*h^3 */
-        mont_mul_one(u, r, r, N, n0inv, w);
-        mod_sub_one(u, u, t, N, w);
-        mod_add_one(t, X1, X1, N, w);
-        mod_sub_one(u, u, t, N, w);               /* x3 */
-        mod_sub_one(t, X1, u, N, w);
-        mont_mul_one(t, r, t, N, n0inv, w);
-        mod_sub_one(t, t, Y1, N, w);              /* y3 */
-        mont_mul_one(Z1, h, Z1, N, n0inv, w);     /* z3 = h*z1 */
-        mont_dec_one(ox + off, u, N, n0inv, w);
-        mont_dec_one(oy + off, t, N, n0inv, w);
-        mont_dec_one(oz + off, Z1, N, n0inv, w);
-    }
-}
-
-/* -- Fq2 lanes (degree-2 extension, i^2 = -c0) ---------------------------
-
-   Packed rows: a lane is 2w contiguous words, [c0 words | c1 words].
-   Karatsuba product (3 base muls, mirroring _ExtLanes.mul in
-   numpy_curve): t0 = a0*b0, t2 = a1*b1, t1 = (a0+a1)(b0+b1) - t0 - t2,
+   An element is two Montgomery base-field values (c0, c1); in a packed
+   row a lane is 2w contiguous words, [c0 words | c1 words]. Karatsuba
+   product (3 base muls, mirroring _ExtLanes.mul in numpy_curve):
+   t0 = a0*b0, t2 = a1*b1, t1 = (a0+a1)(b0+b1) - t0 - t2,
    result = (t0 - c0*t2, t1). c0m is the Montgomery row of c0, or NULL
    when c0 == 1 (the reduction mul is skipped). */
 
@@ -544,182 +384,36 @@ static inline void fq2_sub2(uint64_t *o0, uint64_t *o1,
     mod_sub_one(o1, a1, b1, N, w);
 }
 
-static inline void fq2_enc(uint64_t *o0, uint64_t *o1, const uint64_t *a,
-                           const uint64_t *r2, const uint64_t *N,
-                           uint64_t n0inv, int w)
-{
-    mont_mul_one(o0, a, r2, N, n0inv, w);
-    mont_mul_one(o1, a + w, r2, N, n0inv, w);
-}
+/* -- Jacobian point kernels -------------------------------------------------
 
-static inline void fq2_dec(uint64_t *o, const uint64_t *a0,
-                           const uint64_t *a1, const uint64_t *N,
-                           uint64_t n0inv, int w)
-{
-    mont_dec_one(o, a0, N, n0inv, w);
-    mont_dec_one(o + w, a1, N, n0inv, w);
-}
-
-/* am is the packed (2w,) Montgomery row of the curve's a, or NULL. */
-void jac_dbl_fq2(uint64_t *ox, uint64_t *oy, uint64_t *oz,
-                 const uint64_t *x, const uint64_t *y, const uint64_t *z,
-                 size_t n, const uint64_t *am, const uint64_t *c0m,
-                 const uint64_t *r2, const uint64_t *N, uint64_t n0inv,
-                 int w)
-{
-    uint64_t X[2][32], Y[2][32], Z[2][32], ysq[2][32], s[2][32];
-    uint64_t m[2][32], t[2][32], u[2][32];
-    for (size_t k = 0; k < n; k++) {
-        size_t off = k * 2 * w;
-        fq2_enc(X[0], X[1], x + off, r2, N, n0inv, w);
-        fq2_enc(Y[0], Y[1], y + off, r2, N, n0inv, w);
-        fq2_enc(Z[0], Z[1], z + off, r2, N, n0inv, w);
-        fq2_mul_one(ysq[0], ysq[1], Y[0], Y[1], Y[0], Y[1], c0m, N, n0inv, w);
-        fq2_mul_one(s[0], s[1], X[0], X[1], ysq[0], ysq[1], c0m, N, n0inv, w);
-        fq2_add2(s[0], s[1], s[0], s[1], s[0], s[1], N, w);
-        fq2_add2(s[0], s[1], s[0], s[1], s[0], s[1], N, w);
-        fq2_mul_one(m[0], m[1], X[0], X[1], X[0], X[1], c0m, N, n0inv, w);
-        fq2_add2(t[0], t[1], m[0], m[1], m[0], m[1], N, w);
-        fq2_add2(m[0], m[1], m[0], m[1], t[0], t[1], N, w);
-        if (am) {
-            fq2_mul_one(t[0], t[1], Z[0], Z[1], Z[0], Z[1], c0m, N, n0inv, w);
-            fq2_mul_one(t[0], t[1], t[0], t[1], t[0], t[1], c0m, N, n0inv, w);
-            fq2_mul_one(t[0], t[1], t[0], t[1], am, am + w, c0m, N, n0inv, w);
-            fq2_add2(m[0], m[1], m[0], m[1], t[0], t[1], N, w);
-        }
-        fq2_mul_one(t[0], t[1], m[0], m[1], m[0], m[1], c0m, N, n0inv, w);
-        fq2_add2(u[0], u[1], s[0], s[1], s[0], s[1], N, w);
-        fq2_sub2(t[0], t[1], t[0], t[1], u[0], u[1], N, w);
-        fq2_sub2(u[0], u[1], s[0], s[1], t[0], t[1], N, w);
-        fq2_mul_one(u[0], u[1], m[0], m[1], u[0], u[1], c0m, N, n0inv, w);
-        fq2_mul_one(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1],
-                    c0m, N, n0inv, w);
-        fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
-        fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
-        fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
-        fq2_sub2(u[0], u[1], u[0], u[1], ysq[0], ysq[1], N, w);
-        fq2_mul_one(Y[0], Y[1], Y[0], Y[1], Z[0], Z[1], c0m, N, n0inv, w);
-        fq2_add2(Y[0], Y[1], Y[0], Y[1], Y[0], Y[1], N, w);
-        fq2_dec(ox + off, t[0], t[1], N, n0inv, w);
-        fq2_dec(oy + off, u[0], u[1], N, n0inv, w);
-        fq2_dec(oz + off, Y[0], Y[1], N, n0inv, w);
-    }
-}
-
-void jac_add_fq2(uint64_t *ox, uint64_t *oy, uint64_t *oz,
-                 uint64_t *oh, uint64_t *orr,
-                 const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
-                 const uint64_t *x2, const uint64_t *y2, const uint64_t *z2,
-                 size_t n, const uint64_t *c0m, const uint64_t *r2,
-                 const uint64_t *N, uint64_t n0inv, int w)
-{
-    uint64_t X1[2][32], Y1[2][32], Z1[2][32], X2[2][32], Y2[2][32], Z2[2][32];
-    uint64_t z1q[2][32], z2q[2][32], u1[2][32], s1[2][32], h[2][32], r[2][32];
-    uint64_t t[2][32], u[2][32];
-    for (size_t k = 0; k < n; k++) {
-        size_t off = k * 2 * w;
-        fq2_enc(X1[0], X1[1], x1 + off, r2, N, n0inv, w);
-        fq2_enc(Y1[0], Y1[1], y1 + off, r2, N, n0inv, w);
-        fq2_enc(Z1[0], Z1[1], z1 + off, r2, N, n0inv, w);
-        fq2_enc(X2[0], X2[1], x2 + off, r2, N, n0inv, w);
-        fq2_enc(Y2[0], Y2[1], y2 + off, r2, N, n0inv, w);
-        fq2_enc(Z2[0], Z2[1], z2 + off, r2, N, n0inv, w);
-        fq2_mul_one(z1q[0], z1q[1], Z1[0], Z1[1], Z1[0], Z1[1], c0m, N, n0inv, w);
-        fq2_mul_one(z2q[0], z2q[1], Z2[0], Z2[1], Z2[0], Z2[1], c0m, N, n0inv, w);
-        fq2_mul_one(u1[0], u1[1], X1[0], X1[1], z2q[0], z2q[1], c0m, N, n0inv, w);
-        fq2_mul_one(t[0], t[1], X2[0], X2[1], z1q[0], z1q[1], c0m, N, n0inv, w);
-        fq2_sub2(h[0], h[1], t[0], t[1], u1[0], u1[1], N, w);
-        fq2_mul_one(u[0], u[1], z2q[0], z2q[1], Z2[0], Z2[1], c0m, N, n0inv, w);
-        fq2_mul_one(s1[0], s1[1], Y1[0], Y1[1], u[0], u[1], c0m, N, n0inv, w);
-        fq2_mul_one(u[0], u[1], z1q[0], z1q[1], Z1[0], Z1[1], c0m, N, n0inv, w);
-        fq2_mul_one(u[0], u[1], Y2[0], Y2[1], u[0], u[1], c0m, N, n0inv, w);
-        fq2_sub2(r[0], r[1], u[0], u[1], s1[0], s1[1], N, w);
-        for (int j = 0; j < w; j++) {
-            oh[off + j] = h[0][j];
-            oh[off + w + j] = h[1][j];
-            orr[off + j] = r[0][j];
-            orr[off + w + j] = r[1][j];
-        }
-        fq2_mul_one(t[0], t[1], h[0], h[1], h[0], h[1], c0m, N, n0inv, w);
-        fq2_mul_one(u1[0], u1[1], u1[0], u1[1], t[0], t[1], c0m, N, n0inv, w);
-        fq2_mul_one(t[0], t[1], t[0], t[1], h[0], h[1], c0m, N, n0inv, w);
-        fq2_mul_one(s1[0], s1[1], s1[0], s1[1], t[0], t[1], c0m, N, n0inv, w);
-        fq2_mul_one(u[0], u[1], r[0], r[1], r[0], r[1], c0m, N, n0inv, w);
-        fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
-        fq2_add2(t[0], t[1], u1[0], u1[1], u1[0], u1[1], N, w);
-        fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
-        fq2_sub2(t[0], t[1], u1[0], u1[1], u[0], u[1], N, w);
-        fq2_mul_one(t[0], t[1], r[0], r[1], t[0], t[1], c0m, N, n0inv, w);
-        fq2_sub2(t[0], t[1], t[0], t[1], s1[0], s1[1], N, w);
-        fq2_mul_one(Z1[0], Z1[1], Z1[0], Z1[1], Z2[0], Z2[1], c0m, N, n0inv, w);
-        fq2_mul_one(Z1[0], Z1[1], h[0], h[1], Z1[0], Z1[1], c0m, N, n0inv, w);
-        fq2_dec(ox + off, u[0], u[1], N, n0inv, w);
-        fq2_dec(oy + off, t[0], t[1], N, n0inv, w);
-        fq2_dec(oz + off, Z1[0], Z1[1], N, n0inv, w);
-    }
-}
-
-void jac_madd_fq2(uint64_t *ox, uint64_t *oy, uint64_t *oz,
-                  uint64_t *oh, uint64_t *orr,
-                  const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
-                  const uint64_t *x2, const uint64_t *y2,
-                  size_t n, const uint64_t *c0m, const uint64_t *r2,
-                  const uint64_t *N, uint64_t n0inv, int w)
-{
-    uint64_t X1[2][32], Y1[2][32], Z1[2][32], X2[2][32], Y2[2][32];
-    uint64_t z1q[2][32], h[2][32], r[2][32], t[2][32], u[2][32];
-    for (size_t k = 0; k < n; k++) {
-        size_t off = k * 2 * w;
-        fq2_enc(X1[0], X1[1], x1 + off, r2, N, n0inv, w);
-        fq2_enc(Y1[0], Y1[1], y1 + off, r2, N, n0inv, w);
-        fq2_enc(Z1[0], Z1[1], z1 + off, r2, N, n0inv, w);
-        fq2_enc(X2[0], X2[1], x2 + off, r2, N, n0inv, w);
-        fq2_enc(Y2[0], Y2[1], y2 + off, r2, N, n0inv, w);
-        fq2_mul_one(z1q[0], z1q[1], Z1[0], Z1[1], Z1[0], Z1[1], c0m, N, n0inv, w);
-        fq2_mul_one(t[0], t[1], X2[0], X2[1], z1q[0], z1q[1], c0m, N, n0inv, w);
-        fq2_sub2(h[0], h[1], t[0], t[1], X1[0], X1[1], N, w);
-        fq2_mul_one(u[0], u[1], z1q[0], z1q[1], Z1[0], Z1[1], c0m, N, n0inv, w);
-        fq2_mul_one(u[0], u[1], Y2[0], Y2[1], u[0], u[1], c0m, N, n0inv, w);
-        fq2_sub2(r[0], r[1], u[0], u[1], Y1[0], Y1[1], N, w);
-        for (int j = 0; j < w; j++) {
-            oh[off + j] = h[0][j];
-            oh[off + w + j] = h[1][j];
-            orr[off + j] = r[0][j];
-            orr[off + w + j] = r[1][j];
-        }
-        fq2_mul_one(t[0], t[1], h[0], h[1], h[0], h[1], c0m, N, n0inv, w);
-        fq2_mul_one(X1[0], X1[1], X1[0], X1[1], t[0], t[1], c0m, N, n0inv, w);
-        fq2_mul_one(t[0], t[1], t[0], t[1], h[0], h[1], c0m, N, n0inv, w);
-        fq2_mul_one(Y1[0], Y1[1], Y1[0], Y1[1], t[0], t[1], c0m, N, n0inv, w);
-        fq2_mul_one(u[0], u[1], r[0], r[1], r[0], r[1], c0m, N, n0inv, w);
-        fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
-        fq2_add2(t[0], t[1], X1[0], X1[1], X1[0], X1[1], N, w);
-        fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
-        fq2_sub2(t[0], t[1], X1[0], X1[1], u[0], u[1], N, w);
-        fq2_mul_one(t[0], t[1], r[0], r[1], t[0], t[1], c0m, N, n0inv, w);
-        fq2_sub2(t[0], t[1], t[0], t[1], Y1[0], Y1[1], N, w);
-        fq2_mul_one(Z1[0], Z1[1], h[0], h[1], Z1[0], Z1[1], c0m, N, n0inv, w);
-        fq2_dec(ox + off, u[0], u[1], N, n0inv, w);
-        fq2_dec(oy + off, t[0], t[1], N, n0inv, w);
-        fq2_dec(oz + off, Z1[0], Z1[1], N, n0inv, w);
-    }
-}
-
-/* -- sequential bucket fold ------------------------------------------------
-
-   Bucket-reduction sum_j (j+1)*B_j as the ordered running-suffix fold
-   of repro.msm.pippenger.bucket_reduce, last bucket first:
-       running += B_j;  total += running        (2 jadds per bucket)
-   Bucket rows arrive *already in the Montgomery domain* and the result
-   leaves in it — no conversion mul anywhere in here — as out = [x|y|z].
-   jadd/jdouble are CurveGroup's formulas in CurveGroup's operand order
-   with its special-case routing done in C on canonical words: z == 0
-   is infinity (the other operand comes back, count-free), u1 == u2 and
+   One doubling and one addition per coordinate field — jpt_fp_dbl /
+   jpt_fp_add and jpt_fq2_dbl / jpt_fq2_add — and every exported point
+   kernel is a loop over them. They are CurveGroup's jdouble/jadd in
+   CurveGroup's operand order on Montgomery residues (every product and
+   add/sub is canonicalized, so values track the scalar formulas step
+   for step and decode bit-identical, not merely group-equal), with its
+   special cases routed on canonical words: z == 0 is infinity (the
+   other operand comes back verbatim, count-free), u1 == u2 and
    s1 == s2 is P == Q (the doubling: one pdbl + one padd, or count-free
    infinity when y == 0), u1 == u2 alone is P == -Q (count-free
-   infinity), anything else one padd. tally[0] += padds, tally[1] +=
-   pdbls, exactly what the scalar fold books through group._count. No
-   operand row is written. */
+   infinity), anything else one padd. An infinity made here is the
+   scalar formulas' (1, 1, 0): `one` is the Montgomery row of 1.
+   tally[0] += padds, tally[1] += pdbls, exactly what the scalar
+   formulas book through group._count.
+
+   The exported kernels share one ABI. Operand planes x, y, z are
+   Montgomery (n, w) rows — Fq2: packed (n, 2w) — and are only read;
+   `out` is three result planes of m rows each, x then y then z (m = n
+   for the lane loops, 1 for the fold). am is the (packed) Montgomery
+   row of the curve's a, or NULL when a == 0 (the a*z^4 term of the
+   general doubling is skipped). No conversion mul anywhere in here.
+
+   jac_dbl_*:     out lane k = 2 * P_k
+   jac_add_*:     out lane k = P_k + Q_k
+   bucket_fold_*: out = sum_j (j+1)*B_j as the ordered running-suffix
+                  fold of repro.msm.pippenger.bucket_reduce, last bucket
+                  first: running += B_j; total += running (2 jadds per
+                  bucket). */
 
 typedef struct { uint64_t x[32], y[32], z[32]; } jpt_fp;
 
@@ -742,9 +436,12 @@ static inline void words_copy(uint64_t *o, const uint64_t *a, int w)
     for (int j = 0; j < w; j++) o[j] = a[j];
 }
 
-static inline void jpt_fp_set_inf(jpt_fp *o, int w)
+static inline void jpt_fp_set_inf(jpt_fp *o, const uint64_t *one, int w)
 {
-    for (int j = 0; j < w; j++) o->x[j] = o->y[j] = o->z[j] = 0;
+    for (int j = 0; j < w; j++) {
+        o->x[j] = o->y[j] = one[j];
+        o->z[j] = 0;
+    }
 }
 
 static inline void jpt_fp_copy(jpt_fp *o, const jpt_fp *a, int w)
@@ -755,14 +452,33 @@ static inline void jpt_fp_copy(jpt_fp *o, const jpt_fp *a, int w)
     words_copy(o->z, a->z, w);
 }
 
+/* Lane k of three operand planes -> o. */
+static inline void jpt_fp_load(jpt_fp *o, const uint64_t *x,
+                               const uint64_t *y, const uint64_t *z,
+                               size_t k, int w)
+{
+    words_copy(o->x, x + k * w, w);
+    words_copy(o->y, y + k * w, w);
+    words_copy(o->z, z + k * w, w);
+}
+
+/* p -> lane k of the three m-row result planes in out. */
+static inline void jpt_fp_store(uint64_t *out, size_t m, size_t k,
+                                const jpt_fp *p, int w)
+{
+    words_copy(out + k * w, p->x, w);
+    words_copy(out + (m + k) * w, p->y, w);
+    words_copy(out + (2 * m + k) * w, p->z, w);
+}
+
 /* o = 2p; o may alias p. */
 static void jpt_fp_dbl(jpt_fp *o, const jpt_fp *p, uint64_t *tally,
-                       const uint64_t *am, const uint64_t *N,
-                       uint64_t n0inv, int w)
+                       const uint64_t *am, const uint64_t *one,
+                       const uint64_t *N, uint64_t n0inv, int w)
 {
     uint64_t ysq[32], s[32], m[32], t[32], u[32], z3[32];
     if (words_zero(p->z, w) || words_zero(p->y, w)) {
-        jpt_fp_set_inf(o, w);
+        jpt_fp_set_inf(o, one, w);
         return;
     }
     mont_mul_one(ysq, p->y, p->y, N, n0inv, w);
@@ -799,7 +515,8 @@ static void jpt_fp_dbl(jpt_fp *o, const jpt_fp *p, uint64_t *tally,
 /* o = p + q; o may alias p or q. */
 static void jpt_fp_add(jpt_fp *o, const jpt_fp *p, const jpt_fp *q,
                        uint64_t *tally, const uint64_t *am,
-                       const uint64_t *N, uint64_t n0inv, int w)
+                       const uint64_t *one, const uint64_t *N,
+                       uint64_t n0inv, int w)
 {
     uint64_t z1q[32], z2q[32], u1[32], u2[32], s1[32], s2[32];
     uint64_t h[32], r[32], t[32], u[32], z3[32];
@@ -815,9 +532,9 @@ static void jpt_fp_add(jpt_fp *o, const jpt_fp *p, const jpt_fp *q,
     mont_mul_one(s2, q->y, t, N, n0inv, w);
     if (words_eq(u1, u2, w)) {
         if (words_eq(s1, s2, w))
-            jpt_fp_dbl(o, p, tally, am, N, n0inv, w);
+            jpt_fp_dbl(o, p, tally, am, one, N, n0inv, w);
         else
-            jpt_fp_set_inf(o, w);
+            jpt_fp_set_inf(o, one, w);
         return;
     }
     mod_sub_one(h, u2, u1, N, w);
@@ -840,28 +557,51 @@ static void jpt_fp_add(jpt_fp *o, const jpt_fp *p, const jpt_fp *q,
     tally[0]++;
 }
 
-void bucket_fold_fp(uint64_t *out, uint64_t *tally,
-                    const uint64_t *x, const uint64_t *y, const uint64_t *z,
-                    size_t n, const uint64_t *am, const uint64_t *N,
-                    uint64_t n0inv, int w)
+void jac_dbl_fp(uint64_t *out, uint64_t *tally,
+                const uint64_t *x, const uint64_t *y, const uint64_t *z,
+                size_t n, const uint64_t *am, const uint64_t *one,
+                const uint64_t *N, uint64_t n0inv, int w)
 {
-    jpt_fp running, total, b;
-    jpt_fp_set_inf(&running, w);
-    jpt_fp_set_inf(&total, w);
-    for (size_t k = n; k-- > 0;) {
-        words_copy(b.x, x + k * w, w);
-        words_copy(b.y, y + k * w, w);
-        words_copy(b.z, z + k * w, w);
-        jpt_fp_add(&running, &running, &b, tally, am, N, n0inv, w);
-        jpt_fp_add(&total, &total, &running, tally, am, N, n0inv, w);
+    jpt_fp p;
+    for (size_t k = 0; k < n; k++) {
+        jpt_fp_load(&p, x, y, z, k, w);
+        jpt_fp_dbl(&p, &p, tally, am, one, N, n0inv, w);
+        jpt_fp_store(out, n, k, &p, w);
     }
-    words_copy(out, total.x, w);
-    words_copy(out + w, total.y, w);
-    words_copy(out + 2 * w, total.z, w);
 }
 
-/* The Fq2 twin: packed (n, 2w) Montgomery rows, out = [x|y|z] of 2w
-   words each; am is the packed Montgomery row of a, or NULL. */
+void jac_add_fp(uint64_t *out, uint64_t *tally,
+                const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
+                const uint64_t *x2, const uint64_t *y2, const uint64_t *z2,
+                size_t n, const uint64_t *am, const uint64_t *one,
+                const uint64_t *N, uint64_t n0inv, int w)
+{
+    jpt_fp p, q;
+    for (size_t k = 0; k < n; k++) {
+        jpt_fp_load(&p, x1, y1, z1, k, w);
+        jpt_fp_load(&q, x2, y2, z2, k, w);
+        jpt_fp_add(&p, &p, &q, tally, am, one, N, n0inv, w);
+        jpt_fp_store(out, n, k, &p, w);
+    }
+}
+
+void bucket_fold_fp(uint64_t *out, uint64_t *tally,
+                    const uint64_t *x, const uint64_t *y, const uint64_t *z,
+                    size_t n, const uint64_t *am, const uint64_t *one,
+                    const uint64_t *N, uint64_t n0inv, int w)
+{
+    jpt_fp running, total, b;
+    jpt_fp_set_inf(&running, one, w);
+    jpt_fp_set_inf(&total, one, w);
+    for (size_t k = n; k-- > 0;) {
+        jpt_fp_load(&b, x, y, z, k, w);
+        jpt_fp_add(&running, &running, &b, tally, am, one, N, n0inv, w);
+        jpt_fp_add(&total, &total, &running, tally, am, one, N, n0inv, w);
+    }
+    jpt_fp_store(out, 1, 0, &total, w);
+}
+
+/* The Fq2 twins, over packed (n, 2w) rows. */
 
 typedef struct { uint64_t x[2][32], y[2][32], z[2][32]; } jpt_fq2;
 
@@ -881,11 +621,12 @@ static inline void fq2_copy(uint64_t o[2][32], uint64_t a[2][32], int w)
     words_copy(o[1], a[1], w);
 }
 
-static inline void jpt_fq2_set_inf(jpt_fq2 *o, int w)
+static inline void jpt_fq2_set_inf(jpt_fq2 *o, const uint64_t *one, int w)
 {
-    for (int c = 0; c < 2; c++)
-        for (int j = 0; j < w; j++)
-            o->x[c][j] = o->y[c][j] = o->z[c][j] = 0;
+    for (int j = 0; j < w; j++) {
+        o->x[0][j] = o->y[0][j] = one[j];
+        o->x[1][j] = o->y[1][j] = o->z[0][j] = o->z[1][j] = 0;
+    }
 }
 
 static inline void jpt_fq2_copy(jpt_fq2 *o, jpt_fq2 *a, int w)
@@ -896,13 +637,36 @@ static inline void jpt_fq2_copy(jpt_fq2 *o, jpt_fq2 *a, int w)
     fq2_copy(o->z, a->z, w);
 }
 
+static inline void jpt_fq2_load(jpt_fq2 *o, const uint64_t *x,
+                                const uint64_t *y, const uint64_t *z,
+                                size_t k, int w)
+{
+    size_t off = k * 2 * w;
+    for (int c = 0; c < 2; c++) {
+        words_copy(o->x[c], x + off + c * w, w);
+        words_copy(o->y[c], y + off + c * w, w);
+        words_copy(o->z[c], z + off + c * w, w);
+    }
+}
+
+static inline void jpt_fq2_store(uint64_t *out, size_t m, size_t k,
+                                 const jpt_fq2 *p, int w)
+{
+    for (int c = 0; c < 2; c++) {
+        words_copy(out + (2 * k + c) * w, p->x[c], w);
+        words_copy(out + (2 * (m + k) + c) * w, p->y[c], w);
+        words_copy(out + (2 * (2 * m + k) + c) * w, p->z[c], w);
+    }
+}
+
 static void jpt_fq2_dbl(jpt_fq2 *o, jpt_fq2 *p, uint64_t *tally,
                         const uint64_t *am, const uint64_t *c0m,
-                        const uint64_t *N, uint64_t n0inv, int w)
+                        const uint64_t *one, const uint64_t *N,
+                        uint64_t n0inv, int w)
 {
     uint64_t ysq[2][32], s[2][32], m[2][32], t[2][32], u[2][32], z3[2][32];
     if (fq2_zero(p->z, w) || fq2_zero(p->y, w)) {
-        jpt_fq2_set_inf(o, w);
+        jpt_fq2_set_inf(o, one, w);
         return;
     }
     fq2_mul_one(ysq[0], ysq[1], p->y[0], p->y[1], p->y[0], p->y[1], c0m, N, n0inv, w);
@@ -938,8 +702,8 @@ static void jpt_fq2_dbl(jpt_fq2 *o, jpt_fq2 *p, uint64_t *tally,
 
 static void jpt_fq2_add(jpt_fq2 *o, jpt_fq2 *p, jpt_fq2 *q,
                         uint64_t *tally, const uint64_t *am,
-                        const uint64_t *c0m, const uint64_t *N,
-                        uint64_t n0inv, int w)
+                        const uint64_t *c0m, const uint64_t *one,
+                        const uint64_t *N, uint64_t n0inv, int w)
 {
     uint64_t z1q[2][32], z2q[2][32], u1[2][32], u2[2][32], s1[2][32];
     uint64_t s2[2][32], h[2][32], r[2][32], t[2][32], u[2][32], z3[2][32];
@@ -955,9 +719,9 @@ static void jpt_fq2_add(jpt_fq2 *o, jpt_fq2 *p, jpt_fq2 *q,
     fq2_mul_one(s2[0], s2[1], q->y[0], q->y[1], t[0], t[1], c0m, N, n0inv, w);
     if (fq2_eq(u1, u2, w)) {
         if (fq2_eq(s1, s2, w))
-            jpt_fq2_dbl(o, p, tally, am, c0m, N, n0inv, w);
+            jpt_fq2_dbl(o, p, tally, am, c0m, one, N, n0inv, w);
         else
-            jpt_fq2_set_inf(o, w);
+            jpt_fq2_set_inf(o, one, w);
         return;
     }
     fq2_sub2(h[0], h[1], u2[0], u2[1], u1[0], u1[1], N, w);
@@ -980,29 +744,51 @@ static void jpt_fq2_add(jpt_fq2 *o, jpt_fq2 *p, jpt_fq2 *q,
     tally[0]++;
 }
 
+void jac_dbl_fq2(uint64_t *out, uint64_t *tally,
+                 const uint64_t *x, const uint64_t *y, const uint64_t *z,
+                 size_t n, const uint64_t *am, const uint64_t *c0m,
+                 const uint64_t *one, const uint64_t *N, uint64_t n0inv,
+                 int w)
+{
+    jpt_fq2 p;
+    for (size_t k = 0; k < n; k++) {
+        jpt_fq2_load(&p, x, y, z, k, w);
+        jpt_fq2_dbl(&p, &p, tally, am, c0m, one, N, n0inv, w);
+        jpt_fq2_store(out, n, k, &p, w);
+    }
+}
+
+void jac_add_fq2(uint64_t *out, uint64_t *tally,
+                 const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
+                 const uint64_t *x2, const uint64_t *y2, const uint64_t *z2,
+                 size_t n, const uint64_t *am, const uint64_t *c0m,
+                 const uint64_t *one, const uint64_t *N, uint64_t n0inv,
+                 int w)
+{
+    jpt_fq2 p, q;
+    for (size_t k = 0; k < n; k++) {
+        jpt_fq2_load(&p, x1, y1, z1, k, w);
+        jpt_fq2_load(&q, x2, y2, z2, k, w);
+        jpt_fq2_add(&p, &p, &q, tally, am, c0m, one, N, n0inv, w);
+        jpt_fq2_store(out, n, k, &p, w);
+    }
+}
+
 void bucket_fold_fq2(uint64_t *out, uint64_t *tally,
                      const uint64_t *x, const uint64_t *y, const uint64_t *z,
                      size_t n, const uint64_t *am, const uint64_t *c0m,
-                     const uint64_t *N, uint64_t n0inv, int w)
+                     const uint64_t *one, const uint64_t *N, uint64_t n0inv,
+                     int w)
 {
     jpt_fq2 running, total, b;
-    jpt_fq2_set_inf(&running, w);
-    jpt_fq2_set_inf(&total, w);
+    jpt_fq2_set_inf(&running, one, w);
+    jpt_fq2_set_inf(&total, one, w);
     for (size_t k = n; k-- > 0;) {
-        size_t off = k * 2 * w;
-        for (int c = 0; c < 2; c++) {
-            words_copy(b.x[c], x + off + c * w, w);
-            words_copy(b.y[c], y + off + c * w, w);
-            words_copy(b.z[c], z + off + c * w, w);
-        }
-        jpt_fq2_add(&running, &running, &b, tally, am, c0m, N, n0inv, w);
-        jpt_fq2_add(&total, &total, &running, tally, am, c0m, N, n0inv, w);
+        jpt_fq2_load(&b, x, y, z, k, w);
+        jpt_fq2_add(&running, &running, &b, tally, am, c0m, one, N, n0inv, w);
+        jpt_fq2_add(&total, &total, &running, tally, am, c0m, one, N, n0inv, w);
     }
-    for (int c = 0; c < 2; c++) {
-        words_copy(out + c * w, total.x[c], w);
-        words_copy(out + (2 + c) * w, total.y[c], w);
-        words_copy(out + (4 + c) * w, total.z[c], w);
-    }
+    jpt_fq2_store(out, 1, 0, &total, w);
 }
 """
 
@@ -1192,6 +978,18 @@ def _compile(cdir: str, sopath: str) -> bool:
     return True
 
 
+#: the Jacobian point kernels, which share one ABI: (op, coordinate-
+#: field degree) -> (exported function, operand planes it reads)
+_POINT_KERNELS = {
+    ("dbl", 1): ("jac_dbl_fp", 3),
+    ("add", 1): ("jac_add_fp", 6),
+    ("fold", 1): ("bucket_fold_fp", 3),
+    ("dbl", 2): ("jac_dbl_fq2", 3),
+    ("add", 2): ("jac_add_fq2", 6),
+    ("fold", 2): ("bucket_fold_fq2", 3),
+}
+
+
 def _bind(lib) -> None:
     ptr, size, u64, i32 = (ctypes.c_void_p, ctypes.c_size_t,
                            ctypes.c_uint64, ctypes.c_int)
@@ -1215,31 +1013,13 @@ def _bind(lib) -> None:
     lib.mont_batch_inv_back.argtypes = [ptr, ptr, ptr, ptr, size, ptr,
                                         u64, i32]
     lib.mont_batch_inv_back.restype = None
-    lib.jac_dbl_fp.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, size, ptr,
-                               ptr, ptr, u64, i32]
-    lib.jac_dbl_fp.restype = None
-    lib.jac_add_fp.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                               ptr, ptr, ptr, size, ptr, ptr, u64, i32]
-    lib.jac_add_fp.restype = None
-    lib.jac_madd_fp.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                                ptr, ptr, size, ptr, ptr, u64, i32]
-    lib.jac_madd_fp.restype = None
-    lib.jac_dbl_fq2.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, size, ptr,
-                                ptr, ptr, ptr, u64, i32]
-    lib.jac_dbl_fq2.restype = None
-    lib.jac_add_fq2.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                                ptr, ptr, ptr, size, ptr, ptr, ptr, u64,
-                                i32]
-    lib.jac_add_fq2.restype = None
-    lib.jac_madd_fq2.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
-                                 ptr, ptr, size, ptr, ptr, ptr, u64, i32]
-    lib.jac_madd_fq2.restype = None
-    lib.bucket_fold_fp.argtypes = [ptr, ptr, ptr, ptr, ptr, size, ptr, ptr,
-                                   u64, i32]
-    lib.bucket_fold_fp.restype = None
-    lib.bucket_fold_fq2.argtypes = [ptr, ptr, ptr, ptr, ptr, size, ptr, ptr,
-                                    ptr, u64, i32]
-    lib.bucket_fold_fq2.restype = None
+    # point kernels: out, tally, the operand planes, n, the curve's
+    # constant rows (a over Fp; a, c0 over Fq2), one, N, n0inv, w
+    for (_op, degree), (name, n_planes) in _POINT_KERNELS.items():
+        fn = getattr(lib, name)
+        fn.argtypes = ([ptr] * (2 + n_planes) + [size]
+                       + [ptr] * (degree + 2) + [u64, i32])
+        fn.restype = None
 
 
 def _compile_and_load():
@@ -1406,11 +1186,12 @@ class NativeField:
     """Batched Montgomery-domain arithmetic over one prime modulus.
 
     Curve-path arrays (:meth:`mul`/:meth:`sub`/:meth:`add`/
-    :meth:`affine_combine`/:meth:`batch_inverse`/:meth:`bucket_fold`)
+    :meth:`affine_combine`/:meth:`batch_inverse`/:meth:`point_op`)
     are C-contiguous ``(n, w)`` uint64 rows of canonical Montgomery
-    residues; :meth:`to_mont`/:meth:`from_mont` move rows between the
-    raw and the Montgomery domain and ``encode``/``decode`` add the
-    int boundary. The
+    residues (:meth:`point_op` also takes packed ``(n, 2w)`` Fq2 rows);
+    :meth:`to_mont`/:meth:`from_mont` move rows between the raw and the
+    Montgomery domain and ``encode``/``decode`` add the int boundary —
+    no curve kernel calls them. The
     NTT/pointwise row ops (:meth:`ntt_rows`, :meth:`mul_raw`, and
     :meth:`mul`/:meth:`mul_const` against :meth:`mont_ladder` /
     :meth:`encode_const` operands) work on *raw* canonical rows with
@@ -1505,9 +1286,6 @@ class NativeField:
     def encode_const(self, value: int) -> "_np.ndarray":
         """One int -> a single (w,) Montgomery row."""
         return self._row(value % self.p * self.r % self.p)
-
-    def _tile(self, row: "_np.ndarray", n: int) -> "_np.ndarray":
-        return _np.ascontiguousarray(_np.broadcast_to(row, (n, self.w)))
 
     # -- batched arithmetic ----------------------------------------------------
 
@@ -1606,133 +1384,59 @@ class NativeField:
                                      self.n0inv, self.w)
         return out
 
-    # -- batched Jacobian point kernels over raw rows ---------------------------
+    # -- Jacobian point kernels over Montgomery rows -----------------------------
     #
-    # All six take and return *raw* canonical (n, w) — Fq2: (n, 2w) —
-    # word rows; the Montgomery encode/decode is fused into the C
-    # kernels, and the add/mixed variants also return the Montgomery
-    # h/r planes for the caller's special-lane zero tests.
+    # One caller for the lane loops and the sequential fold: they share
+    # one ABI (see the C source). Operand rows are only read; the result
+    # planes and the tally are allocated here, per call (buckets are
+    # witness-derived).
 
-    @staticmethod
-    def _opt_ptr(row: Optional["_np.ndarray"]):
-        return row.ctypes.data if row is not None else None
+    def point_op(self, op: str, degree: int, planes, a_row=None,
+                 c0_row=None):
+        """Run one Jacobian point kernel: ``op`` is ``"dbl"`` (3 operand
+        planes x, y, z: every lane doubled), ``"add"`` (6 planes: lanes
+        added pairwise) or ``"fold"`` (3 planes: the bucket-reduction
+        sum_j (j+1)*B_j as one point); ``degree`` 1 takes ``(n, w)``
+        Montgomery rows over Fp, 2 packed ``(n, 2w)`` rows over Fq2.
+        ``a_row``/``c0_row`` are the Montgomery rows of the curve's a
+        (packed for Fq2; ``None`` when a == 0) and of the Fq2
+        non-residue c0 (``None`` when c0 == 1). Infinity, P == Q and
+        P == -Q are routed in C per lane. Returns ``(out, n_padd,
+        n_pdbl)``: ``out[0]``/``out[1]``/``out[2]`` are the result's
+        x/y/z planes — n rows, or the fold's one — and the tallies are
+        what the scalar formulas would have booked.
 
-    def jac_dbl(self, x, y, z, a_row=None):
-        x, y, z = self._prep(x), self._prep(y), self._prep(z)
-        ox = _np.empty_like(x)
-        oy = _np.empty_like(x)
-        oz = _np.empty_like(x)
-        self.lib.jac_dbl_fp(
-            ox.ctypes.data, oy.ctypes.data, oz.ctypes.data,
-            x.ctypes.data, y.ctypes.data, z.ctypes.data, x.shape[0],
-            self._opt_ptr(a_row), self._r2_words.ctypes.data,
-            self._n_words.ctypes.data, self.n0inv, self.w)
-        return ox, oy, oz
-
-    def jac_add(self, x1, y1, z1, x2, y2, z2):
-        x1, y1, z1 = self._prep(x1), self._prep(y1), self._prep(z1)
-        x2, y2, z2 = self._prep(x2), self._prep(y2), self._prep(z2)
-        ox = _np.empty_like(x1)
-        oy = _np.empty_like(x1)
-        oz = _np.empty_like(x1)
-        oh = _np.empty_like(x1)
-        orr = _np.empty_like(x1)
-        self.lib.jac_add_fp(
-            ox.ctypes.data, oy.ctypes.data, oz.ctypes.data,
-            oh.ctypes.data, orr.ctypes.data,
-            x1.ctypes.data, y1.ctypes.data, z1.ctypes.data,
-            x2.ctypes.data, y2.ctypes.data, z2.ctypes.data, x1.shape[0],
-            self._r2_words.ctypes.data, self._n_words.ctypes.data,
-            self.n0inv, self.w)
-        return ox, oy, oz, oh, orr
-
-    def jac_madd(self, x1, y1, z1, x2, y2):
-        x1, y1, z1 = self._prep(x1), self._prep(y1), self._prep(z1)
-        x2, y2 = self._prep(x2), self._prep(y2)
-        ox = _np.empty_like(x1)
-        oy = _np.empty_like(x1)
-        oz = _np.empty_like(x1)
-        oh = _np.empty_like(x1)
-        orr = _np.empty_like(x1)
-        self.lib.jac_madd_fp(
-            ox.ctypes.data, oy.ctypes.data, oz.ctypes.data,
-            oh.ctypes.data, orr.ctypes.data,
-            x1.ctypes.data, y1.ctypes.data, z1.ctypes.data,
-            x2.ctypes.data, y2.ctypes.data, x1.shape[0],
-            self._r2_words.ctypes.data, self._n_words.ctypes.data,
-            self.n0inv, self.w)
-        return ox, oy, oz, oh, orr
-
-    def jac2_dbl(self, x, y, z, a_row=None, c0_row=None):
-        x, y, z = self._prep(x), self._prep(y), self._prep(z)
-        ox = _np.empty_like(x)
-        oy = _np.empty_like(x)
-        oz = _np.empty_like(x)
-        self.lib.jac_dbl_fq2(
-            ox.ctypes.data, oy.ctypes.data, oz.ctypes.data,
-            x.ctypes.data, y.ctypes.data, z.ctypes.data, x.shape[0],
-            self._opt_ptr(a_row), self._opt_ptr(c0_row),
-            self._r2_words.ctypes.data, self._n_words.ctypes.data,
-            self.n0inv, self.w)
-        return ox, oy, oz
-
-    def jac2_add(self, x1, y1, z1, x2, y2, z2, c0_row=None):
-        x1, y1, z1 = self._prep(x1), self._prep(y1), self._prep(z1)
-        x2, y2, z2 = self._prep(x2), self._prep(y2), self._prep(z2)
-        ox = _np.empty_like(x1)
-        oy = _np.empty_like(x1)
-        oz = _np.empty_like(x1)
-        oh = _np.empty_like(x1)
-        orr = _np.empty_like(x1)
-        self.lib.jac_add_fq2(
-            ox.ctypes.data, oy.ctypes.data, oz.ctypes.data,
-            oh.ctypes.data, orr.ctypes.data,
-            x1.ctypes.data, y1.ctypes.data, z1.ctypes.data,
-            x2.ctypes.data, y2.ctypes.data, z2.ctypes.data, x1.shape[0],
-            self._opt_ptr(c0_row), self._r2_words.ctypes.data,
-            self._n_words.ctypes.data, self.n0inv, self.w)
-        return ox, oy, oz, oh, orr
-
-    def jac2_madd(self, x1, y1, z1, x2, y2, c0_row=None):
-        x1, y1, z1 = self._prep(x1), self._prep(y1), self._prep(z1)
-        x2, y2 = self._prep(x2), self._prep(y2)
-        ox = _np.empty_like(x1)
-        oy = _np.empty_like(x1)
-        oz = _np.empty_like(x1)
-        oh = _np.empty_like(x1)
-        orr = _np.empty_like(x1)
-        self.lib.jac_madd_fq2(
-            ox.ctypes.data, oy.ctypes.data, oz.ctypes.data,
-            oh.ctypes.data, orr.ctypes.data,
-            x1.ctypes.data, y1.ctypes.data, z1.ctypes.data,
-            x2.ctypes.data, y2.ctypes.data, x1.shape[0],
-            self._opt_ptr(c0_row), self._r2_words.ctypes.data,
-            self._n_words.ctypes.data, self.n0inv, self.w)
-        return ox, oy, oz, oh, orr
-
-    # -- sequential bucket fold over Montgomery rows -----------------------------
-    #
-    # Bucket planes in, the fold's one Jacobian total out as (3, w) —
-    # Fq2: (3, 2w) — Montgomery rows, plus the fold's own padd/pdbl
-    # tallies. Operand rows are only read; the result and the tally are
-    # allocated here, per call (buckets are witness-derived).
-
-    def _fold(self, kernel, x, y, z, *const_rows):
-        x, y = self._prep_pair(x, y)
-        x, z = self._prep_pair(x, z)
-        out = _np.empty((3, x.shape[1]), dtype="<u8")
+        Every operand's shape is checked before a pointer crosses: C is
+        told one lane count and one row width and reads exactly that
+        much of each plane."""
+        name, n_planes = _POINT_KERNELS[op, degree]
+        width = degree * self.w
+        planes = [self._prep(pl) for pl in planes]
+        n = planes[0].shape[0] if planes else 0
+        if len(planes) != n_planes or any(
+                pl.shape != (n, width) or pl.dtype != _np.uint64
+                for pl in planes):
+            raise ValueError(
+                f"point kernel {op!r} takes {n_planes} uint64 planes of "
+                f"one (n, {width}) shape, got "
+                f"{[(pl.shape, str(pl.dtype)) for pl in planes]}")
+        # the Fp kernels take (a), the Fq2 kernels (a, c0)
+        consts = [(a_row, width), (c0_row, self.w)][:degree]
+        if any(row is not None and (
+                row.shape != (words,) or row.dtype != _np.uint64
+                or not row.flags.c_contiguous) for row, words in consts):
+            raise ValueError(
+                "curve constant rows are contiguous uint64 word rows of "
+                "the kernel's width")
+        out = _np.empty((3, 1 if op == "fold" else n, width), dtype="<u8")
         tally = _np.zeros(2, dtype="<u8")
-        kernel(out.ctypes.data, tally.ctypes.data, x.ctypes.data,
-               y.ctypes.data, z.ctypes.data, x.shape[0],
-               *(self._opt_ptr(row) for row in const_rows),
-               self._n_words.ctypes.data, self.n0inv, self.w)
+        getattr(self.lib, name)(
+            out.ctypes.data, tally.ctypes.data,
+            *(pl.ctypes.data for pl in planes), n,
+            *(None if row is None else row.ctypes.data for row, _ in consts),
+            self.mont_one.ctypes.data, self._n_words.ctypes.data,
+            self.n0inv, self.w)
         return out, int(tally[0]), int(tally[1])
-
-    def bucket_fold(self, x, y, z, a_row=None):
-        return self._fold(self.lib.bucket_fold_fp, x, y, z, a_row)
-
-    def bucket_fold2(self, x, y, z, a_row=None, c0_row=None):
-        return self._fold(self.lib.bucket_fold_fq2, x, y, z, a_row, c0_row)
 
     # -- NTT / pointwise over raw rows ------------------------------------------
 

@@ -7,34 +7,37 @@ that is neither prime nor Fq2 = Fq[i]/(i^2 + c0)) gets ``None`` back
 and :class:`~repro.backend.numpy_limb.NumpyLimbBackend` runs the
 inherited scalar loop instead — there is no vectorized middle tier.
 :func:`_native_engine` is the one place that decides which native field
-serves a group.
+serves a group, and the engine it returns (:class:`_G1Lanes` for
+prime-field coordinates, :class:`_ExtLanes` for Fq2) is that group's
+whole arithmetic: the affine tree's lane ops and the Jacobian point
+kernels.
 
-* **Resident rows.** Points stay in word rows between calls, in two
-  forms. :class:`ResidentPoints` is an affine row as the bucket tree
-  reads it — one Montgomery ``(n, w)`` plane per coordinate coefficient
-  plus a ``None`` mask; the MSM checkpoint table is a list of them,
-  encoded once at setup. :class:`ResidentBuckets` is a Jacobian row as
-  the fused point kernels read it — raw canonical x/y/z word rows, z = 0
-  for infinity; sub-buckets, buckets and the preprocessing chain's
-  temporaries. Both are immutable read-only ``Sequence``s that decode
-  only what is read, so code that knows nothing about them still works.
-  The int <-> row boundary is crossed in three places only:
-  ``_PlaneLanes.load_points`` (affine ingress), the engines' ``rows``
-  (Jacobian ingress) and ``vals`` (egress).
+* **Resident rows.** Points stay in word rows between calls, always as
+  canonical **Montgomery** residues. :class:`ResidentPoints` is an
+  affine row — one ``(n, w)`` plane per coordinate coefficient plus a
+  ``None`` mask; the MSM checkpoint table is a list of them, encoded
+  once at setup. :class:`ResidentBuckets` is a Jacobian row — x/y/z
+  rows with the coefficient planes packed side by side, z = 0 for
+  infinity; sub-buckets, buckets and the preprocessing chain's
+  temporaries. The two differ by layout only (a G1 plane *is* a bucket
+  coordinate row, an Fq2 one is a concat/split), so nothing converts
+  when a point moves between the tree, the point kernels and the table.
+  Both are immutable read-only ``Sequence``s that decode only what is
+  read, so code that knows nothing about them still works. The
+  int <-> row boundary — and with it the raw <-> Montgomery one — is
+  crossed in two places only: the engine's ``rows`` (ingress) and
+  ``vals`` (egress).
 
-* **Batch Jacobian kernels** (:func:`batch_jdouble`, :func:`batch_jadd`,
-  :func:`batch_jmixed_add`) run the *same* formulas as
-  :class:`~repro.curves.weierstrass.CurveGroup` over bucket rows: raw
-  canonical word rows go straight into fused Jacobian kernels
-  (Montgomery encode -> formula -> decode all in-kernel, G1 prime-field
-  lanes and G2 Fq2 Karatsuba lanes), which return bit-identical
-  coordinates plus the Montgomery h/r planes whose zero tests route the
-  special lanes. Special cases (infinity, P == Q -> double, P == -Q ->
-  infinity) are resolved per lane with masks — rows are canonical, so
-  z == 0 / y == 0 are free, and the h/r zero tests are exact because
-  x -> x*R mod p is a bijection — keeping op-count parity exact. One
-  implementation serves both representations: a python list is lifted
-  through the rows' ingress and handed back through their egress.
+* **Batch Jacobian kernels** (:func:`batch_jdouble`, :func:`batch_jadd`)
+  are one C call each over bucket rows: a per-lane loop over the same
+  ``jpt_*`` doubling/addition the bucket fold uses, which *are*
+  :class:`~repro.curves.weierstrass.CurveGroup`'s formulas on
+  Montgomery residues. Special cases (infinity, P == Q -> double,
+  P == -Q -> infinity) are routed in C per lane on canonical words and
+  the kernel returns the padd/pdbl tallies the scalar formulas would
+  have booked, so coordinates and op counts are bit-identical to the
+  scalar loop. A python list is lifted through the rows' ingress and
+  handed back through their egress.
 
 * **Segmented bucket reduction** (:func:`_segmented_tree` behind
   :func:`accumulate_table_segmented` for a resident table's index
@@ -45,22 +48,20 @@ serves a group.
   round pairs adjacent same-bucket lanes and combines every pair with a
   single shared Montgomery batch inversion (one field inversion per
   round, 6 muls per combine instead of the ~11 of a mixed Jacobian
-  add). Field lanes are Montgomery-domain word rows (one plane for G1,
-  two Karatsuba planes for Fq2). Bucket results are group-equal to the
-  scalar fold's ((x, y, 1) Jacobian representatives) and PADD/PDBL
-  totals match the scalar schedule — see
+  add). Bucket results are group-equal to the scalar fold's ((x, y, 1)
+  Jacobian representatives) and PADD/PDBL totals match the scalar
+  schedule — see
   :meth:`repro.backend.base.ComputeBackend.accumulate_buckets` for the
   exact contract.
 
 * **Bucket fold** (:func:`bucket_reduce`): the ordered running-suffix
-  fold as one sequential C call that routes its own special cases and
-  returns its own tallies.
+  fold as one sequential C call over the same ``jpt_*`` functions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence as _Sequence
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backend import coverage as _coverage
 from repro.backend.native import get_native_field
@@ -76,14 +77,12 @@ __all__ = [
     "SEGMENTED_MIN_ENTRIES",
     "ResidentPoints",
     "ResidentBuckets",
-    "native_point_op_muls",
     "vectorizes",
     "resident_points",
     "batch_to_jacobian",
     "batch_from_jacobian",
     "batch_jdouble",
     "batch_jadd",
-    "batch_jmixed_add",
     "accumulate_buckets_segmented",
     "accumulate_table_segmented",
     "bucket_reduce",
@@ -98,7 +97,7 @@ MIN_VECTOR_LANES = 16
 SEGMENTED_MIN_ENTRIES = 64
 
 
-def _native_engine(group, prime_cls, fq2_cls):
+def _native_engine(group):
     """The one "which native field serves this group" rule: prime-field
     coordinates run over their own modulus, Fq2 = Fq[i]/(i^2 + c0)
     lanes over the base field's; anything else — or no loaded kernels
@@ -106,10 +105,10 @@ def _native_engine(group, prime_cls, fq2_cls):
     numpy or under ``REPRO_NATIVE=0``) — has no native engine."""
     o = group.ops
     if isinstance(o, IntFieldOps):
-        cls, modulus = prime_cls, o.field.modulus
+        cls, modulus = _G1Lanes, o.field.modulus
     elif (isinstance(o, ExtFieldOps) and o.field.degree == 2
           and o.field.modulus_coeffs[1] == 0):
-        cls, modulus = fq2_cls, o.field.base.modulus
+        cls, modulus = _ExtLanes, o.field.base.modulus
     else:
         return None
     nf = get_native_field(modulus)
@@ -188,12 +187,13 @@ class ResidentPoints(_ResidentRow):
 
 
 class ResidentBuckets(_ResidentRow):
-    """A row of Jacobian points as the fused point kernels read them:
-    raw canonical word rows ``x``/``y``/``z`` — ``(n, w)`` for G1,
-    packed ``(n, 2w)`` for Fq2 — with z = 0 marking infinity.
-    Sub-buckets, buckets and the preprocessing chain's temporaries are
-    these; bucket contents are witness-derived, so a row lives exactly
-    as long as the call that made it and is never cached."""
+    """A row of Jacobian points as the point kernels read them: word
+    rows ``x``/``y``/``z`` of canonical **Montgomery** residues —
+    ``(n, w)`` for G1, packed ``(n, 2w)`` ([c0 words | c1 words] per
+    lane) for Fq2 — with z = 0 marking infinity. Sub-buckets, buckets
+    and the preprocessing chain's temporaries are these; bucket
+    contents are witness-derived, so a row lives exactly as long as the
+    call that made it and is never cached."""
 
     __slots__ = ("eng", "x", "y", "z")
 
@@ -210,195 +210,27 @@ class ResidentBuckets(_ResidentRow):
                                self.z[index])
 
     def tolist(self) -> List:
-        vals = self.eng.vals
-        return list(zip(vals(self.x), vals(self.y), vals(self.z)))
-
-
-# -- native Jacobian engines (raw rows in, raw rows out) -----------------------
-
-
-class _JacNativeG1:
-    """Prime-field Jacobian lanes over the fused native kernels: raw
-    canonical word rows in, raw canonical rows out. Montgomery
-    encode/decode happens *inside* the C point kernels; the add
-    variants also return the h/r zero masks for the caller's
-    special-lane routing. ``rows``/``vals`` are the int <-> row ingress
-    and egress of :class:`ResidentBuckets`."""
-
-    def __init__(self, group, nf):
-        self.group = group
-        self.nf = nf
-        consts = group.formula_constants()
-        self._a_row = (None if consts["a_is_zero"]
-                       else nf.encode_const(consts["a"]))
-
-    def rows(self, vals):
-        return self.nf.words_from_ints(vals)
-
-    def vals(self, arr):
-        return self.nf.ints_from_words(arr)
-
-    def is_zero(self, arr):
-        return self.nf.is_zero(arr)
-
-    def tile(self, value: int, n: int):
-        """n raw rows of the field's 0 or 1."""
-        arr = _np.zeros((n, self.nf.w), dtype="<u8")
-        arr[:, 0] = value
-        return arr
-
-    def mont(self, arr):
-        """Raw rows -> the tree's Montgomery planes."""
-        return (self.nf.to_mont(arr),)
-
-    def raw(self, planes):
-        """The tree's Montgomery planes -> raw rows."""
-        return self.nf.from_mont(planes[0])
-
-    def jdouble(self, x, y, z):
-        return self.nf.jac_dbl(x, y, z, self._a_row)
-
-    def jadd(self, x1, y1, z1, x2, y2, z2):
-        nf = self.nf
-        ox, oy, oz, oh, orr = nf.jac_add(x1, y1, z1, x2, y2, z2)
-        return ox, oy, oz, nf.is_zero(oh), nf.is_zero(orr)
-
-    def jmadd(self, x1, y1, z1, x2, y2):
-        nf = self.nf
-        ox, oy, oz, oh, orr = nf.jac_madd(x1, y1, z1, x2, y2)
-        return ox, oy, oz, nf.is_zero(oh), nf.is_zero(orr)
-
-    def fold(self, x, y, z):
-        """The sequential C bucket fold: raw bucket rows in, the raw
-        ``(3, w)`` rows of the one Jacobian total and the fold's own
-        padd/pdbl tallies out."""
-        nf = self.nf
-        out, n_padd, n_pdbl = nf.bucket_fold(
-            nf.to_mont(x), nf.to_mont(y), nf.to_mont(z), self._a_row)
-        return nf.from_mont(out), n_padd, n_pdbl
-
-
-class _JacNativeFq2:
-    """Fq2 = Fq[i]/(i^2 + c0) Jacobian lanes: packed (n, 2w) word rows
-    ([c0 words | c1 words] per lane) through the Karatsuba fq2 kernels.
-    Same raw-in/raw-out contract as :class:`_JacNativeG1`."""
-
-    def __init__(self, group, nf):
-        self.group = group
-        self.nf = nf
-        self.field = group.ops.field
-        c0 = self.field.modulus_coeffs[0]
-        self._c0_row = None if c0 == 1 else nf.encode_const(c0)
-        consts = group.formula_constants()
-        if consts["a_is_zero"]:
-            self._a_row = None
-        else:
-            a0, a1 = consts["a"].coeffs
-            self._a_row = _np.ascontiguousarray(
-                _np.concatenate([nf.encode_const(a0), nf.encode_const(a1)]))
-
-    def rows(self, vals):
-        nf = self.nf
-        return _np.ascontiguousarray(_np.concatenate(
-            [nf.words_from_ints([v.coeffs[0] for v in vals]),
-             nf.words_from_ints([v.coeffs[1] for v in vals])], axis=1))
-
-    def vals(self, arr):
-        nf, w = self.nf, self.nf.w
-        c0s = nf.ints_from_words(_np.ascontiguousarray(arr[:, :w]))
-        c1s = nf.ints_from_words(_np.ascontiguousarray(arr[:, w:]))
-        element = self.field.element
-        return [element([a, b]) for a, b in zip(c0s, c1s)]
-
-    def is_zero(self, arr):
-        return self.nf.is_zero(arr)
-
-    def tile(self, value: int, n: int):
-        arr = _np.zeros((n, 2 * self.nf.w), dtype="<u8")
-        arr[:, 0] = value
-        return arr
-
-    def mont(self, arr):
-        nf, w = self.nf, self.nf.w
-        return nf.to_mont(arr[:, :w]), nf.to_mont(arr[:, w:])
-
-    def raw(self, planes):
-        nf = self.nf
-        return _np.concatenate([nf.from_mont(planes[0]),
-                                nf.from_mont(planes[1])], axis=1)
-
-    def jdouble(self, x, y, z):
-        return self.nf.jac2_dbl(x, y, z, self._a_row, self._c0_row)
-
-    def jadd(self, x1, y1, z1, x2, y2, z2):
-        nf = self.nf
-        ox, oy, oz, oh, orr = nf.jac2_add(x1, y1, z1, x2, y2, z2,
-                                          self._c0_row)
-        return ox, oy, oz, nf.is_zero(oh), nf.is_zero(orr)
-
-    def jmadd(self, x1, y1, z1, x2, y2):
-        nf = self.nf
-        ox, oy, oz, oh, orr = nf.jac2_madd(x1, y1, z1, x2, y2, self._c0_row)
-        return ox, oy, oz, nf.is_zero(oh), nf.is_zero(orr)
-
-    def fold(self, x, y, z):
-        nf, w = self.nf, self.nf.w
-
-        def halves(packed, convert):  # a packed (n, 2w) row is two w-rows
-            flat = _np.ascontiguousarray(packed).reshape(-1, w)
-            return convert(flat).reshape(packed.shape)
-
-        out, n_padd, n_pdbl = nf.bucket_fold2(
-            halves(x, nf.to_mont), halves(y, nf.to_mont),
-            halves(z, nf.to_mont), self._a_row, self._c0_row)
-        return halves(out, nf.from_mont), n_padd, n_pdbl
-
-
-def _jac_engine(group):
-    """The native Jacobian lane engine for this group, or None when
-    the compiled kernels cannot serve it."""
-    return _native_engine(group, _JacNativeG1, _JacNativeFq2)
-
-
-def native_point_op_muls(group) -> Optional[Dict[str, int]]:
-    """Base-field-mul cost per point op on the native Jacobian floor —
-    the formula muls plus the fused encode/decode conversions each
-    kernel performs — or None when this group cannot run native. The
-    autotuner prices its (k, M) search with these so the knee reflects
-    the kernels the pipeline actually runs; every (k, M) choice is
-    bit-identity-preserving, so this shifts only throughput."""
-    if _jac_engine(group) is None:
-        return None
-    consts = group.formula_constants()
-    dbl_extra = 0 if consts["a_is_zero"] else 3  # z^2, (z^2)^2, *a
-    return {
-        # conversions: jdouble encodes 3 rows + decodes 3; jadd 6 + 3;
-        # jmixed 5 + 3 (counting per coordinate row, Fq2 scales by the
-        # engine's existing fq_mul_factor)
-        "pdbl": consts["pdbl_fq_muls"] + dbl_extra + 6,
-        "padd": consts["padd_fq_muls"] + 9,
-        "pmixed": consts["pmixed_fq_muls"] + 8,
-    }
+        # one egress for all three coordinates
+        n = len(self)
+        vals = self.eng.vals(_np.concatenate([self.x, self.y, self.z]))
+        return list(zip(vals[:n], vals[n:2 * n], vals[2 * n:]))
 
 
 # -- batch Jacobian kernels ----------------------------------------------------
 #
-# One implementation each, over bucket rows. A python list of Jacobian
-# tuples is lifted through the rows' ingress and the result handed back
-# through their egress; a resident operand keeps the result resident.
+# Each is lift -> one kernel call -> booked tallies, over bucket rows. A
+# python list of Jacobian tuples is lifted through the rows' ingress and
+# the result handed back through their egress; a resident operand keeps
+# the result resident.
 
 
 def _lift_buckets(eng, pts) -> ResidentBuckets:
     if isinstance(pts, ResidentBuckets):
         return pts
-    return ResidentBuckets(eng, eng.rows([p[0] for p in pts]),
-                           eng.rows([p[1] for p in pts]),
-                           eng.rows([p[2] for p in pts]))
-
-
-def _infinity_rows(eng, n: int):
-    """n lanes of the scalar formulas' infinity, (1, 1, 0)."""
-    return eng.tile(1, n), eng.tile(1, n), eng.tile(0, n)
+    # one ingress for all three coordinates, as tolist's one egress
+    n = len(pts)
+    rows = eng.rows([p[k] for k in range(3) for p in pts])
+    return ResidentBuckets(eng, rows[:n], rows[n:2 * n], rows[2 * n:])
 
 
 def _book(group, n_padd: int, n_pdbl: int = 0) -> None:
@@ -406,71 +238,6 @@ def _book(group, n_padd: int, n_pdbl: int = 0) -> None:
         group._count("padd", n_padd)
     if n_pdbl:
         group._count("pdbl", n_pdbl)
-
-
-def _jdouble_rows(group, eng, p: ResidentBuckets) -> ResidentBuckets:
-    act = _np.flatnonzero(~(eng.is_zero(p.z) | eng.is_zero(p.y)))
-    if act.size == len(p):
-        out = eng.jdouble(p.x, p.y, p.z)
-    else:
-        out = _infinity_rows(eng, len(p))  # scalar early return: no counts
-        if act.size:
-            for dst, src in zip(out, eng.jdouble(p.x[act], p.y[act],
-                                                 p.z[act])):
-                dst[act] = src
-    _book(group, int(act.size), int(act.size))  # scalar jdouble counts both
-    return ResidentBuckets(eng, *out)
-
-
-def _route_added(group, eng, p, out, idx, res, hz, rz) -> None:
-    """Write the add/mixed-add kernel outputs ``res`` of lanes ``idx``
-    into ``out``, routing the masked special lanes exactly like the
-    scalar formulas: h == 0 and r == 0 is P == Q (the self-counting
-    double), h == 0 alone is P == -Q (infinity, count-free); the normal
-    lanes' padds are bulk-counted."""
-    for dst, src in zip(out, res):
-        dst[idx] = src
-    if hz.any():
-        cancel = idx[hz & ~rz]
-        for dst, src in zip(out, _infinity_rows(eng, cancel.size)):
-            dst[cancel] = src
-        same = idx[hz & rz]
-        if same.size:
-            doubled = _jdouble_rows(group, eng, p._take(same))
-            for dst, src in zip(out, (doubled.x, doubled.y, doubled.z)):
-                dst[same] = src
-    _book(group, int(hz.size - hz.sum()))
-
-
-def _jadd_rows(group, eng, p: ResidentBuckets,
-               q: ResidentBuckets) -> ResidentBuckets:
-    pinf, qinf = eng.is_zero(p.z), eng.is_zero(q.z)
-    # infinity + Q = Q and P + infinity = P, both count-free
-    out = tuple(_np.where(pinf[:, None], b, a)
-                for a, b in zip((p.x, p.y, p.z), (q.x, q.y, q.z)))
-    idx = _np.flatnonzero(~(pinf | qinf))
-    if idx.size:
-        *res, hz, rz = eng.jadd(p.x[idx], p.y[idx], p.z[idx],
-                                q.x[idx], q.y[idx], q.z[idx])
-        _route_added(group, eng, p, out, idx, res, hz, rz)
-    return ResidentBuckets(eng, *out)
-
-
-def _jmadd_rows(group, eng, p: ResidentBuckets, qx, qy,
-                qnone) -> ResidentBuckets:
-    pinf = eng.is_zero(p.z)
-    out = (_np.array(p.x), _np.array(p.y), _np.array(p.z))  # P + None = P
-    lift = _np.flatnonzero(pinf & ~qnone)  # infinity + Q = to_jacobian(Q)
-    if lift.size:
-        for dst, src in zip(out, (qx[lift], qy[lift],
-                                  eng.tile(1, lift.size))):
-            dst[lift] = src
-    idx = _np.flatnonzero(~(pinf | qnone))
-    if idx.size:
-        *res, hz, rz = eng.jmadd(p.x[idx], p.y[idx], p.z[idx],
-                                 qx[idx], qy[idx])
-        _route_added(group, eng, p, out, idx, res, hz, rz)
-    return ResidentBuckets(eng, *out)
 
 
 def vectorizes(*rows: Sequence) -> bool:
@@ -482,8 +249,8 @@ def vectorizes(*rows: Sequence) -> bool:
 
 
 def _engine_or_note(group):
-    """The Jacobian engine with the coverage tally noted either way."""
-    eng = _jac_engine(group)
+    """The native engine with the coverage tally noted either way."""
+    eng = _native_engine(group)
     _coverage.note("jacobian", "fallback" if eng is None else "native")
     return eng
 
@@ -497,55 +264,36 @@ def batch_jdouble(group, points: Sequence) -> Optional[Sequence]:
     if eng is None:
         return None
     p = _lift_buckets(eng, points)
-    out = _jdouble_rows(group, eng, p)
+    out = eng.point_op("dbl", p)
     return out if p is points else out.tolist()
 
 
 def batch_jadd(group, ps: Sequence, qs: Sequence) -> Optional[Sequence]:
-    """SoA pairwise Jacobian addition; bit-identical to the scalar
-    loop (None without a native engine, as :func:`batch_jdouble`).
-    Doubling lanes (u1 == u2, s1 == s2) go through the doubling kernel
-    and are counted as the scalar ``jdouble`` counts itself."""
+    """SoA pairwise Jacobian addition of two equal-length rows;
+    bit-identical to the scalar loop (None without a native engine, as
+    :func:`batch_jdouble`). Doubling lanes (u1 == u2, s1 == s2) take
+    the doubling in C and are counted as the scalar ``jdouble`` counts
+    itself; the rows may be the same object."""
     eng = _engine_or_note(group)
     if eng is None:
         return None
     p, q = _lift_buckets(eng, ps), _lift_buckets(eng, qs)
-    out = _jadd_rows(group, eng, p, q)
+    out = eng.point_op("add", p, q)
     return out if p is ps or q is qs else out.tolist()
-
-
-def batch_jmixed_add(group, ps: Sequence, qs: Sequence) -> Optional[List]:
-    """SoA pairwise Jacobian += affine addition over python lists;
-    bit-identical to the scalar loop (same special-case routing and
-    None contract as :func:`batch_jadd`)."""
-    eng = _engine_or_note(group)
-    if eng is None:
-        return None
-    zero = group.ops.zero
-    qnone = _np.fromiter((q is None for q in qs), dtype=bool, count=len(qs))
-    qx = eng.rows([zero if q is None else q[0] for q in qs])
-    qy = eng.rows([zero if q is None else q[1] for q in qs])
-    return _jmadd_rows(group, eng, _lift_buckets(eng, ps), qx, qy,
-                       qnone).tolist()
 
 
 def bucket_reduce(group, buckets: Sequence):
     """Bucket-reduction sum_j (j+1)*B_j in one call into the sequential
     C fold — ``running += B_j; total += running``, last bucket first,
     the formulas, operand order and special-case routing of
-    :func:`repro.msm.pippenger.bucket_reduce` — booking the fold's own
-    padd/pdbl tallies through ``group._count``. A python list is lifted
-    through the bucket rows' ingress into the same kernel. None without
-    a native engine."""
+    :func:`repro.msm.pippenger.bucket_reduce`, bit for bit — booking
+    the fold's own padd/pdbl tallies through ``group._count``. A python
+    list is lifted through the bucket rows' ingress into the same
+    kernel. None without a native engine."""
     eng = _engine_or_note(group)
     if eng is None:
         return None
-    b = _lift_buckets(eng, buckets)
-    raw, n_padd, n_pdbl = eng.fold(b.x, b.y, b.z)
-    _book(group, n_padd, n_pdbl)
-    x, y, z = eng.vals(raw)
-    o = group.ops
-    return (o.one, o.one, o.zero) if o.is_zero(z) else (x, y, z)
+    return eng.point_op("fold", _lift_buckets(eng, buckets))[0]
 
 
 # -- affine <-> Jacobian over resident rows ------------------------------------
@@ -557,7 +305,7 @@ def resident_points(group, points: Sequence) -> Optional[ResidentPoints]:
     the same object. None without a native engine."""
     if isinstance(points, ResidentPoints):
         return points
-    eng = _lane_engine(group)
+    eng = _native_engine(group)
     if eng is None:
         return None
     inf = _np.fromiter((p is None for p in points), dtype=bool,
@@ -572,16 +320,17 @@ def resident_points(group, points: Sequence) -> Optional[ResidentPoints]:
 def batch_to_jacobian(group, points: ResidentPoints
                       ) -> Optional[ResidentBuckets]:
     """``to_jacobian`` of a resident affine row as bucket rows (z = 1,
-    or (1, 1, 0) on the ``None`` lanes)."""
-    eng = _jac_engine(group)
+    or (1, 1, 0) on the ``None`` lanes): the table's planes packed, no
+    arithmetic."""
+    eng = _native_engine(group)
     if eng is None:
         return None
-    n = len(points)
-    x, y, z = eng.raw(points.X), eng.raw(points.Y), eng.tile(1, n)
-    dead = _np.flatnonzero(points.inf)
-    if dead.size:
-        for dst, src in zip((x, y, z), _infinity_rows(eng, dead.size)):
-            dst[dead] = src
+    one = eng.pack(eng.ones(len(points)))
+    x, y, z = eng.pack(points.X), eng.pack(points.Y), one
+    if points.inf.any():
+        dead = points.inf[:, None]
+        x, y = _np.where(dead, one, x), _np.where(dead, one, y)
+        z = _np.where(dead, _np.zeros_like(one), one)
     return ResidentBuckets(eng, x, y, z)
 
 
@@ -589,15 +338,15 @@ def batch_from_jacobian(group, jps: ResidentBuckets
                         ) -> Optional[ResidentPoints]:
     """``from_jacobian`` of a bucket row as a resident affine row: one
     batch inversion of the z plane (a single field inversion) instead
-    of one per point, then x/z^2 and y/z^3 on Montgomery planes."""
-    eng = _lane_engine(group)
+    of one per point, then x/z^2 and y/z^3 on the row's own planes."""
+    eng = _native_engine(group)
     if eng is None:
         return None
-    inf = jps.eng.is_zero(jps.z)
-    X, Y, Z = (jps.eng.mont(plane) for plane in (jps.x, jps.y, jps.z))
-    dead = _np.flatnonzero(inf)
-    if dead.size:  # park infinity lanes at one: every row must invert
-        eng.set_rows(Z, dead, eng.ones(int(dead.size)))
+    X, Y, Z = (eng.split(row) for row in (jps.x, jps.y, jps.z))
+    inf = eng.is_zero(Z)
+    if inf.any():  # park infinity lanes at one: every row must invert
+        Z = tuple(_np.where(inf[:, None], o, z)
+                  for o, z in zip(eng.ones(len(jps)), Z))
     if len(jps):
         zinv = eng.invert(Z)
         zinv2 = eng.mul(zinv, zinv)
@@ -606,40 +355,82 @@ def batch_from_jacobian(group, jps: ResidentBuckets
     return ResidentPoints(eng, X, Y, inf)
 
 
-# -- segmented bucket reduction (native Montgomery lanes) ----------------------
+# -- the native engines (Montgomery lanes) -------------------------------------
 
 
 class _PlaneLanes:
-    """Coordinate vectors as tuples of (n, w) Montgomery word planes
-    (one plane for G1, two for Fq2), plus the structural helpers the
-    tree needs. Subclasses supply the field arithmetic; point I/O is
-    shared via the ops' ``coeffs``/``from_coeffs`` SoA adapters."""
+    """One group's arithmetic on the native field ``nf``, everything in
+    the Montgomery domain. The affine tree works on *planes* — a
+    coordinate vector is a tuple of ``(n, w)`` rows, one per base-field
+    coefficient (one for G1, two for Fq2) — and the Jacobian point
+    kernels on *packed rows*, the same planes side by side
+    (:meth:`pack`/:meth:`split`). This base class holds the int
+    boundary (:meth:`rows`/:meth:`vals`), the point-kernel call and the
+    structural helpers the tree needs; subclasses supply the field
+    arithmetic on planes and the curve's constant rows."""
 
     nplanes = 1
+    #: the curve's Montgomery constant rows as the point kernels take
+    #: them: (a,) over Fp, (a packed, c0) over Fq2; None = a == 0 / c0 == 1
+    curve_rows: tuple
+
+    def rows(self, vals):
+        """The ingress: coordinate-field values -> packed Montgomery
+        rows."""
+        n, k = len(vals), self.nplanes
+        if k > 1:  # a prime-field value is its own one coefficient
+            coeffs = self.group.ops.coeffs
+            vals = [c for v in vals for c in coeffs(v)]
+        return self.nf.encode(vals).reshape(n, k * self.nf.w)
+
+    def vals(self, arr):
+        """The egress: packed Montgomery rows -> coordinate-field
+        values."""
+        k = self.nplanes
+        flat = self.nf.decode(
+            _np.ascontiguousarray(arr).reshape(-1, self.nf.w))
+        if k == 1:
+            return flat
+        from_coeffs = self.group.ops.from_coeffs
+        return [from_coeffs(flat[i:i + k]) for i in range(0, len(flat), k)]
+
+    def pack(self, planes):
+        return (planes[0] if self.nplanes == 1
+                else _np.concatenate(planes, axis=1))
+
+    def split(self, row):
+        w = self.nf.w
+        return tuple(_np.ascontiguousarray(row[:, k * w:(k + 1) * w])
+                     for k in range(self.nplanes))
 
     def load_points(self, pts):
-        o = self.group.ops
-        nf = self.nf
-        xs = [o.coeffs(p[0]) for p in pts]
-        ys = [o.coeffs(p[1]) for p in pts]
-        X = tuple(nf.encode([c[k] for c in xs]) for k in range(self.nplanes))
-        Y = tuple(nf.encode([c[k] for c in ys]) for k in range(self.nplanes))
-        return X, Y
+        return (self.split(self.rows([p[0] for p in pts])),
+                self.split(self.rows([p[1] for p in pts])))
 
     def decode(self, X, Y):
-        o = self.group.ops
-        nf = self.nf
-        xp = [nf.decode(pl) for pl in X]
-        yp = [nf.decode(pl) for pl in Y]
-        return [
-            (o.from_coeffs(tuple(p[i] for p in xp)),
-             o.from_coeffs(tuple(p[i] for p in yp)))
-            for i in range(len(xp[0]))
-        ]
+        return list(zip(self.vals(self.pack(X)), self.vals(self.pack(Y))))
+
+    def point_op(self, op: str, *rows: ResidentBuckets) -> ResidentBuckets:
+        """One Jacobian kernel call (``NativeField.point_op``) over
+        bucket rows, its padd/pdbl tallies booked once: the doubled or
+        pairwise-added row, or the fold's total as a row of one."""
+        out, n_padd, n_pdbl = self.nf.point_op(
+            op, self.nplanes, [pl for r in rows for pl in (r.x, r.y, r.z)],
+            *self.curve_rows)
+        _book(self.group, n_padd, n_pdbl)
+        return ResidentBuckets(self, *out)
 
     @staticmethod
     def nrows(c) -> int:
         return c[0].shape[0]
+
+    def add_a(self, c):
+        """c + a on planes (the tangent slope's numerator)."""
+        a_row = self.curve_rows[0]
+        if a_row is None:
+            return c
+        return self.add(c, self.split(_np.broadcast_to(
+            a_row, (self.nrows(c), a_row.shape[0]))))
 
     @staticmethod
     def gather(c, idx):
@@ -714,9 +505,8 @@ class _G1Lanes(_PlaneLanes):
         self.group = group
         self.nf = nf
         consts = group.formula_constants()
-        self._a_zero = consts["a_is_zero"]
-        if not self._a_zero:
-            self._a_row = nf.encode_const(consts["a"])
+        self.curve_rows = (None if consts["a_is_zero"]
+                           else nf.encode_const(consts["a"]),)
 
     def mul(self, a, b):
         return (self.nf.mul(a[0], b[0]),)
@@ -737,13 +527,6 @@ class _G1Lanes(_PlaneLanes):
         arr = _np.empty((n, self.nf.w), dtype=_np.uint64)
         arr[:] = self.nf.mont_one
         return (arr,)
-
-    def add_a(self, c):
-        if self._a_zero:
-            return c
-        tile = _np.empty_like(c[0])
-        tile[:] = self._a_row
-        return (self.nf.add(c[0], tile),)
 
     def inv_root(self, c):
         v = self.nf.decode_one(c[0][0])
@@ -772,14 +555,11 @@ class _ExtLanes(_PlaneLanes):
         self.nf = nf
         self.field = group.ops.field
         c0 = self.field.modulus_coeffs[0]
-        self._c0_is_one = c0 == 1
-        if not self._c0_is_one:
-            self._c0_row = nf.encode_const(c0)
+        c0_row = None if c0 == 1 else nf.encode_const(c0)
         consts = group.formula_constants()
-        self._a_zero = consts["a_is_zero"]
-        if not self._a_zero:
-            a0, a1 = consts["a"].coeffs
-            self._a_rows = (nf.encode_const(a0), nf.encode_const(a1))
+        a_row = (None if consts["a_is_zero"] else _np.concatenate(
+            [nf.encode_const(c) for c in consts["a"].coeffs]))
+        self.curve_rows = (a_row, c0_row)
 
     def mul(self, a, b):
         nf = self.nf
@@ -787,13 +567,10 @@ class _ExtLanes(_PlaneLanes):
         t2 = nf.mul(a[1], b[1])
         t1 = nf.mul(nf.add(a[0], a[1]), nf.add(b[0], b[1]))
         t1 = nf.sub(nf.sub(t1, t0), t2)
-        if self._c0_is_one:
-            r0 = nf.sub(t0, t2)
-        else:
-            tile = _np.empty_like(t2)
-            tile[:] = self._c0_row
-            r0 = nf.sub(t0, nf.mul(t2, tile))
-        return (r0, t1)
+        c0_row = self.curve_rows[1]
+        if c0_row is not None:
+            t2 = nf.mul_const(t2, c0_row)
+        return (nf.sub(t0, t2), t1)
 
     def add(self, a, b):
         return (self.nf.add(a[0], b[0]), self.nf.add(a[1], b[1]))
@@ -812,27 +589,11 @@ class _ExtLanes(_PlaneLanes):
         c0[:] = self.nf.mont_one
         return (c0, _np.zeros((n, self.nf.w), dtype=_np.uint64))
 
-    def add_a(self, c):
-        if self._a_zero:
-            return c
-        outs = []
-        for plane, row in zip(c, self._a_rows):
-            tile = _np.empty_like(plane)
-            tile[:] = row
-            outs.append(self.nf.add(plane, tile))
-        return tuple(outs)
-
     def inv_root(self, c):
         a0 = self.nf.decode_one(c[0][0])
         a1 = self.nf.decode_one(c[1][0])
         inv = self.field.element([a0, a1]).inverse()
         return tuple(self.nf.encode_const(c)[None, :] for c in inv.coeffs)
-
-
-def _lane_engine(group):
-    """The native Montgomery-plane lane engine (the bucket tree's and
-    :class:`ResidentPoints`' arithmetic) for this group, or None."""
-    return _native_engine(group, _G1Lanes, _ExtLanes)
 
 
 def _segmented_tree(eng, group, curb, X, Y, fold_flagged):
@@ -970,11 +731,9 @@ def accumulate_buckets_segmented(group, buckets: List,
     items = [(idx, pt) for idx, pt in entries if pt is not None]
     if len(items) < SEGMENTED_MIN_ENTRIES:
         return None
-    eng = _lane_engine(group)
+    eng = _engine_or_note(group)
     if eng is None:
-        _coverage.note("jacobian", "fallback")
         return None
-    _coverage.note("jacobian", "native")
     idxs = _np.fromiter((i for i, _ in items), dtype=_np.int64, count=len(items))
     order = _stable_argsort(idxs, len(buckets))
     X, Y = eng.load_points([items[int(k)][1] for k in order])
@@ -1052,12 +811,11 @@ def accumulate_table_segmented(group, table: Sequence, n_slots: int,
     slots = _np.asarray(slot_idx, dtype=_np.int64)
     if slots.size < SEGMENTED_MIN_ENTRIES:
         return None
-    eng = _lane_engine(group)
+    eng = _native_engine(group)
     if eng is None or not all(isinstance(r, ResidentPoints) for r in table):
         _coverage.note("jacobian", "fallback")
         return None
     _coverage.note("jacobian", "native")
-    jeng = _jac_engine(group)
     rows = _np.asarray(row_idx, dtype=_np.int64)
     cols = _np.asarray(col_idx, dtype=_np.int64)
     if any(r.inf.any() for r in table):  # a None point adds nothing
@@ -1080,12 +838,15 @@ def accumulate_table_segmented(group, table: Sequence, n_slots: int,
                                          table[rows[j]][cols[j]])
 
     ids, X, Y = _segmented_tree(eng, group, slots[order], X, Y, fold_flagged)
-    x, y, z = _infinity_rows(jeng, n_slots)
+    # every bucket starts as the scalar fold's infinity, (1, 1, 0); the
+    # survivors land as (x, y, 1), their tree planes packed as they are
+    x = eng.pack(eng.ones(n_slots))
+    y, z = x.copy(), _np.zeros_like(x)
     if ids.size:  # count-free, like the scalar fold's first assignment
-        x[ids], y[ids], z[ids] = jeng.raw(X), jeng.raw(Y), jeng.tile(
-            1, ids.size)
+        x[ids], y[ids] = eng.pack(X), eng.pack(Y)
+        z[ids] = eng.pack(eng.ones(ids.size))
     if folded:
         ids = _np.fromiter(folded, dtype=_np.int64, count=len(folded))
         for k, dst in enumerate((x, y, z)):
-            dst[ids] = jeng.rows([p[k] for p in folded.values()])
-    return ResidentBuckets(jeng, x, y, z)
+            dst[ids] = eng.rows([p[k] for p in folded.values()])
+    return ResidentBuckets(eng, x, y, z)

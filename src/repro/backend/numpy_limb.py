@@ -43,6 +43,7 @@ from repro.analysis.declass import declassify
 from repro.backend import coverage as _coverage
 from repro.backend.base import ComputeBackend
 from repro.backend.native import get_native_field
+from repro.errors import CurveError
 
 try:  # numpy ships with the repo's environment, but stay importable without
     import numpy as _np
@@ -666,6 +667,7 @@ class NumpyLimbBackend(ComputeBackend):
     def batch_jadd(self, group, ps: Sequence, qs: Sequence) -> Sequence:
         from repro.backend import numpy_curve as _nc
 
+        self._check_pair(ps, qs, CurveError)
         if _nc.vectorizes(ps, qs):
             out = _nc.batch_jadd(group, ps, qs)
             if out is not None:
@@ -673,10 +675,21 @@ class NumpyLimbBackend(ComputeBackend):
         return super().batch_jadd(group, ps, qs)
 
     def batch_jmixed_add(self, group, ps: Sequence, qs: Sequence) -> List:
+        """The affine operands lifted to Jacobian (z = 1) into the
+        ``jadd`` kernel: ``jmixed_add`` *is* ``jadd`` with z2 = 1 —
+        same u/s/h/r values, same routing, same single padd — so there
+        is no mixed-add kernel. A ``None`` lifts to p's own x/y with
+        z = 0: ``jadd`` hands p back for it, and when p is infinite too
+        hands back q — which is then p again, as ``jmixed_add``
+        returns."""
         from repro.backend import numpy_curve as _nc
 
+        self._check_pair(ps, qs, CurveError)
         if len(ps) >= _nc.MIN_VECTOR_LANES:
-            out = _nc.batch_jmixed_add(group, ps, qs)
+            o = group.ops
+            out = _nc.batch_jadd(group, ps, [
+                (p[0], p[1], o.zero) if q is None else (q[0], q[1], o.one)
+                for p, q in zip(ps, qs)])
             if out is not None:
                 return out
         return super().batch_jmixed_add(group, ps, qs)

@@ -346,26 +346,13 @@ class GzkpMsm:
         return self._plan_with_cfg(n, cfg, stats)
 
     def _plan_with_cfg(self, n: int, cfg: GzkpMsmConfig,
-                       stats: Optional[DigitStats],
-                       point_muls: Optional[dict] = None) -> Trace:
+                       stats: Optional[DigitStats]) -> Trace:
         k, m, w = cfg.window, cfg.interval, cfg.n_windows
         if stats is None:
             stats = DigitStats.dense_model(n, self.scalar_bits, k)
         bits = coord_bits(self.group)
         backend = self._backend()
         trace = Trace()
-
-        # Per-op base-field mul costs: the paper's formula constants by
-        # default, or the native Jacobian kernel floor (formula muls +
-        # fused encode/decode) when the autotuner prices a (k, M)
-        # search against the kernels the pipeline actually runs.
-        pmixed_muls = cost.PMIXED_MULS
-        pdbl_muls = cost.PDBL_MULS
-        padd_muls = cost.PADD_MULS
-        if point_muls is not None:
-            pmixed_muls = point_muls["pmixed"]
-            pdbl_muls = point_muls["pdbl"]
-            padd_muls = point_muls["padd"]
 
         # Point-merging: one mixed PADD per non-zero digit.
         merge_padds = stats.nonzero_digits
@@ -376,9 +363,9 @@ class GzkpMsm:
         # Bucket-reduction: running sum, 2 PADDs per bucket.
         reduce_padds = 2 * n_buckets
         gpu_muls = (
-            merge_padds * pmixed_muls
-            + fold_dbls * pdbl_muls
-            + (fold_adds + reduce_padds) * padd_muls
+            merge_padds * cost.PMIXED_MULS
+            + fold_dbls * cost.PDBL_MULS
+            + (fold_adds + reduce_padds) * cost.PADD_MULS
         )
         trace.add_gpu_muls(bits, gpu_muls * self.fq_mul_factor, backend)
         trace.add_gpu_adds(

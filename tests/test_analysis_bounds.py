@@ -55,34 +55,33 @@ def test_native_mont_certificate_mirrors_loader_gate():
     assert width.limit == native.MAX_WORDS - 1
 
 
-FOLD_CHECKS = ("fold/scratch-width", "fold/mont-closure",
-               "fold/discriminant-exact", "fold/add-mul-parity",
-               "fold/dbl-mul-parity", "fold/dbl-a-mul-parity")
+POINT_KERNEL_CHECKS = ("scratch-width", "mont-closure", "discriminant-exact",
+                       "add-mul-parity", "dbl-mul-parity",
+                       "dbl-a-mul-parity")
 
 
 @pytest.mark.parametrize("modulus", ALL_FIELDS)
 def test_native_jacobian_certificate_covers_the_bucket_fold(modulus):
-    """The sequential C fold branches on word compares and does no
-    conversion: its gates (scratch width, canonicality closure,
-    discriminant exactness) and its replayed mul counts — exactly the
-    formulas' 16 / 7 / 7+3 — are part of the certificate."""
+    """The lane loops and the sequential fold run the same ``jpt_*``
+    functions, which branch on word compares and do no conversion: one
+    set of gates (scratch width, canonicality closure, discriminant
+    exactness) and one replay of the mul counts — exactly the formulas'
+    16 / 7 / 7+3 — covers them all, each stated once."""
     from repro.analysis.bounds import certify_native_jacobian
     from repro.backend import native
     from repro.curves.weierstrass import CurveGroup
 
     cert = certify_native_jacobian("m", modulus)
     assert cert.ok, [v.name for v in cert.violations()]
-    for name in FOLD_CHECKS:
+    for name in POINT_KERNEL_CHECKS:
         check = cert.check(name)
         assert check is not None and check.ok, name
-    assert cert.check("fold/scratch-width").limit == native.MAX_WORDS - 1
-    assert cert.params["fold_muls"] == {
+    names = [c.name for c in cert.checks]
+    assert len(names) == len(set(names)) and not any("/" in n for n in names)
+    assert cert.check("scratch-width").limit == native.MAX_WORDS - 1
+    assert cert.params["native_muls"] == {
         "padd": CurveGroup.PADD_FQ_MULS, "pdbl": CurveGroup.PDBL_FQ_MULS,
         "pdbl_a": CurveGroup.PDBL_FQ_MULS + 3}
-    # zero fused conversions: the batch kernels pay 9 / 6 on top
-    fused = cert.params["native_muls"]
-    assert fused["padd"] - cert.params["fold_muls"]["padd"] == 9
-    assert fused["pdbl"] - cert.params["fold_muls"]["pdbl"] == 6
 
 
 def test_native_jacobian_fold_checks_reject_bad_moduli():
@@ -90,10 +89,10 @@ def test_native_jacobian_fold_checks_reject_bad_moduli():
 
     bad = {v.name for v in certify_native_jacobian(
         "even", (1 << 64) - 2).violations()}
-    assert "fold/discriminant-exact" in bad
+    assert "discriminant-exact" in bad
     bad = {v.name for v in certify_native_jacobian(
         "huge", (1 << (64 * 31)) - 3).violations()}
-    assert "fold/scratch-width" in bad
+    assert "scratch-width" in bad
 
 
 def test_native_mont_rejects_even_and_oversized_moduli():

@@ -25,7 +25,6 @@ def private_cache(tmp_path, monkeypatch):
 def test_msm_search_beats_or_matches_defaults(private_cache):
     """The joint (k, M) search must never model slower than the
     profiler default it replaces."""
-    from repro.backend.autotune import _native_point_muls
     from repro.gpusim import V100
     from repro.msm.gzkp import GzkpMsm
 
@@ -36,16 +35,15 @@ def test_msm_search_beats_or_matches_defaults(private_cache):
     cfg = tuner.msm_config(engine, n)
     assert cfg.window in WINDOW_RANGE
     # the profiler default fixes M = _interval_for(n, k); the joint
-    # search includes every such point, so it can only improve --
-    # replayed under the same point-op pricing the search used
-    pm = _native_point_muls(engine)
+    # search includes every such point and prices it with the same
+    # plan, so it can only improve
     default_best = min(
         V100.time_of(engine._plan_with_cfg(
             n, engine._make_config(n, k, engine._interval_for(n, k)),
-            None, point_muls=pm))
+            None))
         for k in WINDOW_RANGE
     )
-    tuned = V100.time_of(engine._plan_with_cfg(n, cfg, None, point_muls=pm))
+    tuned = V100.time_of(engine._plan_with_cfg(n, cfg, None))
     assert tuned <= default_best + 1e-12
 
 
@@ -91,6 +89,33 @@ def test_tampered_profile_is_resought(private_cache):
     assert reloaded.source == "search"
     assert reloaded.g1_window == prof.g1_window
     assert os.path.exists(path)
+
+    # A stale profile is as untrusted as a tampered one: a version-1
+    # file (searched under the deleted conversion pricing) holding an
+    # in-range (k, M) that revalidates against the live engine must be
+    # ignored and re-searched, at both levels of the cache.
+    from repro.backend.autotune import PROFILE_VERSION
+    from repro.gpusim import V100
+    from repro.msm.gzkp import GzkpMsm
+
+    assert PROFILE_VERSION > 1
+    payload = json.loads(open(path).read())
+    stale_window = prof.g1_window + 1
+    payload.update(version=1, g1_window=stale_window)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    reloaded = KernelAutotuner().profile(curve, 256)
+    assert (reloaded.source, reloaded.g1_window) == ("search", prof.g1_window)
+
+    engine = GzkpMsm(curve.g1, curve.fr.bits, V100)
+    msm_path = tuner._msm_path(engine, 256)
+    stale = json.loads(open(msm_path).read())
+    stale.update(version=1, window=stale_window)
+    assert tuner._validate_msm(engine, 256, dict(stale, version=PROFILE_VERSION))
+    with open(msm_path, "w") as fh:
+        json.dump(stale, fh)
+    assert KernelAutotuner().msm_config(engine, 256).window == prof.g1_window
+    assert json.loads(open(msm_path).read())["version"] == PROFILE_VERSION
 
 
 @pytest.mark.parametrize("curve_name", sorted(SCALAR_FIELDS))

@@ -122,6 +122,31 @@ class TestBatchKernelsBitIdentical:
         )
 
 
+@pytest.mark.parametrize("backend", [PY, NP], ids=["python", "numpy"])
+def test_mismatched_point_rows_raise(backend):
+    """Two point rows of different lengths are one error on every
+    backend, for lists and resident rows alike. (``python`` used to
+    return the shorter row's worth of sums — a ``zip`` — and ``numpy``
+    leaked a broadcast ``ValueError``, or an ``IndexError`` for the
+    1-row operand numpy would have broadcast.)"""
+    from repro.errors import CurveError
+
+    g1 = CURVES["ALT-BN128"].g1
+    pts = offset_chain(g1, 40, seed=5)
+    jp = jacobian_reps(g1, pts)
+    held = backend.batch_to_jacobian(g1, backend.resident_points(g1, pts))
+    for long in (jp, held):
+        for short in (jp[:20], jp[:1], held[:20], held[:1]):
+            for ps, qs in ((long, short), (short, long)):
+                with pytest.raises(CurveError, match="length mismatch"):
+                    backend.batch_jadd(g1, ps, qs)
+        for short in (pts[:20], pts[:1]):
+            with pytest.raises(CurveError, match="length mismatch"):
+                backend.batch_jmixed_add(g1, long, short)
+    with pytest.raises(CurveError, match="length mismatch"):
+        backend.batch_jmixed_add(g1, jp[:20], pts)
+
+
 @pytest.mark.skipif(not native_available(),
                     reason="no C compiler for the native kernels")
 class TestSegmentedBuckets:

@@ -1,15 +1,17 @@
-"""Native fused Jacobian point kernels vs the scalar group law.
+"""Native Jacobian point kernels vs the scalar group law.
 
-The raw-domain kernels of :mod:`repro.backend.native` (``jac_dbl`` /
-``jac_add`` / ``jac_madd`` and their Fq2 twins) must be *bit-identical*
-to the scalar formulas — coordinates AND op counts — on every curve,
-through every special-lane mix the mask routing can see: infinity on
-either side, P == Q (same and different Jacobian representatives),
-P == -Q, and q is None on the mixed path. Hypothesis drives the lane
-mixes; the point pools are deterministic offset chains so a collision
-between unrelated lanes is a discrete-log event. The sequential bucket
-fold (``bucket_fold`` and its Fq2 twin) routes the same cases in C and
-is fuzzed against the ordered scalar fold the same way.
+The point kernels of :mod:`repro.backend.native` — the per-lane loops
+``jac_dbl``/``jac_add`` and the sequential ``bucket_fold``, all over
+the same ``jpt_*`` doubling and addition, G1 and Fq2 — must be
+*bit-identical* to the scalar formulas — coordinates AND op counts — on
+every curve, through every special lane the in-C routing can see:
+infinity on either side (canonical ``(1, 1, 0)`` or any ``(x, y, 0)``,
+which must come back verbatim), P == Q (same and different Jacobian
+representatives, whole rows of them), P == -Q, y == 0, and q is None
+on the mixed path (which is the ``jadd`` kernel over lifted operands).
+Hypothesis drives the lane mixes; the point pools are deterministic
+offset chains so a collision between unrelated lanes is a discrete-log
+event.
 
 Also here: the native-coverage counters those dispatches feed, the
 LRU prune that bounds the persistent kernel cache, and the cross-checks
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import coverage
+from repro.backend import coverage, get_backend
 from repro.backend import native
 from repro.backend import numpy_curve
 from repro.curves import CURVES
@@ -36,6 +38,8 @@ numpy = pytest.importorskip("numpy")
 
 pytestmark = pytest.mark.skipif(
     not native.native_available(), reason="no C compiler available")
+
+NP = get_backend("numpy")
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -97,9 +101,24 @@ def _assert_parity(group, batch_fn, scalar_fn, ps, qs):
     assert c_ref._totals == c_vec._totals
 
 
-ADD_KINDS = ("normal", "p_inf", "q_inf", "eq", "eq_rep", "neg")
-MIXED_KINDS = ("normal", "q_none", "p_inf", "eq", "neg")
+ADD_KINDS = ("normal", "p_inf", "q_inf", "eq", "eq_rep", "neg",
+             "p_inf_nc", "q_inf_nc", "both_inf_nc", "y0", "eq_y0")
+MIXED_KINDS = ("normal", "q_none", "p_inf", "eq", "neg", "p_inf_nc",
+               "q_none_p_inf_nc")
 FOLD_KINDS = ("point", "inf", "same", "cancel", "y0")
+
+
+def _inf_nc(group, pt, k):
+    """A non-canonical infinity (x, y, 0): a handed-back operand must
+    keep these coordinates, not be normalised to (1, 1, 0)."""
+    x, y, _ = _jrep(group, pt, k)
+    return (x, y, group.ops.zero)
+
+
+def _y0(group, pt, k):
+    """A synthetic (x, 0, z) lane — on no curve, but neither the scalar
+    formulas nor the kernel ask, and both must stop doubling at it."""
+    return (pt[0], group.ops.zero, group.ops.coerce(k))
 
 
 def _build_add_lanes(group, name, which, kinds):
@@ -126,6 +145,21 @@ def _build_add_lanes(group, name, which, kinds):
         elif kind == "neg":
             ps.append(p)
             qs.append(_neg(group, _jrep(group, a, 7 + i)))
+        elif kind == "p_inf_nc":
+            ps.append(_inf_nc(group, a, 2 + i))
+            qs.append(_jrep(group, b, 3 + i))
+        elif kind == "q_inf_nc":
+            ps.append(p)
+            qs.append(_inf_nc(group, b, 3 + i))
+        elif kind == "both_inf_nc":
+            ps.append(_inf_nc(group, a, 2 + i))
+            qs.append(_inf_nc(group, b, 3 + i))
+        elif kind == "y0":
+            ps.append(_y0(group, a, 2 + i))
+            qs.append(_jrep(group, b, 3 + i))
+        elif kind == "eq_y0":  # P == Q with y == 0: count-free infinity
+            ps.append(_y0(group, a, 2 + i))
+            qs.append(_y0(group, a, 2 + i))
         else:
             ps.append(p)
             qs.append(_jrep(group, b, 3 + i))
@@ -152,18 +186,35 @@ def _build_mixed_lanes(group, name, which, kinds):
         elif kind == "neg":
             ps.append(group.to_jacobian(a))
             qs.append((a[0], o.sub(o.coerce(0), a[1])))
+        elif kind == "p_inf_nc":
+            ps.append(_inf_nc(group, a, 2 + i))
+            qs.append(b)
+        elif kind == "q_none_p_inf_nc":
+            ps.append(_inf_nc(group, a, 2 + i))
+            qs.append(None)
         else:
             ps.append(_jrep(group, a, 2 + i))
             qs.append(b)
     return ps, qs
 
 
+def _assert_mixed_parity(group, ps, qs):
+    """``batch_jmixed_add`` through the backend — the lift of ``qs``
+    into the ``jadd`` kernel — against ``CurveGroup.jmixed_add``. Lanes
+    are repeated until the row is long enough to leave the scalar loop,
+    and the coverage tally shows that it did."""
+    reps = -(-numpy_curve.MIN_VECTOR_LANES // len(ps))
+    coverage.reset()
+    _assert_parity(group, NP.batch_jmixed_add, group.jmixed_add,
+                   ps * reps, qs * reps)
+    assert coverage.snapshot()["jacobian"] == {"native": 1}
+
+
 def fold_lanes(group, pool, kinds):
     """Buckets whose ordered fold (last bucket first) meets the asked
     special cases: ``same`` repeats the running sum (the in-C doubling),
     ``cancel`` is its negation under another representative, ``y0`` is
-    a synthetic (x, 0, z) lane — on no curve, but neither the scalar
-    formulas nor the kernel ask, and both must stop doubling at it."""
+    a synthetic (x, 0, z) lane."""
     o = group.ops
     inf = (o.one, o.one, o.zero)
     running, out = inf, []
@@ -175,7 +226,7 @@ def fold_lanes(group, pool, kinds):
         elif kind == "cancel" and not o.is_zero(running[2]):
             b = _neg(group, _jrep(group, group.from_jacobian(running), 3 + i))
         elif kind == "y0":
-            b = (pool[i % len(pool)][0], o.zero, o.coerce(2 + i))
+            b = _y0(group, pool[i % len(pool)], 2 + i)
         else:
             b = _jrep(group, pool[i % len(pool)], 2 + i)
         out.append(b)
@@ -189,18 +240,21 @@ def fold_lanes(group, pool, kinds):
 @pytest.mark.parametrize("name,which", GROUPS)
 def test_parity_smoke(name, which):
     group = _group(name, which)
-    assert numpy_curve.native_point_op_muls(group) is not None
+    assert numpy_curve._native_engine(group) is not None
     kinds = list(ADD_KINDS) + ["normal", "normal"]
     ps, qs = _build_add_lanes(group, name, which, kinds)
     _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, qs)
     mkinds = list(MIXED_KINDS) + ["normal", "normal"]
-    ps, qs = _build_mixed_lanes(group, name, which, mkinds)
-    _assert_parity(group, numpy_curve.batch_jmixed_add, group.jmixed_add,
-                   ps, qs)
-    # doubling, including infinity and a y == 0-free active mix
+    _assert_mixed_parity(group, *_build_mixed_lanes(group, name, which,
+                                                    mkinds))
+    # doubling: active lanes, both kinds of infinity (each comes back
+    # as the formulas' (1, 1, 0)) and a y == 0 lane
     o = group.ops
-    pts = [_jrep(group, p, 2 + i) for i, p in enumerate(_pool(name, which)[:5])]
+    pool = _pool(name, which)
+    pts = [_jrep(group, p, 2 + i) for i, p in enumerate(pool[:6])]
     pts[2] = (o.one, o.one, o.zero)
+    pts[3] = _inf_nc(group, pool[3], 5)
+    pts[4] = _y0(group, pool[4], 6)
     c_ref, c_vec = OpCounter(), OpCounter()
     group.counter = c_ref
     try:
@@ -225,6 +279,11 @@ def test_fuzz_jadd_lane_mixes(name, kinds, data):
     group = _group(name, which)
     ps, qs = _build_add_lanes(group, name, which, kinds)
     _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, qs)
+    # whole rows of one special case: every lane P == Q (the aliased
+    # call the residual fold could make), every lane P == -Q
+    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, ps)
+    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps,
+                   [_neg(group, p) for p in ps])
 
 
 @pytest.mark.parametrize("name", CURVE_NAMES)
@@ -234,9 +293,8 @@ def test_fuzz_jadd_lane_mixes(name, kinds, data):
 def test_fuzz_jmixed_lane_mixes(name, kinds, data):
     which = data.draw(st.sampled_from(["g1", "g2"]), label="group")
     group = _group(name, which)
-    ps, qs = _build_mixed_lanes(group, name, which, kinds)
-    _assert_parity(group, numpy_curve.batch_jmixed_add, group.jmixed_add,
-                   ps, qs)
+    _assert_mixed_parity(group, *_build_mixed_lanes(group, name, which,
+                                                    kinds))
 
 
 @pytest.mark.parametrize("name", CURVE_NAMES)
@@ -245,9 +303,10 @@ def test_fuzz_jmixed_lane_mixes(name, kinds, data):
        data=st.data())
 def test_fuzz_bucket_fold_lane_mixes(name, kinds, data):
     """The C fold == ``pippenger.bucket_reduce``: coordinates of the
-    total bit for bit (same formulas, same order) and its in-C
-    padd/pdbl tallies, through infinity runs, repeated running sums
-    (the in-C doubling), cancellations and y == 0 lanes."""
+    total bit for bit (same formulas, same order, the formulas'
+    (1, 1, 0) for an infinite total) and its in-C padd/pdbl tallies,
+    through infinity runs, repeated running sums (the in-C doubling),
+    cancellations and y == 0 lanes."""
     from repro.msm.pippenger import bucket_reduce
 
     which = data.draw(st.sampled_from(["g1", "g2"]), label="group")
@@ -261,10 +320,7 @@ def test_fuzz_bucket_fold_lane_mixes(name, kinds, data):
         got = numpy_curve.bucket_reduce(group, buckets)
     finally:
         group.counter = None
-    if group.ops.is_zero(exp[2]):
-        assert group.ops.is_zero(got[2])
-    else:
-        assert got == exp
+    assert got == exp
     assert +c_ref._totals == +c_vec._totals
 
 
@@ -383,24 +439,23 @@ def test_certificate_mul_counts_match_formula_constants():
 
     assert bounds._PDBL_FQ_MULS == CurveGroup.PDBL_FQ_MULS
     assert bounds._PADD_FQ_MULS == CurveGroup.PADD_FQ_MULS
-    assert bounds._PMIXED_FQ_MULS == CurveGroup.PMIXED_FQ_MULS
 
 
 @pytest.mark.parametrize("name", CURVE_NAMES)
 def test_autotune_pricing_matches_certificate(name):
-    """native_point_op_muls (the autotuner's pricing) and the
-    native-jacobian certificate replay the same kernels, so their
-    per-op mul totals must agree exactly."""
+    """The autotuner prices its (k, M) search with the engine's own
+    plan — the cost model's formula constants — and the native-jacobian
+    certificate replays the kernels at exactly those counts: there is
+    no conversion term for a second pricing to add."""
     from repro.analysis.bounds import certify_native_jacobian
+    from repro.gpusim import cost
 
     group = CURVES[name].g1
-    muls = numpy_curve.native_point_op_muls(group)
-    assert muls is not None
     cert = certify_native_jacobian(name, group.ops.field.modulus)
     assert cert.ok, [v.name for v in cert.violations()]
-    native_muls = cert.params["native_muls"]
     consts = group.formula_constants()
-    key = "pdbl" if consts["a_is_zero"] else "pdbl_a"
-    assert muls["pdbl"] == native_muls[key]
-    assert muls["padd"] == native_muls["padd"]
-    assert muls["pmixed"] == native_muls["pmixed"]
+    assert cert.params["native_muls"] == {
+        "padd": consts["padd_fq_muls"], "pdbl": consts["pdbl_fq_muls"],
+        "pdbl_a": consts["pdbl_fq_muls"] + 3}
+    assert (cost.PADD_MULS, cost.PDBL_MULS) == (
+        consts["padd_fq_muls"], consts["pdbl_fq_muls"])

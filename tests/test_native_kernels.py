@@ -260,6 +260,52 @@ def test_pairwise_row_ops_reject_mismatched_row_counts():
     for op in (nf.mul, nf.sub, nf.add, nf.mul_raw):
         with pytest.raises(ValueError):
             op(a, b)
+    # The point kernels' one caller tells C one lane count and one row
+    # width; every plane must have exactly that shape. (The per-kernel
+    # wrappers it replaced took 40 lanes from the first operand and
+    # read 37 rows past a 3-row second one.)
+    x = nf.encode(list(range(1, 41)))
+    for op, degree, planes in (
+            ("add", 1, (x, x, x, x[:3], x[:3], x[:3])),  # shorter operand
+            ("add", 1, (x, x, x, x, x, x[:1])),          # 1-row plane
+            ("dbl", 1, (x, x, x[:, :2])),                # narrower rows
+            ("dbl", 2, (x, x, x)),                       # Fp rows, Fq2 kernel
+            ("fold", 1, (x, x)),                         # a plane short
+            ("dbl", 1, (x, x, x.astype("<u4")))):        # not 64-bit words
+        with pytest.raises(ValueError):
+            nf.point_op(op, degree, planes)
+    for a_row in (x[0, :2], x[:nf.w, 0]):  # too narrow; strided
+        with pytest.raises(ValueError):
+            nf.point_op("dbl", 1, (x, x, x), a_row=a_row)
+    out, n_padd, n_pdbl = nf.point_op("add", 1, (x, x, x, x, x, x))
+    assert out.shape == (3, 40, nf.w) and (n_padd, n_pdbl) == (40, 40)
+
+
+def test_no_dead_kernels():
+    """Every exported C function is bound with ``argtypes`` and called
+    from a ``NativeField`` method, and every ``static`` one is used by
+    another function — a kernel nothing can reach is deleted, not
+    kept."""
+    import inspect
+    import re
+
+    code = re.sub(r"/\*.*?\*/", "", native._C_SOURCE, flags=re.S)
+    defs = re.findall(r"^(static\s+(?:inline\s+)?)?(?:void|int)\s+(\w+)\(",
+                      code, flags=re.M)
+    exported = {name for static, name in defs if not static}
+    helpers = {name for static, name in defs if static}
+    assert exported and helpers and len(defs) == len(exported | helpers)
+    lib = native._get_lib()
+    for name in exported:
+        assert getattr(lib, name).argtypes, f"{name} bound without argtypes"
+    called = set(re.findall(r"\blib\.(\w+)",
+                            inspect.getsource(native.NativeField)))
+    via_point_op = {name for name, _ in native._POINT_KERNELS.values()}
+    assert "_POINT_KERNELS" in inspect.getsource(native.NativeField.point_op)
+    assert called | via_point_op == exported
+    for name in helpers:
+        uses = len(re.findall(rf"\b{name}\(", code))
+        assert uses >= 2, f"static {name} is never called"
 
 
 @settings(max_examples=25, deadline=None)

@@ -75,11 +75,16 @@ def native_off(monkeypatch):
 
 @pytest.fixture
 def boundary_spy(monkeypatch):
-    """Rows crossing the int <-> word-row boundary, field inversions in
-    the native layer, and ``from_jacobian`` calls."""
+    """Rows crossing the int <-> word-row boundary and the raw <->
+    Montgomery one (by ``to_mont``/``from_mont`` or by a bare
+    ``mul_const`` against R^2 / 1), field inversions in the native
+    layer, and ``from_jacobian`` calls."""
     seen = Counter()
     to_words = native.NativeField.words_from_ints
     to_ints = native.NativeField.ints_from_words
+    to_mont = native.NativeField.to_mont
+    from_mont = native.NativeField.from_mont
+    mul_const = native.NativeField.mul_const
     from_jacobian = CurveGroup.from_jacobian
 
     def words_from_ints(self, vals):
@@ -89,6 +94,21 @@ def boundary_spy(monkeypatch):
     def ints_from_words(self, arr):
         seen["egress_rows"] += arr.shape[0]
         return to_ints(self, arr)
+
+    def spy_to_mont(self, rows, out=None):
+        seen["to_mont_calls"] += 1
+        seen["to_mont_rows"] += rows.shape[0]
+        return to_mont(self, rows, out=out)
+
+    def spy_from_mont(self, rows):
+        seen["from_mont_calls"] += 1
+        seen["from_mont_rows"] += rows.shape[0]
+        return from_mont(self, rows)
+
+    def spy_mul_const(self, a, row, out=None):
+        if row is self._r2_words or row is self._one_words:
+            seen["conversion_muls"] += 1
+        return mul_const(self, a, row, out=out)
 
     def spy_from_jacobian(self, p):
         seen["from_jacobian"] += 1
@@ -103,6 +123,9 @@ def boundary_spy(monkeypatch):
                         words_from_ints)
     monkeypatch.setattr(native.NativeField, "ints_from_words",
                         ints_from_words)
+    monkeypatch.setattr(native.NativeField, "to_mont", spy_to_mont)
+    monkeypatch.setattr(native.NativeField, "from_mont", spy_from_mont)
+    monkeypatch.setattr(native.NativeField, "mul_const", spy_mul_const)
     monkeypatch.setattr(CurveGroup, "from_jacobian", spy_from_jacobian)
     # module globals shadow the builtin for both modules' inversions
     monkeypatch.setattr(native, "pow", spy_pow, raising=False)
@@ -133,6 +156,13 @@ def test_compute_touches_no_python_point_before_the_result(boundary_spy):
     assert boundary_spy["ingress_rows"] == 0
     assert boundary_spy["egress_rows"] == 3  # x, y, z of the total
     assert boundary_spy["from_jacobian"] == 1
+    # one point domain: table planes, tree lanes, bucket rows and the
+    # fold are all Montgomery, so nothing converts between them. (At
+    # the parent: 2 conversions per scatter, 3 + 1 per fold.)
+    assert boundary_spy["to_mont_calls"] == 0
+    assert (boundary_spy["from_mont_calls"],
+            boundary_spy["from_mont_rows"]) == (1, 3)
+    assert boundary_spy["conversion_muls"] == 1  # ... and by no other route
 
 
 @needs_native
@@ -154,6 +184,12 @@ def test_table_is_born_in_rows(boundary_spy):
     assert boundary_spy["inversions"] == rows - 1
     assert boundary_spy["ingress_rows"] == 2 * n
     assert boundary_spy["egress_rows"] == 0
+    # only row 0 converts, at ingress: its x plane and its y plane. (At
+    # the parent every checkpoint row cost 5 more conversions.)
+    assert (boundary_spy["to_mont_calls"],
+            boundary_spy["to_mont_rows"]) == (2, 2 * n)
+    assert boundary_spy["from_mont_calls"] == 0
+    assert boundary_spy["conversion_muls"] == 2
     # ... and counts what the scalar chain counts, under its phase
     ref = OpCounter()
     _engine(g1, bits, "python", window=8, interval=2).build_context(
@@ -273,7 +309,7 @@ def test_fuzz_bucket_reduce_over_rows_and_lists(name, which, kinds):
     test_native_jacobian.py)."""
     group = _group(name, which)
     buckets = fold_lanes(group, _pool(name, which), kinds)
-    rows = numpy_curve._lift_buckets(numpy_curve._jac_engine(group), buckets)
+    rows = numpy_curve._lift_buckets(numpy_curve._native_engine(group), buckets)
 
     def fold(reduce_, arg):
         group.counter = counter = OpCounter()
@@ -307,7 +343,7 @@ def test_curve_ops_preserve_representation_and_operands(name, which):
     jz = jacobian_reps(group, pts)
     ps = jz[:8] + [inf, jz[9], jz[10], jz[11]]
     qs = jz[8:16] + [jz[3], inf, jz[10], group.jneg(jz[11])]
-    eng = numpy_curve._jac_engine(group)
+    eng = numpy_curve._native_engine(group)
     p, q = (numpy_curve._lift_buckets(eng, lanes) for lanes in (ps, qs))
     before = _frozen(p), _frozen(q)
 
