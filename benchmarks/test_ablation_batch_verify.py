@@ -12,16 +12,16 @@ Two layers, matching how the batched verifier ships:
   are recorded alongside wall clock so the 128+32 -> 35+1 economics
   are visible in the JSON, not just the speedup.
 * **Service layer** — one fixed batch of jobs through
-  ``ProvingService`` under ``verify="pool"`` (per-proof checks on the
-  parent thread pool), ``verify="inline"`` (per-proof checks on the
-  worker's critical path) and ``verify="batched"`` (the windowed RLC
-  stage); jobs/sec per mode.
+  ``ProvingService``'s verify stage at ``verify_window=1`` (every proof
+  its own window: the exact 4 + 1 check per proof) and at
+  ``verify_window=len(jobs)`` (one RLC window over the batch); jobs/sec
+  per window size.
 
 Results land in EXPERIMENTS.md and BENCH_batch_verify.json.
 
-Set ``BATCH_VERIFY_TINY=1`` (CI smoke) to run a small service batch in
-batched and inline modes with correctness asserts and a
-batched >= inline jobs/sec check — no file writes.
+Set ``BATCH_VERIFY_TINY=1`` (CI smoke) to run a small service batch at
+both window sizes with correctness asserts and a
+windowed >= one-proof-windows jobs/sec check — no file writes.
 """
 
 import json
@@ -109,14 +109,12 @@ def _verify_row(curve_name):
     }
 
 
-def _service_row(verify_mode, jobs_spec):
+def _service_row(window, jobs_spec):
     jobs = [ProofJob("ALT-BN128", circuit, witness, backend="python")
             for circuit, witness in jobs_spec]
-    kwargs = {}
-    if verify_mode == "batched":
-        kwargs = {"verify_window": len(jobs), "verify_window_timeout": 5.0}
     with ProvingService(workers=2, timeout=300, retries=0,
-                        verify=verify_mode, **kwargs) as svc:
+                        verify_window=window,
+                        verify_window_timeout=5.0) as svc:
         t0 = time.perf_counter()
         results = svc.prove_batch(jobs)
         wall = time.perf_counter() - t0
@@ -125,7 +123,7 @@ def _service_row(verify_mode, jobs_spec):
     ]
     return {
         "kind": "service",
-        "verify": verify_mode,
+        "verify_window": window,
         "jobs": len(jobs),
         "wall_s": round(wall, 4),
         "jobs_per_s": round(len(jobs) / wall, 4),
@@ -151,8 +149,9 @@ def _write_outputs(verify_rows, service_rows):
         "each) vs as one random-linear-combination batch "
         f"({BATCH} + 3 Miller loops + 1 final exponentiation total, both "
         "paths warm). Service layer: one batch of "
-        f"{len(SERVICE_JOBS)} ALT-BN128 jobs through the service per "
-        "verify mode, 2 workers. Raw rows: `BENCH_batch_verify.json`.",
+        f"{len(SERVICE_JOBS)} ALT-BN128 jobs through the service's verify "
+        "stage per window size (1 = every proof checked on its own), "
+        "2 workers. Raw rows: `BENCH_batch_verify.json`.",
         "",
         "| curve | batch | per-proof (s) | batched (s) | speedup | "
         "Miller loops (per-proof -> batched) |",
@@ -167,12 +166,12 @@ def _write_outputs(verify_rows, service_rows):
         )
     lines += [
         "",
-        "| service verify mode | jobs | wall (s) | jobs/sec |",
+        "| service verify_window | jobs | wall (s) | jobs/sec |",
         "|---|---|---|---|",
     ]
     for r in service_rows:
         lines.append(
-            f"| {r['verify']} | {r['jobs']} | {r['wall_s']:.2f} | "
+            f"| {r['verify_window']} | {r['jobs']} | {r['wall_s']:.2f} | "
             f"{r['jobs_per_s']:.3f} |"
         )
     lines += ["", _MARK_END]
@@ -190,18 +189,17 @@ def _write_outputs(verify_rows, service_rows):
 
 def test_batch_verify_ablation(regen):
     if TINY:
-        batched = _service_row("batched", TINY_JOBS)
-        inline = _service_row("inline", TINY_JOBS)
-        assert batched["jobs_per_s"] > 0
-        # batched verification is off the worker critical path AND
-        # amortized; it must not lose to per-proof in-worker checks
-        assert batched["jobs_per_s"] >= inline["jobs_per_s"]
+        windowed = _service_row(len(TINY_JOBS), TINY_JOBS)
+        per_proof = _service_row(1, TINY_JOBS)
+        assert windowed["jobs_per_s"] > 0
+        # one N + 3 window must not lose to N windows of one at 4 + 1
+        assert windowed["jobs_per_s"] >= per_proof["jobs_per_s"]
         return
 
     def sweep():
         verify_rows = [_verify_row(curve) for curve in VERIFY_CURVES]
-        service_rows = [_service_row(mode, SERVICE_JOBS)
-                        for mode in ("pool", "inline", "batched")]
+        service_rows = [_service_row(window, SERVICE_JOBS)
+                        for window in (1, len(SERVICE_JOBS))]
         return verify_rows, service_rows
 
     verify_rows, service_rows = regen(sweep)
@@ -211,21 +209,22 @@ def test_batch_verify_ablation(regen):
         print(f"{r['curve']:>12} per-proof {r['per_proof_s']:>7.2f}s "
               f"batched {r['batched_s']:>6.2f}s -> {r['speedup']:.1f}x")
     for r in service_rows:
-        print(f"service verify={r['verify']:<8} {r['jobs_per_s']:.3f} jobs/s")
+        print(f"service verify_window={r['verify_window']:<2} "
+              f"{r['jobs_per_s']:.3f} jobs/s")
 
     for r in verify_rows:
         assert r["speedup"] >= 3.0, (
             f"{r['curve']}: batched speedup {r['speedup']}x < 3x")
-    by_mode = {r["verify"]: r for r in service_rows}
-    assert by_mode["batched"]["jobs_per_s"] > by_mode["pool"]["jobs_per_s"], (
-        "batched verify mode must beat per-proof pool verify on jobs/sec")
+    per_proof, windowed = service_rows
+    assert windowed["jobs_per_s"] > per_proof["jobs_per_s"], (
+        "one RLC window must beat one-proof windows on jobs/sec")
     _write_outputs(verify_rows, service_rows)
 
 
 if __name__ == "__main__":  # manual run without pytest-benchmark
     verify_rows = [_verify_row(curve) for curve in VERIFY_CURVES]
-    service_rows = [_service_row(mode, SERVICE_JOBS)
-                    for mode in ("pool", "inline", "batched")]
+    service_rows = [_service_row(window, SERVICE_JOBS)
+                    for window in (1, len(SERVICE_JOBS))]
     for row in verify_rows + service_rows:
         print(row)
     _write_outputs(verify_rows, service_rows)

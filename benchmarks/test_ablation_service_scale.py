@@ -17,9 +17,9 @@ Rows:
 * **capacity** — workers in {1, 2, 4}, shards = workers, verify off,
   one warm pass (unmeasured) then a fixed seeded uniform job stream
   through ``prove_batch``; reports jobs/sec and cache hit/miss.
-* **latency** — workers = 2, pooled verify, the load generator's
-  Poisson and burst arrivals; reports p50/p95/p99 latency, jobs/sec
-  and backpressure rejections.
+* **latency** — workers = 2, per-proof verify (``verify_window=1``),
+  the load generator's Poisson and burst arrivals; reports p50/p95/p99
+  latency, jobs/sec and backpressure rejections.
 
 Set ``SERVICE_SCALE_TINY=1`` (CI smoke) for a small 2-config run
 (1 -> 2 workers, ~20 jobs) that still writes BENCH_service_scale.json
@@ -101,14 +101,16 @@ def _capacity_row(workers, keys, n_jobs, backend, cache):
 
 
 def _latency_row(arrival_mode, keys, n_jobs, backend, cache):
-    """p50/p95/p99 latency under the load generator, pooled verify."""
+    """p50/p95/p99 latency under the load generator, every proof
+    verified on its own (``verify_window=1``)."""
     if arrival_mode == "poisson":
         offsets = poisson_arrivals(0.6, n_jobs, seed=31)
     else:
         offsets = burst_arrivals(n_jobs, max(2, n_jobs // 3), 6.0)
     jobs = synthesize_jobs(keys, n_jobs, seed=303, backend=backend)
     with ProvingService(workers=2, shards=2, parallel_msm=False,
-                        verify="pool", verify_workers=2,
+                        verify="batched", verify_window=1,
+                        verify_workers=2,
                         worker_cache=cache, queue_depth=max(8, n_jobs),
                         timeout=600, retries=0) as svc:
         warm = [ProofJob(curve, circuit, (3,), backend)
@@ -164,7 +166,7 @@ def _write_outputs(capacity, latency, backend, keys, cache, cores):
         "population toward its handle budget, so checkpoint-table "
         "rebuild misses — the dominant per-job cost — disappear. "
         "Latency rows drive the same pipeline through the load "
-        "generator (pooled verify). Raw rows: "
+        "generator (per-proof verify, `verify_window=1`). Raw rows: "
         "`BENCH_service_scale.json`.",
         "",
         "| workers | shards | jobs | wall (s) | jobs/sec | miss rate |",

@@ -1,50 +1,57 @@
-"""Optimal-ate pairings for ALT-BN128 and BLS12-381.
+"""Pairing engines: one line table, one replay loop, one product check.
 
-Groth16 verification is a product-of-pairings check; this module makes it
-real for the two curves with standard parameters. The construction is the
-classic full-Fq12 Miller loop (the same algorithm py_ecc uses): G2 points
-over Fq2 are *twisted* into E(Fq12), line functions are evaluated at the
-(embedded) G1 argument, and the Miller accumulator is raised to
-(q^12 - 1)/r in the final exponentiation.
+Groth16 verification is a product-of-pairings check. Every engine here
+computes a pairing the same way:
 
-Batch verification needs two things beyond the plain pairing:
+* a **line generator** walks the Miller loop's point arithmetic over
+  the G2 argument and yields one line per step — its slope is divided
+  out once and used twice, for the line and for the point update;
+* a **replay loop** evaluates a sequence of such lines at a G1 point
+  and folds them into the Miller value.
 
-* a **multi-pairing** API (:class:`MillerAccumulator`) that multiplies
-  many Miller values together and pays the final exponentiation once;
-* **fixed-argument precomputation** (:meth:`PairingEngine.prepare_g2`):
-  the Miller loop's point arithmetic depends only on the G2 argument,
-  so for a G2 point that never changes (a verifying key's beta/gamma/
-  delta) the doubling/addition line *coefficients* are computed once
-  and replayed against any G1 argument — a replay is ~4x cheaper than
-  a fresh loop here and bit-identical to it.
+A fresh Miller loop (:meth:`MillerEngine.miller_pair`) is the replay of
+the generator as it runs; a fixed G2 argument — a verifying key's
+beta/gamma/delta — has its lines kept as a table
+(:meth:`MillerEngine.prepare_g2`, cached per engine) and replayed
+against any G1 argument at about a quarter of the cost, bit-identical
+to the fresh loop. :class:`MillerAccumulator` multiplies Miller values
+and pays the final exponentiation once; ``pairing`` and
+``pairing_product_is_one`` are that accumulator with one pair and with
+many. :class:`MillerEngine` holds everything the engines share; an
+engine supplies only its generator and its replay loop.
 
-Every pairing entry point takes an optional
-:class:`~repro.ff.opcount.OpCounter` and counts ``miller_loop`` /
-``final_exp`` / ``g2_precomp`` ops, so callers can machine-check
-pairing economics (a batch of N proofs must cost exactly N+3 Miller
-loops and 1 final exponentiation) instead of trusting a docstring.
+This module's engines are the optimal-ate pairings of ALT-BN128 and
+BLS12-381 over the full Fq12 tower (the algorithm py_ecc uses: G2
+points over Fq2 are *twisted* into E(Fq12), lines are evaluated at the
+embedded G1 argument, the product is raised to (q^12 - 1)/r). The
+MNT4753 surrogate is supersingular with embedding degree 2 and runs a
+reduced Tate pairing over Fq2 (:mod:`repro.curves.tate`) on the same
+base class.
+
+Every entry point takes an optional
+:class:`~repro.ff.opcount.OpCounter`: ``miller_loop`` counts once per
+loop, fresh or replayed, ``final_exp`` once per product, ``g2_precomp``
+once per table actually built — so callers can machine-check pairing
+economics (a single verify is 4 / 1, a batch of N proofs N + 3 / 1)
+instead of trusting a docstring.
 
 This is a verifier-side component — never on the prover's hot path — so
 clarity is preferred over speed throughout.
-
-The MNT4753 surrogate curve is supersingular (embedding degree 2) and
-has no Fq12 tower; its Groth16 path runs a real reduced Tate pairing
-over Fq2 instead (:mod:`repro.curves.tate`), which implements the same
-accumulator/prepare interface.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import CurveError
 from repro.ff.extension import ExtElement, ExtensionField
 from repro.ff.params import ALT_BN128_Q, ALT_BN128_R, BLS12_381_Q, BLS12_381_R
 
-__all__ = ["PairingEngine", "PreparedG2", "MillerAccumulator",
-           "bn128_pairing", "bls12_381_pairing"]
+__all__ = ["MillerEngine", "PairingEngine", "PreparedG2",
+           "MillerAccumulator", "chord", "bn128_pairing",
+           "bls12_381_pairing"]
 
 Point = Optional[Tuple[ExtElement, ExtElement]]
 
@@ -54,16 +61,31 @@ def _count(counter, op: str, n: int = 1) -> None:
         counter.count(op, n)
 
 
+def chord(p1: Point, p2: Point,
+          a: ExtElement) -> Tuple[Optional[ExtElement], Point]:
+    """``(slope, p1 + p2)`` on y^2 = x^3 + a x + b: the line through p1
+    and p2 (the tangent when they coincide) and the sum it leads to,
+    from one division. A vertical line has slope ``None`` and leads to
+    the point at infinity (``None``)."""
+    if p1 is None or p2 is None:
+        raise CurveError("Miller loop ran into the point at infinity")
+    x1, y1 = p1
+    x2, y2 = p2
+    if x1 != x2:
+        lam = (y2 - y1) / (x2 - x1)
+    elif y1 == y2 and y1:
+        lam = (x1 * x1 * 3 + a) / (y1 * 2)
+    else:
+        return None, None
+    x3 = lam * lam - x1 - x2
+    return lam, (x3, lam * (x1 - x3) - y1)
+
+
 @dataclass(frozen=True)
 class PreparedG2:
-    """Fixed-argument precomputation for one G2 point: the ordered line
-    coefficients of its Miller loop, replayable against any G1 point.
-
-    ``steps`` entries are ``(kind, lam, x, y)`` with ``kind`` either
-    ``"sm"`` (doubling step: square-then-multiply into the accumulator)
-    or ``"m"`` (addition / Frobenius step: multiply only); ``lam`` is
-    the line slope through ``(x, y)``, or ``None`` for a vertical line.
-    """
+    """The line table of one fixed G2 point: the ordered output of its
+    engine's line generator, replayable against any G1 point. The step
+    layout belongs to the engine that built it."""
 
     engine_name: str
     steps: Tuple[tuple, ...]
@@ -76,33 +98,29 @@ class MillerAccumulator:
     This is how real verifiers batch product-of-pairings checks — the
     Miller values are multiplied in the target field's unreduced form,
     and the (expensive) final exponentiation is applied once to the
-    product. Works with any engine exposing ``unity`` /
-    ``miller_pair`` / ``miller_prepared`` / ``final_exponentiate``
-    (the optimal-ate engines here and the MNT Tate engine).
+    product.
 
     Pairs with an infinity component contribute the identity and cost
-    no Miller loop (mirroring ``pairing_product_is_one``).
+    no Miller loop.
     """
 
-    def __init__(self, engine, counter=None):
+    def __init__(self, engine: "MillerEngine", counter=None):
         self.engine = engine
         self.counter = counter
         self._acc = engine.unity
 
     def accumulate(self, g1_point, g2_point) -> "MillerAccumulator":
         """Fold e(P, Q)'s Miller value into the product (one loop)."""
-        if g1_point is not None and g2_point is not None:
-            self._acc = self._acc * self.engine.miller_pair(
-                g1_point, g2_point, counter=self.counter)
+        self._acc = self._acc * self.engine.miller_pair(
+            g1_point, g2_point, counter=self.counter)
         return self
 
     def accumulate_prepared(self, g1_point,
                             prepared: PreparedG2) -> "MillerAccumulator":
-        """Fold e(P, Q_fixed) via Q's precomputed lines (one replay,
-        counted as one Miller loop — it is one, minus the point maths)."""
-        if g1_point is not None:
-            self._acc = self._acc * self.engine.miller_prepared(
-                g1_point, prepared, counter=self.counter)
+        """Fold e(P, Q_fixed) via Q's line table (one replay, counted
+        as one Miller loop — it is one, minus the point maths)."""
+        self._acc = self._acc * self.engine.miller_prepared(
+            g1_point, prepared, counter=self.counter)
         return self
 
     def result(self):
@@ -113,6 +131,97 @@ class MillerAccumulator:
     def is_one(self) -> bool:
         """True iff the accumulated pairing product is the identity."""
         return self.result() == self.engine.unity
+
+
+class MillerEngine:
+    """What every pairing engine shares: the fresh loop as a replay of
+    the line generator, the cached line tables, the final
+    exponentiation, the accumulator and the two checks built on it.
+
+    A subclass supplies :meth:`_lines` (its line generator over a G2
+    point) and :meth:`_replay` (its loop over such lines at a G1
+    point). ``unity`` is the identity of the pairing target group.
+    """
+
+    def __init__(self, name: str, unity: ExtElement, final_exp: int):
+        self.name = name
+        self.unity = unity
+        self._final_exp = final_exp
+        # line tables of fixed G2 arguments, keyed by the point's
+        # coordinates: a verifying key's beta/gamma/delta land here once
+        # and are replayed by every verify under that key. The stage's
+        # pool threads share the engine, hence the lock.
+        self._prepared: dict = {}
+        self._prepared_lock = threading.Lock()
+
+    def _lines(self, g2_point) -> Iterator[tuple]:
+        raise NotImplementedError
+
+    def _replay(self, g1_point, steps: Iterable[tuple]) -> ExtElement:
+        raise NotImplementedError
+
+    def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
+        """The Miller value of one (G1, G2) pair: the generator's lines
+        replayed as they are produced. Nothing is cached — a proof's B
+        is seen once."""
+        if g1_point is None or g2_point is None:
+            return self.unity
+        _count(counter, "miller_loop")
+        return self._replay(g1_point, self._lines(g2_point))
+
+    def prepare_g2(self, g2_point, counter=None) -> PreparedG2:
+        """The line table of a fixed G2 point, built on first sight and
+        cached (``g2_precomp`` counts actual builds, so reuse is
+        checkable)."""
+        if g2_point is None:
+            raise CurveError("cannot prepare the point at infinity")
+        key = (g2_point[0], g2_point[1])
+        with self._prepared_lock:
+            prepared = self._prepared.get(key)
+        if prepared is not None:
+            return prepared
+        _count(counter, "g2_precomp")
+        prepared = PreparedG2(self.name, tuple(self._lines(g2_point)))
+        with self._prepared_lock:
+            return self._prepared.setdefault(key, prepared)
+
+    def miller_prepared(self, g1_point, prepared: PreparedG2,
+                        counter=None) -> ExtElement:
+        """Replay a line table at a G1 point: the Miller value
+        :meth:`miller_pair` produces, without the point maths."""
+        if prepared.engine_name != self.name:
+            raise CurveError(
+                f"prepared lines are for {prepared.engine_name}, "
+                f"engine is {self.name}"
+            )
+        if g1_point is None:
+            return self.unity
+        _count(counter, "miller_loop")
+        return self._replay(g1_point, prepared.steps)
+
+    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
+        _count(counter, "final_exp")
+        return f ** self._final_exp
+
+    def accumulator(self, counter=None) -> MillerAccumulator:
+        """A fresh multi-pairing accumulator over this engine."""
+        return MillerAccumulator(self, counter=counter)
+
+    def pairing(self, g1_point, g2_point, counter=None) -> ExtElement:
+        """e(P, Q) with P in G1 (int coords) and Q in G2."""
+        if g1_point is None or g2_point is None:
+            return self.unity
+        return self.final_exponentiate(
+            self.miller_pair(g1_point, g2_point, counter=counter),
+            counter=counter)
+
+    def pairing_product_is_one(self, pairs, counter=None) -> bool:
+        """Check prod e(P_i, Q_i) == 1 with one shared final
+        exponentiation."""
+        acc = self.accumulator(counter=counter)
+        for g1_point, g2_point in pairs:
+            acc.accumulate(g1_point, g2_point)
+        return acc.is_one()
 
 
 @dataclass(frozen=True)
@@ -157,8 +266,14 @@ _BLS12_381 = _PairingParams(
 )
 
 
-class PairingEngine:
-    """Miller loop + final exponentiation for one curve family."""
+class PairingEngine(MillerEngine):
+    """Optimal-ate pairing over the Fq12 tower for one curve family.
+
+    Line steps are ``(kind, lam, x, y)``: ``kind`` is ``"sm"`` (doubling
+    step: square-then-multiply into the accumulator) or ``"m"``
+    (addition / Frobenius step: multiply only); ``lam`` is the slope of
+    the line through ``(x, y)``, or ``None`` for a vertical line.
+    """
 
     def __init__(self, params: _PairingParams):
         self.params = params
@@ -171,12 +286,9 @@ class PairingEngine:
         self._w = self.fq12.element([0, 1] + [0] * 10)
         self._w2 = self._w * self._w
         self._w3 = self._w2 * self._w
-        self._final_exp = (params.field_modulus ** 12 - 1) // params.curve_order
-        # fixed-argument line caches, keyed by the G2 point's Fq2
-        # coordinates (a verifying key's beta/gamma/delta land here once
-        # and are replayed for every batch under that key)
-        self._prepared: dict = {}
-        self._prepared_lock = threading.Lock()
+        super().__init__(
+            params.name, self.fq12.one,
+            (params.field_modulus ** 12 - 1) // params.curve_order)
 
     # -- embeddings ---------------------------------------------------------------
 
@@ -206,179 +318,36 @@ class PairingEngine:
             return (nx / self._w2, ny / self._w3)
         return (nx * self._w2, ny * self._w3)
 
-    # -- curve ops over Fq12 (a = 0 for both families) -------------------------------
+    # -- the Miller loop -------------------------------------------------------------
 
-    def _double(self, p: Point) -> Point:
-        x, y = p
-        lam = x * x * 3 / (y * 2)
-        nx = lam * lam - x * 2
-        return (nx, lam * (x - nx) - y)
-
-    def _add(self, p: Point, q: Point) -> Point:
-        if p is None:
-            return q
-        if q is None:
-            return p
-        x1, y1 = p
-        x2, y2 = q
-        if x1 == x2 and y1 == y2:
-            return self._double(p)
-        if x1 == x2:
-            return None
-        lam = (y2 - y1) / (x2 - x1)
-        nx = lam * lam - x1 - x2
-        return (nx, lam * (x1 - nx) - y1)
-
-    def _linefunc(self, p1: Point, p2: Point, t: Point) -> ExtElement:
-        """Evaluate the line through p1, p2 at t (standard three cases)."""
-        if p1 is None or p2 is None or t is None:
-            raise CurveError("linefunc does not accept the point at infinity")
-        x1, y1 = p1
-        x2, y2 = p2
-        xt, yt = t
-        if x1 != x2:
-            m = (y2 - y1) / (x2 - x1)
-            return m * (xt - x1) - (yt - y1)
-        if y1 == y2:
-            m = x1 * x1 * 3 / (y1 * 2)
-            return m * (xt - x1) - (yt - y1)
-        return xt - x1
-
-    # -- pairing -------------------------------------------------------------------
-
-    def miller_loop(self, q_pt: Point, p_pt: Point,
-                    counter=None) -> ExtElement:
-        if q_pt is None or p_pt is None:
-            return self.fq12.one
-        _count(counter, "miller_loop")
+    def _lines(self, g2_point) -> Iterator[tuple]:
+        """The ate loop's lines over the twisted Q (a = 0 for both
+        families): a doubling per loop bit, an addition of Q per set
+        bit, and on BN curves the two Frobenius additions."""
         prm = self.params
-        r_pt = q_pt
-        f = self.fq12.one
+        a = self.fq12.zero
+        q_pt = r_pt = self.twist_g2(g2_point)
         for i in range(prm.log_ate_loop_count, -1, -1):
-            f = f * f * self._linefunc(r_pt, r_pt, p_pt)
-            r_pt = self._double(r_pt)
+            lam, doubled = chord(r_pt, r_pt, a)
+            yield ("sm", lam, *r_pt)
+            r_pt = doubled
             if prm.ate_loop_count & (1 << i):
-                f = f * self._linefunc(r_pt, q_pt, p_pt)
-                r_pt = self._add(r_pt, q_pt)
+                lam, added = chord(r_pt, q_pt, a)
+                yield ("m", lam, *r_pt)
+                r_pt = added
         if prm.bn_final_steps:
             fq = prm.field_modulus
             q1 = (q_pt[0] ** fq, q_pt[1] ** fq)
             nq2 = (q1[0] ** fq, -(q1[1] ** fq))
-            f = f * self._linefunc(r_pt, q1, p_pt)
-            r_pt = self._add(r_pt, q1)
-            f = f * self._linefunc(r_pt, nq2, p_pt)
-        return f
+            for frobenius_pt in (q1, nq2):
+                lam, added = chord(r_pt, frobenius_pt, a)
+                yield ("m", lam, *r_pt)
+                r_pt = added
 
-    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
-        _count(counter, "final_exp")
-        return f ** self._final_exp
-
-    def pairing(self, g1_point, g2_point, counter=None) -> ExtElement:
-        """e(P, Q) with P in G1 (int coords) and Q in G2 (Fq2 coords)."""
-        if g1_point is None or g2_point is None:
-            return self.fq12.one
-        f = self.miller_loop(self.twist_g2(g2_point), self.cast_g1(g1_point),
-                             counter=counter)
-        return self.final_exponentiate(f, counter=counter)
-
-    def pairing_product_is_one(self, pairs, counter=None) -> bool:
-        """Check prod e(P_i, Q_i) == 1 with one shared final
-        exponentiation (how real verifiers batch the Groth16 check)."""
-        acc = self.fq12.one
-        for g1_point, g2_point in pairs:
-            if g1_point is None or g2_point is None:
-                continue
-            acc = acc * self.miller_loop(
-                self.twist_g2(g2_point), self.cast_g1(g1_point),
-                counter=counter,
-            )
-        return self.final_exponentiate(acc, counter=counter) == self.fq12.one
-
-    # -- multi-pairing / fixed-argument interface -----------------------------------
-
-    @property
-    def unity(self) -> ExtElement:
-        """The identity of the pairing target group (Fq12's one)."""
-        return self.fq12.one
-
-    def accumulator(self, counter=None) -> MillerAccumulator:
-        """A fresh multi-pairing accumulator over this engine."""
-        return MillerAccumulator(self, counter=counter)
-
-    def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
-        """The Miller value of one (G1, G2) pair — accumulator hook."""
-        return self.miller_loop(self.twist_g2(g2_point),
-                                self.cast_g1(g1_point), counter=counter)
-
-    def _line_coeffs(self, p1: Point, p2: Point) -> tuple:
-        """(slope, x, y) of the line through p1 and p2 — the three
-        :meth:`_linefunc` cases with the evaluation point factored out
-        (``slope=None`` marks a vertical line)."""
-        x1, y1 = p1
-        x2, y2 = p2
-        if x1 != x2:
-            return ((y2 - y1) / (x2 - x1), x1, y1)
-        if y1 == y2:
-            return (x1 * x1 * 3 / (y1 * 2), x1, y1)
-        return (None, x1, y1)
-
-    def prepare_g2(self, g2_point, counter=None) -> PreparedG2:
-        """Precompute (and cache) the Miller-loop line coefficients of a
-        fixed G2 point.
-
-        The loop's point doublings/additions and line slopes depend only
-        on Q; replaying them against a G1 argument
-        (:meth:`miller_prepared`) skips all Fq12 point arithmetic and is
-        bit-identical to :meth:`miller_loop`. Cached per engine keyed by
-        Q's affine Fq2 coordinates — a verifying key's beta/gamma/delta
-        are prepared once and reused across every batch under that key
-        (``g2_precomp`` counts actual builds, so reuse is checkable).
-        """
-        if g2_point is None:
-            raise CurveError("cannot prepare the point at infinity")
-        key = (g2_point[0], g2_point[1])
-        with self._prepared_lock:
-            prepared = self._prepared.get(key)
-        if prepared is not None:
-            return prepared
-        _count(counter, "g2_precomp")
-        prm = self.params
-        q_pt = self.twist_g2(g2_point)
-        steps: List[tuple] = []
-        r_pt = q_pt
-        for i in range(prm.log_ate_loop_count, -1, -1):
-            steps.append(("sm",) + self._line_coeffs(r_pt, r_pt))
-            r_pt = self._double(r_pt)
-            if prm.ate_loop_count & (1 << i):
-                steps.append(("m",) + self._line_coeffs(r_pt, q_pt))
-                r_pt = self._add(r_pt, q_pt)
-        if prm.bn_final_steps:
-            fq = prm.field_modulus
-            q1 = (q_pt[0] ** fq, q_pt[1] ** fq)
-            nq2 = (q1[0] ** fq, -(q1[1] ** fq))
-            steps.append(("m",) + self._line_coeffs(r_pt, q1))
-            r_pt = self._add(r_pt, q1)
-            steps.append(("m",) + self._line_coeffs(r_pt, nq2))
-        prepared = PreparedG2(self.params.name, tuple(steps))
-        with self._prepared_lock:
-            self._prepared.setdefault(key, prepared)
-        return prepared
-
-    def miller_prepared(self, g1_point, prepared: PreparedG2,
-                        counter=None) -> ExtElement:
-        """Replay a prepared G2's lines at a G1 point: the same Miller
-        value :meth:`miller_loop` produces, without the point maths."""
-        if prepared.engine_name != self.params.name:
-            raise CurveError(
-                f"prepared lines are for {prepared.engine_name}, "
-                f"engine is {self.params.name}"
-            )
-        if g1_point is None:
-            return self.fq12.one
-        _count(counter, "miller_loop")
+    def _replay(self, g1_point, steps: Iterable[tuple]) -> ExtElement:
         xt, yt = self.cast_g1(g1_point)
-        f = self.fq12.one
-        for kind, lam, x1, y1 in prepared.steps:
+        f = self.unity
+        for kind, lam, x1, y1 in steps:
             line = (xt - x1) if lam is None else lam * (xt - x1) - (yt - y1)
             f = f * f * line if kind == "sm" else f * line
         return f

@@ -4,45 +4,35 @@ The surrogate (repro.ff.params) is supersingular — y^2 = x^3 + x over
 F_q with q = 3 (mod 4) — hence has embedding degree 2: all r-torsion
 pairs into mu_r inside Fq2. G1 lives in E(F_q) and our G2 in the twist
 component of E(Fq2), which are independent order-r subgroups, so the
-reduced Tate pairing
+reduced Tate pairing is non-degenerate between them (validated by
+tests). This gives the 753-bit curve a *real* pairing-based Groth16
+verification path — no trapdoor shortcuts — completing the substitution
+story of DESIGN.md.
 
-    e(P, Q) = f_{r,P}(Q) ^ ((q^2 - 1) / r)
+The engine has one orientation: the Miller loop runs **over the G2
+argument** and is evaluated at the embedded G1 point,
 
-is non-degenerate on G1 x G2 (validated by tests). This gives the
-753-bit curve a *real* pairing-based Groth16 verification path — no
-trapdoor shortcuts — completing the substitution story of DESIGN.md.
+    e(P, Q) = f_{r,Q}(P) ^ ((q^2 - 1) / r),
 
-The Miller loop is the textbook affine version (r has ~750 bits, so
-~1100 line evaluations; inversion via extended Euclid keeps this fast
-enough for a verifier that the paper budgets "a few milliseconds" on
-native code).
+so that a verifying key's fixed beta/gamma/delta own the loop's point
+arithmetic and their ~1100 lines are a table built once per key — the
+same :class:`~repro.curves.pairing.MillerEngine` shape as the
+optimal-ate engines. It is bilinear in both arguments, non-degenerate
+and lands in mu_r (asserted by tests), which is all a
+product-of-pairings check needs.
 
-Batched verification uses the same :class:`MillerAccumulator` /
-``prepare_g2`` interface as the optimal-ate engines
-(:mod:`repro.curves.pairing`), with one twist: the accumulator's
-pairing runs the Miller loop **over the G2 argument** and evaluates at
-the (embedded) G1 point — ``t'(P, Q) = f_{r,Q}(P)^((q^2-1)/r)`` — so a
-verifying key's fixed beta/gamma/delta own the loop's point arithmetic
-and their ~1100 line coefficients precompute once per key.  ``t'`` is
-the reduced Tate pairing with the roles swapped: still bilinear in
-both arguments and non-degenerate on G2 x G1 (asserted by tests), and
-a product-of-pairings check only needs *some* non-degenerate bilinear
-pairing applied uniformly to every term — accept/reject is identical
-to the unswapped orientation.  The plain :meth:`MntTatePairing.pairing`
-keeps the historical f_{r,P}(Q) orientation so its values (and every
-existing caller) are unchanged.
-
-Every entry point takes an optional OpCounter counting ``miller_loop``
-/ ``final_exp`` / ``g2_precomp``, mirroring the ate engines, so batch
-pairing economics are machine-checked on this curve too.
+The Miller loop is the textbook affine version (r has ~750 bits;
+inversion via extended Euclid keeps this fast enough for a verifier
+that the paper budgets "a few milliseconds" on native code), with
+numerator and denominator accumulated separately and one inversion at
+the end.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
-from repro.curves.pairing import MillerAccumulator, PreparedG2
+from repro.curves.pairing import MillerEngine, chord
 from repro.curves.params import MNT_FQ2, mnt4753_g2_ready
 from repro.errors import CurveError
 from repro.ff.extension import ExtElement
@@ -52,16 +42,16 @@ __all__ = ["MntTatePairing", "mnt4753_pairing"]
 
 Fq2Point = Optional[Tuple[ExtElement, ExtElement]]
 
-_ENGINE_NAME = "MNT4753"
 
+class MntTatePairing(MillerEngine):
+    """Reduced Tate pairing on the supersingular 753-bit surrogate.
 
-def _count(counter, op: str, n: int = 1) -> None:
-    if counter is not None:
-        counter.count(op, n)
-
-
-class MntTatePairing:
-    """Reduced Tate pairing on the supersingular 753-bit surrogate."""
+    Line steps are ``(kind, lam, x, y, den_x)``: ``kind`` is ``"d"``
+    (doubling: square the accumulators first) or ``"a"`` (addition),
+    ``lam`` the slope of the line through ``(x, y)`` (``None`` when
+    vertical), ``den_x`` the abscissa of the step's new point — its
+    vertical-line correction — or ``None`` once that point is infinity.
+    """
 
     def __init__(self):
         self.field = MNT_FQ2
@@ -69,13 +59,8 @@ class MntTatePairing:
         self.r = MNT4753_R.modulus
         self.group = mnt4753_g2_ready()  # curve over Fq2 (a = 1)
         self._a = self.group.a
-        self._final_exp = (self.q * self.q - 1) // self.r
-        # fixed-argument line caches for the swapped-orientation loop,
-        # keyed by the G2 point's coordinates (see module docstring)
-        self._prepared: dict = {}
-        self._prepared_lock = threading.Lock()
-
-    # -- embeddings ----------------------------------------------------------
+        super().__init__("MNT4753", self.field.one,
+                         (self.q * self.q - 1) // self.r)
 
     def embed_g1(self, p) -> Fq2Point:
         """Lift a G1 point (int coordinates) into E(Fq2)."""
@@ -83,178 +68,28 @@ class MntTatePairing:
             return None
         return (self.field.element([p[0], 0]), self.field.element([p[1], 0]))
 
-    # -- Miller machinery ------------------------------------------------------
-
-    def _line(self, p1: Fq2Point, p2: Fq2Point, t: Fq2Point) -> ExtElement:
-        """Evaluate at t the line through p1 and p2 (or the tangent when
-        p1 == p2), divided by nothing — vertical-line corrections are
-        folded in by the caller."""
-        x1, y1 = p1
-        x2, y2 = p2
-        xt, yt = t
-        if x1 != x2:
-            lam = (y2 - y1) / (x2 - x1)
-        elif y1 == y2 and y1:
-            lam = (x1 * x1 * 3 + self._a) / (y1 * 2)
-        else:
-            # Vertical line.
-            return xt - x1
-        return (yt - y1) - lam * (xt - x1)
-
-    def _add(self, p: Fq2Point, q: Fq2Point) -> Fq2Point:
-        if p is None:
-            return q
-        if q is None:
-            return p
-        x1, y1 = p
-        x2, y2 = q
-        if x1 == x2:
-            if y1 + y2 == self.field.zero:
-                return None
-            lam = (x1 * x1 * 3 + self._a) / (y1 * 2)
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - x1 - x2
-        return (x3, lam * (x1 - x3) - y1)
-
-    def miller_loop(self, p: Fq2Point, q: Fq2Point,
-                    counter=None) -> ExtElement:
-        """f_{r,P}(Q) by the standard double-and-add Miller loop, with
-        numerator/denominator accumulated separately (one inversion at
-        the end)."""
-        if p is None or q is None:
-            return self.field.one
-        if p == q:
-            raise CurveError("Tate Miller loop needs distinct P, Q")
-        _count(counter, "miller_loop")
-        f_num = self.field.one
-        f_den = self.field.one
-        r_pt = p
-        for bit in bin(self.r)[3:]:  # skip leading 1
-            # Doubling step: f <- f^2 * l_{R,R}(Q) / v_{2R}(Q).
-            line = self._line(r_pt, r_pt, q)
-            r_pt = self._add(r_pt, r_pt)
-            f_num = f_num * f_num * line
-            f_den = f_den * f_den
-            if r_pt is not None:
-                f_den = f_den * (q[0] - r_pt[0])
-            if bit == "1":
-                line = self._line(r_pt, p, q)
-                r_pt = self._add(r_pt, p)
-                f_num = f_num * line
-                if r_pt is not None:
-                    f_den = f_den * (q[0] - r_pt[0])
-        return f_num / f_den
-
-    # -- the pairing -----------------------------------------------------------------
-
-    def pairing(self, g1_point, g2_point, counter=None) -> ExtElement:
-        """e(P, Q): P in G1 (int coords), Q in G2 (Fq2 coords)."""
-        if g1_point is None or g2_point is None:
-            return self.field.one
-        f = self.miller_loop(self.embed_g1(g1_point), g2_point,
-                             counter=counter)
-        return self.final_exponentiate(f, counter=counter)
-
-    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
-        _count(counter, "final_exp")
-        return f ** self._final_exp
-
-    def pairing_product_is_one(self, pairs, counter=None) -> bool:
-        """prod e(P_i, Q_i) == 1 with one shared final exponentiation."""
-        acc = self.field.one
-        for g1_point, g2_point in pairs:
-            if g1_point is None or g2_point is None:
-                continue
-            acc = acc * self.miller_loop(self.embed_g1(g1_point), g2_point,
-                                         counter=counter)
-        return (self.final_exponentiate(acc, counter=counter)
-                == self.field.one)
-
-    # -- multi-pairing / fixed-argument interface -----------------------------------
-
-    @property
-    def unity(self) -> ExtElement:
-        """The identity of the pairing target group (Fq2's one)."""
-        return self.field.one
-
-    def accumulator(self, counter=None) -> MillerAccumulator:
-        """A fresh multi-pairing accumulator over this engine.
-
-        Accumulated pairs use the swapped orientation t'(P, Q) =
-        f_{r,Q}(P)^fe uniformly (see module docstring) so fixed G2
-        arguments can own the precomputed loop.
-        """
-        return MillerAccumulator(self, counter=counter)
-
     def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
-        """Swapped-orientation Miller value f_{r,Q}(P) — the loop runs
-        over Q, so fixed-G2 terms can be precomputed (accumulator
-        hook)."""
-        if g1_point is None or g2_point is None:
-            return self.field.one
-        return self.miller_loop(g2_point, self.embed_g1(g1_point),
-                                counter=counter)
+        if g2_point is not None and g2_point == self.embed_g1(g1_point):
+            raise CurveError("Tate Miller loop needs distinct P, Q")
+        return super().miller_pair(g1_point, g2_point, counter=counter)
 
-    def prepare_g2(self, g2_point: Fq2Point, counter=None) -> PreparedG2:
-        """Precompute (and cache) the swapped-orientation Miller loop of
-        a fixed G2 point: ~1100 line coefficients plus the vertical
-        correction abscissae, replayable at any embedded G1 point.
-        Cached per engine by Q's coordinates; ``g2_precomp`` counts
-        actual builds so cross-batch reuse is machine-checkable."""
-        if g2_point is None:
-            raise CurveError("cannot prepare the point at infinity")
-        key = (g2_point[0], g2_point[1])
-        with self._prepared_lock:
-            prepared = self._prepared.get(key)
-        if prepared is not None:
-            return prepared
-        _count(counter, "g2_precomp")
-        steps: List[tuple] = []
+    def _lines(self, g2_point: Fq2Point) -> Iterator[tuple]:
+        """f_{r,Q} by double-and-add over the bits of r: each step's
+        line through the running point, and where that point lands."""
         r_pt = g2_point
         for bit in bin(self.r)[3:]:  # skip leading 1
-            lam, x1, y1 = self._line_coeffs(r_pt, r_pt)
-            r_pt = self._add(r_pt, r_pt)
-            steps.append(("d", lam, x1, y1,
-                          r_pt[0] if r_pt is not None else None))
+            lam, doubled = chord(r_pt, r_pt, self._a)
+            yield ("d", lam, *r_pt, doubled[0] if doubled else None)
+            r_pt = doubled
             if bit == "1":
-                lam, x1, y1 = self._line_coeffs(r_pt, g2_point)
-                r_pt = self._add(r_pt, g2_point)
-                steps.append(("a", lam, x1, y1,
-                              r_pt[0] if r_pt is not None else None))
-        prepared = PreparedG2(_ENGINE_NAME, tuple(steps))
-        with self._prepared_lock:
-            self._prepared.setdefault(key, prepared)
-        return prepared
+                lam, added = chord(r_pt, g2_point, self._a)
+                yield ("a", lam, *r_pt, added[0] if added else None)
+                r_pt = added
 
-    def _line_coeffs(self, p1: Fq2Point, p2: Fq2Point) -> tuple:
-        """(slope, x, y) of the line through p1/p2 (``None`` slope marks
-        a vertical line) — :meth:`_line` with the evaluation point
-        factored out."""
-        x1, y1 = p1
-        x2, y2 = p2
-        if x1 != x2:
-            return ((y2 - y1) / (x2 - x1), x1, y1)
-        if y1 == y2 and y1:
-            return ((x1 * x1 * 3 + self._a) / (y1 * 2), x1, y1)
-        return (None, x1, y1)
-
-    def miller_prepared(self, g1_point, prepared: PreparedG2,
-                        counter=None) -> ExtElement:
-        """Replay a prepared G2's swapped-orientation loop at a G1
-        point: bit-identical to ``miller_loop(Q, embed(P))``."""
-        if prepared.engine_name != _ENGINE_NAME:
-            raise CurveError(
-                f"prepared lines are for {prepared.engine_name}, "
-                f"engine is {_ENGINE_NAME}"
-            )
-        if g1_point is None:
-            return self.field.one
-        _count(counter, "miller_loop")
+    def _replay(self, g1_point, steps: Iterable[tuple]) -> ExtElement:
         xt, yt = self.embed_g1(g1_point)
-        f_num = self.field.one
-        f_den = self.field.one
-        for kind, lam, x1, y1, den_x in prepared.steps:
+        f_num = f_den = self.unity
+        for kind, lam, x1, y1, den_x in steps:
             line = ((xt - x1) if lam is None
                     else (yt - y1) - lam * (xt - x1))
             if kind == "d":

@@ -1,27 +1,34 @@
-"""Windowed batched verification for the proving service.
+"""Windowed verification: the proving service's one verify stage.
 
-``verify="batched"`` replaces the per-proof pooled verify with a
-windowing stage: finished proofs accumulate per (curve, circuit) until
-a window fills (``verify_window`` jobs) or ages out
-(``verify_window_timeout`` seconds), then the whole window is checked
-with **one** random-linear-combination batch —
+Workers prove; this stage, in the parent, verifies. Finished proofs
+accumulate per (curve, circuit) until a window fills (``verify_window``
+jobs) or ages out (``verify_window_timeout`` seconds), then the whole
+window is checked with **one** random-linear-combination batch —
 :meth:`~repro.snark.verifier.BatchVerifier.verify_window` — costing
 N + 3 Miller loops and a single final exponentiation instead of N
 per-proof checks at 4 + 1 each. A dirty window is bisected so only the
 offending job(s) fail; clean siblings in the same window still verify.
+Per-proof verification is the same stage at ``verify_window=1``: a
+window of one is the exact single check (4 + 1, no coefficient drawn).
 
 The stage is thread-agnostic: results arrive from the pipeline loop (or
 the inline caller), windows are flushed onto the stage's own small
-thread pool, and each job's completion callback is invoked from a pool
-thread — the pipeline marshals back to its loop before touching shard
-stats or futures. Timers guarantee progress for trickle traffic (a
-direct ``submit()`` never waits for a window that will not fill).
+thread pool — the only threads that verify — and each job's completion
+callback is invoked from a pool thread; the pipeline marshals back to
+its loop before touching shard stats or futures. Timers guarantee
+progress for trickle traffic (a direct ``submit()`` never waits for a
+window that will not fill).
 
 Each verified job's exported span tree gets a ``verify`` phase spliced
 in with ``stage="batched"`` plus the window's share of wall clock and
 its pairing economics (``window``, ``miller_loops``, ``final_exps``) —
 so the N + 3 claim is visible in every job's telemetry, not just in
 benchmarks.
+
+:func:`check_group` is the one place a group of results is decoded,
+screened and checked; the stage and :func:`verify_results_aggregate`
+both go through it, so a job whose bytes do not decode or whose public
+inputs have the wrong arity fails alone on either route.
 """
 
 from __future__ import annotations
@@ -33,7 +40,41 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.ff.opcount import OpCounter
 from repro.service.telemetry import splice_phase
 
-__all__ = ["BatchVerifyStage", "verify_results_aggregate"]
+__all__ = ["BatchVerifyStage", "check_group", "verify_results_aggregate"]
+
+
+def check_group(results, bundle, soundness_bits: int,
+                counter=None) -> List[Optional[str]]:
+    """Verify one (curve, circuit) group of ok results as a single RLC
+    window. Returns, per result, ``None`` if its proof verified or the
+    reason it did not.
+
+    Each result is screened before the window sees it — proof bytes
+    must decode (subgroup checks included) and the public inputs must
+    have the key's arity — so a malformed job is rejected on its own
+    and never reaches :meth:`BatchVerifier.verify_window`, where it
+    would fail the whole window.
+    """
+    from repro.snark.serialize import deserialize_proof
+
+    vk = bundle.keys.verifying_key
+    reasons: List[Optional[str]] = [None] * len(results)
+    slots, proofs, publics = [], [], []
+    for slot, result in enumerate(results):
+        try:
+            vk.check_public_inputs(result.public_inputs)
+            proof = deserialize_proof(result.proof_bytes, bundle.curve)
+        except Exception as exc:  # noqa: BLE001 — bad input = that job only
+            reasons[slot] = f"{type(exc).__name__}: {exc}"
+            continue
+        slots.append(slot)
+        proofs.append(proof)
+        publics.append(list(result.public_inputs))
+    _, bad = bundle.batch_verifier(soundness_bits).verify_window(
+        proofs, publics, counter=counter)
+    for i in bad:
+        reasons[slots[i]] = "proof failed batched verification"
+    return reasons
 
 
 class _Pending:
@@ -166,121 +207,69 @@ class BatchVerifyStage:
             self._inflight.discard(fut)
 
     def _verify_window(self, key, batch: List[_Pending]) -> None:
-        """Runs on the stage pool: deserialize, one RLC window check
-        (bisecting on failure), then splice telemetry and complete every
-        job. Never raises — malformed proofs become per-job errors."""
-        from repro.snark.serialize import deserialize_proof
-
-        curve_name, circuit_name = key
+        """Runs on the stage pool: one :func:`check_group` over the
+        window, then splice telemetry and complete every job. Never
+        raises — a failure to check at all fails the window's jobs."""
         t0 = time.perf_counter()
-        try:
-            bundle = self._bundle_for(curve_name, circuit_name)
-            checker = bundle.batch_verifier(self.soundness_bits)
-        except Exception as exc:  # noqa: BLE001 — setup failure fails the window
-            self._fail_all(batch, f"{type(exc).__name__}: {exc}")
-            return
-
-        proofs, publics, entries, decode_errors = [], [], [], []
-        for pending in batch:
-            try:
-                proofs.append(deserialize_proof(pending.result.proof_bytes,
-                                                bundle.curve))
-                publics.append(list(pending.result.public_inputs))
-                entries.append(pending)
-            except Exception as exc:  # noqa: BLE001 — bad bytes = that job only
-                decode_errors.append((pending, f"{type(exc).__name__}: {exc}"))
-
         counter = OpCounter()
-        bad: List[int] = []
-        ok = True
-        error: Optional[str] = None
-        if entries:
-            try:
-                ok, bad = checker.verify_window(proofs, publics,
-                                                counter=counter)
-            except Exception as exc:  # noqa: BLE001
-                ok, bad = False, list(range(len(entries)))
-                error = f"{type(exc).__name__}: {exc}"
-        seconds = time.perf_counter() - t0
-        share = seconds / max(1, len(batch))
+        try:
+            reasons = check_group([p.result for p in batch],
+                                  self._bundle_for(*key),
+                                  self.soundness_bits, counter)
+        except Exception as exc:  # noqa: BLE001 — no verdict = no verified job
+            reasons = [f"{type(exc).__name__}: {exc}"] * len(batch)
+        share = (time.perf_counter() - t0) / len(batch)
         meta = {
             "stage": "batched",
             "window": len(batch),
             "miller_loops": counter.total("miller_loop"),
             "final_exps": counter.total("final_exp"),
         }
-        bad_set = set(bad)
-        for i, pending in enumerate(entries):
-            self._finish(pending, i not in bad_set, share, meta,
-                         error or "proof failed batched verification")
-        for pending, reason in decode_errors:
-            self._finish(pending, False, share, meta, reason)
-
-    def _finish(self, pending: _Pending, verified: bool, seconds: float,
-                meta: dict, error: str) -> None:
-        result = pending.result
-        span = result.job_span
-        if span is not None:
-            splice_phase(span, "verify", seconds, **meta)
-        if verified:
-            result.verified = True
-        else:
-            result.ok = False
-            result.verified = False
-            result.proof_bytes = None
-            result.error = error
-            result.error_kind = "verify"
-        pending.done(result)
-
-    def _fail_all(self, batch: List[_Pending], reason: str) -> None:
-        for pending in batch:
-            self._finish(pending, False, 0.0,
-                         {"stage": "batched", "window": len(batch)}, reason)
+        for pending, reason in zip(batch, reasons):
+            result = pending.result
+            span = result.job_span
+            if span is not None:
+                splice_phase(span, "verify", share, **meta)
+            if reason is None:
+                result.verified = True
+            else:
+                result.ok = False
+                result.verified = False
+                result.proof_bytes = None
+                result.error = reason
+                result.error_kind = "verify"
+            pending.done(result)
 
 
 def verify_results_aggregate(results, bundle_for: Callable,
                              soundness_bits: int = 128) -> dict:
     """One accept/reject verdict over a whole job batch.
 
-    Groups ok results by (curve, circuit), runs one RLC window check
+    Groups ok results by (curve, circuit), runs one :func:`check_group`
     per group, and folds the verdicts: ``ok`` is True iff every proof
     in every group verifies (and no job in ``results`` had already
-    failed). ``bad_jobs`` names the offending job ids — isolated by
-    bisection, so one forged proof does not smear its siblings.
+    failed). ``bad_jobs`` names the offending job ids — screened or
+    isolated by bisection, so one forged proof does not smear its
+    siblings.
     """
-    from repro.snark.serialize import deserialize_proof
-
     groups: Dict[Tuple[str, str], list] = {}
     bad_jobs: List[str] = []
-    checked = 0
     counter = OpCounter()
     for result in results:
         if not result.ok or result.proof_bytes is None:
             bad_jobs.append(result.job_id)
             continue
         groups.setdefault((result.curve, result.circuit), []).append(result)
-    for (curve_name, circuit_name), members in groups.items():
-        bundle = bundle_for(curve_name, circuit_name)
-        checker = bundle.batch_verifier(soundness_bits)
-        proofs, publics, ids = [], [], []
-        for result in members:
-            try:
-                proofs.append(deserialize_proof(result.proof_bytes,
-                                                bundle.curve))
-                publics.append(list(result.public_inputs))
-                ids.append(result.job_id)
-            except Exception:  # noqa: BLE001 — undecodable proof = bad job
-                bad_jobs.append(result.job_id)
-        if not proofs:
-            continue
-        checked += len(proofs)
-        ok, bad = checker.verify_window(proofs, publics, counter=counter)
-        if not ok:
-            bad_jobs.extend(ids[i] for i in bad)
+    for key, members in groups.items():
+        reasons = check_group(members, bundle_for(*key), soundness_bits,
+                              counter)
+        bad_jobs.extend(result.job_id
+                        for result, reason in zip(members, reasons)
+                        if reason is not None)
     return {
         "ok": not bad_jobs,
         "bad_jobs": sorted(bad_jobs),
-        "proofs_checked": checked,
+        "proofs_checked": sum(len(m) for m in groups.values()),
         "miller_loops": counter.total("miller_loop"),
         "final_exps": counter.total("final_exp"),
     }

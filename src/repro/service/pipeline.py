@@ -1,6 +1,6 @@
 """The async sharded pipeline behind :class:`ProvingService`.
 
-Layering (ingest -> shard dispatch -> worker -> verify pool):
+Layering (ingest -> shard dispatch -> worker -> verify stage):
 
 * **Ingest** — an asyncio event loop on a dedicated thread owns one
   bounded queue per shard.  Submission is thread-safe; a full queue
@@ -17,20 +17,21 @@ Layering (ingest -> shard dispatch -> worker -> verify pool):
   dispatcher coroutine enforcing the per-job timeout; on expiry (or
   worker death) the process is terminated and respawned and the job
   retried up to ``retries`` more times on its shard.
-* **Verify pool** — proof verification runs in a bounded parent-side
-  thread pool *after* the worker round-trip, so the prover pipeline is
-  never serialized behind pairing checks (the fork-pool design spent
-  ~70% of its wall clock there).  The verify span is spliced back into
+* **Verify stage** — workers prove and serialize; they never touch a
+  verifier.  Each ok result is parked in the parent-side windowing
+  stage (:class:`~repro.service.batchverify.BatchVerifyStage`) *after*
+  the worker round-trip, so the prover pipeline is never serialized
+  behind pairing checks (the fork-pool design spent ~70% of its wall
+  clock there): finished proofs wait in per-(curve, circuit) windows
+  and each window is verified as one random-linear-combination batch —
+  N + 3 Miller loops and one final exponentiation for N proofs, the
+  exact 4 + 1 single check at ``verify_window=1`` — with bisection
+  isolating any offending job.  The verify span is spliced back into
   the job's exported span tree, keeping the phases-tile-the-wall
-  telemetry invariant.  ``verify="batched"`` swaps the per-proof pool
-  check for the windowing stage
-  (:class:`~repro.service.batchverify.BatchVerifyStage`): finished
-  proofs park in per-(curve, circuit) windows and each window is
-  verified as one random-linear-combination batch — N + 3 Miller loops
-  and one final exponentiation for N proofs — with bisection isolating
-  any offending job.  Stage callbacks marshal back to the loop thread
+  telemetry invariant.  Stage callbacks marshal back to the loop thread
   (:meth:`Pipeline._complete`) before shard stats or futures are
-  touched.
+  touched.  Without a stage (``verify="off"``) results complete as they
+  arrive.
 
 The pipeline reports per-shard utilization
 (:class:`~repro.service.shard.ShardStats`): queue-depth high-water
@@ -51,7 +52,7 @@ import multiprocessing as mp
 from repro.errors import ServiceError, ServiceOverloadedError
 from repro.service import wire
 from repro.service.shard import ShardMap, ShardStats
-from repro.service.telemetry import phase_breakdown, splice_phase
+from repro.service.telemetry import phase_breakdown
 from repro.service.worker import SetupBundle, worker_main
 
 __all__ = ["Pipeline", "JobItem"]
@@ -177,14 +178,13 @@ class _WorkerSlot:
 
 class Pipeline:
     """The running async pipeline: loop thread, shard queues,
-    dispatchers, worker processes and the verify pool."""
+    dispatchers and worker processes, feeding the verify stage."""
 
     def __init__(self, *, workers: int, shards: int, queue_depth: int,
                  timeout: Optional[float], retries: int,
-                 verify_mode: str, verify_workers: int,
                  worker_cfg: dict, setups: Dict[Tuple[str, str], SetupBundle],
                  warm_handles: dict, shard_map: ShardMap,
-                 wrap_result, verify_fn, batch_stage=None):
+                 wrap_result, batch_stage=None):
         if "fork" not in mp.get_all_start_methods():
             raise ServiceError(
                 "the pooled proving service requires the fork start "
@@ -192,29 +192,20 @@ class Pipeline:
         self._ctx = mp.get_context("fork")
         self.timeout = timeout
         self.retries = retries
-        self.verify_mode = verify_mode
         self._worker_cfg = worker_cfg
         self._setups = setups
         self._warm_handles = warm_handles
         self.shard_map = shard_map
         self._wrap_result = wrap_result
-        self._verify_fn = verify_fn
         self._batch_stage = batch_stage
         self.stats: List[ShardStats] = [ShardStats(s) for s in range(shards)]
         self._ticket = 0
         self._closing = False
-        self._side_tasks: set = set()
 
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run_loop,
                                         name="svc-ingest", daemon=True)
         self._thread.start()
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._verify_pool = ThreadPoolExecutor(
-            max_workers=max(1, verify_workers),
-            thread_name_prefix="svc-verify")
 
         # bounded per-shard ingest queues must be created on the loop
         fut = asyncio.run_coroutine_threadsafe(
@@ -296,7 +287,7 @@ class Pipeline:
                 raw = await asyncio.wait_for(
                     self._next_result(worker, ticket), self.timeout)
                 if raw is not _DEAD:
-                    self._spawn_finalize(item, raw)
+                    self._finalize(item, raw)
                     return
             except asyncio.TimeoutError:
                 failure = "timeout"
@@ -332,25 +323,17 @@ class Pipeline:
 
     # -- verify stage ------------------------------------------------------------
 
-    def _spawn_finalize(self, item: JobItem, raw: dict) -> None:
-        task = self._loop.create_task(self._finalize(item, raw))
-        self._side_tasks.add(task)
-        task.add_done_callback(self._side_tasks.discard)
-
-    async def _finalize(self, item: JobItem, raw: dict) -> None:
+    def _finalize(self, item: JobItem, raw: dict) -> None:
         result = self._wrap_result(raw, item.attempts)
-        if self.verify_mode == "batched" and result.ok:
+        if self._batch_stage is not None and result.ok:
             # Park the result in the windowing stage; its completion
             # callback runs on a stage pool thread, so marshal back to
             # the loop before touching shard stats or the future.
             self._batch_stage.add(
                 result,
-                lambda res, it=item: self._loop.call_soon_threadsafe(
-                    self._complete, it, res))
+                lambda res: self._loop.call_soon_threadsafe(
+                    self._complete, item, res))
             return
-        if self.verify_mode == "pool" and result.ok:
-            await self._loop.run_in_executor(
-                self._verify_pool, self._pool_verify, result)
         self._complete(item, result)
 
     def _complete(self, item: JobItem, result) -> None:
@@ -364,29 +347,6 @@ class Pipeline:
             (result.telemetry or {}).get("events", []))
         item.future.set_result(result)
 
-    def _pool_verify(self, result) -> None:
-        """Runs on the verify pool: deserialize + verify + splice the
-        verify span back into the job's exported span tree."""
-        t0 = time.perf_counter()
-        error: Optional[str] = None
-        verified = False
-        try:
-            verified = self._verify_fn(result)
-        except Exception as exc:  # noqa: BLE001 — a bad proof is a job error
-            error = f"{type(exc).__name__}: {exc}"
-        seconds = time.perf_counter() - t0
-        span = result.job_span
-        if span is not None:
-            splice_phase(span, "verify", seconds, stage="pool")
-        if verified:
-            result.verified = True
-        else:
-            result.ok = False
-            result.verified = False
-            result.proof_bytes = None
-            result.error = error or "proof failed verification"
-            result.error_kind = "verify"
-
     # -- shutdown ----------------------------------------------------------------
 
     def close(self) -> None:
@@ -399,16 +359,12 @@ class Pipeline:
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=10)
-            self._verify_pool.shutdown(wait=False)
 
     async def _shutdown(self) -> None:
         for slot in self._slots:
             self._queues[slot.shard].put_nowait(_SHUTDOWN)
         if self._dispatchers:
             await asyncio.gather(*self._dispatchers,
-                                 return_exceptions=True)
-        if self._side_tasks:
-            await asyncio.gather(*list(self._side_tasks),
                                  return_exceptions=True)
         if self._batch_stage is not None:
             # flush partial windows so every accepted job's future

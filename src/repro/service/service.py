@@ -17,10 +17,12 @@ serving layer for that shape of work, now an async sharded pipeline
 * **workers** — forked processes fed strict binary frames over pipes
   (:mod:`repro.service.wire`); witness bytes cross the boundary in the
   request's wire form, never as a pickle;
-* **verify** — by default a bounded parent-side thread pool re-verifies
-  finished proofs while the workers move on to the next job
-  (``verify="pool"``); ``"inline"`` restores in-worker verification
-  and ``"off"`` skips it (for capacity benchmarks).
+* **verify** — workers only prove; the parent's windowing stage
+  (:mod:`repro.service.batchverify`) re-verifies finished proofs, a
+  window at a time, while the workers move on to the next job
+  (``verify="batched"``, the default; ``verify_window=1`` checks each
+  proof on its own).  ``"off"`` skips verification (for capacity
+  benchmarks).
 
 Two levels of parallelism mirror the paper's execution model: across
 jobs (``workers`` processes, the multi-GPU batch mode) and within a job
@@ -49,7 +51,6 @@ it per process.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,21 +67,15 @@ from repro.service.worker import (SETUP_SEED_FMT, ProverHandle, SetupBundle,
 __all__ = ["ProofJob", "JobResult", "ProvingService", "setup_for",
            "SETUP_SEED_FMT"]
 
-VERIFY_MODES = ("pool", "inline", "off", "batched")
+VERIFY_MODES = ("batched", "off")
 
 
 def setup_for(curve_name: str, circuit_name: str):
     """(r1cs, Groth16Setup) for one service circuit — the same setup
-    every worker uses, re-derivable by any party from the names."""
-    from repro.snark.keys import setup
-
-    from repro.service.registry import get_circuit
-
-    curve = CURVES[curve_name]
-    r1cs = get_circuit(circuit_name).build(curve.fr)
-    rng = random.Random(SETUP_SEED_FMT.format(curve=curve_name,
-                                              circuit=circuit_name))
-    return r1cs, setup(r1cs, curve, rng=rng)
+    every worker uses (it *is* a :class:`SetupBundle`'s), re-derivable
+    by any party from the names."""
+    bundle = SetupBundle(curve_name, circuit_name)
+    return bundle.r1cs, bundle.keys
 
 
 @dataclass(frozen=True)
@@ -175,20 +170,21 @@ class ProvingService:
       wait=False)`` raises :class:`ServiceOverloadedError` (with a
       ``retry_after`` priced from the shard's smoothed job time) once
       the shard queue is full; ``wait=True`` blocks instead.
-    * ``verify`` — ``"pool"`` (default) re-verifies proofs on a
-      parent-side thread pool of ``verify_workers`` threads, off the
-      workers' critical path; ``"inline"`` verifies inside the worker;
-      ``"off"`` skips verification (results have ``verified=False``);
-      ``"batched"`` windows finished proofs per (curve, circuit) and
-      checks each window as one random-linear-combination batch —
-      N + 3 Miller loops and one final exponentiation for N proofs
-      instead of N separate pairing checks
-      (:mod:`repro.service.batchverify`).
-    * ``verify_window`` / ``verify_window_timeout`` — batched mode's
-      window size and max age: a window is checked when it holds
-      ``verify_window`` proofs or ``verify_window_timeout`` seconds
-      after its first proof arrived, whichever comes first (so a lone
-      ``submit()`` never waits on a window that will not fill).
+    * ``verify`` — ``"batched"`` (default) windows finished proofs per
+      (curve, circuit) in the parent, off the workers' critical path,
+      and checks each window on a pool of ``verify_workers`` threads as
+      one random-linear-combination batch — N + 3 Miller loops and one
+      final exponentiation for N proofs instead of N separate pairing
+      checks (:mod:`repro.service.batchverify`); ``"off"`` skips
+      verification (results have ``verified=False``).
+    * ``verify_window`` / ``verify_window_timeout`` — the window's size
+      and max age: a window is checked when it holds ``verify_window``
+      proofs or ``verify_window_timeout`` seconds after its first proof
+      arrived, whichever comes first (so a lone ``submit()`` never
+      waits on a window that will not fill).  ``verify_window=1`` is
+      per-proof verification: every proof is its own window, checked
+      exactly (4 Miller loops, one final exponentiation) the moment it
+      arrives.
     * ``soundness_bits`` — width of the batch's random coefficients; an
       invalid window survives with probability below
       ``2**-soundness_bits``.
@@ -220,7 +216,7 @@ class ProvingService:
                  warm: Optional[Sequence] = None,
                  shards: Optional[int] = None,
                  queue_depth: int = 16,
-                 verify: str = "pool",
+                 verify: str = "batched",
                  verify_workers: int = 2,
                  verify_window: int = 8,
                  verify_window_timeout: float = 0.25,
@@ -293,7 +289,6 @@ class ProvingService:
             self._inline_state = WorkerState(
                 shard=0, parallel_msm=parallel_msm,
                 msm_window=msm_window, msm_interval=msm_interval,
-                verify_inline=(verify not in ("off", "batched")),
                 cache_entries=worker_cache,
                 autotune=autotune,
             )
@@ -360,18 +355,15 @@ class ProvingService:
             "msm_window": self.msm_window,
             "msm_interval": self.msm_interval,
             "autotune": self.autotune,
-            "verify_inline": self.verify == "inline",
             "cache_entries": self.worker_cache,
             "env": self.env,
         }
         self._pipeline = Pipeline(
             workers=self.workers, shards=self.shards,
             queue_depth=self.queue_depth, timeout=self.timeout,
-            retries=self.retries, verify_mode=self.verify,
-            verify_workers=self.verify_workers, worker_cfg=worker_cfg,
+            retries=self.retries, worker_cfg=worker_cfg,
             setups=self._setups, warm_handles=self._warm_handles,
             shard_map=shard_map, wrap_result=self._wrap,
-            verify_fn=self._verify_result,
             batch_stage=self._batch_stage,
         )
 
@@ -383,15 +375,6 @@ class ProvingService:
                 bundle = self._setups[key] = SetupBundle(curve_name,
                                                          circuit_name)
             return bundle
-
-    def _verify_result(self, result: JobResult) -> bool:
-        """The pooled verify stage: re-derive the verifier from the
-        deterministic setup and check the returned proof bytes."""
-        from repro.snark.serialize import deserialize_proof
-
-        bundle = self._bundle_for(result.curve, result.circuit)
-        proof = deserialize_proof(result.proof_bytes, bundle.curve)
-        return bundle.verifier.verify(proof, result.public_inputs)
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -489,16 +472,16 @@ class ProvingService:
     def prove_batch(self, jobs: Sequence) -> List[JobResult]:
         """Prove a batch. Accepts :class:`ProofJob` objects and/or raw
         request byte strings; returns one :class:`JobResult` per job,
-        in submission order.  With ``verify="batched"`` the tail window
-        is flushed before gathering, so the last few jobs never idle
-        out the window timeout."""
+        in submission order.  The tail verify window is flushed before
+        gathering, so the last few jobs never idle out the window
+        timeout."""
         futures = [self.submit(item, wait=True) for item in jobs]
         self.flush_verify()
         return [f.result() for f in futures]
 
     def flush_verify(self) -> None:
-        """Batched mode: check every partial verify window now instead
-        of waiting for it to fill or age out.  No-op otherwise."""
+        """Check every partial verify window now instead of waiting
+        for it to fill or age out.  No-op with ``verify="off"``."""
         if self._batch_stage is not None:
             self._batch_stage.flush()
 
@@ -509,8 +492,9 @@ class ProvingService:
         group) and the verdicts folded.  Returns ``{"ok", "bad_jobs",
         "proofs_checked", "miller_loops", "final_exps"}`` — ``ok`` is
         True iff every job succeeded *and* every proof verifies, and
-        ``bad_jobs`` pinpoints offenders by bisection without failing
-        their window siblings."""
+        ``bad_jobs`` pinpoints offenders (malformed ones by screening,
+        forged ones by bisection) without failing their window
+        siblings."""
         from repro.service.batchverify import verify_results_aggregate
 
         return verify_results_aggregate(results, self._bundle_for,

@@ -2,7 +2,9 @@
 
 A shard worker is a forked process that consumes binary job frames from
 a pipe, proves them, and writes binary result frames back — no pickle
-in either direction (:mod:`repro.service.wire`).  The code here also
+in either direction (:mod:`repro.service.wire`).  A worker proves and
+serializes; verification is the parent's windowing stage
+(:mod:`repro.service.batchverify`).  The code here also
 backs the service's ``workers=0`` inline mode: both paths share one
 :class:`WorkerState` and one :func:`execute_job`, so inline behaviour
 is the pool behaviour minus the process boundary.
@@ -10,9 +12,10 @@ is the pool behaviour minus the process boundary.
 Warm-state layering (the dedupe the fork-pool design lacked):
 
 * **Setup bundles** (:class:`SetupBundle`) — the deterministic
-  per-(curve, circuit) R1CS + trusted setup + verifier.  The parent
-  builds these once before forking; every shard worker inherits them
-  copy-on-write instead of re-deriving them per process.
+  per-(curve, circuit) R1CS + trusted setup (and, in the parent, the
+  batch verifier over its key).  The parent builds these once before
+  forking; every shard worker inherits them copy-on-write instead of
+  re-deriving them per process.
 * **Prover handles** (:class:`ProverHandle`) — a backend-specific
   prover with its preprocessed MSM checkpoint tables.  These are the
   memory hogs (GZKP Figure 9 budgets them against device memory), so
@@ -138,13 +141,14 @@ class ForkLocalExecutor:
 
 class SetupBundle:
     """Deterministic per-(curve, circuit) artifacts: R1CS, trusted
-    setup, verifier.  Backend-independent (field elements are plain
-    ints), so one bundle serves every backend and survives a fork."""
+    setup, and the memoized batch verifier over its key.
+    Backend-independent (field elements are plain ints), so one bundle
+    serves every backend and survives a fork.  This constructor is the
+    one place the seeded setup is derived."""
 
     def __init__(self, curve_name: str, circuit_name: str):
         from repro.service.registry import get_circuit
         from repro.snark.keys import setup
-        from repro.snark.verifier import Groth16Verifier
 
         self.curve_name = curve_name
         self.circuit_name = circuit_name
@@ -154,7 +158,6 @@ class SetupBundle:
         rng = random.Random(SETUP_SEED_FMT.format(curve=curve_name,
                                                   circuit=circuit_name))
         self.keys = setup(self.r1cs, self.curve, rng=rng)
-        self.verifier = Groth16Verifier(self.keys.verifying_key, self.curve)
         self._batch_verifiers: Dict[int, object] = {}
         self._batch_lock = threading.Lock()
 
@@ -219,17 +222,12 @@ class ProverHandle:
     def curve(self):
         return self.bundle.curve
 
-    @property
-    def verifier(self):
-        return self.bundle.verifier
-
 
 class WorkerState:
     """Everything one worker (or the inline path) holds between jobs."""
 
     def __init__(self, *, shard: int = 0, parallel_msm: bool = True,
                  msm_window: int = 6, msm_interval: int = 2,
-                 verify_inline: bool = True,
                  cache_entries: Optional[int] = None,
                  setups: Optional[Dict[Tuple[str, str], SetupBundle]] = None,
                  executor: Optional[ForkLocalExecutor] = None,
@@ -239,7 +237,6 @@ class WorkerState:
         self.msm_window = msm_window
         self.msm_interval = msm_interval
         self.autotune = autotune
-        self.verify_inline = verify_inline
         # Setup bundles are small and deterministic: shared when
         # inherited from the parent, grown locally on first sight.
         self.setups: Dict[Tuple[str, str], SetupBundle] = (
@@ -306,8 +303,8 @@ def public_statement(assignment, n_public: int) -> tuple:
 def execute_job(task: dict, state: WorkerState,
                 worker_index: Optional[int] = None) -> dict:
     """Run one job end to end: context lookup/build, prove (POLY +
-    MSMs), optional inline verify, serialize — one telemetry span
-    tree."""
+    MSMs), serialize — one telemetry span tree.  The result is
+    unverified; the caller hands it to the verify stage."""
     from repro.backend import coverage as _coverage
     from repro.snark.serialize import serialize_proof
 
@@ -341,21 +338,9 @@ def execute_job(task: dict, state: WorkerState,
             public_inputs = public_statement(assignment,
                                              handle.r1cs.n_public)
             result["public_inputs"] = public_inputs
-            if state.verify_inline:
-                with telemetry.span("verify"):
-                    verified = handle.verifier.verify(proof, public_inputs)
-                if not verified:
-                    result.update(error="proof failed verification",
-                                  error_kind="verify")
-                else:
-                    with telemetry.span("serialize"):
-                        blob = serialize_proof(proof, handle.curve)
-                    result.update(ok=True, proof=blob, verified=True)
-            else:
-                # verification is the parent's pooled stage (or off)
-                with telemetry.span("serialize"):
-                    blob = serialize_proof(proof, handle.curve)
-                result.update(ok=True, proof=blob, verified=False)
+            with telemetry.span("serialize"):
+                blob = serialize_proof(proof, handle.curve)
+            result.update(ok=True, proof=blob, verified=False)
         except ReproError as exc:
             result.update(error=f"{type(exc).__name__}: {exc}",
                           error_kind="proof")
@@ -402,7 +387,6 @@ def worker_main(index: int, shard: int, task_fd: int, result_fd: int,
         parallel_msm=cfg.get("parallel_msm", True),
         msm_window=cfg.get("msm_window", 6),
         msm_interval=cfg.get("msm_interval", 2),
-        verify_inline=cfg.get("verify_inline", True),
         cache_entries=cfg.get("cache_entries"),
         autotune=cfg.get("autotune", False),
         setups=setups,

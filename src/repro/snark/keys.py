@@ -74,10 +74,20 @@ class VerifyingKey:
     ic: List[AffinePoint]
 
     def fixed_g2_points(self) -> List[AffinePoint]:
-        """The three fixed G2 pairing arguments (beta, gamma, delta) —
-        the points whose Miller-loop lines batched verification
-        precomputes once per key (``PairingEngine.prepare_g2``)."""
+        """The three fixed G2 pairing arguments (beta, gamma, delta),
+        in the order the verifier pairs them with its alpha, IC and C
+        terms — the points whose Miller-loop lines are tabulated once
+        per key (``MillerEngine.prepare_g2``)."""
         return [self.beta_g2, self.gamma_g2, self.delta_g2]
+
+    def check_public_inputs(self, public_inputs) -> None:
+        """Raise :class:`ProofError` unless there is exactly one public
+        input per IC point after the constant ``ic[0]``."""
+        if len(public_inputs) != len(self.ic) - 1:
+            raise ProofError(
+                f"expected {len(self.ic) - 1} public inputs, "
+                f"got {len(public_inputs)}"
+            )
 
 
 @dataclass

@@ -1,28 +1,35 @@
 """Groth16 verification.
 
-The standard product-of-pairings check
+The product-of-pairings check, for N proofs under one verifying key
+and coefficients r_i,
 
-    e(A, B) == e(alpha, beta) * e(IC(x), gamma) * e(C, delta)
+    prod e(-r_i A_i, B_i) * e(alpha * sum r_i, beta)
+        * e(sum r_i IC(x_i), gamma) * e(sum r_i C_i, delta) == 1,
 
-run as a single batched product with one final exponentiation. Every
-curve in this reproduction has a real pairing engine:
+run through one multi-pairing accumulator with one final
+exponentiation. The left factor is one fresh Miller loop per proof; the
+three right factors are the key's side of the equation, written once
+(:meth:`Groth16Verifier._equation_holds`) and replayed from the line
+tables the pairing engine caches for beta/gamma/delta
+(:meth:`~repro.curves.pairing.MillerEngine.prepare_g2`).
 
-* ALT-BN128, BLS12-381 — optimal-ate over the Fq12 tower
-  (:mod:`repro.curves.pairing`);
-* MNT4753 surrogate — reduced Tate pairing over Fq2 on the
-  supersingular curve (:mod:`repro.curves.tate`).
+* :meth:`Groth16Verifier.verify` is the equation at N = 1, r = 1: one
+  fresh loop and three replays — 4 Miller loops, 1 final exponentiation,
+  no coefficient, no scalar multiplication.
+* :meth:`BatchVerifier.verify_batch` draws independent r_i, folds the
+  C and IC(x) terms on the backend MSM and pays **N + 3 Miller loops
+  and one final exponentiation** for N proofs (down from 4 and 1 per
+  proof).
+* :meth:`BatchVerifier.verify_window` adds bisection, so a dirty window
+  names its offenders; its leaves — and a window of one — are the exact
+  single check.
 
-:class:`BatchVerifier` collapses N proofs into **N + 3 Miller loops and
-one final exponentiation** (down from 3 per proof): random-linear-
-combination coefficients r_i fold every proof's C term into one G1
-point (paired once against the fixed delta), every IC(x) term into one
-G1 point (paired once against the fixed gamma), and the summed r_i
-into one e(alpha·sum r_i, beta) term — leaving only the per-proof
-e(-r_i·A_i, B_i) loops. The three shared pairings replay the verifying
-key's precomputed G2 lines (:meth:`~repro.curves.pairing.PairingEngine
-.prepare_g2`), and both folds run on the backend MSM. The pairing op
-counters (``miller_loop`` / ``final_exp`` / ``g2_precomp``) make the
-economics machine-checkable rather than asserted.
+Every curve in this reproduction has a real pairing engine: ALT-BN128
+and BLS12-381 run optimal-ate over the Fq12 tower
+(:mod:`repro.curves.pairing`), the MNT4753 surrogate a reduced Tate
+pairing over Fq2 (:mod:`repro.curves.tate`). The pairing op counters
+(``miller_loop`` / ``final_exp`` / ``g2_precomp``) make the economics
+machine-checkable rather than asserted.
 
 A separate :class:`TrapdoorChecker` provides a fast white-box QAP check
 using the retained toxic waste — a test utility (milliseconds instead of
@@ -91,7 +98,8 @@ def _msm_engine_for(curve: CurvePair, backend=None):
 
 class Groth16Verifier:
     """Pairing-based verification with the short verifying key (the
-    "few milliseconds" step of Figure 1 — here pure Python, so seconds)."""
+    "few milliseconds" step of Figure 1 — here pure Python, so a good
+    fraction of a second): the batch equation at N = 1, r = 1."""
 
     def __init__(self, vk: VerifyingKey, curve: CurvePair, backend=None):
         self.vk = vk
@@ -107,11 +115,7 @@ class Groth16Verifier:
         as one backend MSM over the fixed IC point vector (scalars
         ``[1, x_1, ..., x_m]``) instead of a per-input scalar-mul/add
         loop — this runs on every verify, batched or not."""
-        if len(public_inputs) != len(self.vk.ic) - 1:
-            raise ProofError(
-                f"expected {len(self.vk.ic) - 1} public inputs, "
-                f"got {len(public_inputs)}"
-            )
+        self.vk.check_public_inputs(public_inputs)
         r = self.curve.fr.modulus
         scalars = [1] + [x % r for x in public_inputs]
         return self._ic_msm(scalars)
@@ -134,20 +138,31 @@ class Groth16Verifier:
                 and g1.is_on_curve(proof.c)
                 and self.curve.g2.is_on_curve(proof.b))
 
+    def _equation_holds(self, a_pairs, alpha_term, ic_term, c_term,
+                        counter=None) -> bool:
+        """prod e(P, Q) over ``a_pairs`` times e(alpha_term, beta)
+        e(ic_term, gamma) e(c_term, delta) == 1: a fresh Miller loop
+        per pair, the key's three fixed G2 points replayed from their
+        cached line tables, one final exponentiation."""
+        engine = self.engine
+        acc = engine.accumulator(counter=counter)
+        for g1_point, g2_point in a_pairs:
+            acc.accumulate(g1_point, g2_point)
+        for g1_term, g2_fixed in zip((alpha_term, ic_term, c_term),
+                                     self.vk.fixed_g2_points()):
+            acc.accumulate_prepared(
+                g1_term, engine.prepare_g2(g2_fixed, counter=counter))
+        return acc.is_one()
+
     def verify(self, proof: Proof, public_inputs: Sequence[int],
                counter=None) -> bool:
         """e(-A, B) e(alpha, beta) e(IC, gamma) e(C, delta) == 1."""
         if not self.check_proof_shape(proof):
             return False
-        g1 = self.curve.g1
         ic = self.ic_combination(public_inputs)
-        pairs = [
-            (g1.neg(proof.a), proof.b),
-            (self.vk.alpha_g1, self.vk.beta_g2),
-            (ic, self.vk.gamma_g2),
-            (proof.c, self.vk.delta_g2),
-        ]
-        return self.engine.pairing_product_is_one(pairs, counter=counter)
+        return self._equation_holds(
+            [(self.curve.g1.neg(proof.a), proof.b)],
+            self.vk.alpha_g1, ic, proof.c, counter=counter)
 
 
 class BatchVerifier:
@@ -164,12 +179,13 @@ class BatchVerifier:
     survives with probability < 2^-soundness_bits. The IC fold
     flattens to a single MSM over the verifying key's IC vector
     (scalar ``sum r_i x_ij`` per point), the C fold is an MSM over the
-    batch's C points, and the three shared pairings replay the
-    verifying key's cached G2 line precomputation. Total cost: N + 3
-    Miller loops, 1 final exponentiation, 2 MSMs and N + 1 scalar
-    muls — versus N per-proof checks at 4 Miller loops + 1 final
-    exponentiation each. The r_i lower bound of 1 is load-bearing: a
-    zero coefficient would silently exclude its proof from the check.
+    batch's C points, and the equation itself is the single
+    verifier's (:meth:`Groth16Verifier._equation_holds`, which replays
+    the key's cached G2 line tables). Total cost: N + 3 Miller loops,
+    1 final exponentiation, 2 MSMs and N + 1 scalar muls — versus N
+    per-proof checks at 4 Miller loops + 1 final exponentiation each.
+    The r_i lower bound of 1 is load-bearing: a zero coefficient would
+    silently exclude its proof from the check.
     """
 
     def __init__(self, vk: VerifyingKey, curve: CurvePair,
@@ -180,7 +196,6 @@ class BatchVerifier:
         self.vk = vk
         self.curve = curve
         self.soundness_bits = soundness_bits
-        self.engine = pairing_engine_for(curve)
         self._single = Groth16Verifier(vk, curve, backend=backend)
         self._msm = self._single._msm
 
@@ -215,11 +230,7 @@ class BatchVerifier:
         for proof, inputs in zip(proofs, public_inputs):
             if not self._single.check_proof_shape(proof):
                 return False
-            if len(inputs) != len(self.vk.ic) - 1:
-                raise ProofError(
-                    f"expected {len(self.vk.ic) - 1} public inputs, "
-                    f"got {len(inputs)}"
-                )
+            self.vk.check_public_inputs(inputs)
         g1 = self.curve.g1
         r = self.curve.fr.modulus
         coeffs = self.draw_coefficients(len(proofs), rng)
@@ -240,17 +251,10 @@ class BatchVerifier:
 
         alpha_term = g1.scalar_mul(coeff_sum, self.vk.alpha_g1)
 
-        engine = self.engine
-        acc = engine.accumulator(counter=counter)
-        for coeff, proof in zip(coeffs, proofs):
-            acc.accumulate(g1.neg(g1.scalar_mul(coeff, proof.a)), proof.b)
-        acc.accumulate_prepared(
-            alpha_term, engine.prepare_g2(self.vk.beta_g2, counter=counter))
-        acc.accumulate_prepared(
-            ic_fold, engine.prepare_g2(self.vk.gamma_g2, counter=counter))
-        acc.accumulate_prepared(
-            c_fold, engine.prepare_g2(self.vk.delta_g2, counter=counter))
-        return acc.is_one()
+        return self._single._equation_holds(
+            [(g1.neg(g1.scalar_mul(coeff, proof.a)), proof.b)
+             for coeff, proof in zip(coeffs, proofs)],
+            alpha_term, ic_fold, c_fold, counter=counter)
 
     # -- windowed check with bisection -----------------------------------------
 
@@ -264,35 +268,39 @@ class BatchVerifier:
         re-checked batched (fresh coefficients) and only failing halves
         split further, so one bad proof among N is pinpointed in
         O(log N) extra batched checks without failing its siblings.
-        Leaves are verified singly — the per-proof verdict is exact,
-        never a probabilistic false accusation.
+        A subset of one — a bisection leaf, or a whole window of one —
+        is verified singly: the per-proof verdict is exact, never a
+        probabilistic false accusation, and draws no coefficient.
         """
         if len(proofs) != len(public_inputs):
             raise ProofError("proofs and public-input lists differ in length")
-        if self.verify_batch(proofs, public_inputs, rng=rng,
-                             counter=counter):
-            return True, []
         bad: List[int] = []
 
-        def bisect(indices: List[int]) -> None:
+        def check(indices: List[int]) -> bool:
+            """Whether every proof in ``indices`` verifies; the ones
+            found not to are appended to ``bad``."""
             if len(indices) == 1:
                 i = indices[0]
-                if not self._single.verify(proofs[i], public_inputs[i],
-                                           counter=counter):
+                ok = self._single.verify(proofs[i], public_inputs[i],
+                                         counter=counter)
+                if not ok:
                     bad.append(i)
-                return
+                return ok
+            if self.verify_batch([proofs[i] for i in indices],
+                                 [public_inputs[i] for i in indices],
+                                 rng=rng, counter=counter):
+                return True
             mid = len(indices) // 2
-            for half in (indices[:mid], indices[mid:]):
-                if not self.verify_batch([proofs[i] for i in half],
-                                         [public_inputs[i] for i in half],
-                                         rng=rng, counter=counter):
-                    bisect(half)
+            check(indices[:mid])
+            check(indices[mid:])
+            return False
 
-        bisect(list(range(len(proofs))))
+        if check(list(range(len(proofs)))):
+            return True, []
         if not bad:
-            # Vanishingly unlikely (a batched false reject), but never
-            # report a failed window without naming a culprit: fall
-            # back to exact per-proof verification.
+            # Vanishingly unlikely (a subset rejected whose halves both
+            # pass), but never report a failed window without naming a
+            # culprit: fall back to exact per-proof verification.
             for i, (proof, inputs) in enumerate(zip(proofs, public_inputs)):
                 if not self._single.verify(proof, inputs, counter=counter):
                     bad.append(i)

@@ -197,6 +197,77 @@ class TestPairingEconomics:
         assert counter.total("g2_precomp") == 0
 
 
+class _NoDrawRng:
+    """An rng nobody may draw from."""
+
+    def randrange(self, lo, hi=None):
+        raise AssertionError("a window of one draws no coefficient")
+
+
+class TestSingleVerifyEconomics:
+    """Groth16Verifier.verify is the batch equation at N = 1, r = 1:
+    one fresh loop for e(-A, B), three replays of the key's cached
+    beta/gamma/delta tables, one final exponentiation."""
+
+    @pytest.fixture(scope="class")
+    def fresh_key(self):
+        """A key no other test has verified under, and a prover for
+        it (same circuit as ``batch_setup``: x^2 = public)."""
+        r1cs = R1CS(field=F, n_public=1)
+        x = r1cs.new_variable()
+        r1cs.add_constraint({x: 1}, {x: 1}, {1: 1})
+        keys = setup(r1cs, CURVE, random.Random(5150))
+        return keys, Groth16Prover(r1cs, keys.proving_key, CURVE)
+
+    def test_four_loops_one_final_exp_three_tables_once(self, fresh_key):
+        from repro.ff.opcount import OpCounter
+
+        keys, prover = fresh_key
+        proof = prover.prove([1, 49, 7], random.Random(1))
+        verifier = Groth16Verifier(keys.verifying_key, CURVE)
+        first = OpCounter()
+        assert verifier.verify(proof, [49], counter=first)
+        assert first.total("miller_loop") == 4
+        assert first.total("final_exp") == 1
+        assert first.total("g2_precomp") <= 3
+        for checker in (verifier,
+                        Groth16Verifier(keys.verifying_key, CURVE)):
+            later = OpCounter()
+            assert checker.verify(proof, [49], counter=later)
+            assert later.total("miller_loop") == 4
+            assert later.total("final_exp") == 1
+            assert later.total("g2_precomp") == 0
+
+    def test_proof_points_never_enter_the_table_cache(self, fresh_key):
+        keys, prover = fresh_key
+        verifier = Groth16Verifier(keys.verifying_key, CURVE)
+        proofs = [prover.prove([1, 49, 7], random.Random(200 + i))
+                  for i in range(10)]
+        assert len({proof.b for proof in proofs}) == 10
+        assert verifier.verify(proofs[0], [49])     # key's tables exist
+        size = len(verifier.engine._prepared)
+        assert all(verifier.verify(proof, [49]) for proof in proofs[1:])
+        assert len(verifier.engine._prepared) == size
+
+    def test_window_of_one_is_the_single_check(self, batch_setup):
+        from repro.ff.opcount import OpCounter
+
+        keys, proofs, publics = batch_setup
+        batch = BatchVerifier(keys.verifying_key, CURVE)
+        single = Groth16Verifier(keys.verifying_key, CURVE)
+        g1 = CURVE.g1
+        forged = type(proofs[0])(a=proofs[0].a, b=proofs[0].b,
+                                 c=g1.add(proofs[0].c, g1.generator))
+        for proof, verdict in ((proofs[0], (True, [])),
+                               (forged, (False, [0]))):
+            counter = OpCounter()
+            assert batch.verify_window([proof], [publics[0]], _NoDrawRng(),
+                                       counter=counter) == verdict
+            assert single.verify(proof, publics[0]) is verdict[0]
+            assert counter.total("miller_loop") == 4
+            assert counter.total("final_exp") == 1
+
+
 class TestCancellationAttack:
     """Correlated batch coefficients are the classic RLC failure mode:
     tamper C_1 by +P and C_2 by -P and the perturbations cancel in the

@@ -1,14 +1,16 @@
 """Extension-field tower and pairing tests (Groth16's verification
 substrate)."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FieldError
+from repro.errors import CurveError, FieldError
 from repro.ff import ALT_BN128_Q, ExtensionField, PrimeField
+from repro.ff.opcount import OpCounter
 from repro.curves import (
     bls12_381_g1,
     bls12_381_g2,
@@ -16,7 +18,11 @@ from repro.curves import (
     bn128_g1,
     bn128_g2,
     bn128_pairing,
+    mnt4753_g1,
+    mnt4753_g2_ready,
+    mnt4753_pairing,
 )
+from repro.curves.pairing import PreparedG2
 
 F13 = PrimeField(13, name="F_13")
 # F_13[x]/(x^2 + 1): -1 is a non-residue mod 13? 5^2=25=12=-1, so it IS a
@@ -185,3 +191,130 @@ class TestBls12381Pairing:
         assert e != eng.fq12.one
         p2 = bls12_381_g1.scalar_mul(2, bls12_381_g1.generator)
         assert eng.pairing(p2, bls12_381_g2.generator) == e * e
+
+
+# -- the engine API: one line table, one replay loop, one orientation ----------------
+
+
+def _digest(value) -> str:
+    """sha256 over the repr of a Miller value / line table with every
+    field element replaced by its coefficient tuple."""
+    def canon(v):
+        if v is None or isinstance(v, str):
+            return v
+        if isinstance(v, tuple):
+            return tuple(canon(x) for x in v)
+        return v.coeffs
+
+    return hashlib.sha256(repr(canon(value)).encode()).hexdigest()
+
+
+#: name -> (engine factory, G1 group, G2 group factory,
+#:          digest of miller_pair(G1, G2), digest of prepare_g2(G2).steps).
+#: The digests were captured by running commit d4b8564 — the tree in
+#: which a fresh loop and a prepared table were separate bodies — so
+#: they pin bit-identity by something other than the code under test.
+ENGINES = {
+    "ALT-BN128": (
+        bn128_pairing, bn128_g1, lambda: bn128_g2,
+        "5bad9064d2846dbbea351c274864a740fde5a7716a5119a201fb572f56467d22",
+        "01b450f2ad9e19edd22cb7ed0f14b77325d6687787379200ab5d5cfcdc8a87d1"),
+    "BLS12-381": (
+        bls12_381_pairing, bls12_381_g1, lambda: bls12_381_g2,
+        "4fb996d379aa01fd63d5c4014fd55edd66963b8ae20d4976bc71f0126d2fc091",
+        "e21430b5bfdf905ad9acf16cbfabb2713c6815920018791b8830675b3390caee"),
+    "MNT4753": (
+        mnt4753_pairing, mnt4753_g1, mnt4753_g2_ready,
+        "fb5637ccbc61cbced4a3c062de18910277807062cf6af7a9e4913ed1f214ac22",
+        "52cb40229a9cbdf455f9f8d649f5b199a8b1e4e47a3f701dd9b4f83407e72bfb"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ENGINES))
+def api(request):
+    factory, g1, g2_factory, miller_digest, steps_digest = \
+        ENGINES[request.param]
+    return factory(), g1, g2_factory(), miller_digest, steps_digest
+
+
+class TestEngineApi:
+    """accumulator / prepare_g2 / miller_prepared on every engine."""
+
+    def test_three_routes_one_value(self, api):
+        eng, g1, g2, _, _ = api
+        p, q = g1.generator, g2.generator
+        e = eng.pairing(p, q)
+        assert e != eng.unity
+        assert eng.accumulator().accumulate(p, q).result() == e
+        assert eng.final_exponentiate(
+            eng.miller_prepared(p, eng.prepare_g2(q))) == e
+
+    def test_miller_values_match_the_parent_commit(self, api):
+        eng, g1, g2, miller_digest, steps_digest = api
+        assert _digest(eng.miller_pair(g1.generator,
+                                       g2.generator)) == miller_digest
+        assert _digest(eng.prepare_g2(g2.generator).steps) == steps_digest
+
+    def test_bilinear_through_the_accumulator(self, api):
+        """e(5P, 3Q) e(-15P, Q) == 1 with the second factor replayed
+        from Q's table; dropping the negation must not balance."""
+        eng, g1, g2, _, _ = api
+        p, q = g1.generator, g2.generator
+        p5 = g1.scalar_mul(5, p)
+        q3 = g2.scalar_mul(3, q)
+        p15 = g1.scalar_mul(15, p)
+        prepared = eng.prepare_g2(q)
+        counter = OpCounter()
+        assert (eng.accumulator(counter).accumulate(p5, q3)
+                .accumulate_prepared(g1.neg(p15), prepared).is_one())
+        # one loop fresh, one replayed, one shared final exponentiation
+        assert counter.total("miller_loop") == 2
+        assert counter.total("final_exp") == 1
+        assert not (eng.accumulator().accumulate(p5, q3)
+                    .accumulate_prepared(p15, prepared).is_one())
+
+    def test_negation_through_the_accumulator(self, api):
+        eng, g1, g2, _, _ = api
+        p, q = g1.generator, g2.generator
+        assert eng.pairing_product_is_one([(p, q), (g1.neg(p), q)])
+        assert (eng.accumulator().accumulate(p, q)
+                .accumulate(p, g2.neg(q)).is_one())
+
+    def test_infinity_operands_cost_nothing(self, api):
+        eng, g1, g2, _, _ = api
+        p, q = g1.generator, g2.generator
+        prepared = eng.prepare_g2(q)
+        counter = OpCounter()
+        assert eng.miller_pair(None, q, counter=counter) == eng.unity
+        assert eng.miller_pair(p, None, counter=counter) == eng.unity
+        assert eng.miller_prepared(None, prepared,
+                                   counter=counter) == eng.unity
+        assert eng.pairing(None, q, counter=counter) == eng.unity
+        assert counter.total("miller_loop") == 0
+        assert counter.total("final_exp") == 0
+        with pytest.raises(CurveError):
+            eng.prepare_g2(None)
+
+    def test_table_is_built_once_and_a_fresh_loop_caches_nothing(self, api):
+        eng, g1, g2, _, _ = api
+        q9 = g2.scalar_mul(0x9E3779B9, g2.generator)
+        first = OpCounter()
+        prepared = eng.prepare_g2(q9, counter=first)
+        assert first.total("g2_precomp") <= 1
+        again = OpCounter()
+        assert eng.prepare_g2(q9, counter=again) is prepared
+        assert again.total("g2_precomp") == 0
+        size = len(eng._prepared)
+        q7 = g2.scalar_mul(0x7F4A7C15, g2.generator)
+        fresh = eng.miller_pair(g1.generator, q7, counter=again)
+        assert len(eng._prepared) == size
+        assert again.total("miller_loop") == 1
+        assert fresh == eng.miller_prepared(g1.generator,
+                                            eng.prepare_g2(q7))
+
+    def test_foreign_table_rejected(self, api):
+        eng, g1, g2, _, _ = api
+        steps = eng.prepare_g2(g2.generator).steps
+        with pytest.raises(CurveError, match="prepared lines are for"):
+            eng.miller_prepared(g1.generator,
+                                PreparedG2("some-other-engine", steps))

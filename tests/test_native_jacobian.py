@@ -345,7 +345,7 @@ def test_batch_dispatch_notes_coverage():
 def test_worker_job_emits_native_coverage_event():
     from repro.service.worker import WorkerState, execute_job
 
-    state = WorkerState(shard=0, verify_inline=False)
+    state = WorkerState(shard=0)
     # cubic, not square: its MSMs are the smallest in the registry that
     # clear the lane/entry thresholds, so the jacobian family has
     # dispatch decisions to report

@@ -249,6 +249,18 @@ class TestShardAffinity:
             assert stats["misses"] == len(jobs)
 
 
+def _replayed(svc, good, job_id, public_inputs):
+    """A worker-side ok result carrying ``good``'s proof bytes under
+    other public inputs — what a corrupted or lying worker would hand
+    the parent's verify stage."""
+    return svc._wrap({
+        "job_id": job_id, "ok": True, "curve": good.curve,
+        "circuit": good.circuit, "proof": good.proof_bytes,
+        "public_inputs": public_inputs, "backend": "python",
+        "telemetry": {},
+    }, 1)
+
+
 class TestVerifyModes:
     def test_verify_off_skips_verification(self):
         with ProvingService(workers=1, parallel_msm=False,
@@ -259,9 +271,11 @@ class TestVerifyModes:
             assert r.proof_bytes
             assert "verify" not in r.phase_seconds()
 
-    def test_verify_pool_splices_span(self):
+    def test_window_of_one_splices_span(self):
+        """Per-proof verification is verify_window=1: the exact single
+        check (4 Miller loops, 1 final exponentiation), spliced in."""
         with ProvingService(workers=1, parallel_msm=False,
-                            verify="pool") as svc:
+                            verify_window=1) as svc:
             r = svc.prove_batch([ProofJob(BN, "square", (5,),
                                           "python")])[0]
             assert r.ok and r.verified
@@ -273,40 +287,35 @@ class TestVerifyModes:
             assert 0.5 * wall <= total <= 1.05 * wall
             verify_meta = [c["meta"] for c in r.job_span["children"]
                            if c["name"] == "verify"]
-            assert verify_meta == [{"stage": "pool"}]
+            assert verify_meta == [{"stage": "batched", "window": 1,
+                                    "miller_loops": 4, "final_exps": 1}]
+            assert svc._batch_stage.windows_timed_out == 0
 
-    def test_verify_inline_runs_in_worker(self):
+    def test_window_of_one_catches_forged_proof(self):
         with ProvingService(workers=1, parallel_msm=False,
-                            verify="inline") as svc:
-            r = svc.prove_batch([ProofJob(BN, "square", (5,),
-                                          "python")])[0]
-            assert r.ok and r.verified
-            verify_meta = [c["meta"] for c in r.job_span["children"]
-                           if c["name"] == "verify"]
-            assert verify_meta == [{}]
-
-    def test_verify_pool_catches_forged_proof(self):
-        with ProvingService(workers=1, parallel_msm=False,
-                            verify="pool") as svc:
+                            verify_window=1) as svc:
             good = svc.prove_batch([ProofJob(BN, "square", (5,),
                                              "python")])[0]
             assert good.verified
             # same service, job whose worker-side result we corrupt:
-            # exercise the parent verify path directly
-            forged = svc._wrap({
-                "job_id": "forged", "ok": True, "curve": BN,
-                "circuit": "square", "proof": good.proof_bytes,
-                "public_inputs": (int(good.public_inputs[0]) + 1,),
-                "backend": "python",
-                "telemetry": good.telemetry,
-            }, 1)
-            assert svc._verify_result(forged) is False
+            # drive it through the parent's verify stage directly
+            forged = _replayed(svc, good, "forged",
+                               (int(good.public_inputs[0]) + 1,))
+            finished = []
+            svc._batch_stage.add(forged, finished.append)
+            svc._batch_stage.drain()
+            assert finished == [forged]
+            assert not forged.ok and not forged.verified
+            assert forged.error_kind == "verify"
+            assert forged.proof_bytes is None
 
     def test_bad_verify_mode_rejected(self):
         from repro.errors import ServiceError
 
-        with pytest.raises(ServiceError, match="verify"):
-            ProvingService(workers=0, verify="sometimes")
+        # "pool" and "inline" were modes once; they are unknown now
+        for mode in ("sometimes", "pool", "inline"):
+            with pytest.raises(ServiceError, match="verify"):
+                ProvingService(workers=0, verify=mode)
 
 
 class TestBatchedVerifyMode:
@@ -372,18 +381,13 @@ class TestBatchedVerifyMode:
                 [ProofJob(BN, "square", (5,), "python")])[0]
             assert good.verified
 
-            def replay(job_id, publics):
-                return svc._wrap({
-                    "job_id": job_id, "ok": True, "curve": BN,
-                    "circuit": "square", "proof": good.proof_bytes,
-                    "public_inputs": publics, "backend": "python",
-                    "telemetry": {},
-                }, 1)
-
             window = [
-                replay("sibling-1", tuple(good.public_inputs)),
-                replay("forged", (int(good.public_inputs[0]) + 1,)),
-                replay("sibling-2", tuple(good.public_inputs)),
+                _replayed(svc, good, "sibling-1",
+                          tuple(good.public_inputs)),
+                _replayed(svc, good, "forged",
+                          (int(good.public_inputs[0]) + 1,)),
+                _replayed(svc, good, "sibling-2",
+                          tuple(good.public_inputs)),
             ]
             finished = {}
             for result in window:
@@ -394,6 +398,42 @@ class TestBatchedVerifyMode:
             assert finished["sibling-2"].verified
             assert not finished["forged"].ok
             assert finished["forged"].error_kind == "verify"
+
+    @staticmethod
+    def _honest_and_wrong_arity(svc):
+        """An honest result and a replay of it carrying one public
+        input too many.  The pair used to raise out of the window
+        check: ``ProofError: expected 1 public inputs, got 2``."""
+        good = svc.prove_batch([ProofJob(BN, "square", (5,), "python")])[0]
+        assert good.verified
+        publics = tuple(good.public_inputs)
+        return [_replayed(svc, good, "honest", publics),
+                _replayed(svc, good, "forged", publics + (7,))]
+
+    def test_wrong_arity_job_fails_alone_in_its_window(self):
+        """Regression: the forged job failed its honest sibling too."""
+        with ProvingService(workers=0, parallel_msm=False,
+                            verify_window=8,
+                            verify_window_timeout=30.0) as svc:
+            finished = {}
+            for result in self._honest_and_wrong_arity(svc):
+                svc._batch_stage.add(
+                    result, lambda res: finished.setdefault(res.job_id, res))
+            svc._batch_stage.drain()
+            assert finished["honest"].ok and finished["honest"].verified
+            assert not finished["forged"].ok
+            assert finished["forged"].error_kind == "verify"
+            assert "expected 1 public inputs, got 2" in \
+                finished["forged"].error
+
+    def test_aggregate_verify_names_wrong_arity_job(self):
+        """Regression: aggregate_verify raised instead of answering."""
+        with ProvingService(workers=0, parallel_msm=False) as svc:
+            verdict = svc.aggregate_verify(
+                self._honest_and_wrong_arity(svc))
+            assert not verdict["ok"]
+            assert verdict["bad_jobs"] == ["forged"]
+            assert verdict["proofs_checked"] == 2
 
     def test_aggregate_verify_verdict(self):
         jobs = [ProofJob(BN, "square", (3 + i,), "python")

@@ -69,9 +69,11 @@ class TestTatePairing:
         assert not engine.pairing_product_is_one(bad)
 
     def test_miller_loop_rejects_equal_points(self, engine):
+        """A "G2" argument that is the embedded G1 point itself: every
+        line through it vanishes at it, so the loop refuses."""
         embedded = engine.embed_g1(mnt4753_g1.generator)
         with pytest.raises(CurveError):
-            engine.miller_loop(embedded, embedded)
+            engine.miller_pair(mnt4753_g1.generator, embedded)
 
     def test_engine_cached(self):
         from repro.curves.tate import mnt4753_pairing as factory
