@@ -9,15 +9,13 @@ three configurations of the same pipeline:
   two-floor fallback, i.e. the float-limb NTT sweep plus the same
   scalar loops as ``python`` for pointwise passes and every curve op —
   the only place a compiler-less whole proof is timed;
-* **native-tuned** — the numpy backend with the compiled CIOS kernels
+* **native** — the numpy backend with the compiled CIOS kernels
   (Stockham NTT passes, pointwise passes, Jacobian point kernels and
   the segmented bucket tree).
 
-One shared :class:`~repro.backend.autotune.KernelAutotuner` supplies
-every configuration's MSM (k, M) and the certified carry-clean cadence,
-so the rows differ **only in the kernel floor** — the tuner's objective
-is modeled GPU seconds, and letting it vary per row would fold an
-algorithm-config change into a kernel comparison.
+Every configuration's MSM (k, M) is the same deterministic search
+(:meth:`~repro.msm.gzkp.GzkpMsm.configure` prices modeled GPU seconds,
+not this host), so the rows differ **only in the kernel floor**.
 
 All three run ``_prove_with_masks`` with identical masks and must emit
 byte-identical group elements — the ablation measures throughput of a
@@ -25,8 +23,8 @@ byte-identical group elements — the ablation measures throughput of a
 ``BENCH_native_pipeline.json`` and an EXPERIMENTS.md block.
 
 Set ``NATIVE_PIPELINE_TINY=1`` (CI smoke) for a single-curve run that
-still writes the JSON and asserts the acceptance bar: tuned native
-beats the numpy scalar fallback on a full proof.
+still writes the JSON and asserts the acceptance bar: native beats the
+numpy scalar fallback on a full proof.
 """
 
 import json
@@ -81,18 +79,16 @@ def _curve_row(curve_name: str):
 
     from repro.circuits import sha256_like_circuit
     from repro.curves import CURVES
-    from repro.backend.autotune import KernelAutotuner
     from repro.snark import setup
     from repro.snark.gzkp_prover import make_gzkp_prover
 
     curve = CURVES[curve_name]
     r1cs, assignment = sha256_like_circuit(curve.fr, rounds=ROUNDS, seed=1)
     keys = setup(r1cs, curve, random.Random(31))
-    tuner = KernelAutotuner()
     configs = (
         ("python", "python", True),
         ("numpy_scalar", "numpy", False),
-        ("native_tuned", "numpy", True),
+        ("native", "numpy", True),
     )
     times = {}
     proofs = {}
@@ -100,9 +96,7 @@ def _curve_row(curve_name: str):
         for label, backend, native_on in configs:
             _set_native(native_on)
             prover = make_gzkp_prover(
-                r1cs, keys.proving_key, curve, backend=backend,
-                autotune=True, tuner=tuner,
-            )
+                r1cs, keys.proving_key, curve, backend=backend)
             prover._prove_with_masks(assignment, 1, 2)  # warm caches
             times[label], proofs[label] = _best_proof_time(
                 prover, assignment, REPS)
@@ -119,9 +113,9 @@ def _curve_row(curve_name: str):
         "domain": r1cs.domain_size(),
         "python_ms": times["python"] * 1e3,
         "numpy_scalar_ms": times["numpy_scalar"] * 1e3,
-        "native_tuned_ms": times["native_tuned"] * 1e3,
-        "native_vs_numpy": times["numpy_scalar"] / times["native_tuned"],
-        "native_vs_python": times["python"] / times["native_tuned"],
+        "native_ms": times["native"] * 1e3,
+        "native_vs_numpy": times["numpy_scalar"] / times["native"],
+        "native_vs_python": times["python"] / times["native"],
     }
 
 
@@ -146,7 +140,7 @@ def _write_outputs(rows):
         "configs:",
         "",
         "| curve | domain | python (ms) | numpy scalar (ms) | "
-        "native tuned (ms) | native vs numpy | native vs python |",
+        "native (ms) | native vs numpy | native vs python |",
         "|---|---|---|---|---|---|---|",
     ]
     regressed = []
@@ -157,17 +151,17 @@ def _write_outputs(rows):
             regressed.append(r["curve"])
         lines.append(
             f"| {r['curve']} | {r['domain']} | {r['python_ms']:.0f} | "
-            f"{r['numpy_scalar_ms']:.0f} | {r['native_tuned_ms']:.0f} | "
+            f"{r['numpy_scalar_ms']:.0f} | {r['native_ms']:.0f} | "
             f"{r['native_vs_numpy']:.2f}x | {vs_py:.2f}x{flag} |")
     lines += [
         "",
-        "`native tuned` routes the NTT butterflies, pointwise passes "
+        "`native` routes the NTT butterflies, pointwise passes "
         "and Jacobian bucket folds through the compiled CIOS kernels; "
         "`numpy scalar` is the same pipeline with `REPRO_NATIVE=0` — "
         "the float-limb NTT sweep, scalar loops for everything else. "
-        "One shared autotuner supplies every row's MSM (k, M) and "
-        "certified carry-clean cadence, so the rows differ only in the "
-        "kernel floor. A `native vs python` below 1.0x is a regression "
+        "Every row's MSM (k, M) is the same deterministic search, so "
+        "the rows differ only in the kernel floor. "
+        "A `native vs python` below 1.0x is a regression "
         "flag: the native pipeline must not lose to the scalar "
         "reference. Raw rows in `BENCH_native_pipeline.json`.",
         _MARK_END,
@@ -199,13 +193,13 @@ def test_native_pipeline_ablation(regen):
     for r in rows:
         print(f"{r['curve']:>12} {r['python_ms']:>8.0f}m "
               f"{r['numpy_scalar_ms']:>8.0f}m "
-              f"{r['native_tuned_ms']:>8.0f}m "
+              f"{r['native_ms']:>8.0f}m "
               f"{r['native_vs_numpy']:>8.2f}x "
               f"{r['native_vs_python']:>9.2f}x")
     for r in rows:
         bar = TINY_TOLERANCE if TINY else 1.0
-        assert r["native_tuned_ms"] <= r["numpy_scalar_ms"] * bar, (
-            f"{r['curve']}: tuned native ({r['native_tuned_ms']:.0f}ms) "
+        assert r["native_ms"] <= r["numpy_scalar_ms"] * bar, (
+            f"{r['curve']}: native ({r['native_ms']:.0f}ms) "
             f"did not beat the numpy scalar fallback "
             f"({r['numpy_scalar_ms']:.0f}ms)")
     if not TINY:
@@ -215,6 +209,6 @@ def test_native_pipeline_ablation(regen):
         for r in rows:
             assert r["native_vs_python"] >= 1.0, (
                 f"{r['curve']}: native pipeline "
-                f"({r['native_tuned_ms']:.0f}ms) lost to python "
+                f"({r['native_ms']:.0f}ms) lost to python "
                 f"({r['python_ms']:.0f}ms)")
     _write_outputs(rows)

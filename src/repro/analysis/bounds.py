@@ -623,7 +623,7 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     the routing and the padd/pdbl tallies are the scalar formulas';
     (3) the per-op Montgomery-mul counts equal the paper's formula
     constants, with no conversion mul on either side — the same
-    constants the autotuner's (k, M) search prices.
+    constants the MSM engine's (k, M) search prices.
     """
     import math as _math
 

@@ -23,14 +23,19 @@ when none does (or ``REPRO_NATIVE=0`` is set) :func:`get_native_field`
 returns ``None`` and callers fall back to the scalar reference path,
 bit-identically.
 
-Cache layout (``$REPRO_NATIVE_CACHE`` or a per-uid tmp dir)::
+Cache layout — these two files are everything the cache holds::
 
     <base>/<source-sha256[:16]>/kernels.c      # published source (provenance)
     <base>/<source-sha256[:16]>/kernels.so     # the compiled kernels
-    <base>/<source-sha256[:16]>/mod-<hash>.bin # per-modulus constant block
-    <base>/autotune/<curve>-<n>-<device>.json  # tuned profiles (autotune.py)
 
-Every artifact is published with a pid-unique temp file + ``os.replace``
+``<base>`` is ``$REPRO_NATIVE_CACHE`` — a deployment setting, trusted as
+given — or else ``<tmp>/repro-native-<uid>``. That default name is
+guessable and ``kernels.so`` is ``dlopen``-ed, so it is used only while
+it is a real directory owned by this uid that nobody else can write;
+otherwise the loader records ``native-kernel-cache-untrusted``, warns,
+and builds into a process-private ``mkdtemp`` directory instead.
+
+Both files are published with a pid-unique temp file + ``os.replace``
 so concurrent first-compiles (the forked service) race cleanly: both
 processes may build, but readers only ever observe complete files. A
 cached ``.so`` that fails to ``dlopen`` (stale architecture, truncated
@@ -62,10 +67,12 @@ NumPy array compares, with no lazy-reduction bookkeeping.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 import time
@@ -803,9 +810,8 @@ _FIELDS: Dict[int, "NativeField"] = {}
 #: in-process loader event log (compile / cache-hit / corrupt / failure)
 _EVENTS: List[dict] = []
 _WARNED = False
-
-#: magic + layout version of the per-modulus constant block files
-_CONST_MAGIC = b"RNCB1\0"
+#: this process' stand-in for an untrusted default cache directory
+_PRIVATE_BASE: Optional[str] = None
 
 
 def _record_event(kind: str, detail: str, **fields) -> None:
@@ -839,21 +845,41 @@ def _env_disabled() -> bool:
 
 
 def cache_base_dir() -> str:
-    """Root of the on-disk kernel cache (``$REPRO_NATIVE_CACHE`` or a
-    per-uid temp dir). Autotune profiles live under it too."""
-    base = os.environ.get("REPRO_NATIVE_CACHE")
-    if not base:
-        base = os.path.join(tempfile.gettempdir(),
-                            f"repro-native-{os.getuid()}")
-    return base
+    """Root of the on-disk kernel cache: ``$REPRO_NATIVE_CACHE`` as
+    given, else the per-uid temp dir while it is safe to ``dlopen``
+    from (see the module docstring)."""
+    return os.environ.get("REPRO_NATIVE_CACHE") or _default_cache_base()
+
+
+def _default_cache_base() -> str:
+    global _PRIVATE_BASE
+    if _PRIVATE_BASE is None:
+        uid = os.getuid()
+        base = os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
+        try:
+            os.mkdir(base, 0o700)
+        except FileExistsError:
+            pass
+        # lstat, not stat: a symlink planted under the guessable name
+        # must not be followed to a directory that passes the checks.
+        st = os.lstat(base)
+        if stat.S_ISDIR(st.st_mode) and st.st_uid == uid \
+                and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
+            return base
+        _PRIVATE_BASE = tempfile.mkdtemp(prefix="repro-native-")
+        atexit.register(shutil.rmtree, _PRIVATE_BASE, ignore_errors=True)
+        detail = (f"kernel cache {base} is not a directory only uid {uid} "
+                  f"can write: not loading from it, compiling into "
+                  f"{_PRIVATE_BASE} for this process (set REPRO_NATIVE_CACHE "
+                  "to a directory you own to keep a warm cache)")
+        _record_event("native-kernel-cache-untrusted", detail,
+                      path=base, used=_PRIVATE_BASE)
+        warnings.warn(f"repro native: {detail}", RuntimeWarning, stacklevel=3)
+    return _PRIVATE_BASE
 
 
 def _source_digest() -> str:
     return hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-
-
-def _cache_dir(digest: str) -> str:
-    return os.path.join(cache_base_dir(), digest)
 
 
 #: cap on retained per-digest kernel dirs (``REPRO_NATIVE_CACHE_MAX_DIRS``)
@@ -875,10 +901,10 @@ def _prune_cache(current_digest: str) -> None:
     build. Every source edit mints a new digest dir, so a long-lived
     persistent cache (CI runners pointing ``REPRO_NATIVE_CACHE`` at a
     shared volume) accumulates dead kernels forever without a cap. Only
-    16-hex-char digest dirs are candidates — the ``autotune/`` profile
-    dir and anything user-placed is never touched — and the current
-    digest always survives. Oldest-mtime dirs go first; failures are
-    ignored (a racing reader may hold a dir open)."""
+    16-hex-char digest dirs are candidates — anything user-placed is
+    never touched — and the current digest always survives.
+    Oldest-mtime dirs go first; failures are ignored (a racing reader
+    may hold a dir open)."""
     base = cache_base_dir()
     try:
         names = os.listdir(base)
@@ -1030,7 +1056,7 @@ def _compile_and_load():
     artifact in a persistent ``REPRO_NATIVE_CACHE``) is deleted and
     rebuilt exactly once; only a failure of the *fresh* build gives up
     on the native path."""
-    cdir = _cache_dir(_source_digest())
+    cdir = os.path.join(cache_base_dir(), _source_digest())
     sopath = os.path.join(cdir, "kernels.so")
     for _attempt in range(2):
         compiled = False
@@ -1118,70 +1144,6 @@ def get_native_field(modulus: int) -> Optional["NativeField"]:
     return field
 
 
-# -- per-modulus constant blocks ------------------------------------------------
-
-
-def _const_block_path(modulus: int) -> str:
-    mh = hashlib.sha256(
-        modulus.to_bytes((modulus.bit_length() + 7) // 8, "little")
-    ).hexdigest()[:16]
-    return os.path.join(_cache_dir(_source_digest()), f"mod-{mh}.bin")
-
-
-def _load_const_block(path: str, modulus: int,
-                      w: int) -> Optional[Dict[str, int]]:
-    """Read a published constant block; any mismatch (magic, checksum,
-    width, modulus) returns None and the caller recomputes — a corrupt
-    block costs a re-derivation, never wrong arithmetic."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError:
-        return None
-    if len(blob) <= len(_CONST_MAGIC) + 32 or \
-            not blob.startswith(_CONST_MAGIC):
-        return None
-    body, check = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != check:
-        return None
-    stride = 8 * w
-    off = len(_CONST_MAGIC)
-    if len(body) != off + 16 + 4 * stride:
-        return None
-    if int.from_bytes(body[off:off + 8], "little") != w:
-        return None
-    off += 8
-    n0inv = int.from_bytes(body[off:off + 8], "little")
-    off += 8
-    vals = []
-    for _ in range(4):
-        vals.append(int.from_bytes(body[off:off + stride], "little"))
-        off += stride
-    if vals[0] != modulus:
-        return None
-    return {"n0inv": n0inv, "r": vals[1], "r2": vals[2], "rinv": vals[3]}
-
-
-def _publish_const_block(path: str, modulus: int, w: int,
-                         consts: Dict[str, int]) -> None:
-    stride = 8 * w
-    body = _CONST_MAGIC + w.to_bytes(8, "little")
-    body += consts["n0inv"].to_bytes(8, "little")
-    for value in (modulus, consts["r"], consts["r2"], consts["rinv"]):
-        body += value.to_bytes(stride, "little")
-    blob = body + hashlib.sha256(body).digest()
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)  # atomic vs concurrent publishers
-    except OSError:  # read-only or vanished cache dir: stay in-memory
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 class NativeField:
     """Batched Montgomery-domain arithmetic over one prime modulus.
 
@@ -1211,21 +1173,10 @@ class NativeField:
         self.lib = lib
         self.p = modulus
         self.w = w
-        consts = _load_const_block(_const_block_path(modulus), modulus, w)
-        if consts is None:
-            r = (1 << (64 * w)) % modulus
-            consts = {
-                "r": r,
-                "r2": r * r % modulus,
-                "rinv": pow(r, -1, modulus),
-                "n0inv": (-pow(modulus, -1, 1 << 64)) % (1 << 64),
-            }
-            _publish_const_block(_const_block_path(modulus), modulus, w,
-                                 consts)
-        self.r = consts["r"]
-        self._r2 = consts["r2"]
-        self._rinv = consts["rinv"]
-        self.n0inv = consts["n0inv"]
+        self.r = (1 << (64 * w)) % modulus
+        self._r2 = self.r * self.r % modulus
+        self._rinv = pow(self.r, -1, modulus)
+        self.n0inv = (-pow(modulus, -1, 1 << 64)) % (1 << 64)
         self._n_words = self._row(modulus)
         self._r2_words = self._row(self._r2)
         self._one_words = self._row(1)

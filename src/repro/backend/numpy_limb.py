@@ -50,8 +50,7 @@ try:  # numpy ships with the repo's environment, but stay importable without
 except ImportError:  # pragma: no cover - exercised only without numpy
     _np = None
 
-__all__ = ["NumpyLimbBackend", "ResidentVector", "numpy_available",
-           "configure_clean_cadence"]
+__all__ = ["NumpyLimbBackend", "ResidentVector", "numpy_available"]
 
 #: limb width in bits (see module docstring for why not the paper's 52)
 LIMB_BITS = 22
@@ -126,34 +125,6 @@ def _geometry(modulus: int) -> _Geometry:
     if geom is None:
         geom = _GEOMS[modulus] = _Geometry(modulus)
     return geom
-
-
-def configure_clean_cadence(modulus: int,
-                            clean_every: Optional[int]) -> int:
-    """Set the carry-clean cadence of one modulus' limb geometry — the
-    autotuner's entry point. Every value is gated by the certifier's
-    worst-case sweep bound (the same single source of truth the
-    geometry constructor asserts against); ``None`` restores the
-    default formula. Returns the cadence now in force. Any certified
-    cadence produces bit-identical sweep results — the normalize
-    rounds are exact — so this knob trades passes-between-cleans for
-    throughput only."""
-    geom = _geometry(modulus)
-    if clean_every is None:
-        clean_every = max(2, (1 << 53) // (geom.lg << (2 * LIMB_BITS)))
-    from repro.analysis.bounds import certified_safe_clean_every
-
-    safe = certified_safe_clean_every(LIMB_BITS, geom.lg)
-    if not 2 <= clean_every <= safe:
-        from repro.errors import FieldError
-
-        raise FieldError(
-            f"clean_every={clean_every} is outside the certified safe "
-            f"range [2, {safe}] for a {geom.p.bit_length()}-bit modulus "
-            f"(lg={geom.lg})"
-        )
-    geom.clean_every = clean_every
-    return clean_every
 
 
 # -- representation conversion -------------------------------------------------

@@ -53,7 +53,11 @@ from repro.msm.naive import check_msm_inputs
 from repro.msm.pippenger import bucket_reduce
 from repro.msm.windows import DigitStats, num_windows, scalar_digits
 
-__all__ = ["GzkpMsmConfig", "GzkpMsm"]
+__all__ = ["GzkpMsmConfig", "GzkpMsm", "check_override"]
+
+#: window sizes the profiling search sweeps (§4.1); its ceiling is also
+#: the largest ``window=`` override accepted
+WINDOW_RANGE = range(6, 25)
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,18 @@ class GzkpMsmConfig:
     preprocess_bytes: int  # checkpoint table footprint
 
 
+def check_override(window: Optional[int], interval: Optional[int],
+                   error=MsmError) -> None:
+    """Refuse — as ``error`` — an explicit (k, M) no engine can run: a
+    window outside ``1 .. WINDOW_RANGE[-1]`` or a checkpoint interval
+    below 1. ``None`` leaves the choice to :meth:`GzkpMsm.configure`."""
+    if window is not None and not 1 <= window <= WINDOW_RANGE[-1]:
+        raise error(
+            f"MSM window must be in [1, {WINDOW_RANGE[-1]}], got {window}")
+    if interval is not None and interval < 1:
+        raise error(f"MSM checkpoint interval must be >= 1, got {interval}")
+
+
 class GzkpMsm:
     """GZKP MSM: functional execution + cost plan."""
 
@@ -76,15 +92,14 @@ class GzkpMsm:
                  load_balanced: bool = True,
                  use_dfp_library: bool = True,
                  backend=None, tuner=None):
+        # ``tuner`` is accepted and unused: the frozen perf ledger
+        # (benchmarks/ledger/stations.py) still passes one.
+        check_override(window, interval)
         self.group = group
         self.scalar_bits = scalar_bits
         self.device = device
         self._window_override = window
         self._interval_override = interval
-        #: optional :class:`repro.backend.autotune.KernelAutotuner`;
-        #: when set (and no explicit overrides) configure() delegates
-        #: the (k, M) choice to its joint search / persisted profiles
-        self.tuner = tuner
         self.fq_mul_factor = fq_mul_factor
         #: disable for the "GZKP-no-LB" breakdown variant (Figure 10)
         self.load_balanced = load_balanced
@@ -105,11 +120,16 @@ class GzkpMsm:
     # -- configuration --------------------------------------------------------------
 
     def configure(self, n: int) -> GzkpMsmConfig:
-        """Profiling-based window configuration (§4.1): evaluate the full
-        cost model over candidate window sizes k — each with the smallest
-        checkpoint interval M whose table fits the preprocessing memory
-        budget — and keep the fastest. This joint search is the
-        "profiling" the paper performs once per application — so the
+        """The one place (k, M) is decided. The constructor's
+        ``window=``/``interval=`` override wins; otherwise this is the
+        paper's profiling-based window configuration (§4.1): evaluate
+        the full cost model over candidate window sizes k — each with
+        the smallest checkpoint interval M whose table fits the
+        preprocessing memory budget — and keep the fastest. Searching k
+        alone is exhaustive: a sparser table than the budget demands
+        only adds residual-fold doublings, so modeled time never falls
+        as M grows (DESIGN.md §9; the tests pin both that and the
+        answers). The paper profiles once per application — so the
         result is memoized per n and the search never reruns for a
         scale this engine has already profiled."""
         cfg = self._cfg_cache.get(n)
@@ -118,12 +138,10 @@ class GzkpMsm:
         if self._window_override is not None:
             k = self._window_override
             cfg = self._make_config(n, k, self._interval_for(n, k))
-        elif self.tuner is not None:
-            cfg = self.tuner.msm_config(self, n)
         else:
             best_cfg = None
             best_time = float("inf")
-            for k in range(6, 25):
+            for k in WINDOW_RANGE:
                 cand = self._make_config(n, k, self._interval_for(n, k))
                 seconds = self.device.time_of(
                     self._plan_with_cfg(n, cand, None)

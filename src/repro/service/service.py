@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.curves.params import CURVES
 from repro.errors import ServiceError, ValidationError
+from repro.msm.gzkp import check_override
 from repro.service import wire
 from repro.service.shard import ShardMap, ShardStats
 from repro.service.telemetry import Telemetry, phase_breakdown
@@ -188,13 +189,6 @@ class ProvingService:
     * ``soundness_bits`` — width of the batch's random coefficients; an
       invalid window survives with probability below
       ``2**-soundness_bits``.
-    * ``autotune`` — hand each prover's MSM (window, interval) choice
-      and the numpy backend's carry-clean cadence to the
-      :class:`~repro.backend.autotune.KernelAutotuner` instead of the
-      static ``msm_window``/``msm_interval`` defaults.  Tuned profiles
-      persist in the native kernel cache directory, so forked workers
-      read them instead of re-searching; tuning never changes proof
-      bytes.
     * ``worker_cache`` — bound on each worker's resident prover
       handles (the MSM checkpoint tables; GZKP Figure 9's
       preprocessing-memory budget).  ``None`` means unbounded.
@@ -211,7 +205,6 @@ class ProvingService:
     def __init__(self, workers: int = 2, parallel_msm: bool = True,
                  timeout: Optional[float] = None, retries: int = 1,
                  msm_window: int = 6, msm_interval: int = 2,
-                 autotune: bool = False,
                  env: Optional[dict] = None,
                  warm: Optional[Sequence] = None,
                  shards: Optional[int] = None,
@@ -245,13 +238,13 @@ class ProvingService:
             raise ServiceError("verify_window_timeout must be > 0")
         if soundness_bits < 1:
             raise ServiceError("soundness_bits must be >= 1")
+        check_override(msm_window, msm_interval, ServiceError)
         self.workers = workers
         self.parallel_msm = parallel_msm
         self.timeout = timeout
         self.retries = retries
         self.msm_window = msm_window
         self.msm_interval = msm_interval
-        self.autotune = autotune
         self.env = dict(env) if env else None
         self.warm = self._validate_warm(warm)
         self.shards = shards
@@ -290,7 +283,6 @@ class ProvingService:
                 shard=0, parallel_msm=parallel_msm,
                 msm_window=msm_window, msm_interval=msm_interval,
                 cache_entries=worker_cache,
-                autotune=autotune,
             )
             self._inline_state.setups = self._setups
             for key, handle in self._build_warm_handles().items():
@@ -339,8 +331,7 @@ class ProvingService:
                         else _shared_warm_executor())
             self._warm_handles[key] = ProverHandle(
                 bundle, backend, self.parallel_msm,
-                self.msm_window, self.msm_interval, executor,
-                autotune=self.autotune)
+                self.msm_window, self.msm_interval, executor)
         return self._warm_handles
 
     def _start_pipeline(self) -> None:
@@ -354,7 +345,6 @@ class ProvingService:
             "parallel_msm": self.parallel_msm,
             "msm_window": self.msm_window,
             "msm_interval": self.msm_interval,
-            "autotune": self.autotune,
             "cache_entries": self.worker_cache,
             "env": self.env,
         }

@@ -184,23 +184,17 @@ class ProverHandle:
 
     def __init__(self, bundle: SetupBundle, backend: str,
                  parallel_msm: bool, msm_window: int, msm_interval: int,
-                 executor, telemetry: Optional[Telemetry] = None,
-                 autotune: bool = False):
+                 executor, telemetry: Optional[Telemetry] = None):
         from repro.snark.gzkp_prover import make_gzkp_prover
 
         self.bundle = bundle
         self.backend = backend
-        self.autotune = autotune
         self.prover = make_gzkp_prover(
             bundle.r1cs, bundle.keys.proving_key, bundle.curve,
-            # With autotuning on, the cost-model search owns (k, M);
-            # the service's static defaults would otherwise win.
-            msm_window=None if autotune else msm_window,
-            msm_interval=None if autotune else msm_interval,
+            msm_window=msm_window, msm_interval=msm_interval,
             backend=backend,
             msm_executor=executor if parallel_msm else None,
             telemetry=telemetry,
-            autotune=autotune,
         )
 
     # duck-typed for MsmContextCache's byte budget
@@ -230,13 +224,11 @@ class WorkerState:
                  msm_window: int = 6, msm_interval: int = 2,
                  cache_entries: Optional[int] = None,
                  setups: Optional[Dict[Tuple[str, str], SetupBundle]] = None,
-                 executor: Optional[ForkLocalExecutor] = None,
-                 autotune: bool = False):
+                 executor: Optional[ForkLocalExecutor] = None):
         self.shard = shard
         self.parallel_msm = parallel_msm
         self.msm_window = msm_window
         self.msm_interval = msm_interval
-        self.autotune = autotune
         # Setup bundles are small and deterministic: shared when
         # inherited from the parent, grown locally on first sight.
         self.setups: Dict[Tuple[str, str], SetupBundle] = (
@@ -267,8 +259,7 @@ class WorkerState:
         bundle = self.bundle_for(curve_name, circuit_name)
         handle = ProverHandle(bundle, backend, self.parallel_msm,
                               self.msm_window, self.msm_interval,
-                              self.executor, telemetry=telemetry,
-                              autotune=self.autotune)
+                              self.executor, telemetry=telemetry)
         self.handles.put(key, handle)
         return handle, False
 
@@ -388,7 +379,6 @@ def worker_main(index: int, shard: int, task_fd: int, result_fd: int,
         msm_window=cfg.get("msm_window", 6),
         msm_interval=cfg.get("msm_interval", 2),
         cache_entries=cfg.get("cache_entries"),
-        autotune=cfg.get("autotune", False),
         setups=setups,
     )
     if warm_handles:

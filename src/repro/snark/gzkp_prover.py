@@ -41,13 +41,13 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
                      backend=None, msm_executor=None,
                      precompute: bool = True,
                      telemetry=None,
-                     autotune: bool = False,
-                     tuner=None) -> Groth16Prover:
+                     autotune: bool = False) -> Groth16Prover:
     """A Groth16 prover whose POLY stage runs the GZKP shuffle-less NTT
     and whose MSMs run the consolidated checkpointed algorithm.
 
-    ``msm_window``/``msm_interval`` override the profiler — useful at
-    test scales where profiling targets (GPU occupancy) are meaningless.
+    ``msm_window``/``msm_interval`` override both MSM engines' (k, M)
+    search (:meth:`~repro.msm.gzkp.GzkpMsm.configure`) — useful at test
+    scales where profiling targets (GPU occupancy) are meaningless.
     ``backend`` (a ComputeBackend, name or None = $REPRO_BACKEND)
     reaches every engine in the pipeline: the GZKP NTT, both MSMs and
     the prover's pointwise POLY passes. ``msm_executor`` (an optional
@@ -59,29 +59,16 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
     per-query ``preprocess`` spans. Proof-time calls then record an
     ``msm-context-cache`` hit/miss event per MSM on the job's
     telemetry. The cache is exposed as ``prover.msm_contexts``.
-
-    ``autotune=True`` attaches a
-    :class:`~repro.backend.autotune.KernelAutotuner` (or the shared
-    ``tuner`` instance, if given): both MSM engines take their (k, M)
-    from its joint cost-model search / persisted profiles (explicit
-    ``msm_window``/``msm_interval`` still win), and the scalar field's
-    carry-clean cadence is raised to the certifier-gated maximum. The
-    tuner is exposed as ``prover.tuner``; tuning never changes proof
-    bytes, only throughput.
     """
-    if autotune and tuner is None:
-        from repro.backend.autotune import KernelAutotuner
-
-        tuner = KernelAutotuner()
-    if tuner is not None:
-        tuner.apply_cadence(curve.fr.modulus, f"{curve.name}.Fr")
+    # ``autotune`` is accepted and unused: the frozen perf ledger
+    # (benchmarks/ledger/stations.py) still passes it.
     ntt_engine = GzkpNtt(curve.fr, device, backend=backend)
     msm_g1 = GzkpMsm(curve.g1, curve.fr.bits, device,
                      window=msm_window, interval=msm_interval,
-                     backend=backend, tuner=tuner)
+                     backend=backend)
     msm_g2 = GzkpMsm(curve.g2, curve.fr.bits, device,
                      window=msm_window, interval=msm_interval,
-                     fq_mul_factor=3.0, backend=backend, tuner=tuner)
+                     fq_mul_factor=3.0, backend=backend)
 
     # One bounded cache per prover, keyed by the identity of the
     # proving-key query vector each MSM call receives by reference.
@@ -124,5 +111,4 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
                            msm_g1=run_g1, msm_g2=run_g2, backend=backend,
                            msm_executor=msm_executor)
     prover.msm_contexts = contexts
-    prover.tuner = tuner
     return prover

@@ -1,168 +1,128 @@
-"""Cost-model autotuner: search determinism, disk round-trip, and the
-certifier gate that every tuned cadence must clear."""
+"""(k, M) is decided once, in ``GzkpMsm.configure``.
+
+The joint (k, M) autotuner that used to sit beside the engine's own
+search is gone (DESIGN.md §9 records the measurements). What is pinned
+here: the search's answers, by a table captured from that tuner before
+it was deleted; the invariant that makes a k-only search exhaustive;
+that an explicit override and the search prove the same bytes; and the
+one method ``repro.backend.autotune`` keeps for the frozen perf ledger.
+"""
 
 import random
 
 import pytest
 
-from repro.backend.autotune import (
-    WINDOW_RANGE,
-    KernelAutotuner,
-    TunedProfile,
-    TuningError,
-)
+from repro.backend.autotune import KernelAutotuner
 from repro.curves import CURVES
-from repro.errors import FieldError
 from repro.ff.params import SCALAR_FIELDS
+from repro.gpusim import GTX1080TI, V100
+from repro.msm.gzkp import WINDOW_RANGE, GzkpMsm
+from repro.msm.windows import num_windows
+
+#: (device, curve, group, log2 n) -> (k, M) as resolved at commit
+#: efe8bc0 by ``GzkpMsm(..., tuner=KernelAutotuner(persist=False))
+#: .configure(n)`` — the deleted joint search, not the code under test.
+#: Includes every regime: M = 1, and budget-forced M > 1 on all three
+#: curves, both groups and both devices.
+PINNED_KM = [
+    (V100, "ALT-BN128", "g1", 1, (6, 1)),
+    (V100, "ALT-BN128", "g1", 10, (10, 1)),
+    (V100, "ALT-BN128", "g1", 14, (13, 1)),
+    (V100, "ALT-BN128", "g1", 24, (19, 3)),
+    (V100, "ALT-BN128", "g1", 26, (20, 9)),
+    (V100, "ALT-BN128", "g2", 16, (15, 1)),
+    (V100, "BLS12-381", "g1", 12, (12, 1)),
+    (V100, "BLS12-381", "g1", 20, (17, 1)),
+    (V100, "BLS12-381", "g2", 22, (17, 2)),
+    (V100, "BLS12-381", "g2", 24, (17, 8)),
+    (V100, "MNT4753", "g1", 9, (11, 1)),
+    (V100, "MNT4753", "g1", 10, (12, 1)),
+    (V100, "MNT4753", "g1", 22, (18, 5)),
+    (V100, "MNT4753", "g2", 24, (16, 45)),
+    (GTX1080TI, "ALT-BN128", "g1", 20, (17, 1)),
+    (GTX1080TI, "BLS12-381", "g1", 24, (17, 11)),
+    (GTX1080TI, "MNT4753", "g2", 22, (16, 33)),
+]
 
 
-@pytest.fixture()
-def private_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-    return tmp_path
+def _engine(device, curve_name, group_name, **kwargs):
+    """The prover's engine for one group (G2 coordinates cost 3 Fq
+    multiplications each, as in ``make_gzkp_prover``)."""
+    curve = CURVES[curve_name]
+    return GzkpMsm(getattr(curve, group_name), curve.fr.bits, device,
+                   fq_mul_factor=3.0 if group_name == "g2" else 1.0,
+                   **kwargs)
 
 
-def test_msm_search_beats_or_matches_defaults(private_cache):
-    """The joint (k, M) search must never model slower than the
-    profiler default it replaces."""
-    from repro.gpusim import V100
-    from repro.msm.gzkp import GzkpMsm
-
-    curve = CURVES["ALT-BN128"]
-    engine = GzkpMsm(curve.g1, curve.fr.bits, V100)
-    tuner = KernelAutotuner(persist=False)
-    n = 512
-    cfg = tuner.msm_config(engine, n)
-    assert cfg.window in WINDOW_RANGE
-    # the profiler default fixes M = _interval_for(n, k); the joint
-    # search includes every such point and prices it with the same
-    # plan, so it can only improve
-    default_best = min(
-        V100.time_of(engine._plan_with_cfg(
-            n, engine._make_config(n, k, engine._interval_for(n, k)),
-            None))
-        for k in WINDOW_RANGE
-    )
-    tuned = V100.time_of(engine._plan_with_cfg(n, cfg, None))
-    assert tuned <= default_best + 1e-12
+def test_profile_search_is_deterministic():
+    """The profiling search resolves exactly the pinned (k, M) on a
+    fresh engine every time — also when handed a ``tuner=``, which the
+    ledger still passes and which selects nothing."""
+    for device, curve, group, log_n, want in PINNED_KM:
+        n = 1 << log_n
+        for kwargs in ({}, {"tuner": KernelAutotuner()}):
+            cfg = _engine(device, curve, group, **kwargs).configure(n)
+            assert (cfg.window, cfg.interval) == want, \
+                (device.name, curve, group, log_n)
 
 
-def test_profile_search_is_deterministic(private_cache):
-    curve = CURVES["ALT-BN128"]
-    a = KernelAutotuner(persist=False).profile(curve, 256)
-    b = KernelAutotuner(persist=False).profile(curve, 256)
-    assert (a.g1_window, a.g1_interval, a.g2_window, a.g2_interval,
-            a.clean_every) == \
-        (b.g1_window, b.g1_interval, b.g2_window, b.g2_interval,
-         b.clean_every)
-    assert a.source == b.source == "search"
+def _modeled_seconds(engine, n, k, m):
+    return engine.device.time_of(engine._plan_with_cfg(
+        n, engine._make_config(n, k, m), None))
 
 
-def test_profile_disk_round_trip(private_cache):
-    curve = CURVES["BLS12-381"]
-    fresh = KernelAutotuner().profile(curve, 256)
-    assert fresh.source == "search"
-    reloaded = KernelAutotuner().profile(curve, 256)
-    assert reloaded.source == "disk"
-    assert (reloaded.g1_window, reloaded.g1_interval,
-            reloaded.g2_window, reloaded.g2_interval,
-            reloaded.clean_every) == \
-        (fresh.g1_window, fresh.g1_interval,
-         fresh.g2_window, fresh.g2_interval, fresh.clean_every)
+def test_msm_search_beats_or_matches_defaults():
+    """Why searching k alone is exhaustive: at every k, modeled time
+    never falls as the checkpoint interval grows past the smallest one
+    the memory budget allows (a sparser table only adds residual-fold
+    doublings), so the engine's choice is at least as fast as every
+    (k, M) a joint search could visit. A cost-model change that breaks
+    this makes the k-only search a heuristic — and fails here."""
+    for curve in sorted(CURVES):
+        for group in ("g1", "g2"):
+            engine = _engine(V100, curve, group)
+            for log_n in (6, 10, 14, 18, 22, 26):
+                n = 1 << log_n
+                chosen = engine.configure(n)
+                best = _modeled_seconds(engine, n, chosen.window,
+                                        chosen.interval)
+                for k in WINDOW_RANGE:
+                    floor = engine._interval_for(n, k)
+                    top = min(floor + 8, num_windows(engine.scalar_bits, k))
+                    ladder = [_modeled_seconds(engine, n, k, m)
+                              for m in range(floor, top + 1)]
+                    assert ladder == sorted(ladder), (curve, group, n, k)
+                    assert best <= ladder[0], (curve, group, n, k)
 
 
-def test_tampered_profile_is_resought(private_cache):
-    """A profile edited to an out-of-range window fails revalidation
-    and triggers a fresh search — never a blind trust of disk state."""
-    import json
-    import os
-
-    curve = CURVES["ALT-BN128"]
-    tuner = KernelAutotuner()
-    prof = tuner.profile(curve, 256)
-    path = tuner._profile_path(curve.name, 256, prof.device)
-    payload = json.loads(open(path).read())
-    payload["g1_window"] = 99  # outside WINDOW_RANGE
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    reloaded = KernelAutotuner().profile(curve, 256)
-    assert reloaded.source == "search"
-    assert reloaded.g1_window == prof.g1_window
-    assert os.path.exists(path)
-
-    # A stale profile is as untrusted as a tampered one: a version-1
-    # file (searched under the deleted conversion pricing) holding an
-    # in-range (k, M) that revalidates against the live engine must be
-    # ignored and re-searched, at both levels of the cache.
-    from repro.backend.autotune import PROFILE_VERSION
-    from repro.gpusim import V100
-    from repro.msm.gzkp import GzkpMsm
-
-    assert PROFILE_VERSION > 1
-    payload = json.loads(open(path).read())
-    stale_window = prof.g1_window + 1
-    payload.update(version=1, g1_window=stale_window)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    reloaded = KernelAutotuner().profile(curve, 256)
-    assert (reloaded.source, reloaded.g1_window) == ("search", prof.g1_window)
-
-    engine = GzkpMsm(curve.g1, curve.fr.bits, V100)
-    msm_path = tuner._msm_path(engine, 256)
-    stale = json.loads(open(msm_path).read())
-    stale.update(version=1, window=stale_window)
-    assert tuner._validate_msm(engine, 256, dict(stale, version=PROFILE_VERSION))
-    with open(msm_path, "w") as fh:
-        json.dump(stale, fh)
-    assert KernelAutotuner().msm_config(engine, 256).window == prof.g1_window
-    assert json.loads(open(msm_path).read())["version"] == PROFILE_VERSION
+#: the limb geometry's formula cadence per scalar field (DESIGN.md §9)
+FORMULA_CADENCE = {"ALT-BN128": 36, "BLS12-381": 36, "MNT4753": 13}
 
 
 @pytest.mark.parametrize("curve_name", sorted(SCALAR_FIELDS))
-def test_tuned_cadence_is_certified(private_cache, curve_name):
-    tuner = KernelAutotuner(persist=False)
-    modulus = SCALAR_FIELDS[curve_name].modulus
-    cadence, certs = tuner.tune_cadence(modulus, f"{curve_name}.Fr")
-    assert cadence >= 2
-    assert set(certs) == {"numpy-limb", "native-mont", "native-jacobian"}
-    for fam, cert in certs.items():
-        assert cert["ok"], fam
-    # the profile-level certificate is the same machine-checked object
-    prof = tuner.profile(CURVES[curve_name], 128)
-    assert isinstance(prof, TunedProfile)
-    assert prof.clean_every == cadence
-    assert all(c["ok"] for c in prof.certificate.values())
-
-
-def test_weakened_cadence_cannot_be_applied(private_cache):
-    """The runtime gate (configure_clean_cadence) rejects any cadence
-    past the certified bound — the path a tampered tuner would take."""
+def test_tuned_cadence_is_certified(curve_name):
+    """``apply_cadence`` — all the ledger still asks of the tuner —
+    reports the cadence in force: the geometry's formula, unchanged by
+    the call, inside the certified bound, with a clean certificate."""
     nl = pytest.importorskip("repro.backend.numpy_limb")
     if not nl.numpy_available():
         pytest.skip("numpy not available")
-    from repro.analysis.bounds import certified_safe_clean_every, limb_geometry
+    from repro.analysis.bounds import (certified_safe_clean_every,
+                                       certify_numpy_limb)
 
-    modulus = SCALAR_FIELDS["ALT-BN128"].modulus
-    geom = limb_geometry(modulus, nl.LIMB_BITS)
-    safe = certified_safe_clean_every(nl.LIMB_BITS, geom.lg)
-    with pytest.raises(FieldError):
-        nl.configure_clean_cadence(modulus, safe + 1)
-    # the certified maximum itself applies cleanly, and None restores
-    # the conservative formula default
-    assert nl.configure_clean_cadence(modulus, safe) == safe
-    restored = nl.configure_clean_cadence(modulus, None)
-    assert 2 <= restored <= safe
+    modulus = SCALAR_FIELDS[curve_name].modulus
+    cadence = KernelAutotuner().apply_cadence(modulus, f"{curve_name}.Fr")
+    geom = nl._geometry(modulus)
+    assert cadence == geom.clean_every == FORMULA_CADENCE[curve_name]
+    assert cadence <= certified_safe_clean_every(nl.LIMB_BITS, geom.lg)
+    assert certify_numpy_limb(f"{curve_name}.Fr", modulus).ok
 
 
-def test_uncertifiable_modulus_raises(private_cache):
-    tuner = KernelAutotuner(persist=False)
-    with pytest.raises((TuningError, Exception)):
-        tuner.tune_cadence((1 << 64) - 2, "even")  # no n0inv exists
-
-
-def test_autotuned_proof_is_byte_identical(private_cache):
-    """Tuning changes throughput knobs only: an autotuned prover and a
-    default prover emit the same group elements with identical masks."""
+def test_autotuned_proof_is_byte_identical():
+    """(k, M) changes throughput only: a prover on an explicit (6, 3)
+    and one on the engine's search emit the same group elements under
+    identical masks. ``autotune=True`` is what the ledger passes; it
+    is accepted and selects nothing."""
     from repro.circuits import merkle_tree_circuit
     from repro.snark import setup
     from repro.snark.gzkp_prover import make_gzkp_prover
@@ -172,10 +132,9 @@ def test_autotuned_proof_is_byte_identical(private_cache):
     keys = setup(r1cs, curve, random.Random(31))
     plain = make_gzkp_prover(r1cs, keys.proving_key, curve,
                              msm_window=6, msm_interval=3)
-    tuned = make_gzkp_prover(r1cs, keys.proving_key, curve,
-                             autotune=True)
-    assert tuned.tuner is not None
+    searched = make_gzkp_prover(r1cs, keys.proving_key, curve,
+                                autotune=True)
     p_plain = plain._prove_with_masks(assignment, 12345, 67890)
-    p_tuned = tuned._prove_with_masks(assignment, 12345, 67890)
+    p_searched = searched._prove_with_masks(assignment, 12345, 67890)
     assert (p_plain.a, p_plain.b, p_plain.c) == \
-        (p_tuned.a, p_tuned.b, p_tuned.c)
+        (p_searched.a, p_searched.b, p_searched.c)

@@ -214,6 +214,24 @@ class TestGzkpInternals:
         assert counter.by_phase["point-merging"]["padd"] > 0
         assert counter.by_phase["bucket-reduction"]["padd"] > 0
 
+    def test_bad_override_is_a_clean_error(self):
+        """A (k, M) override no engine can run is refused where it
+        enters. M = 0 used to surface as ZeroDivisionError from the
+        table sizing and k = 300 as OverflowError from the digit
+        split."""
+        scs, pts = fixture_points(8, seed=15)
+        with pytest.raises(MsmError, match="interval"):
+            GzkpMsm(G, L, V100, window=6, interval=0).configure(8)
+        with pytest.raises(MsmError, match="window"):
+            GzkpMsm(G, L, V100, window=300).compute(scs, pts)
+        for k in (0, 25):
+            with pytest.raises(MsmError, match="window"):
+                GzkpMsm(G, L, V100, window=k)
+        # both ends of the accepted range still run
+        for k in (1, 24):
+            assert GzkpMsm(G, L, V100, window=k, interval=1).compute(
+                scs[:2], pts[:2]) == naive_msm(G, scs[:2], pts[:2])
+
 
 class TestCpuWindow:
     def test_optimum_grows_with_n(self):

@@ -16,7 +16,7 @@ event.
 Also here: the native-coverage counters those dispatches feed, the
 LRU prune that bounds the persistent kernel cache, and the cross-checks
 that tie the certifier's replayed mul counts to the group's formula
-constants and the autotuner's pricing.
+constants and the (k, M) search's pricing.
 """
 
 import os
@@ -388,7 +388,7 @@ def test_cache_prune_keeps_newest_digests(tmp_path):
         (sub / "kernels.so").write_bytes(b"stale")
         t = 1_000_000 + i
         os.utime(sub, (t, t))
-    keep = tmp_path / "autotune"
+    keep = tmp_path / "user-placed"
     keep.mkdir()
     code = """
 import json, os
@@ -407,7 +407,7 @@ print(json.dumps({"kinds": kinds, "dirs": sorted(os.listdir(base))}))
     live = native._source_digest()
     dirs = out["dirs"]
     assert live in dirs
-    assert "autotune" in dirs
+    assert "user-placed" in dirs
     # cap 3 = live digest + 2 newest stale; the 2 oldest are gone
     assert stale[0] not in dirs and stale[1] not in dirs
     assert stale[2] in dirs and stale[3] in dirs
@@ -443,10 +443,11 @@ def test_certificate_mul_counts_match_formula_constants():
 
 @pytest.mark.parametrize("name", CURVE_NAMES)
 def test_autotune_pricing_matches_certificate(name):
-    """The autotuner prices its (k, M) search with the engine's own
-    plan — the cost model's formula constants — and the native-jacobian
-    certificate replays the kernels at exactly those counts: there is
-    no conversion term for a second pricing to add."""
+    """The engine tunes (k, M) itself (``GzkpMsm.configure``) and
+    prices that search with its own plan — the cost model's formula
+    constants — and the native-jacobian certificate replays the
+    kernels at exactly those counts: there is no conversion term for
+    a second pricing to add."""
     from repro.analysis.bounds import certify_native_jacobian
     from repro.gpusim import cost
 

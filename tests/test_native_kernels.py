@@ -7,8 +7,9 @@ over ``words_from_ints`` rows) and the ``numpy`` backend's int-in /
 int-out ops that wrap them.
 
 The loader scenarios (corrupt cached artifact, compile failure, the
-two-process first-compile race) run in subprocesses with a private
-``REPRO_NATIVE_CACHE``: the parent test process keeps its own loaded
+two-process first-compile race, a default cache directory someone else
+can write) run in subprocesses with a private ``REPRO_NATIVE_CACHE``
+or ``TMPDIR``: the parent test process keeps its own loaded
 library untouched, and — crucially — no test ever truncates a ``.so``
 that is dlopen'd in its own process (that is a SIGBUS, not a test).
 """
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import get_backend, native
-from repro.ff.params import SCALAR_FIELDS
+from repro.ff.params import BASE_FIELDS, SCALAR_FIELDS
 from repro.ff.primefield import PrimeField
 from repro.ntt.reference import intt, ntt
 
@@ -168,31 +169,101 @@ def test_reset_native_clears_state():
     assert native.get_native_field(p) is not None
 
 
-def test_corrupt_const_block_recomputes(tmp_path, monkeypatch):
-    """A damaged per-modulus constant block is recomputed and
-    republished — wrong constants can never load."""
-    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-    native.reset_native()
-    try:
-        p = SCALAR_FIELDS["ALT-BN128"].modulus
-        f = native.get_native_field(p)
-        path = native._const_block_path(p)
-        assert os.path.exists(path)
-        good = open(path, "rb").read()
-        bad = bytearray(good)
-        bad[len(bad) // 2] ^= 0xFF
-        open(path, "wb").write(bytes(bad))
-        assert native._load_const_block(path, p, f.w) is None
-        native.reset_native()
-        f2 = native.get_native_field(p)
-        xs = [123456789, p - 2]
-        rows = f2.words_from_ints(xs)
-        assert f2.ints_from_words(f2.mul_raw(rows, rows)) == \
-            [(x * x) % p for x in xs]
-        assert native._load_const_block(path, p, f2.w) is not None
-    finally:
-        monkeypatch.delenv("REPRO_NATIVE_CACHE")
-        native.reset_native()
+@pytest.mark.parametrize("family", ["Fr", "Fq"])
+@pytest.mark.parametrize("curve", CURVE_NAMES)
+def test_montgomery_constants_satisfy_their_definitions(curve, family):
+    fields = SCALAR_FIELDS if family == "Fr" else BASE_FIELDS
+    p = fields[curve].modulus
+    f = native.get_native_field(p)
+    assert f.w == (p.bit_length() + 63) // 64
+    assert f.r == (1 << (64 * f.w)) % p
+    assert f.r * f._rinv % p == 1
+    assert f._r2 == f.r * f.r % p
+    assert (f.n0inv * p + 1) % (1 << 64) == 0 and 0 < f.n0inv < 1 << 64
+
+
+def test_fresh_cache_holds_exactly_the_two_kernel_files(tmp_path):
+    """``$REPRO_NATIVE_CACHE`` holds one kind of artefact: after every
+    modulus has its field, the tree is the digest-keyed source and
+    shared object and nothing else."""
+    code = """
+from repro.backend import native
+from repro.ff.params import BASE_FIELDS, SCALAR_FIELDS
+for fields in (SCALAR_FIELDS, BASE_FIELDS):
+    for params in fields.values():
+        assert native.get_native_field(params.modulus) is not None
+"""
+    proc = _run_py(code, {"REPRO_NATIVE_CACHE": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    tree = sorted(os.path.relpath(os.path.join(root, name), tmp_path)
+                  for root, _dirs, files in os.walk(tmp_path)
+                  for name in files)
+    digest = native._source_digest()
+    assert tree == [f"{digest}/kernels.c", f"{digest}/kernels.so"]
+
+
+def test_untrusted_default_cache_dir_is_not_loaded(tmp_path):
+    """With ``REPRO_NATIVE_CACHE`` unset or empty the cache sits under a
+    guessable name in the shared temp dir. A pre-made directory there
+    that others can write is never compiled into or ``dlopen``-ed
+    from: the planted ``kernels.so`` stays as it was, the kernels come
+    from a process-private directory, and the event says so."""
+    base = tmp_path / f"repro-native-{os.getuid()}"
+    planted = base / native._source_digest() / "kernels.so"
+    planted.parent.mkdir(parents=True)
+    planted.write_bytes(b"planted by someone else\n")
+    base.chmod(0o777)
+    code = """
+import json, os, warnings
+from repro.backend import native
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    ok = native.native_available()
+    base = native.cache_base_dir()
+print(json.dumps({
+    "ok": ok, "base": base, "mode": os.stat(base).st_mode & 0o777,
+    "events": [e["kind"] for e in native.kernel_events()],
+    "warned": [str(w.message) for w in caught],
+}))
+"""
+    proc = _run_py(code, {"TMPDIR": str(tmp_path), "REPRO_NATIVE_CACHE": ""})
+    assert proc.returncode == 0, proc.stderr
+    import json
+
+    out = json.loads(proc.stdout)
+    assert out["ok"] is True
+    assert out["events"].count("native-kernel-cache-untrusted") == 1
+    assert "native-kernel-compile" in out["events"]
+    assert "native-kernel-cache-corrupt" not in out["events"]
+    assert len(out["warned"]) == 1 and str(base) in out["warned"][0]
+    assert planted.read_bytes() == b"planted by someone else\n"
+    assert sorted(os.listdir(planted.parent)) == ["kernels.so"]
+    # the stand-in is this process' own, private, and gone with it
+    assert out["base"] != str(base) and out["mode"] == 0o700
+    assert os.path.dirname(out["base"]) == str(tmp_path)
+    assert not os.path.exists(out["base"])
+
+
+def test_default_cache_dir_is_created_private(tmp_path):
+    """The trusted case: an absent default directory is created
+    ``0o700`` and used, with no untrusted event."""
+    code = """
+import json
+from repro.backend import native
+ok = native.native_available()
+print(json.dumps({"ok": ok, "base": native.cache_base_dir(),
+                  "events": [e["kind"] for e in native.kernel_events()]}))
+"""
+    proc = _run_py(code, {"TMPDIR": str(tmp_path), "REPRO_NATIVE_CACHE": ""})
+    assert proc.returncode == 0, proc.stderr
+    import json
+
+    out = json.loads(proc.stdout)
+    base = tmp_path / f"repro-native-{os.getuid()}"
+    assert out["ok"] is True and out["base"] == str(base)
+    assert "native-kernel-cache-untrusted" not in out["events"]
+    assert base.stat().st_mode & 0o777 == 0o700
+    assert (base / native._source_digest() / "kernels.so").exists()
 
 
 # -- kernel correctness --------------------------------------------------------

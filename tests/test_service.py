@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.curves.params import CURVES
-from repro.errors import ValidationError
+from repro.errors import ServiceError, ValidationError
 from repro.service import (ProofJob, ProvingService, Telemetry,
                            encode_request, decode_request)
 from repro.service.registry import CIRCUIT_REGISTRY, CircuitSpec, \
@@ -224,11 +224,19 @@ def test_native_disabled_worker_still_independently_verifies():
     assert _independently_verifies(off)
 
 
-def test_autotuned_service_proves_and_verifies():
-    with ProvingService(workers=0, autotune=True) as svc:
-        r = svc.prove_batch([ProofJob("ALT-BN128", "cubic", (5,))])[0]
-    assert r.ok and r.verified
-    assert _independently_verifies(r)
+def test_bad_msm_override_rejected_at_construction():
+    """A (k, M) no engine can run is a ServiceError from the
+    constructor. It used to get in: ``msm_interval=0`` raised
+    ZeroDivisionError out of an inline ``prove_batch`` and, with
+    ``warm=``, out of the constructor itself."""
+    with pytest.raises(ServiceError, match="interval"):
+        ProvingService(workers=0, msm_interval=0).prove_batch(
+            [ProofJob("ALT-BN128", "cubic", (5,))])
+    with pytest.raises(ServiceError, match="interval"):
+        ProvingService(workers=0, msm_interval=0,
+                       warm=[("ALT-BN128", "cubic")])
+    with pytest.raises(ServiceError, match="window"):
+        ProvingService(workers=0, msm_window=300)
 
 
 def test_unknown_backend_downgrades_to_python():
