@@ -210,6 +210,13 @@ class ComputeBackend:
         already-resident row as the same object."""
         return list(points)
 
+    def gather_points(self, row: Sequence, idx: Sequence[int]) -> Sequence:
+        """Lane j of the result is ``row[idx[j]]``: a row of the same
+        kind as ``row`` (a list here, a resident row from a resident
+        row), gathered by any sequence of in-range indices — a table
+        read by digit (:mod:`repro.msm.fixed_base`)."""
+        return [row[i] for i in idx]
+
     def batch_to_jacobian(self, group, points: Sequence) -> Sequence:
         """``group.to_jacobian`` of every point of an affine row, as a
         Jacobian row of the same kind (list in, list out)."""
@@ -217,10 +224,10 @@ class ComputeBackend:
 
     def batch_from_jacobian(self, group, points: Sequence) -> Sequence:
         """``group.from_jacobian`` of every point of a Jacobian row, as
-        an affine row of the same kind. Overrides may share one
-        inversion across the row; the affine coordinates are unique, so
-        the result is identical either way."""
-        return [group.from_jacobian(p) for p in points]
+        an affine row of the same kind. One inversion is shared across
+        the row (Montgomery's trick); the affine coordinates are
+        unique, so the result is the per-point loop's."""
+        return group.batch_normalize(points)
 
     # -- batch curve ops (Jacobian) ---------------------------------------------
 

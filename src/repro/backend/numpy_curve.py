@@ -79,6 +79,7 @@ __all__ = [
     "ResidentBuckets",
     "vectorizes",
     "resident_points",
+    "gather_points",
     "batch_to_jacobian",
     "batch_from_jacobian",
     "batch_jdouble",
@@ -315,6 +316,15 @@ def resident_points(group, points: Sequence) -> Optional[ResidentPoints]:
         points = [(zero, zero) if p is None else p for p in points]
     X, Y = eng.load_points(points)
     return ResidentPoints(eng, X, Y, inf)
+
+
+def gather_points(row: ResidentPoints, idx) -> ResidentPoints:
+    """Lane j of the result is ``row[idx[j]]``: one ``take`` per
+    coordinate plane and one of the ``None`` mask."""
+    idx = _np.asarray(idx, dtype=_np.int64)
+    gather = row.eng.gather
+    return ResidentPoints(row.eng, gather(row.X, idx), gather(row.Y, idx),
+                          _np.take(row.inf, idx))
 
 
 def batch_to_jacobian(group, points: ResidentPoints

@@ -608,6 +608,15 @@ class NumpyLimbBackend(ComputeBackend):
         out = _nc.resident_points(group, points)
         return super().resident_points(group, points) if out is None else out
 
+    def gather_points(self, row: Sequence, idx: Sequence[int]) -> Sequence:
+        """A resident row gathers its word planes by the index vector;
+        a list takes the inherited comprehension."""
+        from repro.backend import numpy_curve as _nc
+
+        if isinstance(row, _nc.ResidentPoints):
+            return _nc.gather_points(row, idx)
+        return super().gather_points(row, idx)
+
     def batch_to_jacobian(self, group, points: Sequence) -> Sequence:
         from repro.backend import numpy_curve as _nc
 

@@ -1,7 +1,8 @@
 """The MSM stage substrate: naive oracle, window decomposition,
 bellperson-model sub-MSM Pippenger, MINA-model Straus, the GZKP
-consolidated MSM (Algorithm 1), workload scheduling, CPU baseline, and
-the Figure 9 memory model."""
+consolidated MSM (Algorithm 1), fixed-base multiplication (Algorithm 1
+at one base), workload scheduling, CPU baseline, and the Figure 9
+memory model."""
 
 from repro.msm.windows import DigitStats, bucket_histogram, num_windows, scalar_digits
 from repro.msm.naive import naive_msm
@@ -9,6 +10,7 @@ from repro.msm.pippenger import SubMsmPippenger, bucket_reduce
 from repro.msm.straus import StrausMsm
 from repro.msm.context import MsmContext, MsmContextCache
 from repro.msm.gzkp import GzkpMsm, GzkpMsmConfig
+from repro.msm.fixed_base import FixedBaseTable, fixed_base_mul
 from repro.msm.cpu import CpuMsm, optimal_cpu_window
 from repro.msm.scheduling import (
     TaskGroup,
@@ -34,6 +36,8 @@ __all__ = [
     "StrausMsm",
     "GzkpMsm",
     "GzkpMsmConfig",
+    "FixedBaseTable",
+    "fixed_base_mul",
     "MsmContext",
     "MsmContextCache",
     "CpuMsm",

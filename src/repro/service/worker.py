@@ -335,6 +335,12 @@ def execute_job(task: dict, state: WorkerState,
         except ReproError as exc:
             result.update(error=f"{type(exc).__name__}: {exc}",
                           error_kind="proof")
+        except Exception as exc:
+            # A fault below the program's own errors (a kernel's
+            # ValueError, a MemoryError) fails this job, not an inline
+            # batch; its message may quote witness-derived values, so
+            # only the type is reported.
+            result.update(error=type(exc).__name__, error_kind="internal")
     cov = _coverage.drain()
     if cov:
         # One event per job: which kernel families ran native vs

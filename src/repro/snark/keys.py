@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional
 
 from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint
 from repro.errors import ProofError
+from repro.msm.fixed_base import fixed_base_mul
 from repro.snark.r1cs import R1CS
 
 __all__ = ["Trapdoor", "ProvingKey", "VerifyingKey", "Groth16Setup", "setup"]
@@ -101,8 +103,17 @@ class Groth16Setup:
 
 
 def setup(r1cs: R1CS, curve: CurvePair,
-          rng: Optional[random.Random] = None) -> Groth16Setup:
-    """Run the one-time trusted setup for a constraint system."""
+          rng: Optional[random.Random] = None,
+          backend=None) -> Groth16Setup:
+    """Run the one-time trusted setup for a constraint system.
+
+    Every key element is a multiple of one of two fixed points, so the
+    whole key is two fixed-base calls
+    (:func:`repro.msm.fixed_base.fixed_base_mul`): every G1 scalar on
+    ``g1.generator``, every G2 scalar on ``g2.generator``, sliced back
+    into the queries. ``backend`` (a ComputeBackend, name or None =
+    $REPRO_BACKEND) is where those two calls run; the key is the same
+    on every backend."""
     if rng is None:
         rng = random.Random()
     fr = curve.fr
@@ -127,38 +138,44 @@ def setup(r1cs: R1CS, curve: CurvePair,
     delta_inv = fr.inv(trap.delta)
     z_tau = (pow(trap.tau, n, r) - 1) % r
 
-    def g1_mul(s: int) -> AffinePoint:
-        return g1.scalar_mul(s % r, g1.generator)
-
-    def g2_mul(s: int) -> AffinePoint:
-        return g2.scalar_mul(s % r, g2.generator)
-
     n_vars = r1cs.n_variables
-    a_query = [g1_mul(u[j]) for j in range(n_vars)]
-    b_g1_query = [g1_mul(v[j]) for j in range(n_vars)]
-    b_g2_query = [g2_mul(v[j]) for j in range(n_vars)]
-
-    def combined(j: int) -> int:
-        return (trap.beta * u[j] + trap.alpha * v[j] + w[j]) % r
-
     first_witness = 1 + r1cs.n_public
-    c_query = [
-        g1_mul(combined(j) * delta_inv) for j in range(first_witness, n_vars)
-    ]
-    ic = [g1_mul(combined(j) * gamma_inv) for j in range(first_witness)]
-
-    h_query = []
+    combined = [(trap.beta * u[j] + trap.alpha * v[j] + w[j]) % r
+                for j in range(n_vars)]
+    h_scalars = []
     tau_pow = 1
     for _ in range(max(n - 1, 1)):
-        h_query.append(g1_mul(tau_pow * z_tau % r * delta_inv))
+        h_scalars.append(tau_pow * z_tau % r * delta_inv)
         tau_pow = tau_pow * trap.tau % r
 
+    g1_points = iter(fixed_base_mul(g1, g1.generator, [
+        *u, *v,
+        *(combined[j] * delta_inv for j in range(first_witness, n_vars)),
+        *(combined[j] * gamma_inv for j in range(first_witness)),
+        *h_scalars, trap.alpha, trap.beta, trap.delta,
+    ], backend=backend))
+    g2_points = iter(fixed_base_mul(
+        g2, g2.generator, [*v, trap.beta, trap.gamma, trap.delta],
+        backend=backend))
+
+    def take(points, count: int) -> List[AffinePoint]:
+        return list(islice(points, count))
+
+    a_query = take(g1_points, n_vars)
+    b_g1_query = take(g1_points, n_vars)
+    c_query = take(g1_points, n_vars - first_witness)
+    ic = take(g1_points, first_witness)
+    h_query = take(g1_points, len(h_scalars))
+    alpha_g1, beta_g1, delta_g1 = g1_points
+    b_g2_query = take(g2_points, n_vars)
+    beta_g2, gamma_g2, delta_g2 = g2_points
+
     pk = ProvingKey(
-        alpha_g1=g1_mul(trap.alpha),
-        beta_g1=g1_mul(trap.beta),
-        delta_g1=g1_mul(trap.delta),
-        beta_g2=g2_mul(trap.beta),
-        delta_g2=g2_mul(trap.delta),
+        alpha_g1=alpha_g1,
+        beta_g1=beta_g1,
+        delta_g1=delta_g1,
+        beta_g2=beta_g2,
+        delta_g2=delta_g2,
         a_query=a_query,
         b_g1_query=b_g1_query,
         b_g2_query=b_g2_query,
@@ -168,10 +185,10 @@ def setup(r1cs: R1CS, curve: CurvePair,
         domain_size=n,
     )
     vk = VerifyingKey(
-        alpha_g1=pk.alpha_g1,
-        beta_g2=pk.beta_g2,
-        gamma_g2=g2_mul(trap.gamma),
-        delta_g2=pk.delta_g2,
+        alpha_g1=alpha_g1,
+        beta_g2=beta_g2,
+        gamma_g2=gamma_g2,
+        delta_g2=delta_g2,
         ic=ic,
     )
     return Groth16Setup(proving_key=pk, verifying_key=vk, trapdoor=trap,

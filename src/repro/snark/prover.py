@@ -29,12 +29,20 @@ from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint
 from repro.errors import ProofError
 from repro.ff.opcount import OpCounter
+from repro.msm.fixed_base import FixedBaseTable
 from repro.ntt.poly import PolyStage
 from repro.service.telemetry import Telemetry, maybe_span
 from repro.snark.keys import ProvingKey
 from repro.snark.r1cs import R1CS
 
 __all__ = ["Proof", "Groth16Prover"]
+
+#: how many proofs a prover's two delta tables are sized for: a proof
+#: puts three scalars through the G1 table and one through the G2 one,
+#: and a prover is built to be reused (the ledger's lifecycle makes
+#: eight or more proofs per prover, a service worker's cached prover
+#: serves every job of its circuit)
+_PROOFS_PER_TABLE = 16
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,14 @@ class Groth16Prover:
             curve.g1, self._group_locks[id(curve.g1)])
         self._msm_g2 = msm_g2 or self._naive_msm_factory(
             curve.g2, self._group_locks[id(curve.g2)])
+        # The masking terms r*delta, s*delta, rs*delta (G1) and s*delta
+        # (G2) are multiples of two fixed key points: window tables of
+        # public key data, built once like the MSM contexts.
+        self._delta_g1 = FixedBaseTable(curve.g1, pk.delta_g1,
+                                        3 * _PROOFS_PER_TABLE,
+                                        backend=backend)
+        self._delta_g2 = FixedBaseTable(curve.g2, pk.delta_g2,
+                                        _PROOFS_PER_TABLE, backend=backend)
         #: optional concurrent.futures.Executor: the five MSMs of §5.2
         #: share no state and are dispatched to it as parallel tasks
         #: (the service sets this; None = sequential)
@@ -242,27 +258,18 @@ class Groth16Prover:
 
     def _assemble(self, g1, g2, pk, sum_a, sum_b_g1, sum_b_g2, sum_c,
                   h_term, r_mask: int, s_mask: int) -> Proof:
+        rs = self.curve.fr.mul(r_mask, s_mask)
+        r_delta, s_delta, rs_delta = self._delta_g1.multiples(
+            [r_mask, s_mask, rs])
+        (s_delta_g2,) = self._delta_g2.multiples([s_mask])
         # A = alpha + sum_a + r * delta
-        a_point = g1.add(
-            g1.add(pk.alpha_g1, sum_a),
-            g1.scalar_mul(r_mask, pk.delta_g1),
-        )
+        a_point = g1.add(g1.add(pk.alpha_g1, sum_a), r_delta)
         # B = beta + sum_b + s * delta  (G2, with a G1 twin for C)
-        b_point = g2.add(
-            g2.add(pk.beta_g2, sum_b_g2),
-            g2.scalar_mul(s_mask, pk.delta_g2),
-        )
-        b_g1_point = g1.add(
-            g1.add(pk.beta_g1, sum_b_g1),
-            g1.scalar_mul(s_mask, pk.delta_g1),
-        )
+        b_point = g2.add(g2.add(pk.beta_g2, sum_b_g2), s_delta_g2)
+        b_g1_point = g1.add(g1.add(pk.beta_g1, sum_b_g1), s_delta)
         # C = sum_c + h_term + s*A + r*B1 - r*s*delta
-        fr = self.curve.fr
-        rs = fr.mul(r_mask, s_mask)
         c_point = g1.add(sum_c, h_term)
         c_point = g1.add(c_point, g1.scalar_mul(s_mask, a_point))
         c_point = g1.add(c_point, g1.scalar_mul(r_mask, b_g1_point))
-        c_point = g1.add(
-            c_point, g1.neg(g1.scalar_mul(rs, pk.delta_g1))
-        )
+        c_point = g1.add(c_point, g1.neg(rs_delta))
         return Proof(a=a_point, b=b_point, c=c_point)

@@ -129,6 +129,50 @@ class TestR008SecretIndex:
         assert "R008" in _codes(findings)
 
 
+class TestFixedBaseGather:
+    """The window-table read of ``repro.msm.fixed_base`` in miniature:
+    a digit of a secret scalar picks the table row. Undeclared it is an
+    R008 finding, raised where the index meets the table; the boundary
+    ``FixedBaseTable.multiples`` carries (DESIGN.md section 7) is what
+    accepts it — not the MSM front-end's, which this path never asked
+    to stand behind."""
+
+    SOURCE = """
+        from repro.analysis.declass import declassify
+
+        def gather_points(row, idx):
+            return [row[i] for i in idx]
+
+        {decorator}
+        def multiples(rows, witness, window):
+            mask = (1 << window) - 1
+            terms = []
+            for t in range(len(rows)):
+                column = [(s >> (t * window)) & mask for s in witness]
+                terms.append(gather_points(rows[t], column))
+            return terms
+    """
+
+    def test_undeclared_gather_fires(self, tmp_path):
+        findings = _taint(tmp_path, self.SOURCE.format(decorator=""),
+                          sub="msm")
+        assert _codes(findings) == ["R008"]
+
+    def test_its_own_boundary_accepts_it(self, tmp_path):
+        findings = _taint(tmp_path, self.SOURCE.format(
+            decorator='@declassify("fixture: the ladder this replaces '
+                      'already branches on every secret bit")'), sub="msm")
+        assert findings == []
+
+    def test_the_real_boundary_is_declared_with_its_own_reason(self):
+        from repro.backend.base import ComputeBackend
+        from repro.msm.fixed_base import FixedBaseTable
+
+        own = FixedBaseTable.multiples.__declassified__["reason"]
+        assert "fixed-base window gather" in own
+        assert own != ComputeBackend.digits_matrix.__declassified__["reason"]
+
+
 # -- R009: secret on a long-lived object --------------------------------------------
 
 

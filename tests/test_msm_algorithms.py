@@ -227,10 +227,17 @@ class TestGzkpInternals:
         for k in (0, 25):
             with pytest.raises(MsmError, match="window"):
                 GzkpMsm(G, L, V100, window=k)
-        # both ends of the accepted range still run
+        # both ends of the accepted range are configured and planned as
+        # given (k = 24 is 2^24 buckets: priced, not folded on python
+        # ints), and the small end also runs
         for k in (1, 24):
-            assert GzkpMsm(G, L, V100, window=k, interval=1).compute(
-                scs[:2], pts[:2]) == naive_msm(G, scs[:2], pts[:2])
+            engine = GzkpMsm(G, L, V100, window=k, interval=1)
+            cfg = engine.configure(8)
+            assert (cfg.window, cfg.interval) == (k, 1)
+            assert cfg.n_windows == -(-L // k)
+            assert V100.time_of(engine.plan(8)) > 0
+        assert GzkpMsm(G, L, V100, window=1, interval=1).compute(
+            scs[:2], pts[:2]) == naive_msm(G, scs[:2], pts[:2])
 
 
 class TestCpuWindow:

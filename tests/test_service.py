@@ -9,6 +9,7 @@ with bounded retry, and graceful degradation when the native kernels
 are disabled.
 """
 
+import json
 import time
 
 import pytest
@@ -261,6 +262,37 @@ def test_inline_mode_matches_pool_contract():
     for r in results:
         assert _independently_verifies(r)
         assert {"POLY", "MSM"} <= set(r.phase_seconds())
+
+
+def _poisoned_assign(field, witness):
+    if witness[0] == 13:
+        raise ValueError(f"kernel fault on {witness[0]}")
+    return CIRCUIT_REGISTRY["square"].assign(field, witness)
+
+
+def test_inline_job_fault_fails_alone():
+    """A fault that is not a ReproError (a kernel's ValueError) used to
+    escape an inline ``prove_batch`` and take the batch with it, where
+    the pooled path answers it with an error frame. One poisoned job in
+    an inline batch of three is two proofs and one ``internal`` error
+    naming the exception type only."""
+    register_circuit(CircuitSpec(
+        "poisoned", 1, CIRCUIT_REGISTRY["square"].build, _poisoned_assign,
+        "raises ValueError on witness 13 (test only)"))
+    try:
+        with ProvingService(workers=0, parallel_msm=False) as svc:
+            results = svc.prove_batch([
+                ProofJob("ALT-BN128", "poisoned", (5,)),
+                ProofJob("ALT-BN128", "poisoned", (13,)),
+                ProofJob("ALT-BN128", "poisoned", (7,)),
+            ])
+    finally:
+        del CIRCUIT_REGISTRY["poisoned"]
+    assert [r.ok for r in results] == [True, False, True]
+    assert results[0].verified and results[2].verified
+    bad = results[1]
+    assert bad.error_kind == "internal" and bad.error == "ValueError"
+    assert "kernel fault" not in json.dumps(bad.telemetry)
 
 
 # -- telemetry unit behaviour -------------------------------------------------------
