@@ -24,13 +24,15 @@ families are covered:
   (:mod:`repro.backend.native`): u128 accumulator range, scratch
   width, and the canonicality invariants the raw-domain Stockham
   butterflies rest on.
-* ``native-jacobian`` — the Montgomery-domain Jacobian point kernels
-  built on those CIOS primitives (one doubling and one addition per
-  coordinate field behind the lane loops and the bucket fold): the
-  same accumulator/scratch gates, the canonicality closure their in-C
-  word compares rely on, exactness of those compares as special-case
-  discriminants, and machine-checked Montgomery-mul counts per point
-  op (exactly the formulas', Karatsuba 3-mul Fq2 tower).
+* ``native-jacobian`` — the Montgomery-domain point kernels built on
+  those CIOS primitives (one doubling and one addition per coordinate
+  field behind the lane loops and the bucket fold, and the
+  point-merging tree): the same accumulator/scratch gates, the
+  canonicality closure their in-C word compares rely on, exactness of
+  those compares as special-case discriminants, machine-checked
+  Montgomery-mul counts per point op (exactly the formulas', Karatsuba
+  3-mul Fq2 tower) and per merge lane, and the Fermat inversion's
+  exponent and precondition.
 
 This module must stay importable from the kernels it certifies (the
 runtime cadence guard in ``numpy_limb`` imports
@@ -592,6 +594,23 @@ def _native_add_muls() -> int:
     return m.muls
 
 
+def _native_merge_muls() -> Dict[str, int]:
+    """mont_mul counts of one chord lane of ``merge_tree``: its combine
+    (lam = num * inv, lam^2, lam * (x1 - x3)) and its leg of the round's
+    shared batch inversion (the prefix product forward; the lane's
+    inverse and the running inverse backward)."""
+    m = _MontReplay()
+    lam = m.mul("num", "inv")
+    x3 = m.sub(m.sub(m.mul(lam, lam), "x1"), "x2")
+    m.sub(m.mul(lam, m.sub("x1", x3)), "y1")  # y3
+    combine = m.muls
+    m = _MontReplay()
+    m.mul("pref_prev", "den")  # forward: pref_k = pref_(k-1) * den_k
+    m.mul("acc", "pref_prev")  # backward: inv_k = acc * pref_(k-1)
+    m.mul("acc", "den")        # acc *= den_k
+    return {"combine": combine, "inversion": m.muls}
+
+
 def _karatsuba_base_muls() -> int:
     """Base-field mont_mul count of one ``fq2_mul_one`` (the tower's
     c0 fold is an add/sub when c0 == 1; the extra c0m mul is accounted
@@ -606,11 +625,11 @@ def _karatsuba_base_muls() -> int:
 
 
 def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
-    """Certify the Jacobian point kernels of :mod:`repro.backend.native`:
+    """Certify the point kernels of :mod:`repro.backend.native`:
     ``jpt_fp_dbl`` / ``jpt_fp_add`` and their Fq2 Karatsuba twins, the
     one doubling and one addition that the lane loops (``jac_dbl_*`` /
     ``jac_add_*``) and the sequential fold (``bucket_fold_*``) run on
-    Montgomery rows.
+    Montgomery rows, and the point-merging tree (``merge_*``).
 
     They compose exactly three primitives — ``mont_mul_one``,
     ``mod_add_one``, ``mod_sub_one`` — on ``[32]``-word scratch, so
@@ -623,7 +642,13 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     the routing and the padd/pdbl tallies are the scalar formulas';
     (3) the per-op Montgomery-mul counts equal the paper's formula
     constants, with no conversion mul on either side — the same
-    constants the MSM engine's (k, M) search prices.
+    constants the MSM engine's (k, M) search prices. The merge adds
+    (4) a replay of one lane — 3 muls of combine, 3 of batch-inversion
+    leg — and (5) the one field inversion per round, Fermat's a^(p-2):
+    the inverse for every non-zero a when p is prime, and a is never
+    zero — chord lanes have x1 != x2 and tangent lanes y1 != -y2 by
+    their routing, so 2y1 != 0, and a lane that is neither stays out of
+    the product (parked at one).
     """
     import math as _math
 
@@ -699,6 +724,33 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
         "each Fq2 product must cost exactly 3 base-field muls "
         "(Karatsuba), the ratio the G2 fq_mul_factor prices",
     )
+    merge_muls = _native_merge_muls()
+    trk.hit(
+        "merge-combine-muls", abs(merge_muls["combine"] - 3), 1,
+        "structure",
+        "a merge lane's combine is lam = num * inv, lam^2 and "
+        "lam * (x1 - x3): 3 muls on canonical residues",
+    )
+    trk.hit(
+        "merge-inversion-muls", abs(merge_muls["inversion"] - 3), 1,
+        "structure",
+        "a lane's leg of the round's shared batch inversion is 3 muls "
+        "(prefix product, its inverse, the running inverse)",
+    )
+    trk.hit(
+        "merge-fermat-exponent", p - 2 if p > 2 else R, R, "carry",
+        "fp_inv raises to p - 2, derived in C from N into w words: it "
+        "must be positive and fit them",
+    )
+    trk.hit(
+        "merge-fermat-prime",
+        0 if p > 7 and all(pow(b, p - 1, p) == 1 for b in (2, 3, 5, 7))
+        else 1, 1, "structure",
+        "a^(p-2) is 1/a for every non-zero a only when p is prime "
+        "(Fermat witnesses b^(p-1) == 1, b = 2, 3, 5, 7); the merge "
+        "feeds it only non-zero products, dead lanes being parked at "
+        "one",
+    )
     return KernelCertificate(
         family="native-jacobian",
         modulus_name=name,
@@ -710,6 +762,7 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
             "pre_subtract_bound": pre_sub,
             "native_muls": {"pdbl": dbl_a0, "pdbl_a": dbl_a, "padd": add_c},
             "karatsuba_base_muls": _karatsuba_base_muls(),
+            "merge_muls": merge_muls,
         },
         checks=trk.checks(),
     )

@@ -11,22 +11,26 @@ ablation its headroom and, since this module grew the Stockham sweep,
 the full-proof native ablation too.
 
 So this module compiles one small C file (batch kernels: CIOS Montgomery
-multiply, modular add/sub, a fused batch-affine combine, the Jacobian
-point kernels — one doubling and one addition per coordinate field,
-looped per lane and folded sequentially over buckets — a whole-vector
+multiply, modular add/sub, the Jacobian point kernels — one doubling
+and one addition per coordinate field, looped per lane and folded
+sequentially over buckets — the point-merging tree, a whole-vector
 Stockham NTT sweep, a sequential power ladder and a broadcast constant
 multiply, all over little-endian 64-bit word rows) with the system
-compiler at first use, caches the shared object keyed by a source hash,
-and loads it with :mod:`ctypes`. There is no build step, no new package
-dependency, and no platform assumption beyond "a C compiler exists":
+compiler at first use, caches the shared object keyed by a hash of the
+source and the compile flags, and loads it with :mod:`ctypes`. There
+is no build step, no new package dependency, and no platform
+assumption beyond "a C compiler exists":
 when none does (or ``REPRO_NATIVE=0`` is set) :func:`get_native_field`
 returns ``None`` and callers fall back to the scalar reference path,
 bit-identically.
 
 Cache layout — these two files are everything the cache holds::
 
-    <base>/<source-sha256[:16]>/kernels.c      # published source (provenance)
-    <base>/<source-sha256[:16]>/kernels.so     # the compiled kernels
+    <base>/<digest>/kernels.c      # published source (provenance)
+    <base>/<digest>/kernels.so     # the compiled kernels
+
+``<digest>`` is the first 16 hex digits of the sha256 of the compile
+flags and the source.
 
 ``<base>`` is ``$REPRO_NATIVE_CACHE`` — a deployment setting, trusted as
 given — or else ``<tmp>/repro-native-<uid>``. That default name is
@@ -49,9 +53,9 @@ telemetry and CI asserts against for the warm-cache "zero recompiles"
 gate.
 
 Lanes are C-contiguous ``(n, w)`` uint64 arrays, one row per field
-element, little-endian words. Curve kernels — the affine tree's lane
-ops and the Jacobian point kernels alike — take and return rows **in
-the Montgomery domain** (x·R mod p, R = 2^(64w)) and convert nothing,
+element, little-endian words. Curve kernels — the Jacobian point
+kernels and the merge alike — take and return rows **in the Montgomery
+domain** (x·R mod p, R = 2^(64w)) and convert nothing,
 so a point converts once on its way in and once on its way out however
 many kernels it crosses; the NTT/pointwise row
 ops instead take and return *raw* canonical rows and fold the R factors
@@ -97,6 +101,7 @@ MAX_WORDS = 32
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stddef.h>
+#include <stdlib.h>
 
 typedef unsigned __int128 u128;
 
@@ -104,15 +109,17 @@ typedef unsigned __int128 u128;
    Little-endian words; the final conditional subtract keeps the result
    canonical in [0, N). op is written only after ap/bp are fully read,
    so op may alias either input. */
-static inline void mont_mul_one(uint64_t *op, const uint64_t *ap,
-                                const uint64_t *bp, const uint64_t *N,
-                                uint64_t n0inv, int w)
+static inline __attribute__((always_inline)) void mont_mul_w(
+    uint64_t *op, const uint64_t *ap, const uint64_t *bp,
+    const uint64_t *N, uint64_t n0inv, int w)
 {
     uint64_t t[34];
     for (int j = 0; j <= w + 1; j++) t[j] = 0;
+#pragma GCC unroll 6
     for (int i = 0; i < w; i++) {
         uint64_t ai = ap[i];
         u128 acc = 0;
+#pragma GCC unroll 6
         for (int j = 0; j < w; j++) {
             acc = (u128)ai * bp[j] + t[j] + (uint64_t)(acc >> 64);
             t[j] = (uint64_t)acc;
@@ -122,6 +129,7 @@ static inline void mont_mul_one(uint64_t *op, const uint64_t *ap,
         t[w + 1] += (uint64_t)(acc >> 64);
         uint64_t m = t[0] * n0inv;
         acc = (u128)m * N[0] + t[0];
+#pragma GCC unroll 6
         for (int j = 1; j < w; j++) {
             acc = (u128)m * N[j] + t[j] + (uint64_t)(acc >> 64);
             t[j - 1] = (uint64_t)acc;
@@ -153,8 +161,9 @@ static inline void mont_mul_one(uint64_t *op, const uint64_t *ap,
 }
 
 /* op = ap - bp mod N (canonical). In-place safe. */
-static inline void mod_sub_one(uint64_t *op, const uint64_t *ap,
-                               const uint64_t *bp, const uint64_t *N, int w)
+static inline __attribute__((always_inline)) void mod_sub_w(
+    uint64_t *op, const uint64_t *ap, const uint64_t *bp,
+    const uint64_t *N, int w)
 {
     u128 borrow = 0;
     for (int j = 0; j < w; j++) {
@@ -173,8 +182,9 @@ static inline void mod_sub_one(uint64_t *op, const uint64_t *ap,
 }
 
 /* op = ap + bp mod N (canonical). In-place safe. */
-static inline void mod_add_one(uint64_t *op, const uint64_t *ap,
-                               const uint64_t *bp, const uint64_t *N, int w)
+static inline __attribute__((always_inline)) void mod_add_w(
+    uint64_t *op, const uint64_t *ap, const uint64_t *bp,
+    const uint64_t *N, int w)
 {
     u128 carry = 0;
     for (int j = 0; j < w; j++) {
@@ -197,6 +207,46 @@ static inline void mod_add_one(uint64_t *op, const uint64_t *ap,
             op[j] = (uint64_t)d;
             borrow = (d >> 64) ? 1 : 0;
         }
+    }
+}
+
+/* The three primitives every kernel calls. Each hands its one body a
+   literal width for the 4- and 6-word moduli, which the compiler then
+   unrolls (6 words only with the pragmas above), and the run-time w for
+   every other width (12 words included: specialising it measured
+   slower). They stay out of line: inlining the switch into every call
+   site multiplied compile time and compiler memory for no faster
+   product. */
+static __attribute__((noinline)) void mont_mul_one(
+    uint64_t *op, const uint64_t *ap, const uint64_t *bp,
+    const uint64_t *N, uint64_t n0inv, int w)
+{
+    switch (w) {
+    case 4: mont_mul_w(op, ap, bp, N, n0inv, 4); break;
+    case 6: mont_mul_w(op, ap, bp, N, n0inv, 6); break;
+    default: mont_mul_w(op, ap, bp, N, n0inv, w);
+    }
+}
+
+static __attribute__((noinline)) void mod_sub_one(
+    uint64_t *op, const uint64_t *ap, const uint64_t *bp,
+    const uint64_t *N, int w)
+{
+    switch (w) {
+    case 4: mod_sub_w(op, ap, bp, N, 4); break;
+    case 6: mod_sub_w(op, ap, bp, N, 6); break;
+    default: mod_sub_w(op, ap, bp, N, w);
+    }
+}
+
+static __attribute__((noinline)) void mod_add_one(
+    uint64_t *op, const uint64_t *ap, const uint64_t *bp,
+    const uint64_t *N, int w)
+{
+    switch (w) {
+    case 4: mod_add_w(op, ap, bp, N, 4); break;
+    case 6: mod_add_w(op, ap, bp, N, 6); break;
+    default: mod_add_w(op, ap, bp, N, w);
     }
 }
 
@@ -317,33 +367,6 @@ void mont_batch_inv_back(uint64_t *out, const uint64_t *pref,
     for (int j = 0; j < w; j++) out[j] = acc[j];
 }
 
-/* Fused batch-affine combine for the bucket reduction's pair rounds:
-       lam = num * inv
-       x3  = lam^2 - lx - rx
-       y3  = lam * (lx - x3) - ly
-   i.e. 3 Montgomery muls + 4 modular subs per lane in one pass, with
-   every intermediate held in registers/L1 instead of round-tripping
-   through five separate (n, w) arrays and FFI calls. Outputs must not
-   alias the inputs. */
-void affine_combine_batch(uint64_t *x3, uint64_t *y3,
-                          const uint64_t *num, const uint64_t *inv,
-                          const uint64_t *lx, const uint64_t *rx,
-                          const uint64_t *ly,
-                          size_t n, const uint64_t *N, uint64_t n0inv, int w)
-{
-    uint64_t lam[32], t[32];
-    for (size_t k = 0; k < n; k++) {
-        size_t off = k * w;
-        mont_mul_one(lam, num + off, inv + off, N, n0inv, w);
-        mont_mul_one(t, lam, lam, N, n0inv, w);
-        mod_sub_one(t, t, lx + off, N, w);
-        mod_sub_one(x3 + off, t, rx + off, N, w);
-        mod_sub_one(t, lx + off, x3 + off, N, w);
-        mont_mul_one(t, lam, t, N, n0inv, w);
-        mod_sub_one(y3 + off, t, ly + off, N, w);
-    }
-}
-
 /* -- Fq2 arithmetic (degree-2 extension, i^2 = -c0) ----------------------
 
    An element is two Montgomery base-field values (c0, c1); in a packed
@@ -351,7 +374,8 @@ void affine_combine_batch(uint64_t *x3, uint64_t *y3,
    product (3 base muls, mirroring _ExtLanes.mul in numpy_curve):
    t0 = a0*b0, t2 = a1*b1, t1 = (a0+a1)(b0+b1) - t0 - t2,
    result = (t0 - c0*t2, t1). c0m is the Montgomery row of c0, or NULL
-   when c0 == 1 (the reduction mul is skipped). */
+   when c0 == 1 (the reduction mul is skipped). Outputs may alias
+   inputs. */
 
 static inline void fq2_mul_one(uint64_t *o0, uint64_t *o1,
                                const uint64_t *a0, const uint64_t *a1,
@@ -797,6 +821,248 @@ void bucket_fold_fq2(uint64_t *out, uint64_t *tally,
     }
     jpt_fq2_store(out, 1, 0, &total, w);
 }
+
+/* -- Point-merging ----------------------------------------------------------
+
+   GZKP's point-merging kernel: bucket entries merged by a sorted
+   log-depth tree of batch-affine additions, one call per merge. The
+   field ops below act on one lane of d coefficient planes — d = 1 an
+   Fp element, d = 2 a packed Fq2 one ([c0 words | c1 words],
+   i^2 = -c0) — so one round schedule serves both fields. Lanes are at
+   most 2 * MAX_WORDS words, hence the [64] scratch. */
+
+static inline void fe_add(uint64_t *o, const uint64_t *a, const uint64_t *b,
+                          int d, const uint64_t *N, int w)
+{
+    for (int c = 0; c < d; c++)
+        mod_add_one(o + c * w, a + c * w, b + c * w, N, w);
+}
+
+static inline void fe_sub(uint64_t *o, const uint64_t *a, const uint64_t *b,
+                          int d, const uint64_t *N, int w)
+{
+    for (int c = 0; c < d; c++)
+        mod_sub_one(o + c * w, a + c * w, b + c * w, N, w);
+}
+
+static inline void fe_mul(uint64_t *o, const uint64_t *a, const uint64_t *b,
+                          int d, const uint64_t *c0m, const uint64_t *N,
+                          uint64_t n0inv, int w)
+{
+    if (d == 1)
+        mont_mul_one(o, a, b, N, n0inv, w);
+    else
+        fq2_mul_one(o, o + w, a, a + w, b, b + w, c0m, N, n0inv, w);
+}
+
+/* o = 1/a over Fp for a != 0: Fermat's a^(N-2), square-and-multiply
+   from the top bit of the w-word exponent. */
+static void fp_inv(uint64_t *o, const uint64_t *a, const uint64_t *one,
+                   const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t e[32], r[32];
+    uint64_t sub = 2;
+    for (int j = 0; j < w; j++) {
+        u128 d = (u128)N[j] - sub;
+        e[j] = (uint64_t)d;
+        sub = (d >> 64) ? 1 : 0;
+    }
+    words_copy(r, one, w);
+    for (int j = w - 1; j >= 0; j--)
+        for (int b = 63; b >= 0; b--) {
+            mont_mul_one(r, r, r, N, n0inv, w);
+            if ((e[j] >> b) & 1)
+                mont_mul_one(r, r, a, N, n0inv, w);
+        }
+    words_copy(o, r, w);
+}
+
+/* o = 1/a for a != 0; over Fq2 through the norm,
+   1/(a0 + a1 i) = (a0 - a1 i) / (a0^2 + c0 a1^2). */
+static void fe_inv(uint64_t *o, const uint64_t *a, int d,
+                   const uint64_t *c0m, const uint64_t *one,
+                   const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t t[32], u[32];
+    if (d == 1) {
+        fp_inv(o, a, one, N, n0inv, w);
+        return;
+    }
+    mont_mul_one(t, a, a, N, n0inv, w);
+    mont_mul_one(u, a + w, a + w, N, n0inv, w);
+    if (c0m)
+        mont_mul_one(u, u, c0m, N, n0inv, w);
+    mod_add_one(t, t, u, N, w);
+    fp_inv(t, t, one, N, n0inv, w);
+    mont_mul_one(u, a + w, t, N, n0inv, w);
+    mont_mul_one(o, a, t, N, n0inv, w);
+    for (int j = 0; j < w; j++) t[j] = 0;
+    mod_sub_one(o + w, t, u, N, w);
+}
+
+/* What one round does with the pair (l, l + 1), both lanes of one
+   bucket: a chord or a tangent addition (both live, x1 != x2 / x1 == x2
+   and y1 != -y2), a cancellation (P == -Q: the left lane dies), the dead
+   left lane adopting its live right neighbour, or nothing (dead right
+   lane). Exact: the lanes are canonical Montgomery residues. */
+enum { MERGE_CHORD, MERGE_TANGENT, MERGE_CANCEL, MERGE_ADOPT, MERGE_KEEP };
+
+static inline int merge_kind(const uint64_t *X, const uint64_t *Y,
+                             const unsigned char *alive, size_t l, int d,
+                             const uint64_t *N, int w)
+{
+    uint64_t s[64];
+    size_t wd = (size_t)d * w;
+    if (!alive[l + 1]) return MERGE_KEEP;
+    if (!alive[l]) return MERGE_ADOPT;
+    if (!words_eq(X + l * wd, X + (l + 1) * wd, (int)wd)) return MERGE_CHORD;
+    fe_add(s, Y + l * wd, Y + (l + 1) * wd, d, N, w);
+    return words_zero(s, (int)wd) ? MERGE_CANCEL : MERGE_TANGENT;
+}
+
+/* The slope's denominator of a chord (x2 - x1) or a tangent (2y1). */
+static inline void merge_den(uint64_t *den, const uint64_t *X,
+                             const uint64_t *Y, size_t l, int kind, int d,
+                             const uint64_t *N, int w)
+{
+    size_t wd = (size_t)d * w;
+    if (kind == MERGE_CHORD)
+        fe_sub(den, X + (l + 1) * wd, X + l * wd, d, N, w);
+    else
+        fe_add(den, Y + l * wd, Y + l * wd, d, N, w);
+}
+
+/* The tree, over n lanes whose bucket ids (ids: the caller's own copy)
+   ascend; x/y are their affine planes in the same order, out two result
+   planes of n rows that start as a copy of x/y. Each round pairs a lane
+   at an even position of its bucket's run with its right neighbour and
+   adds every chord/tangent pair with one shared batch inversion (prefix
+   products forward, the one field inversion, then each lane's inverse
+   and its combine backward: lam = num/den, x3 = lam^2 - x1 - x2,
+   y3 = lam (x1 - x3) - y1); then the right lanes leave, in place, until
+   no bucket holds two lanes. tally[0] += padds (chord and tangent),
+   tally[1] += pdbls (tangent), the schedule's counts. The live lanes —
+   one per bucket at most — end at the front of ids and of out's planes;
+   tally[2] is their count, or ~0 when the scratch cannot be had. */
+static void merge_tree(uint64_t *out, uint64_t *tally, int64_t *ids,
+                       const uint64_t *x, const uint64_t *y, size_t n,
+                       int d, const uint64_t *am, const uint64_t *c0m,
+                       const uint64_t *one, const uint64_t *N,
+                       uint64_t n0inv, int w)
+{
+    uint64_t den[64], inv[64], acc[64], num[64], lam[64], t[64], x3[64];
+    size_t wd = (size_t)d * w, m = n, live = 0;
+    uint64_t *X = out, *Y = out + n * wd, *pref;
+    unsigned char *alive;
+    if (!n) return;
+    pref = malloc((n / 2 + 1) * wd * sizeof(uint64_t) + n);
+    if (!pref) {
+        tally[2] = ~(uint64_t)0;
+        return;
+    }
+    alive = (unsigned char *)(pref + (n / 2 + 1) * wd);
+    for (size_t k = 0; k < n * wd; k++) {
+        X[k] = x[k];
+        Y[k] = y[k];
+    }
+    for (size_t k = 0; k < n; k++) alive[k] = 1;
+    for (;;) {
+        size_t pairs = 0, nw = 0, k = 0;
+        for (size_t i = 0, j; i < m; i = j) {
+            for (j = i + 1; j < m && ids[j] == ids[i]; j++) ;
+            for (size_t l = i; l + 1 < j; l += 2, pairs++) {
+                int kind = merge_kind(X, Y, alive, l, d, N, w);
+                if (kind > MERGE_TANGENT) continue;
+                merge_den(den, X, Y, l, kind, d, N, w);
+                if (nw)
+                    fe_mul(pref + nw * wd, pref + (nw - 1) * wd, den, d, c0m,
+                           N, n0inv, w);
+                else
+                    words_copy(pref, den, (int)wd);
+                nw++;
+            }
+        }
+        if (!pairs) break;
+        if (nw) fe_inv(acc, pref + (nw - 1) * wd, d, c0m, one, N, n0inv, w);
+        for (size_t j = m, i; j > 0; j = i) {
+            for (i = j - 1; i > 0 && ids[i - 1] == ids[j - 1]; i--) ;
+            for (size_t q = (j - i) / 2; q-- > 0;) {
+                size_t l = i + 2 * q, r = l + 1;
+                int kind = merge_kind(X, Y, alive, l, d, N, w);
+                if (kind <= MERGE_TANGENT) {
+                    merge_den(den, X, Y, l, kind, d, N, w);
+                    if (--nw) {
+                        fe_mul(inv, acc, pref + (nw - 1) * wd, d, c0m, N,
+                               n0inv, w);
+                        fe_mul(acc, acc, den, d, c0m, N, n0inv, w);
+                    } else {
+                        words_copy(inv, acc, (int)wd);
+                    }
+                    if (kind == MERGE_CHORD) {
+                        fe_sub(num, Y + r * wd, Y + l * wd, d, N, w);
+                    } else {                      /* 3 x^2 + a */
+                        fe_mul(t, X + l * wd, X + l * wd, d, c0m, N, n0inv, w);
+                        fe_add(num, t, t, d, N, w);
+                        fe_add(num, num, t, d, N, w);
+                        if (am) fe_add(num, num, am, d, N, w);
+                        tally[1]++;
+                    }
+                    fe_mul(lam, num, inv, d, c0m, N, n0inv, w);
+                    fe_mul(t, lam, lam, d, c0m, N, n0inv, w);
+                    fe_sub(t, t, X + l * wd, d, N, w);
+                    fe_sub(x3, t, X + r * wd, d, N, w);
+                    fe_sub(t, X + l * wd, x3, d, N, w);
+                    fe_mul(t, lam, t, d, c0m, N, n0inv, w);
+                    fe_sub(Y + l * wd, t, Y + l * wd, d, N, w);
+                    words_copy(X + l * wd, x3, (int)wd);
+                    tally[0]++;
+                } else if (kind == MERGE_ADOPT) {
+                    words_copy(X + l * wd, X + r * wd, (int)wd);
+                    words_copy(Y + l * wd, Y + r * wd, (int)wd);
+                }
+                alive[l] = kind != MERGE_CANCEL && (alive[l] || alive[r]);
+            }
+        }
+        /* the right lanes leave: keep the even positions of every run */
+        for (size_t i = 0, j; i < m; i = j) {
+            for (j = i + 1; j < m && ids[j] == ids[i]; j++) ;
+            for (size_t l = i; l < j; l += 2, k++) {
+                ids[k] = ids[l];
+                alive[k] = alive[l];
+                words_copy(X + k * wd, X + l * wd, (int)wd);
+                words_copy(Y + k * wd, Y + l * wd, (int)wd);
+            }
+        }
+        m = k;
+    }
+    for (size_t l = 0; l < m; l++) {
+        if (!alive[l]) continue;
+        ids[live] = ids[l];
+        words_copy(X + live * wd, X + l * wd, (int)wd);
+        words_copy(Y + live * wd, Y + l * wd, (int)wd);
+        live++;
+    }
+    tally[2] = live;
+    free(pref);
+}
+
+/* merge_*: the tree over Fp and over packed Fq2 lanes, under the point
+   kernels' ABI plus the ids vector (in/out) after tally. */
+void merge_fp(uint64_t *out, uint64_t *tally, int64_t *ids,
+              const uint64_t *x, const uint64_t *y, size_t n,
+              const uint64_t *am, const uint64_t *one, const uint64_t *N,
+              uint64_t n0inv, int w)
+{
+    merge_tree(out, tally, ids, x, y, n, 1, am, NULL, one, N, n0inv, w);
+}
+
+void merge_fq2(uint64_t *out, uint64_t *tally, int64_t *ids,
+               const uint64_t *x, const uint64_t *y, size_t n,
+               const uint64_t *am, const uint64_t *c0m, const uint64_t *one,
+               const uint64_t *N, uint64_t n0inv, int w)
+{
+    merge_tree(out, tally, ids, x, y, n, 2, am, c0m, one, N, n0inv, w);
+}
 """
 
 # module-level load state: None = not attempted, False = unavailable
@@ -867,7 +1133,9 @@ def _default_cache_base() -> str:
                 and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
             return base
         _PRIVATE_BASE = tempfile.mkdtemp(prefix="repro-native-")
-        atexit.register(shutil.rmtree, _PRIVATE_BASE, ignore_errors=True)
+        # a forked child inherits this handler: only the process that
+        # made the directory removes it
+        atexit.register(_remove_private_base, _PRIVATE_BASE, os.getpid())
         detail = (f"kernel cache {base} is not a directory only uid {uid} "
                   f"can write: not loading from it, compiling into "
                   f"{_PRIVATE_BASE} for this process (set REPRO_NATIVE_CACHE "
@@ -878,8 +1146,22 @@ def _default_cache_base() -> str:
     return _PRIVATE_BASE
 
 
+def _remove_private_base(path: str, owner: int) -> None:
+    if os.getpid() == owner:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+#: the one compile command's flags. ``-O3`` lets the compiler unroll the
+#: width-specialised primitives; no ``-march``: the cache is keyed by
+#: source and flags, not by CPU, so an object must run on any x86-64.
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+
+
 def _source_digest() -> str:
-    return hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    """Cache key: the source *and* the flags it is compiled with, so a
+    flag-only change never loads an object built under the old ones."""
+    key = "\0".join((*_CFLAGS, _C_SOURCE))
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 #: cap on retained per-digest kernel dirs (``REPRO_NATIVE_CACHE_MAX_DIRS``)
@@ -965,7 +1247,7 @@ def _compile(cdir: str, sopath: str) -> bool:
         with open(tmp_c, "w") as fh:
             fh.write(_C_SOURCE)
         proc = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp_so, tmp_c],
+            [compiler, *_CFLAGS, "-o", tmp_so, tmp_c],
             capture_output=True, timeout=120,
         )
         if proc.returncode != 0:
@@ -1004,15 +1286,17 @@ def _compile(cdir: str, sopath: str) -> bool:
     return True
 
 
-#: the Jacobian point kernels, which share one ABI: (op, coordinate-
-#: field degree) -> (exported function, operand planes it reads)
+#: the point kernels, which share one ABI: (op, coordinate-field
+#: degree) -> (exported function, operand planes it reads)
 _POINT_KERNELS = {
     ("dbl", 1): ("jac_dbl_fp", 3),
     ("add", 1): ("jac_add_fp", 6),
     ("fold", 1): ("bucket_fold_fp", 3),
+    ("merge", 1): ("merge_fp", 2),
     ("dbl", 2): ("jac_dbl_fq2", 3),
     ("add", 2): ("jac_add_fq2", 6),
     ("fold", 2): ("bucket_fold_fq2", 3),
+    ("merge", 2): ("merge_fq2", 2),
 }
 
 
@@ -1031,19 +1315,16 @@ def _bind(lib) -> None:
     lib.mont_powers.restype = None
     lib.ntt_stockham.argtypes = [ptr, ptr, ptr, size, i32, ptr, u64, i32]
     lib.ntt_stockham.restype = None
-    lib.affine_combine_batch.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr,
-                                         ptr, size, ptr, u64, i32]
-    lib.affine_combine_batch.restype = None
     lib.mont_prefix_mul.argtypes = [ptr, ptr, size, ptr, u64, i32]
     lib.mont_prefix_mul.restype = None
     lib.mont_batch_inv_back.argtypes = [ptr, ptr, ptr, ptr, size, ptr,
                                         u64, i32]
     lib.mont_batch_inv_back.restype = None
-    # point kernels: out, tally, the operand planes, n, the curve's
-    # constant rows (a over Fp; a, c0 over Fq2), one, N, n0inv, w
-    for (_op, degree), (name, n_planes) in _POINT_KERNELS.items():
+    # point kernels: out, tally, (merge: ids), the operand planes, n, the
+    # curve's constant rows (a over Fp; a, c0 over Fq2), one, N, n0inv, w
+    for (op, degree), (name, n_planes) in _POINT_KERNELS.items():
         fn = getattr(lib, name)
-        fn.argtypes = ([ptr] * (2 + n_planes) + [size]
+        fn.argtypes = ([ptr] * (2 + (op == "merge") + n_planes) + [size]
                        + [ptr] * (degree + 2) + [u64, i32])
         fn.restype = None
 
@@ -1148,9 +1429,9 @@ class NativeField:
     """Batched Montgomery-domain arithmetic over one prime modulus.
 
     Curve-path arrays (:meth:`mul`/:meth:`sub`/:meth:`add`/
-    :meth:`affine_combine`/:meth:`batch_inverse`/:meth:`point_op`)
-    are C-contiguous ``(n, w)`` uint64 rows of canonical Montgomery
-    residues (:meth:`point_op` also takes packed ``(n, 2w)`` Fq2 rows);
+    :meth:`batch_inverse`/:meth:`point_op`) are C-contiguous ``(n, w)``
+    uint64 rows of canonical Montgomery residues (:meth:`point_op` also
+    takes packed ``(n, 2w)`` Fq2 rows);
     :meth:`to_mont`/:meth:`from_mont` move rows between the raw and the
     Montgomery domain and ``encode``/``decode`` add the int boundary —
     no curve kernel calls them. The
@@ -1180,8 +1461,9 @@ class NativeField:
         self._n_words = self._row(modulus)
         self._r2_words = self._row(self._r2)
         self._one_words = self._row(1)
-        #: Montgomery representation of 1 (== R mod p), the tree's
-        #: padding value for dead inversion lanes
+        #: Montgomery representation of 1 (== R mod p): the point
+        #: kernels' infinity coordinate and the padding of lanes that
+        #: must invert but carry no point
         self.mont_one = self._row(self.r)
         #: Montgomery twiddle tables keyed (n, omega); cleared with the
         #: instance by :func:`reset_native`
@@ -1300,22 +1582,6 @@ class NativeField:
                                self._n_words.ctypes.data, self.w)
         return out
 
-    def affine_combine(self, num: "_np.ndarray", inv: "_np.ndarray",
-                       lx: "_np.ndarray", rx: "_np.ndarray",
-                       ly: "_np.ndarray"):
-        """Fused chord/tangent combine: returns (x3, y3) with
-        lam = num*inv, x3 = lam^2 - lx - rx, y3 = lam*(lx - x3) - ly."""
-        num, inv = self._prep(num), self._prep(inv)
-        lx, rx, ly = self._prep(lx), self._prep(rx), self._prep(ly)
-        x3 = _np.empty_like(lx)
-        y3 = _np.empty_like(lx)
-        self.lib.affine_combine_batch(
-            x3.ctypes.data, y3.ctypes.data, num.ctypes.data,
-            inv.ctypes.data, lx.ctypes.data, rx.ctypes.data,
-            ly.ctypes.data, lx.shape[0], self._n_words.ctypes.data,
-            self.n0inv, self.w)
-        return x3, y3
-
     def batch_inverse(self, a: "_np.ndarray") -> "_np.ndarray":
         """Montgomery-trick batch inversion: 3(n-1) sequential muls in
         two kernel calls plus one Python field inversion of the running
@@ -1335,27 +1601,30 @@ class NativeField:
                                      self.n0inv, self.w)
         return out
 
-    # -- Jacobian point kernels over Montgomery rows -----------------------------
+    # -- point kernels over Montgomery rows -----------------------------------
     #
-    # One caller for the lane loops and the sequential fold: they share
-    # one ABI (see the C source). Operand rows are only read; the result
-    # planes and the tally are allocated here, per call (buckets are
-    # witness-derived).
+    # One caller for the lane loops, the sequential fold and the merge:
+    # they share one ABI (see the C source). Operand rows are only read;
+    # the result planes and the tally are allocated here, per call
+    # (buckets are witness-derived).
 
     def point_op(self, op: str, degree: int, planes, a_row=None,
-                 c0_row=None):
-        """Run one Jacobian point kernel: ``op`` is ``"dbl"`` (3 operand
-        planes x, y, z: every lane doubled), ``"add"`` (6 planes: lanes
-        added pairwise) or ``"fold"`` (3 planes: the bucket-reduction
-        sum_j (j+1)*B_j as one point); ``degree`` 1 takes ``(n, w)``
-        Montgomery rows over Fp, 2 packed ``(n, 2w)`` rows over Fq2.
-        ``a_row``/``c0_row`` are the Montgomery rows of the curve's a
-        (packed for Fq2; ``None`` when a == 0) and of the Fq2
-        non-residue c0 (``None`` when c0 == 1). Infinity, P == Q and
-        P == -Q are routed in C per lane. Returns ``(out, n_padd,
-        n_pdbl)``: ``out[0]``/``out[1]``/``out[2]`` are the result's
-        x/y/z planes — n rows, or the fold's one — and the tallies are
-        what the scalar formulas would have booked.
+                 c0_row=None, ids=None):
+        """Run one point kernel: ``op`` is ``"dbl"`` (3 operand planes
+        x, y, z: every lane doubled), ``"add"`` (6 planes: lanes added
+        pairwise), ``"fold"`` (3 planes: the bucket-reduction
+        sum_j (j+1)*B_j as one point) or ``"merge"`` (2 planes x, y of
+        affine lanes whose bucket ``ids`` ascend: the point-merging
+        tree); ``degree`` 1 takes ``(n, w)`` Montgomery rows over Fp, 2
+        packed ``(n, 2w)`` rows over Fq2. ``a_row``/``c0_row`` are the
+        Montgomery rows of the curve's a (packed for Fq2; ``None`` when
+        a == 0) and of the Fq2 non-residue c0 (``None`` when c0 == 1).
+        Infinity, P == Q and P == -Q are routed in C per lane. Returns
+        ``(out, n_padd, n_pdbl)``: ``out[0]``/``out[1]``/``out[2]`` are
+        the result's x/y/z planes — n rows, or the fold's one — and the
+        tallies are what the scalar formulas would have booked; for the
+        merge ``out`` is ``(ids, x, y)`` of the surviving lanes, at most
+        one per bucket, and the tallies are the tree schedule's.
 
         Every operand's shape is checked before a pointer crosses: C is
         told one lane count and one row width and reads exactly that
@@ -1371,6 +1640,12 @@ class NativeField:
                 f"point kernel {op!r} takes {n_planes} uint64 planes of "
                 f"one (n, {width}) shape, got "
                 f"{[(pl.shape, str(pl.dtype)) for pl in planes]}")
+        merge = op == "merge"
+        if merge:  # the kernel compacts the survivors' ids into this copy
+            ids = _np.array(ids, dtype=_np.int64)
+            if ids.shape != (n,) or (ids[1:] < ids[:-1]).any():
+                raise ValueError("the merge takes one ascending bucket id "
+                                 "per lane")
         # the Fp kernels take (a), the Fq2 kernels (a, c0)
         consts = [(a_row, width), (c0_row, self.w)][:degree]
         if any(row is not None and (
@@ -1379,14 +1654,22 @@ class NativeField:
             raise ValueError(
                 "curve constant rows are contiguous uint64 word rows of "
                 "the kernel's width")
-        out = _np.empty((3, 1 if op == "fold" else n, width), dtype="<u8")
-        tally = _np.zeros(2, dtype="<u8")
+        out = _np.empty((n_planes if merge else 3, 1 if op == "fold" else n,
+                         width), dtype="<u8")
+        tally = _np.zeros(3, dtype="<u8")
         getattr(self.lib, name)(
             out.ctypes.data, tally.ctypes.data,
+            *([ids.ctypes.data] if merge else []),
             *(pl.ctypes.data for pl in planes), n,
             *(None if row is None else row.ctypes.data for row, _ in consts),
             self.mont_one.ctypes.data, self._n_words.ctypes.data,
             self.n0inv, self.w)
+        if merge:
+            live = int(tally[2])
+            if live > n:
+                raise MemoryError("the merge kernel's scratch allocation "
+                                  "failed")
+            out = ids[:live], out[0, :live], out[1, :live]
         return out, int(tally[0]), int(tally[1])
 
     # -- NTT / pointwise over raw rows ------------------------------------------
@@ -1455,10 +1738,6 @@ class NativeField:
     @staticmethod
     def is_zero(a: "_np.ndarray") -> "_np.ndarray":
         return (a == 0).all(axis=1)
-
-    @staticmethod
-    def rows_equal(a: "_np.ndarray", b: "_np.ndarray") -> "_np.ndarray":
-        return (a == b).all(axis=1)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<NativeField w={self.w} p~2^{self.p.bit_length()}>"

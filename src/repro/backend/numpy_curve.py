@@ -9,8 +9,8 @@ inherited scalar loop instead — there is no vectorized middle tier.
 :func:`_native_engine` is the one place that decides which native field
 serves a group, and the engine it returns (:class:`_G1Lanes` for
 prime-field coordinates, :class:`_ExtLanes` for Fq2) is that group's
-whole arithmetic: the affine tree's lane ops and the Jacobian point
-kernels.
+whole arithmetic: the point kernels' calls and the few row products
+:func:`batch_from_jacobian` runs.
 
 * **Resident rows.** Points stay in word rows between calls, always as
   canonical **Montgomery** residues. :class:`ResidentPoints` is an
@@ -21,7 +21,8 @@ kernels.
   infinity; sub-buckets, buckets and the preprocessing chain's
   temporaries. The two differ by layout only (a G1 plane *is* a bucket
   coordinate row, an Fq2 one is a concat/split), so nothing converts
-  when a point moves between the tree, the point kernels and the table.
+  when a point moves between the table, the merge and the point
+  kernels.
   Both are immutable read-only ``Sequence``s that decode only what is
   read, so code that knows nothing about them still works. The
   int <-> row boundary — and with it the raw <-> Montgomery one — is
@@ -39,16 +40,17 @@ kernels.
   scalar loop. A python list is lifted through the rows' ingress and
   handed back through their egress.
 
-* **Segmented bucket reduction** (:func:`_segmented_tree` behind
+* **Point-merging** (:func:`_merge_tree` behind
   :func:`accumulate_table_segmented` for a resident table's index
   vectors and :func:`accumulate_buckets_segmented` for python
   ``entries``) replaces the ordered per-entry fold of bucket
   accumulation with a sorted, log-depth tree of *batch-affine*
-  additions: entries are stable-sorted by bucket index once, then each
-  round pairs adjacent same-bucket lanes and combines every pair with a
-  single shared Montgomery batch inversion (one field inversion per
-  round, 6 muls per combine instead of the ~11 of a mixed Jacobian
-  add). Bucket results are group-equal to the scalar fold's ((x, y, 1)
+  additions, run by one C call (``merge_*``): entries are
+  stable-sorted by bucket index once, then each round pairs adjacent
+  same-bucket lanes and combines every pair with a single shared
+  Montgomery batch inversion (one field inversion per round, ≈ 6 muls
+  per combine instead of the 11 of a mixed Jacobian add). Bucket
+  results are group-equal to the scalar fold's ((x, y, 1)
   Jacobian representatives) and PADD/PDBL totals match the scalar
   schedule — see
   :meth:`repro.backend.base.ComputeBackend.accumulate_buckets` for the
@@ -322,9 +324,9 @@ def gather_points(row: ResidentPoints, idx) -> ResidentPoints:
     """Lane j of the result is ``row[idx[j]]``: one ``take`` per
     coordinate plane and one of the ``None`` mask."""
     idx = _np.asarray(idx, dtype=_np.int64)
-    gather = row.eng.gather
-    return ResidentPoints(row.eng, gather(row.X, idx), gather(row.Y, idx),
-                          _np.take(row.inf, idx))
+    X, Y = (tuple(_np.take(pl, idx, axis=0) for pl in planes)
+            for planes in (row.X, row.Y))
+    return ResidentPoints(row.eng, X, Y, _np.take(row.inf, idx))
 
 
 def batch_to_jacobian(group, points: ResidentPoints
@@ -370,14 +372,14 @@ def batch_from_jacobian(group, jps: ResidentBuckets
 
 class _PlaneLanes:
     """One group's arithmetic on the native field ``nf``, everything in
-    the Montgomery domain. The affine tree works on *planes* — a
-    coordinate vector is a tuple of ``(n, w)`` rows, one per base-field
-    coefficient (one for G1, two for Fq2) — and the Jacobian point
-    kernels on *packed rows*, the same planes side by side
-    (:meth:`pack`/:meth:`split`). This base class holds the int
-    boundary (:meth:`rows`/:meth:`vals`), the point-kernel call and the
-    structural helpers the tree needs; subclasses supply the field
-    arithmetic on planes and the curve's constant rows."""
+    the Montgomery domain. Affine rows hold *planes* — a coordinate
+    vector is a tuple of ``(n, w)`` rows, one per base-field coefficient
+    (one for G1, two for Fq2) — and the point kernels take *packed
+    rows*, the same planes side by side (:meth:`pack`/:meth:`split`).
+    This base class holds the int boundary (:meth:`rows`/:meth:`vals`)
+    and the point-kernel call; subclasses supply the products and the
+    batch inversion :func:`batch_from_jacobian` runs on planes, and the
+    curve's constant rows."""
 
     nplanes = 1
     #: the curve's Montgomery constant rows as the point kernels take
@@ -430,82 +432,18 @@ class _PlaneLanes:
         _book(self.group, n_padd, n_pdbl)
         return ResidentBuckets(self, *out)
 
-    @staticmethod
-    def nrows(c) -> int:
-        return c[0].shape[0]
+    def ones(self, n):
+        """n lanes of the Montgomery one, as planes."""
+        one = _np.empty((n, self.nf.w), dtype=_np.uint64)
+        one[:] = self.nf.mont_one
+        return (one,) + tuple(_np.zeros_like(one)
+                              for _ in range(self.nplanes - 1))
 
-    def add_a(self, c):
-        """c + a on planes (the tangent slope's numerator)."""
-        a_row = self.curve_rows[0]
-        if a_row is None:
-            return c
-        return self.add(c, self.split(_np.broadcast_to(
-            a_row, (self.nrows(c), a_row.shape[0]))))
-
-    @staticmethod
-    def gather(c, idx):
-        """Rows ``idx`` (a slice, a bool mask or an index array) of
-        every plane, contiguous. ``take``/``compress`` move whole rows
-        several times faster than fancy indexing does."""
-        if isinstance(idx, slice):
-            return tuple(_np.ascontiguousarray(pl[idx]) for pl in c)
-        if idx.dtype == bool:
-            return tuple(_np.compress(idx, pl, axis=0) for pl in c)
-        return tuple(_np.take(pl, idx, axis=0) for pl in c)
-
-    @staticmethod
-    def set_rows(dst, idx, src) -> None:
-        for d, s in zip(dst, src):
-            d[idx] = s
-
-    @staticmethod
-    def concat(a, b):
-        return tuple(_np.concatenate([x, y]) for x, y in zip(a, b))
-
-    @staticmethod
-    def interleave(a, b):
-        outs = []
-        for x, y in zip(a, b):
-            out = _np.empty((2 * x.shape[0], x.shape[1]), dtype=x.dtype)
-            out[0::2] = x
-            out[1::2] = y
-            outs.append(out)
-        return tuple(outs)
-
-    def combine(self, num, inv, lx, rx, ly):
-        """Chord/tangent combine for one pair round: lam = num*inv,
-        x3 = lam^2 - lx - rx, y3 = lam*(lx - x3) - ly."""
-        lam = self.mul(num, inv)
-        x3 = self.sub(self.sub(self.mul(lam, lam), lx), rx)
-        y3 = self.sub(self.mul(lam, self.sub(lx, x3)), ly)
-        return x3, y3
-
-    def invert(self, dens):
-        """Montgomery batch inversion via a pairwise product tree: one
-        real field inversion at the root (in Python), multiplications
-        everywhere else. Every input row must be invertible (callers
-        park dead/special lanes at one)."""
-        n = self.nrows(dens)
-        cur = dens
-        stack = []
-        while self.nrows(cur) > 1:
-            m = self.nrows(cur)
-            if m & 1:
-                cur = self.concat(cur, self.ones(1))
-                m += 1
-            ev = self.gather(cur, slice(0, m, 2))
-            od = self.gather(cur, slice(1, m, 2))
-            stack.append((ev, od))
-            cur = self.mul(ev, od)
-        inv = self.inv_root(cur)
-        for ev, od in reversed(stack):
-            # an odd level was padded with a one: drop that lane's
-            # inverse so both kernel operands have this level's rows
-            inv = self.gather(inv, slice(0, self.nrows(ev)))
-            left = self.mul(inv, od)
-            right = self.mul(inv, ev)
-            inv = self.interleave(left, right)
-        return self.gather(inv, slice(0, n))
+    def is_zero(self, a):
+        zero = self.nf.is_zero(a[0])
+        for plane in a[1:]:
+            zero &= self.nf.is_zero(plane)
+        return zero
 
 
 class _G1Lanes(_PlaneLanes):
@@ -521,37 +459,10 @@ class _G1Lanes(_PlaneLanes):
     def mul(self, a, b):
         return (self.nf.mul(a[0], b[0]),)
 
-    def add(self, a, b):
-        return (self.nf.add(a[0], b[0]),)
-
-    def sub(self, a, b):
-        return (self.nf.sub(a[0], b[0]),)
-
-    def eq(self, a, b):
-        return self.nf.rows_equal(a[0], b[0])
-
-    def is_zero(self, a):
-        return self.nf.is_zero(a[0])
-
-    def ones(self, n):
-        arr = _np.empty((n, self.nf.w), dtype=_np.uint64)
-        arr[:] = self.nf.mont_one
-        return (arr,)
-
-    def inv_root(self, c):
-        v = self.nf.decode_one(c[0][0])
-        return (self.nf.encode_const(pow(v, -1, self.nf.p))[None, :],)
-
-    def combine(self, num, inv, lx, rx, ly):
-        x3, y3 = self.nf.affine_combine(num[0], inv[0], lx[0], rx[0],
-                                        ly[0])
-        return (x3,), (y3,)
-
-    def invert(self, dens):
-        # one prime-field plane: the sequential in-C prefix-product
-        # trick beats the log-depth tree (2 kernel calls, no per-level
-        # gather/interleave traffic)
-        return (self.nf.batch_inverse(dens[0]),)
+    def invert(self, a):
+        """Every lane's inverse (each must be invertible): the in-C
+        prefix-product trick, one field inversion for the batch."""
+        return (self.nf.batch_inverse(a[0]),)
 
 
 class _ExtLanes(_PlaneLanes):
@@ -563,13 +474,16 @@ class _ExtLanes(_PlaneLanes):
     def __init__(self, group, nf):
         self.group = group
         self.nf = nf
-        self.field = group.ops.field
-        c0 = self.field.modulus_coeffs[0]
+        c0 = group.ops.field.modulus_coeffs[0]
         c0_row = None if c0 == 1 else nf.encode_const(c0)
         consts = group.formula_constants()
         a_row = (None if consts["a_is_zero"] else _np.concatenate(
             [nf.encode_const(c) for c in consts["a"].coeffs]))
         self.curve_rows = (a_row, c0_row)
+
+    def _times_c0(self, t):
+        c0_row = self.curve_rows[1]
+        return t if c0_row is None else self.nf.mul_const(t, c0_row)
 
     def mul(self, a, b):
         nf = self.nf
@@ -577,49 +491,34 @@ class _ExtLanes(_PlaneLanes):
         t2 = nf.mul(a[1], b[1])
         t1 = nf.mul(nf.add(a[0], a[1]), nf.add(b[0], b[1]))
         t1 = nf.sub(nf.sub(t1, t0), t2)
-        c0_row = self.curve_rows[1]
-        if c0_row is not None:
-            t2 = nf.mul_const(t2, c0_row)
-        return (nf.sub(t0, t2), t1)
+        return (nf.sub(t0, self._times_c0(t2)), t1)
 
-    def add(self, a, b):
-        return (self.nf.add(a[0], b[0]), self.nf.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        return (self.nf.sub(a[0], b[0]), self.nf.sub(a[1], b[1]))
-
-    def eq(self, a, b):
-        return self.nf.rows_equal(a[0], b[0]) & self.nf.rows_equal(a[1], b[1])
-
-    def is_zero(self, a):
-        return self.nf.is_zero(a[0]) & self.nf.is_zero(a[1])
-
-    def ones(self, n):
-        c0 = _np.empty((n, self.nf.w), dtype=_np.uint64)
-        c0[:] = self.nf.mont_one
-        return (c0, _np.zeros((n, self.nf.w), dtype=_np.uint64))
-
-    def inv_root(self, c):
-        a0 = self.nf.decode_one(c[0][0])
-        a1 = self.nf.decode_one(c[1][0])
-        inv = self.field.element([a0, a1]).inverse()
-        return tuple(self.nf.encode_const(c)[None, :] for c in inv.coeffs)
+    def invert(self, a):
+        """Every lane's inverse through its norm, 1/(a0 + a1 i) =
+        (a0 - a1 i) / (a0^2 + c0 a1^2): one Fp batch inversion."""
+        nf = self.nf
+        norm = nf.add(nf.mul(a[0], a[0]), self._times_c0(nf.mul(a[1], a[1])))
+        ninv = nf.batch_inverse(norm)
+        minus = nf.mul(a[1], ninv)
+        return (nf.mul(a[0], ninv), nf.sub(_np.zeros_like(minus), minus))
 
 
-def _segmented_tree(eng, group, curb, X, Y, fold_flagged):
-    """The sorted log-depth batch-affine tree, shared by both
-    front-ends: ``curb`` holds the entries' bucket ids in ascending
-    order and ``X``/``Y`` their Montgomery planes in the same order.
+def _merge_tree(eng, group, ids, X, Y, fold_flagged):
+    """Point-merging, shared by both front-ends: ``ids`` holds the
+    entries' bucket ids in ascending order and ``X``/``Y`` their packed
+    Montgomery rows in the same order.
 
     Buckets that receive the same x-coordinate more than once are
-    handed to ``fold_flagged(ids)`` — the front-end folds their entries
+    handed to ``fold_flagged(buckets)`` — the front-end folds their entries
     scalar-first in original entry order — and leave the tree (the
-    pre-pass below says why); each round pairs adjacent lanes of the
-    same bucket and combines all pairs with one shared batch inversion. P == Q
-    lanes use the tangent slope (a doubling), P == -Q lanes cancel to a
-    dead lane that revives from its right neighbour next round —
+    pre-pass below says why). Everything else is one C call
+    (``NativeField.point_op("merge")``): the sorted log-depth tree of
+    batch-affine additions, each round pairing adjacent lanes of one
+    bucket and combining all pairs with one shared batch inversion;
+    P == Q lanes take the tangent (a doubling), P == -Q lanes cancel to
+    a dead lane that revives from its right neighbour next round —
     detection is exact because the Montgomery lanes stay canonical.
-    Books the rounds' PADD/PDBL totals and returns ``(ids, X, Y)`` of
+    Books the tree's PADD/PDBL totals and returns ``(ids, X, Y)`` of
     the surviving lanes, at most one per bucket."""
     # Buckets fed the same x-coordinate twice (a duplicated or negated
     # base — rare, but real proving keys do repeat bases) go through
@@ -633,101 +532,36 @@ def _segmented_tree(eng, group, curb, X, Y, fold_flagged):
     # all-distinct common case skips the expensive full-width word sort
     # entirely (one plain sort of 64-bit keys; a cross-bucket digest
     # collision only costs that exact sort, which then finds nothing).
-    dig = curb.astype(_np.uint64)
+    dig = ids.astype(_np.uint64)
     mix = _np.uint64(0x9E3779B97F4A7C15)
-    for pl in X:
-        for j in range(pl.shape[1]):
-            dig = dig * mix + pl[:, j]
+    for col in X.T:
+        dig *= mix
+        dig += col
     sd = _np.sort(dig)
-    flagged = None
     if (sd[:-1] == sd[1:]).any():
         # Digest hit (real duplicate or hash collision): confirm with
         # the exact full-width sort over the Montgomery word columns.
-        xcols = tuple(col for pl in X for col in pl.T) + (curb,)
-        ordx = _np.lexsort(xcols)
-        sc = curb[ordx]
-        adj = sc[:-1] == sc[1:]
-        eqx = adj.copy()
-        for pl in X:
-            sp = pl[ordx]
-            eqx &= (sp[:-1] == sp[1:]).all(axis=1)
+        ordx = _np.lexsort((*X.T, ids))
+        sc = ids[ordx]
+        sx = X[ordx]
+        eqx = (sc[:-1] == sc[1:]) & (sx[:-1] == sx[1:]).all(axis=1)
         if eqx.any():
             flagged = _np.unique(sc[:-1][eqx])
-    if flagged is not None:
-        keep0 = ~_np.isin(curb, flagged)
-        X = eng.gather(X, keep0)
-        Y = eng.gather(Y, keep0)
-        curb = curb[keep0]
-        fold_flagged(flagged)
-    alive = _np.ones(curb.shape[0], dtype=bool)
-    n_padd = 0
-    n_pdbl = 0
-    while eng.nrows(X) > 1:
-        m = eng.nrows(X)
-        # run detection over the sorted bucket ids (one pass, no loops)
-        same = _np.zeros(m, dtype=bool)
-        same[:-1] = curb[:-1] == curb[1:]
-        newrun = _np.ones(m, dtype=bool)
-        newrun[1:] = curb[1:] != curb[:-1]
-        starts = _np.flatnonzero(newrun)
-        run_id = _np.cumsum(newrun) - 1
-        pos_in_run = _np.arange(m) - starts[run_id]
-        is_left = (pos_in_run % 2 == 0) & same
-        li = _np.flatnonzero(is_left)
-        if li.size == 0:
-            break  # all remaining lanes target distinct buckets
-        ri = li + 1
-        aL = alive[li]
-        aR = alive[ri]
-        both = aL & aR
-        lx, ly = eng.gather(X, li), eng.gather(Y, li)
-        rx, ry = eng.gather(X, ri), eng.gather(Y, ri)
-        x_eq = eng.eq(lx, rx) & both
-        cancel = x_eq & eng.is_zero(eng.add(ly, ry))
-        dbl = x_eq & ~cancel
-        work = (both & ~x_eq) | dbl
-        den = eng.sub(rx, lx)
-        num = eng.sub(ry, ly)
-        di = _np.flatnonzero(dbl)
-        if di.size:
-            dx = eng.gather(lx, di)
-            dy = eng.gather(ly, di)
-            eng.set_rows(den, di, eng.add(dy, dy))  # 2y (y != 0: not a cancel)
-            sq = eng.mul(dx, dx)
-            eng.set_rows(num, di, eng.add_a(eng.add(eng.add(sq, sq), sq)))
-        nw = _np.flatnonzero(~work)
-        if nw.size:
-            eng.set_rows(den, nw, eng.ones(int(nw.size)))
-        inv = eng.invert(den)
-        x3, y3 = eng.combine(num, inv, lx, rx, ly)
-        wi = _np.flatnonzero(work)
-        if wi.size:
-            eng.set_rows(X, li[wi], eng.gather(x3, wi))
-            eng.set_rows(Y, li[wi], eng.gather(y3, wi))
-        ci = _np.flatnonzero(~aL & aR)
-        if ci.size:  # dead left lane adopts its (alive) right neighbour
-            eng.set_rows(X, li[ci], eng.gather(rx, ci))
-            eng.set_rows(Y, li[ci], eng.gather(ry, ci))
-        alive[li] = (aL | aR) & ~cancel
-        n_padd += int(work.sum())
-        n_pdbl += int(dbl.sum())
-        keep = _np.ones(m, dtype=bool)
-        keep[ri] = False
-        X = eng.gather(X, keep)
-        Y = eng.gather(Y, keep)
-        alive = alive[keep]
-        curb = curb[keep]
+            keep = ~_np.isin(ids, flagged)
+            ids, X, Y = ids[keep], X[keep], Y[keep]
+            fold_flagged(flagged)
+    out, n_padd, n_pdbl = eng.nf.point_op("merge", eng.nplanes, (X, Y),
+                                          *eng.curve_rows, ids=ids)
     _book(group, n_padd, n_pdbl)
-    fin = _np.flatnonzero(alive)
-    return curb[fin], eng.gather(X, fin), eng.gather(Y, fin)
+    return out
 
 
 def accumulate_buckets_segmented(group, buckets: List,
                                  entries: Sequence[Tuple[int, object]]
                                  ) -> Optional[List]:
     """Sorted log-depth batch-affine bucket accumulation over python
-    ``(bucket index, affine point)`` entries (:func:`_segmented_tree`
-    behind the ``load_points`` ingress).
+    ``(bucket index, affine point)`` entries (:func:`_merge_tree` behind
+    the ``rows`` ingress).
 
     Returns None (caller falls back to the scalar fold) when the batch
     is too small to pay for the setup — silently, it is a size choice —
@@ -746,7 +580,8 @@ def accumulate_buckets_segmented(group, buckets: List,
         return None
     idxs = _np.fromiter((i for i, _ in items), dtype=_np.int64, count=len(items))
     order = _stable_argsort(idxs, len(buckets))
-    X, Y = eng.load_points([items[int(k)][1] for k in order])
+    pts = [items[int(k)][1] for k in order]
+    X, Y = eng.rows([p[0] for p in pts]), eng.rows([p[1] for p in pts])
 
     def fold_flagged(flagged):
         flagset = {int(b) for b in flagged}
@@ -754,11 +589,11 @@ def accumulate_buckets_segmented(group, buckets: List,
             if idx in flagset:
                 buckets[idx] = group.jmixed_add(buckets[idx], pt)
 
-    ids, X, Y = _segmented_tree(eng, group, idxs[order], X, Y, fold_flagged)
+    ids, X, Y = _merge_tree(eng, group, idxs[order], X, Y, fold_flagged)
     if ids.size:
         o = group.ops
         one = o.one
-        for b, (x, y) in zip(ids.tolist(), eng.decode(X, Y)):
+        for b, x, y in zip(ids.tolist(), eng.vals(X), eng.vals(Y)):
             init = buckets[b]
             if o.is_zero(init[2]):
                 # scalar path's first assignment is count-free too
@@ -778,26 +613,20 @@ def _stable_argsort(keys, bound: int):
     return _np.argsort(keys, kind="stable")
 
 
-def _gather_table(eng, table, rows, cols):
-    """Montgomery planes of the points ``table[rows[j]][cols[j]]``,
-    grouped by table row: returns ``(X, Y, by_row)`` where lane i of
-    the planes is entry ``by_row[i]``. One contiguous ``take`` per
-    table row and plane."""
-    if rows.size and not 0 <= int(rows.min()) <= int(rows.max()) < len(table):
-        raise IndexError("checkpoint-table row index out of range")
-    by_row = _stable_argsort(rows, len(table))
-    src = cols[by_row]
-    first = table[0]
-    out = tuple(_np.empty((rows.size, pl.shape[1]), dtype=pl.dtype)
-                for pl in first.X + first.Y)
-    start = 0
-    for row, end in zip(table, _np.cumsum(
-            _np.bincount(rows, minlength=len(table))).tolist()):
-        if end > start:
-            for dst, plane in zip(out, row.X + row.Y):
-                dst[start:end] = _np.take(plane, src[start:end], axis=0)
-        start = end
-    return out[:eng.nplanes], out[eng.nplanes:], by_row
+def _table_lanes(eng, table, rows, cols, order):
+    """Packed Montgomery rows of the points ``table[rows[j]][cols[j]]``
+    for j in ``order``: the table's rows stacked, then one ``take`` for
+    x and one for y."""
+    sizes = _np.array([len(r) for r in table], dtype=_np.int64)
+    if rows.size and not (0 <= int(rows.min()) and int(rows.max()) < len(table)
+                          and 0 <= int(cols.min())
+                          and (cols < sizes[rows]).all()):
+        raise IndexError("checkpoint-table index out of range")
+    flat = (_np.cumsum(sizes) - sizes)[rows[order]] + cols[order]
+    return tuple(
+        _np.take(_np.concatenate([eng.pack(getattr(r, c)) for r in table]),
+                 flat, axis=0)
+        for c in ("X", "Y"))
 
 
 def accumulate_table_segmented(group, table: Sequence, n_slots: int,
@@ -808,7 +637,7 @@ def accumulate_table_segmented(group, table: Sequence, n_slots: int,
     of a fresh all-infinity row of ``n_slots`` buckets, returned as
     :class:`ResidentBuckets`. The index vectors stand in for the
     ``entries`` list of :func:`accumulate_buckets_segmented` — gather
-    table rows, run :func:`_segmented_tree`, scatter the survivors — so
+    table rows, run :func:`_merge_tree`, scatter the survivors — so
     no python point exists between the table and the bucket rows,
     except in buckets fed one x twice, whose few points are decoded for
     the exact scalar fold in entry order.
@@ -833,10 +662,9 @@ def accumulate_table_segmented(group, table: Sequence, n_slots: int,
         slots, rows, cols = slots[keep], rows[keep], cols[keep]
     # Tree order: by bucket, and within a bucket by table row — any
     # order will do there, since buckets fed one x twice leave the tree.
-    X, Y, by_row = _gather_table(eng, table, rows, cols)
-    order = _stable_argsort(slots[by_row], n_slots)
-    X, Y = eng.gather(X, order), eng.gather(Y, order)
-    order = by_row[order]
+    order = _stable_argsort(rows, len(table))
+    order = order[_stable_argsort(slots[order], n_slots)]
+    X, Y = _table_lanes(eng, table, rows, cols, order)
     folded = {}
 
     def fold_flagged(flagged):
@@ -847,14 +675,13 @@ def accumulate_table_segmented(group, table: Sequence, n_slots: int,
             folded[s] = group.jmixed_add(folded.get(s, infinity),
                                          table[rows[j]][cols[j]])
 
-    ids, X, Y = _segmented_tree(eng, group, slots[order], X, Y, fold_flagged)
+    ids, X, Y = _merge_tree(eng, group, slots[order], X, Y, fold_flagged)
     # every bucket starts as the scalar fold's infinity, (1, 1, 0); the
-    # survivors land as (x, y, 1), their tree planes packed as they are
-    x = eng.pack(eng.ones(n_slots))
-    y, z = x.copy(), _np.zeros_like(x)
+    # survivors land as (x, y, 1), their merged rows as they are
+    one = eng.pack(eng.ones(n_slots))
+    x, y, z = one.copy(), one.copy(), _np.zeros_like(one)
     if ids.size:  # count-free, like the scalar fold's first assignment
-        x[ids], y[ids] = eng.pack(X), eng.pack(Y)
-        z[ids] = eng.pack(eng.ones(ids.size))
+        x[ids], y[ids], z[ids] = X, Y, one[ids]
     if folded:
         ids = _np.fromiter(folded, dtype=_np.int64, count=len(folded))
         for k, dst in enumerate((x, y, z)):

@@ -585,11 +585,12 @@ class NumpyLimbBackend(ComputeBackend):
         """Index arithmetic on whole vectors over the non-zero digits
         only; row-major ``nonzero`` order is the scalar loop's exact
         entry order. Returns int64 arrays."""
-        dm = _np.asarray(digits, dtype=_np.int64)
-        nz_i, nz_t = dm.nonzero()
+        dm = _np.ascontiguousarray(digits, dtype=_np.int64)
+        flat = _np.flatnonzero(dm)
+        nz_i, nz_t = _np.divmod(flat, dm.shape[1])
         blocks = nz_t // interval
         slot_idx = ((nz_t - blocks * interval) * ((1 << window) - 1)
-                    + dm[nz_i, nz_t] - 1)
+                    + dm.ravel()[flat] - 1)
         return slot_idx, blocks, nz_i
 
     # -- batch curve ops --------------------------------------------------------

@@ -57,7 +57,9 @@ def test_native_mont_certificate_mirrors_loader_gate():
 
 POINT_KERNEL_CHECKS = ("scratch-width", "mont-closure", "discriminant-exact",
                        "add-mul-parity", "dbl-mul-parity",
-                       "dbl-a-mul-parity")
+                       "dbl-a-mul-parity", "merge-combine-muls",
+                       "merge-inversion-muls", "merge-fermat-exponent",
+                       "merge-fermat-prime")
 
 
 @pytest.mark.parametrize("modulus", ALL_FIELDS)
@@ -82,6 +84,9 @@ def test_native_jacobian_certificate_covers_the_bucket_fold(modulus):
     assert cert.params["native_muls"] == {
         "padd": CurveGroup.PADD_FQ_MULS, "pdbl": CurveGroup.PDBL_FQ_MULS,
         "pdbl_a": CurveGroup.PDBL_FQ_MULS + 3}
+    # a merge lane: 3 muls of combine, 3 of batch-inversion leg, the
+    # 6 of GZKP's batch-affine point-merging
+    assert cert.params["merge_muls"] == {"combine": 3, "inversion": 3}
 
 
 def test_native_jacobian_fold_checks_reject_bad_moduli():
@@ -93,6 +98,10 @@ def test_native_jacobian_fold_checks_reject_bad_moduli():
     bad = {v.name for v in certify_native_jacobian(
         "huge", (1 << (64 * 31)) - 3).violations()}
     assert "scratch-width" in bad
+    # odd but composite (and a base-3 Fermat pseudoprime): the merge's
+    # a^(p-2) would not be an inverse
+    bad = {v.name for v in certify_native_jacobian("91", 91).violations()}
+    assert bad == {"merge-fermat-prime"}
 
 
 def test_native_mont_rejects_even_and_oversized_moduli():

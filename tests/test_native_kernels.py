@@ -244,6 +244,69 @@ print(json.dumps({
     assert not os.path.exists(out["base"])
 
 
+def test_forked_child_leaves_the_private_cache_dir(tmp_path):
+    """The process-private stand-in for an untrusted default cache dir
+    is removed at exit by the process that made it, not by a bare
+    ``os.fork`` child leaving through ``sys.exit`` (a forked service
+    worker would otherwise delete its parent's loaded kernels)."""
+    base = tmp_path / f"repro-native-{os.getuid()}"
+    base.mkdir()
+    base.chmod(0o777)
+    code = """
+import json, os, sys, warnings
+from repro.backend import native
+warnings.simplefilter("ignore")
+assert native.native_available()
+so = os.path.join(native.cache_base_dir(), native._source_digest(),
+                  "kernels.so")
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)
+_, status = os.waitpid(pid, 0)
+print(json.dumps({"status": status, "so": so, "alive": os.path.exists(so)}))
+"""
+    proc = _run_py(code, {"TMPDIR": str(tmp_path), "REPRO_NATIVE_CACHE": ""})
+    assert proc.returncode == 0, proc.stderr
+    import json
+
+    out = json.loads(proc.stdout)
+    assert out["status"] == 0 and out["alive"] is True
+    # ... and the owner still cleans up after itself
+    assert not os.path.exists(os.path.dirname(os.path.dirname(out["so"])))
+
+
+def test_compile_flags_are_part_of_the_cache_key(tmp_path, monkeypatch):
+    """A flag-only change must compile into a new digest directory,
+    never ``dlopen`` the object built under the old flags."""
+    seen = []
+
+    def fake_compile(cdir, sopath):
+        seen.append(os.path.relpath(cdir, tmp_path))
+        return False  # nothing is built: the loader gives up cleanly
+
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.setattr(native, "_compile", fake_compile)
+    assert native._compile_and_load() is None
+    monkeypatch.setattr(native, "_CFLAGS", (*native._CFLAGS, "-DFLAG_PROBE"))
+    assert native._compile_and_load() is None
+    assert seen[0] != seen[1] == native._source_digest()
+
+
+def test_compile_command_is_the_flag_constant(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **_kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 1, b"", b"probe")
+
+    monkeypatch.setattr(native.subprocess, "run", fake_run)
+    monkeypatch.setattr(native, "_WARNED", True)  # keep the warning quiet
+    monkeypatch.setattr(native, "_EVENTS", [])  # and the event log clean
+    assert not native._compile(str(tmp_path / "d"), str(tmp_path / "d.so"))
+    assert calls[0][1:-3] == list(native._CFLAGS)
+    assert "-march=native" not in native._CFLAGS
+
+
 def test_default_cache_dir_is_created_private(tmp_path):
     """The trusted case: an absent default directory is created
     ``0o700`` and used, with no untrusted event."""
@@ -361,8 +424,10 @@ def test_no_dead_kernels():
     import re
 
     code = re.sub(r"/\*.*?\*/", "", native._C_SOURCE, flags=re.S)
-    defs = re.findall(r"^(static\s+(?:inline\s+)?)?(?:void|int)\s+(\w+)\(",
-                      code, flags=re.M)
+    defs = re.findall(
+        r"^(static\s+(?:inline\s+)?"
+        r"(?:__attribute__\(\((?:always_inline|noinline)\)\)\s+)?)?"
+        r"(?:void|int)\s+(\w+)\(", code, flags=re.M)
     exported = {name for static, name in defs if not static}
     helpers = {name for static, name in defs if static}
     assert exported and helpers and len(defs) == len(exported | helpers)
@@ -393,6 +458,61 @@ def test_encode_decode_roundtrip_property(data):
             min_size=1, max_size=16))
         arr = nf.encode(vals)
         assert nf.decode(arr) == vals
+
+
+#: one modulus per instantiated width of the primitives (4 and 6 words)
+#: plus the generic body at 12 words and at a width nothing names (the
+#: 9-word Mersenne prime 2^521 - 1)
+WIDTH_MODULI = {4: BASE_FIELDS["ALT-BN128"].modulus,
+                6: BASE_FIELDS["BLS12-381"].modulus,
+                12: BASE_FIELDS["MNT4753"].modulus,
+                9: (1 << 521) - 1}
+
+
+def _boundary_operands(p: int, w: int):
+    """0, 1, p - 1, R mod p, and pairs that sit on each primitive's
+    conditional correction: a + b == p exactly (the add's pre-subtract
+    is p), a == b (the sub's zero), and a product whose CIOS
+    pre-subtract is p + 1, the nearest value to p it can take (p itself
+    would need a * b == 0 mod p)."""
+    R = 1 << (64 * w)
+    singles = [0, 1, p - 1, R % p]
+    pairs = [(1, p - 1), (p - 1, 1), (p // 2, p - p // 2), (R % p, p - R % p),
+             (p - 1, p - 1), (R % p, R % p)]
+    pinv = pow(p, -1, R)
+    for a in range(2, 400):  # b = R / a: the product's canonical value is 1
+        b = R * pow(a, -1, p) % p
+        t = (a * b + (-a * b * pinv % R) * p) // R
+        if t == p + 1:
+            pairs.append((a, b))
+            break
+    return singles, pairs
+
+
+@pytest.mark.parametrize("w", sorted(WIDTH_MODULI))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_primitives_match_python_ints_on_every_width(w, data):
+    """``NativeField.mul``/``add``/``sub`` (the CIOS product, the
+    canonical add and sub under every kernel) against python ints on
+    each width the primitives are instantiated for and on the generic
+    body, boundary operands included."""
+    p = WIDTH_MODULI[w]
+    nf = native.get_native_field(p)
+    assert nf.w == w
+    singles, pairs = _boundary_operands(p, w)
+    value = st.one_of(st.sampled_from(singles), st.integers(0, p - 1))
+    drawn = data.draw(st.lists(st.tuples(value, value), max_size=12))
+    xs, ys = zip(*(pairs + [(a, b) for a in singles for b in singles]
+                   + drawn))
+    a, b = nf.words_from_ints(xs), nf.words_from_ints(ys)
+    rinv = pow(1 << (64 * w), -1, p)
+    assert nf.ints_from_words(nf.mul(a, b)) == [
+        x * y * rinv % p for x, y in zip(xs, ys)]
+    assert nf.ints_from_words(nf.add(a, b)) == [
+        (x + y) % p for x, y in zip(xs, ys)]
+    assert nf.ints_from_words(nf.sub(a, b)) == [
+        (x - y) % p for x, y in zip(xs, ys)]
 
 
 @settings(max_examples=25, deadline=None)
