@@ -6,9 +6,9 @@ three configurations of the same pipeline:
 
 * **python** — the scalar reference backend;
 * **numpy-scalar** — the numpy backend with ``REPRO_NATIVE=0``: its
-  two-floor fallback, i.e. the float-limb NTT sweep plus the same
-  scalar loops as ``python`` for pointwise passes and every curve op —
-  the only place a compiler-less whole proof is timed;
+  fallback, the same scalar loops as ``python`` for every op, plus the
+  vectorized MSM digit front-end — the only place a compiler-less
+  whole proof is timed;
 * **native** — the numpy backend with the compiled CIOS kernels
   (Stockham NTT passes, pointwise passes, Jacobian point kernels and
   the segmented bucket tree).
@@ -158,7 +158,8 @@ def _write_outputs(rows):
         "`native` routes the NTT butterflies, pointwise passes "
         "and Jacobian bucket folds through the compiled CIOS kernels; "
         "`numpy scalar` is the same pipeline with `REPRO_NATIVE=0` — "
-        "the float-limb NTT sweep, scalar loops for everything else. "
+        "the `python` backend's scalar loops for every op, beside the "
+        "numpy digit front-end of the MSM. "
         "Every row's MSM (k, M) is the same deterministic search, so "
         "the rows differ only in the kernel floor. "
         "A `native vs python` below 1.0x is a regression "

@@ -5,7 +5,7 @@ Packages:
 
 * :mod:`repro.ff` - finite fields (int, 64-bit Montgomery, base-2^52 DFP).
 * :mod:`repro.backend` - pluggable batch compute engines (pure-Python,
-  and runtime-compiled C kernels with a NumPy float-limb NTT fallback;
+  and runtime-compiled C kernels that fall back to it;
   ``REPRO_BACKEND=python|numpy``).
 * :mod:`repro.curves` - elliptic-curve groups and pairings.
 * :mod:`repro.gpusim` - GPU/CPU execution model and cost accounting.

@@ -1,9 +1,9 @@
 """Kernel-safety static analysis: limb-bound certifier + repo lints.
 
-Import-light on purpose: ``repro.backend.numpy_limb`` imports
-:func:`repro.analysis.bounds.certified_safe_clean_every` for its runtime
-cadence guard, so this package must not import backend modules at
-import time (the certifier imports ``repro.ff.params`` lazily).
+Import-light on purpose: :mod:`repro.backend` imports
+:mod:`repro.analysis.declass` for ``@declassify``, so this package must
+not import backend modules at import time (the certifier imports
+``repro.ff.params`` lazily).
 
 Entry points:
 

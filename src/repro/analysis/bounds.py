@@ -1,60 +1,42 @@
 """Limb-bound certifier: worst-case magnitude propagation (GZKP §4.3).
 
-The float-limb kernels are only correct while every intermediate stays
-*exactly representable*: float64 lanes must never exceed 2^53, int64
-lanes never 2^63, and the magic-constant rounding trick needs its
-operand inside the constant's binade. Those claims live as comments in
-:mod:`repro.backend.numpy_limb` / :mod:`repro.backend.native` /
-:mod:`repro.ff.dfp`; this module turns them into machine-checked
-certificates.
+The limb kernels are only correct while every intermediate stays
+*exactly representable*: the DFP multiplier's float64 lanes below 2^53,
+the CIOS kernels' u128 accumulators without wrap-around, and their
+canonical-residue invariants intact. Those claims live as comments in
+:mod:`repro.backend.native` / :mod:`repro.ff.dfp`; this module turns
+them into machine-checked certificates.
 
 The certifier is an interval/abstract interpreter over the kernels'
 dataflow. Each kernel family is modelled as magnitude arithmetic on
-per-row bounds (pure Python ints — no float can round, no int64 can
+worst-case values (pure Python ints — no float can round, no word can
 wrap inside the certifier itself), and every step that the real kernel
-performs in float64 or int64 records a :class:`~repro.analysis.report.
-BoundCheck` into a tracker that keeps the worst case seen. Four
+performs in float64 or machine words records a :class:`~repro.analysis.
+report.BoundCheck` into a tracker that keeps the worst case seen. Three
 families are covered:
 
 * ``dfp`` — the base-2^52 Dekker two-product multiplier.
-* ``numpy-limb`` — the base-2^22 float64 NTT engine: Stockham sweep
-  with per-pass twiddle matmuls, the ``clean_every`` cadence, and the
-  egress pipeline.
 * ``native-mont`` — the compiled CIOS Montgomery kernels
   (:mod:`repro.backend.native`): u128 accumulator range, scratch
   width, and the canonicality invariants the raw-domain Stockham
   butterflies rest on.
 * ``native-jacobian`` — the Montgomery-domain point kernels built on
-  those CIOS primitives (one doubling and one addition per coordinate
-  field behind the lane loops and the bucket fold, and the
-  point-merging tree): the same accumulator/scratch gates, the
-  canonicality closure their in-C word compares rely on, exactness of
-  those compares as special-case discriminants, machine-checked
-  Montgomery-mul counts per point op (exactly the formulas', Karatsuba
-  3-mul Fq2 tower) and per merge lane, and the Fermat inversion's
-  exponent and precondition.
+  those CIOS primitives; :func:`certify_native_jacobian` lists its
+  gates.
 
-This module must stay importable from the kernels it certifies (the
-runtime cadence guard in ``numpy_limb`` imports
-:func:`certified_safe_clean_every`), so it depends only on the standard
-library and :mod:`repro.analysis.report`; the field registry is
-imported lazily inside :func:`certify_all`.
+This module depends only on the standard library and
+:mod:`repro.analysis.report`; the field registry is imported lazily
+inside :func:`certify_all`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.report import BoundCheck, KernelCertificate
 
 __all__ = [
-    "LimbGeometry",
-    "limb_geometry",
-    "certified_safe_clean_every",
     "certify_dfp",
-    "certify_numpy_limb",
     "certify_native_mont",
     "certify_native_jacobian",
     "certify_modulus",
@@ -63,55 +45,6 @@ __all__ = [
 
 #: float64 integers are exact strictly below this
 F53 = 1 << 53
-#: int64 overflow threshold
-I63 = 1 << 63
-#: no registered field exposes 2-adicity above 32, so no Stockham sweep
-#: runs more than 32 passes; the model always covers at least this many
-#: and extends to four full clean segments so the cadence's steady
-#: state is certified too (a prefix of the simulated schedule covers
-#: every shorter sweep).
-MIN_SWEEP_PASSES = 32
-#: once a simulated bound passes this the violation is already recorded
-#: and further growth is pointless (it turns multiplicative)
-_ABORT = 1 << 60
-
-
-# -- geometry mirror -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LimbGeometry:
-    """Pure-Python mirror of ``numpy_limb._Geometry`` (same formulas;
-    the cross-check test asserts they agree for every registered
-    modulus)."""
-
-    p: int
-    bits: int
-    limb_bits: int
-    ld: int
-    lg: int
-    w32: int
-    kp: int
-    eg_w32: int
-    clean_every: int
-    #: largest unsigned value of the top *data* limb of any x < p
-    top_data_max: int
-
-
-def limb_geometry(modulus: int, limb_bits: int = 22) -> LimbGeometry:
-    bits = modulus.bit_length()
-    ld = (bits + limb_bits - 1) // limb_bits
-    if bits > limb_bits * ld - 1:
-        ld += 1
-    lg = ld + 2
-    w32 = (bits + 31) // 32
-    shift = limb_bits * lg + 8 - (bits - 1)
-    kp = (1 << shift) * modulus
-    eg_w32 = (limb_bits * lg + 40) // 32 + 1
-    clean_every = max(2, (1 << 53) // (lg << (2 * limb_bits)))
-    top_data_max = (modulus - 1) >> (limb_bits * (ld - 1))
-    return LimbGeometry(modulus, bits, limb_bits, ld, lg, w32, kp,
-                        eg_w32, clean_every, top_data_max)
 
 
 # -- check tracker -------------------------------------------------------------
@@ -135,243 +68,6 @@ class _Tracker:
 
     def checks(self) -> List[BoundCheck]:
         return [self._worst[n] for n in self._order]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self._worst.values())
-
-
-# -- numpy-limb: magic-constant normalize model --------------------------------
-
-
-def _normalize_rows(rows: List[int], limb_bits: int, trk: _Tracker,
-                    tag: str, absorb_top: bool = False) -> List[int]:
-    """Two magic-rounding carry rounds on a per-row magnitude vector.
-
-    Mirrors ``numpy_limb._normalize`` (``absorb_top=False``, the carry
-    out of the top guard row is *dropped*, so it must be provably zero)
-    and the normalize prefix of ``_limbs_to_ints`` (``absorb_top=True``,
-    the top limb re-absorbs its own carry times the base).
-
-    ``(x + MAGIC) - MAGIC`` rounds to the nearest multiple of 2^22 only
-    while ``MAGIC + x`` stays inside MAGIC's binade, i.e. |x| <
-    2^(51 + limb_bits); the rounded part d satisfies |d| <= |x| + 2^21,
-    so the carry |d|/2^22 is bounded by ``(|x| + 2^21) >> 22``.
-    """
-    half = 1 << (limb_bits - 1)
-    magic_safe = 1 << (51 + limb_bits)
-    lg = len(rows)
-    for _ in range(2):
-        trk.hit(
-            f"{tag}/magic-window", max(rows), magic_safe, "float53",
-            "x + MAGIC must stay inside MAGIC's binade for exact "
-            "round-to-multiple-of-base",
-        )
-        if not absorb_top:
-            trk.hit(
-                f"{tag}/top-carry-zero", rows[-1], half, "carry",
-                "the top guard row must round to zero: its carry is "
-                "dropped by _normalize",
-            )
-        carries = [(r + half) >> limb_bits for r in rows]
-        new = [half] * lg
-        for i in range(1, lg - 1):
-            new[i] = half + carries[i - 1]
-        new[-1] = rows[-1] + carries[-2]
-        rows = new
-    return rows
-
-
-# -- numpy-limb: Stockham sweep model ------------------------------------------
-
-
-def _sweep_pass(rows: List[int], tabcap: List[int], limb_bits: int,
-                trk: _Tracker) -> List[int]:
-    """One butterfly pass: normalize a copy (v), multiply by the twiddle
-    constant matrix, add/subtract into the state.
-
-    ``tabcap[r]`` bounds |tab[r, c]| for every column c: balanced limbs
-    of values < p occupy rows < ld with magnitude <= 2^21, row ld holds
-    at most the balancing carry (<= 1), and the top guard row is zero —
-    which is exactly why the state's top row only ever changes through
-    normalize carries.
-    """
-    v = _normalize_rows(rows, limb_bits, trk, "sweep/v-normalize")
-    s_v = sum(v)
-    v_max = max(v)
-    trk.hit(
-        "sweep/twiddle-term", max(tabcap) * v_max, F53, "float53",
-        "each tab[r,c] * v[c] product must be float-exact",
-    )
-    tmat = [cap * s_v for cap in tabcap]
-    trk.hit(
-        "sweep/twiddle-rowsum", max(tmat), F53, "float53",
-        "matmul partial sums over the LG columns must stay float-exact",
-    )
-    out = [r + t for r, t in zip(rows, tmat)]
-    trk.hit(
-        "sweep/butterfly", max(out), F53, "float53",
-        "u +/- t accumulator rows must stay float-exact between cleans",
-    )
-    return out
-
-
-def _simulate_sweep(limb_bits: int, lg: int, ld: int, top_data_max: int,
-                    clean_every: int, trk: _Tracker,
-                    geom: Optional[LimbGeometry] = None) -> None:
-    """Run the per-row magnitude model over a worst-case sweep.
-
-    Ingress rows are unsigned base-2^22 limbs of a canonical value; the
-    clean schedule mirrors ``_stockham_ntt`` (normalize the state before
-    pass i when ``i % clean_every == 0``, i > 0). The simulation covers
-    ``max(MIN_SWEEP_PASSES, 4 * clean_every + 4)`` passes — every
-    supported NTT length plus four full clean segments, so the
-    between-clean steady state is certified, not just the ingress
-    transient. When ``geom`` is given the egress pipeline is evaluated
-    after *every* pass, so the recorded worst case covers a sweep ending
-    at any simulated length.
-    """
-    half = 1 << (limb_bits - 1)
-    mask = (1 << limb_bits) - 1
-    rows = [mask] * (ld - 1) + [top_data_max] + [0] * (lg - ld)
-    tabcap = [half] * ld + [1] + [0] * (lg - ld - 1)
-    if geom is not None:
-        _egress_checks(rows, geom, trk)
-    for i in range(max(MIN_SWEEP_PASSES, 4 * clean_every + 4)):
-        if i and i % clean_every == 0:
-            rows = _normalize_rows(rows, limb_bits, trk, "sweep/clean")
-        rows = _sweep_pass(rows, tabcap, limb_bits, trk)
-        if geom is not None:
-            _egress_checks(rows, geom, trk)
-        if max(rows) >= _ABORT:
-            break  # violation already recorded; growth is multiplicative
-
-
-# -- numpy-limb: egress model --------------------------------------------------
-
-
-def _egress_checks(rows: List[int], geom: LimbGeometry,
-                   trk: _Tracker) -> None:
-    """Model ``_limbs_to_ints``: absorb-top normalize, + k*p offset,
-    int64 carry propagation, 32-bit word assembly."""
-    lb = geom.limb_bits
-    mask = (1 << lb) - 1
-    er = _normalize_rows(rows, lb, trk, "egress/normalize",
-                         absorb_top=True)
-    trk.hit(
-        "egress/int64-cast", max(er), F53, "float53",
-        "limbs must be exact-integer floats before the int64 cast",
-    )
-    kp_limbs = [(geom.kp >> (lb * j)) & mask for j in range(geom.lg - 1)]
-    kp_limbs.append(geom.kp >> (lb * (geom.lg - 1)))
-    neg = sum(er[j] << (lb * j) for j in range(geom.lg))
-    trk.hit(
-        "egress/kp-positivity", neg, geom.kp + 1, "carry",
-        "the k*p offset must dominate the most-negative reachable "
-        "accumulator value so the carry loop sees non-negatives",
-    )
-    carry = 0
-    for j in range(geom.lg):
-        t = er[j] + kp_limbs[j] + carry
-        trk.hit("egress/int64-carry", t, I63, "int64",
-                "per-limb accumulator + carry must fit int64")
-        carry = t >> lb
-    total = neg + geom.kp
-    trk.hit(
-        "egress/word-capacity", total, 1 << (32 * geom.eg_w32), "carry",
-        "the assembled value must fit the egress 32-bit word buffer",
-    )
-
-
-# -- numpy-limb: certificate ---------------------------------------------------
-
-
-def certify_numpy_limb(name: str, modulus: int,
-                       clean_every: Optional[int] = None,
-                       limb_bits: int = 22) -> KernelCertificate:
-    """Certify the base-2^22 float64 engine for one modulus.
-
-    ``clean_every`` overrides the geometry's cadence — the regression
-    fixture passes a deliberately weakened value and the certificate
-    must report a float-exactness violation.
-    """
-    geom = limb_geometry(modulus, limb_bits)
-    cadence = geom.clean_every if clean_every is None else clean_every
-    trk = _Tracker()
-    half = 1 << (limb_bits - 1)
-    trk.hit(
-        "geom/guard-rows", abs(geom.lg - (geom.ld + 2)), 1, "structure",
-        "two guard rows are required so balanced values < p never touch "
-        "the top row (twiddle matrices vanish there)",
-    )
-    trk.hit(
-        "geom/top-data-limb", geom.top_data_max, half, "carry",
-        "the top data limb of any x < p must stay below 2^21 so "
-        "balancing never carries past the first guard row",
-    )
-    trk.hit(
-        "geom/cadence-within-certified", cadence,
-        certified_safe_clean_every(limb_bits, geom.lg) + 1, "structure",
-        "the configured clean cadence must not exceed the certified "
-        "safe bound for this limb geometry",
-    )
-    _simulate_sweep(limb_bits, geom.lg, geom.ld, geom.top_data_max,
-                    cadence, trk, geom=geom)
-    return KernelCertificate(
-        family="numpy-limb",
-        modulus_name=name,
-        modulus_bits=geom.bits,
-        params={
-            "limb_bits": limb_bits,
-            "ld": geom.ld,
-            "lg": geom.lg,
-            "clean_every": cadence,
-            "configured_clean_every": geom.clean_every,
-            "safe_clean_every": certified_safe_clean_every(limb_bits,
-                                                           geom.lg),
-            "sweep_passes": max(MIN_SWEEP_PASSES, 4 * cadence + 4),
-        },
-        checks=trk.checks(),
-    )
-
-
-# -- safe cadence (single source of truth for the runtime guard) ---------------
-
-
-def _sweep_is_safe(limb_bits: int, lg: int, cadence: int) -> bool:
-    """True when a worst-case sweep with this cadence records no
-    violation, using modulus-independent conservative row caps (any
-    modulus with this lg is dominated)."""
-    trk = _Tracker()
-    ld = lg - 2
-    mask = (1 << limb_bits) - 1
-    _simulate_sweep(limb_bits, lg, ld, mask, cadence, trk)
-    return trk.ok
-
-
-@lru_cache(maxsize=None)
-def certified_safe_clean_every(limb_bits: int, lg: int) -> int:
-    """Largest clean cadence the sweep model certifies for this limb
-    geometry. ``numpy_limb._Geometry`` asserts its configured cadence
-    against this at construction time — the certifier is the single
-    source of truth for the bound."""
-    if not _sweep_is_safe(limb_bits, lg, 2):
-        raise ValueError(
-            f"limb geometry (limb_bits={limb_bits}, lg={lg}) is not "
-            "certifiable at any clean cadence"
-        )
-    lo, hi = 2, 2
-    while hi < 4096 and _sweep_is_safe(limb_bits, lg, hi * 2):
-        hi *= 2
-    lo = hi
-    hi = min(hi * 2, 4096)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _sweep_is_safe(limb_bits, lg, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # -- DFP (base-2^52 Dekker two-product) ----------------------------------------
@@ -772,10 +468,9 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
 
 
 def certify_modulus(name: str, modulus: int) -> List[KernelCertificate]:
-    """All four family certificates for one modulus."""
+    """All three family certificates for one modulus."""
     return [
         certify_dfp(name, modulus),
-        certify_numpy_limb(name, modulus),
         certify_native_mont(name, modulus),
         certify_native_jacobian(name, modulus),
     ]

@@ -5,12 +5,12 @@ Two result kinds flow out of :mod:`repro.analysis`:
 * :class:`BoundCheck` / :class:`KernelCertificate` — the limb-bound
   certifier's output: one certificate per (kernel family, modulus),
   each a list of named worst-case-magnitude checks against a hard
-  representability limit (2^53 float exactness, int64 range, carry
-  headroom). A certificate also carries *witnesses*: concrete
-  adversarial inputs the certifier constructed whose exact intermediate
-  magnitude attains (or approaches within documented slack) the
-  certified ceiling — the property tests replay them against the real
-  kernels.
+  representability limit (2^53 float exactness, u128 accumulator
+  range, carry headroom). A certificate also carries *witnesses*:
+  concrete adversarial inputs the certifier constructed whose exact
+  intermediate magnitude attains (or approaches within documented
+  slack) the certified ceiling — the property tests replay them
+  against the real kernels.
 * :class:`LintFinding` — one repo-rule violation (R001..) at a source
   location.
 
@@ -42,7 +42,7 @@ class BoundCheck:
     ``bound`` is the certifier's worst-case magnitude for the named
     intermediate (inclusive); ``limit`` is the exclusive representability
     ceiling it must stay under. ``kind`` names the resource the limit
-    protects (``float53``, ``int64``, ``carry``, ``structure``).
+    protects (``float53``, ``u128``, ``carry``, ``structure``).
     """
 
     name: str
@@ -76,7 +76,7 @@ class BoundCheck:
 class KernelCertificate:
     """All checks for one (kernel family, modulus) pair."""
 
-    family: str            # "dfp" | "numpy-limb" | "native-mont" | "native-jacobian"
+    family: str            # "dfp" | "native-mont" | "native-jacobian"
     modulus_name: str
     modulus_bits: int
     params: Dict[str, int] = field(default_factory=dict)

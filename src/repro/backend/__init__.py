@@ -11,8 +11,8 @@ Jacobian point ops. Two implementations ship:
   :mod:`repro.backend.native` when one is loaded for its modulus/group
   (NTT sweeps, pointwise passes, fused Jacobian point kernels and the
   segmented bucket tree of :mod:`repro.backend.numpy_curve`), and the
-  inherited scalar loop otherwise. The one vectorized fallback kept is
-  the float-limb NTT sweep after the paper's DFP library (§4.3).
+  inherited scalar loop otherwise — so without kernels it computes
+  exactly what ``python`` computes, through the same code.
 
 Selection: pass a backend (or its name) explicitly to the engines, or
 set ``REPRO_BACKEND=python|numpy`` in the environment. Backends are

@@ -1,9 +1,9 @@
 """Per-job native-kernel coverage counters.
 
 The numpy pipeline silently degrades: any hot kernel (NTT sweeps,
-pointwise prover passes, Jacobian bucket folds) falls back to a slower
-engine when the compiled kernels are unavailable for its modulus or
-group. That is correct-by-construction but invisible — a mis-set
+pointwise prover passes, Jacobian bucket folds) falls back to the
+scalar loop when the compiled kernels are unavailable for its modulus
+or group. That is correct-by-construction but invisible — a mis-set
 ``REPRO_NATIVE`` or an over-wide modulus shows up only as a slow job.
 This module keeps a tiny process-local tally of which kernel *families*
 ran native vs fallback; the service worker drains it into one
@@ -12,12 +12,11 @@ compile/cache-hit events.
 
 Families: ``ntt`` (Stockham sweeps), ``pointwise`` (vmul / coset /
 scale), ``jacobian`` (batch point kernels + segmented bucket trees).
-Modes: ``native`` (compiled C kernels) vs ``fallback`` — the float-limb
-Stockham sweep for ``ntt``, the inherited scalar loop for everything
-else. A batch that stays scalar only because it is below a size
-threshold is a choice, not a degradation, and is not counted. Counts
-are *dispatch decisions*, not element counts — one ``note()`` per
-batched call.
+Modes: ``native`` (compiled C kernels) vs ``fallback`` (the inherited
+scalar loop, for every family). A batch that stays scalar only because
+it is below a size threshold is a choice, not a degradation, and is not
+counted. Counts are *dispatch decisions*, not element counts — one
+``note()`` per batched call.
 """
 
 from __future__ import annotations

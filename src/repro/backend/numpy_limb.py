@@ -1,43 +1,16 @@
-"""NumpyLimbBackend: vectorized limb-matrix arithmetic (paper §4.3).
+"""NumpyLimbBackend: the native kernels behind the backend protocol.
 
-GZKP's finite-field library stores elements as base-2^52 float limbs so
-modular multiplication can run on the GPU's FP64 units (DFP, §4.3). This
-backend is the CPU/NumPy realisation of the same idea: whole *vectors*
-are limb matrices, and every butterfly sweep is a handful of fused array
-ops instead of N Python-level big-int multiplications.
-
-Deviations from the paper's exact format, and why:
-
-* **base 2^22, not 2^52.** The GPU path multiplies 52-bit limbs with
-  Dekker two-product (error-free double-double). NumPy has no fused
-  two-product, so we shrink limbs until plain float64 arithmetic is
-  exact: products of 22-bit balanced limbs are < 2^44, and row-sums over
-  LG <= 37 limbs stay well under the 2^53 mantissa bound.
-* **per-twiddle constant matrices.** A pass multiplies every element of
-  the low half by one twiddle w. The multiplication "by w mod p" is a
-  *linear* map on limb vectors, so it is precomputed as an (LG, LG)
-  float matrix whose column c holds the balanced limbs of
-  ``w * 2^(22c) mod p`` — one batched ``matmul`` per pass performs the
-  modular product of w with every element, exactly, with lazy reduction
-  (results are only *congruent* mod p; canonicalization happens once at
-  egress).
-* **Stockham self-sorting schedule.** The sweep reads natural order and
-  writes natural order with no bit-reversal permutation, mirroring how
-  GZKP's shuffle-less NTT avoids the global reorder (§3).
-
-Carries are cleaned with the magic-constant rounding trick
-(``(x + 3*2^73) - 3*2^73`` rounds to the nearest multiple of 2^22); two
-rounds per pass bound the twiddle operand, and a periodic full clean
-(needed only for 750-bit fields) bounds the accumulator lanes. All
-results are bit-identical to :class:`~repro.backend.pybackend.
-PythonBackend` — enforced by the cross-backend equality tests.
+Its class docstring states the one dispatch rule. numpy supplies the row
+plumbing and the vectorized MSM digit front-end, not an arithmetic tier:
+"limb" names the float-limb NTT this module once held (DESIGN.md,
+"Compute backends"). Results and op counts are the ``python`` backend's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence as _Sequence
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.analysis.declass import declassify
 from repro.backend import coverage as _coverage
@@ -52,239 +25,9 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 
 __all__ = ["NumpyLimbBackend", "ResidentVector", "numpy_available"]
 
-#: limb width in bits (see module docstring for why not the paper's 52)
-LIMB_BITS = 22
-_HALF = 1 << (LIMB_BITS - 1)
-_BASE = float(1 << LIMB_BITS)
-_INV_BASE = 1.0 / _BASE
-#: adding then subtracting this rounds a float to a multiple of 2^22
-_MAGIC = float(3 << (51 + LIMB_BITS))
-_MASK = (1 << LIMB_BITS) - 1
-
 
 def numpy_available() -> bool:
     return _np is not None
-
-
-class _Geometry:
-    """Per-modulus constants of the limb-matrix representation."""
-
-    def __init__(self, modulus: int):
-        self.p = modulus
-        bits = modulus.bit_length()
-        ld = (bits + LIMB_BITS - 1) // LIMB_BITS
-        # The top data limb must stay below 2^21 after balancing so the
-        # guard rows never see a real carry; widen by one limb if the
-        # modulus fills its top limb completely.
-        if bits > LIMB_BITS * ld - 1:
-            ld += 1
-        self.ld = ld
-        #: two guard limbs absorb normalize carries (no top fold needed)
-        self.lg = ld + 2
-        #: 32-bit words per canonical element (ingress)
-        self.w32 = (bits + 31) // 32
-        # Egress adds k*p (k a power of two) so the signed limb value
-        # becomes positive before integer carry propagation; the shift
-        # leaves ~2^53 of headroom over any reachable accumulator value.
-        shift = LIMB_BITS * self.lg + 8 - (bits - 1)
-        kp = (1 << shift) * modulus
-        self.kp_limbs = _np.array(
-            [(kp >> (LIMB_BITS * j)) & _MASK for j in range(self.lg - 1)]
-            + [kp >> (LIMB_BITS * (self.lg - 1))],
-            dtype=_np.int64,
-        )
-        #: 32-bit words of the egress accumulator
-        self.eg_w32 = (LIMB_BITS * self.lg + 40) // 32 + 1
-        # Accumulator lanes grow by ~lg * 2^44 per pass between cleans;
-        # renormalize the whole buffer before nearing the 2^53 mantissa.
-        self.clean_every = max(2, (1 << 53) // (self.lg << (2 * LIMB_BITS)))
-        # One source of truth for "how lazy may the clean cadence be":
-        # the certifier's worst-case sweep simulation, not this formula.
-        # Lazy import: repro.analysis must stay importable before the
-        # backend package finishes initialising.
-        from repro.analysis.bounds import certified_safe_clean_every
-
-        safe = certified_safe_clean_every(LIMB_BITS, self.lg)
-        if self.clean_every > safe:
-            from repro.errors import FieldError
-
-            raise FieldError(
-                f"clean_every={self.clean_every} for a {bits}-bit modulus "
-                f"(lg={self.lg}) exceeds the certified safe cadence "
-                f"{safe}: accumulator lanes could lose float53 exactness"
-            )
-
-
-_GEOMS: Dict[int, _Geometry] = {}
-#: pass-matrix cache: (modulus, n, omega) -> list of (L, LG, LG) arrays
-_TABLES: Dict[Tuple[int, int, int], list] = {}
-
-
-def _geometry(modulus: int) -> _Geometry:
-    geom = _GEOMS.get(modulus)
-    if geom is None:
-        geom = _GEOMS[modulus] = _Geometry(modulus)
-    return geom
-
-
-# -- representation conversion -------------------------------------------------
-
-
-def _ints_to_limbs(geom: _Geometry, vals: Sequence[int]) -> "_np.ndarray":
-    """Canonical ints -> (n, LG) float64 limb rows in [0, 2^22)."""
-    n = len(vals)
-    w32 = geom.w32
-    buf = b"".join(v.to_bytes(4 * w32, "little") for v in vals)
-    words = _np.frombuffer(buf, dtype="<u4").reshape(n, w32)
-    words = words.astype(_np.int64).T.copy()
-    out = _np.zeros((n, geom.lg), dtype=_np.float64)
-    for j in range(geom.ld):
-        w, r = divmod(LIMB_BITS * j, 32)
-        acc = words[w] >> r
-        if w + 1 < w32 and r + LIMB_BITS > 32:
-            acc = acc | (words[w + 1] << (32 - r))
-        out[:, j] = (acc & _MASK).astype(_np.float64)
-    return out
-
-
-def _limbs_to_ints(geom: _Geometry, limbs: "_np.ndarray") -> List[int]:
-    """(n, LG) float limbs (large/signed allowed) -> canonical ints."""
-    n = limbs.shape[0]
-    for _ in range(2):
-        d = (limbs + _MAGIC) - _MAGIC
-        limbs -= d
-        c = d * _INV_BASE
-        limbs[:, 1:] += c[:, :-1]
-        limbs[:, -1] += c[:, -1] * _BASE  # keep the residue in the top limb
-    acc = limbs.astype(_np.int64) + geom.kp_limbs
-    carry = _np.zeros(n, dtype=_np.int64)
-    for j in range(geom.lg):
-        t = acc[:, j] + carry
-        carry = t >> LIMB_BITS
-        acc[:, j] = t & _MASK
-    words = _np.zeros((geom.eg_w32, n), dtype=_np.int64)
-    for j in range(geom.lg):
-        w, r = divmod(LIMB_BITS * j, 32)
-        v = acc[:, j] << r
-        words[w] |= v & 0xFFFFFFFF
-        words[w + 1] |= v >> 32
-    w, r = divmod(LIMB_BITS * geom.lg, 32)
-    v = carry << r
-    words[w] |= v & 0xFFFFFFFF
-    if w + 1 < geom.eg_w32:
-        words[w + 1] |= v >> 32
-    spill = _np.zeros(n, dtype=_np.int64)
-    for w in range(geom.eg_w32):
-        t = words[w] + spill
-        spill = t >> 32
-        words[w] = t & 0xFFFFFFFF
-    raw = words.T.astype("<u4").tobytes()
-    stride = geom.eg_w32 * 4
-    p = geom.p
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(raw[i * stride:(i + 1) * stride], "little") % p
-        for i in range(n)
-    ]
-
-
-def _balanced_limb_cols(geom: _Geometry, xs: Sequence[int]) -> "_np.ndarray":
-    """ints < p -> (LG, len) float *balanced* limbs in [-2^21, 2^21)."""
-    n = len(xs)
-    nbytes = 4 * ((LIMB_BITS * geom.lg + 31) // 32)
-    buf = b"".join(x.to_bytes(nbytes, "little") for x in xs)
-    words = _np.frombuffer(buf, dtype="<u4").reshape(n, nbytes // 4)
-    words = words.astype(_np.int64).T.copy()
-    limbs = _np.zeros((geom.lg, n), dtype=_np.int64)
-    for j in range(geom.lg):
-        w, r = divmod(LIMB_BITS * j, 32)
-        acc = words[w] >> r
-        if w + 1 < words.shape[0] and r + LIMB_BITS > 32:
-            acc = acc | (words[w + 1] << (32 - r))
-        limbs[j] = acc & _MASK
-    carry = _np.zeros(n, dtype=_np.int64)
-    for j in range(geom.lg):
-        t = limbs[j] + carry
-        carry = (t >= _HALF).astype(_np.int64)
-        limbs[j] = t - (carry << LIMB_BITS)
-    # The top limb of any value < p is far below 2^21 (geometry ensures
-    # it), so balancing never carries out of the matrix.
-    return limbs.T.astype(_np.float64)
-
-
-# -- twiddle-matrix tables ----------------------------------------------------
-
-
-def _pass_tables(field, n: int, omega: int) -> list:
-    """One (L, LG, LG) constant-matrix stack per Stockham pass.
-
-    Pass t multiplies the transformed half by twiddles w_j = omega^
-    (j * n / 2^(t+1)), j < 2^t — exactly iteration t's unique values in
-    the shared :class:`~repro.ntt.twiddle.TwiddleTable`, which supplies
-    them from its (modulus, n, omega)-keyed cache."""
-    key = (field.modulus, n, omega)
-    tabs = _TABLES.get(key)
-    if tabs is not None:
-        return tabs
-    from repro.ntt.twiddle import get_twiddle_table
-
-    geom = _geometry(field.modulus)
-    table = get_twiddle_table(field, n, omega)
-    p, lg = geom.p, geom.lg
-    tabs = []
-    for t in range(n.bit_length() - 1):
-        length = 1 << t
-        vals = []
-        for w in table.values[length:2 * length]:
-            x = w
-            for _ in range(lg):
-                vals.append(x)
-                x = (x << LIMB_BITS) % p
-        mat = _balanced_limb_cols(geom, vals)
-        tabs.append(mat.reshape(length, lg, lg).transpose(0, 2, 1).copy())
-    _TABLES[key] = tabs
-    return tabs
-
-
-def _normalize(view: "_np.ndarray") -> None:
-    """Two magic-constant carry rounds along the limb axis (axis 1)."""
-    for _ in range(2):
-        d = (view + _MAGIC) - _MAGIC
-        view -= d
-        c = d * _INV_BASE
-        view[:, 1:, :] += c[:, :-1, :]
-        # The carry out of the top guard row is provably zero while the
-        # clean cadence holds, so nothing is dropped here.
-
-
-def _stockham_ntt(field, vals: Sequence[int], omega: int) -> List[int]:
-    """Self-sorting radix-2 sweep over limb matrices; natural order in
-    and out, no bit-reversal (results match the DIT reference bit for
-    bit)."""
-    geom = _geometry(field.modulus)
-    n = len(vals)
-    log_n = n.bit_length() - 1
-    tabs = _pass_tables(field, n, omega)
-    lg = geom.lg
-    state = _ints_to_limbs(geom, vals).T.copy().reshape(1, lg, n)
-    pong = _np.empty(lg * n, dtype=_np.float64)
-    v_buf = _np.empty(lg * n // 2, dtype=_np.float64)
-    t_buf = _np.empty(lg * n // 2, dtype=_np.float64)
-    for i in range(log_n):
-        blocks = 1 << i
-        m2 = (n >> i) >> 1
-        if i and i % geom.clean_every == 0:
-            _normalize(state)
-        u = state[:, :, :m2]
-        v = v_buf.reshape(blocks, lg, m2)
-        v[...] = state[:, :, m2:]
-        _normalize(v)
-        t = _np.matmul(tabs[i], v, out=t_buf.reshape(blocks, lg, m2))
-        out = pong.reshape(2 * blocks, lg, m2)
-        _np.subtract(u, t, out=out[blocks:])
-        _np.add(u, t, out=out[:blocks])
-        state, pong = out, state.reshape(-1)
-    return _limbs_to_ints(geom, _np.ascontiguousarray(state.reshape(n, lg)))
 
 
 # -- resident vectors ----------------------------------------------------------
@@ -305,11 +48,8 @@ class ResidentVector(_Sequence):
 
     It is also a read-only ``Sequence[int]``: code that knows nothing
     about it (another backend, a user's NTT engine) reads canonical
-    ints, decoded once on first access. The limb tier has no resident
-    form — its float limb rows are only *congruent* mod p between
-    passes and are canonicalised by the very conversion a resident
-    form would skip — so without kernels ``resident()`` is the base
-    class's reduced list.
+    ints, decoded once on first access. Without kernels ``resident()``
+    is the base class's reduced list.
     """
 
     __slots__ = ("nf", "rows", "_ints")
@@ -358,10 +98,7 @@ class NumpyLimbBackend(ComputeBackend):
     """One dispatch rule for every op: the native C kernel when one is
     loaded for this modulus/group (:mod:`repro.backend.native`, driven
     for curve ops through :mod:`repro.backend.numpy_curve`), otherwise
-    the inherited scalar loop. The single exception is the NTT, whose
-    compiler-less fallback is this module's fused limb-matrix Stockham
-    sweep — the one middle-tier kernel that beats the scalar loop it
-    overrides (DESIGN.md, "Compute backends"). ``digits_matrix`` is
+    the inherited scalar loop, with no exception. ``digits_matrix`` is
     vectorized unconditionally. Small batches stay on the scalar
     loops.
 
@@ -411,7 +148,7 @@ class NumpyLimbBackend(ComputeBackend):
         """Route one vector op. Returns ``(nf, rows, wrap)`` — the
         native field, one raw-row array per operand, and the wrapper
         that turns result rows into what the caller was handed — or
-        ``None`` when the op belongs to the scalar/limb fallback.
+        ``None`` when the op belongs to the inherited scalar loop.
 
         Any resident operand keeps the op resident (and ``wrap`` builds
         a :class:`ResidentVector`). An all-int call converts only when
@@ -439,10 +176,17 @@ class NumpyLimbBackend(ComputeBackend):
 
     def ntt(self, field, values: Sequence[int], omega: Optional[int] = None,
             counter=None) -> List[int]:
+        """The native Stockham sweep when :meth:`_lift` hands back rows,
+        the inherited sweep (which counts for itself) otherwise."""
         from repro.ntt.reference import _check_size
 
         n = len(values)
         log_n = _check_size(n)
+        if n == 1 and isinstance(values, ResidentVector):
+            return values  # the identity
+        lifted = self._lift(field, "ntt", 2, values)
+        if lifted is None:
+            return super().ntt(field, values, omega, counter)
         if omega is None:
             omega = field.root_of_unity(n)
         if counter is not None:
@@ -450,15 +194,6 @@ class NumpyLimbBackend(ComputeBackend):
             counter.count("butterfly", (n // 2) * log_n)
             counter.count("fr_mul", (n // 2) * log_n)
             counter.count("fr_add", n * log_n)
-        if n == 1:  # the identity, on either representation
-            return (values if isinstance(values, ResidentVector)
-                    else super().resident(field, values))
-        lifted = self._lift(field, "ntt", 2, values)
-        if lifted is None:
-            return _stockham_ntt(field, super().resident(field, values),
-                                 omega)
-        # Native Stockham sweep: same pass structure and twiddle table
-        # as the limb-matrix path — the counts above already cover it.
         nf, (rows,), wrap = lifted
         return wrap(nf.ntt_rows(field, rows, omega))
 

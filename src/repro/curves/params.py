@@ -59,9 +59,11 @@ bn128_g1 = CurveGroup(
     ALT_BN128_Q, a=0, b=3, order=ALT_BN128_R.modulus,
     generator=(1, 2), name="ALT-BN128.G1",
 )
+# The twist has order r * (2q - r) over Fq2; G1 is the whole curve.
 bn128_g2 = CurveGroup(
     BN128_FQ2, a=0, b=_BN_B2, order=ALT_BN128_R.modulus,
     generator=(BN128_FQ2.element(list(_BN_G2_X)), BN128_FQ2.element(list(_BN_G2_Y))),
+    cofactor=2 * ALT_BN128_Q.modulus - ALT_BN128_R.modulus,
     name="ALT-BN128.G2",
 )
 
@@ -88,13 +90,20 @@ _BLS_G2_Y = (
         "3976877002675564980949289727957565575433344219582"),
 )
 
+# The curve seed x; both cofactors are the family's polynomials in it.
+_BLS_X = -0xD201000000010000
+
 bls12_381_g1 = CurveGroup(
     BLS12_381_Q, a=0, b=4, order=BLS12_381_R.modulus,
-    generator=(_BLS_G1_X, _BLS_G1_Y), name="BLS12-381.G1",
+    generator=(_BLS_G1_X, _BLS_G1_Y), cofactor=(_BLS_X - 1) ** 2 // 3,
+    name="BLS12-381.G1",
 )
 bls12_381_g2 = CurveGroup(
     BLS_FQ2, a=0, b=BLS_FQ2.element([4, 4]), order=BLS12_381_R.modulus,
     generator=(BLS_FQ2.element(list(_BLS_G2_X)), BLS_FQ2.element(list(_BLS_G2_Y))),
+    cofactor=(_BLS_X ** 8 - 4 * _BLS_X ** 7 + 5 * _BLS_X ** 6
+              - 4 * _BLS_X ** 4 + 6 * _BLS_X ** 3 - 4 * _BLS_X ** 2
+              - 4 * _BLS_X + 13) // 9,
     name="BLS12-381.G2",
 )
 

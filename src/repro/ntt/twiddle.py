@@ -80,8 +80,8 @@ def get_twiddle_table(field: PrimeField, n: int,
 
     Twiddles depend only on that triple, so forward and inverse tables
     of every (field, scale) pair are built once per process — both the
-    scalar engines and the NumPy limb backend (which derives its
-    per-pass constant matrices from these values) share the entries.
+    scalar engines and the native Stockham sweep (which encodes these
+    values as its Montgomery twiddle rows) share the entries.
     """
     if omega is None:
         omega = field.root_of_unity(n)

@@ -202,17 +202,14 @@ def test_cli_bounds_only_passes_and_writes_json(tmp_path, capsys):
 
     data = json.loads(out.read_text())
     assert data["ok"] is True
-    assert len(data["certificates"]) == 24
+    assert len(data["certificates"]) == 18
 
 
 def test_cli_fails_on_bound_violation(tmp_path, monkeypatch, capsys):
-    from repro.analysis import bounds
     from repro.analysis import __main__ as cli
-    from repro.ff.params import SCALAR_FIELDS
+    from repro.analysis.bounds import certify_native_mont
 
-    r = SCALAR_FIELDS["ALT-BN128"].modulus
-    weak = bounds.certify_numpy_limb(
-        "weak", r, clean_every=8 * bounds.limb_geometry(r).clean_every)
-    monkeypatch.setattr(cli, "certify_all", lambda: [weak])
+    even = certify_native_mont("even", (1 << 64) - 2)
+    monkeypatch.setattr(cli, "certify_all", lambda: [even])
     assert cli.main(["--no-lint", str(tmp_path / "nothing")]) == 1
     assert "VIOLATION" in capsys.readouterr().out

@@ -4,17 +4,14 @@ The joint (k, M) autotuner that used to sit beside the engine's own
 search is gone (DESIGN.md §9 records the measurements). What is pinned
 here: the search's answers, by a table captured from that tuner before
 it was deleted; the invariant that makes a k-only search exhaustive;
-that an explicit override and the search prove the same bytes; and the
-one method ``repro.backend.autotune`` keeps for the frozen perf ledger.
+and that an explicit override and the search prove the same bytes —
+also when handed the names the frozen perf ledger still passes.
 """
 
 import random
 
-import pytest
-
 from repro.backend.autotune import KernelAutotuner
 from repro.curves import CURVES
-from repro.ff.params import SCALAR_FIELDS
 from repro.gpusim import GTX1080TI, V100
 from repro.msm.gzkp import WINDOW_RANGE, GzkpMsm
 from repro.msm.windows import num_windows
@@ -93,29 +90,6 @@ def test_msm_search_beats_or_matches_defaults():
                               for m in range(floor, top + 1)]
                     assert ladder == sorted(ladder), (curve, group, n, k)
                     assert best <= ladder[0], (curve, group, n, k)
-
-
-#: the limb geometry's formula cadence per scalar field (DESIGN.md §9)
-FORMULA_CADENCE = {"ALT-BN128": 36, "BLS12-381": 36, "MNT4753": 13}
-
-
-@pytest.mark.parametrize("curve_name", sorted(SCALAR_FIELDS))
-def test_tuned_cadence_is_certified(curve_name):
-    """``apply_cadence`` — all the ledger still asks of the tuner —
-    reports the cadence in force: the geometry's formula, unchanged by
-    the call, inside the certified bound, with a clean certificate."""
-    nl = pytest.importorskip("repro.backend.numpy_limb")
-    if not nl.numpy_available():
-        pytest.skip("numpy not available")
-    from repro.analysis.bounds import (certified_safe_clean_every,
-                                       certify_numpy_limb)
-
-    modulus = SCALAR_FIELDS[curve_name].modulus
-    cadence = KernelAutotuner().apply_cadence(modulus, f"{curve_name}.Fr")
-    geom = nl._geometry(modulus)
-    assert cadence == geom.clean_every == FORMULA_CADENCE[curve_name]
-    assert cadence <= certified_safe_clean_every(nl.LIMB_BITS, geom.lg)
-    assert certify_numpy_limb(f"{curve_name}.Fr", modulus).ok
 
 
 def test_autotuned_proof_is_byte_identical():

@@ -226,3 +226,56 @@ def test_curve_registry_complete():
     assert set(CURVES) == {"ALT-BN128", "BLS12-381", "MNT4753"}
     for pair in CURVES.values():
         assert pair.g1.order == pair.fr.modulus
+
+
+# -- cofactors ---------------------------------------------------------------
+
+_BN_Q, _BN_R = CURVES["ALT-BN128"].fq.modulus, CURVES["ALT-BN128"].fr.modulus
+#: group name -> #E / r, as published (params.py derives the BLS12-381
+#: pair from the curve seed x = -0xd201000000010000 instead)
+COFACTORS = {
+    "ALT-BN128.G1": 1,
+    "ALT-BN128.G2": 2 * _BN_Q - _BN_R,
+    "BLS12-381.G1": 0x396C8C005555E1568C00AAAB0000AAAB,
+    "BLS12-381.G2": int(
+        "5d543a95414e7f1091d50792876a202cd91de4547085abaa68a205b2e5a7ddfa"
+        "628f1cb4d9e82ef21537e293a6691ae1616ec6e786f0c70cf1c38e31c7238e5",
+        16),
+    "MNT4753.G1": 8,
+    "MNT4753.G2": 64 * CURVES["MNT4753"].fr.modulus,
+}
+
+
+def random_curve_points(group, rng, count):
+    """``count`` random points of the whole curve ``group`` lives on:
+    almost surely outside the order-r subgroup when the cofactor is not
+    1."""
+    from repro.snark.serialize import fq2_sqrt, fq_sqrt
+
+    field, points = group.coord_field, []
+    while len(points) < count:
+        if hasattr(field, "base"):  # Fq2
+            q = field.base.modulus
+            x = field.element([rng.randrange(q), rng.randrange(q)])
+            y = fq2_sqrt(field, x * x * x + group.a * x + group.b)
+        else:
+            x = rng.randrange(field.modulus)
+            y = fq_sqrt(field.modulus, x ** 3 + group.a * x + group.b)
+        if y is not None:
+            points.append((x, y))
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(COFACTORS))
+def test_cofactor_clears_into_the_subgroup(name):
+    """[h r] P = O for random points P of the whole curve, and [h] P
+    lands in the order-r subgroup: h is #E / r."""
+    curve, which = name.split(".")
+    group = getattr(CURVES[curve], which.lower())
+    assert group.cofactor == COFACTORS[name]
+    h, r = group.cofactor, group.order
+    for point in random_curve_points(group, random.Random(name), 2):
+        assert group.is_on_curve(point)
+        assert group.scalar_mul_unchecked(h * r, point) is None
+        assert group.in_subgroup(group.scalar_mul_unchecked(h, point))
+        assert group.in_subgroup(point) == (h == 1)

@@ -1,17 +1,17 @@
 """Every fallback branch ``coverage`` counts, forced and checked.
 
 With the compiled kernels switched off in-process the ``numpy`` backend
-has exactly two floors left: the float-limb Stockham sweep for ``ntt``
-and the inherited scalar loop for everything else (``resident()`` is
-then the reduced list, so the native ``vadd``/``vsub`` route, which
-only resident operands take, is out of reach). So on every curve and
-both groups each op must return *exactly* the ``python`` backend's
-values (not merely group-equal ones) with identical ``OpCounter``
-totals — on lane mixes that hit every special case — the coverage
-tally must call every dispatch a fallback, both resident point forms
-must be plain lists, and ``bucket_reduce`` must cost the ordered fold's
-two ``jadd`` calls per bucket. (With the kernels on, the same buckets
-go through one C call whose *tallies* are those of the 2m calls.)
+has one floor left, the inherited scalar loop, for every op — the NTT
+included (``resident()`` is then the reduced list). So each op must
+return *exactly* the ``python`` backend's values (not merely group-equal
+ones) with identical ``OpCounter`` totals — on lane mixes that hit every
+special case on every curve and group, and on every NTT size class,
+where a sweep that counted its butterflies twice would show — the
+coverage tally must call every dispatch a fallback, both resident point
+forms must be plain lists, and ``bucket_reduce`` must cost the ordered
+fold's two ``jadd`` calls per bucket. (With the kernels on, the same
+buckets go through one C call whose *tallies* are those of the 2m
+calls.)
 """
 
 import random
@@ -146,24 +146,40 @@ def test_numpy_without_native_is_the_python_backend(name, which, native_off,
         NP.bucket_reduce(group, buckets)
     assert len(calls) == 2 * m
 
-    # -- pointwise passes and the NTT over the curve's scalar field
-    fr = curve.fr
-    p = fr.modulus
-    xs = [0, 1, p - 1] + [rng.randrange(p) for _ in range(29)]
-    ys = [p - 1, 0, p - 1] + [rng.randrange(p) for _ in range(29)]
-    k = rng.randrange(p)
-    assert type(NP.resident(fr, xs)) is list  # no kernels, no rows
-    assert NP.vadd(fr, xs, ys) == PY.vadd(fr, xs, ys)
-    assert NP.vsub(fr, xs, ys) == PY.vsub(fr, xs, ys)
-    assert NP.vmul(fr, xs, ys) == PY.vmul(fr, xs, ys)
-    assert NP.vmul_powers(fr, xs, k) == PY.vmul_powers(fr, xs, k)
-    assert NP.vscale(fr, xs, k) == PY.vscale(fr, xs, k)
-    assert NP.ntt(fr, xs) == PY.ntt(fr, xs)
+    assert "native" not in coverage.snapshot()["jacobian"]
 
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1024])
+@pytest.mark.parametrize("name", ["ALT-BN128", "BLS12-381", "MNT4753"])
+def test_numpy_without_native_field_ops_are_the_python_backend(name, n,
+                                                               native_off):
+    fr = CURVES[name].fr
+    p = fr.modulus
+    rng = random.Random(f"{name}/{n}")
+    xs = ([0, 1, p - 1] + [rng.randrange(p) for _ in range(n)])[:n]
+    ys = ([p - 1, 0, p - 1] + [rng.randrange(p) for _ in range(n)])[:n]
+    g = rng.randrange(p)
+    assert type(NP.resident(fr, xs)) is list  # no kernels, no rows
+    for op, args in (("ntt", (xs,)), ("intt", (xs,)), ("vadd", (xs, ys)),
+                     ("vsub", (xs, ys)), ("vmul", (xs, ys)),
+                     ("vscale", (xs, g)), ("vmul_powers", (xs, g))):
+        out, totals = [], []
+        for backend in (PY, NP):
+            counter = OpCounter()
+            kwargs = {"counter": counter} if op.endswith("ntt") else {}
+            out.append(getattr(backend, op)(fr, *args, **kwargs))
+            totals.append(counter.totals())
+        assert type(out[1]) is list and out[1] == out[0], op
+        assert totals[1] == totals[0], op
+        if kwargs:  # a sweep that counted twice would show here
+            assert counter.total("butterfly") == (n // 2) * (
+                n.bit_length() - 1), op
     snap = coverage.snapshot()
-    for family in coverage.FAMILIES:
-        assert snap[family]["fallback"] > 0, family
-        assert snap[family].get("native", 0) == 0, family
+    # each sweep is one dispatch decision; a size-1 vector is below
+    # every floor, a size choice that stays out of the tally
+    assert snap.get("ntt") == (None if n == 1 else {"fallback": 2})
+    assert snap["pointwise"]["fallback"] > 0
+    assert all("native" not in modes for modes in snap.values())
 
 
 @pytest.mark.skipif(not native.native_available(),

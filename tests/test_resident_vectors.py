@@ -307,10 +307,6 @@ def test_without_native_resident_is_the_reduced_list(curve, native_off):
     vec = NP.resident(field, [v - p for v in a])
     assert type(vec) is list and vec == a
     assert type(NP.ints(vec)) is list
-    for name, (op, arity) in sorted(VECTOR_OPS.items()):
-        operands = [a, b][:arity]
-        got = op(NP, field, *operands)
-        assert type(got) is list and got == op(PY, field, *operands), name
     _compute_h_both_ways(field, a, b, c)
     _compute_h_both_ways(field, a, b, c, engine="default")
 

@@ -6,14 +6,16 @@ request bytes and emits proof bytes), so round-trip correctness is the
 easy half. This suite drives the strict-decode contract on all three
 curves: hypothesis round-trip fuzz, truncated buffers, non-canonical
 infinity and overflowing coordinates, x-coordinates off the curve, and
-— on the MNT4753 surrogate, whose cofactors are nontrivial (8 on G1,
-64 on G2) — genuine on-curve points outside the prime-order subgroup,
-the classic small-subgroup-confinement vector.
+— on every group whose cofactor is not 1, i.e. all but ALT-BN128 G1 —
+genuine on-curve points outside the prime-order subgroup, the classic
+small-subgroup-confinement vector.
 
 It also pins the MultiGpuMsm estimate regression: caller-supplied
 sparse digit stats must actually reach the per-card cost model instead
 of being silently replaced by the dense model.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from repro.snark.serialize import (
     fq2_sqrt,
     fq_sqrt,
 )
+from tests.test_curves import random_curve_points
 
 CURVE_NAMES = ["ALT-BN128", "BLS12-381", "MNT4753"]
 
@@ -203,6 +206,23 @@ def test_mnt4753_g2_wrong_subgroup_rejected():
     with pytest.raises(ProofError, match="subgroup"):
         decompress_g2(group, blob)
     assert decompress_g2(group, blob, check_subgroup=False) == rogue
+
+
+@pytest.mark.parametrize("name,which", [("ALT-BN128", "g2"),
+                                        ("BLS12-381", "g1"),
+                                        ("BLS12-381", "g2")])
+def test_wrong_subgroup_rejected(name, which):
+    """A random point of the whole curve: on it, outside the order-r
+    subgroup (the cofactor is not 1), and refused by the decoder."""
+    group = getattr(CURVES[name], which)
+    compress, decompress = ((compress_g1, decompress_g1) if which == "g1"
+                            else (compress_g2, decompress_g2))
+    rogue, = random_curve_points(group, random.Random(f"{name}/{which}"), 1)
+    assert group.is_on_curve(rogue) and not group.in_subgroup(rogue)
+    blob = compress(group, rogue)
+    with pytest.raises(ProofError, match="subgroup"):
+        decompress(group, blob)
+    assert decompress(group, blob, check_subgroup=False) == rogue
 
 
 def test_in_subgroup_is_not_vacuous():

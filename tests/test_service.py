@@ -178,9 +178,12 @@ def test_timeout_kills_worker_retries_then_fails():
         "sleepy", 1, CIRCUIT_REGISTRY["square"].build, _sleepy_assign,
         "hangs in witness assignment (test only)"))
     try:
-        # timeout must sit between a real job's cost (~2s) and the
-        # sleepy circuit's 60s hang
-        with ProvingService(workers=1, timeout=10.0, retries=1,
+        # timeout must sit between a real job's cost and the sleepy
+        # circuit's 60s hang. The square job on a respawned worker,
+        # send to result, measured 0.15-0.40 s on a 2-core x86 host
+        # (python, numpy and numpy with REPRO_NATIVE=0; 3 runs each):
+        # 3 s is 7.5x the worst of those.
+        with ProvingService(workers=1, timeout=3.0, retries=1,
                             parallel_msm=False) as svc:
             results = svc.prove_batch([
                 ProofJob("ALT-BN128", "sleepy", (3,)),
