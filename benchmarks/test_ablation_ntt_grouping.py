@@ -8,7 +8,7 @@ makes (ceil(log N / B) batches, each a full read + write).
 import math
 
 from repro.curves import CURVES
-from repro.gpusim import V100, cost
+from repro.gpusim import V100
 from repro.gpusim.trace import DFP_BACKEND, Trace
 from repro.ntt import GzkpNtt
 
@@ -59,4 +59,3 @@ def test_min_groups_preserves_coalescing():
             cfg = engine.configure(1 << lg)
             assert cfg.groups_per_block >= GzkpNtt.MIN_GROUPS
             assert engine.plan(1 << lg).coalescing_efficiency() == 1.0
-    del cost  # imported for documentation symmetry

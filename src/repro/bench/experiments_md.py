@@ -54,6 +54,10 @@ def generate_experiments_md() -> str:
         "the calibration anchors). The reproduction's claim is *shape*\n"
         "fidelity — who wins, by roughly what factor, where crossovers\n"
         "and OOM points fall — not absolute nanoseconds.\n\n"
+        "Every cell here is modeled; none is measured. Measured numbers\n"
+        "live in one place: the workloads and per-metric bounds declared in\n"
+        "`BENCHMARK.json`, run by `python3 benchmarks/ledger/run.py`\n"
+        "(see `benchmarks/ledger/README.md`).\n\n"
     )
 
     out.write("## Table 2 — zkSNARK workloads (MNT4753, 1x V100), seconds\n\n")

@@ -18,7 +18,6 @@ __all__ = [
     "NULL_SPAN",
     "ProvingService", "ProofJob", "JobResult", "encode_request",
     "decode_request",
-    "LoadGenerator", "LoadReport", "poisson_arrivals", "burst_arrivals",
     "synthesize_jobs",
     "ShardMap", "ShardStats",
 ]
@@ -29,10 +28,6 @@ _LAZY = {
     "JobResult": "repro.service.service",
     "encode_request": "repro.service.wire",
     "decode_request": "repro.service.wire",
-    "LoadGenerator": "repro.service.loadgen",
-    "LoadReport": "repro.service.loadgen",
-    "poisson_arrivals": "repro.service.loadgen",
-    "burst_arrivals": "repro.service.loadgen",
     "synthesize_jobs": "repro.service.loadgen",
     "ShardMap": "repro.service.shard",
     "ShardStats": "repro.service.shard",

@@ -164,7 +164,7 @@ def _assign_mulchain(k: int):
     return assign
 
 
-#: The squaring-chain family backing the service-scale load generator:
+#: The squaring-chain family behind multi-key service streams:
 #: one key per size, so a population of distinct (curve, circuit) keys
 #: with non-trivial per-key preprocessing cost is available without
 #: inventing bespoke circuits per experiment.

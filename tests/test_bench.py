@@ -1,6 +1,8 @@
 """Tests for the bench harness itself: regenerator structure, report
 rendering, the CLI, and EXPERIMENTS.md generation."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -139,3 +141,9 @@ class TestExperimentsMd:
     def test_claims_quantified(self, content):
         assert "consolidation" in content
         assert "2.85" in content  # Figure 6's spread
+
+    def test_committed_experiments_md_is_generated(self, content):
+        committed = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+        assert committed.read_text() == content, (
+            "EXPERIMENTS.md is stale: run "
+            "`python -m repro.bench --write EXPERIMENTS.md`")

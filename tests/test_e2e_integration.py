@@ -7,6 +7,7 @@ import pytest
 
 from repro.circuits import merkle_tree_circuit, workload
 from repro.curves import CURVES
+from repro.service.registry import build_instance
 from repro.snark import Groth16Prover, Groth16Verifier, setup
 from repro.snark.gzkp_prover import make_gzkp_prover
 from repro.snark.serialize import deserialize_proof, serialize_proof
@@ -54,16 +55,22 @@ class TestGzkpEnginesInGroth16:
                                 msm_window=5, msm_interval=2)
         assert reference.compute_h(assignment) == gzkp.compute_h(assignment)
 
-    def test_backend_choice_preserves_proof_and_counts(self, instance):
-        """The compute backend (scalar python vs vectorized numpy)
+    @pytest.mark.parametrize("curve_name", ["ALT-BN128", "BLS12-381",
+                                            "MNT4753"])
+    def test_backend_choice_preserves_proof_and_counts(self, curve_name):
+        """The compute backend (scalar python vs numpy, which runs the
+        native kernels, or the python floor under ``REPRO_NATIVE=0``)
         changes neither the proof bits nor the curve-op totals of an
-        end-to-end Groth16 run."""
+        end-to-end Groth16 run, on every curve. ``product`` is the
+        smallest registry circuit whose H polynomial is non-zero."""
         from repro.backend import available_backends
         from repro.ff.opcount import OpCounter
 
         if "numpy" not in available_backends():
             pytest.skip("numpy backend unavailable")
-        curve, r1cs, assignment, keys = instance
+        curve = CURVES[curve_name]
+        r1cs, assignment = build_instance("product", curve.fr, (3, 5))
+        keys = setup(r1cs, curve, random.Random(31))
         proofs, totals = [], []
         for backend in ("python", "numpy"):
             gzkp = make_gzkp_prover(r1cs, keys.proving_key, curve,

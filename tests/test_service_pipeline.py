@@ -1,7 +1,6 @@
 """Tests for the async sharded pipeline: wire frames (no pickle on the
 worker boundary), bounded-queue backpressure, shard affinity with warm
-caches, verify modes, per-shard telemetry, and the seeded load
-generator."""
+caches, verify modes, per-shard telemetry, and the seeded job stream."""
 
 import pickle
 import time
@@ -10,8 +9,7 @@ import pytest
 
 from repro.errors import ServiceOverloadedError, ValidationError
 from repro.service import wire
-from repro.service.loadgen import (LoadGenerator, burst_arrivals, percentile,
-                                   poisson_arrivals, synthesize_jobs)
+from repro.service.loadgen import percentile, synthesize_jobs
 from repro.service.registry import CIRCUIT_REGISTRY, CircuitSpec, \
     register_circuit
 from repro.service.service import ProofJob, ProvingService
@@ -495,24 +493,12 @@ class TestPerShardTelemetry:
         assert stats[0]["context_cache"]["misses"] == 1
 
 
-# -- load generation ----------------------------------------------------------------
+# -- job streams -------------------------------------------------------------------
 
 
 class TestArrivals:
-    def test_poisson_deterministic(self):
-        a = poisson_arrivals(10.0, 50, seed=7)
-        b = poisson_arrivals(10.0, 50, seed=7)
-        c = poisson_arrivals(10.0, 50, seed=8)
-        assert a == b
-        assert a != c
-        assert len(a) == 50
-        assert all(y > x for x, y in zip(a, a[1:]))
-        # mean inter-arrival ~ 1/rate
-        assert 0.03 < a[-1] / 50 < 0.3
-
-    def test_burst_shape(self):
-        offsets = burst_arrivals(6, 3, 1.5)
-        assert offsets == [0.0, 0.0, 0.0, 1.5, 1.5, 1.5]
+    """The seeded job stream a paced arrival loop submits, and the
+    percentile its latencies are reported with."""
 
     def test_synthesize_jobs_deterministic(self):
         keys = [(BN, "square"), (BN, "cubic")]
@@ -530,35 +516,3 @@ class TestArrivals:
         assert percentile(values, 100) == 100
         assert percentile([], 50) == 0.0
         assert percentile([4.2], 99) == 4.2
-
-
-class TestLoadGeneratorRoundTrip:
-    def test_seeded_run_against_inline_service(self):
-        keys = [(BN, "square"), (BN, "cubic")]
-        jobs = synthesize_jobs(keys, 6, seed=11, backend="python")
-        offsets = poisson_arrivals(50.0, 6, seed=11)
-        with ProvingService(workers=0, parallel_msm=False) as svc:
-            report = LoadGenerator(svc).run(jobs, offsets,
-                                            arrival_mode="poisson")
-        out = report.to_dict()
-        assert out["jobs"] == 6
-        assert out["ok"] == 6 and out["errors"] == 0
-        assert out["dropped"] == 0
-        assert out["jobs_per_second"] > 0
-        lat = out["latency_seconds"]
-        assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"]
-        assert len(out["per_shard"]) == 1
-
-    def test_burst_run_exercises_backpressure(self):
-        _register_napper("napper", 0.5)
-        jobs = [ProofJob(BN, "napper", (3,), "python",
-                         f"burst-{i}") for i in range(5)]
-        offsets = burst_arrivals(5, 5, 0.0)
-        with ProvingService(workers=1, parallel_msm=False,
-                            queue_depth=1, verify="off") as svc:
-            report = LoadGenerator(svc).run(jobs, offsets,
-                                            arrival_mode="burst")
-        assert report.ok == 5
-        assert report.dropped == 0
-        # a 5-job burst into a 1-deep queue must have been pushed back
-        assert report.rejections >= 1
