@@ -253,7 +253,7 @@ class _MontReplay:
 
 
 def _native_dbl_muls(a_is_zero: bool) -> int:
-    """mont_mul count of ``jpt_fp_dbl``."""
+    """Field-mul count of ``jpt_dbl``."""
     m = _MontReplay()
     x, y, z = "x_mont", "y_mont", "z_mont"
     ysq = m.mul(y, y)
@@ -270,7 +270,7 @@ def _native_dbl_muls(a_is_zero: bool) -> int:
 
 
 def _native_add_muls() -> int:
-    """mont_mul count of ``jpt_fp_add``."""
+    """Field-mul count of ``jpt_add``."""
     m = _MontReplay()
     x1, y1, z1, x2, y2, z2 = "x1", "y1", "z1", "x2", "y2", "z2"
     z1q = m.mul(z1, z1)
@@ -291,7 +291,7 @@ def _native_add_muls() -> int:
 
 
 def _native_merge_muls() -> Dict[str, int]:
-    """mont_mul counts of one chord lane of ``merge_tree``: its combine
+    """Field-mul counts of one chord lane of ``merge``: its combine
     (lam = num * inv, lam^2, lam * (x1 - x3)) and its leg of the round's
     shared batch inversion (the prefix product forward; the lane's
     inverse and the running inverse backward)."""
@@ -307,8 +307,25 @@ def _native_merge_muls() -> Dict[str, int]:
     return {"combine": combine, "inversion": m.muls}
 
 
+def _native_affine_muls() -> int:
+    """Field-mul count of one live lane of ``to_affine``: its leg of the
+    shared batch inversion (the prefix product forward; the lane's
+    1/z and the running inverse backward), then z^-2, z^-3, x z^-2 and
+    y z^-3."""
+    m = _MontReplay()
+    m.mul("pref_prev", "z")   # forward: pref_k = pref_(k-1) * z_k
+    zinv = m.mul("acc", "pref_prev")  # backward: 1/z_k
+    m.mul("acc", "z")         # acc *= z_k
+    zinv2 = m.mul(zinv, zinv)
+    zinv3 = m.mul(zinv2, zinv)
+    m.mul("x", zinv2)
+    m.mul("y", zinv3)
+    return m.muls
+
+
 def _karatsuba_base_muls() -> int:
-    """Base-field mont_mul count of one ``fq2_mul_one`` (the tower's
+    """Base-field mont_mul count of one ``fe_mul`` at d = 2,
+    ``fq2_mul_one`` (the tower's
     c0 fold is an add/sub when c0 == 1; the extra c0m mul is accounted
     in ``fq_mul_factor``, not here)."""
     m = _MontReplay()
@@ -322,15 +339,20 @@ def _karatsuba_base_muls() -> int:
 
 def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     """Certify the point kernels of :mod:`repro.backend.native`:
-    ``jpt_fp_dbl`` / ``jpt_fp_add`` and their Fq2 Karatsuba twins, the
-    one doubling and one addition that the lane loops (``jac_dbl_*`` /
-    ``jac_add_*``) and the sequential fold (``bucket_fold_*``) run on
-    Montgomery rows, and the point-merging tree (``merge_*``).
+    ``jpt_dbl`` / ``jpt_add``, the one doubling and one addition that
+    the lane loops (``jac_dbl`` / ``jac_add``) and the sequential fold
+    (``bucket_fold``) run on Montgomery rows, the point-merging tree
+    (``merge``) and the Jacobian -> affine normalisation
+    (``to_affine``). Each is one body over the degree-d field ops
+    ``fe_add`` / ``fe_sub`` / ``fe_mul`` (d = 1 over Fp, d = 2 over Fq2,
+    where ``fe_mul`` is the 3-product Karatsuba), so one certificate
+    covers G1 and G2.
 
     They compose exactly three primitives — ``mont_mul_one``,
-    ``mod_add_one``, ``mod_sub_one`` — on ``[32]``-word scratch, so
-    their safety reduces to the CIOS gates of
-    :func:`certify_native_mont` plus three kernel-level invariants:
+    ``mod_add_one``, ``mod_sub_one`` — on ``[64]``-word scratch (d
+    coefficients of at most ``MAX_WORDS`` words), so their safety
+    reduces to the CIOS gates of :func:`certify_native_mont` plus three
+    kernel-level invariants:
     (1) canonicality closure, every op's operands stay in [0, p) from
     the rows' ingress to their egress; (2) the in-C word compares
     (z == 0, y == 0, u1 == u2, s1 == s2) are exact special-case
@@ -340,11 +362,14 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     constants, with no conversion mul on either side — the same
     constants the MSM engine's (k, M) search prices. The merge adds
     (4) a replay of one lane — 3 muls of combine, 3 of batch-inversion
-    leg — and (5) the one field inversion per round, Fermat's a^(p-2):
-    the inverse for every non-zero a when p is prime, and a is never
-    zero — chord lanes have x1 != x2 and tangent lanes y1 != -y2 by
-    their routing, so 2y1 != 0, and a lane that is neither stays out of
-    the product (parked at one).
+    leg — and ``to_affine`` one of its live lane — 7 muls; both end in
+    (5) one field inversion per call or round, ``fe_inv``, Fermat's
+    a^(p-2) (over Fq2 applied to the norm, non-zero for a non-zero
+    element): the inverse for every non-zero a when p is prime, and a
+    is never zero — chord lanes have x1 != x2 and tangent lanes
+    y1 != -y2 by their routing, so 2y1 != 0, a merge lane that is
+    neither stays out of the product, and so does a z = 0 lane of
+    ``to_affine``.
     """
     import math as _math
 
@@ -362,8 +387,9 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     )
     trk.hit(
         "scratch-width", w, max_words - 1, "structure",
-        "the jpt structs are [32]-word coordinates like every other "
-        "kernel scratch; the loader gates word width at MAX_WORDS - 2",
+        "the jpt struct's and the field ops' [64]-word coordinates hold "
+        "two coefficients of MAX_WORDS words; the loader gates word "
+        "width at MAX_WORDS - 2",
     )
     trk.hit(
         "mul-accumulator", M * M + M + M, 1 << 128, "u128",
@@ -433,10 +459,17 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
         "a lane's leg of the round's shared batch inversion is 3 muls "
         "(prefix product, its inverse, the running inverse)",
     )
+    affine_muls = _native_affine_muls()
+    trk.hit(
+        "affine-muls", abs(affine_muls - 7), 1, "structure",
+        "a live to_affine lane is 7 muls: 1 prefix product, 2 of the "
+        "backward leg, z^-2, z^-3, x z^-2 and y z^-3",
+    )
     trk.hit(
         "merge-fermat-exponent", p - 2 if p > 2 else R, R, "carry",
-        "fp_inv raises to p - 2, derived in C from N into w words: it "
-        "must be positive and fit them",
+        "fp_inv (the merge's and to_affine's fe_inv) raises to p - 2, "
+        "derived in C from N into w words: it must be positive and fit "
+        "them",
     )
     trk.hit(
         "merge-fermat-prime",
@@ -444,8 +477,8 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
         else 1, 1, "structure",
         "a^(p-2) is 1/a for every non-zero a only when p is prime "
         "(Fermat witnesses b^(p-1) == 1, b = 2, 3, 5, 7); the merge "
-        "feeds it only non-zero products, dead lanes being parked at "
-        "one",
+        "and to_affine feed it only non-zero products, dead and z = 0 "
+        "lanes staying out of them",
     )
     return KernelCertificate(
         family="native-jacobian",
@@ -459,6 +492,7 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
             "native_muls": {"pdbl": dbl_a0, "pdbl_a": dbl_a, "padd": add_c},
             "karatsuba_base_muls": _karatsuba_base_muls(),
             "merge_muls": merge_muls,
+            "affine_muls": affine_muls,
         },
         checks=trk.checks(),
     )

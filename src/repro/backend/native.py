@@ -11,11 +11,12 @@ ablation its headroom and, since this module grew the Stockham sweep,
 the full-proof native ablation too.
 
 So this module compiles one small C file (batch kernels: CIOS Montgomery
-multiply, modular add/sub, the Jacobian point kernels — one doubling
-and one addition per coordinate field, looped per lane and folded
-sequentially over buckets — the point-merging tree, a whole-vector
-Stockham NTT sweep, a sequential power ladder and a broadcast constant
-multiply, all over little-endian 64-bit word rows) with the system
+multiply, modular add/sub, the point kernels — one doubling and one
+addition over degree-d field ops that serve Fp and Fq2 alike, looped
+per lane and folded sequentially over buckets, the point-merging tree
+and the Jacobian -> affine normalisation — a whole-vector Stockham NTT
+sweep, a sequential power ladder and a broadcast constant multiply, all
+over little-endian 64-bit word rows) with the system
 compiler at first use, caches the shared object keyed by a hash of the
 source and the compile flags, and loads it with :mod:`ctypes`. There
 is no build step, no new package dependency, and no platform
@@ -335,118 +336,16 @@ void ntt_stockham(uint64_t *data, uint64_t *scratch, const uint64_t *tw,
         for (size_t j = 0; j < n * (size_t)w; j++) data[j] = in[j];
 }
 
-/* Sequential Montgomery prefix products: pref[k] = a[0]*...*a[k].
-   First leg of the classic batch-inversion trick; the caller inverts
-   pref[n-1] (one real inversion) and hands it to
-   mont_batch_inv_back. pref must not alias a. */
-void mont_prefix_mul(uint64_t *pref, const uint64_t *a, size_t n,
-                     const uint64_t *N, uint64_t n0inv, int w)
-{
-    if (!n) return;
-    for (int j = 0; j < w; j++) pref[j] = a[j];
-    for (size_t k = 1; k < n; k++)
-        mont_mul_one(pref + k * w, pref + (k - 1) * w, a + k * w,
-                     N, n0inv, w);
-}
+/* -- Field ops over d coefficient planes -------------------------------------
 
-/* Backward leg: given the prefix products, the original inputs and
-   tinv = 1/(a[0]*...*a[n-1]), emit out[k] = 1/a[k] for every k.
-   Every a[k] must be invertible. out must not alias pref or a. */
-void mont_batch_inv_back(uint64_t *out, const uint64_t *pref,
-                         const uint64_t *a, const uint64_t *tinv,
-                         size_t n, const uint64_t *N, uint64_t n0inv,
-                         int w)
-{
-    uint64_t acc[32];
-    if (!n) return;
-    for (int j = 0; j < w; j++) acc[j] = tinv[j];
-    for (size_t k = n; k-- > 1;) {
-        mont_mul_one(out + k * w, acc, pref + (k - 1) * w, N, n0inv, w);
-        mont_mul_one(acc, acc, a + k * w, N, n0inv, w);
-    }
-    for (int j = 0; j < w; j++) out[j] = acc[j];
-}
-
-/* -- Fq2 arithmetic (degree-2 extension, i^2 = -c0) ----------------------
-
-   An element is two Montgomery base-field values (c0, c1); in a packed
-   row a lane is 2w contiguous words, [c0 words | c1 words]. Karatsuba
-   product (3 base muls, mirroring _ExtLanes.mul in numpy_curve):
-   t0 = a0*b0, t2 = a1*b1, t1 = (a0+a1)(b0+b1) - t0 - t2,
-   result = (t0 - c0*t2, t1). c0m is the Montgomery row of c0, or NULL
-   when c0 == 1 (the reduction mul is skipped). Outputs may alias
-   inputs. */
-
-static inline void fq2_mul_one(uint64_t *o0, uint64_t *o1,
-                               const uint64_t *a0, const uint64_t *a1,
-                               const uint64_t *b0, const uint64_t *b1,
-                               const uint64_t *c0m, const uint64_t *N,
-                               uint64_t n0inv, int w)
-{
-    uint64_t t0[32], t1[32], t2[32], sa[32], sb[32];
-    mont_mul_one(t0, a0, b0, N, n0inv, w);
-    mont_mul_one(t2, a1, b1, N, n0inv, w);
-    mod_add_one(sa, a0, a1, N, w);
-    mod_add_one(sb, b0, b1, N, w);
-    mont_mul_one(t1, sa, sb, N, n0inv, w);
-    mod_sub_one(t1, t1, t0, N, w);
-    mod_sub_one(t1, t1, t2, N, w);
-    if (c0m)
-        mont_mul_one(t2, t2, c0m, N, n0inv, w);
-    mod_sub_one(o0, t0, t2, N, w);
-    for (int j = 0; j < w; j++) o1[j] = t1[j];
-}
-
-static inline void fq2_add2(uint64_t *o0, uint64_t *o1,
-                            const uint64_t *a0, const uint64_t *a1,
-                            const uint64_t *b0, const uint64_t *b1,
-                            const uint64_t *N, int w)
-{
-    mod_add_one(o0, a0, b0, N, w);
-    mod_add_one(o1, a1, b1, N, w);
-}
-
-static inline void fq2_sub2(uint64_t *o0, uint64_t *o1,
-                            const uint64_t *a0, const uint64_t *a1,
-                            const uint64_t *b0, const uint64_t *b1,
-                            const uint64_t *N, int w)
-{
-    mod_sub_one(o0, a0, b0, N, w);
-    mod_sub_one(o1, a1, b1, N, w);
-}
-
-/* -- Jacobian point kernels -------------------------------------------------
-
-   One doubling and one addition per coordinate field — jpt_fp_dbl /
-   jpt_fp_add and jpt_fq2_dbl / jpt_fq2_add — and every exported point
-   kernel is a loop over them. They are CurveGroup's jdouble/jadd in
-   CurveGroup's operand order on Montgomery residues (every product and
-   add/sub is canonicalized, so values track the scalar formulas step
-   for step and decode bit-identical, not merely group-equal), with its
-   special cases routed on canonical words: z == 0 is infinity (the
-   other operand comes back verbatim, count-free), u1 == u2 and
-   s1 == s2 is P == Q (the doubling: one pdbl + one padd, or count-free
-   infinity when y == 0), u1 == u2 alone is P == -Q (count-free
-   infinity), anything else one padd. An infinity made here is the
-   scalar formulas' (1, 1, 0): `one` is the Montgomery row of 1.
-   tally[0] += padds, tally[1] += pdbls, exactly what the scalar
-   formulas book through group._count.
-
-   The exported kernels share one ABI. Operand planes x, y, z are
-   Montgomery (n, w) rows — Fq2: packed (n, 2w) — and are only read;
-   `out` is three result planes of m rows each, x then y then z (m = n
-   for the lane loops, 1 for the fold). am is the (packed) Montgomery
-   row of the curve's a, or NULL when a == 0 (the a*z^4 term of the
-   general doubling is skipped). No conversion mul anywhere in here.
-
-   jac_dbl_*:     out lane k = 2 * P_k
-   jac_add_*:     out lane k = P_k + Q_k
-   bucket_fold_*: out = sum_j (j+1)*B_j as the ordered running-suffix
-                  fold of repro.msm.pippenger.bucket_reduce, last bucket
-                  first: running += B_j; total += running (2 jadds per
-                  bucket). */
-
-typedef struct { uint64_t x[32], y[32], z[32]; } jpt_fp;
+   Every point kernel below runs over these. A coordinate is d base-field
+   Montgomery values: d = 1 an Fp element, d = 2 a packed Fq2 one,
+   [c0 words | c1 words] with i^2 = -c0, the layout of the rows. It is
+   at most 2 * MAX_WORDS words, hence the [64] scratch. The Fq2 product
+   is Karatsuba (3 base muls): t0 = a0*b0, t2 = a1*b1,
+   t1 = (a0+a1)(b0+b1) - t0 - t2, result = (t0 - c0*t2, t1). c0m is the
+   Montgomery row of c0, or NULL when c0 == 1 (the reduction mul is
+   skipped) and over Fp. Outputs may alias inputs. */
 
 static inline int words_zero(const uint64_t *a, int w)
 {
@@ -467,369 +366,25 @@ static inline void words_copy(uint64_t *o, const uint64_t *a, int w)
     for (int j = 0; j < w; j++) o[j] = a[j];
 }
 
-static inline void jpt_fp_set_inf(jpt_fp *o, const uint64_t *one, int w)
+static inline void fq2_mul_one(uint64_t *o0, uint64_t *o1,
+                               const uint64_t *a0, const uint64_t *a1,
+                               const uint64_t *b0, const uint64_t *b1,
+                               const uint64_t *c0m, const uint64_t *N,
+                               uint64_t n0inv, int w)
 {
-    for (int j = 0; j < w; j++) {
-        o->x[j] = o->y[j] = one[j];
-        o->z[j] = 0;
-    }
+    uint64_t t0[32], t1[32], t2[32], sa[32], sb[32];
+    mont_mul_one(t0, a0, b0, N, n0inv, w);
+    mont_mul_one(t2, a1, b1, N, n0inv, w);
+    mod_add_one(sa, a0, a1, N, w);
+    mod_add_one(sb, b0, b1, N, w);
+    mont_mul_one(t1, sa, sb, N, n0inv, w);
+    mod_sub_one(t1, t1, t0, N, w);
+    mod_sub_one(t1, t1, t2, N, w);
+    if (c0m)
+        mont_mul_one(t2, t2, c0m, N, n0inv, w);
+    mod_sub_one(o0, t0, t2, N, w);
+    for (int j = 0; j < w; j++) o1[j] = t1[j];
 }
-
-static inline void jpt_fp_copy(jpt_fp *o, const jpt_fp *a, int w)
-{
-    if (o == a) return;
-    words_copy(o->x, a->x, w);
-    words_copy(o->y, a->y, w);
-    words_copy(o->z, a->z, w);
-}
-
-/* Lane k of three operand planes -> o. */
-static inline void jpt_fp_load(jpt_fp *o, const uint64_t *x,
-                               const uint64_t *y, const uint64_t *z,
-                               size_t k, int w)
-{
-    words_copy(o->x, x + k * w, w);
-    words_copy(o->y, y + k * w, w);
-    words_copy(o->z, z + k * w, w);
-}
-
-/* p -> lane k of the three m-row result planes in out. */
-static inline void jpt_fp_store(uint64_t *out, size_t m, size_t k,
-                                const jpt_fp *p, int w)
-{
-    words_copy(out + k * w, p->x, w);
-    words_copy(out + (m + k) * w, p->y, w);
-    words_copy(out + (2 * m + k) * w, p->z, w);
-}
-
-/* o = 2p; o may alias p. */
-static void jpt_fp_dbl(jpt_fp *o, const jpt_fp *p, uint64_t *tally,
-                       const uint64_t *am, const uint64_t *one,
-                       const uint64_t *N, uint64_t n0inv, int w)
-{
-    uint64_t ysq[32], s[32], m[32], t[32], u[32], z3[32];
-    if (words_zero(p->z, w) || words_zero(p->y, w)) {
-        jpt_fp_set_inf(o, one, w);
-        return;
-    }
-    mont_mul_one(ysq, p->y, p->y, N, n0inv, w);
-    mont_mul_one(s, p->x, ysq, N, n0inv, w);
-    mod_add_one(s, s, s, N, w);
-    mod_add_one(s, s, s, N, w);               /* s = 4*x*y^2 */
-    mont_mul_one(m, p->x, p->x, N, n0inv, w);
-    mod_add_one(t, m, m, N, w);
-    mod_add_one(m, m, t, N, w);               /* m = 3*x^2 */
-    if (am) {
-        mont_mul_one(t, p->z, p->z, N, n0inv, w);
-        mont_mul_one(t, t, t, N, n0inv, w);
-        mont_mul_one(t, t, am, N, n0inv, w);
-        mod_add_one(m, m, t, N, w);           /* + a*z^4 */
-    }
-    mont_mul_one(z3, p->y, p->z, N, n0inv, w);
-    mod_add_one(z3, z3, z3, N, w);            /* z3 = 2*y*z */
-    mont_mul_one(t, m, m, N, n0inv, w);
-    mod_add_one(u, s, s, N, w);
-    mod_sub_one(t, t, u, N, w);               /* x3 = m^2 - 2s */
-    mod_sub_one(u, s, t, N, w);
-    mont_mul_one(u, m, u, N, n0inv, w);       /* m*(s - x3) */
-    mont_mul_one(ysq, ysq, ysq, N, n0inv, w);
-    mod_add_one(ysq, ysq, ysq, N, w);
-    mod_add_one(ysq, ysq, ysq, N, w);
-    mod_add_one(ysq, ysq, ysq, N, w);         /* 8*y^4 */
-    mod_sub_one(o->y, u, ysq, N, w);          /* y3 */
-    words_copy(o->x, t, w);
-    words_copy(o->z, z3, w);
-    tally[0]++;
-    tally[1]++;
-}
-
-/* o = p + q; o may alias p or q. */
-static void jpt_fp_add(jpt_fp *o, const jpt_fp *p, const jpt_fp *q,
-                       uint64_t *tally, const uint64_t *am,
-                       const uint64_t *one, const uint64_t *N,
-                       uint64_t n0inv, int w)
-{
-    uint64_t z1q[32], z2q[32], u1[32], u2[32], s1[32], s2[32];
-    uint64_t h[32], r[32], t[32], u[32], z3[32];
-    if (words_zero(p->z, w)) { jpt_fp_copy(o, q, w); return; }
-    if (words_zero(q->z, w)) { jpt_fp_copy(o, p, w); return; }
-    mont_mul_one(z1q, p->z, p->z, N, n0inv, w);
-    mont_mul_one(z2q, q->z, q->z, N, n0inv, w);
-    mont_mul_one(u1, p->x, z2q, N, n0inv, w);
-    mont_mul_one(u2, q->x, z1q, N, n0inv, w);
-    mont_mul_one(t, z2q, q->z, N, n0inv, w);
-    mont_mul_one(s1, p->y, t, N, n0inv, w);
-    mont_mul_one(t, z1q, p->z, N, n0inv, w);
-    mont_mul_one(s2, q->y, t, N, n0inv, w);
-    if (words_eq(u1, u2, w)) {
-        if (words_eq(s1, s2, w))
-            jpt_fp_dbl(o, p, tally, am, one, N, n0inv, w);
-        else
-            jpt_fp_set_inf(o, one, w);
-        return;
-    }
-    mod_sub_one(h, u2, u1, N, w);
-    mod_sub_one(r, s2, s1, N, w);
-    mont_mul_one(z3, p->z, q->z, N, n0inv, w);
-    mont_mul_one(z3, h, z3, N, n0inv, w);     /* z3 = h*z1*z2 */
-    mont_mul_one(t, h, h, N, n0inv, w);       /* h^2 */
-    mont_mul_one(u1, u1, t, N, n0inv, w);     /* u1*h^2 */
-    mont_mul_one(t, t, h, N, n0inv, w);       /* h^3 */
-    mont_mul_one(s1, s1, t, N, n0inv, w);     /* s1*h^3 */
-    mont_mul_one(u, r, r, N, n0inv, w);
-    mod_sub_one(u, u, t, N, w);
-    mod_add_one(t, u1, u1, N, w);
-    mod_sub_one(u, u, t, N, w);               /* x3 */
-    mod_sub_one(t, u1, u, N, w);
-    mont_mul_one(t, r, t, N, n0inv, w);
-    mod_sub_one(o->y, t, s1, N, w);           /* y3 */
-    words_copy(o->x, u, w);
-    words_copy(o->z, z3, w);
-    tally[0]++;
-}
-
-void jac_dbl_fp(uint64_t *out, uint64_t *tally,
-                const uint64_t *x, const uint64_t *y, const uint64_t *z,
-                size_t n, const uint64_t *am, const uint64_t *one,
-                const uint64_t *N, uint64_t n0inv, int w)
-{
-    jpt_fp p;
-    for (size_t k = 0; k < n; k++) {
-        jpt_fp_load(&p, x, y, z, k, w);
-        jpt_fp_dbl(&p, &p, tally, am, one, N, n0inv, w);
-        jpt_fp_store(out, n, k, &p, w);
-    }
-}
-
-void jac_add_fp(uint64_t *out, uint64_t *tally,
-                const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
-                const uint64_t *x2, const uint64_t *y2, const uint64_t *z2,
-                size_t n, const uint64_t *am, const uint64_t *one,
-                const uint64_t *N, uint64_t n0inv, int w)
-{
-    jpt_fp p, q;
-    for (size_t k = 0; k < n; k++) {
-        jpt_fp_load(&p, x1, y1, z1, k, w);
-        jpt_fp_load(&q, x2, y2, z2, k, w);
-        jpt_fp_add(&p, &p, &q, tally, am, one, N, n0inv, w);
-        jpt_fp_store(out, n, k, &p, w);
-    }
-}
-
-void bucket_fold_fp(uint64_t *out, uint64_t *tally,
-                    const uint64_t *x, const uint64_t *y, const uint64_t *z,
-                    size_t n, const uint64_t *am, const uint64_t *one,
-                    const uint64_t *N, uint64_t n0inv, int w)
-{
-    jpt_fp running, total, b;
-    jpt_fp_set_inf(&running, one, w);
-    jpt_fp_set_inf(&total, one, w);
-    for (size_t k = n; k-- > 0;) {
-        jpt_fp_load(&b, x, y, z, k, w);
-        jpt_fp_add(&running, &running, &b, tally, am, one, N, n0inv, w);
-        jpt_fp_add(&total, &total, &running, tally, am, one, N, n0inv, w);
-    }
-    jpt_fp_store(out, 1, 0, &total, w);
-}
-
-/* The Fq2 twins, over packed (n, 2w) rows. */
-
-typedef struct { uint64_t x[2][32], y[2][32], z[2][32]; } jpt_fq2;
-
-static inline int fq2_zero(uint64_t a[2][32], int w)
-{
-    return words_zero(a[0], w) && words_zero(a[1], w);
-}
-
-static inline int fq2_eq(uint64_t a[2][32], uint64_t b[2][32], int w)
-{
-    return words_eq(a[0], b[0], w) && words_eq(a[1], b[1], w);
-}
-
-static inline void fq2_copy(uint64_t o[2][32], uint64_t a[2][32], int w)
-{
-    words_copy(o[0], a[0], w);
-    words_copy(o[1], a[1], w);
-}
-
-static inline void jpt_fq2_set_inf(jpt_fq2 *o, const uint64_t *one, int w)
-{
-    for (int j = 0; j < w; j++) {
-        o->x[0][j] = o->y[0][j] = one[j];
-        o->x[1][j] = o->y[1][j] = o->z[0][j] = o->z[1][j] = 0;
-    }
-}
-
-static inline void jpt_fq2_copy(jpt_fq2 *o, jpt_fq2 *a, int w)
-{
-    if (o == a) return;
-    fq2_copy(o->x, a->x, w);
-    fq2_copy(o->y, a->y, w);
-    fq2_copy(o->z, a->z, w);
-}
-
-static inline void jpt_fq2_load(jpt_fq2 *o, const uint64_t *x,
-                                const uint64_t *y, const uint64_t *z,
-                                size_t k, int w)
-{
-    size_t off = k * 2 * w;
-    for (int c = 0; c < 2; c++) {
-        words_copy(o->x[c], x + off + c * w, w);
-        words_copy(o->y[c], y + off + c * w, w);
-        words_copy(o->z[c], z + off + c * w, w);
-    }
-}
-
-static inline void jpt_fq2_store(uint64_t *out, size_t m, size_t k,
-                                 const jpt_fq2 *p, int w)
-{
-    for (int c = 0; c < 2; c++) {
-        words_copy(out + (2 * k + c) * w, p->x[c], w);
-        words_copy(out + (2 * (m + k) + c) * w, p->y[c], w);
-        words_copy(out + (2 * (2 * m + k) + c) * w, p->z[c], w);
-    }
-}
-
-static void jpt_fq2_dbl(jpt_fq2 *o, jpt_fq2 *p, uint64_t *tally,
-                        const uint64_t *am, const uint64_t *c0m,
-                        const uint64_t *one, const uint64_t *N,
-                        uint64_t n0inv, int w)
-{
-    uint64_t ysq[2][32], s[2][32], m[2][32], t[2][32], u[2][32], z3[2][32];
-    if (fq2_zero(p->z, w) || fq2_zero(p->y, w)) {
-        jpt_fq2_set_inf(o, one, w);
-        return;
-    }
-    fq2_mul_one(ysq[0], ysq[1], p->y[0], p->y[1], p->y[0], p->y[1], c0m, N, n0inv, w);
-    fq2_mul_one(s[0], s[1], p->x[0], p->x[1], ysq[0], ysq[1], c0m, N, n0inv, w);
-    fq2_add2(s[0], s[1], s[0], s[1], s[0], s[1], N, w);
-    fq2_add2(s[0], s[1], s[0], s[1], s[0], s[1], N, w);
-    fq2_mul_one(m[0], m[1], p->x[0], p->x[1], p->x[0], p->x[1], c0m, N, n0inv, w);
-    fq2_add2(t[0], t[1], m[0], m[1], m[0], m[1], N, w);
-    fq2_add2(m[0], m[1], m[0], m[1], t[0], t[1], N, w);
-    if (am) {
-        fq2_mul_one(t[0], t[1], p->z[0], p->z[1], p->z[0], p->z[1], c0m, N, n0inv, w);
-        fq2_mul_one(t[0], t[1], t[0], t[1], t[0], t[1], c0m, N, n0inv, w);
-        fq2_mul_one(t[0], t[1], t[0], t[1], am, am + w, c0m, N, n0inv, w);
-        fq2_add2(m[0], m[1], m[0], m[1], t[0], t[1], N, w);
-    }
-    fq2_mul_one(z3[0], z3[1], p->y[0], p->y[1], p->z[0], p->z[1], c0m, N, n0inv, w);
-    fq2_add2(z3[0], z3[1], z3[0], z3[1], z3[0], z3[1], N, w);
-    fq2_mul_one(t[0], t[1], m[0], m[1], m[0], m[1], c0m, N, n0inv, w);
-    fq2_add2(u[0], u[1], s[0], s[1], s[0], s[1], N, w);
-    fq2_sub2(t[0], t[1], t[0], t[1], u[0], u[1], N, w);
-    fq2_sub2(u[0], u[1], s[0], s[1], t[0], t[1], N, w);
-    fq2_mul_one(u[0], u[1], m[0], m[1], u[0], u[1], c0m, N, n0inv, w);
-    fq2_mul_one(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], c0m, N, n0inv, w);
-    fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
-    fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
-    fq2_add2(ysq[0], ysq[1], ysq[0], ysq[1], ysq[0], ysq[1], N, w);
-    fq2_sub2(o->y[0], o->y[1], u[0], u[1], ysq[0], ysq[1], N, w);
-    fq2_copy(o->x, t, w);
-    fq2_copy(o->z, z3, w);
-    tally[0]++;
-    tally[1]++;
-}
-
-static void jpt_fq2_add(jpt_fq2 *o, jpt_fq2 *p, jpt_fq2 *q,
-                        uint64_t *tally, const uint64_t *am,
-                        const uint64_t *c0m, const uint64_t *one,
-                        const uint64_t *N, uint64_t n0inv, int w)
-{
-    uint64_t z1q[2][32], z2q[2][32], u1[2][32], u2[2][32], s1[2][32];
-    uint64_t s2[2][32], h[2][32], r[2][32], t[2][32], u[2][32], z3[2][32];
-    if (fq2_zero(p->z, w)) { jpt_fq2_copy(o, q, w); return; }
-    if (fq2_zero(q->z, w)) { jpt_fq2_copy(o, p, w); return; }
-    fq2_mul_one(z1q[0], z1q[1], p->z[0], p->z[1], p->z[0], p->z[1], c0m, N, n0inv, w);
-    fq2_mul_one(z2q[0], z2q[1], q->z[0], q->z[1], q->z[0], q->z[1], c0m, N, n0inv, w);
-    fq2_mul_one(u1[0], u1[1], p->x[0], p->x[1], z2q[0], z2q[1], c0m, N, n0inv, w);
-    fq2_mul_one(u2[0], u2[1], q->x[0], q->x[1], z1q[0], z1q[1], c0m, N, n0inv, w);
-    fq2_mul_one(t[0], t[1], z2q[0], z2q[1], q->z[0], q->z[1], c0m, N, n0inv, w);
-    fq2_mul_one(s1[0], s1[1], p->y[0], p->y[1], t[0], t[1], c0m, N, n0inv, w);
-    fq2_mul_one(t[0], t[1], z1q[0], z1q[1], p->z[0], p->z[1], c0m, N, n0inv, w);
-    fq2_mul_one(s2[0], s2[1], q->y[0], q->y[1], t[0], t[1], c0m, N, n0inv, w);
-    if (fq2_eq(u1, u2, w)) {
-        if (fq2_eq(s1, s2, w))
-            jpt_fq2_dbl(o, p, tally, am, c0m, one, N, n0inv, w);
-        else
-            jpt_fq2_set_inf(o, one, w);
-        return;
-    }
-    fq2_sub2(h[0], h[1], u2[0], u2[1], u1[0], u1[1], N, w);
-    fq2_sub2(r[0], r[1], s2[0], s2[1], s1[0], s1[1], N, w);
-    fq2_mul_one(z3[0], z3[1], p->z[0], p->z[1], q->z[0], q->z[1], c0m, N, n0inv, w);
-    fq2_mul_one(z3[0], z3[1], h[0], h[1], z3[0], z3[1], c0m, N, n0inv, w);
-    fq2_mul_one(t[0], t[1], h[0], h[1], h[0], h[1], c0m, N, n0inv, w);
-    fq2_mul_one(u1[0], u1[1], u1[0], u1[1], t[0], t[1], c0m, N, n0inv, w);
-    fq2_mul_one(t[0], t[1], t[0], t[1], h[0], h[1], c0m, N, n0inv, w);
-    fq2_mul_one(s1[0], s1[1], s1[0], s1[1], t[0], t[1], c0m, N, n0inv, w);
-    fq2_mul_one(u[0], u[1], r[0], r[1], r[0], r[1], c0m, N, n0inv, w);
-    fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
-    fq2_add2(t[0], t[1], u1[0], u1[1], u1[0], u1[1], N, w);
-    fq2_sub2(u[0], u[1], u[0], u[1], t[0], t[1], N, w);
-    fq2_sub2(t[0], t[1], u1[0], u1[1], u[0], u[1], N, w);
-    fq2_mul_one(t[0], t[1], r[0], r[1], t[0], t[1], c0m, N, n0inv, w);
-    fq2_sub2(o->y[0], o->y[1], t[0], t[1], s1[0], s1[1], N, w);
-    fq2_copy(o->x, u, w);
-    fq2_copy(o->z, z3, w);
-    tally[0]++;
-}
-
-void jac_dbl_fq2(uint64_t *out, uint64_t *tally,
-                 const uint64_t *x, const uint64_t *y, const uint64_t *z,
-                 size_t n, const uint64_t *am, const uint64_t *c0m,
-                 const uint64_t *one, const uint64_t *N, uint64_t n0inv,
-                 int w)
-{
-    jpt_fq2 p;
-    for (size_t k = 0; k < n; k++) {
-        jpt_fq2_load(&p, x, y, z, k, w);
-        jpt_fq2_dbl(&p, &p, tally, am, c0m, one, N, n0inv, w);
-        jpt_fq2_store(out, n, k, &p, w);
-    }
-}
-
-void jac_add_fq2(uint64_t *out, uint64_t *tally,
-                 const uint64_t *x1, const uint64_t *y1, const uint64_t *z1,
-                 const uint64_t *x2, const uint64_t *y2, const uint64_t *z2,
-                 size_t n, const uint64_t *am, const uint64_t *c0m,
-                 const uint64_t *one, const uint64_t *N, uint64_t n0inv,
-                 int w)
-{
-    jpt_fq2 p, q;
-    for (size_t k = 0; k < n; k++) {
-        jpt_fq2_load(&p, x1, y1, z1, k, w);
-        jpt_fq2_load(&q, x2, y2, z2, k, w);
-        jpt_fq2_add(&p, &p, &q, tally, am, c0m, one, N, n0inv, w);
-        jpt_fq2_store(out, n, k, &p, w);
-    }
-}
-
-void bucket_fold_fq2(uint64_t *out, uint64_t *tally,
-                     const uint64_t *x, const uint64_t *y, const uint64_t *z,
-                     size_t n, const uint64_t *am, const uint64_t *c0m,
-                     const uint64_t *one, const uint64_t *N, uint64_t n0inv,
-                     int w)
-{
-    jpt_fq2 running, total, b;
-    jpt_fq2_set_inf(&running, one, w);
-    jpt_fq2_set_inf(&total, one, w);
-    for (size_t k = n; k-- > 0;) {
-        jpt_fq2_load(&b, x, y, z, k, w);
-        jpt_fq2_add(&running, &running, &b, tally, am, c0m, one, N, n0inv, w);
-        jpt_fq2_add(&total, &total, &running, tally, am, c0m, one, N, n0inv, w);
-    }
-    jpt_fq2_store(out, 1, 0, &total, w);
-}
-
-/* -- Point-merging ----------------------------------------------------------
-
-   GZKP's point-merging kernel: bucket entries merged by a sorted
-   log-depth tree of batch-affine additions, one call per merge. The
-   field ops below act on one lane of d coefficient planes — d = 1 an
-   Fp element, d = 2 a packed Fq2 one ([c0 words | c1 words],
-   i^2 = -c0) — so one round schedule serves both fields. Lanes are at
-   most 2 * MAX_WORDS words, hence the [64] scratch. */
 
 static inline void fe_add(uint64_t *o, const uint64_t *a, const uint64_t *b,
                           int d, const uint64_t *N, int w)
@@ -900,6 +455,258 @@ static void fe_inv(uint64_t *o, const uint64_t *a, int d,
     mod_sub_one(o + w, t, u, N, w);
 }
 
+/* -- Jacobian point kernels -------------------------------------------------
+
+   One doubling (jpt_dbl) and one addition (jpt_add) over the field ops
+   above, and every exported point kernel but to_affine is a loop over
+   them. They are CurveGroup's jdouble/jadd in CurveGroup's operand
+   order on Montgomery residues (every product and add/sub is
+   canonicalized, so values track the scalar formulas step for step and
+   decode bit-identical, not merely group-equal), with its special cases
+   routed on canonical words: z == 0 is infinity (the other operand
+   comes back verbatim, count-free), u1 == u2 and s1 == s2 is P == Q
+   (the doubling: one pdbl + one padd, or count-free infinity when
+   y == 0), u1 == u2 alone is P == -Q (count-free infinity), anything
+   else one padd. An infinity made here is the scalar formulas'
+   (1, 1, 0): `one` is the Montgomery row of 1 (its c1 is zero).
+   tally[0] += padds, tally[1] += pdbls, exactly what the scalar
+   formulas book through group._count.
+
+   The exported kernels share one ABI: out, tally, (merge: ids), the
+   operand planes, n, d, am, c0m, one, N, n0inv, w. Operand planes are
+   Montgomery (n, d*w) rows and are only read; `out` is the result
+   planes of m rows each, x then y (then z) (m = n but for the fold's
+   1). am is the Montgomery row of the curve's a (d*w words), or NULL
+   when a == 0 (the a*z^4 term of the doubling and the tangent's + a
+   are skipped). No conversion mul anywhere in here.
+
+   jac_dbl:     out lane k = 2 * P_k
+   jac_add:     out lane k = P_k + Q_k
+   bucket_fold: out = sum_j (j+1)*B_j as the ordered running-suffix
+                fold of repro.msm.pippenger.bucket_reduce, last bucket
+                first: running += B_j; total += running (2 jadds per
+                bucket)
+   merge:       the point-merging tree (below)
+   to_affine:   out lane k = (x_k / z_k^2, y_k / z_k^3) (below) */
+
+typedef struct { uint64_t x[64], y[64], z[64]; } jpt;
+
+static inline void jpt_set_inf(jpt *o, int d, const uint64_t *one, int w)
+{
+    for (int j = 0; j < d * w; j++)
+        o->x[j] = o->y[j] = o->z[j] = 0;
+    words_copy(o->x, one, w);
+    words_copy(o->y, one, w);
+}
+
+static inline void jpt_copy(jpt *o, const jpt *a, int d, int w)
+{
+    if (o == a) return;
+    words_copy(o->x, a->x, d * w);
+    words_copy(o->y, a->y, d * w);
+    words_copy(o->z, a->z, d * w);
+}
+
+/* Lane k of three operand planes -> o. */
+static inline void jpt_load(jpt *o, const uint64_t *x, const uint64_t *y,
+                            const uint64_t *z, size_t k, int d, int w)
+{
+    size_t wd = (size_t)d * w;
+    words_copy(o->x, x + k * wd, (int)wd);
+    words_copy(o->y, y + k * wd, (int)wd);
+    words_copy(o->z, z + k * wd, (int)wd);
+}
+
+/* p -> lane k of the three m-row result planes in out. */
+static inline void jpt_store(uint64_t *out, size_t m, size_t k,
+                             const jpt *p, int d, int w)
+{
+    size_t wd = (size_t)d * w;
+    words_copy(out + k * wd, p->x, (int)wd);
+    words_copy(out + (m + k) * wd, p->y, (int)wd);
+    words_copy(out + (2 * m + k) * wd, p->z, (int)wd);
+}
+
+/* o = 2p; o may alias p. */
+static void jpt_dbl(jpt *o, const jpt *p, uint64_t *tally, int d,
+                    const uint64_t *am, const uint64_t *c0m,
+                    const uint64_t *one, const uint64_t *N, uint64_t n0inv,
+                    int w)
+{
+    uint64_t ysq[64], s[64], m[64], t[64], u[64], z3[64];
+    if (words_zero(p->z, d * w) || words_zero(p->y, d * w)) {
+        jpt_set_inf(o, d, one, w);
+        return;
+    }
+    fe_mul(ysq, p->y, p->y, d, c0m, N, n0inv, w);
+    fe_mul(s, p->x, ysq, d, c0m, N, n0inv, w);
+    fe_add(s, s, s, d, N, w);
+    fe_add(s, s, s, d, N, w);                     /* s = 4*x*y^2 */
+    fe_mul(m, p->x, p->x, d, c0m, N, n0inv, w);
+    fe_add(t, m, m, d, N, w);
+    fe_add(m, m, t, d, N, w);                     /* m = 3*x^2 */
+    if (am) {
+        fe_mul(t, p->z, p->z, d, c0m, N, n0inv, w);
+        fe_mul(t, t, t, d, c0m, N, n0inv, w);
+        fe_mul(t, t, am, d, c0m, N, n0inv, w);
+        fe_add(m, m, t, d, N, w);                 /* + a*z^4 */
+    }
+    fe_mul(z3, p->y, p->z, d, c0m, N, n0inv, w);
+    fe_add(z3, z3, z3, d, N, w);                  /* z3 = 2*y*z */
+    fe_mul(t, m, m, d, c0m, N, n0inv, w);
+    fe_add(u, s, s, d, N, w);
+    fe_sub(t, t, u, d, N, w);                     /* x3 = m^2 - 2s */
+    fe_sub(u, s, t, d, N, w);
+    fe_mul(u, m, u, d, c0m, N, n0inv, w);         /* m*(s - x3) */
+    fe_mul(ysq, ysq, ysq, d, c0m, N, n0inv, w);
+    fe_add(ysq, ysq, ysq, d, N, w);
+    fe_add(ysq, ysq, ysq, d, N, w);
+    fe_add(ysq, ysq, ysq, d, N, w);               /* 8*y^4 */
+    fe_sub(o->y, u, ysq, d, N, w);                /* y3 */
+    words_copy(o->x, t, d * w);
+    words_copy(o->z, z3, d * w);
+    tally[0]++;
+    tally[1]++;
+}
+
+/* o = p + q; o may alias p or q. */
+static void jpt_add(jpt *o, const jpt *p, const jpt *q, uint64_t *tally,
+                    int d, const uint64_t *am, const uint64_t *c0m,
+                    const uint64_t *one, const uint64_t *N, uint64_t n0inv,
+                    int w)
+{
+    uint64_t z1q[64], z2q[64], u1[64], u2[64], s1[64], s2[64];
+    uint64_t h[64], r[64], t[64], u[64], z3[64];
+    if (words_zero(p->z, d * w)) { jpt_copy(o, q, d, w); return; }
+    if (words_zero(q->z, d * w)) { jpt_copy(o, p, d, w); return; }
+    fe_mul(z1q, p->z, p->z, d, c0m, N, n0inv, w);
+    fe_mul(z2q, q->z, q->z, d, c0m, N, n0inv, w);
+    fe_mul(u1, p->x, z2q, d, c0m, N, n0inv, w);
+    fe_mul(u2, q->x, z1q, d, c0m, N, n0inv, w);
+    fe_mul(t, z2q, q->z, d, c0m, N, n0inv, w);
+    fe_mul(s1, p->y, t, d, c0m, N, n0inv, w);
+    fe_mul(t, z1q, p->z, d, c0m, N, n0inv, w);
+    fe_mul(s2, q->y, t, d, c0m, N, n0inv, w);
+    if (words_eq(u1, u2, d * w)) {
+        if (words_eq(s1, s2, d * w))
+            jpt_dbl(o, p, tally, d, am, c0m, one, N, n0inv, w);
+        else
+            jpt_set_inf(o, d, one, w);
+        return;
+    }
+    fe_sub(h, u2, u1, d, N, w);
+    fe_sub(r, s2, s1, d, N, w);
+    fe_mul(z3, p->z, q->z, d, c0m, N, n0inv, w);
+    fe_mul(z3, h, z3, d, c0m, N, n0inv, w);       /* z3 = h*z1*z2 */
+    fe_mul(t, h, h, d, c0m, N, n0inv, w);         /* h^2 */
+    fe_mul(u1, u1, t, d, c0m, N, n0inv, w);       /* u1*h^2 */
+    fe_mul(t, t, h, d, c0m, N, n0inv, w);         /* h^3 */
+    fe_mul(s1, s1, t, d, c0m, N, n0inv, w);       /* s1*h^3 */
+    fe_mul(u, r, r, d, c0m, N, n0inv, w);
+    fe_sub(u, u, t, d, N, w);
+    fe_add(t, u1, u1, d, N, w);
+    fe_sub(u, u, t, d, N, w);                     /* x3 */
+    fe_sub(t, u1, u, d, N, w);
+    fe_mul(t, r, t, d, c0m, N, n0inv, w);
+    fe_sub(o->y, t, s1, d, N, w);                 /* y3 */
+    words_copy(o->x, u, d * w);
+    words_copy(o->z, z3, d * w);
+    tally[0]++;
+}
+
+void jac_dbl(uint64_t *out, uint64_t *tally, const uint64_t *x,
+             const uint64_t *y, const uint64_t *z, size_t n, int d,
+             const uint64_t *am, const uint64_t *c0m, const uint64_t *one,
+             const uint64_t *N, uint64_t n0inv, int w)
+{
+    jpt p;
+    for (size_t k = 0; k < n; k++) {
+        jpt_load(&p, x, y, z, k, d, w);
+        jpt_dbl(&p, &p, tally, d, am, c0m, one, N, n0inv, w);
+        jpt_store(out, n, k, &p, d, w);
+    }
+}
+
+void jac_add(uint64_t *out, uint64_t *tally, const uint64_t *x1,
+             const uint64_t *y1, const uint64_t *z1, const uint64_t *x2,
+             const uint64_t *y2, const uint64_t *z2, size_t n, int d,
+             const uint64_t *am, const uint64_t *c0m, const uint64_t *one,
+             const uint64_t *N, uint64_t n0inv, int w)
+{
+    jpt p, q;
+    for (size_t k = 0; k < n; k++) {
+        jpt_load(&p, x1, y1, z1, k, d, w);
+        jpt_load(&q, x2, y2, z2, k, d, w);
+        jpt_add(&p, &p, &q, tally, d, am, c0m, one, N, n0inv, w);
+        jpt_store(out, n, k, &p, d, w);
+    }
+}
+
+void bucket_fold(uint64_t *out, uint64_t *tally, const uint64_t *x,
+                 const uint64_t *y, const uint64_t *z, size_t n, int d,
+                 const uint64_t *am, const uint64_t *c0m, const uint64_t *one,
+                 const uint64_t *N, uint64_t n0inv, int w)
+{
+    jpt running, total, b;
+    jpt_set_inf(&running, d, one, w);
+    jpt_set_inf(&total, d, one, w);
+    for (size_t k = n; k-- > 0;) {
+        jpt_load(&b, x, y, z, k, d, w);
+        jpt_add(&running, &running, &b, tally, d, am, c0m, one, N, n0inv, w);
+        jpt_add(&total, &total, &running, tally, d, am, c0m, one, N, n0inv, w);
+    }
+    jpt_store(out, 1, 0, &total, d, w);
+}
+
+/* to_affine: the affine form of every Jacobian lane with one shared
+   batch inversion — the prefix products of the live z's forward (kept
+   in out's x plane, which the backward leg overwrites only behind
+   itself), the one fe_inv, then backward each live lane's 1/z (as in
+   the merge's rounds) and x/z^2, y/z^3. A z == 0 lane (infinity) stays
+   out of the product and comes back as (0, 0), the form a resident row
+   gives a None point. am and tally ride along for the shared ABI. */
+void to_affine(uint64_t *out, uint64_t *tally, const uint64_t *x,
+               const uint64_t *y, const uint64_t *z, size_t n, int d,
+               const uint64_t *am, const uint64_t *c0m, const uint64_t *one,
+               const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t acc[64], inv[64], zi2[64], zi3[64];
+    size_t wd = (size_t)d * w, k = n, j;  /* k: the last live lane, n: none */
+    uint64_t *X = out, *Y = out + n * wd;
+    for (j = 0; j < n; j++) {
+        if (words_zero(z + j * wd, (int)wd)) {
+            for (size_t c = 0; c < wd; c++) X[j * wd + c] = Y[j * wd + c] = 0;
+        } else {
+            if (k < n)
+                fe_mul(X + j * wd, X + k * wd, z + j * wd, d, c0m, N, n0inv, w);
+            else
+                words_copy(X + j * wd, z + j * wd, (int)wd);
+            k = j;
+        }
+    }
+    if (k < n) fe_inv(acc, X + k * wd, d, c0m, one, N, n0inv, w);
+    while (k < n) {          /* k: a live lane; j: the one before it */
+        for (j = k; j-- > 0 && words_zero(z + j * wd, (int)wd);) ;
+        if (j < n) {
+            fe_mul(inv, acc, X + j * wd, d, c0m, N, n0inv, w);
+            fe_mul(acc, acc, z + k * wd, d, c0m, N, n0inv, w);
+        } else {
+            words_copy(inv, acc, (int)wd);
+        }
+        fe_mul(zi2, inv, inv, d, c0m, N, n0inv, w);
+        fe_mul(zi3, zi2, inv, d, c0m, N, n0inv, w);
+        fe_mul(X + k * wd, x + k * wd, zi2, d, c0m, N, n0inv, w);
+        fe_mul(Y + k * wd, y + k * wd, zi3, d, c0m, N, n0inv, w);
+        k = j;
+    }
+}
+
+/* -- Point-merging ----------------------------------------------------------
+
+   GZKP's point-merging kernel: bucket entries merged by a sorted
+   log-depth tree of batch-affine additions, one call per merge, one
+   round schedule over the degree-d field ops for both fields. */
+
 /* What one round does with the pair (l, l + 1), both lanes of one
    bucket: a chord or a tangent addition (both live, x1 != x2 / x1 == x2
    and y1 != -y2), a cancellation (P == -Q: the left lane dies), the dead
@@ -944,11 +751,10 @@ static inline void merge_den(uint64_t *den, const uint64_t *X,
    tally[1] += pdbls (tangent), the schedule's counts. The live lanes —
    one per bucket at most — end at the front of ids and of out's planes;
    tally[2] is their count, or ~0 when the scratch cannot be had. */
-static void merge_tree(uint64_t *out, uint64_t *tally, int64_t *ids,
-                       const uint64_t *x, const uint64_t *y, size_t n,
-                       int d, const uint64_t *am, const uint64_t *c0m,
-                       const uint64_t *one, const uint64_t *N,
-                       uint64_t n0inv, int w)
+void merge(uint64_t *out, uint64_t *tally, int64_t *ids, const uint64_t *x,
+           const uint64_t *y, size_t n, int d, const uint64_t *am,
+           const uint64_t *c0m, const uint64_t *one, const uint64_t *N,
+           uint64_t n0inv, int w)
 {
     uint64_t den[64], inv[64], acc[64], num[64], lam[64], t[64], x3[64];
     size_t wd = (size_t)d * w, m = n, live = 0;
@@ -1044,24 +850,6 @@ static void merge_tree(uint64_t *out, uint64_t *tally, int64_t *ids,
     }
     tally[2] = live;
     free(pref);
-}
-
-/* merge_*: the tree over Fp and over packed Fq2 lanes, under the point
-   kernels' ABI plus the ids vector (in/out) after tally. */
-void merge_fp(uint64_t *out, uint64_t *tally, int64_t *ids,
-              const uint64_t *x, const uint64_t *y, size_t n,
-              const uint64_t *am, const uint64_t *one, const uint64_t *N,
-              uint64_t n0inv, int w)
-{
-    merge_tree(out, tally, ids, x, y, n, 1, am, NULL, one, N, n0inv, w);
-}
-
-void merge_fq2(uint64_t *out, uint64_t *tally, int64_t *ids,
-               const uint64_t *x, const uint64_t *y, size_t n,
-               const uint64_t *am, const uint64_t *c0m, const uint64_t *one,
-               const uint64_t *N, uint64_t n0inv, int w)
-{
-    merge_tree(out, tally, ids, x, y, n, 2, am, c0m, one, N, n0inv, w);
 }
 """
 
@@ -1286,17 +1074,14 @@ def _compile(cdir: str, sopath: str) -> bool:
     return True
 
 
-#: the point kernels, which share one ABI: (op, coordinate-field
-#: degree) -> (exported function, operand planes it reads)
+#: the point kernels, which share one ABI and serve both coordinate
+#: fields: op -> (exported function, operand planes it reads)
 _POINT_KERNELS = {
-    ("dbl", 1): ("jac_dbl_fp", 3),
-    ("add", 1): ("jac_add_fp", 6),
-    ("fold", 1): ("bucket_fold_fp", 3),
-    ("merge", 1): ("merge_fp", 2),
-    ("dbl", 2): ("jac_dbl_fq2", 3),
-    ("add", 2): ("jac_add_fq2", 6),
-    ("fold", 2): ("bucket_fold_fq2", 3),
-    ("merge", 2): ("merge_fq2", 2),
+    "dbl": ("jac_dbl", 3),
+    "add": ("jac_add", 6),
+    "fold": ("bucket_fold", 3),
+    "merge": ("merge", 2),
+    "affine": ("to_affine", 3),
 }
 
 
@@ -1315,17 +1100,12 @@ def _bind(lib) -> None:
     lib.mont_powers.restype = None
     lib.ntt_stockham.argtypes = [ptr, ptr, ptr, size, i32, ptr, u64, i32]
     lib.ntt_stockham.restype = None
-    lib.mont_prefix_mul.argtypes = [ptr, ptr, size, ptr, u64, i32]
-    lib.mont_prefix_mul.restype = None
-    lib.mont_batch_inv_back.argtypes = [ptr, ptr, ptr, ptr, size, ptr,
-                                        u64, i32]
-    lib.mont_batch_inv_back.restype = None
-    # point kernels: out, tally, (merge: ids), the operand planes, n, the
-    # curve's constant rows (a over Fp; a, c0 over Fq2), one, N, n0inv, w
-    for (op, degree), (name, n_planes) in _POINT_KERNELS.items():
+    # point kernels: out, tally, (merge: ids), the operand planes, n, d,
+    # the curve's constant rows a and c0, one, N, n0inv, w
+    for op, (name, n_planes) in _POINT_KERNELS.items():
         fn = getattr(lib, name)
-        fn.argtypes = ([ptr] * (2 + (op == "merge") + n_planes) + [size]
-                       + [ptr] * (degree + 2) + [u64, i32])
+        fn.argtypes = ([ptr] * (2 + (op == "merge") + n_planes)
+                       + [size, i32] + [ptr] * 4 + [u64, i32])
         fn.restype = None
 
 
@@ -1428,10 +1208,9 @@ def get_native_field(modulus: int) -> Optional["NativeField"]:
 class NativeField:
     """Batched Montgomery-domain arithmetic over one prime modulus.
 
-    Curve-path arrays (:meth:`mul`/:meth:`sub`/:meth:`add`/
-    :meth:`batch_inverse`/:meth:`point_op`) are C-contiguous ``(n, w)``
-    uint64 rows of canonical Montgomery residues (:meth:`point_op` also
-    takes packed ``(n, 2w)`` Fq2 rows);
+    Curve-path arrays (:meth:`point_op`) are C-contiguous ``(n, w)``
+    uint64 rows of canonical Montgomery residues, or packed ``(n, 2w)``
+    Fq2 rows;
     :meth:`to_mont`/:meth:`from_mont` move rows between the raw and the
     Montgomery domain and ``encode``/``decode`` add the int boundary —
     no curve kernel calls them. The
@@ -1462,8 +1241,8 @@ class NativeField:
         self._r2_words = self._row(self._r2)
         self._one_words = self._row(1)
         #: Montgomery representation of 1 (== R mod p): the point
-        #: kernels' infinity coordinate and the padding of lanes that
-        #: must invert but carry no point
+        #: kernels' infinity coordinate and their field inversion's
+        #: starting value
         self.mont_one = self._row(self.r)
         #: Montgomery twiddle tables keyed (n, omega); cleared with the
         #: instance by :func:`reset_native`
@@ -1512,7 +1291,7 @@ class NativeField:
 
     def decode_one(self, row: "_np.ndarray") -> int:
         """One Montgomery row -> canonical int (pure Python; used for
-        the inversion-tree root where a kernel call is not worth it)."""
+        one resident point, where a kernel call is not worth it)."""
         return (int.from_bytes(_np.ascontiguousarray(row).tobytes(),
                                "little") * self._rinv) % self.p
 
@@ -1582,54 +1361,41 @@ class NativeField:
                                self._n_words.ctypes.data, self.w)
         return out
 
-    def batch_inverse(self, a: "_np.ndarray") -> "_np.ndarray":
-        """Montgomery-trick batch inversion: 3(n-1) sequential muls in
-        two kernel calls plus one Python field inversion of the running
-        product. Every row must be invertible."""
-        a = self._prep(a)
-        n = a.shape[0]
-        pref = _np.empty_like(a)
-        self.lib.mont_prefix_mul(pref.ctypes.data, a.ctypes.data, n,
-                                 self._n_words.ctypes.data, self.n0inv,
-                                 self.w)
-        tinv = self.encode_const(pow(self.decode_one(pref[n - 1]), -1,
-                                     self.p))
-        out = _np.empty_like(a)
-        self.lib.mont_batch_inv_back(out.ctypes.data, pref.ctypes.data,
-                                     a.ctypes.data, tinv.ctypes.data, n,
-                                     self._n_words.ctypes.data,
-                                     self.n0inv, self.w)
-        return out
-
     # -- point kernels over Montgomery rows -----------------------------------
     #
-    # One caller for the lane loops, the sequential fold and the merge:
-    # they share one ABI (see the C source). Operand rows are only read;
-    # the result planes and the tally are allocated here, per call
-    # (buckets are witness-derived).
+    # One caller for the lane loops, the sequential fold, the merge and
+    # the affine normalisation: they share one ABI (see the C source).
+    # Operand rows are only read; the result planes and the tally are
+    # allocated here, per call (buckets are witness-derived).
 
     def point_op(self, op: str, degree: int, planes, a_row=None,
                  c0_row=None, ids=None):
         """Run one point kernel: ``op`` is ``"dbl"`` (3 operand planes
         x, y, z: every lane doubled), ``"add"`` (6 planes: lanes added
         pairwise), ``"fold"`` (3 planes: the bucket-reduction
-        sum_j (j+1)*B_j as one point) or ``"merge"`` (2 planes x, y of
+        sum_j (j+1)*B_j as one point), ``"merge"`` (2 planes x, y of
         affine lanes whose bucket ``ids`` ascend: the point-merging
-        tree); ``degree`` 1 takes ``(n, w)`` Montgomery rows over Fp, 2
-        packed ``(n, 2w)`` rows over Fq2. ``a_row``/``c0_row`` are the
+        tree) or ``"affine"`` (3 planes: every lane's affine x, y, with
+        one shared field inversion; a z = 0 lane comes back as (0, 0));
+        ``degree`` 1 takes ``(n, w)`` Montgomery rows over Fp, 2 packed
+        ``(n, 2w)`` rows over Fq2. ``a_row``/``c0_row`` are the
         Montgomery rows of the curve's a (packed for Fq2; ``None`` when
-        a == 0) and of the Fq2 non-residue c0 (``None`` when c0 == 1).
-        Infinity, P == Q and P == -Q are routed in C per lane. Returns
-        ``(out, n_padd, n_pdbl)``: ``out[0]``/``out[1]``/``out[2]`` are
-        the result's x/y/z planes — n rows, or the fold's one — and the
-        tallies are what the scalar formulas would have booked; for the
-        merge ``out`` is ``(ids, x, y)`` of the surviving lanes, at most
-        one per bucket, and the tallies are the tree schedule's.
+        a == 0) and of the Fq2 non-residue c0 (``None`` when c0 == 1,
+        and always over Fp). Infinity, P == Q and P == -Q are routed in
+        C per lane. Returns ``(out, n_padd, n_pdbl)``: ``out[0]``/
+        ``out[1]``(/``out[2]``) are the result's x/y(/z) planes — n
+        rows, or the fold's one — and the tallies are what the scalar
+        formulas would have booked; for the merge ``out`` is
+        ``(ids, x, y)`` of the surviving lanes, at most one per bucket,
+        and the tallies are the tree schedule's.
 
         Every operand's shape is checked before a pointer crosses: C is
         told one lane count and one row width and reads exactly that
         much of each plane."""
-        name, n_planes = _POINT_KERNELS[op, degree]
+        name, n_planes = _POINT_KERNELS[op]
+        if degree not in (1, 2) or (degree == 1 and c0_row is not None):
+            raise ValueError("point kernels run over Fp (degree 1, no c0) "
+                             "or Fq2 (degree 2)")
         width = degree * self.w
         planes = [self._prep(pl) for pl in planes]
         n = planes[0].shape[0] if planes else 0
@@ -1646,21 +1412,20 @@ class NativeField:
             if ids.shape != (n,) or (ids[1:] < ids[:-1]).any():
                 raise ValueError("the merge takes one ascending bucket id "
                                  "per lane")
-        # the Fp kernels take (a), the Fq2 kernels (a, c0)
-        consts = [(a_row, width), (c0_row, self.w)][:degree]
+        consts = ((a_row, width), (c0_row, self.w))
         if any(row is not None and (
                 row.shape != (words,) or row.dtype != _np.uint64
                 or not row.flags.c_contiguous) for row, words in consts):
             raise ValueError(
                 "curve constant rows are contiguous uint64 word rows of "
                 "the kernel's width")
-        out = _np.empty((n_planes if merge else 3, 1 if op == "fold" else n,
-                         width), dtype="<u8")
+        out = _np.empty((2 if op in ("merge", "affine") else 3,
+                         1 if op == "fold" else n, width), dtype="<u8")
         tally = _np.zeros(3, dtype="<u8")
         getattr(self.lib, name)(
             out.ctypes.data, tally.ctypes.data,
             *([ids.ctypes.data] if merge else []),
-            *(pl.ctypes.data for pl in planes), n,
+            *(pl.ctypes.data for pl in planes), n, degree,
             *(None if row is None else row.ctypes.data for row, _ in consts),
             self.mont_one.ctypes.data, self._n_words.ctypes.data,
             self.n0inv, self.w)
@@ -1732,12 +1497,6 @@ class NativeField:
                                  self.w)
             arr = self._ladders[g] = out
         return arr[:n]
-
-    # -- predicates (free: Montgomery residues are canonical) -------------------
-
-    @staticmethod
-    def is_zero(a: "_np.ndarray") -> "_np.ndarray":
-        return (a == 0).all(axis=1)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<NativeField w={self.w} p~2^{self.p.bit_length()}>"

@@ -7,22 +7,23 @@ that is neither prime nor Fq2 = Fq[i]/(i^2 + c0)) gets ``None`` back
 and :class:`~repro.backend.numpy_limb.NumpyLimbBackend` runs the
 inherited scalar loop instead — there is no vectorized middle tier.
 :func:`_native_engine` is the one place that decides which native field
-serves a group, and the engine it returns (:class:`_G1Lanes` for
-prime-field coordinates, :class:`_ExtLanes` for Fq2) is that group's
-whole arithmetic: the point kernels' calls and the few row products
-:func:`batch_from_jacobian` runs.
+serves a group, and the engine it returns (:class:`_Lanes`, carrying
+the coordinate field's degree d: 1 for prime-field coordinates, 2 for
+Fq2) is that group's whole arithmetic: the int boundary and the point
+kernels' calls. Every point formula — doubling, addition, the bucket
+fold, the merge and Jacobian -> affine — is one C body over degree-d
+field ops, so G1 and G2 run the same code.
 
 * **Resident rows.** Points stay in word rows between calls, always as
-  canonical **Montgomery** residues. :class:`ResidentPoints` is an
-  affine row — one ``(n, w)`` plane per coordinate coefficient plus a
-  ``None`` mask; the MSM checkpoint table is a list of them, encoded
-  once at setup. :class:`ResidentBuckets` is a Jacobian row — x/y/z
-  rows with the coefficient planes packed side by side, z = 0 for
-  infinity; sub-buckets, buckets and the preprocessing chain's
-  temporaries. The two differ by layout only (a G1 plane *is* a bucket
-  coordinate row, an Fq2 one is a concat/split), so nothing converts
-  when a point moves between the table, the merge and the point
-  kernels.
+  canonical **Montgomery** residues, a coordinate's d coefficients
+  packed side by side ([c0 words | c1 words] for Fq2).
+  :class:`ResidentPoints` is an affine row — packed x/y rows plus a
+  ``None`` mask, whose lanes hold (0, 0); the MSM checkpoint table is a
+  list of them, encoded once at setup. :class:`ResidentBuckets` is a
+  Jacobian row — x/y/z rows, z = 0 for infinity; sub-buckets, buckets
+  and the preprocessing chain's temporaries. The two share their
+  layout, so nothing converts or repacks when a point moves between
+  the table, the merge and the point kernels.
   Both are immutable read-only ``Sequence``s that decode only what is
   read, so code that knows nothing about them still works. The
   int <-> row boundary — and with it the raw <-> Montgomery one — is
@@ -31,7 +32,7 @@ whole arithmetic: the point kernels' calls and the few row products
 
 * **Batch Jacobian kernels** (:func:`batch_jdouble`, :func:`batch_jadd`)
   are one C call each over bucket rows: a per-lane loop over the same
-  ``jpt_*`` doubling/addition the bucket fold uses, which *are*
+  ``jpt_dbl``/``jpt_add`` the bucket fold uses, which *are*
   :class:`~repro.curves.weierstrass.CurveGroup`'s formulas on
   Montgomery residues. Special cases (infinity, P == Q -> double,
   P == -Q -> infinity) are routed in C per lane on canonical words and
@@ -40,12 +41,15 @@ whole arithmetic: the point kernels' calls and the few row products
   scalar loop. A python list is lifted through the rows' ingress and
   handed back through their egress.
 
+* **Jacobian -> affine** (:func:`batch_from_jacobian`): one C call
+  (``to_affine``) with one shared field inversion per row.
+
 * **Point-merging** (:func:`_merge_tree` behind
   :func:`accumulate_table_segmented` for a resident table's index
   vectors and :func:`accumulate_buckets_segmented` for python
   ``entries``) replaces the ordered per-entry fold of bucket
   accumulation with a sorted, log-depth tree of *batch-affine*
-  additions, run by one C call (``merge_*``): entries are
+  additions, run by one C call (``merge``): entries are
   stable-sorted by bucket index once, then each round pairs adjacent
   same-bucket lanes and combines every pair with a single shared
   Montgomery batch inversion (one field inversion per round, ≈ 6 muls
@@ -102,20 +106,21 @@ SEGMENTED_MIN_ENTRIES = 64
 
 def _native_engine(group):
     """The one "which native field serves this group" rule: prime-field
-    coordinates run over their own modulus, Fq2 = Fq[i]/(i^2 + c0)
-    lanes over the base field's; anything else — or no loaded kernels
-    for that modulus (``get_native_field`` is None without a compiler,
-    numpy or under ``REPRO_NATIVE=0``) — has no native engine."""
+    coordinates run over their own modulus (d = 1), Fq2 = Fq[i]/(i^2 +
+    c0) lanes over the base field's (d = 2); anything else — or no
+    loaded kernels for that modulus (``get_native_field`` is None
+    without a compiler, numpy or under ``REPRO_NATIVE=0``) — has no
+    native engine."""
     o = group.ops
     if isinstance(o, IntFieldOps):
-        cls, modulus = _G1Lanes, o.field.modulus
+        d, modulus = 1, o.field.modulus
     elif (isinstance(o, ExtFieldOps) and o.field.degree == 2
           and o.field.modulus_coeffs[1] == 0):
-        cls, modulus = _ExtLanes, o.field.base.modulus
+        d, modulus = 2, o.field.base.modulus
     else:
         return None
     nf = get_native_field(modulus)
-    return None if nf is None else cls(group, nf)
+    return None if nf is None else _Lanes(group, nf, d)
 
 
 # -- resident rows -------------------------------------------------------------
@@ -123,20 +128,36 @@ def _native_engine(group):
 
 class _ResidentRow(_Sequence):
     """What the two resident forms share: a read-only ``Sequence`` over
-    word rows. ``len`` is free, a slice is another row over views of the
-    same planes, and reading an element, iterating or comparing decodes
-    exactly what is read — never into a cache, since a decoded copy
-    kept beside the rows would be the python table the rows replace.
-    Rows are marked read-only and no op writes into an operand, so
-    aliased operands and handing an operand back unchanged are safe."""
+    packed word rows. ``len`` is free, a slice is another row over views
+    of the same planes, and reading an element, iterating or comparing
+    decodes exactly what is read — never into a cache, since a decoded
+    copy kept beside the rows would be the python table the rows
+    replace. Rows are marked read-only and no op writes into an
+    operand, so aliased operands and handing an operand back unchanged
+    are safe. A subclass's planes are its slots after ``eng``, each
+    with one entry per point."""
 
     __slots__ = ()
     __hash__ = None
+
+    def __init__(self, eng, *planes):
+        for plane in planes:
+            plane.flags.writeable = False
+        self.eng = eng
+        for slot, plane in zip(self.__slots__[1:], planes):
+            setattr(self, slot, plane)
+
+    def __len__(self) -> int:
+        return getattr(self, self.__slots__[-1]).shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self._take(index)
         return self._item(range(len(self))[index])
+
+    def _take(self, index):
+        return type(self)(self.eng, *(getattr(self, slot)[index]
+                                      for slot in self.__slots__[1:]))
 
     def _item(self, i: int):
         return self._take(slice(i, i + 1)).tolist()[0]
@@ -154,36 +175,22 @@ class _ResidentRow(_Sequence):
 
 
 class ResidentPoints(_ResidentRow):
-    """A row of affine points as the bucket tree reads them: one
-    ``(n, w)`` plane of canonical Montgomery residues per coordinate
-    coefficient (``X``/``Y`` are 1-tuples for G1, 2-tuples for Fq2)
-    plus a mask for the ``None`` lanes. The checkpoint table is made of
+    """A row of affine points as the bucket tree reads them: packed word
+    rows ``x``/``y`` of canonical **Montgomery** residues, as
+    :class:`ResidentBuckets` lays them out, plus a mask for the ``None``
+    lanes, whose x and y rows are zero. The checkpoint table is made of
     these; it is public proving-key data and may live on a context."""
 
-    __slots__ = ("eng", "X", "Y", "inf")
-
-    def __init__(self, eng, X, Y, inf):
-        for plane in (*X, *Y, inf):
-            plane.flags.writeable = False
-        self.eng, self.X, self.Y, self.inf = eng, X, Y, inf
-
-    def __len__(self) -> int:
-        return self.inf.shape[0]
-
-    def _take(self, sl):
-        return ResidentPoints(self.eng, tuple(pl[sl] for pl in self.X),
-                              tuple(pl[sl] for pl in self.Y), self.inf[sl])
+    __slots__ = ("eng", "x", "y", "inf")
 
     def _item(self, i: int):
         if self.inf[i]:
             return None
-        # one point: two python Montgomery reductions beat a kernel call
-        nf, o = self.eng.nf, self.eng.group.ops
-        return (o.from_coeffs(tuple(nf.decode_one(pl[i]) for pl in self.X)),
-                o.from_coeffs(tuple(nf.decode_one(pl[i]) for pl in self.Y)))
+        # one point: python Montgomery reductions beat a kernel call
+        return self.eng.val_one(self.x[i]), self.eng.val_one(self.y[i])
 
     def tolist(self) -> List:
-        pts = self.eng.decode(self.X, self.Y)
+        pts = list(zip(self.eng.vals(self.x), self.eng.vals(self.y)))
         for i in _np.flatnonzero(self.inf):
             pts[i] = None
         return pts
@@ -199,18 +206,6 @@ class ResidentBuckets(_ResidentRow):
     call that made it and is never cached."""
 
     __slots__ = ("eng", "x", "y", "z")
-
-    def __init__(self, eng, x, y, z):
-        for plane in (x, y, z):
-            plane.flags.writeable = False
-        self.eng, self.x, self.y, self.z = eng, x, y, z
-
-    def __len__(self) -> int:
-        return self.z.shape[0]
-
-    def _take(self, index):
-        return ResidentBuckets(self.eng, self.x[index], self.y[index],
-                               self.z[index])
 
     def tolist(self) -> List:
         # one egress for all three coordinates
@@ -267,7 +262,7 @@ def batch_jdouble(group, points: Sequence) -> Optional[Sequence]:
     if eng is None:
         return None
     p = _lift_buckets(eng, points)
-    out = eng.point_op("dbl", p)
+    out = ResidentBuckets(eng, *eng.point_op("dbl", p))
     return out if p is points else out.tolist()
 
 
@@ -281,7 +276,7 @@ def batch_jadd(group, ps: Sequence, qs: Sequence) -> Optional[Sequence]:
     if eng is None:
         return None
     p, q = _lift_buckets(eng, ps), _lift_buckets(eng, qs)
-    out = eng.point_op("add", p, q)
+    out = ResidentBuckets(eng, *eng.point_op("add", p, q))
     return out if p is ps or q is qs else out.tolist()
 
 
@@ -296,7 +291,8 @@ def bucket_reduce(group, buckets: Sequence):
     eng = _engine_or_note(group)
     if eng is None:
         return None
-    return eng.point_op("fold", _lift_buckets(eng, buckets))[0]
+    return ResidentBuckets(
+        eng, *eng.point_op("fold", _lift_buckets(eng, buckets)))[0]
 
 
 # -- affine <-> Jacobian over resident rows ------------------------------------
@@ -316,191 +312,108 @@ def resident_points(group, points: Sequence) -> Optional[ResidentPoints]:
     if inf.any():
         zero = group.ops.zero
         points = [(zero, zero) if p is None else p for p in points]
-    X, Y = eng.load_points(points)
-    return ResidentPoints(eng, X, Y, inf)
+    return ResidentPoints(eng, eng.rows([p[0] for p in points]),
+                          eng.rows([p[1] for p in points]), inf)
 
 
 def gather_points(row: ResidentPoints, idx) -> ResidentPoints:
     """Lane j of the result is ``row[idx[j]]``: one ``take`` per
-    coordinate plane and one of the ``None`` mask."""
+    coordinate row and one of the ``None`` mask."""
     idx = _np.asarray(idx, dtype=_np.int64)
-    X, Y = (tuple(_np.take(pl, idx, axis=0) for pl in planes)
-            for planes in (row.X, row.Y))
-    return ResidentPoints(row.eng, X, Y, _np.take(row.inf, idx))
+    return ResidentPoints(row.eng, *(_np.take(plane, idx, axis=0)
+                                     for plane in (row.x, row.y, row.inf)))
 
 
 def batch_to_jacobian(group, points: ResidentPoints
                       ) -> Optional[ResidentBuckets]:
     """``to_jacobian`` of a resident affine row as bucket rows (z = 1,
-    or (1, 1, 0) on the ``None`` lanes): the table's planes packed, no
-    arithmetic."""
+    or (1, 1, 0) on the ``None`` lanes): the table's rows as they are,
+    no arithmetic."""
     eng = _native_engine(group)
     if eng is None:
         return None
-    one = eng.pack(eng.ones(len(points)))
-    x, y, z = eng.pack(points.X), eng.pack(points.Y), one
+    x, y, z = points.x, points.y, _np.tile(eng.one, (len(points), 1))
     if points.inf.any():
         dead = points.inf[:, None]
-        x, y = _np.where(dead, one, x), _np.where(dead, one, y)
-        z = _np.where(dead, _np.zeros_like(one), one)
+        x, y = _np.where(dead, z, x), _np.where(dead, z, y)
+        z = _np.where(dead, _np.zeros_like(z), z)
     return ResidentBuckets(eng, x, y, z)
 
 
 def batch_from_jacobian(group, jps: ResidentBuckets
                         ) -> Optional[ResidentPoints]:
-    """``from_jacobian`` of a bucket row as a resident affine row: one
-    batch inversion of the z plane (a single field inversion) instead
-    of one per point, then x/z^2 and y/z^3 on the row's own planes."""
+    """``from_jacobian`` of a bucket row as a resident affine row: one C
+    call (``point_op("affine")``) that shares a single field inversion
+    among all live lanes and writes x/z^2, y/z^3, and (0, 0) for an
+    infinite lane — :func:`resident_points`' byte form of ``None``."""
     eng = _native_engine(group)
     if eng is None:
         return None
-    X, Y, Z = (eng.split(row) for row in (jps.x, jps.y, jps.z))
-    inf = eng.is_zero(Z)
-    if inf.any():  # park infinity lanes at one: every row must invert
-        Z = tuple(_np.where(inf[:, None], o, z)
-                  for o, z in zip(eng.ones(len(jps)), Z))
-    if len(jps):
-        zinv = eng.invert(Z)
-        zinv2 = eng.mul(zinv, zinv)
-        X = eng.mul(X, zinv2)
-        Y = eng.mul(Y, eng.mul(zinv2, zinv))
-    return ResidentPoints(eng, X, Y, inf)
+    x, y = eng.point_op("affine", jps)
+    return ResidentPoints(eng, x, y, ~jps.z.any(axis=1))
 
 
-# -- the native engines (Montgomery lanes) -------------------------------------
+# -- the native engine (Montgomery lanes) --------------------------------------
 
 
-class _PlaneLanes:
+class _Lanes:
     """One group's arithmetic on the native field ``nf``, everything in
-    the Montgomery domain. Affine rows hold *planes* — a coordinate
-    vector is a tuple of ``(n, w)`` rows, one per base-field coefficient
-    (one for G1, two for Fq2) — and the point kernels take *packed
-    rows*, the same planes side by side (:meth:`pack`/:meth:`split`).
-    This base class holds the int boundary (:meth:`rows`/:meth:`vals`)
-    and the point-kernel call; subclasses supply the products and the
-    batch inversion :func:`batch_from_jacobian` runs on planes, and the
-    curve's constant rows."""
+    the Montgomery domain: a coordinate is ``d`` base-field coefficients
+    (1 for G1, 2 for Fq2) packed side by side in one word row, the
+    layout every point kernel takes. The engine holds the int boundary
+    (:meth:`rows`/:meth:`vals`), the curve's constant rows and the
+    point-kernel call; the kernels do all the arithmetic."""
 
-    nplanes = 1
-    #: the curve's Montgomery constant rows as the point kernels take
-    #: them: (a,) over Fp, (a packed, c0) over Fq2; None = a == 0 / c0 == 1
-    curve_rows: tuple
+    def __init__(self, group, nf, d):
+        self.group, self.nf, self.d = group, nf, d
+        consts = group.formula_constants()
+        a_row = (None if consts["a_is_zero"] else _np.concatenate(
+            [nf.encode_const(c) for c in group.ops.coeffs(consts["a"])]))
+        c0 = 1 if d == 1 else group.ops.field.modulus_coeffs[0]
+        #: the curve's Montgomery constant rows as the point kernels
+        #: take them: a packed (None = a == 0) and c0 (None = c0 == 1,
+        #: always over Fp)
+        self.curve_rows = (a_row, None if c0 == 1 else nf.encode_const(c0))
+        #: the packed Montgomery one: z of an affine point, x and y of
+        #: the formulas' infinity (1, 1, 0)
+        self.one = _np.concatenate(
+            [nf.mont_one] + [_np.zeros_like(nf.mont_one)] * (d - 1))
 
     def rows(self, vals):
         """The ingress: coordinate-field values -> packed Montgomery
         rows."""
-        n, k = len(vals), self.nplanes
-        if k > 1:  # a prime-field value is its own one coefficient
+        n, d = len(vals), self.d
+        if d > 1:  # a prime-field value is its own one coefficient
             coeffs = self.group.ops.coeffs
             vals = [c for v in vals for c in coeffs(v)]
-        return self.nf.encode(vals).reshape(n, k * self.nf.w)
+        return self.nf.encode(vals).reshape(n, d * self.nf.w)
 
     def vals(self, arr):
         """The egress: packed Montgomery rows -> coordinate-field
         values."""
-        k = self.nplanes
+        d = self.d
         flat = self.nf.decode(
             _np.ascontiguousarray(arr).reshape(-1, self.nf.w))
-        if k == 1:
+        if d == 1:
             return flat
         from_coeffs = self.group.ops.from_coeffs
-        return [from_coeffs(flat[i:i + k]) for i in range(0, len(flat), k)]
+        return [from_coeffs(flat[i:i + d]) for i in range(0, len(flat), d)]
 
-    def pack(self, planes):
-        return (planes[0] if self.nplanes == 1
-                else _np.concatenate(planes, axis=1))
-
-    def split(self, row):
+    def val_one(self, row):
+        """One packed row -> its value, in python."""
         w = self.nf.w
-        return tuple(_np.ascontiguousarray(row[:, k * w:(k + 1) * w])
-                     for k in range(self.nplanes))
+        return self.group.ops.from_coeffs(
+            [self.nf.decode_one(row[k * w:(k + 1) * w])
+             for k in range(self.d)])
 
-    def load_points(self, pts):
-        return (self.split(self.rows([p[0] for p in pts])),
-                self.split(self.rows([p[1] for p in pts])))
-
-    def decode(self, X, Y):
-        return list(zip(self.vals(self.pack(X)), self.vals(self.pack(Y))))
-
-    def point_op(self, op: str, *rows: ResidentBuckets) -> ResidentBuckets:
-        """One Jacobian kernel call (``NativeField.point_op``) over
-        bucket rows, its padd/pdbl tallies booked once: the doubled or
-        pairwise-added row, or the fold's total as a row of one."""
+    def point_op(self, op: str, *rows: ResidentBuckets):
+        """One point kernel call (``NativeField.point_op``) over bucket
+        rows, its padd/pdbl tallies booked once: the result planes."""
         out, n_padd, n_pdbl = self.nf.point_op(
-            op, self.nplanes, [pl for r in rows for pl in (r.x, r.y, r.z)],
+            op, self.d, [pl for r in rows for pl in (r.x, r.y, r.z)],
             *self.curve_rows)
         _book(self.group, n_padd, n_pdbl)
-        return ResidentBuckets(self, *out)
-
-    def ones(self, n):
-        """n lanes of the Montgomery one, as planes."""
-        one = _np.empty((n, self.nf.w), dtype=_np.uint64)
-        one[:] = self.nf.mont_one
-        return (one,) + tuple(_np.zeros_like(one)
-                              for _ in range(self.nplanes - 1))
-
-    def is_zero(self, a):
-        zero = self.nf.is_zero(a[0])
-        for plane in a[1:]:
-            zero &= self.nf.is_zero(plane)
-        return zero
-
-
-class _G1Lanes(_PlaneLanes):
-    """Prime-field lanes over the runtime-compiled Montgomery kernels."""
-
-    def __init__(self, group, nf):
-        self.group = group
-        self.nf = nf
-        consts = group.formula_constants()
-        self.curve_rows = (None if consts["a_is_zero"]
-                           else nf.encode_const(consts["a"]),)
-
-    def mul(self, a, b):
-        return (self.nf.mul(a[0], b[0]),)
-
-    def invert(self, a):
-        """Every lane's inverse (each must be invertible): the in-C
-        prefix-product trick, one field inversion for the batch."""
-        return (self.nf.batch_inverse(a[0]),)
-
-
-class _ExtLanes(_PlaneLanes):
-    """Fq2 = Fq[i]/(i^2 + c0) lanes: Karatsuba over two base-field
-    planes (3 base muls per Fq2 mul)."""
-
-    nplanes = 2
-
-    def __init__(self, group, nf):
-        self.group = group
-        self.nf = nf
-        c0 = group.ops.field.modulus_coeffs[0]
-        c0_row = None if c0 == 1 else nf.encode_const(c0)
-        consts = group.formula_constants()
-        a_row = (None if consts["a_is_zero"] else _np.concatenate(
-            [nf.encode_const(c) for c in consts["a"].coeffs]))
-        self.curve_rows = (a_row, c0_row)
-
-    def _times_c0(self, t):
-        c0_row = self.curve_rows[1]
-        return t if c0_row is None else self.nf.mul_const(t, c0_row)
-
-    def mul(self, a, b):
-        nf = self.nf
-        t0 = nf.mul(a[0], b[0])
-        t2 = nf.mul(a[1], b[1])
-        t1 = nf.mul(nf.add(a[0], a[1]), nf.add(b[0], b[1]))
-        t1 = nf.sub(nf.sub(t1, t0), t2)
-        return (nf.sub(t0, self._times_c0(t2)), t1)
-
-    def invert(self, a):
-        """Every lane's inverse through its norm, 1/(a0 + a1 i) =
-        (a0 - a1 i) / (a0^2 + c0 a1^2): one Fp batch inversion."""
-        nf = self.nf
-        norm = nf.add(nf.mul(a[0], a[0]), self._times_c0(nf.mul(a[1], a[1])))
-        ninv = nf.batch_inverse(norm)
-        minus = nf.mul(a[1], ninv)
-        return (nf.mul(a[0], ninv), nf.sub(_np.zeros_like(minus), minus))
+        return out
 
 
 def _merge_tree(eng, group, ids, X, Y, fold_flagged):
@@ -550,7 +463,7 @@ def _merge_tree(eng, group, ids, X, Y, fold_flagged):
             keep = ~_np.isin(ids, flagged)
             ids, X, Y = ids[keep], X[keep], Y[keep]
             fold_flagged(flagged)
-    out, n_padd, n_pdbl = eng.nf.point_op("merge", eng.nplanes, (X, Y),
+    out, n_padd, n_pdbl = eng.nf.point_op("merge", eng.d, (X, Y),
                                           *eng.curve_rows, ids=ids)
     _book(group, n_padd, n_pdbl)
     return out
@@ -624,9 +537,9 @@ def _table_lanes(eng, table, rows, cols, order):
         raise IndexError("checkpoint-table index out of range")
     flat = (_np.cumsum(sizes) - sizes)[rows[order]] + cols[order]
     return tuple(
-        _np.take(_np.concatenate([eng.pack(getattr(r, c)) for r in table]),
-                 flat, axis=0)
-        for c in ("X", "Y"))
+        _np.take(_np.concatenate([getattr(r, c) for r in table]), flat,
+                 axis=0)
+        for c in ("x", "y"))
 
 
 def accumulate_table_segmented(group, table: Sequence, n_slots: int,
@@ -678,7 +591,7 @@ def accumulate_table_segmented(group, table: Sequence, n_slots: int,
     ids, X, Y = _merge_tree(eng, group, slots[order], X, Y, fold_flagged)
     # every bucket starts as the scalar fold's infinity, (1, 1, 0); the
     # survivors land as (x, y, 1), their merged rows as they are
-    one = eng.pack(eng.ones(n_slots))
+    one = _np.tile(eng.one, (n_slots, 1))
     x, y, z = one.copy(), one.copy(), _np.zeros_like(one)
     if ids.size:  # count-free, like the scalar fold's first assignment
         x[ids], y[ids], z[ids] = X, Y, one[ids]

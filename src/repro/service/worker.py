@@ -86,7 +86,8 @@ def resolve_backend(requested: Optional[str],
     if name == "numpy" and not native_available():
         telemetry.record_event(
             "native-kernel-fallback",
-            "native C kernels unavailable: numpy scalar bucket fold",
+            "native C kernels unavailable: every numpy op runs the "
+            "inherited python loop",
             backend=name,
         )
     elif name == "python" and not native_available():

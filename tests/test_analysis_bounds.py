@@ -54,7 +54,7 @@ POINT_KERNEL_CHECKS = ("scratch-width", "mont-closure", "discriminant-exact",
                        "add-mul-parity", "dbl-mul-parity",
                        "dbl-a-mul-parity", "merge-combine-muls",
                        "merge-inversion-muls", "merge-fermat-exponent",
-                       "merge-fermat-prime")
+                       "merge-fermat-prime", "affine-muls")
 
 
 @pytest.mark.parametrize("modulus", ALL_FIELDS)
@@ -82,6 +82,9 @@ def test_native_jacobian_certificate_covers_the_bucket_fold(modulus):
     # a merge lane: 3 muls of combine, 3 of batch-inversion leg, the
     # 6 of GZKP's batch-affine point-merging
     assert cert.params["merge_muls"] == {"combine": 3, "inversion": 3}
+    # a live to_affine lane: its 3-mul inversion leg, z^-2, z^-3 and
+    # the two coordinates
+    assert cert.params["affine_muls"] == 7
 
 
 def test_native_jacobian_fold_checks_reject_bad_moduli():

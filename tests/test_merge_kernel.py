@@ -1,6 +1,6 @@
 """The point-merging kernel against the ordered fold.
 
-One C call (``merge_fp`` / ``merge_fq2``, ``NativeField.point_op("merge")``)
+One C call (``merge``, ``NativeField.point_op("merge")``)
 runs the sorted log-depth batch-affine tree that accumulates an MSM's
 bucket entries. On all three curves, G1 and G2, every crafted bucket set
 below must end group-equal to the python backend's ordered
@@ -73,7 +73,7 @@ def _merge(group, entries):
     ids = [b for b, _ in entries]
     x, y = (eng.rows([pt[k] for _, pt in entries]) for k in (0, 1))
     (ids, X, Y), padd, pdbl = eng.nf.point_op(
-        "merge", eng.nplanes, (x, y), *eng.curve_rows, ids=ids)
+        "merge", eng.d, (x, y), *eng.curve_rows, ids=ids)
     assert len(set(ids.tolist())) == len(ids)
     survivors = dict(zip(ids.tolist(), zip(eng.vals(X), eng.vals(Y))))
     return survivors, +Counter(padd=padd, pdbl=pdbl)

@@ -403,7 +403,7 @@ def test_pairwise_row_ops_reject_mismatched_row_counts():
             ("add", 1, (x, x, x, x[:3], x[:3], x[:3])),  # shorter operand
             ("add", 1, (x, x, x, x, x, x[:1])),          # 1-row plane
             ("dbl", 1, (x, x, x[:, :2])),                # narrower rows
-            ("dbl", 2, (x, x, x)),                       # Fp rows, Fq2 kernel
+            ("dbl", 2, (x, x, x)),                       # Fp rows at degree 2
             ("fold", 1, (x, x)),                         # a plane short
             ("dbl", 1, (x, x, x.astype("<u4")))):        # not 64-bit words
         with pytest.raises(ValueError):
@@ -411,6 +411,10 @@ def test_pairwise_row_ops_reject_mismatched_row_counts():
     for a_row in (x[0, :2], x[:nf.w, 0]):  # too narrow; strided
         with pytest.raises(ValueError):
             nf.point_op("dbl", 1, (x, x, x), a_row=a_row)
+    # one body serves d = 1 and 2 on [64]-word scratch; Fp has no c0
+    for degree, c0_row in ((1, x[0]), (3, None), (0, None)):
+        with pytest.raises(ValueError):
+            nf.point_op("dbl", degree, (x, x, x), c0_row=c0_row)
     out, n_padd, n_pdbl = nf.point_op("add", 1, (x, x, x, x, x, x))
     assert out.shape == (3, 40, nf.w) and (n_padd, n_pdbl) == (40, 40)
 
@@ -431,6 +435,11 @@ def test_no_dead_kernels():
     exported = {name for static, name in defs if not static}
     helpers = {name for static, name in defs if static}
     assert exported and helpers and len(defs) == len(exported | helpers)
+    # one body per point formula serves G1 and G2 alike
+    assert exported == {
+        "mont_mul_batch", "mont_mul_const_batch", "mod_sub_batch",
+        "mod_add_batch", "mont_powers", "ntt_stockham", "jac_dbl",
+        "jac_add", "bucket_fold", "merge", "to_affine"}
     lib = native._get_lib()
     for name in exported:
         assert getattr(lib, name).argtypes, f"{name} bound without argtypes"

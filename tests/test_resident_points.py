@@ -78,7 +78,8 @@ def boundary_spy(monkeypatch):
     """Rows crossing the int <-> word-row boundary and the raw <->
     Montgomery one (by ``to_mont``/``from_mont`` or by a bare
     ``mul_const`` against R^2 / 1), field inversions in the native
-    layer, and ``from_jacobian`` calls."""
+    layer (each ``point_op("affine")`` call is one, in C), and
+    ``from_jacobian`` calls."""
     seen = Counter()
     to_words = native.NativeField.words_from_ints
     to_ints = native.NativeField.ints_from_words
@@ -86,6 +87,7 @@ def boundary_spy(monkeypatch):
     from_mont = native.NativeField.from_mont
     mul_const = native.NativeField.mul_const
     from_jacobian = CurveGroup.from_jacobian
+    point_op = native.NativeField.point_op
 
     def words_from_ints(self, vals):
         seen["ingress_rows"] += len(vals)
@@ -114,10 +116,10 @@ def boundary_spy(monkeypatch):
         seen["from_jacobian"] += 1
         return from_jacobian(self, p)
 
-    def spy_pow(base, exp, mod=None):
-        if exp == -1:
+    def spy_point_op(self, op, *args, **kwargs):
+        if op == "affine":
             seen["inversions"] += 1
-        return pow(base, exp, mod)
+        return point_op(self, op, *args, **kwargs)
 
     monkeypatch.setattr(native.NativeField, "words_from_ints",
                         words_from_ints)
@@ -127,9 +129,7 @@ def boundary_spy(monkeypatch):
     monkeypatch.setattr(native.NativeField, "from_mont", spy_from_mont)
     monkeypatch.setattr(native.NativeField, "mul_const", spy_mul_const)
     monkeypatch.setattr(CurveGroup, "from_jacobian", spy_from_jacobian)
-    # module globals shadow the builtin for both modules' inversions
-    monkeypatch.setattr(native, "pow", spy_pow, raising=False)
-    monkeypatch.setattr(numpy_curve, "pow", spy_pow, raising=False)
+    monkeypatch.setattr(native.NativeField, "point_op", spy_point_op)
     return seen
 
 
@@ -275,7 +275,7 @@ def test_resident_row_is_a_read_only_point_sequence():
     with pytest.raises(IndexError):
         _ = row[9]
     with pytest.raises(ValueError):
-        row.X[0][0, 0] = 1
+        row.x[0, 0] = 1
     jac = NP.batch_to_jacobian(g1, row)
     assert type(jac) is ResidentBuckets
     assert list(jac) == [g1.to_jacobian(p) for p in pts]
@@ -324,11 +324,50 @@ def test_fuzz_bucket_reduce_over_rows_and_lists(name, which, kinds):
             == fold(scalar_bucket_reduce, buckets * 3))
 
 
+AFFINE_KINDS = ("z1", "dbl", "inf", "inf_xy")
+
+
+@needs_native
+@pytest.mark.parametrize("name,which", GROUPS)
+@settings(max_examples=10, deadline=None)
+@given(kinds=st.lists(st.sampled_from(AFFINE_KINDS), min_size=0, max_size=9))
+@example(kinds=[])
+@example(kinds=["z1"])
+@example(kinds=["dbl"])
+@example(kinds=["inf", "inf_xy", "inf"])
+@example(kinds=["inf", "dbl", "z1", "inf_xy", "dbl"])
+def test_fuzz_from_jacobian_lane_mixes(name, which, kinds):
+    """``batch_from_jacobian`` (one ``to_affine`` call) over any lane
+    mix — none, one, all infinity, infinity among live z = 1 lanes and
+    z != 1 lanes from ``batch_jdouble`` — is ``from_jacobian`` lane by
+    lane, and its rows are byte for byte what ``resident_points`` makes
+    of the same values: a ``None`` lane is (0, 0) whatever the x/y of
+    the infinity it came from."""
+    group = _group(name, which)
+    o = group.ops
+    pool = _pool(name, which)
+    eng = numpy_curve._native_engine(group)
+    z1 = NP.batch_to_jacobian(group, NP.resident_points(group, pool))
+    dbl = NP.batch_jdouble(group, z1)
+    lanes = []
+    for i, kind in enumerate(kinds):
+        if kind == "inf":
+            lanes.append((o.one, o.one, o.zero))
+        elif kind == "inf_xy":
+            lanes.append((*dbl[i][:2], o.zero))
+        else:
+            lanes.append((z1 if kind == "z1" else dbl)[i])
+    got = NP.batch_from_jacobian(group, numpy_curve._lift_buckets(eng, lanes))
+    want = [group.from_jacobian(p) for p in lanes]
+    assert type(got) is ResidentPoints and list(got) == want
+    assert _frozen(got) == _frozen(NP.resident_points(group, want))
+
+
 # -- (d) type preservation and immutability ---------------------------------------
 
 
 def _frozen(row):
-    planes = ((*row.X, *row.Y, row.inf) if isinstance(row, ResidentPoints)
+    planes = ((row.x, row.y, row.inf) if isinstance(row, ResidentPoints)
               else (row.x, row.y, row.z))
     return [pl.tobytes() for pl in planes]
 
