@@ -105,7 +105,7 @@ class ExtFieldOps:
         return a * b
 
     def sqr(self, a):
-        return a * a
+        return a.square()
 
     def inv(self, a):
         return a.inverse()

@@ -21,12 +21,15 @@ many. :class:`MillerEngine` holds everything the engines share; an
 engine supplies only its generator and its replay loop.
 
 This module's engines are the optimal-ate pairings of ALT-BN128 and
-BLS12-381 over the full Fq12 tower (the algorithm py_ecc uses: G2
-points over Fq2 are *twisted* into E(Fq12), lines are evaluated at the
-embedded G1 argument, the product is raised to (q^12 - 1)/r). The
-MNT4753 surrogate is supersingular with embedding degree 2 and runs a
-reduced Tate pairing over Fq2 (:mod:`repro.curves.tate`) on the same
-base class.
+BLS12-381 over the full Fq12 tower (the algorithm py_ecc uses: lines
+through G2 points are *twisted* into E(Fq12) and evaluated at the
+embedded G1 argument, the product is raised to (q^12 - 1)/r). The line
+generator runs its point arithmetic on G2's own Fq2 coordinates and
+untwists each line on output; the final exponentiation is an easy part
+(a conjugation, one inversion, a q^2-Frobenius) times a hard part
+computed over precomputed Frobenius maps. The MNT4753 surrogate is
+supersingular with embedding degree 2 and runs a reduced Tate pairing
+over Fq2 (:mod:`repro.curves.tate`) on the same base class.
 
 Every entry point takes an optional
 :class:`~repro.ff.opcount.OpCounter`: ``miller_loop`` counts once per
@@ -35,8 +38,11 @@ once per table actually built — so callers can machine-check pairing
 economics (a single verify is 4 / 1, a batch of N proofs N + 3 / 1)
 instead of trusting a docstring.
 
-This is a verifier-side component — never on the prover's hot path — so
-clarity is preferred over speed throughout.
+Everything stays in python ints; the speed comes from the algorithm
+(an Fq12 product is one lazy reduction, a square takes the symmetric
+products only, see :mod:`repro.ff.extension`), and every GT value,
+Miller value and line table is the one the plain ``f ** ((q^12-1)/r)``
+over Fq12-twisted lines produced.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.errors import CurveError
+from repro.curves.params import BLS_FQ2, BN128_FQ2
 from repro.ff.extension import ExtElement, ExtensionField
-from repro.ff.params import ALT_BN128_Q, ALT_BN128_R, BLS12_381_Q, BLS12_381_R
+from repro.ff.params import ALT_BN128_R, BLS12_381_R
 
 __all__ = ["MillerEngine", "PairingEngine", "PreparedG2",
            "MillerAccumulator", "chord", "bn128_pairing",
@@ -200,6 +207,8 @@ class MillerEngine:
         return self._replay(g1_point, prepared.steps)
 
     def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
+        """``f ** final_exp``, the plain power (zero stays zero); the
+        optimal-ate engines split it into an easy and a hard part."""
         _count(counter, "final_exp")
         return f ** self._final_exp
 
@@ -227,7 +236,8 @@ class MillerEngine:
 @dataclass(frozen=True)
 class _PairingParams:
     name: str
-    field_modulus: int
+    # G2's coordinate field Fq[i]/(i^2 + 1); its base is Fq.
+    fq2: ExtensionField
     curve_order: int
     fq12_modulus_coeffs: Tuple[int, ...]
     # i in Fq2 embeds into Fq12 as (w^6 - twist_shift).
@@ -243,7 +253,7 @@ class _PairingParams:
 
 _BN128 = _PairingParams(
     name="ALT-BN128",
-    field_modulus=ALT_BN128_Q.modulus,
+    fq2=BN128_FQ2,
     curve_order=ALT_BN128_R.modulus,
     fq12_modulus_coeffs=(82, 0, 0, 0, 0, 0, -18, 0, 0, 0, 0, 0),
     twist_shift=9,
@@ -255,7 +265,7 @@ _BN128 = _PairingParams(
 
 _BLS12_381 = _PairingParams(
     name="BLS12-381",
-    field_modulus=BLS12_381_Q.modulus,
+    fq2=BLS_FQ2,
     curve_order=BLS12_381_R.modulus,
     fq12_modulus_coeffs=(2, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0),
     twist_shift=1,
@@ -272,23 +282,99 @@ class PairingEngine(MillerEngine):
     Line steps are ``(kind, lam, x, y)``: ``kind`` is ``"sm"`` (doubling
     step: square-then-multiply into the accumulator) or ``"m"``
     (addition / Frobenius step: multiply only); ``lam`` is the slope of
-    the line through ``(x, y)``, or ``None`` for a vertical line.
+    the line through ``(x, y)``, or ``None`` for a vertical line — all
+    three untwisted into Fq12.
+
+    A linear map over Fq of the flat w-basis is kept as one row per
+    input coefficient, ``((slot, factor), ...)``: the q^k-Frobenius
+    (k = 1, 2, 3, 6) and the untwists Fq2 -> Fq12 are such maps, built
+    at construction from w^6's value in Fq2.
     """
 
     def __init__(self, params: _PairingParams):
         self.params = params
-        self.fq12 = ExtensionField(
-            # Reuse the right base field by modulus.
-            ALT_BN128_Q if params.field_modulus == ALT_BN128_Q.modulus else BLS12_381_Q,
-            list(params.fq12_modulus_coeffs),
-            name=f"{params.name}.Fq12",
-        )
-        self._w = self.fq12.element([0, 1] + [0] * 10)
-        self._w2 = self._w * self._w
-        self._w3 = self._w2 * self._w
-        super().__init__(
-            params.name, self.fq12.one,
-            (params.field_modulus ** 12 - 1) // params.curve_order)
+        fq2 = params.fq2
+        q = fq2.base.modulus
+        r = params.curve_order
+        self.fq12 = ExtensionField(fq2.base, list(params.fq12_modulus_coeffs),
+                                   name=f"{params.name}.Fq12")
+        final_exp = (q ** 12 - 1) // r
+        # (w^i)^(q^k) = w^i * g_k^i with g_k = (w^6)^((q^k - 1)/6) in
+        # Fq[w^6], computed in Fq2 where w^6 = i + s (the exponent
+        # reduced mod |Fq2*| = q^2 - 1); Fq2's Frobenius is its
+        # conjugation because q = 3 (mod 4).
+        assert q % 4 == 3 and q % 6 == 1
+        w6 = fq2.element([params.twist_shift, 1])
+        w = self.fq12.element([0, 1] + [0] * 10)
+        w_pows = [self.fq12.one]
+        for _ in range(11):
+            w_pows.append(w_pows[-1] * w)
+        gammas = {k: w6 ** ((q ** k - 1) // 6 % (q * q - 1))
+                  for k in (1, 2, 3, 6)}
+        self._frobenius = {
+            k: self._map_rows(wi * self._embed(g ** i)
+                              for i, wi in enumerate(w_pows))
+            for k, g in gammas.items()}
+        # The untwist multiplies by w^e (D-twist) or divides by it
+        # (M-twist): e = 1, 2, 3 for a slope, an abscissa, an ordinate.
+        u = w.inverse() if params.m_twist else w
+        self._untwist = {}
+        ue = self.fq12.one
+        for e in (1, 2, 3):
+            ue = ue * u
+            self._untwist[e] = self._map_rows(
+                ue * self._embed(fq2.element(c)) for c in ((1, 0), (0, 1)))
+        # psi(x, y) = (conj(x) g_1^(+-2), conj(y) g_1^(+-3)): the
+        # q-Frobenius of an untwisted G2 point, kept in Fq2.
+        g = gammas[1].inverse() if params.m_twist else gammas[1]
+        self._psi_x = g.square()
+        self._psi_y = self._psi_x * g
+        # The hard part h = (q^4 - q^2 + 1)/r by its base-q digits, as
+        # one chain: per bit of the digits, msb first, which of m,
+        # m^q, m^(q^2), m^(q^3) multiply in (a 4-bit table index).
+        hard, rem = divmod(q ** 4 - q ** 2 + 1, r)
+        assert rem == 0 and hard < q ** 4
+        assert (q ** 6 - 1) * (q ** 2 + 1) * hard == final_exp
+        digits = [hard // q ** k % q for k in range(4)]
+        self._hard_chain = tuple(
+            sum((lam >> bit & 1) << k for k, lam in enumerate(digits))
+            for bit in range(max(d.bit_length() for d in digits) - 1, -1, -1))
+        super().__init__(params.name, self.fq12.one, final_exp)
+
+    # -- linear maps of the flat w-basis ------------------------------------------
+
+    def _embed(self, z: ExtElement) -> ExtElement:
+        """Fq2 into Fq12: a + b i = (a - s b) + b w^6."""
+        a, b = z.coeffs
+        return self.fq12.element(
+            [a - self.params.twist_shift * b] + [0] * 5 + [b] + [0] * 5)
+
+    @staticmethod
+    def _map_rows(images: Iterable[ExtElement]) -> Tuple[tuple, ...]:
+        return tuple(tuple((j, c) for j, c in enumerate(image.coeffs) if c)
+                     for image in images)
+
+    def _apply(self, rows: Tuple[tuple, ...], coeffs) -> ExtElement:
+        p = self.params.fq2.base.modulus
+        out = [0] * 12
+        for a, row in zip(coeffs, rows):
+            if a:
+                for j, c in row:
+                    out[j] += a * c
+        return ExtElement(self.fq12, tuple(c % p for c in out))
+
+    def frobenius(self, f: ExtElement, k: int) -> ExtElement:
+        """f^(q^k) for k in 1, 2, 3, 6: a coefficient lands in one slot
+        for even k (g_k is in Fq; k = 6 negates the odd coefficients),
+        in two for odd k."""
+        return self._apply(self._frobenius[k], f.coeffs)
+
+    def _untwisted(self, z: ExtElement, e: int) -> ExtElement:
+        return self._apply(self._untwist[e], z.coeffs)
+
+    def _psi(self, pt: Point) -> Point:
+        x, y = pt
+        return (x.conjugate() * self._psi_x, y.conjugate() * self._psi_y)
 
     # -- embeddings ---------------------------------------------------------------
 
@@ -299,49 +385,38 @@ class PairingEngine(MillerEngine):
         x, y = p
         return (self.fq12.from_base(x), self.fq12.from_base(y))
 
-    def twist_g2(self, p) -> Point:
-        """Map a G2 point over Fq2 onto the curve over Fq12.
-
-        With i = w^6 - s (s = twist_shift), a + b i = (a - s b) + b w^6;
-        the D-type untwist multiplies x by w^2 and y by w^3.
-        """
-        if p is None:
-            return None
-        x, y = p
-        s = self.params.twist_shift
-        q = self.params.field_modulus
-        xc = ((x.coeffs[0] - s * x.coeffs[1]) % q, x.coeffs[1])
-        yc = ((y.coeffs[0] - s * y.coeffs[1]) % q, y.coeffs[1])
-        nx = self.fq12.element([xc[0], 0, 0, 0, 0, 0, xc[1], 0, 0, 0, 0, 0])
-        ny = self.fq12.element([yc[0], 0, 0, 0, 0, 0, yc[1], 0, 0, 0, 0, 0])
-        if self.params.m_twist:
-            return (nx / self._w2, ny / self._w3)
-        return (nx * self._w2, ny * self._w3)
-
     # -- the Miller loop -------------------------------------------------------------
 
+    def _step(self, kind: str, lam: Optional[ExtElement],
+              pt: Point) -> tuple:
+        """One line as the replay reads it: the Fq2 slope and point
+        untwisted, (lam w^+-1, x w^+-2, y w^+-3) — the values the same
+        chord over the twisted point in E(Fq12) gives."""
+        x, y = pt
+        return (kind, None if lam is None else self._untwisted(lam, 1),
+                self._untwisted(x, 2), self._untwisted(y, 3))
+
     def _lines(self, g2_point) -> Iterator[tuple]:
-        """The ate loop's lines over the twisted Q (a = 0 for both
+        """The ate loop's lines over Q in Fq2 (a = 0 for both
         families): a doubling per loop bit, an addition of Q per set
-        bit, and on BN curves the two Frobenius additions."""
+        bit, and on BN curves the additions of psi(Q) and -psi^2(Q)."""
         prm = self.params
-        a = self.fq12.zero
-        q_pt = r_pt = self.twist_g2(g2_point)
+        a = prm.fq2.zero
+        q_pt = r_pt = g2_point
         for i in range(prm.log_ate_loop_count, -1, -1):
             lam, doubled = chord(r_pt, r_pt, a)
-            yield ("sm", lam, *r_pt)
+            yield self._step("sm", lam, r_pt)
             r_pt = doubled
             if prm.ate_loop_count & (1 << i):
                 lam, added = chord(r_pt, q_pt, a)
-                yield ("m", lam, *r_pt)
+                yield self._step("m", lam, r_pt)
                 r_pt = added
         if prm.bn_final_steps:
-            fq = prm.field_modulus
-            q1 = (q_pt[0] ** fq, q_pt[1] ** fq)
-            nq2 = (q1[0] ** fq, -(q1[1] ** fq))
-            for frobenius_pt in (q1, nq2):
+            q1 = self._psi(q_pt)
+            x2, y2 = self._psi(q1)
+            for frobenius_pt in (q1, (x2, -y2)):
                 lam, added = chord(r_pt, frobenius_pt, a)
-                yield ("m", lam, *r_pt)
+                yield self._step("m", lam, r_pt)
                 r_pt = added
 
     def _replay(self, g1_point, steps: Iterable[tuple]) -> ExtElement:
@@ -349,8 +424,37 @@ class PairingEngine(MillerEngine):
         f = self.unity
         for kind, lam, x1, y1 in steps:
             line = (xt - x1) if lam is None else lam * (xt - x1) - (yt - y1)
-            f = f * f * line if kind == "sm" else f * line
+            f = f.square() * line if kind == "sm" else f * line
         return f
+
+    # -- the final exponentiation ----------------------------------------------------
+
+    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
+        """f^((q^12 - 1)/r) = (f^((q^6 - 1)(q^2 + 1)))^h: the easy part
+        conj(f)/f then a q^2-Frobenius times itself, the hard part one
+        square-and-multiply chain over m, m^q, m^(q^2), m^(q^3) and
+        their 16 products. Zero — a degenerate Miller product — stays
+        zero, as under the plain power."""
+        _count(counter, "final_exp")
+        if not f:
+            return f
+        m = self.frobenius(f, 6) * f.inverse()
+        m = self.frobenius(m, 2) * m
+        images = (m, self.frobenius(m, 1), self.frobenius(m, 2),
+                  self.frobenius(m, 3))
+        table = [None] * 16
+        for mask in range(1, 16):
+            low = mask & -mask
+            rest = table[mask ^ low]
+            image = images[low.bit_length() - 1]
+            table[mask] = image if rest is None else rest * image
+        chain = iter(self._hard_chain)
+        acc = table[next(chain)]
+        for index in chain:
+            acc = acc.square()
+            if index:
+                acc = acc * table[index]
+        return acc
 
 
 _ENGINES = {}

@@ -21,9 +21,10 @@ optimal-ate engines. It is bilinear in both arguments, non-degenerate
 and lands in mu_r (asserted by tests), which is all a
 product-of-pairings check needs.
 
-The Miller loop is the textbook affine version (r has ~750 bits;
-inversion via extended Euclid keeps this fast enough for a verifier
-that the paper budgets "a few milliseconds" on native code), with
+The Miller loop is the textbook affine version (r has ~750 bits; an
+Fq2 inversion is one base-field inversion of its norm, which keeps this
+fast enough for a verifier that the paper budgets "a few milliseconds"
+on native code), with
 numerator and denominator accumulated separately and one inversion at
 the end.
 """
@@ -93,8 +94,8 @@ class MntTatePairing(MillerEngine):
             line = ((xt - x1) if lam is None
                     else (yt - y1) - lam * (xt - x1))
             if kind == "d":
-                f_num = f_num * f_num * line
-                f_den = f_den * f_den
+                f_num = f_num.square() * line
+                f_den = f_den.square()
             else:
                 f_num = f_num * line
             if den_x is not None:

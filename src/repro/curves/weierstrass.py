@@ -112,12 +112,16 @@ class CurveGroup:
         return o.eq(lhs, rhs)
 
     def in_subgroup(self, point: AffinePoint) -> bool:
-        """Order-r subgroup membership (full scalar-mul check).
+        """Order-r subgroup membership.
 
-        Uses the *unreduced* ladder: ``scalar_mul`` reduces k mod the
-        subgroup order, which would turn [r]P into [0]P = infinity for
-        every on-curve point and make this check vacuous.
+        With cofactor 1 the group *is* the curve, so being on it is
+        enough. Otherwise a full [r]P check on the *unreduced* ladder:
+        ``scalar_mul`` reduces k mod the subgroup order, which would
+        turn [r]P into [0]P = infinity for every on-curve point and
+        make this check vacuous.
         """
+        if self.cofactor == 1:
+            return self.is_on_curve(point)
         return (self.is_on_curve(point)
                 and self.scalar_mul_unchecked(self.order, point) is None)
 

@@ -9,6 +9,15 @@ py_ecc and arkworks use:
 
 * ALT-BN128: Fq2 = Fq[i]/(i^2 + 1), Fq12 = Fq[w]/(w^12 - 18 w^6 + 82)
 * BLS12-381: Fq2 = Fq[i]/(i^2 + 1), Fq12 = Fq[w]/(w^12 - 2 w^6 + 2)
+
+A product is one lazy reduction: the schoolbook coefficient products
+(skipping zero coefficients, which keeps line products sparse) are
+summed unreduced, the monic modulus is folded into the low half through
+its nonzero coefficients as small signed ints
+(w^12 = 18 w^6 - 82 on ALT-BN128), and each output coefficient pays one
+``% q``. :meth:`ExtElement.square` runs the same body over the
+symmetric products only — 78 instead of 144 at degree 12, 3 instead of
+4 at degree 2 — and ``**`` squares through it.
 """
 
 from __future__ import annotations
@@ -36,6 +45,28 @@ class ExtensionField:
         self.degree = len(modulus_coeffs)
         self.modulus_coeffs = tuple(c % base.modulus for c in modulus_coeffs)
         self.name = name
+        # x^d = -(c_0 + ... + c_{d-1} x^{d-1}): per high coefficient k
+        # of a product, the (slot, -c_j) it folds into, each -c_j as the
+        # signed residue nearest zero so unreduced sums stay a few bits
+        # wider than one product.
+        p = base.modulus
+        d = self.degree
+        fold = [(j, -c if c <= p // 2 else p - c)
+                for j, c in enumerate(self.modulus_coeffs) if c]
+        self._fold = tuple((k, tuple((k - d + j, c) for j, c in fold))
+                           for k in range(2 * d - 2, d - 1, -1))
+
+    def _reduce(self, prod: List[int]) -> "ExtElement":
+        """The element of an unreduced product polynomial (2d - 1
+        coefficients, consumed): fold the high half down through the
+        modulus, then one ``% q`` per output coefficient."""
+        for k, slots in self._fold:
+            top = prod[k]
+            if top:
+                for j, c in slots:
+                    prod[j] += top * c
+        p = self.base.modulus
+        return ExtElement(self, tuple(c % p for c in prod[:self.degree]))
 
     # -- constructors ----------------------------------------------------------
 
@@ -87,7 +118,7 @@ class ExtElement:
         raise AttributeError("ExtElement is immutable")
 
     def _check(self, other: "ExtElement") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldError("cannot mix elements of different extension fields")
 
     # -- ring operations ---------------------------------------------------------
@@ -121,29 +152,27 @@ class ExtElement:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        d = self.field.degree
-        p = self.field.base.modulus
-        # Schoolbook polynomial multiplication...
-        prod: List[int] = [0] * (2 * d - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        prod: List[int] = [0] * (2 * self.field.degree - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        # ...then reduction by the monic modulus polynomial.
-        mc = self.field.modulus_coeffs
-        for k in range(2 * d - 2, d - 1, -1):
-            top = prod[k]
-            if top == 0:
-                continue
-            prod[k] = 0
-            for j in range(d):
-                if mc[j]:
-                    prod[k - d + j] = (prod[k - d + j] - top * mc[j]) % p
-        return ExtElement(self.field, tuple(prod[:d]))
+            if a:
+                for j, b in terms:
+                    prod[i + j] += a * b
+        return self.field._reduce(prod)
 
     __rmul__ = __mul__
+
+    def square(self) -> "ExtElement":
+        """``self * self`` from the symmetric products: each a_i^2 once
+        and each 2 a_i a_j (i < j) once."""
+        terms = [(i, a) for i, a in enumerate(self.coeffs) if a]
+        prod: List[int] = [0] * (2 * self.field.degree - 1)
+        for n, (i, a) in enumerate(terms):
+            prod[i + i] += a * a
+            a2 = a + a
+            for j, b in terms[n + 1:]:
+                prod[i + j] += a2 * b
+        return self.field._reduce(prod)
 
     def __pow__(self, e: int) -> "ExtElement":
         if e < 0:
@@ -153,17 +182,27 @@ class ExtElement:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base.square()
         return result
 
     def inverse(self) -> "ExtElement":
         """Extended-Euclid inversion of polynomials over F_q (the
-        classic FQP.inv algorithm used by py_ecc and friends)."""
+        classic FQP.inv algorithm used by py_ecc and friends); on a
+        quadratic extension, the conjugate over the norm."""
         if not self:
             raise FieldError("zero has no inverse")
         p = self.field.base.modulus
         d = self.field.degree
+        if d == 2:
+            # (a + b x)^-1 = (a - c1 b - b x) / (a^2 - c1 a b + c0 b^2):
+            # one base-field inversion of the norm.
+            c0, c1 = self.field.modulus_coeffs
+            a, b = self.coeffs
+            t = a - c1 * b
+            n_inv = pow((a * t + c0 * b * b) % p, -1, p)
+            return ExtElement(self.field, (t * n_inv % p, -b * n_inv % p))
 
         def deg(poly: List[int]) -> int:
             for i in range(len(poly) - 1, -1, -1):
@@ -202,11 +241,6 @@ class ExtElement:
         return self * other.inverse()
 
     # -- structure ----------------------------------------------------------------
-
-    def frobenius_map_coeff(self, power: int) -> "ExtElement":
-        """x -> x^(q^power) computed by exponentiation (slow but correct;
-        used only at verification time, never in the prover hot path)."""
-        return self ** (self.field.base.modulus ** power)
 
     def conjugate(self) -> "ExtElement":
         """Degree-2 conjugation (a + bi -> a - bi). Only valid on

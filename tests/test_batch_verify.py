@@ -238,6 +238,18 @@ class TestSingleVerifyEconomics:
             assert later.total("final_exp") == 1
             assert later.total("g2_precomp") == 0
 
+    def test_a_zero_miller_product_verifies_false(self, fresh_key,
+                                                  monkeypatch):
+        """A degenerate (zero) Miller value is a clean False from the
+        verifier, not an exception out of the final exponentiation."""
+        keys, prover = fresh_key
+        proof = prover.prove([1, 49, 7], random.Random(1))
+        verifier = Groth16Verifier(keys.verifying_key, CURVE)
+        engine = verifier.engine
+        monkeypatch.setattr(engine, "miller_pair",
+                            lambda *_, **__: engine.unity - engine.unity)
+        assert verifier.verify(proof, [49]) is False
+
     def test_proof_points_never_enter_the_table_cache(self, fresh_key):
         keys, prover = fresh_key
         verifier = Groth16Verifier(keys.verifying_key, CURVE)

@@ -5,7 +5,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CurveError, FieldError
@@ -23,6 +23,7 @@ from repro.curves import (
     mnt4753_pairing,
 )
 from repro.curves.pairing import PreparedG2
+from repro.curves.params import BN128_FQ2, MNT_FQ2
 
 F13 = PrimeField(13, name="F_13")
 # F_13[x]/(x^2 + 1): -1 is a non-residue mod 13? 5^2=25=12=-1, so it IS a
@@ -230,6 +231,19 @@ ENGINES = {
 }
 
 
+#: name -> digest of pairing(G1, G2).coeffs, captured by running commit
+#: f4294e4, where the final exponentiation was the plain power
+#: f ** ((q^k - 1)/r) over the schoolbook product.
+GT_DIGESTS = {
+    "ALT-BN128":
+        "878eeb848e494bc4f95e25891d4136de112699e41d474fcb0ed03ad9fed997a0",
+    "BLS12-381":
+        "779443cec2ff5f1bd679e169f579110691e687ffe315aa213bb148507aad0404",
+    "MNT4753":
+        "df3facfe9b7240c1f5877afbe1ea8753c694ada7a35b3f9e234312e52b9267b7",
+}
+
+
 @pytest.fixture(scope="module", params=sorted(ENGINES))
 def api(request):
     factory, g1, g2_factory, miller_digest, steps_digest = \
@@ -254,6 +268,22 @@ class TestEngineApi:
         assert _digest(eng.miller_pair(g1.generator,
                                        g2.generator)) == miller_digest
         assert _digest(eng.prepare_g2(g2.generator).steps) == steps_digest
+
+    def test_pairing_values_match_the_parent_commit(self, api):
+        eng, g1, g2, _, _ = api
+        assert _digest(eng.pairing(g1.generator,
+                                   g2.generator)) == GT_DIGESTS[eng.name]
+
+    def test_a_zero_miller_product_is_a_clean_false(self, api):
+        """A degenerate Miller product stays zero through the final
+        exponentiation, so the check says False instead of raising out
+        of an inversion."""
+        eng, _, _, _, _ = api
+        zero = eng.unity - eng.unity
+        assert eng.final_exponentiate(zero) == zero
+        acc = eng.accumulator()
+        acc._acc = zero
+        assert acc.is_one() is False
 
     def test_bilinear_through_the_accumulator(self, api):
         """e(5P, 3Q) e(-15P, Q) == 1 with the second factor replayed
@@ -318,3 +348,39 @@ class TestEngineApi:
         with pytest.raises(CurveError, match="prepared lines are for"):
             eng.miller_prepared(g1.generator,
                                 PreparedG2("some-other-engine", steps))
+
+
+# -- the final exponentiation's algebra --------------------------------------------
+
+
+#: coefficients below 2^384 (reduced mod q by ``element``), zero often
+#: enough that sparse operands — line values — are drawn too
+_COEFF = st.one_of(st.just(0), st.integers(min_value=1,
+                                           max_value=(1 << 384) - 1))
+
+
+@pytest.mark.parametrize("factory", [bn128_pairing, bls12_381_pairing],
+                         ids=["ALT-BN128", "BLS12-381"])
+@settings(max_examples=3, deadline=None)
+@given(coeffs=st.lists(_COEFF, min_size=12, max_size=12))
+def test_final_exponentiation_is_the_plain_power(factory, coeffs):
+    """Easy part x hard part over the precomputed Frobenius maps is
+    f ** ((q^12 - 1)/r), and each map is the power it stands for."""
+    eng = factory()
+    f = eng.fq12.element(coeffs)
+    assume(f and eng.frobenius(f, 6) * f != eng.unity)   # not unitary
+    q = eng.fq12.base.modulus
+    assert eng.final_exponentiate(f) == f ** eng._final_exp
+    for k in (1, 2, 3, 6):
+        assert eng.frobenius(f, k) == f ** q ** k
+
+
+@pytest.mark.parametrize("field", [
+    BN128_FQ2, MNT_FQ2, bn128_pairing().fq12, bls12_381_pairing().fq12,
+], ids=lambda f: f.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_square_is_the_product_with_itself(field, data):
+    x = field.element(data.draw(st.lists(_COEFF, min_size=field.degree,
+                                         max_size=field.degree)))
+    assert x.square() == x * x
