@@ -4,9 +4,10 @@
 Packages:
 
 * :mod:`repro.ff` - finite fields (int, 64-bit Montgomery, base-2^52 DFP).
-* :mod:`repro.backend` - pluggable batch compute engines (pure-Python,
-  and runtime-compiled C kernels that fall back to it;
-  ``REPRO_BACKEND=python|numpy``).
+* :mod:`repro.backend` - pluggable batch compute engines
+  (runtime-compiled C kernels, the default, and pure-Python, which
+  ``numpy`` resolves to when the kernels do not load;
+  ``REPRO_BACKEND=numpy|python``).
 * :mod:`repro.curves` - elliptic-curve groups and pairings.
 * :mod:`repro.gpusim` - GPU/CPU execution model and cost accounting.
 * :mod:`repro.ntt` - POLY stage: reference, baseline-GPU and GZKP NTTs.

@@ -2,17 +2,18 @@
 
 A :class:`~repro.backend.base.ComputeBackend` supplies batch field ops,
 fused NTT butterfly sweeps, Montgomery-trick batch inversion and batch
-Jacobian point ops. Two implementations ship:
+Jacobian point ops. There are two floors, one backend each:
 
+* ``numpy`` — :class:`~repro.backend.kernel_backend.KernelBackend`, the
+  runtime-compiled C kernels of :mod:`repro.backend.native` (NTT
+  sweeps, pointwise passes, the point kernels and the bucket merge and
+  fold) with a numpy-vectorized MSM digit front-end; the default;
 * ``python`` — :class:`~repro.backend.pybackend.PythonBackend`, the
-  historical per-element int loops, extracted verbatim (the default);
-* ``numpy`` — :class:`~repro.backend.numpy_limb.NumpyLimbBackend`:
-  every op runs the runtime-compiled C kernel of
-  :mod:`repro.backend.native` when one is loaded for its modulus/group
-  (NTT sweeps, pointwise passes, fused Jacobian point kernels and the
-  segmented bucket tree of :mod:`repro.backend.numpy_curve`), and the
-  inherited scalar loop otherwise — so without kernels it computes
-  exactly what ``python`` computes, through the same code.
+  historical per-element int loops, extracted verbatim.
+
+While the kernels do not load (no compiler, ``REPRO_NATIVE=0``) the name
+``numpy`` resolves to the ``python`` backend itself: there is no
+half-accelerated mode.
 
 Selection: pass a backend (or its name) explicitly to the engines, or
 set ``REPRO_BACKEND=python|numpy`` in the environment. Backends are
@@ -29,15 +30,17 @@ import os
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.backend.base import ComputeBackend
-from repro.backend.numpy_limb import NumpyLimbBackend, numpy_available
+from repro.backend.kernel_backend import KernelBackend
+from repro.backend.native import native_available
 from repro.backend.pybackend import PythonBackend
 
 __all__ = [
     "ComputeBackend",
     "PythonBackend",
-    "NumpyLimbBackend",
+    "KernelBackend",
     "available_backends",
     "get_backend",
+    "requested_backend",
     "register_backend",
     "BACKEND_ENV_VAR",
 ]
@@ -62,16 +65,25 @@ def available_backends() -> List[str]:
     return list(_FACTORIES)
 
 
+def requested_backend(name: Optional[str] = None) -> str:
+    """The backend name a request asks for: ``name``, else
+    ``$REPRO_BACKEND``, else the default, ``numpy``."""
+    return name or os.environ.get(BACKEND_ENV_VAR, "").strip() or "numpy"
+
+
 def get_backend(name: Optional[Union[str, ComputeBackend]] = None
                 ) -> ComputeBackend:
-    """Resolve a backend: an instance passes through, a name looks up
-    the registry, and ``None`` consults ``$REPRO_BACKEND`` (default
-    ``python``). Instances are cached — backends are stateless apart
-    from their internal table caches."""
+    """Resolve a backend — the one place that does. An instance passes
+    through; a name (``None``: :func:`requested_backend`) looks up the
+    registry, except that ``numpy`` is the ``python`` instance while the
+    compiled kernels do not load (re-probed on every call, so a flipped
+    ``REPRO_NATIVE`` takes effect at once). Instances are cached —
+    backends are stateless apart from their internal table caches."""
     if isinstance(name, ComputeBackend):
         return name
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR, "python").strip() or "python"
+    name = requested_backend(name)
+    if name == "numpy" and not native_available():
+        name = "python"
     backend = _INSTANCES.get(name)
     if backend is None:
         factory = _FACTORIES.get(name)
@@ -85,5 +97,4 @@ def get_backend(name: Optional[Union[str, ComputeBackend]] = None
 
 
 register_backend("python", PythonBackend)
-if numpy_available():
-    register_backend("numpy", NumpyLimbBackend)
+register_backend("numpy", KernelBackend)

@@ -11,7 +11,7 @@ fused NTT sweeps, is reproduced exactly by the backend).
 This base class is itself a complete backend: every method has a
 pure-Python default that preserves today's exact evaluation order, so
 :class:`~repro.backend.pybackend.PythonBackend` is simply this class
-with a name. :mod:`repro.backend.numpy_limb` overrides a method only
+with a name. :mod:`repro.backend.kernel_backend` overrides a method only
 where it has a kernel that beats this loop — an override must beat the
 loop it overrides.
 """
@@ -267,7 +267,7 @@ class ComputeBackend:
 
         This default folds in the engines' original scalar order.
         Overrides MAY reassociate the per-bucket sums (e.g. the
-        segmented tree of :mod:`repro.backend.numpy_curve`) under this
+        segmented tree of :mod:`repro.backend.kernel_backend`) under this
         contract:
 
         * each resulting bucket is *group-equal* to the ordered fold's,

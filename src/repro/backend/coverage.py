@@ -1,22 +1,17 @@
-"""Per-job native-kernel coverage counters.
+"""Per-job native-kernel dispatch counters.
 
-The numpy pipeline silently degrades: any hot kernel (NTT sweeps,
-pointwise prover passes, Jacobian bucket folds) falls back to the
-scalar loop when the compiled kernels are unavailable for its modulus
-or group. That is correct-by-construction but invisible — a mis-set
-``REPRO_NATIVE`` or an over-wide modulus shows up only as a slow job.
-This module keeps a tiny process-local tally of which kernel *families*
-ran native vs fallback; the service worker drains it into one
-``native-coverage`` telemetry event per job, next to the loader's
-compile/cache-hit events.
+A process-local tally of how many batched calls each kernel *family*
+dispatched to the compiled kernels: ``ntt`` (Stockham sweeps),
+``pointwise`` (vmul / coset / scale) and ``jacobian`` (batch point
+kernels, the bucket merge and fold). Counts are *dispatch decisions*,
+not element counts — one ``note()`` per batched call. An op that keeps
+the inherited scalar loop (below its size floor, or on a field with no
+native field) is not a kernel dispatch and is not counted; without
+kernels ``numpy`` is the ``python`` backend and nothing is noted.
 
-Families: ``ntt`` (Stockham sweeps), ``pointwise`` (vmul / coset /
-scale), ``jacobian`` (batch point kernels + segmented bucket trees).
-Modes: ``native`` (compiled C kernels) vs ``fallback`` (the inherited
-scalar loop, for every family). A batch that stays scalar only because
-it is below a size threshold is a choice, not a degradation, and is not
-counted. Counts are *dispatch decisions*, not element counts — one
-``note()`` per batched call.
+The service worker drains the tally into one ``native-coverage``
+telemetry event per job, and the perf ledger reads ``snapshot()`` for
+``backend.native_dispatch_ratio``.
 """
 
 from __future__ import annotations
@@ -26,18 +21,15 @@ from typing import Dict
 
 __all__ = ["note", "snapshot", "drain", "reset", "summarize"]
 
-FAMILIES = ("ntt", "pointwise", "jacobian")
-MODES = ("native", "fallback")
-
 _LOCK = threading.Lock()
 _COUNTS: Dict[str, Dict[str, int]] = {}
 
 
-def note(family: str, mode: str, n: int = 1) -> None:
-    """Record ``n`` dispatches of ``family`` through ``mode``."""
+def note(family: str) -> None:
+    """Record one kernel dispatch of ``family``."""
     with _LOCK:
         fam = _COUNTS.setdefault(family, {})
-        fam[mode] = fam.get(mode, 0) + n
+        fam["native"] = fam.get("native", 0) + 1
 
 
 def snapshot() -> Dict[str, Dict[str, int]]:
@@ -61,12 +53,6 @@ def reset() -> None:
 
 
 def summarize(counts: Dict[str, Dict[str, int]]) -> str:
-    """One-line human rendering: ``ntt:native=12 jacobian:native=8,fallback=2``."""
-    parts = []
-    for fam in sorted(counts):
-        modes = counts[fam]
-        inner = ",".join(f"{mode}={modes[mode]}"
-                         for mode in sorted(modes) if modes[mode])
-        if inner:
-            parts.append(f"{fam}:{inner}")
-    return " ".join(parts)
+    """One-line human rendering: ``jacobian:native=8 ntt:native=12``."""
+    return " ".join(f"{fam}:native={counts[fam]['native']}"
+                    for fam in sorted(counts))

@@ -1,6 +1,6 @@
 """Runtime-compiled Montgomery word kernels: the pipeline's native floor.
 
-The segmented bucket reduction (:mod:`repro.backend.numpy_curve`) and the
+The MSM's point kernels (:mod:`repro.backend.kernel_backend`) and the
 POLY stage's NTT/pointwise passes spend nearly all of their time in
 full-width modular multiplications. Pure NumPy limb arithmetic tops out
 around 600 ns per 381-bit multiply on one core — barely 2x the CPython
@@ -21,9 +21,9 @@ compiler at first use, caches the shared object keyed by a hash of the
 source and the compile flags, and loads it with :mod:`ctypes`. There
 is no build step, no new package dependency, and no platform
 assumption beyond "a C compiler exists":
-when none does (or ``REPRO_NATIVE=0`` is set) :func:`get_native_field`
-returns ``None`` and callers fall back to the scalar reference path,
-bit-identically.
+when none does (or ``REPRO_NATIVE=0`` is set) :func:`native_available`
+is False, :func:`get_native_field` returns ``None``, and the backend
+name ``numpy`` resolves to the ``python`` backend, bit-identically.
 
 Cache layout — these two files are everything the cache holds::
 
@@ -63,7 +63,7 @@ ops instead take and return *raw* canonical rows and fold the R factors
 into their constants (Montgomery-encoded twiddles, R^2 rows, Montgomery
 power ladders), so crossing into and out of the native field path costs
 no extra conversion multiplies. This module has no int-in/int-out field
-op: the backend's resident vector (:mod:`repro.backend.numpy_limb`)
+op: the backend's resident vector (:mod:`repro.backend.kernel_backend`)
 holds raw rows across a whole chain of calls and owns the one ingress
 and the one egress. Residues are canonical — kept in [0, p) by
 a final conditional subtract — so equality and zero tests are plain
@@ -84,10 +84,7 @@ import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # keep importable without numpy (mirrors numpy_limb)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 __all__ = ["native_available", "get_native_field", "NativeField",
            "NATIVE_ENV_VAR", "reset_native", "kernel_events",
@@ -1178,8 +1175,8 @@ def _get_lib():
         if disabled:
             _record_event("native-kernel-disabled",
                           f"{NATIVE_ENV_VAR} disables the compiled "
-                          "kernels; scalar fallback")
-        elif _np is not None:
+                          "kernels; numpy runs as python")
+        else:
             _LIB = _compile_and_load()
     return _LIB
 
@@ -1220,7 +1217,7 @@ class NativeField:
     the R factors folded into cached Montgomery constants; they never
     see a python int. The int <-> raw-row boundary
     (:meth:`words_from_ints` / :meth:`ints_from_words`) is crossed by
-    :class:`~repro.backend.numpy_limb.NumpyLimbBackend` alone, once on
+    :class:`~repro.backend.kernel_backend.KernelBackend` alone, once on
     the way in and once on the way out of a resident vector.
 
     No op writes into an operand's rows unless the caller passes that

@@ -76,7 +76,7 @@ class CurveGroup:
         formulas below without reaching into private state: the curve
         coefficient (and whether the a = 0 fast path applies) plus the
         per-operation field-multiplication costs the GPU model uses.
-        Consumed by :mod:`repro.backend.numpy_curve`."""
+        Consumed by :mod:`repro.backend.kernel_backend`."""
         return {
             "a": self.a,
             "a_is_zero": self._a_is_zero,

@@ -37,9 +37,10 @@ Reliability model:
 * each job attempt has an optional wall-clock ``timeout``; on expiry
   the worker is terminated and respawned and the job retried up to
   ``retries`` more times before failing;
-* when the requested compute backend (or the native C kernels under
-  it) is unavailable, the job still runs — on the scalar python path —
-  and the downgrade is recorded in the job's telemetry events.
+* when the requested compute backend resolves to another one (an
+  unknown name, or ``numpy`` without its native C kernels) the job
+  still runs — on the python backend — and one ``backend-downgrade``
+  event is recorded in the job's telemetry.
 
 Setups are deterministic per (curve, circuit): both the parent and any
 external verifier can re-derive the verifying key from the public seed
@@ -148,8 +149,7 @@ class JobResult:
 
     def downgrades(self) -> List[dict]:
         return [e for e in self.telemetry.get("events", [])
-                if "downgrade" in e.get("kind", "")
-                or "fallback" in e.get("kind", "")]
+                if "downgrade" in e.get("kind", "")]
 
 
 class ProvingService:
@@ -160,7 +160,7 @@ class ProvingService:
     single-process baseline; its prover contexts persist across
     batches, so amortization behaves like a long-lived worker. ``env``
     is applied in each worker before any proving (e.g.
-    ``{"REPRO_NATIVE": "0"}`` to exercise the scalar fallback).
+    ``{"REPRO_NATIVE": "0"}`` to run the python floor).
 
     Pipeline knobs (pooled mode):
 

@@ -14,7 +14,7 @@ Design:
   :class:`OpCounter` (handed to the math layers while the span is
   open), its children and free-form metadata.
 * A :class:`Telemetry` object holds the span forest plus a flat event
-  log (backend downgrades, retries, native-kernel fallbacks). Spans
+  log (backend downgrades, retries, native-kernel loader events). Spans
   auto-nest via a thread-local current-span stack, so
   ``repro.snark.prover`` / ``repro.ntt.poly`` / ``repro.msm.gzkp`` can
   open sub-spans without threading parent handles through every call;
@@ -210,7 +210,7 @@ class Telemetry:
                 "R006 sinks at every call site and scrubbed of "
                 "witness-like keys at export by the runtime guard")
     def record_event(self, kind: str, detail: str = "", **extra) -> None:
-        """Append a flat event (downgrade, retry, fallback...).
+        """Append a flat event (downgrade, retry, loader outcome...).
 
         Witness-like keys in ``extra`` are scrubbed — events cross the
         result wire and feed shard rollups that outlive the job.
@@ -221,8 +221,7 @@ class Telemetry:
             self.events.append(event)
 
     def downgrades(self) -> List[dict]:
-        return [e for e in self.events if "downgrade" in e["kind"]
-                or "fallback" in e["kind"]]
+        return [e for e in self.events if "downgrade" in e["kind"]]
 
     # -- export -----------------------------------------------------------------
 

@@ -50,52 +50,39 @@ SETUP_SEED_FMT = "gzkp-service-setup:{curve}:{circuit}"
 
 
 def reset_backend_state() -> None:
-    """Forked workers inherit the parent's backend singletons and the
-    native-kernel load state; drop both so the worker's environment
-    (e.g. a ``REPRO_NATIVE=0`` override) is honoured from scratch."""
-    import repro.backend as backend_mod
+    """Forked workers inherit the parent's native-kernel load state and
+    dispatch tally; drop both so the worker's environment (e.g. a
+    ``REPRO_NATIVE=0`` override) is honoured from scratch. Backend
+    instances are stateless and ``get_backend`` re-probes the kernels
+    on every call, so they need no reset."""
     import repro.backend.native as native_mod
     from repro.backend import coverage
 
-    backend_mod._INSTANCES.clear()
     native_mod.reset_native()
     coverage.reset()
 
 
 def resolve_backend(requested: Optional[str],
                     telemetry: Telemetry) -> str:
-    """Pick the compute backend for a job, degrading gracefully: an
-    unavailable backend falls back to the scalar python path, missing
-    native kernels under numpy are noted — both as telemetry events.
-    Any native loader events queued since the last job (compiles,
-    cache hits, self-heals, compile failures) are forwarded into the
-    job's telemetry so operators see them without scraping stderr."""
-    from repro.backend import available_backends
-    from repro.backend.native import drain_kernel_events, native_available
+    """The compute backend a job runs on: the name
+    :func:`repro.backend.get_backend` resolves the request to, and
+    ``python`` for a name it does not know. When that is not the name
+    asked for (``numpy`` without its kernels, an unknown name) the job
+    records one ``backend-downgrade`` event. Any native loader events
+    queued since the last job (compiles, cache hits, self-heals,
+    compile failures, a disabled loader) are forwarded into the job's
+    telemetry so operators see them without scraping stderr."""
+    from repro.backend import get_backend, requested_backend
+    from repro.backend.native import drain_kernel_events
 
-    name = (requested
-            or os.environ.get("REPRO_BACKEND", "python").strip()
-            or "python")
-    if name not in available_backends():
-        telemetry.record_event(
-            "backend-downgrade",
-            f"{name} -> python (backend unavailable)",
-            requested=name, used="python",
-        )
+    asked = requested_backend(requested)
+    try:
+        name = get_backend(asked).name
+    except ValueError:
         name = "python"
-    if name == "numpy" and not native_available():
-        telemetry.record_event(
-            "native-kernel-fallback",
-            "native C kernels unavailable: every numpy op runs the "
-            "inherited python loop",
-            backend=name,
-        )
-    elif name == "python" and not native_available():
-        telemetry.record_event(
-            "native-kernel-fallback",
-            "native C kernels unavailable: pure-python field arithmetic",
-            backend=name,
-        )
+    if name != asked:
+        telemetry.record_event("backend-downgrade", f"{asked} -> {name}",
+                               requested=asked, used=name)
     for event in drain_kernel_events():
         telemetry.record_event(event.pop("kind"), event.pop("detail"),
                                **event)
@@ -344,8 +331,8 @@ def execute_job(task: dict, state: WorkerState,
             result.update(error=type(exc).__name__, error_kind="internal")
     cov = _coverage.drain()
     if cov:
-        # One event per job: which kernel families ran native vs
-        # fallback (counts are batched-dispatch decisions).
+        # One event per job: how often each kernel family dispatched
+        # to the compiled kernels (batched-dispatch decisions).
         telemetry.record_event("native-coverage", _coverage.summarize(cov),
                                **cov)
     result["telemetry"] = telemetry.to_dict()

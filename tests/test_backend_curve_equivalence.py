@@ -1,8 +1,8 @@
 """Batched SoA curve kernels vs the scalar reference.
 
 The numpy backend's batch Jacobian ops and segmented bucket reduction
-(:mod:`repro.backend.numpy_curve`; the scalar loop when no native
-kernel is loaded) must be *bit-identical* to the scalar group law on
+(:mod:`repro.backend.kernel_backend`; without the kernels ``numpy`` is
+the python backend) must be *bit-identical* to the scalar group law on
 every curve — including every special case
 (infinity, doubling, cancellation, mixed representatives) — and must
 emit identical op-count totals. The one documented relaxation: bucket
@@ -20,14 +20,10 @@ import random
 
 import pytest
 
-from repro.backend import get_backend
-from repro.backend import numpy_curve
+from repro.backend import coverage, get_backend, kernel_backend
 from repro.backend.native import native_available
-from repro.backend.numpy_curve import accumulate_buckets_segmented
 from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
-
-numpy = pytest.importorskip("numpy")
 
 CURVE_NAMES = ["ALT-BN128", "BLS12-381", "MNT4753"]
 
@@ -62,9 +58,8 @@ def jacobian_reps(group, pts, start=2):
 @pytest.mark.parametrize("name", CURVE_NAMES)
 class TestBatchKernelsBitIdentical:
     """The numpy backend's batch_j* == the scalar loop, lane for lane,
-    count for count, at lane counts above ``MIN_VECTOR_LANES`` (native
-    kernels when loaded, the inherited loop otherwise). MNT4753 has
-    a != 0 (the general doubling branch)."""
+    count for count, at lane counts above ``MIN_VECTOR_LANES``. MNT4753
+    has a != 0 (the general doubling branch)."""
 
     def _run(self, group, batch_fn, scalar_fn, ps, qs=None):
         c_ref, c_vec = OpCounter(), OpCounter()
@@ -109,7 +104,7 @@ class TestBatchKernelsBitIdentical:
     def test_backend_dispatch_matches_python(self, name, monkeypatch):
         """Through the public backend API (thresholds lowered so the
         vector path engages at test sizes)."""
-        monkeypatch.setattr(numpy_curve, "MIN_VECTOR_LANES", 1)
+        monkeypatch.setattr(kernel_backend, "MIN_VECTOR_LANES", 1)
         g1 = CURVES[name].g1
         pts = offset_chain(g1, 8, seed=4)
         jp = [g1.to_jacobian(p) for p in pts]
@@ -172,9 +167,10 @@ class TestSegmentedBuckets:
         group.counter = c_ref
         PY.accumulate_buckets(group, ref, entries)
         group.counter = c_vec
-        out = accumulate_buckets_segmented(group, got, entries)
+        coverage.reset()
+        NP.accumulate_buckets(group, got, entries)
         group.counter = None
-        assert out is not None
+        assert coverage.snapshot() == {"jacobian": {"native": 1}}  # the tree ran
         for i in range(n_buckets):
             assert group.from_jacobian(ref[i]) == group.from_jacobian(got[i])
         return c_ref, c_vec
@@ -210,34 +206,15 @@ class TestSegmentedBuckets:
         c_ref, c_vec = self._compare(g1, entries, 16, init=init)
         assert c_ref._totals == c_vec._totals
 
-    def test_small_batches_return_none(self):
+    def test_small_batches_take_the_ordered_fold(self):
         g1 = CURVES["BLS12-381"].g1
         o = g1.ops
-        pts = offset_chain(g1, 4, seed=11)
-        entries = [(0, p) for p in pts]
-        buckets = [(o.one, o.one, o.zero)]
-        assert accumulate_buckets_segmented(g1, buckets, entries) is None
-
-    def test_backend_falls_back_without_native(self, monkeypatch):
-        """With the native kernels gone the numpy backend silently uses
-        the scalar fold — same buckets, same counts."""
-        monkeypatch.setattr(numpy_curve, "get_native_field",
-                            lambda modulus: None)
-        monkeypatch.setattr(numpy_curve, "SEGMENTED_MIN_ENTRIES", 1)
-        g1 = CURVES["BLS12-381"].g1
-        o = g1.ops
-        entries = self._entries(g1, 96, 8, seed=12)
-        inf = (o.one, o.one, o.zero)
-        ref = [inf] * 8
-        got = [inf] * 8
-        c_ref, c_vec = OpCounter(), OpCounter()
-        g1.counter = c_ref
+        entries = [(0, p) for p in offset_chain(g1, 4, seed=11)]
+        ref, got = ([(o.one, o.one, o.zero)] for _ in range(2))
         PY.accumulate_buckets(g1, ref, entries)
-        g1.counter = c_vec
+        coverage.reset()
         NP.accumulate_buckets(g1, got, entries)
-        g1.counter = None
-        assert got == ref  # scalar fold: bit-identical, not just group-equal
-        assert c_ref._totals == c_vec._totals
+        assert got == ref and coverage.snapshot() == {}
 
 
 @pytest.mark.skipif(not native_available(),

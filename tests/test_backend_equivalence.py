@@ -1,4 +1,4 @@
-"""Cross-backend equality: PythonBackend and NumpyLimbBackend must be
+"""Cross-backend equality: PythonBackend and KernelBackend must be
 bit-identical on every operation, every modulus, every size — backends
 change how the math runs, never what it computes or counts."""
 
@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import (
-    NumpyLimbBackend,
+    KernelBackend,
     PythonBackend,
     available_backends,
     get_backend,
     register_backend,
 )
+from repro.backend.native import NATIVE_ENV_VAR, native_available
 from repro.curves import bn128_g1
 from repro.ff import OpCounter
 from repro.ff.params import (
@@ -29,7 +30,7 @@ from repro.ntt.reference import intt, ntt
 from repro.gpusim import V100
 
 PY = PythonBackend()
-NP = NumpyLimbBackend()
+NP = KernelBackend()
 
 #: the three bit-widths of the paper's curves (254/255-, 381-, 753-bit)
 FIELDS = [ALT_BN128_R, BLS12_381_R, BLS12_381_Q, MNT4753_R]
@@ -158,19 +159,26 @@ class TestMsmEquivalence:
 
 
 class TestRegistry:
-    def test_available_and_default(self):
+    def test_available_and_default(self, monkeypatch):
         names = available_backends()
         assert "python" in names and "numpy" in names
         assert get_backend("python") is get_backend("python")
-        assert isinstance(get_backend(None), PythonBackend) or True
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        if native_available():
+            assert get_backend(None).name == "numpy"
+            assert isinstance(get_backend("numpy"), KernelBackend)
+        # without the kernels numpy *is* the python backend
+        monkeypatch.setenv(NATIVE_ENV_VAR, "0")
+        assert get_backend("numpy") is get_backend("python")
+        assert get_backend(None) is get_backend("python")
 
     def test_env_selection(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend(None).name == "numpy"
+        assert get_backend(None) is get_backend("numpy")
         monkeypatch.setenv("REPRO_BACKEND", "python")
         assert get_backend(None).name == "python"
         monkeypatch.delenv("REPRO_BACKEND")
-        assert get_backend(None).name == "python"
+        assert get_backend(None) is get_backend("numpy")
 
     def test_instance_passthrough(self):
         backend = PythonBackend()

@@ -63,11 +63,8 @@ class TestGzkpEnginesInGroth16:
         changes neither the proof bits nor the curve-op totals of an
         end-to-end Groth16 run, on every curve. ``product`` is the
         smallest registry circuit whose H polynomial is non-zero."""
-        from repro.backend import available_backends
         from repro.ff.opcount import OpCounter
 
-        if "numpy" not in available_backends():
-            pytest.skip("numpy backend unavailable")
         curve = CURVES[curve_name]
         r1cs, assignment = build_instance("product", curve.fr, (3, 5))
         keys = setup(r1cs, curve, random.Random(31))

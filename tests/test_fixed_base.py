@@ -1,9 +1,9 @@
 """Fixed-base scalar multiplication (:mod:`repro.msm.fixed_base`).
 
 * equivalence — every lane equals ``CurveGroup.scalar_mul`` on all
-  three curves, both groups and every backend floor (python, numpy with
-  the compiled kernels, numpy without them), on the scalars where a
-  window table can go wrong;
+  three curves, both groups and every way of naming a backend floor
+  (python, numpy with the compiled kernels, numpy without them — which
+  resolves to python), on the scalars where a window table can go wrong;
 * pins — the keys and proofs of seeded setups are byte-identical to the
   ones the per-element ``scalar_mul`` loop produced (digests captured on
   the parent commit), the prover's POLY and MSM op counts did not move,
@@ -14,10 +14,11 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro import snark
-from repro.backend import get_backend, native, numpy_curve
+from repro.backend import get_backend, kernel_backend, native
 from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
 from repro.msm.fixed_base import (FixedBaseTable, _window_for,
@@ -26,22 +27,22 @@ from repro.service import Telemetry
 from repro.service.registry import get_circuit
 from repro.snark.serialize import compress_g1, compress_g2, serialize_proof
 
-np = pytest.importorskip("numpy")
-
 GROUPS = [(name, which) for name in ("ALT-BN128", "BLS12-381", "MNT4753")
           for which in ("g1", "g2")]
-#: the three floors a backend name can mean
+#: the backend names a caller can pass, and numpy with the kernels off
 FLOORS = ["python", "numpy", "numpy-no-native"]
 
 
 @pytest.fixture(params=FLOORS)
 def floor(request, monkeypatch):
-    """A backend name; for the third floor the compiled kernels are
-    switched off for the test (the loader re-probes when the toggle
-    flips, so the next test gets them back)."""
+    """A backend name; for ``numpy-no-native`` the compiled kernels are
+    switched off for the test, so asking for numpy gets the python floor
+    (the loader re-probes when the toggle flips, so the next test gets
+    them back)."""
     if request.param == "numpy-no-native":
         monkeypatch.setenv(native.NATIVE_ENV_VAR, "0")
         assert not native.native_available()
+        assert get_backend("numpy") is get_backend("python")
         return "numpy"
     return request.param
 
@@ -86,7 +87,7 @@ def test_edge_scalars_equal_scalar_mul(name, which, floor):
 def test_lane_counts_around_the_vector_threshold(n, floor):
     """15/16/17 straddle ``MIN_VECTOR_LANES``, where a list operand
     moves from the scalar loop onto the kernels."""
-    assert numpy_curve.MIN_VECTOR_LANES == 16
+    assert kernel_backend.MIN_VECTOR_LANES == 16
     group = CURVES["ALT-BN128"].g1
     rng = random.Random(n)
     scalars = [rng.randrange(group.order) for _ in range(n)]
@@ -119,7 +120,8 @@ def test_table_rows_are_the_backends_resident_form():
     if native.native_available():
         rows = FixedBaseTable(group, group.generator, 40,
                               backend="numpy").rows
-        assert all(isinstance(r, numpy_curve.ResidentPoints) for r in rows)
+        assert all(isinstance(r, kernel_backend.ResidentPoints)
+                   for r in rows)
     rows = FixedBaseTable(group, group.generator, 40, backend="python").rows
     assert all(type(r) is list for r in rows)
     assert rows[0][0] is None and rows[0][1] == group.generator

@@ -15,7 +15,7 @@ below must end group-equal to the python backend's ordered
   at exactly ``SEGMENTED_MIN_ENTRIES`` entries and one below it.
 
 Without kernels (``REPRO_NATIVE=0``) the kernel cases skip and the
-front-end cases compare the two inherited loops.
+front-end cases compare the python backend with itself.
 """
 
 import random
@@ -23,16 +23,14 @@ from collections import Counter
 
 import pytest
 
-from repro.backend import get_backend, native, numpy_curve
+from repro.backend import get_backend, kernel_backend, native
 from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
 from tests.test_backend_curve_equivalence import offset_chain
 
-np = pytest.importorskip("numpy")
-
 PY = get_backend("python")
 NP = get_backend("numpy")
-MIN = numpy_curve.SEGMENTED_MIN_ENTRIES
+MIN = kernel_backend.SEGMENTED_MIN_ENTRIES
 
 GROUPS = [(name, which) for name in ("ALT-BN128", "BLS12-381", "MNT4753")
           for which in ("g1", "g2")]
@@ -69,7 +67,7 @@ def _merge(group, entries):
     """The kernel alone on entries already in bucket order: the
     surviving lanes as {bucket: affine point}, one per bucket, and the
     tallies it booked."""
-    eng = numpy_curve._native_engine(group)
+    eng = kernel_backend._native_engine(group)
     ids = [b for b, _ in entries]
     x, y = (eng.rows([pt[k] for _, pt in entries]) for k in (0, 1))
     (ids, X, Y), padd, pdbl = eng.nf.point_op(
@@ -120,7 +118,7 @@ def test_kernel_equals_the_ordered_fold(name, which):
 @needs_native
 def test_kernel_rejects_what_it_cannot_read():
     group = CURVES["ALT-BN128"].g1
-    eng = numpy_curve._native_engine(group)
+    eng = kernel_backend._native_engine(group)
     x = eng.rows([p[0] for p in offset_chain(group, 4, seed=1)])
     for ids in ([0, 1, 1], [1, 0, 2, 3]):  # short; not ascending
         with pytest.raises(ValueError):

@@ -130,7 +130,6 @@ class TestMsmCorrectness:
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_overlong_scalar_rejected_on_both_backends(self, backend):
-        pytest.importorskip("numpy")
         _, pts = fixture_points(2, seed=8)
         engine = GzkpMsm(G, L, V100, window=4, backend=backend)
         with pytest.raises(MsmError, match="reduce mod r first"):

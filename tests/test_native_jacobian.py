@@ -13,10 +13,12 @@ Hypothesis drives the lane mixes; the point pools are deterministic
 offset chains so a collision between unrelated lanes is a discrete-log
 event.
 
-Also here: the native-coverage counters those dispatches feed, the
-LRU prune that bounds the persistent kernel cache, and the cross-checks
-that tie the certifier's replayed mul counts to the group's formula
-constants and the (k, M) search's pricing.
+Also here: the bucket fold's tallies on a python bucket list (one C
+call, 2m adds minus the count-free ones), the native-coverage counters
+those dispatches feed, the LRU prune that bounds the persistent kernel
+cache, and the cross-checks that tie the certifier's replayed mul
+counts to the group's formula constants and the (k, M) search's
+pricing.
 """
 
 import os
@@ -30,15 +32,15 @@ from hypothesis import strategies as st
 
 from repro.backend import coverage, get_backend
 from repro.backend import native
-from repro.backend import numpy_curve
+from repro.backend import kernel_backend
 from repro.curves import CURVES
 from repro.ff.opcount import OpCounter
-
-numpy = pytest.importorskip("numpy")
+from tests.test_backend_curve_equivalence import jacobian_reps, offset_chain
 
 pytestmark = pytest.mark.skipif(
     not native.native_available(), reason="no C compiler available")
 
+PY = get_backend("python")
 NP = get_backend("numpy")
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -85,6 +87,18 @@ def _jrep(group, pt, k):
 def _neg(group, jp):
     o = group.ops
     return (jp[0], o.sub(o.coerce(0), jp[1]), jp[2])
+
+
+def _on_rows(op):
+    """A backend curve op over python lists, run on resident bucket rows
+    so that the kernel takes every lane count: lists in, lists (or the
+    fold's one point) out."""
+    def run(group, *lanes):
+        eng = kernel_backend._native_engine(group)
+        out = op(group, *(kernel_backend._lift_buckets(eng, row)
+                          for row in lanes))
+        return out if isinstance(out, tuple) else out.tolist()
+    return run
 
 
 def _assert_parity(group, batch_fn, scalar_fn, ps, qs):
@@ -203,7 +217,7 @@ def _assert_mixed_parity(group, ps, qs):
     into the ``jadd`` kernel — against ``CurveGroup.jmixed_add``. Lanes
     are repeated until the row is long enough to leave the scalar loop,
     and the coverage tally shows that it did."""
-    reps = -(-numpy_curve.MIN_VECTOR_LANES // len(ps))
+    reps = -(-kernel_backend.MIN_VECTOR_LANES // len(ps))
     coverage.reset()
     _assert_parity(group, NP.batch_jmixed_add, group.jmixed_add,
                    ps * reps, qs * reps)
@@ -240,10 +254,10 @@ def fold_lanes(group, pool, kinds):
 @pytest.mark.parametrize("name,which", GROUPS)
 def test_parity_smoke(name, which):
     group = _group(name, which)
-    assert numpy_curve._native_engine(group) is not None
+    assert kernel_backend._native_engine(group) is not None
     kinds = list(ADD_KINDS) + ["normal", "normal"]
     ps, qs = _build_add_lanes(group, name, which, kinds)
-    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, qs)
+    _assert_parity(group, _on_rows(NP.batch_jadd), group.jadd, ps, qs)
     mkinds = list(MIXED_KINDS) + ["normal", "normal"]
     _assert_mixed_parity(group, *_build_mixed_lanes(group, name, which,
                                                     mkinds))
@@ -260,7 +274,7 @@ def test_parity_smoke(name, which):
     try:
         exp = [group.jdouble(p) for p in pts]
         group.counter = c_vec
-        got = numpy_curve.batch_jdouble(group, pts)
+        got = _on_rows(NP.batch_jdouble)(group, pts)
     finally:
         group.counter = None
     assert got == exp
@@ -278,11 +292,11 @@ def test_fuzz_jadd_lane_mixes(name, kinds, data):
     which = data.draw(st.sampled_from(["g1", "g2"]), label="group")
     group = _group(name, which)
     ps, qs = _build_add_lanes(group, name, which, kinds)
-    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, qs)
+    _assert_parity(group, _on_rows(NP.batch_jadd), group.jadd, ps, qs)
     # whole rows of one special case: every lane P == Q (the aliased
     # call the residual fold could make), every lane P == -Q
-    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps, ps)
-    _assert_parity(group, numpy_curve.batch_jadd, group.jadd, ps,
+    _assert_parity(group, _on_rows(NP.batch_jadd), group.jadd, ps, ps)
+    _assert_parity(group, _on_rows(NP.batch_jadd), group.jadd, ps,
                    [_neg(group, p) for p in ps])
 
 
@@ -317,11 +331,43 @@ def test_fuzz_bucket_fold_lane_mixes(name, kinds, data):
     try:
         exp = bucket_reduce(group, buckets)
         group.counter = c_vec
-        got = numpy_curve.bucket_reduce(group, buckets)
+        got = _on_rows(NP.bucket_reduce)(group, buckets)
     finally:
         group.counter = None
     assert got == exp
     assert +c_ref._totals == +c_vec._totals
+
+
+@pytest.mark.parametrize("name,which", GROUPS)
+def test_native_bucket_reduce_tallies_are_2m_minus_skips(name, which,
+                                                         monkeypatch):
+    """A list of buckets goes through one C fold — no python ``jadd``
+    at all — whose padd tally is the 2m adds minus the count-free ones
+    (an infinity operand on either side), with a doubling where the
+    running sum repeats."""
+    group = getattr(CURVES[name], which)
+    o = group.ops
+    inf = (o.one, o.one, o.zero)
+    jz = jacobian_reps(group, offset_chain(group, 30, seed=5))
+    m = 64
+    buckets = [inf if j % 7 == 3 else jz[j % len(jz)] for j in range(m)]
+    buckets[m - 2] = buckets[m - 1]  # running == B_j: the in-C doubling
+    finite = sum(1 for b in buckets if b is not inf)
+    calls = []
+    with monkeypatch.context() as spy:
+        spy.setattr(group, "jadd", lambda p, q: calls.append(1))
+        group.counter = counter = OpCounter()
+        try:
+            got = NP.bucket_reduce(group, buckets)
+        finally:
+            group.counter = None
+    assert calls == []
+    # running += B_j is count-free for infinity buckets and for the
+    # first finite one; total += running only for the very first
+    assert counter.total("padd") == (finite - 1) + (m - 1)
+    assert counter.total("pdbl") == 1
+    assert group.from_jacobian(got) == group.from_jacobian(
+        PY.bucket_reduce(group, buckets))
 
 
 # -- coverage counters ---------------------------------------------------------
@@ -332,7 +378,7 @@ def test_batch_dispatch_notes_coverage():
     group = CURVES["ALT-BN128"].g1
     pts = [_jrep(group, p, 2 + i) for i, p in enumerate(_pool(
         "ALT-BN128", "g1")[:4])]
-    numpy_curve.batch_jdouble(group, pts)
+    _on_rows(NP.batch_jdouble)(group, pts)
     snap = coverage.snapshot()
     assert snap.get("jacobian", {}).get("native", 0) >= 1
     summary = coverage.summarize(snap)
@@ -361,7 +407,6 @@ def test_worker_job_emits_native_coverage_event():
     assert ev["jacobian"]["native"] >= 1
     assert ev["pointwise"]["native"] >= 1
     assert ev["ntt"]["native"] >= 1
-    assert ev.get("jacobian", {}).get("fallback", 0) == 0
     assert "jacobian:native=" in ev["detail"]
 
 

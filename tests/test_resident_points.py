@@ -1,28 +1,28 @@
 """Resident points: the MSM reads its table as word rows, same bits.
 
 On the ``numpy`` backend with kernels loaded the checkpoint table is a
-list of :class:`~repro.backend.numpy_curve.ResidentPoints` rows and the
-buckets are :class:`~repro.backend.numpy_curve.ResidentBuckets`. These
+list of :class:`~repro.backend.kernel_backend.ResidentPoints` rows and the
+buckets are :class:`~repro.backend.kernel_backend.ResidentBuckets`. These
 tests pin the contract down from outside: that no python-int point
 exists between the table and the one Jacobian result of a
 ``compute(context=ctx)``, that the table is built without one either,
 that results and per-phase op counts equal the ``python`` backend's on
 every curve and group, that the C bucket fold routes every special
 lane like the scalar fold, that the curve ops hand back the kind of
-row they were handed without touching it, that everything is plain
-lists again without kernels, and that nothing witness-sized outlives a
-call.
+row they were handed without touching it, and that nothing
+witness-sized outlives a call.
 """
 
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import get_backend, native, numpy_curve
-from repro.backend.numpy_curve import ResidentBuckets, ResidentPoints
+from repro.backend import get_backend, kernel_backend, native
+from repro.backend.kernel_backend import ResidentBuckets, ResidentPoints
 from repro.curves import CURVES
 from repro.curves.weierstrass import CurveGroup
 from repro.errors import MsmError
@@ -34,8 +34,6 @@ from repro.msm.pippenger import bucket_reduce as scalar_bucket_reduce
 from repro.service.telemetry import Telemetry
 from tests.test_backend_curve_equivalence import jacobian_reps, offset_chain
 from tests.test_native_jacobian import FOLD_KINDS, _pool, fold_lanes
-
-np = pytest.importorskip("numpy")
 
 PY = get_backend("python")
 NP = get_backend("numpy")
@@ -62,15 +60,6 @@ def _phases(counter):
     """Per-phase op counts with zero entries dropped (a backend may
     book ``pdbl: 0`` where another books nothing)."""
     return {name: dict(+cnt) for name, cnt in counter.by_phase.items()}
-
-
-@pytest.fixture
-def native_off(monkeypatch):
-    """The loader re-probes when the env toggle flips (as in
-    test_forced_fallback.py); the next test gets its kernels back."""
-    monkeypatch.setenv(native.NATIVE_ENV_VAR, "0")
-    assert not native.native_available()
-    yield
 
 
 @pytest.fixture
@@ -309,7 +298,7 @@ def test_fuzz_bucket_reduce_over_rows_and_lists(name, which, kinds):
     test_native_jacobian.py)."""
     group = _group(name, which)
     buckets = fold_lanes(group, _pool(name, which), kinds)
-    rows = numpy_curve._lift_buckets(numpy_curve._native_engine(group), buckets)
+    rows = kernel_backend._lift_buckets(kernel_backend._native_engine(group), buckets)
 
     def fold(reduce_, arg):
         group.counter = counter = OpCounter()
@@ -346,7 +335,7 @@ def test_fuzz_from_jacobian_lane_mixes(name, which, kinds):
     group = _group(name, which)
     o = group.ops
     pool = _pool(name, which)
-    eng = numpy_curve._native_engine(group)
+    eng = kernel_backend._native_engine(group)
     z1 = NP.batch_to_jacobian(group, NP.resident_points(group, pool))
     dbl = NP.batch_jdouble(group, z1)
     lanes = []
@@ -357,7 +346,7 @@ def test_fuzz_from_jacobian_lane_mixes(name, which, kinds):
             lanes.append((*dbl[i][:2], o.zero))
         else:
             lanes.append((z1 if kind == "z1" else dbl)[i])
-    got = NP.batch_from_jacobian(group, numpy_curve._lift_buckets(eng, lanes))
+    got = NP.batch_from_jacobian(group, kernel_backend._lift_buckets(eng, lanes))
     want = [group.from_jacobian(p) for p in lanes]
     assert type(got) is ResidentPoints and list(got) == want
     assert _frozen(got) == _frozen(NP.resident_points(group, want))
@@ -382,8 +371,8 @@ def test_curve_ops_preserve_representation_and_operands(name, which):
     jz = jacobian_reps(group, pts)
     ps = jz[:8] + [inf, jz[9], jz[10], jz[11]]
     qs = jz[8:16] + [jz[3], inf, jz[10], group.jneg(jz[11])]
-    eng = numpy_curve._native_engine(group)
-    p, q = (numpy_curve._lift_buckets(eng, lanes) for lanes in (ps, qs))
+    eng = kernel_backend._native_engine(group)
+    p, q = (kernel_backend._lift_buckets(eng, lanes) for lanes in (ps, qs))
     before = _frozen(p), _frozen(q)
 
     def run(op, *args):
@@ -402,7 +391,10 @@ def test_curve_ops_preserve_representation_and_operands(name, which):
         got, counts = run(op, *rows)
         assert type(got) is ResidentBuckets
         assert got == want and counts == want_counts
+    # python rows long enough for the kernels come back as python rows
     assert type(NP.batch_jadd(group, ps + ps, qs + qs)) is list
+    got = NP.batch_from_jacobian(group, ps + qs)
+    assert type(got) is list and got == PY.batch_from_jacobian(group, ps + qs)
     want, want_counts = run(PY.bucket_reduce, ps)
     got, counts = run(NP.bucket_reduce, p)
     assert type(got) is tuple
@@ -427,6 +419,11 @@ def test_curve_ops_preserve_representation_and_operands(name, which):
             == [group.from_jacobian(b) for b in want])
     assert counts == want_counts
     assert [_frozen(row) for row in table] == frozen
+    got, counts = run(NP.accumulate_table, [list(row) for row in table], 7,
+                      slots, rows_idx, cols)
+    assert type(got) is list and counts == want_counts
+    assert ([group.from_jacobian(b) for b in got]
+            == [group.from_jacobian(b) for b in want])
     # below the tree's threshold: the ordered loop over decoded points
     small, _ = run(NP.accumulate_table, table, 7, slots[:5], rows_idx[:5],
                    cols[:5])
@@ -435,35 +432,7 @@ def test_curve_ops_preserve_representation_and_operands(name, which):
         cols[:5])
 
 
-# -- (e) fallback ---------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name,which", [("ALT-BN128", "g1"),
-                                        ("MNT4753", "g2")])
-def test_without_native_both_forms_are_lists(name, which, native_off):
-    group = _group(name, which)
-    curve = CURVES[name]
-    rng = random.Random(9)
-    n = 12
-    pts = offset_chain(group, n, seed=10)
-    pts[4] = None
-    scalars = [rng.randrange(curve.fr.modulus) for _ in range(n)]
-    assert type(NP.resident_points(group, pts)) is list
-    results = []
-    for backend in ("python", "numpy"):
-        engine = _engine(group, curve.fr.bits, backend, window=5, interval=2)
-        ctx = engine.build_context(pts)
-        assert all(type(row) is list for row in ctx.table)
-        jac = get_backend(backend).batch_to_jacobian(group, ctx.table[1])
-        assert type(jac) is list
-        assert type(get_backend(backend).batch_jdouble(group, jac)) is list
-        counter = OpCounter()
-        point = engine.compute(scalars, pts, context=ctx, counter=counter)
-        results.append((point, ctx.table, _phases(counter)))
-    assert results[0] == results[1]
-
-
-# -- (f) hygiene ----------------------------------------------------------------------
+# -- (e) hygiene ----------------------------------------------------------------------
 
 
 @needs_native

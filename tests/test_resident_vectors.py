@@ -1,7 +1,7 @@
 """Resident field vectors: one ingress, one egress, same bits.
 
 The ``numpy`` backend keeps a field vector as raw ``(n, w)`` word rows
-(:class:`~repro.backend.numpy_limb.ResidentVector`) across a chain of
+(:class:`~repro.backend.kernel_backend.ResidentVector`) across a chain of
 calls. These tests pin the contract down from outside: how many times
 the int <-> word-row boundary is crossed, that nothing about the values
 or the counted work changes, that every vector op hands back what it
@@ -11,12 +11,13 @@ and that nothing witness-sized is left on a long-lived object.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import get_backend, native
-from repro.backend.numpy_limb import ResidentVector
+from repro.backend.kernel_backend import ResidentVector
 from repro.errors import FieldError, NttError
 from repro.ff.opcount import OpCounter
 from repro.ff.params import SCALAR_FIELDS
@@ -26,8 +27,6 @@ from repro.ntt import BaselineGpuNtt, CpuNtt, GzkpNtt, PolyStage
 from repro.ntt.reference import ntt as reference_ntt
 from repro.service.telemetry import Telemetry
 from repro.snark.prover import _BackendNttEngine
-
-np = pytest.importorskip("numpy")
 
 PY = get_backend("python")
 NP = get_backend("numpy")
@@ -59,15 +58,6 @@ def _abc(field, n, seed=0):
     a = [rng.randrange(p) for _ in range(n)]
     b = [rng.randrange(p) for _ in range(n)]
     return a, b, [x * y % p for x, y in zip(a, b)]
-
-
-@pytest.fixture
-def native_off(monkeypatch):
-    """The loader re-probes when the env toggle flips (as in
-    test_forced_fallback.py); the next test gets its kernels back."""
-    monkeypatch.setenv(native.NATIVE_ENV_VAR, "0")
-    assert not native.native_available()
-    yield
 
 
 @pytest.fixture
@@ -296,22 +286,7 @@ def test_engines_that_only_know_int_sequences_still_work(curve):
     assert PY.vmul(field, vec, vec) == PY.vmul(field, a, a)
 
 
-# -- (d) fallback ---------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("curve", CURVE_NAMES)
-def test_without_native_resident_is_the_reduced_list(curve, native_off):
-    field = FIELDS[curve]
-    p = field.modulus
-    a, b, c = _abc(field, 64)
-    vec = NP.resident(field, [v - p for v in a])
-    assert type(vec) is list and vec == a
-    assert type(NP.ints(vec)) is list
-    _compute_h_both_ways(field, a, b, c)
-    _compute_h_both_ways(field, a, b, c, engine="default")
-
-
-# -- (e) hygiene ----------------------------------------------------------------------
+# -- (d) hygiene ----------------------------------------------------------------------
 
 
 @needs_native
@@ -342,56 +317,41 @@ def test_no_vector_sized_residue_on_the_native_field():
 # -- contract regressions: lengths and sizes ---------------------------------------------
 
 
-def _both_native_modes(monkeypatch, check):
-    check()
-    monkeypatch.setenv(native.NATIVE_ENV_VAR, "0")
-    assert not native.native_available()
-    check()
-
-
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_pairwise_ops_reject_mismatched_lengths(backend, monkeypatch):
+def test_pairwise_ops_reject_mismatched_lengths(backend):
     """numpy + native used to return 8 elements for vmul([1..8], [3, 5]),
     six of them read past the end of the second operand."""
     be = get_backend(backend)
     xs, ys = list(range(1, 9)), [3, 5]
-
-    def check():
-        for op in (be.vadd, be.vsub, be.vmul):
-            for left, right in ((xs, ys), (ys, xs),
-                                (be.resident(BN, xs), ys),
-                                (be.resident(BN, xs), be.resident(BN, ys))):
-                with pytest.raises(FieldError):
-                    op(BN, left, right)
-            assert len(op(BN, xs, xs)) == 8
-
-    _both_native_modes(monkeypatch, check)
+    for op in (be.vadd, be.vsub, be.vmul):
+        for left, right in ((xs, ys), (ys, xs),
+                            (be.resident(BN, xs), ys),
+                            (be.resident(BN, xs), be.resident(BN, ys))):
+            with pytest.raises(FieldError):
+                op(BN, left, right)
+        assert len(op(BN, xs, xs)) == 8
 
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_bad_ntt_size_is_one_error_type(backend, monkeypatch):
+def test_bad_ntt_size_is_one_error_type(backend):
     be = get_backend(backend)
-
-    def check():
-        for bad in ([], [1, 2, 3], [0] * 6):
-            for vec in (bad, be.resident(BN, bad)):
+    for bad in ([], [1, 2, 3], [0] * 6):
+        for vec in (bad, be.resident(BN, bad)):
+            with pytest.raises(NttError):
+                be.ntt(BN, vec)
+            with pytest.raises(NttError):
+                be.intt(BN, vec)
+            for engine in (_BackendNttEngine(BN, backend=be),
+                           GzkpNtt(BN, V100, backend=be)):
                 with pytest.raises(NttError):
-                    be.ntt(BN, vec)
+                    engine.compute(vec)
                 with pytest.raises(NttError):
-                    be.intt(BN, vec)
-                for engine in (_BackendNttEngine(BN, backend=be),
-                               GzkpNtt(BN, V100, backend=be)):
-                    with pytest.raises(NttError):
-                        engine.compute(vec)
-                    with pytest.raises(NttError):
-                        engine.compute_inverse(vec)
-        # n = 1 is the identity, on ints and on resident vectors
-        one = [BN.modulus + 5]
-        held = be.resident(BN, one)
-        for vec, kind in ((one, list), (held, type(held))):
-            for out in (be.ntt(BN, vec), be.intt(BN, vec),
-                        GzkpNtt(BN, V100, backend=be).compute(vec),
-                        GzkpNtt(BN, V100, backend=be).compute_inverse(vec)):
-                assert type(out) is kind and be.ints(out) == [5]
-
-    _both_native_modes(monkeypatch, check)
+                    engine.compute_inverse(vec)
+    # n = 1 is the identity, on ints and on resident vectors
+    one = [BN.modulus + 5]
+    held = be.resident(BN, one)
+    for vec, kind in ((one, list), (held, type(held))):
+        for out in (be.ntt(BN, vec), be.intt(BN, vec),
+                    GzkpNtt(BN, V100, backend=be).compute(vec),
+                    GzkpNtt(BN, V100, backend=be).compute_inverse(vec)):
+            assert type(out) is kind and be.ints(out) == [5]

@@ -207,10 +207,10 @@ def test_native_disabled_degrades_gracefully():
             ProofJob("ALT-BN128", "product", (3, 4)),
         ])
     r = results[0]
-    assert r.ok and r.verified
+    assert r.ok and r.verified and r.backend == "python"
     downs = r.downgrades()
-    assert downs, "expected a native-kernel fallback event"
-    assert any("native" in d["kind"] for d in downs)
+    assert [(d["kind"], d["requested"], d["used"]) for d in downs] == [
+        ("backend-downgrade", "numpy", "python")]
     # the worker honoured its env override from scratch (reset_native
     # post-fork) and the loader's disable event reached job telemetry
     kinds = [e["kind"] for e in r.telemetry.get("events", [])]
@@ -224,7 +224,8 @@ def test_native_disabled_worker_still_independently_verifies():
     job = ProofJob("ALT-BN128", "cubic", (3,), backend="numpy")
     with ProvingService(workers=1, env={"REPRO_NATIVE": "0"}) as svc:
         off = svc.prove_batch([job])[0]
-    assert off.ok and off.verified
+    assert off.ok and off.verified and off.backend == "python"
+    assert [d["kind"] for d in off.downgrades()] == ["backend-downgrade"]
     assert _independently_verifies(off)
 
 
