@@ -3,7 +3,7 @@
 
 Packages:
 
-* :mod:`repro.ff` - finite fields (int, 64-bit Montgomery, base-2^52 DFP).
+* :mod:`repro.ff` - finite fields, extension towers and op counting.
 * :mod:`repro.backend` - pluggable batch compute engines
   (runtime-compiled C kernels, the default, and pure-Python, which
   ``numpy`` resolves to when the kernels do not load;

@@ -3,7 +3,8 @@
 Two modes:
 
 * ``python -m repro.analysis [paths]`` — the repo lint rules
-  (R001–R005) over the given paths (default: ``src tests benchmarks``)
+  (R001–R005, R010) over the given paths (default:
+  ``src tests benchmarks examples``)
   plus the limb-bound certifier over every registered modulus; exits
   non-zero if any rule fires or any certificate has a violated bound.
 * ``python -m repro.analysis taint [paths]`` — the interprocedural
@@ -30,7 +31,7 @@ from repro.analysis.lint import _RULES, run_lint
 from repro.analysis.report import AnalysisReport, LintFinding
 from repro.analysis.taint import TAINT_RULES, run_taint
 
-_DEFAULT_PATHS = ("src", "tests", "benchmarks")
+_DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 _DEFAULT_TAINT_PATHS = ("src",)
 
 _BaselineKey = Tuple[str, str, str]
@@ -137,7 +138,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "paths", nargs="*",
-        help="files/directories to lint (default: src tests benchmarks)")
+        help="files/directories to lint "
+        "(default: src tests benchmarks examples)")
     _add_shared_flags(parser)
     parser.add_argument(
         "--no-lint", action="store_true",

@@ -1,21 +1,19 @@
 """Limb-bound certifier: worst-case magnitude propagation (GZKP §4.3).
 
 The limb kernels are only correct while every intermediate stays
-*exactly representable*: the DFP multiplier's float64 lanes below 2^53,
-the CIOS kernels' u128 accumulators without wrap-around, and their
-canonical-residue invariants intact. Those claims live as comments in
-:mod:`repro.backend.native` / :mod:`repro.ff.dfp`; this module turns
-them into machine-checked certificates.
+*exactly representable*: the CIOS kernels' u128 accumulators without
+wrap-around, and their canonical-residue invariants intact. Those
+claims live as comments in :mod:`repro.backend.native`; this module
+turns them into machine-checked certificates.
 
 The certifier is an interval/abstract interpreter over the kernels'
 dataflow. Each kernel family is modelled as magnitude arithmetic on
 worst-case values (pure Python ints — no float can round, no word can
 wrap inside the certifier itself), and every step that the real kernel
-performs in float64 or machine words records a :class:`~repro.analysis.
-report.BoundCheck` into a tracker that keeps the worst case seen. Three
+performs in machine words records a :class:`~repro.analysis.
+report.BoundCheck` into a tracker that keeps the worst case seen. Two
 families are covered:
 
-* ``dfp`` — the base-2^52 Dekker two-product multiplier.
 * ``native-mont`` — the compiled CIOS Montgomery kernels
   (:mod:`repro.backend.native`): u128 accumulator range, scratch
   width, and the canonicality invariants the raw-domain Stockham
@@ -36,16 +34,11 @@ from typing import Dict, List
 from repro.analysis.report import BoundCheck, KernelCertificate
 
 __all__ = [
-    "certify_dfp",
     "certify_native_mont",
     "certify_native_jacobian",
     "certify_modulus",
     "certify_all",
 ]
-
-#: float64 integers are exact strictly below this
-F53 = 1 << 53
-
 
 # -- check tracker -------------------------------------------------------------
 
@@ -57,7 +50,7 @@ class _Tracker:
         self._worst: Dict[str, BoundCheck] = {}
         self._order: List[str] = []
 
-    def hit(self, name: str, bound: int, limit: int, kind: str = "float53",
+    def hit(self, name: str, bound: int, limit: int, kind: str,
             detail: str = "") -> None:
         cur = self._worst.get(name)
         if cur is None:
@@ -68,63 +61,6 @@ class _Tracker:
 
     def checks(self) -> List[BoundCheck]:
         return [self._worst[n] for n in self._order]
-
-
-# -- DFP (base-2^52 Dekker two-product) ----------------------------------------
-
-
-def certify_dfp(name: str, modulus: int) -> KernelCertificate:
-    """Certify ``DfpMultiplier``: Veltkamp split widths, product range,
-    and the |lo| error term of the two-product."""
-    bits = modulus.bit_length()
-    base_bits = 52
-    n_limbs = (bits + base_bits - 1) // base_bits
-    limb_max = (1 << base_bits) - 1
-    trk = _Tracker()
-    trk.hit(
-        "dfp/limb", limb_max, F53, "float53",
-        "base-2^52 limbs must be exact-integer doubles",
-    )
-    trk.hit(
-        "dfp/split-hi-sig", 26 + 26, 54, "structure",
-        "Veltkamp hi halves carry <= 26 significant bits each, so "
-        "a_hi * b_hi is exact",
-    )
-    trk.hit(
-        "dfp/split-cross-sig", 27 + 26, 54, "structure",
-        "lo halves carry <= 27 significant bits, so every cross "
-        "partial product is exact",
-    )
-    trk.hit(
-        "dfp/product", limb_max * limb_max, 1 << (2 * base_bits),
-        "carry", "limb products span < 2^104, keeping ulp(hi) <= 2^51",
-    )
-    # hi = fl(a*b) is an integer multiple of ulp(hi); the remainder
-    # lo = a*b - hi is an integer with |lo| <= ulp(hi)/2 <= 2^50.
-    trk.hit(
-        "dfp/lo-term", 1 << (2 * base_bits - 53), F53, "float53",
-        "the two-product error term must itself be an exact-integer "
-        "double",
-    )
-    trk.hit(
-        "dfp/limb-count", n_limbs, (bits // base_bits) + 2, "structure",
-        "ceil(bits/52) limbs cover the modulus",
-    )
-    witness_limb = limb_max
-    return KernelCertificate(
-        family="dfp",
-        modulus_name=name,
-        modulus_bits=bits,
-        params={"base_bits": base_bits, "n_limbs": n_limbs},
-        checks=trk.checks(),
-        witnesses={
-            "two_product": {
-                "limb": witness_limb,
-                "magnitude": witness_limb * witness_limb,
-                "check": "dfp/product",
-            }
-        },
-    )
 
 
 # -- native CIOS (compiled 64-bit word kernels) --------------------------------
@@ -502,9 +438,8 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
 
 
 def certify_modulus(name: str, modulus: int) -> List[KernelCertificate]:
-    """All three family certificates for one modulus."""
+    """Both family certificates for one modulus."""
     return [
-        certify_dfp(name, modulus),
         certify_native_mont(name, modulus),
         certify_native_jacobian(name, modulus),
     ]

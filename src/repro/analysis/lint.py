@@ -1,4 +1,4 @@
-"""Repo-specific AST lint rules (R001–R005).
+"""Repo-specific AST lint rules (R001–R005, R010).
 
 The rules encode discipline that reviewers otherwise enforce by hand:
 
@@ -26,6 +26,17 @@ The rules encode discipline that reviewers otherwise enforce by hand:
   class-level ``name`` tag, and any protocol op it overrides must keep
   the protocol's parameter names (extra trailing defaulted parameters
   are allowed).
+* **R010** — a public module under ``src/repro/`` must be imported by a
+  file under ``src/``, ``benchmarks/`` or ``examples/``, not only from
+  ``tests/``. A name imported from a package resolves to the module its
+  ``__init__`` takes it from (a ``from … import`` or a lazy
+  ``__getattr__`` map of module names); a package ``__init__`` reaches a
+  module only by using the name itself, not by re-exporting it.
+  Packages and ``__main__`` modules are roots. The finding sits on the
+  module's first statement. Callers count only if they are among the
+  linted files, so lint ``src`` with ``benchmarks`` and ``examples``.
+
+(R006–R009 are the witness-taint rules of :mod:`repro.analysis.taint`.)
 
 Rules are plugins: subclass :class:`Rule`, decorate with
 :func:`register`, and the runner picks it up. Findings are suppressed
@@ -489,6 +500,92 @@ class BackendProtocolConformance(Rule):
                     "parameters must be trailing and defaulted)",
                 ))
         return out
+
+
+# -- R010 ----------------------------------------------------------------------
+
+
+def _tree_role(path: Path) -> str:
+    """Which top-level tree a file sits in: the last of ``src``,
+    ``tests``, ``benchmarks``, ``examples`` on its path, or ''."""
+    for part in reversed(path.parts[:-1]):
+        if part in ("src", "tests", "benchmarks", "examples"):
+            return part
+    return ""
+
+
+@register
+class TestOnlyModule(Rule):
+    code = "R010"
+    title = "public module reached only from tests"
+
+    @staticmethod
+    def _imports(mod: ModuleInfo) -> Iterable[Tuple[str, Optional[str], str]]:
+        """(module, imported name or None, bound name) per import alias
+        (the repo has no relative imports)."""
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.name, None, alias.asname or alias.name
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield (node.module or "", alias.name,
+                           alias.asname or alias.name)
+
+    def visit_project(self, mods: Sequence[ModuleInfo]
+                      ) -> List[LintFinding]:
+        src = {m.module: m for m in mods
+               if _tree_role(m.path) == "src"
+               and m.module.split(".")[0] == "repro"}
+        # (package, name) -> where the package __init__ takes the name
+        # from: its ``from … import`` lines and its lazy __getattr__ map
+        taken: Dict[Tuple[str, str], Tuple[str, Optional[str]]] = {}
+        for pkg, m in src.items():
+            if m.path.stem != "__init__":
+                continue
+            for base, name, bound in self._imports(m):
+                if name is not None:
+                    taken[pkg, bound] = (base, name)
+            for node in ast.walk(m.tree):
+                if isinstance(node, ast.Dict):
+                    for k, v in zip(node.keys, node.values):
+                        if (isinstance(k, ast.Constant)
+                                and isinstance(v, ast.Constant)
+                                and v.value in src):
+                            taken[pkg, str(k.value)] = (v.value, None)
+
+        def resolve(base: str, name: Optional[str]) -> str:
+            seen: Set[Tuple[str, str]] = set()
+            while name is not None and (base, name) not in seen:
+                if f"{base}.{name}" in src:
+                    return f"{base}.{name}"
+                seen.add((base, name))
+                base, name = taken.get((base, name), (base, None))
+            return base
+
+        reached: Set[str] = set()
+        for m in mods:
+            role = _tree_role(m.path)
+            if role not in ("src", "benchmarks", "examples"):
+                continue
+            used: Optional[Set[str]] = None
+            if role == "src" and m.path.stem == "__init__":
+                # a package __init__ reaches only what it uses itself
+                used = {n.id for n in ast.walk(m.tree)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+            for base, name, bound in self._imports(m):
+                if used is None or bound in used:
+                    reached.add(resolve(base, name))
+        # packages and __main__ modules are roots, never findings
+        return [
+            self.finding(m, m.tree.body[0] if m.tree.body else m.tree,
+                         f"module '{name}' is imported only from tests: "
+                         "give it a caller in src/, benchmarks/ or "
+                         "examples/, or delete it with its tests")
+            for name, m in sorted(src.items())
+            if not m.path.stem.startswith("_") and name not in reached
+        ]
 
 
 # -- runner --------------------------------------------------------------------

@@ -5,12 +5,8 @@ Two result kinds flow out of :mod:`repro.analysis`:
 * :class:`BoundCheck` / :class:`KernelCertificate` — the limb-bound
   certifier's output: one certificate per (kernel family, modulus),
   each a list of named worst-case-magnitude checks against a hard
-  representability limit (2^53 float exactness, u128 accumulator
-  range, carry headroom). A certificate also carries *witnesses*:
-  concrete adversarial inputs the certifier constructed whose exact
-  intermediate magnitude attains (or approaches within documented
-  slack) the certified ceiling — the property tests replay them
-  against the real kernels.
+  representability limit (u128 accumulator range, carry headroom,
+  structural gates).
 * :class:`LintFinding` — one repo-rule violation (R001..) at a source
   location.
 
@@ -42,13 +38,13 @@ class BoundCheck:
     ``bound`` is the certifier's worst-case magnitude for the named
     intermediate (inclusive); ``limit`` is the exclusive representability
     ceiling it must stay under. ``kind`` names the resource the limit
-    protects (``float53``, ``u128``, ``carry``, ``structure``).
+    protects (``u128``, ``carry``, ``structure``).
     """
 
     name: str
     bound: int
     limit: int
-    kind: str = "float53"
+    kind: str
     detail: str = ""
 
     @property
@@ -76,14 +72,11 @@ class BoundCheck:
 class KernelCertificate:
     """All checks for one (kernel family, modulus) pair."""
 
-    family: str            # "dfp" | "native-mont" | "native-jacobian"
+    family: str            # "native-mont" | "native-jacobian"
     modulus_name: str
     modulus_bits: int
     params: Dict[str, int] = field(default_factory=dict)
     checks: List[BoundCheck] = field(default_factory=list)
-    #: name -> {"value": int input, "magnitude": int} adversarial
-    #: witnesses whose exact magnitude the property tests reproduce
-    witnesses: Dict[str, dict] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -106,7 +99,6 @@ class KernelCertificate:
             "ok": self.ok,
             "params": dict(self.params),
             "checks": [c.to_dict() for c in self.checks],
-            "witnesses": dict(self.witnesses),
         }
 
 

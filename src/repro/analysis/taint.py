@@ -1201,7 +1201,8 @@ class _Evaluator:
         if mod_target is not None:
             # call through a module alias: resolve exactly within the
             # analyzed modules, or treat as an external call
-            # (``_np.zeros(...)`` must not join ``FieldVector.zeros``)
+            # (``_np.zeros(...)`` must not join an analyzed method that
+            # happens to be named ``zeros``)
             qual = f"{mod_target}.{base_name}"
             if qual in self.engine.functions:
                 cands = [qual]

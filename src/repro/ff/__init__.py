@@ -1,12 +1,8 @@
-"""Finite-field substrate: prime fields, GPU-style limb arithmetic
-(64-bit Montgomery and base-2^52 DFP), extension towers, vectors, and
-operation counting."""
+"""Finite-field substrate: prime fields (with their 64-bit and base-2^52
+limb geometry), extension towers, polynomials, and operation counting."""
 
 from repro.ff.primefield import FieldElement, PrimeField
-from repro.ff.montgomery import MontgomeryContext, from_limbs, to_limbs
-from repro.ff.dfp import DfpMultiplier, two_product, veltkamp_split
 from repro.ff.extension import ExtElement, ExtensionField
-from repro.ff.vectorfield import FieldVector, pad_to_power_of_two
 from repro.ff.opcount import OpCounter
 from repro.ff.poly import Polynomial
 from repro.ff.params import (
@@ -23,16 +19,8 @@ from repro.ff.params import (
 __all__ = [
     "PrimeField",
     "FieldElement",
-    "MontgomeryContext",
-    "to_limbs",
-    "from_limbs",
-    "DfpMultiplier",
-    "two_product",
-    "veltkamp_split",
     "ExtensionField",
     "ExtElement",
-    "FieldVector",
-    "pad_to_power_of_two",
     "OpCounter",
     "Polynomial",
     "ALT_BN128_R",

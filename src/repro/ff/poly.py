@@ -1,3 +1,4 @@
+# repro: allow[R010] the SNARK tests' reference for H(x); safety code, kept
 """Dense polynomial arithmetic over a prime field.
 
 Supports the QAP/POLY machinery with an independently-tested toolkit:

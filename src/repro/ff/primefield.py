@@ -9,10 +9,10 @@ Two layers are provided:
 * :class:`FieldElement` — an ergonomic wrapper with operator overloading
   for user-facing code (examples, the circuit DSL, the SNARK layer).
 
-The GPU-oriented limb representations (64-bit Montgomery limbs and the
-base-2^52 double-precision-float path of GZKP §4.3) live in
-:mod:`repro.ff.montgomery` and :mod:`repro.ff.dfp`; they are bit-exact
-alternatives validated against this module.
+The limb geometry a GPU kernel sees is described here too:
+:attr:`PrimeField.limbs64` (the 64-bit Montgomery words of the compiled
+kernels) and :attr:`PrimeField.limbs52` (the base-2^52 double-precision
+limbs of GZKP §4.3, which :mod:`repro.gpusim` prices).
 """
 
 from __future__ import annotations

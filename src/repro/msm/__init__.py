@@ -20,8 +20,6 @@ from repro.msm.scheduling import (
     schedule_quality,
 )
 from repro.msm.memory_model import memory_curve, msm_memory_usage
-from repro.msm.multigpu import MultiGpuMsm
-from repro.msm.prefix import ScanProfile, parallel_bucket_reduce
 from repro.msm.signed import SignedConsolidatedMsm, signed_digits
 from repro.msm.common import affine_point_bytes, coord_bits, fq_mul_factor_of
 
@@ -48,9 +46,6 @@ __all__ = [
     "map_tasks_to_warps",
     "schedule_quality",
     "memory_curve",
-    "MultiGpuMsm",
-    "parallel_bucket_reduce",
-    "ScanProfile",
     "SignedConsolidatedMsm",
     "signed_digits",
     "msm_memory_usage",

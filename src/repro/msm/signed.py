@@ -1,3 +1,4 @@
+# repro: allow[R010] kept for batch_scalar_mul's signed windows, its planned caller
 """Signed-digit bucket halving: an extension beyond the paper.
 
 Modern MSM engines (arkworks, gnark, cuZK) recode scalars into *signed*

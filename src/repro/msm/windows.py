@@ -136,25 +136,6 @@ class DigitStats:
             window_loads=tuple(window_loads),
         )
 
-    def scaled(self, n: int) -> "DigitStats":
-        """The same digit *distribution* over a vector of ``n`` scalars:
-        sparsity fractions and bucket/window imbalance are preserved
-        while every absolute load scales with n / self.n. A contiguous
-        slice of an i.i.d. scalar vector looks exactly like this — it is
-        how multi-GPU horizontal partitioning prices each card's slice
-        without re-enumerating digits."""
-        if n == self.n or self.n == 0:
-            return self
-        f = n / self.n
-        return DigitStats(
-            n=n,
-            windows=self.windows,
-            nonzero_digits=int(round(self.nonzero_digits * f)),
-            max_bucket_load=int(round(self.max_bucket_load * f)),
-            mean_bucket_load=self.mean_bucket_load * f,
-            window_loads=tuple(int(round(x * f)) for x in self.window_loads),
-        )
-
     @property
     def nonzero_fraction(self) -> float:
         """Fraction of (scalar, window) digit slots that are non-zero."""

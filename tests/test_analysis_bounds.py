@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.bounds import (
     certify_all,
-    certify_dfp,
     certify_modulus,
     certify_native_mont,
 )
@@ -20,10 +19,9 @@ BN254_R = SCALAR_FIELDS["ALT-BN128"].modulus
 
 def test_certify_all_passes_at_head():
     certs = certify_all()
-    # 3 families x 6 distinct moduli (Fr + Fq of three curves)
-    assert len(certs) == 18
-    assert {c.family for c in certs} == {
-        "dfp", "native-mont", "native-jacobian"}
+    # 2 families x 6 distinct moduli (Fr + Fq of three curves)
+    assert len(certs) == 12
+    assert {c.family for c in certs} == {"native-mont", "native-jacobian"}
     bad = [(c.family, c.modulus_name, [v.name for v in c.violations()])
            for c in certs if not c.ok]
     assert bad == []
@@ -123,21 +121,13 @@ def test_violation_fails_the_report():
     assert "VIOLATION" in report.render()
 
 
-def test_dfp_certificate_structure():
-    cert = certify_dfp("ALT-BN128.Fr", BN254_R)
-    assert cert.ok
-    w = cert.witnesses["two_product"]
-    assert w["limb"] == (1 << 52) - 1
-    assert w["magnitude"] == w["limb"] * w["limb"]
-
-
 def test_report_json_round_trips():
     import json
 
     report = AnalysisReport(certificates=certify_modulus("m", BN254_R))
     data = json.loads(report.to_json())
     assert data["ok"] is True
-    assert len(data["certificates"]) == 3
+    assert len(data["certificates"]) == 2
     for cert in data["certificates"]:
         for check in cert["checks"]:
             assert check["bound"] < check["limit"]

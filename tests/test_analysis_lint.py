@@ -1,7 +1,8 @@
-"""Repo lint rules R001–R005: one failing fixture per rule, the
+"""Repo lint rules R001–R005 and R010: one failing fixture per rule, the
 suppression syntax, repo cleanliness at HEAD, and CLI exit codes."""
 
 from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -76,7 +77,7 @@ def _write(tmp_path: Path, rel: str, src: str) -> Path:
 
 def test_rule_registry_is_complete():
     assert [r.code for r in all_rules()] == [
-        "R001", "R002", "R003", "R004", "R005"]
+        "R001", "R002", "R003", "R004", "R005", "R010"]
 
 
 def test_module_name_for():
@@ -174,6 +175,55 @@ class FineBackend(ComputeBackend):
     assert run_lint([str(f)]) == []
 
 
+def _r010_tree(tmp_path: Path) -> List[str]:
+    """A src/ package whose one module only a test imports, through the
+    package's re-export; returns the paths to lint."""
+    _write(tmp_path, "src/repro/pkg/__init__.py",
+           "from repro.pkg.model import Model\n")
+    _write(tmp_path, "src/repro/pkg/model.py",
+           '"""A model."""\n\n\nclass Model:\n    pass\n')
+    _write(tmp_path, "tests/test_model.py", "from repro.pkg import Model\n")
+    return [str(tmp_path / d) for d in ("src", "tests", "benchmarks")]
+
+
+def test_r010_flags_a_module_only_tests_import(tmp_path):
+    findings = run_lint(_r010_tree(tmp_path))
+    assert [(f.code, Path(f.path).name, f.line) for f in findings] == [
+        ("R010", "model.py", 1)]
+    assert "repro.pkg.model" in findings[0].message
+
+
+def test_r010_quiet_when_a_benchmark_imports_it(tmp_path):
+    paths = _r010_tree(tmp_path)
+    _write(tmp_path, "benchmarks/bench_model.py",
+           "from repro.pkg import Model\n\nMODEL = Model()\n")
+    assert run_lint(paths) == []
+
+
+def test_r010_quiet_when_the_package_init_uses_the_name(tmp_path):
+    paths = _r010_tree(tmp_path)
+    _write(tmp_path, "src/repro/pkg/__init__.py",
+           "from repro.pkg.model import Model\n\nREGISTRY = {'m': Model}\n")
+    assert run_lint(paths) == []
+
+
+def test_r010_follows_a_lazy_getattr_map(tmp_path):
+    paths = _r010_tree(tmp_path)
+    _write(tmp_path, "src/repro/pkg/__init__.py",
+           "_LAZY = {'Model': 'repro.pkg.model'}\n")
+    _write(tmp_path, "benchmarks/bench_model.py",
+           "from repro.pkg import Model\n")
+    assert run_lint(paths) == []
+
+
+def test_r010_allow_comment_suppresses(tmp_path):
+    paths = _r010_tree(tmp_path)
+    model = tmp_path / "src/repro/pkg/model.py"
+    model.write_text("# repro: allow[R010] the tests' reference model\n"
+                     + model.read_text())
+    assert run_lint(paths) == []
+
+
 def test_unparseable_file_is_reported(tmp_path):
     f = _write(tmp_path, "repro/msm/syntax_err.py", "def f(:\n")
     findings = run_lint([str(f)])
@@ -181,7 +231,8 @@ def test_unparseable_file_is_reported(tmp_path):
 
 
 def test_repo_is_clean_at_head():
-    paths = [str(REPO_ROOT / d) for d in ("src", "tests", "benchmarks")
+    paths = [str(REPO_ROOT / d)
+             for d in ("src", "tests", "benchmarks", "examples")
              if (REPO_ROOT / d).exists()]
     findings = run_lint(paths)
     assert findings == [], [f.render() for f in findings]
@@ -202,7 +253,7 @@ def test_cli_bounds_only_passes_and_writes_json(tmp_path, capsys):
 
     data = json.loads(out.read_text())
     assert data["ok"] is True
-    assert len(data["certificates"]) == 18
+    assert len(data["certificates"]) == 12
 
 
 def test_cli_fails_on_bound_violation(tmp_path, monkeypatch, capsys):

@@ -1,71 +1,18 @@
-"""Tests for the extension features: multi-GPU MSM (Table 4's substrate)
-and the throughput-oriented batched NTT (§7 future work)."""
+"""Tests for the extension feature: the throughput-oriented batched NTT
+(§7 future work)."""
 
 import random
 
 import pytest
 
-from repro.curves import CURVES, bn128_g1
-from repro.errors import MsmError, NttError
+from repro.curves import CURVES
+from repro.errors import NttError
 from repro.ff import ALT_BN128_R
 from repro.gpusim import V100
-from repro.msm import naive_msm
-from repro.msm.multigpu import MultiGpuMsm
 from repro.ntt import ntt
 from repro.ntt.batched import BatchedNtt
 
 F = ALT_BN128_R
-
-
-class TestMultiGpuMsm:
-    def _inputs(self, n, seed=0):
-        rng = random.Random(seed)
-        pts = [bn128_g1.random_point(rng) for _ in range(n)]
-        scs = [rng.randrange(bn128_g1.order) for _ in range(n)]
-        return scs, pts
-
-    @pytest.mark.parametrize("n_gpus", [1, 2, 4])
-    def test_matches_naive(self, n_gpus):
-        scs, pts = self._inputs(21, seed=n_gpus)
-        engine = MultiGpuMsm(bn128_g1, 254, V100, n_gpus=n_gpus,
-                             window=5, interval=2)
-        assert engine.compute(scs, pts) == naive_msm(bn128_g1, scs, pts)
-
-    def test_partition_covers_everything(self):
-        engine = MultiGpuMsm(bn128_g1, 254, V100, n_gpus=4)
-        parts = engine.partition(10)
-        covered = [i for p in parts for i in range(p.start, p.stop)]
-        assert covered == list(range(10))
-        sizes = [p.stop - p.start for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_empty_and_validation(self):
-        engine = MultiGpuMsm(bn128_g1, 254, V100, n_gpus=2, window=5,
-                             interval=1)
-        assert engine.compute([], []) is None
-        with pytest.raises(MsmError):
-            MultiGpuMsm(bn128_g1, 254, V100, n_gpus=0)
-
-    def test_scaling_speedup(self):
-        bls = CURVES["BLS12-381"]
-        single = MultiGpuMsm(bls.g1, bls.fr.bits, V100, n_gpus=1)
-        quad = MultiGpuMsm(bls.g1, bls.fr.bits, V100, n_gpus=4)
-        n = 1 << 24
-        gain = single.estimate_seconds(n) / quad.estimate_seconds(n)
-        # Table 4: sub-linear but substantial scaling.
-        assert 1.5 < gain < 4.0
-
-    def test_small_inputs_scale_poorly(self):
-        bls = CURVES["BLS12-381"]
-        single = MultiGpuMsm(bls.g1, bls.fr.bits, V100, n_gpus=1)
-        quad = MultiGpuMsm(bls.g1, bls.fr.bits, V100, n_gpus=4)
-        small_gain = single.estimate_seconds(1 << 12) / (
-            quad.estimate_seconds(1 << 12)
-        )
-        large_gain = single.estimate_seconds(1 << 24) / (
-            quad.estimate_seconds(1 << 24)
-        )
-        assert large_gain > small_gain
 
 
 class TestBatchedNtt:

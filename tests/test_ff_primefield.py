@@ -30,8 +30,11 @@ class TestStructure:
         assert ALT_BN128_Q.limbs64 == 4  # 256-bit class
         assert BLS12_381_Q.limbs64 == 6  # 381-bit class
         assert MNT4753_Q.limbs64 == 12  # 753-bit class
-        # Paper §4.3: a 753-bit integer becomes 15 base-2^52 limbs.
+        # Paper §4.3's base-2^52 limbs, which gpusim prices DFP by: a
+        # 753-bit integer becomes 15, a 254-bit one 5, a 381-bit one 8.
         assert MNT4753_Q.limbs52 == 15
+        assert ALT_BN128_Q.limbs52 == 5
+        assert BLS12_381_Q.limbs52 == 8
 
     def test_two_adicity_supports_paper_scales(self):
         # Tables 5-8 go up to 2^26; every field must support that.

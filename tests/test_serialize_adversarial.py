@@ -9,10 +9,6 @@ infinity and overflowing coordinates, x-coordinates off the curve, and
 — on every group whose cofactor is not 1, i.e. all but ALT-BN128 G1 —
 genuine on-curve points outside the prime-order subgroup, the classic
 small-subgroup-confinement vector.
-
-It also pins the MultiGpuMsm estimate regression: caller-supplied
-sparse digit stats must actually reach the per-card cost model instead
-of being silently replaced by the dense model.
 """
 
 import random
@@ -22,10 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curves import CURVES
-from repro.errors import MsmError, ProofError
-from repro.gpusim import V100
-from repro.msm.multigpu import MultiGpuMsm
-from repro.msm.windows import DigitStats
+from repro.errors import ProofError
 from repro.snark.serialize import (
     compress_g1,
     compress_g2,
@@ -236,84 +229,3 @@ def test_in_subgroup_is_not_vacuous():
     assert group.scalar_mul_unchecked(group.order, rogue) is not None
     assert group.in_subgroup(group.generator)
     assert not group.in_subgroup(rogue)
-
-
-# -- MultiGpuMsm stats regression --------------------------------------------------
-
-
-class TestMultiGpuStats:
-    BITS = 254
-
-    def _engine(self, n_gpus=4):
-        group = CURVES["ALT-BN128"].g1
-        return MultiGpuMsm(group, self.BITS, V100, n_gpus=n_gpus)
-
-    def test_sparse_stats_change_the_estimate(self):
-        """Regression: estimate_seconds silently discarded caller stats
-        (sparse == dense). Sparse vectors have far fewer non-zero
-        digits, so they must price strictly below the dense model."""
-        engine = self._engine()
-        n = 1 << 20
-        window = engine._engine.configure(n // engine.n_gpus).window
-        sparse = DigitStats.sparse_model(n, self.BITS, window,
-                                         zero_fraction=0.6,
-                                         one_fraction=0.3)
-        dense = engine.estimate_seconds(n)
-        sparse_est = engine.estimate_seconds(n, sparse)
-        assert sparse_est < dense
-
-    def test_stats_scaled_to_per_card_slice(self):
-        """The per-card slice keeps the full vector's sparsity
-        fractions at per-card n."""
-        n = 1 << 18
-        full = DigitStats.sparse_model(n, self.BITS, 12,
-                                       zero_fraction=0.5,
-                                       one_fraction=0.25)
-        per_card = full.scaled(n // 4)
-        assert per_card.n == n // 4
-        assert per_card.windows == full.windows
-        assert per_card.nonzero_fraction == pytest.approx(
-            full.nonzero_fraction, rel=1e-3)
-        assert per_card.bucket_imbalance == pytest.approx(
-            full.bucket_imbalance, rel=1e-2)
-
-    def test_mismatched_window_stats_still_price(self):
-        """Stats enumerated at a window the per-card profiler would not
-        pick must still be priced (at their own window), not raise."""
-        engine = self._engine()
-        n = 1 << 16
-        per_card_window = engine._engine.configure(
-            n // engine.n_gpus).window
-        other_window = 7 if per_card_window != 7 else 9
-        stats = DigitStats.sparse_model(n, self.BITS, other_window,
-                                        zero_fraction=0.4,
-                                        one_fraction=0.2)
-        est = engine.estimate_seconds(n, stats)
-        assert est > 0
-
-    def test_impossible_window_count_raises(self):
-        engine = self._engine()
-        bogus = DigitStats.dense_model(1 << 16, self.BITS, 1)
-        object.__setattr__(bogus, "windows", self.BITS + 17)
-        with pytest.raises(MsmError):
-            engine.estimate_seconds(1 << 16, bogus)
-
-    def test_single_gpu_matches_underlying_engine(self):
-        engine = self._engine(n_gpus=1)
-        n = 1 << 16
-        stats = DigitStats.dense_model(
-            n, self.BITS, engine._engine.configure(n).window)
-        assert engine.estimate_seconds(n, stats) == pytest.approx(
-            engine._engine.estimate_seconds(n, stats))
-
-    def test_reduce_overhead_constant_is_used(self):
-        from repro.gpusim import cost
-
-        engine2 = self._engine(n_gpus=2)
-        engine4 = self._engine(n_gpus=4)
-        n = 1 << 20
-        # overhead term grows linearly in the card count
-        assert cost.MULTI_GPU_REDUCE_OVERHEAD > 0
-        est2 = engine2.estimate_seconds(n)
-        est4 = engine4.estimate_seconds(n)
-        assert est2 > 0 and est4 > 0

@@ -1,16 +1,11 @@
-"""Tests for twiddle strategies (§5.3) and the parallel prefix-sum
-bucket reduction (§4.1)."""
+"""Tests for twiddle strategies (§5.3)."""
 
-import math
 import random
 
 import pytest
 
-from repro.curves import bn128_g1
 from repro.errors import NttError
 from repro.ff import ALT_BN128_R, MNT4753_R
-from repro.msm import bucket_reduce
-from repro.msm.prefix import parallel_bucket_reduce
 from repro.ntt.twiddle import (
     FULL,
     RECOMPUTE,
@@ -93,40 +88,3 @@ class TestStrategyStats:
         stats = strategy_stats(RECOMPUTE, n, 96)
         assert stats["storage_bytes"] == 0
         assert stats["extra_muls"] == (n // 2) * 20
-
-
-class TestParallelBucketReduce:
-    def _buckets(self, m, seed=0):
-        rng = random.Random(seed)
-        return [
-            bn128_g1.to_jacobian(bn128_g1.random_point(rng))
-            for _ in range(m)
-        ]
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 15, 16])
-    def test_matches_serial(self, m):
-        buckets = self._buckets(m, seed=m)
-        serial = bucket_reduce(bn128_g1, buckets)
-        parallel, _ = parallel_bucket_reduce(bn128_g1, buckets)
-        assert bn128_g1.from_jacobian(parallel) == (
-            bn128_g1.from_jacobian(serial)
-        )
-
-    def test_empty(self):
-        result, profile = parallel_bucket_reduce(bn128_g1, [])
-        assert bn128_g1.jis_infinity(result)
-        assert profile.total_padds == 0
-
-    def test_logarithmic_span(self):
-        """The point of the scan: critical path O(log m), not O(m)."""
-        for m in (16, 64, 256):
-            _, profile = parallel_bucket_reduce(bn128_g1, self._buckets(m))
-            assert profile.span_rounds <= 2 * math.ceil(math.log2(m)) + 2
-            # The serial method's span IS its work: 2m PADDs.
-            assert profile.span_rounds < 2 * m
-
-    def test_work_bounded(self):
-        m = 64
-        _, profile = parallel_bucket_reduce(bn128_g1, self._buckets(m))
-        # Hillis-Steele scan work is O(m log m); far below m^2.
-        assert profile.total_padds <= m * (math.ceil(math.log2(m)) + 2)
