@@ -24,7 +24,9 @@ families are covered:
 
 This module depends only on the standard library and
 :mod:`repro.analysis.report`; the field registry is imported lazily
-inside :func:`certify_all`.
+inside :func:`certify_all`, and the windowed sum's kernel source and
+index guard (:mod:`repro.backend.native`, which loads nothing when
+imported) inside :func:`certify_native_jacobian`.
 """
 
 from __future__ import annotations
@@ -273,13 +275,62 @@ def _karatsuba_base_muls() -> int:
     return m.muls
 
 
+#: what the windowed sum (``windows``) may call: the certified point
+#: bodies and the lane moves around them
+_WINDOWS_CALLEES = frozenset({"jpt_set_inf", "jpt_load", "jpt_dbl",
+                              "jpt_add", "jpt_store"})
+
+
+def _windows_foreign_callees() -> List[str]:
+    """The functions the C body of ``windows`` calls beyond
+    :data:`_WINDOWS_CALLEES`, read from the kernel source itself."""
+    import re
+
+    from repro.backend.native import _C_SOURCE
+
+    code = re.sub(r"/\*.*?\*/", "", _C_SOURCE, flags=re.S)
+    body = re.search(r"^void windows\(.*?^}", code, flags=re.S | re.M)
+    if body is None:
+        return ["<no windows kernel>"]
+    calls = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", body.group(0)))
+    return sorted(calls - _WINDOWS_CALLEES - {"windows", "for", "if"})
+
+
+def _windows_unguarded_indices() -> int:
+    """How many hostile index matrices the guard in front of the
+    ``windows`` kernel (``native.window_index``, against a 4-row table)
+    lets through: a negative entry, one past the table, a wrong dtype,
+    a list, a wrong rank."""
+    import numpy as np
+
+    from repro.backend.native import window_index
+
+    hostile = [np.array([[0, -1]], dtype=np.int64),
+               np.array([[4, 0]], dtype=np.int64),
+               np.array([[0, 1]], dtype=np.int32),
+               np.array([[0, 1]], dtype=np.uint64),
+               np.array([[0.0, 1.0]]),
+               [[0, 1]],
+               np.array([0, 1], dtype=np.int64),
+               np.zeros((1, 1, 2), dtype=np.int64)]
+    passed = 0
+    for idx in hostile:
+        try:
+            window_index(idx, 4)
+        except (ValueError, IndexError):
+            continue
+        passed += 1
+    return passed
+
+
 def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     """Certify the point kernels of :mod:`repro.backend.native`:
     ``jpt_dbl`` / ``jpt_add``, the one doubling and one addition that
-    the lane loops (``jac_dbl`` / ``jac_add``) and the sequential fold
-    (``bucket_fold``) run on Montgomery rows, the point-merging tree
-    (``merge``) and the Jacobian -> affine normalisation
-    (``to_affine``). Each is one body over the degree-d field ops
+    the lane loops (``jac_dbl`` / ``jac_add``), the sequential fold
+    (``bucket_fold``) and the windowed sum (``windows``) run on
+    Montgomery rows, the point-merging tree (``merge``) and the
+    Jacobian -> affine normalisation (``to_affine``). Each is one body
+    over the degree-d field ops
     ``fe_add`` / ``fe_sub`` / ``fe_mul`` (d = 1 over Fp, d = 2 over Fq2,
     where ``fe_mul`` is the 3-product Karatsuba), so one certificate
     covers G1 and G2.
@@ -305,7 +356,12 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     is never zero — chord lanes have x1 != x2 and tangent lanes
     y1 != -y2 by their routing, so 2y1 != 0, a merge lane that is
     neither stays out of the product, and so does a z = 0 lane of
-    ``to_affine``.
+    ``to_affine``. The windowed sum adds (6) no new primitive: its C
+    body calls ``jpt_dbl`` and ``jpt_add`` and moves lanes, nothing
+    else (read from the source), so (1)–(3) cover it; and (7) it reads
+    the table only at rows an index names, every index checked against
+    the table's row count before the call — the guard refuses every
+    hostile index matrix it is shown.
     """
     import math as _math
 
@@ -415,6 +471,21 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
         "(Fermat witnesses b^(p-1) == 1, b = 2, 3, 5, 7); the merge "
         "and to_affine feed it only non-zero products, dead and z = 0 "
         "lanes staying out of them",
+    )
+    foreign = _windows_foreign_callees()
+    trk.hit(
+        "windows-no-new-primitive", len(foreign), 1, "structure",
+        "the windowed sum composes jpt_dbl and jpt_add only, so the "
+        "gates above cover its arithmetic; it also calls: "
+        + (", ".join(foreign) or "nothing else"),
+    )
+    trk.hit(
+        "windows-index-bound", _windows_unguarded_indices(), 1,
+        "structure",
+        "the windowed sum reads table[idx] with no bound of its own; "
+        "window_index must refuse, before any pointer crosses, every "
+        "index outside [0, rows) and every matrix that is not an "
+        "(n, windows) int64 array",
     )
     return KernelCertificate(
         family="native-jacobian",

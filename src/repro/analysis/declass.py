@@ -11,7 +11,7 @@ Use it only where the protocol itself makes the data public (the
 paper's own assumptions), never to silence a finding on data that is
 still secret:
 
-* signed-digit decomposition feeding the MSM bucket pipeline — GZKP's
+* digit decomposition feeding the MSM bucket pipeline — GZKP's
   bucket counts *are* the workload model (Figure 6); the algorithm is
   data-dependent by design and documented as such;
 * a Groth16 proof after the r/s zero-knowledge masking — the proof is

@@ -210,13 +210,6 @@ class ComputeBackend:
         already-resident row as the same object."""
         return list(points)
 
-    def gather_points(self, row: Sequence, idx: Sequence[int]) -> Sequence:
-        """Lane j of the result is ``row[idx[j]]``: a row of the same
-        kind as ``row`` (a list here, a resident row from a resident
-        row), gathered by any sequence of in-range indices — a table
-        read by digit (:mod:`repro.msm.fixed_base`)."""
-        return [row[i] for i in idx]
-
     def batch_to_jacobian(self, group, points: Sequence) -> Sequence:
         """``group.to_jacobian`` of every point of an affine row, as a
         Jacobian row of the same kind (list in, list out)."""
@@ -255,6 +248,35 @@ class ComputeBackend:
         :meth:`batch_jadd`)."""
         self._check_pair(ps, qs, CurveError)
         return [group.jmixed_add(p, q) for p, q in zip(ps, qs)]
+
+    def window_sum(self, group, table: Sequence, idx, doublings: int):
+        """A windowed scalar multiplication per lane over one shared
+        Jacobian table (a list, or this backend's resident bucket row):
+        lane i starts at infinity and, for each window t from the last
+        column of ``idx`` down to the first, doubles ``doublings`` times
+        and adds ``table[idx[i, t]]``. Returns the Jacobian row of the
+        lanes' sums, of the table's kind. ``idx`` is an ``(n, windows)``
+        int64 numpy array whose every entry names a table row —
+        :func:`repro.backend.native.window_index` refuses anything else,
+        here as at the C boundary.
+
+        This default is that loop on the scalar ``jdouble`` / ``jadd``,
+        counting through ``group``; an override returns the same points
+        with the same padd/pdbl totals (a doubling or an addition onto
+        infinity is count-free, as the scalar formulas make it)."""
+        from repro.backend.native import window_index
+
+        idx = window_index(idx, len(table))
+        o = group.ops
+        out = []
+        for lane in idx.tolist():
+            acc = (o.one, o.one, o.zero)
+            for t in reversed(lane):
+                for _ in range(doublings):
+                    acc = group.jdouble(acc)
+                acc = group.jadd(acc, table[t])
+            out.append(acc)
+        return out
 
     def accumulate_buckets(self, group, buckets: List,
                            entries: Sequence[Tuple[int, object]]) -> List:

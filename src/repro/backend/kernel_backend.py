@@ -8,9 +8,10 @@ rule holds for every op: it runs on word rows when its field has a
 floor (``_lift``'s ``floor`` for field vectors, :data:`MIN_VECTOR_LANES`
 for point rows, :data:`SEGMENTED_MIN_ENTRIES` for point-merging; a
 resident operand always clears it), and takes the inherited scalar loop
-otherwise. ``digits_matrix`` and ``digit_entries`` are vectorized with
-numpy unconditionally. Results and op counts are the ``python``
-backend's.
+otherwise. ``digit_entries`` is vectorized with numpy unconditionally,
+``digits_matrix`` from ``MIN_VECTOR_LANES`` scalars up, and
+``window_sum`` runs its one C call at any lane count. Results and op
+counts are the ``python`` backend's.
 
 * **Resident forms.** This module is the only place ints become word
   rows and word rows become ints. A field vector is a
@@ -31,12 +32,12 @@ backend's.
   which native field serves a group, and its :class:`_Lanes` engine
   (degree d: 1 for prime-field coordinates, 2 for Fq2 = Fq[i]/(i^2 +
   c0)) is that group's int boundary and kernel call. Every point
-  formula — doubling, addition, the bucket fold, the merge and
-  Jacobian -> affine — is one C body over degree-d field ops, so G1 and
-  G2 run the same code. The kernels route every special lane (infinity,
-  P == Q, P == -Q) as the scalar formulas do and return the padd/pdbl
-  tallies those would have booked, so coordinates and op counts are
-  bit-identical to the scalar loop.
+  formula — doubling, addition, the bucket fold, the windowed sum, the
+  merge and Jacobian -> affine — is one C body over degree-d field ops,
+  so G1 and G2 run the same code. The kernels route every special lane
+  (infinity, P == Q, P == -Q) as the scalar formulas do and return the
+  padd/pdbl tallies those would have booked, so coordinates and op
+  counts are bit-identical to the scalar loop.
 
 * **Point-merging** (:func:`_merge_tree` behind
   :meth:`KernelBackend.accumulate_table` and
@@ -309,12 +310,14 @@ class _Lanes:
             [self.nf.decode_one(row[k * w:(k + 1) * w])
              for k in range(self.d)])
 
-    def point_op(self, op: str, *rows: ResidentBuckets):
-        """One point kernel call (``NativeField.point_op``) over bucket
-        rows, its padd/pdbl tallies booked once: the result planes."""
+    def point_op(self, op: str, *rows: ResidentBuckets, **kernel_args):
+        """One point kernel call (``NativeField.point_op``, which takes
+        the windowed sum's ``ids`` and ``doublings`` as ``kernel_args``)
+        over bucket rows, its padd/pdbl tallies booked once: the result
+        planes."""
         out, n_padd, n_pdbl = self.nf.point_op(
             op, self.d, [pl for r in rows for pl in (r.x, r.y, r.z)],
-            *self.curve_rows)
+            *self.curve_rows, **kernel_args)
         _book(self.group, n_padd, n_pdbl)
         return out
 
@@ -322,20 +325,19 @@ class _Lanes:
 # -- point-merging ---------------------------------------------------------------
 
 
-def _merge_tree(eng, group, ids, X, Y, fold_flagged):
-    """Point-merging, shared by both front-ends: ``ids`` holds the
-    entries' bucket ids in ascending order and ``X``/``Y`` their packed
-    Montgomery rows in the same order.
+def _tree_entries(ids, X, fold_flagged):
+    """Which point-merging entries the tree takes, shared by both
+    front-ends: ``ids`` holds the entries' bucket ids in ascending order
+    and ``X`` their packed Montgomery x rows in the same order. Returns
+    ``None`` when the tree takes them all, else the mask of those it
+    takes.
 
     Buckets that receive the same x-coordinate more than once are
     handed to ``fold_flagged(buckets)`` — the front-end folds their
     entries scalar-first in original entry order — and leave the tree.
-    Everything else is one C call (``NativeField.point_op("merge")``):
-    P == Q lanes take the tangent, P == -Q lanes cancel to a dead lane
-    that revives from its right neighbour next round — detection is
-    exact because the Montgomery lanes stay canonical. Books the tree's
-    PADD/PDBL totals and returns ``(ids, X, Y)`` of the surviving lanes,
-    at most one per bucket."""
+    A front-end then drops its x rows and reads x and y for the kept
+    entries only, so a bucket fed one x twice costs no more memory than
+    a merge without one."""
     # Buckets fed the same x-coordinate twice (a duplicated or negated
     # base — rare, but real proving keys do repeat bases) go through
     # the exact scalar fold: no reassociated schedule can reproduce the
@@ -345,27 +347,42 @@ def _merge_tree(eng, group, ids, X, Y, fold_flagged):
     # Fast pre-pass: a 64-bit digest of (bucket, x). Equal bucket and
     # equal x imply equal digest, so a genuine duplicate always lands
     # adjacent in the sorted digests — a miss is impossible, and the
-    # all-distinct common case skips the expensive full-width word sort
-    # entirely (one plain sort of 64-bit keys; a cross-bucket digest
-    # collision only costs that exact sort, which then finds nothing).
+    # all-distinct common case skips the full-width word sort entirely
+    # (one plain sort of 64-bit keys); a digest hit sorts only the
+    # entries whose digest repeats, so a duplicate or a cross-bucket
+    # collision costs a handful of rows, never a copy of all of them.
     dig = ids.astype(_np.uint64)
     mix = _np.uint64(0x9E3779B97F4A7C15)
     for col in X.T:
         dig *= mix
         dig += col
     sd = _np.sort(dig)
-    if (sd[:-1] == sd[1:]).any():
-        # Digest hit (real duplicate or hash collision): confirm with
-        # the exact full-width sort over the Montgomery word columns.
-        ordx = _np.lexsort((*X.T, ids))
-        sc = ids[ordx]
-        sx = X[ordx]
-        eqx = (sc[:-1] == sc[1:]) & (sx[:-1] == sx[1:]).all(axis=1)
-        if eqx.any():
-            flagged = _np.unique(sc[:-1][eqx])
-            keep = ~_np.isin(ids, flagged)
-            ids, X, Y = ids[keep], X[keep], Y[keep]
-            fold_flagged(flagged)
+    repeated = sd[1:][sd[:-1] == sd[1:]]
+    if not repeated.size:
+        return None
+    # Digest hit (real duplicate or hash collision): confirm with the
+    # exact full-width sort over those entries' Montgomery word columns.
+    hit = _np.flatnonzero(_np.isin(dig, repeated))
+    sc, sx = ids[hit], X[hit]
+    ordx = _np.lexsort((*sx.T, sc))
+    sc, sx = sc[ordx], sx[ordx]
+    eqx = (sc[:-1] == sc[1:]) & (sx[:-1] == sx[1:]).all(axis=1)
+    if not eqx.any():
+        return None
+    flagged = _np.unique(sc[:-1][eqx])
+    fold_flagged(flagged)
+    return ~_np.isin(ids, flagged)
+
+
+def _merge_tree(eng, group, ids, X, Y):
+    """Point-merging over the entries :func:`_tree_entries` kept:
+    ``ids`` holds their bucket ids in ascending order and ``X``/``Y``
+    their packed Montgomery rows in the same order. One C call
+    (``NativeField.point_op("merge")``): P == Q lanes take the tangent,
+    P == -Q lanes cancel to a dead lane that revives from its right
+    neighbour next round — detection is exact because the Montgomery
+    lanes stay canonical. Books the tree's PADD/PDBL totals and returns
+    ``(ids, X, Y)`` of the surviving lanes, at most one per bucket."""
     out, n_padd, n_pdbl = eng.nf.point_op("merge", eng.d, (X, Y),
                                           *eng.curve_rows, ids=ids)
     _book(group, n_padd, n_pdbl)
@@ -382,20 +399,23 @@ def _stable_argsort(keys, bound: int):
     return _np.argsort(keys, kind="stable")
 
 
-def _table_lanes(table, rows, cols, order):
-    """Packed Montgomery rows of the points ``table[rows[j]][cols[j]]``
-    for j in ``order``: the table's rows stacked, then one ``take`` for
-    x and one for y."""
+def _table_index(table, rows, cols):
+    """The position of every point ``table[rows[j]][cols[j]]`` in the
+    table's rows laid end to end, every index checked first."""
     sizes = _np.array([len(r) for r in table], dtype=_np.int64)
     if rows.size and not (0 <= int(rows.min()) and int(rows.max()) < len(table)
                           and 0 <= int(cols.min())
                           and (cols < sizes[rows]).all()):
         raise IndexError("checkpoint-table index out of range")
-    flat = (_np.cumsum(sizes) - sizes)[rows[order]] + cols[order]
-    return tuple(
-        _np.take(_np.concatenate([getattr(r, c) for r in table]), flat,
-                 axis=0)
-        for c in ("x", "y"))
+    return (_np.cumsum(sizes) - sizes)[rows] + cols
+
+
+def _table_lanes(table, flat, coord: str):
+    """Packed Montgomery rows of coordinate ``coord`` (``"x"`` or
+    ``"y"``) of the table's points at ``flat`` (:func:`_table_index`):
+    the table's rows stacked, then one ``take``."""
+    return _np.take(_np.concatenate([getattr(r, coord) for r in table]),
+                    flat, axis=0)
 
 
 # -- the backend ---------------------------------------------------------------
@@ -569,9 +589,11 @@ class KernelBackend(ComputeBackend):
         n = len(scalars)
         if n == 0:
             return _np.zeros((0, w), dtype=_np.int64)
-        if window > 30:
+        if window > 30 or n < MIN_VECTOR_LANES:
             # Two 32-bit word lanes cover any window <= 30 without
-            # overflowing int64; wider windows take the scalar loop.
+            # overflowing int64; wider windows take the scalar loop, and
+            # so do a few scalars, whose one pass per window costs more
+            # than their python shifts.
             return _np.array(super().digits_matrix(scalars, scalar_bits,
                                                    window), dtype=_np.int64)
         # Cover every bit any window reads (the top window may reach
@@ -612,9 +634,8 @@ class KernelBackend(ComputeBackend):
         return slot_idx, blocks, nz_i
 
     # -- resident point rows ------------------------------------------------------
-    # Gathering and lifting to Jacobian do no arithmetic, so a python
-    # list stays a python list there: only a resident row has word rows
-    # to move.
+    # Lifting to Jacobian does no arithmetic, so a python list stays a
+    # python list there: only a resident row has word rows to move.
 
     def resident_points(self, group, points: Sequence) -> Sequence:
         """A :class:`ResidentPoints` row when the group has a native
@@ -632,15 +653,6 @@ class KernelBackend(ComputeBackend):
             points = [(zero, zero) if p is None else p for p in points]
         return ResidentPoints(eng, eng.rows([p[0] for p in points]),
                               eng.rows([p[1] for p in points]), inf)
-
-    def gather_points(self, row: Sequence, idx: Sequence[int]) -> Sequence:
-        """A resident row: one ``take`` per coordinate row and one of
-        the ``None`` mask."""
-        if not isinstance(row, ResidentPoints):
-            return super().gather_points(row, idx)
-        idx = _np.asarray(idx, dtype=_np.int64)
-        return ResidentPoints(row.eng, *(_np.take(plane, idx, axis=0)
-                                         for plane in (row.x, row.y, row.inf)))
 
     def batch_to_jacobian(self, group, points: Sequence) -> Sequence:
         """A resident affine row as bucket rows (z = 1, or (1, 1, 0) on
@@ -687,11 +699,12 @@ class KernelBackend(ComputeBackend):
         return eng
 
     @staticmethod
-    def _point_rows(eng, op: str, *rows) -> Sequence:
+    def _point_rows(eng, op: str, *rows, **kernel_args) -> Sequence:
         """One lane-wise point kernel over the rows, as the kind of row
         it was handed: resident if any operand was."""
         lifted = [_lift_buckets(eng, r) for r in rows]
-        out = ResidentBuckets(eng, *eng.point_op(op, *lifted))
+        out = ResidentBuckets(eng, *eng.point_op(op, *lifted,
+                                                 **kernel_args))
         if any(a is b for a, b in zip(lifted, rows)):
             return out
         return out.tolist()
@@ -741,6 +754,20 @@ class KernelBackend(ComputeBackend):
         return ResidentBuckets(
             eng, *eng.point_op("fold", _lift_buckets(eng, buckets)))[0]
 
+    def window_sum(self, group, table: Sequence, idx, doublings: int):
+        """One C call (``point_op("windows")``) runs every lane's whole
+        window loop — at any lane count, since one kernel call per
+        doubling round would cost more than python's own ``jdouble``.
+        A python table is lifted for the call, and the sums then come
+        back as a python list."""
+        eng = (table.eng if isinstance(table, ResidentBuckets)
+               else _native_engine(group))
+        if eng is None:
+            return super().window_sum(group, table, idx, doublings)
+        coverage.note("jacobian")
+        return self._point_rows(eng, "windows", table, ids=idx,
+                                doublings=doublings)
+
     # -- point-merging ----------------------------------------------------------
 
     def accumulate_buckets(self, group, buckets: List,
@@ -760,7 +787,7 @@ class KernelBackend(ComputeBackend):
                             count=len(items))
         order = _stable_argsort(idxs, len(buckets))
         pts = [items[int(k)][1] for k in order]
-        X, Y = eng.rows([p[0] for p in pts]), eng.rows([p[1] for p in pts])
+        X = eng.rows([p[0] for p in pts])
 
         def fold_flagged(flagged):
             flagset = {int(b) for b in flagged}
@@ -768,7 +795,14 @@ class KernelBackend(ComputeBackend):
                 if idx in flagset:
                     buckets[idx] = group.jmixed_add(buckets[idx], pt)
 
-        ids, X, Y = _merge_tree(eng, group, idxs[order], X, Y, fold_flagged)
+        tree = _tree_entries(idxs[order], X, fold_flagged)
+        if tree is not None:  # the full rows go before the kept are read
+            del X
+            order = order[tree]
+            pts = [p for p, kept in zip(pts, tree.tolist()) if kept]
+            X = eng.rows([p[0] for p in pts])
+        ids, X, Y = _merge_tree(eng, group, idxs[order], X,
+                                eng.rows([p[1] for p in pts]))
         if ids.size:
             o = group.ops
             one = o.one
@@ -810,7 +844,8 @@ class KernelBackend(ComputeBackend):
         # order will do there, since buckets fed one x twice leave the tree.
         order = _stable_argsort(rows, len(table))
         order = order[_stable_argsort(slots[order], n_slots)]
-        X, Y = _table_lanes(table, rows, cols, order)
+        flat = _table_index(table, rows, cols)[order]
+        X = _table_lanes(table, flat, "x")
         folded = {}
 
         def fold_flagged(flagged):
@@ -821,7 +856,13 @@ class KernelBackend(ComputeBackend):
                 folded[s] = group.jmixed_add(folded.get(s, infinity),
                                              table[rows[j]][cols[j]])
 
-        ids, X, Y = _merge_tree(eng, group, slots[order], X, Y, fold_flagged)
+        tree = _tree_entries(slots[order], X, fold_flagged)
+        if tree is not None:  # the full rows go before the kept are read
+            del X
+            order, flat = order[tree], flat[tree]
+            X = _table_lanes(table, flat, "x")
+        ids, X, Y = _merge_tree(eng, group, slots[order], X,
+                                _table_lanes(table, flat, "y"))
         # every bucket starts as the scalar fold's infinity, (1, 1, 0); the
         # survivors land as (x, y, 1), their merged rows as they are
         one = _np.tile(eng.one, (n_slots, 1))

@@ -13,8 +13,9 @@ the full-proof native ablation too.
 So this module compiles one small C file (batch kernels: CIOS Montgomery
 multiply, modular add/sub, the point kernels — one doubling and one
 addition over degree-d field ops that serve Fp and Fq2 alike, looped
-per lane and folded sequentially over buckets, the point-merging tree
-and the Jacobian -> affine normalisation — a whole-vector Stockham NTT
+per lane, folded sequentially over buckets and run as a whole windowed
+scalar multiplication per lane, the point-merging tree and the
+Jacobian -> affine normalisation — a whole-vector Stockham NTT
 sweep, a sequential power ladder and a broadcast constant multiply, all
 over little-endian 64-bit word rows) with the system
 compiler at first use, caches the shared object keyed by a hash of the
@@ -88,7 +89,7 @@ import numpy as _np
 
 __all__ = ["native_available", "get_native_field", "NativeField",
            "NATIVE_ENV_VAR", "reset_native", "kernel_events",
-           "drain_kernel_events", "cache_base_dir"]
+           "drain_kernel_events", "cache_base_dir", "window_index"]
 
 #: set to ``0``/``off``/``false`` to disable the compiled kernels
 NATIVE_ENV_VAR = "REPRO_NATIVE"
@@ -469,13 +470,15 @@ static void fe_inv(uint64_t *o, const uint64_t *a, int d,
    tally[0] += padds, tally[1] += pdbls, exactly what the scalar
    formulas book through group._count.
 
-   The exported kernels share one ABI: out, tally, (merge: ids), the
-   operand planes, n, d, am, c0m, one, N, n0inv, w. Operand planes are
-   Montgomery (n, d*w) rows and are only read; `out` is the result
-   planes of m rows each, x then y (then z) (m = n but for the fold's
-   1). am is the Montgomery row of the curve's a (d*w words), or NULL
-   when a == 0 (the a*z^4 term of the doubling and the tangent's + a
-   are skipped). No conversion mul anywhere in here.
+   The exported kernels share one ABI: out, tally, (merge: ids;
+   windows: idx), the operand planes, n, d, am, c0m, one, N, n0inv, w
+   (windows: then nw, doublings). Operand planes are Montgomery
+   (n, d*w) rows (windows: the table's rows, and n counts its lanes)
+   and are only read; `out` is the result planes of m rows each, x then
+   y (then z) (m = n but for the fold's 1). am is the Montgomery row of
+   the curve's a (d*w words), or NULL when a == 0 (the a*z^4 term of the
+   doubling and the tangent's + a are skipped). No conversion mul
+   anywhere in here.
 
    jac_dbl:     out lane k = 2 * P_k
    jac_add:     out lane k = P_k + Q_k
@@ -483,6 +486,7 @@ static void fe_inv(uint64_t *o, const uint64_t *a, int d,
                 fold of repro.msm.pippenger.bucket_reduce, last bucket
                 first: running += B_j; total += running (2 jadds per
                 bucket)
+   windows:     out lane k = the windowed sum of table rows (below)
    merge:       the point-merging tree (below)
    to_affine:   out lane k = (x_k / z_k^2, y_k / z_k^3) (below) */
 
@@ -653,6 +657,33 @@ void bucket_fold(uint64_t *out, uint64_t *tally, const uint64_t *x,
         jpt_add(&total, &total, &running, tally, d, am, c0m, one, N, n0inv, w);
     }
     jpt_store(out, 1, 0, &total, d, w);
+}
+
+/* windows: a windowed scalar multiplication per lane, its loop in here
+   because one kernel call per doubling round costs more than python's
+   own jdouble. Lane k reads row idx[k*nw + t] of the table planes x/y/z
+   for each of its nw windows t, from the most significant (nw - 1) to
+   0: acc = inf, then per window `doublings` jpt_dbl of acc and one
+   jpt_add of the row. Nothing but jpt_dbl and jpt_add touches a field
+   element. Every index was checked against the table's row count
+   before the call; the kernel reads no other row. */
+void windows(uint64_t *out, uint64_t *tally, const int64_t *idx,
+             const uint64_t *x, const uint64_t *y, const uint64_t *z,
+             size_t n, int d, const uint64_t *am, const uint64_t *c0m,
+             const uint64_t *one, const uint64_t *N, uint64_t n0inv, int w,
+             size_t nw, int doublings)
+{
+    jpt acc, row;
+    for (size_t k = 0; k < n; k++) {
+        jpt_set_inf(&acc, d, one, w);
+        for (size_t t = nw; t-- > 0;) {
+            for (int j = 0; j < doublings; j++)
+                jpt_dbl(&acc, &acc, tally, d, am, c0m, one, N, n0inv, w);
+            jpt_load(&row, x, y, z, (size_t)idx[k * nw + t], d, w);
+            jpt_add(&acc, &acc, &row, tally, d, am, c0m, one, N, n0inv, w);
+        }
+        jpt_store(out, n, k, &acc, d, w);
+    }
 }
 
 /* to_affine: the affine form of every Jacobian lane with one shared
@@ -1079,6 +1110,7 @@ _POINT_KERNELS = {
     "fold": ("bucket_fold", 3),
     "merge": ("merge", 2),
     "affine": ("to_affine", 3),
+    "windows": ("windows", 3),
 }
 
 
@@ -1097,12 +1129,15 @@ def _bind(lib) -> None:
     lib.mont_powers.restype = None
     lib.ntt_stockham.argtypes = [ptr, ptr, ptr, size, i32, ptr, u64, i32]
     lib.ntt_stockham.restype = None
-    # point kernels: out, tally, (merge: ids), the operand planes, n, d,
-    # the curve's constant rows a and c0, one, N, n0inv, w
+    # point kernels: out, tally, (merge: ids; windows: idx), the
+    # operand planes, n, d, the curve's constant rows a and c0, one, N,
+    # n0inv, w (windows: then its window count and doublings)
     for op, (name, n_planes) in _POINT_KERNELS.items():
         fn = getattr(lib, name)
-        fn.argtypes = ([ptr] * (2 + (op == "merge") + n_planes)
-                       + [size, i32] + [ptr] * 4 + [u64, i32])
+        indexed = op in ("merge", "windows")
+        fn.argtypes = ([ptr] * (2 + indexed + n_planes)
+                       + [size, i32] + [ptr] * 4 + [u64, i32]
+                       + ([size, i32] if op == "windows" else []))
         fn.restype = None
 
 
@@ -1200,6 +1235,25 @@ def get_native_field(modulus: int) -> Optional["NativeField"]:
         return None
     field = _FIELDS[modulus] = NativeField(lib, modulus, w)
     return field
+
+
+def window_index(idx, rows: int) -> "_np.ndarray":
+    """The index matrix of a windowed sum, checked before any pointer
+    crosses into C: an ``(n, windows)`` int64 numpy array (any other
+    type or dtype is refused, not converted) whose every entry names
+    one of the table's ``rows``. Returns it C-contiguous; raises
+    ``ValueError`` on the type, dtype or shape, ``IndexError`` on an
+    entry outside ``[0, rows)``."""
+    if not isinstance(idx, _np.ndarray) or idx.dtype != _np.int64 \
+            or idx.ndim != 2:
+        raise ValueError(
+            "a windowed sum takes an (n, windows) int64 index array, got "
+            f"{type(idx).__name__} {getattr(idx, 'dtype', '')} "
+            f"{getattr(idx, 'shape', '')}")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError(f"a window index is outside the table's {rows} "
+                         "rows")
+    return _np.ascontiguousarray(idx)
 
 
 class NativeField:
@@ -1360,20 +1414,24 @@ class NativeField:
 
     # -- point kernels over Montgomery rows -----------------------------------
     #
-    # One caller for the lane loops, the sequential fold, the merge and
-    # the affine normalisation: they share one ABI (see the C source).
+    # One caller for the lane loops, the sequential fold, the windowed
+    # sum, the merge and the affine normalisation: they share one ABI
+    # (see the C source).
     # Operand rows are only read; the result planes and the tally are
     # allocated here, per call (buckets are witness-derived).
 
     def point_op(self, op: str, degree: int, planes, a_row=None,
-                 c0_row=None, ids=None):
+                 c0_row=None, ids=None, doublings=0):
         """Run one point kernel: ``op`` is ``"dbl"`` (3 operand planes
         x, y, z: every lane doubled), ``"add"`` (6 planes: lanes added
         pairwise), ``"fold"`` (3 planes: the bucket-reduction
         sum_j (j+1)*B_j as one point), ``"merge"`` (2 planes x, y of
         affine lanes whose bucket ``ids`` ascend: the point-merging
-        tree) or ``"affine"`` (3 planes: every lane's affine x, y, with
-        one shared field inversion; a z = 0 lane comes back as (0, 0));
+        tree), ``"affine"`` (3 planes: every lane's affine x, y, with
+        one shared field inversion; a z = 0 lane comes back as (0, 0))
+        or ``"windows"`` (3 planes x, y, z of a table; ``ids`` an
+        ``(n, nw)`` int64 array of table rows, :func:`window_index`:
+        lane k is sum_t 2^(doublings*t) * table[ids[k, t]]);
         ``degree`` 1 takes ``(n, w)`` Montgomery rows over Fp, 2 packed
         ``(n, 2w)`` rows over Fq2. ``a_row``/``c0_row`` are the
         Montgomery rows of the curve's a (packed for Fq2; ``None`` when
@@ -1388,7 +1446,8 @@ class NativeField:
 
         Every operand's shape is checked before a pointer crosses: C is
         told one lane count and one row width and reads exactly that
-        much of each plane."""
+        much of each plane, and a table row only where an index names
+        it."""
         name, n_planes = _POINT_KERNELS[op]
         if degree not in (1, 2) or (degree == 1 and c0_row is not None):
             raise ValueError("point kernels run over Fp (degree 1, no c0) "
@@ -1403,12 +1462,18 @@ class NativeField:
                 f"point kernel {op!r} takes {n_planes} uint64 planes of "
                 f"one (n, {width}) shape, got "
                 f"{[(pl.shape, str(pl.dtype)) for pl in planes]}")
-        merge = op == "merge"
+        merge, lanes = op == "merge", n
         if merge:  # the kernel compacts the survivors' ids into this copy
             ids = _np.array(ids, dtype=_np.int64)
             if ids.shape != (n,) or (ids[1:] < ids[:-1]).any():
                 raise ValueError("the merge takes one ascending bucket id "
                                  "per lane")
+        if op == "windows":
+            ids = window_index(ids, n)
+            lanes = ids.shape[0]
+            if not 0 <= doublings < 1 << 16:
+                raise ValueError(f"doublings must be in [0, 2^16), got "
+                                 f"{doublings}")
         consts = ((a_row, width), (c0_row, self.w))
         if any(row is not None and (
                 row.shape != (words,) or row.dtype != _np.uint64
@@ -1417,15 +1482,16 @@ class NativeField:
                 "curve constant rows are contiguous uint64 word rows of "
                 "the kernel's width")
         out = _np.empty((2 if op in ("merge", "affine") else 3,
-                         1 if op == "fold" else n, width), dtype="<u8")
+                         1 if op == "fold" else lanes, width), dtype="<u8")
         tally = _np.zeros(3, dtype="<u8")
         getattr(self.lib, name)(
             out.ctypes.data, tally.ctypes.data,
-            *([ids.ctypes.data] if merge else []),
-            *(pl.ctypes.data for pl in planes), n, degree,
+            *([ids.ctypes.data] if op in ("merge", "windows") else []),
+            *(pl.ctypes.data for pl in planes), lanes, degree,
             *(None if row is None else row.ctypes.data for row, _ in consts),
             self.mont_one.ctypes.data, self._n_words.ctypes.data,
-            self.n0inv, self.w)
+            self.n0inv, self.w,
+            *((ids.shape[1], doublings) if op == "windows" else ()))
         if merge:
             live = int(tally[2])
             if live > n:

@@ -29,7 +29,7 @@ from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint
 from repro.errors import ProofError
 from repro.ff.opcount import OpCounter
-from repro.msm.fixed_base import FixedBaseTable
+from repro.msm.fixed_base import FixedBaseTable, batch_scalar_mul
 from repro.ntt.poly import PolyStage
 from repro.service.telemetry import Telemetry, maybe_span
 from repro.snark.keys import ProvingKey
@@ -92,8 +92,9 @@ class Groth16Prover:
         self.curve = curve
         # `backend` (a ComputeBackend, name or None = $REPRO_BACKEND)
         # reaches every math stage the prover owns: the default NTT
-        # engine, the POLY stage's pointwise passes, and the CSR
-        # abc-evaluation front-end (None keeps the scalar loop).
+        # engine, the POLY stage's pointwise passes, the CSR
+        # abc-evaluation front-end (None keeps the scalar loop) and the
+        # assemble's scalar multiplications.
         # Caller-supplied engines carry their own backend choice.
         self.backend = backend
         self.poly = PolyStage(
@@ -268,8 +269,10 @@ class Groth16Prover:
         b_point = g2.add(g2.add(pk.beta_g2, sum_b_g2), s_delta_g2)
         b_g1_point = g1.add(g1.add(pk.beta_g1, sum_b_g1), s_delta)
         # C = sum_c + h_term + s*A + r*B1 - r*s*delta
+        s_a, r_b1 = batch_scalar_mul(g1, [a_point, b_g1_point],
+                                     [s_mask, r_mask], backend=self.backend)
         c_point = g1.add(sum_c, h_term)
-        c_point = g1.add(c_point, g1.scalar_mul(s_mask, a_point))
-        c_point = g1.add(c_point, g1.scalar_mul(r_mask, b_g1_point))
+        c_point = g1.add(c_point, s_a)
+        c_point = g1.add(c_point, r_b1)
         c_point = g1.add(c_point, g1.neg(rs_delta))
         return Proof(a=a_point, b=b_point, c=c_point)

@@ -29,6 +29,7 @@ from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint, CurveGroup
 from repro.errors import ProofError
 from repro.ff.extension import ExtensionField
+from repro.msm.fixed_base import batch_scalar_mul
 from repro.snark.keys import VerifyingKey
 from repro.snark.prover import Proof
 
@@ -119,7 +120,11 @@ def _check_infinity_payload(data: bytes, what: str) -> None:
 
 def _check_subgroup(group: CurveGroup, point: AffinePoint,
                     what: str) -> None:
-    if not group.in_subgroup(point):
+    """``group.in_subgroup`` for an on-curve point: with cofactor 1 the
+    curve is the subgroup, otherwise [r]P must be infinity — one
+    windowed multiplication by the unreduced order."""
+    if group.cofactor != 1 and batch_scalar_mul(
+            group, [point], [group.order]) != [None]:
         raise ProofError(
             f"invalid {what} encoding: point is not in the prime-order "
             "subgroup"

@@ -45,6 +45,7 @@ from repro.curves.params import CurvePair
 from repro.curves.pairing import bls12_381_pairing, bn128_pairing
 from repro.curves.tate import mnt4753_pairing
 from repro.errors import ProofError
+from repro.msm.fixed_base import batch_scalar_mul
 from repro.snark.keys import Trapdoor, VerifyingKey
 from repro.snark.prover import Proof
 from repro.snark.r1cs import R1CS
@@ -182,7 +183,8 @@ class BatchVerifier:
     batch's C points, and the equation itself is the single
     verifier's (:meth:`Groth16Verifier._equation_holds`, which replays
     the key's cached G2 line tables). Total cost: N + 3 Miller loops,
-    1 final exponentiation, 2 MSMs and N + 1 scalar muls — versus N
+    1 final exponentiation, 2 MSMs and one call for the N + 1 scalar
+    muls (:func:`~repro.msm.fixed_base.batch_scalar_mul`) — versus N
     per-proof checks at 4 Miller loops + 1 final exponentiation each.
     The r_i lower bound of 1 is load-bearing: a zero coefficient would
     silently exclude its proof from the check.
@@ -196,6 +198,7 @@ class BatchVerifier:
         self.vk = vk
         self.curve = curve
         self.soundness_bits = soundness_bits
+        self.backend = backend
         self._single = Groth16Verifier(vk, curve, backend=backend)
         self._msm = self._single._msm
 
@@ -249,11 +252,14 @@ class BatchVerifier:
         c_fold = self._msm.compute(list(coeffs),
                                    [proof.c for proof in proofs])
 
-        alpha_term = g1.scalar_mul(coeff_sum, self.vk.alpha_g1)
+        # The N + 1 multiples alpha * sum r_i and r_i * A_i: one call.
+        alpha_term, *a_terms = batch_scalar_mul(
+            g1, [self.vk.alpha_g1, *(proof.a for proof in proofs)],
+            [coeff_sum, *coeffs], backend=self.backend)
 
         return self._single._equation_holds(
-            [(g1.neg(g1.scalar_mul(coeff, proof.a)), proof.b)
-             for coeff, proof in zip(coeffs, proofs)],
+            [(g1.neg(a_term), proof.b)
+             for a_term, proof in zip(a_terms, proofs)],
             alpha_term, ic_fold, c_fold, counter=counter)
 
     # -- windowed check with bisection -----------------------------------------

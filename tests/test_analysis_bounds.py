@@ -52,7 +52,8 @@ POINT_KERNEL_CHECKS = ("scratch-width", "mont-closure", "discriminant-exact",
                        "add-mul-parity", "dbl-mul-parity",
                        "dbl-a-mul-parity", "merge-combine-muls",
                        "merge-inversion-muls", "merge-fermat-exponent",
-                       "merge-fermat-prime", "affine-muls")
+                       "merge-fermat-prime", "affine-muls",
+                       "windows-no-new-primitive", "windows-index-bound")
 
 
 @pytest.mark.parametrize("modulus", ALL_FIELDS)

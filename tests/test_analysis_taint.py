@@ -172,6 +172,16 @@ class TestFixedBaseGather:
         assert "fixed-base window gather" in own
         assert own != ComputeBackend.digits_matrix.__declassified__["reason"]
 
+    def test_the_variable_base_gather_has_its_own_reason(self):
+        """``batch_scalar_mul`` reads per-lane multiples by digits of
+        zk masks and RLC coefficients: its own boundary, not the
+        fixed-base one's."""
+        from repro.msm.fixed_base import FixedBaseTable, batch_scalar_mul
+
+        own = batch_scalar_mul.__declassified__["reason"]
+        assert "variable-base window gather" in own
+        assert own != FixedBaseTable.multiples.__declassified__["reason"]
+
 
 # -- R009: secret on a long-lived object --------------------------------------------
 

@@ -283,23 +283,20 @@ def test_cofactor_clears_into_the_subgroup(name):
 
 def test_cofactor_one_decodes_without_a_ladder(monkeypatch):
     """ALT-BN128 G1 is the whole curve, so decoding a point checks that
-    it is on the curve and runs no [r]P ladder; a group with h > 1
-    still runs one."""
+    it is on the curve and runs no [r]P multiplication; a group with
+    h > 1 still runs one."""
+    from repro.snark import serialize
     from repro.snark.serialize import compress_g1, decompress_g1
 
     calls = []
+    multiply = serialize.batch_scalar_mul
 
-    def counted(group):
-        ladder = group.scalar_mul_unchecked
-
-        def scalar_mul_unchecked(k, p):
-            calls.append(group.name)
-            return ladder(k, p)
-        monkeypatch.setattr(group, "scalar_mul_unchecked",
-                            scalar_mul_unchecked)
+    def counted(group, points, scalars, backend=None):
+        calls.append((group.name, scalars))
+        return multiply(group, points, scalars, backend=backend)
+    monkeypatch.setattr(serialize, "batch_scalar_mul", counted)
 
     for group in (bn128_g1, bls12_381_g1):
-        counted(group)
         point = group.scalar_mul(0x9E3779B9, group.generator)
         assert decompress_g1(group, compress_g1(group, point)) == point
-    assert calls == [bls12_381_g1.name]
+    assert calls == [(bls12_381_g1.name, [bls12_381_g1.order])]

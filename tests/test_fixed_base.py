@@ -8,13 +8,12 @@
   ones the per-element ``scalar_mul`` loop produced (digests captured on
   the parent commit), the prover's POLY and MSM op counts did not move,
   and keygen's own counts are the same on every backend;
-* the pieces — the window rule, the gather primitive, table lifetimes.
+* the pieces — the window rule and table lifetimes.
 """
 
 import hashlib
 import random
 
-import numpy as np
 import pytest
 
 from repro import snark
@@ -112,19 +111,19 @@ def test_base_at_infinity(floor):
     group = CURVES["ALT-BN128"].g1
     assert fixed_base_mul(group, None, [0, 1, 7], backend=floor) \
         == [None, None, None]
-    assert FixedBaseTable(group, None, 3, backend=floor).rows == []
+    assert FixedBaseTable(group, None, 3, backend=floor).table == []
 
 
 def test_table_rows_are_the_backends_resident_form():
     group = CURVES["ALT-BN128"].g1
     if native.native_available():
-        rows = FixedBaseTable(group, group.generator, 40,
-                              backend="numpy").rows
-        assert all(isinstance(r, kernel_backend.ResidentPoints)
-                   for r in rows)
-    rows = FixedBaseTable(group, group.generator, 40, backend="python").rows
-    assert all(type(r) is list for r in rows)
-    assert rows[0][0] is None and rows[0][1] == group.generator
+        table = FixedBaseTable(group, group.generator, 40,
+                               backend="numpy").table
+        assert isinstance(table, kernel_backend.ResidentPoints)
+    table = FixedBaseTable(group, group.generator, 40,
+                           backend="python").table
+    assert type(table) is list
+    assert table[0] is None and table[1] == group.generator
 
 
 # -- the pieces -------------------------------------------------------------------
@@ -143,27 +142,6 @@ def test_window_rule():
     widths = [_window_for(381, n) for n in (0, 1, 10, 100, 10**3, 10**5,
                                             10**7)]
     assert widths == sorted(widths) and widths[-1] <= 16
-
-
-@pytest.mark.parametrize("name,which", [("ALT-BN128", "g1"),
-                                        ("MNT4753", "g2")])
-def test_gather_points_is_type_preserving(name, which):
-    group = getattr(CURVES[name], which)
-    pts = [None] + [group.scalar_mul(i, group.generator)
-                    for i in range(1, 6)]
-    idx = [5, 0, 0, 3, 5, 1]
-    expected = [pts[i] for i in idx]
-    py, npb = get_backend("python"), get_backend("numpy")
-    assert py.gather_points(pts, idx) == expected
-    assert npb.gather_points(pts, np.asarray(idx)) == expected
-    row = npb.resident_points(group, pts)
-    got = npb.gather_points(row, np.asarray(idx))
-    assert type(got) is type(row)
-    assert got == expected and npb.gather_points(row, idx) == expected
-    assert len(npb.gather_points(row, [])) == 0
-    for backend, operand in ((py, pts), (npb, row)):
-        with pytest.raises(IndexError):
-            backend.gather_points(operand, [6])
 
 
 # -- pins against the parent commit -----------------------------------------------

@@ -22,7 +22,6 @@ from repro.msm import (
     GzkpMsm,
     MsmContext,
     MsmContextCache,
-    SignedConsolidatedMsm,
     StrausMsm,
     SubMsmPippenger,
     naive_msm,
@@ -122,7 +121,6 @@ class TestMsmContext:
             "pippenger": SubMsmPippenger(bn128_g1, L, V100).compute,
             "straus": StrausMsm(bn128_g1, L, V100, window=4).compute,
             "cpu": CpuMsm(bn128_g1, L, XEON_5117).compute,
-            "signed": SignedConsolidatedMsm(bn128_g1, L, 6).compute,
         }
         outer = OpCounter()
         bn128_g1.counter = outer
