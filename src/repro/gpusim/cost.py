@@ -51,7 +51,6 @@ __all__ = [
     "GZKP_MSM_UTILIZATION",
     "GZKP_PREPROCESS_MEM_FRACTION",
     "MULTI_GPU_EFFICIENCY",
-    "MULTI_GPU_REDUCE_OVERHEAD",
 ]
 
 # -- arithmetic throughput ------------------------------------------------------
@@ -208,10 +207,3 @@ GZKP_PREPROCESS_MEM_FRACTION = 0.2
 #: Scaling efficiency with 4 GPUs (Table 4: ~2.1x over one card,
 #: inter-card transfers included separately).
 MULTI_GPU_EFFICIENCY = 0.65
-
-#: Per-card inter-card reduction overhead of a horizontally split MSM,
-#: seconds: each extra card ships one Jacobian partial over NVLink/PCIe
-#: and pays a host-side PADD plus stream synchronisation. Calibrated so
-#: the Table 4 small-workload cells (Sapling_Output, where the fixed
-#: cost is visible against a ~20 ms MSM) keep their modest speedup.
-MULTI_GPU_REDUCE_OVERHEAD = 5e-4

@@ -1,29 +1,31 @@
-"""Windowed verification: the proving service's one verify stage.
+"""Group-commit verification: the proving service's one verify stage.
 
-Workers prove; this stage, in the parent, verifies. Finished proofs
-accumulate per (curve, circuit) until a window fills (``verify_window``
-jobs) or ages out (``verify_window_timeout`` seconds), then the whole
-window is checked with **one** random-linear-combination batch —
-:meth:`~repro.snark.verifier.BatchVerifier.verify_window` — costing
-N + 3 Miller loops and a single final exponentiation instead of N
-per-proof checks at 4 + 1 each. A dirty window is bisected so only the
-offending job(s) fail; clean siblings in the same window still verify.
-Per-proof verification is the same stage at ``verify_window=1``: a
-window of one is the exact single check (4 + 1, no coefficient drawn).
+Workers prove; this stage, in the parent, verifies. A finished proof is
+parked under its (curve, circuit) key, and the key gets one drainer on
+the stage's small thread pool. Each pass the drainer takes everything
+parked for the key and checks it as **one** random-linear-combination
+batch — :meth:`~repro.snark.verifier.BatchVerifier.verify_window` —
+costing N + 3 Miller loops and a single final exponentiation instead of
+N per-proof checks at 4 + 1 each; it stops when a pass finds nothing
+parked. A dirty group is bisected so only the offending job(s) fail;
+clean siblings in the same group still verify.
+
+There is no window size and no timer. A lone proof is checked the moment
+a thread takes it — a group of one is the exact single check (4 + 1, no
+coefficient drawn) — and a backlog becomes one group as soon as a thread
+is free, so waiting could only hand work to a pool that is already busy.
 
 The stage is thread-agnostic: results arrive from the pipeline loop (or
-the inline caller), windows are flushed onto the stage's own small
-thread pool — the only threads that verify — and each job's completion
-callback is invoked from a pool thread; the pipeline marshals back to
-its loop before touching shard stats or futures. Timers guarantee
-progress for trickle traffic (a direct ``submit()`` never waits for a
-window that will not fill).
+the inline caller), groups are checked on the stage's own pool — the
+only threads that verify — and each job's completion callback is
+invoked from a pool thread; the pipeline marshals back to its loop
+before touching shard stats or futures.
 
 Each verified job's exported span tree gets a ``verify`` phase spliced
-in with ``stage="batched"`` plus the window's share of wall clock and
-its pairing economics (``window``, ``miller_loops``, ``final_exps``) —
-so the N + 3 claim is visible in every job's telemetry, not just in
-benchmarks.
+in with ``stage="batched"`` plus the group's share of wall clock and
+its pairing economics (``window``, the size of the group checked;
+``miller_loops``; ``final_exps``) — so the N + 3 claim is visible in
+every job's telemetry, not just in benchmarks.
 
 :func:`check_group` is the one place a group of results is decoded,
 screened and checked; the stage and :func:`verify_results_aggregate`
@@ -35,12 +37,16 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ff.opcount import OpCounter
 from repro.service.telemetry import splice_phase
 
 __all__ = ["BatchVerifyStage", "check_group", "verify_results_aggregate"]
+
+#: threads that verify: at most this many keys are checked at once
+VERIFY_THREADS = 2
 
 
 def check_group(results, bundle, soundness_bits: int,
@@ -78,7 +84,7 @@ def check_group(results, bundle, soundness_bits: int,
 
 
 class _Pending:
-    """One finished-but-unverified job parked in a window."""
+    """One finished-but-unverified job parked under its key."""
 
     __slots__ = ("result", "done")
 
@@ -88,144 +94,86 @@ class _Pending:
 
 
 class BatchVerifyStage:
-    """Accumulates finished proofs into per-key windows and verifies
-    each window as one RLC batch on a private thread pool."""
+    """Parks finished proofs per key and checks whatever is parked as
+    one RLC batch whenever a thread of its private pool is free."""
 
-    def __init__(self, bundle_for: Callable, window_size: int = 8,
-                 window_timeout: float = 0.25,
-                 soundness_bits: int = 128,
-                 verify_workers: int = 2):
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        if window_timeout <= 0:
-            raise ValueError("window_timeout must be > 0")
-        from concurrent.futures import ThreadPoolExecutor
-
+    def __init__(self, bundle_for: Callable, soundness_bits: int = 128):
         self._bundle_for = bundle_for
-        self.window_size = window_size
-        self.window_timeout = window_timeout
         self.soundness_bits = soundness_bits
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, verify_workers),
-            thread_name_prefix="svc-batchverify")
+        self._pool = ThreadPoolExecutor(max_workers=VERIFY_THREADS,
+                                        thread_name_prefix="svc-batchverify")
         self._lock = threading.Lock()
-        self._windows: Dict[Tuple[str, str], List[_Pending]] = {}
-        self._timers: Dict[Tuple[str, str], threading.Timer] = {}
-        self._inflight: set = set()
+        self._parked: Dict[Tuple[str, str], List[_Pending]] = {}
+        self._drainers: Dict[Tuple[str, str], Future] = {}
         self._closed = False
-        #: windows flushed by fill vs. by timer (introspection/tests)
-        self.windows_filled = 0
-        self.windows_timed_out = 0
-
-    # -- intake ------------------------------------------------------------------
 
     def add(self, result, done: Callable) -> None:
-        """Park one ok result for windowed verification; ``done(result)``
-        fires (from a stage pool thread) once its window is checked."""
+        """Park one ok result; ``done(result)`` fires (from a stage pool
+        thread) once the group it joined is checked."""
         key = (result.curve, result.circuit)
-        batch: Optional[List[_Pending]] = None
         with self._lock:
             if self._closed:
                 raise RuntimeError("batch verify stage is closed")
-            window = self._windows.setdefault(key, [])
-            window.append(_Pending(result, done))
-            if len(window) >= self.window_size:
-                batch = self._windows.pop(key)
-                self._cancel_timer(key)
-                self.windows_filled += 1
-            elif key not in self._timers:
-                timer = threading.Timer(self.window_timeout,
-                                        self._timer_flush, args=(key,))
-                timer.daemon = True
-                self._timers[key] = timer
-                timer.start()
-        if batch:
-            self._submit(key, batch)
+            self._parked.setdefault(key, []).append(_Pending(result, done))
+            if key not in self._drainers:
+                self._drainers[key] = self._pool.submit(self._drain_key, key)
 
-    def _cancel_timer(self, key) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
+    def _drain_key(self, key) -> None:
+        """Runs on the stage pool: check everything parked for ``key``,
+        pass after pass, until a pass finds nothing parked."""
+        try:
+            while True:
+                with self._lock:
+                    group = self._parked.pop(key, None)
+                if group is None:
+                    return
+                self._check(key, group)
+        finally:
+            # results parked after the last pass, or behind a check
+            # whose ``done`` raised, get a fresh drainer: no key is left
+            # with parked results and no drainer
+            with self._lock:
+                del self._drainers[key]
+                if key in self._parked:
+                    self._drainers[key] = self._pool.submit(
+                        self._drain_key, key)
 
-    def _timer_flush(self, key) -> None:
-        with self._lock:
-            self._timers.pop(key, None)
-            batch = self._windows.pop(key, None)
-            if batch:
-                self.windows_timed_out += 1
-        if batch:
-            self._submit(key, batch)
-
-    def flush(self) -> None:
-        """Flush every partial window now (verification still runs
-        asynchronously on the stage pool)."""
-        with self._lock:
-            drained = list(self._windows.items())
-            self._windows.clear()
-            for key, _ in drained:
-                self._cancel_timer(key)
-        for key, batch in drained:
-            if batch:
-                self._submit(key, batch)
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Flush everything and block until all in-flight windows have
-        completed (shutdown path)."""
-        self.flush()
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def drain(self) -> None:
+        """Block until every parked result has been checked and its
+        ``done`` has fired (shutdown path)."""
         while True:
             with self._lock:
-                inflight = list(self._inflight)
-            if not inflight:
+                drainers = list(self._drainers.values())
+            if not drainers:
                 return
-            for fut in inflight:
-                remaining = (None if deadline is None
-                             else max(0.0, deadline - time.monotonic()))
-                try:
-                    fut.result(timeout=remaining)
-                except Exception:  # noqa: BLE001 — per-job errors already routed
-                    pass
+            wait(drainers)
 
     def close(self) -> None:
-        self.drain()
         with self._lock:
             self._closed = True
-            for key in list(self._timers):
-                self._cancel_timer(key)
+        self.drain()
         self._pool.shutdown(wait=True)
 
-    # -- the window check --------------------------------------------------------
-
-    def _submit(self, key, batch: List[_Pending]) -> None:
-        fut = self._pool.submit(self._verify_window, key, batch)
-        with self._lock:
-            self._inflight.add(fut)
-        fut.add_done_callback(self._forget)
-
-    def _forget(self, fut) -> None:
-        with self._lock:
-            self._inflight.discard(fut)
-
-    def _verify_window(self, key, batch: List[_Pending]) -> None:
-        """Runs on the stage pool: one :func:`check_group` over the
-        window, then splice telemetry and complete every job. Never
-        raises — a failure to check at all fails the window's jobs."""
+    def _check(self, key, group: List[_Pending]) -> None:
+        """One :func:`check_group` over the group, then splice telemetry
+        and complete every job. The check never raises — a failure to
+        check at all fails the group's jobs."""
         t0 = time.perf_counter()
         counter = OpCounter()
         try:
-            reasons = check_group([p.result for p in batch],
+            reasons = check_group([p.result for p in group],
                                   self._bundle_for(*key),
                                   self.soundness_bits, counter)
         except Exception as exc:  # noqa: BLE001 — no verdict = no verified job
-            reasons = [f"{type(exc).__name__}: {exc}"] * len(batch)
-        share = (time.perf_counter() - t0) / len(batch)
+            reasons = [f"{type(exc).__name__}: {exc}"] * len(group)
+        share = (time.perf_counter() - t0) / len(group)
         meta = {
             "stage": "batched",
-            "window": len(batch),
+            "window": len(group),
             "miller_loops": counter.total("miller_loop"),
             "final_exps": counter.total("final_exp"),
         }
-        for pending, reason in zip(batch, reasons):
+        for pending, reason in zip(group, reasons):
             result = pending.result
             span = result.job_span
             if span is not None:

@@ -18,17 +18,17 @@ Layering (ingest -> shard dispatch -> worker -> verify stage):
   worker death) the process is terminated and respawned and the job
   retried up to ``retries`` more times on its shard.
 * **Verify stage** — workers prove and serialize; they never touch a
-  verifier.  Each ok result is parked in the parent-side windowing
+  verifier.  Each ok result is parked in the parent-side group-commit
   stage (:class:`~repro.service.batchverify.BatchVerifyStage`) *after*
   the worker round-trip, so the prover pipeline is never serialized
   behind pairing checks (the fork-pool design spent ~70% of its wall
-  clock there): finished proofs wait in per-(curve, circuit) windows
-  and each window is verified as one random-linear-combination batch —
-  N + 3 Miller loops and one final exponentiation for N proofs, the
-  exact 4 + 1 single check at ``verify_window=1`` — with bisection
-  isolating any offending job.  The verify span is spliced back into
-  the job's exported span tree, keeping the phases-tile-the-wall
-  telemetry invariant.  Stage callbacks marshal back to the loop thread
+  clock there): whatever is parked for a (curve, circuit) when a
+  verify thread is free is checked as one random-linear-combination
+  batch — N + 3 Miller loops and one final exponentiation for N
+  proofs, the exact 4 + 1 single check for a lone proof — with
+  bisection isolating any offending job.  The verify span is spliced
+  back into the job's exported span tree, keeping the
+  phases-tile-the-wall telemetry invariant.  Stage callbacks marshal back to the loop thread
   (:meth:`Pipeline._complete`) before shard stats or futures are
   touched.  Without a stage (``verify="off"``) results complete as they
   arrive.
@@ -326,7 +326,7 @@ class Pipeline:
     def _finalize(self, item: JobItem, raw: dict) -> None:
         result = self._wrap_result(raw, item.attempts)
         if self._batch_stage is not None and result.ok:
-            # Park the result in the windowing stage; its completion
+            # Park the result in the verify stage; its completion
             # callback runs on a stage pool thread, so marshal back to
             # the loop before touching shard stats or the future.
             self._batch_stage.add(
@@ -367,7 +367,7 @@ class Pipeline:
             await asyncio.gather(*self._dispatchers,
                                  return_exceptions=True)
         if self._batch_stage is not None:
-            # flush partial windows so every accepted job's future
+            # wait out the verify stage so every accepted job's future
             # resolves before the loop stops
             await self._loop.run_in_executor(None, self._batch_stage.drain)
             await asyncio.sleep(0)  # let marshalled completions land

@@ -17,12 +17,11 @@ serving layer for that shape of work, now an async sharded pipeline
 * **workers** — forked processes fed strict binary frames over pipes
   (:mod:`repro.service.wire`); witness bytes cross the boundary in the
   request's wire form, never as a pickle;
-* **verify** — workers only prove; the parent's windowing stage
-  (:mod:`repro.service.batchverify`) re-verifies finished proofs, a
-  window at a time, while the workers move on to the next job
-  (``verify="batched"``, the default; ``verify_window=1`` checks each
-  proof on its own).  ``"off"`` skips verification (for capacity
-  benchmarks).
+* **verify** — workers only prove; the parent's group-commit stage
+  (:mod:`repro.service.batchverify`) re-verifies finished proofs while
+  the workers move on to the next job: whatever is parked for a key
+  when a verify thread is free is checked as one batch
+  (``verify="batched"``, the default).  ``"off"`` skips verification.
 
 Two levels of parallelism mirror the paper's execution model: across
 jobs (``workers`` processes, the multi-GPU batch mode) and within a job
@@ -171,23 +170,15 @@ class ProvingService:
       wait=False)`` raises :class:`ServiceOverloadedError` (with a
       ``retry_after`` priced from the shard's smoothed job time) once
       the shard queue is full; ``wait=True`` blocks instead.
-    * ``verify`` — ``"batched"`` (default) windows finished proofs per
-      (curve, circuit) in the parent, off the workers' critical path,
-      and checks each window on a pool of ``verify_workers`` threads as
-      one random-linear-combination batch — N + 3 Miller loops and one
-      final exponentiation for N proofs instead of N separate pairing
-      checks (:mod:`repro.service.batchverify`); ``"off"`` skips
-      verification (results have ``verified=False``).
-    * ``verify_window`` / ``verify_window_timeout`` — the window's size
-      and max age: a window is checked when it holds ``verify_window``
-      proofs or ``verify_window_timeout`` seconds after its first proof
-      arrived, whichever comes first (so a lone ``submit()`` never
-      waits on a window that will not fill).  ``verify_window=1`` is
-      per-proof verification: every proof is its own window, checked
-      exactly (4 Miller loops, one final exponentiation) the moment it
-      arrives.
+    * ``verify`` — ``"batched"`` (default) verifies finished proofs in
+      the parent, off the workers' critical path: as soon as a verify
+      thread is free, everything parked for a (curve, circuit) is
+      checked as one random-linear-combination batch — N + 3 Miller
+      loops and one final exponentiation for N proofs, the exact
+      4 + 1 check for a lone proof (:mod:`repro.service.batchverify`);
+      ``"off"`` skips verification (results have ``verified=False``).
     * ``soundness_bits`` — width of the batch's random coefficients; an
-      invalid window survives with probability below
+      invalid batch survives with probability below
       ``2**-soundness_bits``.
     * ``worker_cache`` — bound on each worker's resident prover
       handles (the MSM checkpoint tables; GZKP Figure 9's
@@ -210,9 +201,6 @@ class ProvingService:
                  shards: Optional[int] = None,
                  queue_depth: int = 16,
                  verify: str = "batched",
-                 verify_workers: int = 2,
-                 verify_window: int = 8,
-                 verify_window_timeout: float = 0.25,
                  soundness_bits: int = 128,
                  worker_cache: Optional[int] = None):
         if workers < 0:
@@ -232,10 +220,6 @@ class ProvingService:
                 f"workers={workers}")
         if worker_cache is not None and worker_cache < 1:
             raise ServiceError("worker_cache must be >= 1 (or None)")
-        if verify_window < 1:
-            raise ServiceError("verify_window must be >= 1")
-        if verify_window_timeout <= 0:
-            raise ServiceError("verify_window_timeout must be > 0")
         if soundness_bits < 1:
             raise ServiceError("soundness_bits must be >= 1")
         check_override(msm_window, msm_interval, ServiceError)
@@ -250,9 +234,6 @@ class ProvingService:
         self.shards = shards
         self.queue_depth = queue_depth
         self.verify = verify
-        self.verify_workers = verify_workers
-        self.verify_window = verify_window
-        self.verify_window_timeout = verify_window_timeout
         self.soundness_bits = soundness_bits
         self.worker_cache = worker_cache
 
@@ -268,13 +249,8 @@ class ProvingService:
         if verify == "batched":
             from repro.service.batchverify import BatchVerifyStage
 
-            self._batch_stage = BatchVerifyStage(
-                bundle_for=self._bundle_for,
-                window_size=verify_window,
-                window_timeout=verify_window_timeout,
-                soundness_bits=soundness_bits,
-                verify_workers=verify_workers,
-            )
+            self._batch_stage = BatchVerifyStage(self._bundle_for,
+                                                 soundness_bits)
 
         if workers:
             self._start_pipeline()
@@ -439,8 +415,8 @@ class ProvingService:
             future = concurrent.futures.Future()
             result = self._run_one_inline(job)
             if self._batch_stage is not None and result.ok:
-                # park in the verify window; the future resolves when
-                # the window fills, ages out, or flush_verify() runs
+                # park for the verify stage; the future resolves once
+                # the group it joins is checked
                 self._batch_stage.add(
                     result,
                     lambda res, fut=future: self._finish_inline(fut, res))
@@ -462,18 +438,9 @@ class ProvingService:
     def prove_batch(self, jobs: Sequence) -> List[JobResult]:
         """Prove a batch. Accepts :class:`ProofJob` objects and/or raw
         request byte strings; returns one :class:`JobResult` per job,
-        in submission order.  The tail verify window is flushed before
-        gathering, so the last few jobs never idle out the window
-        timeout."""
+        in submission order."""
         futures = [self.submit(item, wait=True) for item in jobs]
-        self.flush_verify()
         return [f.result() for f in futures]
-
-    def flush_verify(self) -> None:
-        """Check every partial verify window now instead of waiting
-        for it to fill or age out.  No-op with ``verify="off"``."""
-        if self._batch_stage is not None:
-            self._batch_stage.flush()
 
     def aggregate_verify(self, results: Sequence[JobResult]) -> dict:
         """One accept/reject verdict over a finished job batch: every
@@ -483,7 +450,7 @@ class ProvingService:
         "proofs_checked", "miller_loops", "final_exps"}`` — ``ok`` is
         True iff every job succeeded *and* every proof verifies, and
         ``bad_jobs`` pinpoints offenders (malformed ones by screening,
-        forged ones by bisection) without failing their window
+        forged ones by bisection) without failing their group
         siblings."""
         from repro.service.batchverify import verify_results_aggregate
 

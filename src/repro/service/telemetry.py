@@ -259,7 +259,7 @@ def phase_breakdown(span_dict: dict) -> Dict[str, float]:
 def splice_phase(span_dict: dict, name: str, seconds: float,
                  **meta) -> dict:
     """Graft a phase that ran *outside* the span tree's process back
-    into an exported job span — the windowed verify stage runs in the
+    into an exported job span — the verify stage runs in the
     parent after the worker's tree is already serialized.  The parent's
     wall clock is extended by the same amount, preserving the invariant
     that top-level phases tile the job span."""

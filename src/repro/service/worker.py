@@ -3,7 +3,7 @@
 A shard worker is a forked process that consumes binary job frames from
 a pipe, proves them, and writes binary result frames back — no pickle
 in either direction (:mod:`repro.service.wire`).  A worker proves and
-serializes; verification is the parent's windowing stage
+serializes; verification is the parent's verify stage
 (:mod:`repro.service.batchverify`).  The code here also
 backs the service's ``workers=0`` inline mode: both paths share one
 :class:`WorkerState` and one :func:`execute_job`, so inline behaviour
@@ -151,7 +151,7 @@ class SetupBundle:
 
     def batch_verifier(self, soundness_bits: int = 128):
         """The memoized :class:`~repro.snark.verifier.BatchVerifier`
-        for this bundle — shared across windows so its verifying-key
+        for this bundle — shared across checks so its verifying-key
         G2 line precomputation and IC checkpoint table build once."""
         from repro.snark.verifier import BatchVerifier
 

@@ -3,6 +3,7 @@ worker boundary), bounded-queue backpressure, shard affinity with warm
 caches, verify modes, per-shard telemetry, and the seeded job stream."""
 
 import pickle
+import threading
 import time
 
 import pytest
@@ -250,13 +251,68 @@ class TestShardAffinity:
 def _replayed(svc, good, job_id, public_inputs):
     """A worker-side ok result carrying ``good``'s proof bytes under
     other public inputs — what a corrupted or lying worker would hand
-    the parent's verify stage."""
+    the parent's verify stage.  Its job span is empty, so the verify
+    stage's spliced ``verify`` phase is the only child."""
+    span = {"name": "job", "seconds": 0.0, "ops": {}, "meta": {},
+            "children": []}
     return svc._wrap({
         "job_id": job_id, "ok": True, "curve": good.curve,
         "circuit": good.circuit, "proof": good.proof_bytes,
         "public_inputs": public_inputs, "backend": "python",
-        "telemetry": {},
+        "telemetry": {"spans": [span]},
     }, 1)
+
+
+def _verify_meta(result):
+    return [c["meta"] for c in result.job_span["children"]
+            if c["name"] == "verify"]
+
+
+class _GatedFirstCheck:
+    """Holds the verify stage's first check inside its ``bundle_for``
+    until :meth:`release`, so whatever is parked for the key meanwhile
+    is checked as the drainer's next group — a real group of several,
+    whatever the thread timing."""
+
+    def __init__(self, stage):
+        self.entered = threading.Event()
+        self._released = threading.Event()
+        bundle_for = stage._bundle_for
+
+        def gated(*key):
+            if not self.entered.is_set():
+                self.entered.set()
+                assert self._released.wait(timeout=120)
+            return bundle_for(*key)
+
+        stage._bundle_for = gated
+
+    def wait_blocked(self) -> None:
+        assert self.entered.wait(timeout=120)
+
+    def release(self) -> None:
+        self._released.set()
+
+
+def _checked_after_blocker(svc, good, results):
+    """Block the stage on a check of an honest replay of ``good``, park
+    ``results`` behind it, then release: ``results`` form one group.
+    Returns every finished result by job id."""
+    stage = svc._batch_stage
+    gate = _GatedFirstCheck(stage)
+    finished = {}
+
+    def park(result):
+        stage.add(result, lambda res: finished.setdefault(res.job_id, res))
+
+    park(_replayed(svc, good, "blocker", tuple(good.public_inputs)))
+    gate.wait_blocked()
+    for result in results:
+        park(result)
+    gate.release()
+    stage.drain()
+    assert _verify_meta(finished.pop("blocker"))[0]["window"] == 1
+    return finished
 
 
 class TestVerifyModes:
@@ -270,10 +326,9 @@ class TestVerifyModes:
             assert "verify" not in r.phase_seconds()
 
     def test_window_of_one_splices_span(self):
-        """Per-proof verification is verify_window=1: the exact single
-        check (4 Miller loops, 1 final exponentiation), spliced in."""
-        with ProvingService(workers=1, parallel_msm=False,
-                            verify_window=1) as svc:
+        """A lone proof is a group of one: the exact single check
+        (4 Miller loops, 1 final exponentiation), spliced in."""
+        with ProvingService(workers=1, parallel_msm=False) as svc:
             r = svc.prove_batch([ProofJob(BN, "square", (5,),
                                           "python")])[0]
             assert r.ok and r.verified
@@ -283,15 +338,12 @@ class TestVerifyModes:
             total = sum(phases.values())
             wall = r.wall_seconds()
             assert 0.5 * wall <= total <= 1.05 * wall
-            verify_meta = [c["meta"] for c in r.job_span["children"]
-                           if c["name"] == "verify"]
-            assert verify_meta == [{"stage": "batched", "window": 1,
-                                    "miller_loops": 4, "final_exps": 1}]
-            assert svc._batch_stage.windows_timed_out == 0
+            assert _verify_meta(r) == [{"stage": "batched", "window": 1,
+                                        "miller_loops": 4,
+                                        "final_exps": 1}]
 
     def test_window_of_one_catches_forged_proof(self):
-        with ProvingService(workers=1, parallel_msm=False,
-                            verify_window=1) as svc:
+        with ProvingService(workers=1, parallel_msm=False) as svc:
             good = svc.prove_batch([ProofJob(BN, "square", (5,),
                                              "python")])[0]
             assert good.verified
@@ -317,85 +369,117 @@ class TestVerifyModes:
 
 
 class TestBatchedVerifyMode:
-    """verify="batched": finished proofs are checked in RLC windows —
-    N + 3 Miller loops and one final exponentiation per window."""
+    """verify="batched": whatever is parked for a key when a verify
+    thread is free is checked as one RLC batch — N + 3 Miller loops and
+    one final exponentiation per group."""
 
-    def test_inline_window_telemetry(self):
-        jobs = [ProofJob(BN, "square", (3 + i,), "python")
-                for i in range(3)]
-        with ProvingService(workers=0, parallel_msm=False,
-                            verify="batched", verify_window=4,
-                            verify_window_timeout=5.0) as svc:
-            # window of 4 never fills with 3 jobs: prove_batch's
-            # flush_verify() must close the partial window
-            results = svc.prove_batch(jobs)
+    def test_backlog_becomes_one_group(self):
+        """Three proofs parked behind a busy check form one group."""
+        with ProvingService(workers=0, parallel_msm=False) as svc:
+            gate = _GatedFirstCheck(svc._batch_stage)
+            first = svc.submit(ProofJob(BN, "square", (3,), "python"))
+            gate.wait_blocked()
+            backlog = [svc.submit(ProofJob(BN, "square", (4 + i,),
+                                           "python"))
+                       for i in range(3)]
+            gate.release()
+            assert _verify_meta(first.result(timeout=120)) == [
+                {"stage": "batched", "window": 1, "miller_loops": 4,
+                 "final_exps": 1}]
+            results = [f.result(timeout=120) for f in backlog]
             assert all(r.ok and r.verified for r in results)
-            for r in results:
-                meta = [c["meta"] for c in r.job_span["children"]
-                        if c["name"] == "verify"]
-                assert len(meta) == 1
-                assert meta[0]["stage"] == "batched"
-                assert meta[0]["window"] == 3
-                # one window of N=3: N + 3 Miller loops, 1 final exp
-                assert meta[0]["miller_loops"] == 6
-                assert meta[0]["final_exps"] == 1
-                phases = r.phase_seconds()
-                assert "verify" in phases
-            stats = svc.shard_stats()
-            assert stats[0]["jobs"] == 3
+            spans = [[c for c in r.job_span["children"]
+                      if c["name"] == "verify"] for r in results]
+            # one check, one span: same meta and the same wall share
+            assert spans[0] == spans[1] == spans[2]
+            assert len(spans[0]) == 1
+            assert spans[0][0]["meta"] == {
+                "stage": "batched", "window": 3,
+                # a group of N = 3: N + 3 Miller loops, 1 final exp
+                "miller_loops": 6, "final_exps": 1}
+            assert svc.shard_stats()[0]["jobs"] == 4
+
+    def test_lone_submit_needs_no_timer(self):
+        with ProvingService(workers=0, parallel_msm=False) as svc:
+            future = svc.submit(ProofJob(BN, "square", (5,), "python"))
+            r = future.result(timeout=120)
+            assert r.ok and r.verified
+            meta = _verify_meta(r)
+            assert meta[0]["window"] == 1
+            assert meta[0]["miller_loops"] == 4
+            assert not [t for t in threading.enumerate()
+                        if isinstance(t, threading.Timer)]
 
     def test_pooled_window_end_to_end(self):
         jobs = [ProofJob(BN, "square", (3 + i,), "python")
                 for i in range(3)]
         with ProvingService(workers=1, parallel_msm=False,
-                            verify="batched", verify_window=3,
-                            verify_window_timeout=5.0) as svc:
+                            verify="batched") as svc:
             results = svc.prove_batch(jobs)
             assert all(r.ok and r.verified for r in results)
-            meta = [c["meta"] for c in results[0].job_span["children"]
-                    if c["name"] == "verify"]
+            meta = _verify_meta(results[0])
             assert meta and meta[0]["stage"] == "batched"
             assert sum(s["jobs"] for s in svc.shard_stats()) == 3
 
-    def test_window_timeout_flushes_trickle_submit(self):
-        with ProvingService(workers=0, parallel_msm=False,
-                            verify="batched", verify_window=8,
-                            verify_window_timeout=0.2) as svc:
-            future = svc.submit(ProofJob(BN, "square", (5,), "python"))
-            r = future.result(timeout=30)
-            assert r.ok and r.verified
-            meta = [c["meta"] for c in r.job_span["children"]
-                    if c["name"] == "verify"]
-            assert meta[0]["window"] == 1
-            assert svc._batch_stage.windows_timed_out >= 1
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_close_with_a_backlog_resolves_every_job_once(self, workers):
+        """close() while a check is blocked and more proofs are parked:
+        every accepted job reaches exactly one terminal state."""
+        svc = ProvingService(workers=workers, parallel_msm=False)
+        stage = svc._batch_stage
+        gate = _GatedFirstCheck(stage)
+        resolved = {}
+
+        def submit(witness):
+            future = svc.submit(ProofJob(BN, "square", (witness,),
+                                         "python"))
+            future.add_done_callback(
+                lambda f: resolved.setdefault(f, []).append(f.result()))
+            return future
+
+        futures = [submit(3)]
+        gate.wait_blocked()
+        futures += [submit(4 + i) for i in range(3)]
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        # the parked jobs are proved (pooled: by close's dispatcher
+        # shutdown) and wait behind the blocked check
+        deadline = time.monotonic() + 120
+        while sum(len(g) for g in stage._parked.values()) < 3:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert closer.is_alive()
+        gate.release()
+        closer.join(timeout=120)
+        assert not closer.is_alive()
+        assert all(f.done() for f in futures)
+        assert [len(resolved[f]) for f in futures] == [1] * len(futures)
+        assert all(f.result().ok and f.result().verified for f in futures)
+        with pytest.raises(RuntimeError, match="closed"):
+            stage.add(futures[0].result(), lambda res: None)
 
     def test_forged_proof_isolated_from_window_siblings(self):
-        """One forged proof in a window: the window fails, bisection
+        """One forged proof in a group: the group fails, bisection
         pinpoints the forgery, and the sibling jobs still verify."""
-        with ProvingService(workers=0, parallel_msm=False,
-                            verify="batched", verify_window=8,
-                            verify_window_timeout=30.0) as svc:
+        with ProvingService(workers=0, parallel_msm=False) as svc:
             good = svc.prove_batch(
                 [ProofJob(BN, "square", (5,), "python")])[0]
             assert good.verified
-
-            window = [
+            finished = _checked_after_blocker(svc, good, [
                 _replayed(svc, good, "sibling-1",
                           tuple(good.public_inputs)),
                 _replayed(svc, good, "forged",
                           (int(good.public_inputs[0]) + 1,)),
                 _replayed(svc, good, "sibling-2",
                           tuple(good.public_inputs)),
-            ]
-            finished = {}
-            for result in window:
-                svc._batch_stage.add(
-                    result, lambda res: finished.setdefault(res.job_id, res))
-            svc._batch_stage.drain()
+            ])
             assert finished["sibling-1"].verified
             assert finished["sibling-2"].verified
             assert not finished["forged"].ok
             assert finished["forged"].error_kind == "verify"
+            # the three really were one group
+            assert {_verify_meta(r)[0]["window"]
+                    for r in finished.values()} == {3}
 
     @staticmethod
     def _honest_and_wrong_arity(svc):
@@ -405,30 +489,27 @@ class TestBatchedVerifyMode:
         good = svc.prove_batch([ProofJob(BN, "square", (5,), "python")])[0]
         assert good.verified
         publics = tuple(good.public_inputs)
-        return [_replayed(svc, good, "honest", publics),
-                _replayed(svc, good, "forged", publics + (7,))]
+        return good, [_replayed(svc, good, "honest", publics),
+                      _replayed(svc, good, "forged", publics + (7,))]
 
     def test_wrong_arity_job_fails_alone_in_its_window(self):
         """Regression: the forged job failed its honest sibling too."""
-        with ProvingService(workers=0, parallel_msm=False,
-                            verify_window=8,
-                            verify_window_timeout=30.0) as svc:
-            finished = {}
-            for result in self._honest_and_wrong_arity(svc):
-                svc._batch_stage.add(
-                    result, lambda res: finished.setdefault(res.job_id, res))
-            svc._batch_stage.drain()
+        with ProvingService(workers=0, parallel_msm=False) as svc:
+            good, pair = self._honest_and_wrong_arity(svc)
+            finished = _checked_after_blocker(svc, good, pair)
             assert finished["honest"].ok and finished["honest"].verified
             assert not finished["forged"].ok
             assert finished["forged"].error_kind == "verify"
             assert "expected 1 public inputs, got 2" in \
                 finished["forged"].error
+            assert {_verify_meta(r)[0]["window"]
+                    for r in finished.values()} == {2}
 
     def test_aggregate_verify_names_wrong_arity_job(self):
         """Regression: aggregate_verify raised instead of answering."""
         with ProvingService(workers=0, parallel_msm=False) as svc:
-            verdict = svc.aggregate_verify(
-                self._honest_and_wrong_arity(svc))
+            _, pair = self._honest_and_wrong_arity(svc)
+            verdict = svc.aggregate_verify(pair)
             assert not verdict["ok"]
             assert verdict["bad_jobs"] == ["forged"]
             assert verdict["proofs_checked"] == 2
@@ -458,13 +539,114 @@ class TestBatchedVerifyMode:
     def test_bad_window_knobs_rejected(self):
         from repro.errors import ServiceError
 
-        with pytest.raises(ServiceError, match="verify_window"):
-            ProvingService(workers=0, verify="batched", verify_window=0)
-        with pytest.raises(ServiceError, match="verify_window_timeout"):
-            ProvingService(workers=0, verify="batched",
-                           verify_window_timeout=0.0)
+        # the window size, its timer and the verify pool size are gone
+        for knob in ("verify_window", "verify_window_timeout",
+                     "verify_workers"):
+            with pytest.raises(TypeError, match=knob):
+                ProvingService(workers=0, **{knob: 1})
         with pytest.raises(ServiceError, match="soundness_bits"):
             ProvingService(workers=0, verify="batched", soundness_bits=0)
+
+
+class TestGroupCommitStage:
+    """The stage's bookkeeping with the pairing check stubbed out: one
+    drainer per key, every parked result checked once."""
+
+    @staticmethod
+    def _stage(monkeypatch, checked):
+        from repro.service import batchverify
+
+        def fake_check_group(results, bundle, soundness_bits, counter):
+            checked.append([r.job_id for r in results])
+            return [None] * len(results)
+
+        monkeypatch.setattr(batchverify, "check_group", fake_check_group)
+        return batchverify.BatchVerifyStage(lambda *key: None)
+
+    @staticmethod
+    def _result(job_id, circuit="square"):
+        import types
+
+        return types.SimpleNamespace(
+            job_id=job_id, curve=BN, circuit=circuit, job_span=None,
+            ok=True, verified=False, proof_bytes=b"", error=None,
+            error_kind=None)
+
+    def test_concurrent_adds_each_checked_once(self, monkeypatch):
+        import sys
+
+        class YieldingLock:
+            """The stage's lock, but every acquire first yields the
+            interpreter — widening each window between two critical
+            sections that a lost update would fall into."""
+
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                time.sleep(0)
+                self._lock.acquire()
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+        checked, fired = [], {}
+        lock = threading.Lock()
+        stage = self._stage(monkeypatch, checked)
+        stage._lock = YieldingLock()
+
+        def done(result):
+            with lock:
+                fired[result.job_id] = fired.get(result.job_id, 0) + 1
+
+        def producer(r, t):
+            for i in range(6):
+                stage.add(self._result(f"{r}-{t}-{i}", "abc"[i % 3]), done)
+
+        # a result parked as a drainer retires is lost only if no later
+        # add revives its key, so check after every short burst
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for r in range(60):
+                threads = [threading.Thread(target=producer, args=(r, t))
+                           for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                stage.drain()
+                assert len(fired) == (r + 1) * 8 * 6
+        finally:
+            sys.setswitchinterval(interval)
+            stage.close()
+        assert set(fired.values()) == {1}
+        assert sorted(j for group in checked for j in group) == \
+            sorted(fired)
+        assert not stage._parked and not stage._drainers
+
+    def test_a_raising_done_does_not_strand_its_key(self, monkeypatch):
+        """A ``done`` that raises (say, on a future its caller cancelled)
+        ends its drainer; what is parked behind it is still checked."""
+        checked, fired = [], []
+        stage = self._stage(monkeypatch, checked)
+        entered, released = threading.Event(), threading.Event()
+
+        def blocked_then_raises(result):
+            entered.set()
+            assert released.wait(timeout=120)
+            raise RuntimeError("caller went away")
+
+        stage.add(self._result("first"), blocked_then_raises)
+        assert entered.wait(timeout=120)
+        stage.add(self._result("parked"), fired.append)
+        released.set()
+        stage.drain()
+        stage.add(self._result("later"), fired.append)
+        stage.close()
+        assert [r.job_id for r in fired] == ["parked", "later"]
+        assert checked == [["first"], ["parked"], ["later"]]
 
 
 class TestPerShardTelemetry:
