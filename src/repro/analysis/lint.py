@@ -220,7 +220,7 @@ class RawModularArithmetic(Rule):
 @register
 class UnlockedCounterInExecutor(Rule):
     code = "R002"
-    title = "shared counter state touched without the group lock"
+    title = "shared counter state touched without a lock"
 
     @staticmethod
     def _mentions_lock(node: ast.AST) -> bool:
@@ -282,7 +282,7 @@ class UnlockedCounterInExecutor(Rule):
                         mod, node,
                         f"executor-dispatched '{fn.name}' {bad} outside "
                         "a lock: shared OpCounter/telemetry state must "
-                        "be touched under the group lock",
+                        "be touched under a lock",
                     ))
             for child in ast.iter_child_nodes(node):
                 walk(child, locked)

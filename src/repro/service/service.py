@@ -23,9 +23,9 @@ serving layer for that shape of work, now an async sharded pipeline
   when a verify thread is free is checked as one batch
   (``verify="batched"``, the default).  ``"off"`` skips verification.
 
-Two levels of parallelism mirror the paper's execution model: across
-jobs (``workers`` processes, the multi-GPU batch mode) and within a job
-(the five independent Groth16 MSMs on a thread pool, ``parallel_msm``).
+Parallelism is across jobs only: ``workers`` processes, the multi-GPU
+batch mode.  Within a job the five Groth16 MSMs run one after the
+other, and inline jobs (``workers=0``) run one at a time.
 
 Reliability model:
 
@@ -193,7 +193,7 @@ class ProvingService:
     immediately rather than failing inside every worker.
     """
 
-    def __init__(self, workers: int = 2, parallel_msm: bool = True,
+    def __init__(self, workers: int = 2, parallel_msm: bool = False,
                  timeout: Optional[float] = None, retries: int = 1,
                  msm_window: int = 6, msm_interval: int = 2,
                  env: Optional[dict] = None,
@@ -223,8 +223,9 @@ class ProvingService:
         if soundness_bits < 1:
             raise ServiceError("soundness_bits must be >= 1")
         check_override(msm_window, msm_interval, ServiceError)
+        # ``parallel_msm`` is accepted and unused: the frozen perf ledger
+        # (benchmarks/ledger/stations.py) still passes it.
         self.workers = workers
-        self.parallel_msm = parallel_msm
         self.timeout = timeout
         self.retries = retries
         self.msm_window = msm_window
@@ -243,6 +244,10 @@ class ProvingService:
         self._setup_lock = threading.Lock()
         self._pipeline = None
         self._inline_state: Optional[WorkerState] = None
+        # inline mode is a worker minus the process boundary, and a
+        # worker proves one job at a time: jobs share the curve groups'
+        # op counters, which one job's MSMs swap in and out
+        self._inline_lock = threading.Lock()
         self._inline_stats = ShardStats(0)
         self._inline_stats_lock = threading.Lock()
         self._batch_stage = None
@@ -256,8 +261,7 @@ class ProvingService:
             self._start_pipeline()
         else:
             self._inline_state = WorkerState(
-                shard=0, parallel_msm=parallel_msm,
-                msm_window=msm_window, msm_interval=msm_interval,
+                shard=0, msm_window=msm_window, msm_interval=msm_interval,
                 cache_entries=worker_cache,
             )
             self._inline_state.setups = self._setups
@@ -303,11 +307,8 @@ class ProvingService:
             if key in self._warm_handles:
                 continue
             bundle = self._bundle_for(entry[0], entry[1])
-            executor = (self._inline_state.executor if self._inline_state
-                        else _shared_warm_executor())
             self._warm_handles[key] = ProverHandle(
-                bundle, backend, self.parallel_msm,
-                self.msm_window, self.msm_interval, executor)
+                bundle, backend, self.msm_window, self.msm_interval)
         return self._warm_handles
 
     def _start_pipeline(self) -> None:
@@ -318,7 +319,6 @@ class ProvingService:
         for entry in self.warm:
             shard_map.assign((entry[0], entry[1]))
         worker_cfg = {
-            "parallel_msm": self.parallel_msm,
             "msm_window": self.msm_window,
             "msm_interval": self.msm_interval,
             "cache_entries": self.worker_cache,
@@ -351,8 +351,6 @@ class ProvingService:
         if self._batch_stage is not None:
             self._batch_stage.close()
             self._batch_stage = None
-        if self._inline_state is not None:
-            self._inline_state.executor.shutdown(wait=False)
 
     def __enter__(self) -> "ProvingService":
         return self
@@ -472,14 +470,14 @@ class ProvingService:
         future.set_result(result)
 
     def _run_one_inline(self, job: ProofJob) -> JobResult:
-        # Contexts (and the MSM executor the cached provers reference)
-        # persist on the service: later batches hit warm provers.
+        # Contexts persist on the service: later batches hit warm provers.
         task = {
             "job_id": job.job_id, "curve": job.curve,
             "circuit": job.circuit, "witness": tuple(job.witness),
             "backend": job.backend,
         }
-        raw = execute_job(task, self._inline_state)
+        with self._inline_lock:
+            raw = execute_job(task, self._inline_state)
         return self._wrap(raw, 1)
 
     # -- introspection ----------------------------------------------------------
@@ -512,19 +510,3 @@ class ProvingService:
             attempts=attempts, worker=raw.get("worker"),
             telemetry=raw.get("telemetry") or {},
         )
-
-
-_WARM_EXECUTOR = None
-
-
-def _shared_warm_executor():
-    """One fork-safe MSM executor for parent-side warm builds (pooled
-    mode); provers holding it keep working after the fork because
-    :class:`~repro.service.worker.ForkLocalExecutor` rebuilds its pool
-    per process."""
-    global _WARM_EXECUTOR
-    if _WARM_EXECUTOR is None:
-        from repro.service.worker import ForkLocalExecutor
-
-        _WARM_EXECUTOR = ForkLocalExecutor(max_workers=5, name="msm-warm")
-    return _WARM_EXECUTOR

@@ -17,19 +17,16 @@ Design:
   log (backend downgrades, retries, native-kernel loader events). Spans
   auto-nest via a thread-local current-span stack, so
   ``repro.snark.prover`` / ``repro.ntt.poly`` / ``repro.msm.gzkp`` can
-  open sub-spans without threading parent handles through every call;
-  worker threads running parallel MSM tasks pass ``parent=`` explicitly
-  because their stack starts empty.
+  open sub-spans without threading parent handles through every call.
 * Everything exports to plain dicts (:meth:`Telemetry.to_dict`), so a
   worker process can ship its telemetry across a multiprocessing queue
   without pickling any curve or field objects.
 
 The invariant tests rely on: spans opened sequentially on one thread
 tile their parent — the sum of a span's children is <= (and normally
-~=) the span's own wall clock. Parallel MSM dispatch deliberately
-breaks this *inside* the ``MSM`` span (each child's wall clock includes
-time the GIL gave to its siblings) — which is why the per-job phase
-breakdown sums only top-level phases.
+~=) the span's own wall clock. That holds inside the ``MSM`` span too:
+the prover runs its five MSMs one after the other, so the MSM-A /
+B-G1 / B-G2 / C / H children tile it.
 """
 
 from __future__ import annotations
@@ -183,13 +180,12 @@ class Telemetry:
                 "R006 sinks at every call site and scrubbed of "
                 "witness-like keys at export by the runtime guard")
     @contextmanager
-    def span(self, name: str, parent: Optional[Span] = None,
-             **meta) -> Iterator[Span]:
-        """Open a span under ``parent`` (or the calling thread's current
-        span, or as a new root). The span's :class:`OpCounter` should be
-        handed to the math layers executing inside the block."""
+    def span(self, name: str, **meta) -> Iterator[Span]:
+        """Open a span under the calling thread's current span (or as a
+        new root). The span's :class:`OpCounter` should be handed to
+        the math layers executing inside the block."""
         sp = Span(name, **meta)
-        attach_to = parent if parent is not None else self.current()
+        attach_to = self.current()
         with self._lock:
             if attach_to is not None:
                 attach_to.children.append(sp)
@@ -237,22 +233,22 @@ class Telemetry:
             "keys at export by the runtime guard")
 @contextmanager
 def maybe_span(telemetry: Optional[Telemetry], name: str,
-               parent: Optional[Span] = None, **meta) -> Iterator[object]:
+               **meta) -> Iterator[object]:
     """A telemetry span when telemetry is attached, else a shared null
     span whose ``.counter`` is None — instrumented code stays one-path."""
     if telemetry is None:
         yield NULL_SPAN
     else:
-        with telemetry.span(name, parent=parent, **meta) as sp:
+        with telemetry.span(name, **meta) as sp:
             yield sp
 
 
 def phase_breakdown(span_dict: dict) -> Dict[str, float]:
     """Flatten one exported span tree to {phase name: seconds} over its
     *top-level* children — the per-job POLY/MSM/verify attribution whose
-    sum approximates the parent's wall clock (children of the MSM span
-    carry the per-kernel split but overlap when dispatched in
-    parallel, so they are deliberately not flattened in)."""
+    sum approximates the parent's wall clock (the children of the MSM
+    span carry the per-MSM split one level down and are not flattened
+    in)."""
     return {c["name"]: c["seconds"] for c in span_dict["children"]}
 
 

@@ -39,9 +39,9 @@ from repro.msm.context import MsmContextCache, ScopedContextCache
 from repro.service import wire
 from repro.service.telemetry import Telemetry
 
-__all__ = ["SetupBundle", "ProverHandle", "ForkLocalExecutor",
-           "WorkerState", "execute_job", "worker_main", "SETUP_SEED_FMT",
-           "reset_backend_state", "resolve_backend", "public_statement"]
+__all__ = ["SetupBundle", "ProverHandle", "WorkerState", "execute_job",
+           "worker_main", "SETUP_SEED_FMT", "reset_backend_state",
+           "resolve_backend", "public_statement"]
 
 #: Seed format for the deterministic per-(curve, circuit) trusted setup.
 #: Anyone holding the job's curve and circuit names can re-derive the
@@ -89,44 +89,6 @@ def resolve_backend(requested: Optional[str],
     return name
 
 
-class ForkLocalExecutor:
-    """A thread-pool facade that is safe to build before forking.
-
-    Prover objects capture their MSM executor at construction; a real
-    ``ThreadPoolExecutor`` built in the parent would be dead weight in a
-    forked child (its threads do not survive the fork).  This facade
-    creates the underlying pool lazily *in whichever process calls
-    submit*, and rebuilds it after a fork — so one prover handle built
-    pre-fork works in the parent, in every shard worker, and after a
-    timeout respawn."""
-
-    def __init__(self, max_workers: int = 5, name: str = "msm"):
-        self.max_workers = max_workers
-        self.name = name
-        self._pid: Optional[int] = None
-        self._pool = None
-
-    def _real_pool(self):
-        pid = os.getpid()
-        if self._pool is None or self._pid != pid:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix=f"{self.name}-{pid}")
-            self._pid = pid
-        return self._pool
-
-    def submit(self, fn, *args, **kwargs):
-        return self._real_pool().submit(fn, *args, **kwargs)
-
-    def shutdown(self, wait: bool = False) -> None:
-        if self._pool is not None and self._pid == os.getpid():
-            self._pool.shutdown(wait=wait)
-        self._pool = None
-        self._pid = None
-
-
 class SetupBundle:
     """Deterministic per-(curve, circuit) artifacts: R1CS, trusted
     setup, and the memoized batch verifier over its key.
@@ -171,8 +133,8 @@ class ProverHandle:
     residency footprint the shard cache budgets."""
 
     def __init__(self, bundle: SetupBundle, backend: str,
-                 parallel_msm: bool, msm_window: int, msm_interval: int,
-                 executor, telemetry: Optional[Telemetry] = None):
+                 msm_window: int, msm_interval: int,
+                 telemetry: Optional[Telemetry] = None):
         from repro.snark.gzkp_prover import make_gzkp_prover
 
         self.bundle = bundle
@@ -180,9 +142,7 @@ class ProverHandle:
         self.prover = make_gzkp_prover(
             bundle.r1cs, bundle.keys.proving_key, bundle.curve,
             msm_window=msm_window, msm_interval=msm_interval,
-            backend=backend,
-            msm_executor=executor if parallel_msm else None,
-            telemetry=telemetry,
+            backend=backend, telemetry=telemetry,
         )
 
     # duck-typed for MsmContextCache's byte budget
@@ -208,13 +168,11 @@ class ProverHandle:
 class WorkerState:
     """Everything one worker (or the inline path) holds between jobs."""
 
-    def __init__(self, *, shard: int = 0, parallel_msm: bool = True,
+    def __init__(self, *, shard: int = 0,
                  msm_window: int = 6, msm_interval: int = 2,
                  cache_entries: Optional[int] = None,
-                 setups: Optional[Dict[Tuple[str, str], SetupBundle]] = None,
-                 executor: Optional[ForkLocalExecutor] = None):
+                 setups: Optional[Dict[Tuple[str, str], SetupBundle]] = None):
         self.shard = shard
-        self.parallel_msm = parallel_msm
         self.msm_window = msm_window
         self.msm_interval = msm_interval
         # Setup bundles are small and deterministic: shared when
@@ -226,8 +184,6 @@ class WorkerState:
         self.handles: ScopedContextCache = MsmContextCache(
             max_entries=cache_entries, max_bytes=None,
         ).scoped(f"shard-{shard}")
-        self.executor = executor or ForkLocalExecutor(
-            max_workers=5, name=f"msm-s{shard}")
 
     def bundle_for(self, curve_name: str, circuit_name: str) -> SetupBundle:
         key = (curve_name, circuit_name)
@@ -245,9 +201,8 @@ class WorkerState:
         if handle is not None:
             return handle, True
         bundle = self.bundle_for(curve_name, circuit_name)
-        handle = ProverHandle(bundle, backend, self.parallel_msm,
-                              self.msm_window, self.msm_interval,
-                              self.executor, telemetry=telemetry)
+        handle = ProverHandle(bundle, backend, self.msm_window,
+                              self.msm_interval, telemetry=telemetry)
         self.handles.put(key, handle)
         return handle, False
 
@@ -369,7 +324,6 @@ def worker_main(index: int, shard: int, task_fd: int, result_fd: int,
     reset_backend_state()
     state = WorkerState(
         shard=shard,
-        parallel_msm=cfg.get("parallel_msm", True),
         msm_window=cfg.get("msm_window", 6),
         msm_interval=cfg.get("msm_interval", 2),
         cache_entries=cfg.get("cache_entries"),
@@ -413,5 +367,4 @@ def worker_main(index: int, shard: int, task_fd: int, result_fd: int,
             }
         result["worker"] = index
         wire.write_frame(result_fd, wire.encode_result_frame(result))
-    state.executor.shutdown(wait=False)
     os.close(result_fd)

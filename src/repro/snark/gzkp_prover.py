@@ -38,7 +38,7 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
                      device: GpuDevice = V100,
                      msm_window: Optional[int] = None,
                      msm_interval: Optional[int] = None,
-                     backend=None, msm_executor=None,
+                     backend=None,
                      precompute: bool = True,
                      telemetry=None,
                      autotune: bool = False) -> Groth16Prover:
@@ -50,9 +50,7 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
     scales where profiling targets (GPU occupancy) are meaningless.
     ``backend`` (a ComputeBackend, name or None = $REPRO_BACKEND)
     reaches every engine in the pipeline: the GZKP NTT, both MSMs and
-    the prover's pointwise POLY passes. ``msm_executor`` (an optional
-    ``concurrent.futures.Executor``) dispatches the five MSMs as
-    parallel tasks.
+    the prover's pointwise POLY passes.
 
     ``precompute=True`` builds the per-query MSM contexts (checkpoint
     tables) once, here; with ``telemetry`` attached the build reports
@@ -108,7 +106,6 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
         return _run(msm_g2, scalars, points, counter, telemetry)
 
     prover = Groth16Prover(r1cs, pk, curve, ntt_engine=ntt_engine,
-                           msm_g1=run_g1, msm_g2=run_g2, backend=backend,
-                           msm_executor=msm_executor)
+                           msm_g1=run_g1, msm_g2=run_g2, backend=backend)
     prover.msm_contexts = contexts
     return prover

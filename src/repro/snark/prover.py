@@ -18,9 +18,7 @@ proof is valid regardless of which *system model* computed it.
 
 from __future__ import annotations
 
-import inspect
 import random
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +27,7 @@ from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint
 from repro.errors import ProofError
 from repro.ff.opcount import OpCounter
+from repro.msm.common import counting
 from repro.msm.fixed_base import FixedBaseTable, batch_scalar_mul
 from repro.ntt.poly import PolyStage
 from repro.service.telemetry import Telemetry, maybe_span
@@ -85,8 +84,7 @@ class Groth16Prover:
     """Proof generation for one (R1CS, proving key) pair."""
 
     def __init__(self, r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
-                 ntt_engine=None, msm_g1=None, msm_g2=None, backend=None,
-                 msm_executor=None):
+                 ntt_engine=None, msm_g1=None, msm_g2=None, backend=None):
         self.r1cs = r1cs
         self.pk = pk
         self.curve = curve
@@ -102,19 +100,10 @@ class Groth16Prover:
             ntt_engine or _BackendNttEngine(curve.fr, backend=backend),
             backend=backend,
         )
-        # Op counting flows through CurveGroup.counter, which is shared
-        # per group; when MSMs on one group run concurrently *with
-        # counting active*, serialise them so the per-MSM attribution
-        # stays meaningful. RLock: the dispatch path and the naive MSM
-        # fallback both guard the counter swap, possibly nested.
-        self._group_locks = {id(curve.g1): threading.RLock(),
-                             id(curve.g2): threading.RLock()}
-        # MSM callables: (scalars, points[, counter, telemetry]) -> point.
-        # Default: direct sums. Legacy two-argument callables still work.
-        self._msm_g1 = msm_g1 or self._naive_msm_factory(
-            curve.g1, self._group_locks[id(curve.g1)])
-        self._msm_g2 = msm_g2 or self._naive_msm_factory(
-            curve.g2, self._group_locks[id(curve.g2)])
+        # MSM callables: (scalars, points, counter=, telemetry=) -> point.
+        # Default: direct sums.
+        self._msm_g1 = msm_g1 or self._naive_msm_factory(curve.g1)
+        self._msm_g2 = msm_g2 or self._naive_msm_factory(curve.g2)
         # The masking terms r*delta, s*delta, rs*delta (G1) and s*delta
         # (G2) are multiples of two fixed key points: window tables of
         # public key data, built once like the MSM contexts.
@@ -123,32 +112,17 @@ class Groth16Prover:
                                         backend=backend)
         self._delta_g2 = FixedBaseTable(curve.g2, pk.delta_g2,
                                         _PROOFS_PER_TABLE, backend=backend)
-        #: optional concurrent.futures.Executor: the five MSMs of §5.2
-        #: share no state and are dispatched to it as parallel tasks
-        #: (the service sets this; None = sequential)
-        self.msm_executor = msm_executor
 
     @staticmethod
-    def _naive_msm_factory(group, group_lock):
-        def msm_sum(scalars, points):
+    def _naive_msm_factory(group):
+        def run(scalars, points, counter: Optional[OpCounter] = None,
+                telemetry: Optional[Telemetry] = None):
             acc = None
-            for s, p in zip(scalars, points):
-                if s:
-                    acc = group.add(acc, group.scalar_mul(s, p))
+            with counting(group, counter):
+                for s, p in zip(scalars, points):
+                    if s:
+                        acc = group.add(acc, group.scalar_mul(s, p))
             return acc
-
-        def run(scalars, points, counter: Optional[OpCounter] = None):
-            if counter is None:
-                # No swap: leave whatever counter the group carries so a
-                # concurrent counted MSM's installation is never clobbered.
-                return msm_sum(scalars, points)
-            with group_lock:
-                previous = group.counter
-                group.counter = counter
-                try:
-                    return msm_sum(scalars, points)
-                finally:
-                    group.counter = previous
         return run
 
     # -- stages ---------------------------------------------------------------------
@@ -186,45 +160,16 @@ class Groth16Prover:
 
     # -- MSM dispatch ---------------------------------------------------------------
 
-    def _call_msm(self, fn, scalars, points, counter, telemetry):
-        """Invoke an MSM callable, passing counter/telemetry only when
-        its signature accepts them (user-supplied engines may not)."""
-        kwargs = {}
-        try:
-            params = inspect.signature(fn).parameters
-            if "counter" in params:
-                kwargs["counter"] = counter
-            if "telemetry" in params:
-                kwargs["telemetry"] = telemetry
-        except (TypeError, ValueError):  # builtins / C callables
-            pass
-        return fn(scalars, points, **kwargs)
-
-    def _dispatch_msms(self, tasks, telemetry, parent):
-        """Run the (name, fn, group, scalars, points) MSM tasks —
-        through ``msm_executor`` when set, else sequentially — each in
-        its own child span. Counting is attributed through the shared
-        per-group counter, so concurrent counted MSMs on the same group
-        take that group's lock."""
-
-        def run(name, fn, group, scalars, points):
-            with maybe_span(telemetry, name, parent=parent) as sp:
-                lock = self._group_locks.get(id(group))
-                # Lock whenever any counter is live on this group: the
-                # span's own, or one pre-installed on the group by the
-                # caller (which a concurrent sibling must not clobber).
-                if lock is not None and (sp.counter is not None
-                                         or group.counter is not None):
-                    with lock:
-                        return self._call_msm(fn, scalars, points,
-                                              sp.counter, telemetry)
-                return self._call_msm(fn, scalars, points, None, telemetry)
-
-        if self.msm_executor is not None:
-            futures = [self.msm_executor.submit(run, *task)
-                       for task in tasks]
-            return [f.result() for f in futures]
-        return [run(*task) for task in tasks]
+    def _dispatch_msms(self, tasks, telemetry):
+        """Run the (name, fn, scalars, points) MSM tasks one after the
+        other, each in its own child span — so the children tile the
+        ``MSM`` span and each counts on its own span's counter."""
+        results = []
+        for name, fn, scalars, points in tasks:
+            with maybe_span(telemetry, name) as sp:
+                results.append(fn(scalars, points, counter=sp.counter,
+                                  telemetry=telemetry))
+        return results
 
     def _prove_with_masks(self, assignment: Sequence[int], r_mask: int,
                           s_mask: int,
@@ -237,21 +182,19 @@ class Groth16Prover:
             h = self.compute_h(assignment, counter=poly_span.counter,
                                telemetry=telemetry)
 
-        # MSM stage: the five MSMs of §5.2 — independent tasks.
+        # MSM stage: the five MSMs of §5.2.
         witness = assignment[1 + pk.n_public:]
         tasks = [
-            ("MSM-A", self._msm_g1, g1, assignment, pk.a_query),
-            ("MSM-B-G1", self._msm_g1, g1, assignment, pk.b_g1_query),
-            ("MSM-B-G2", self._msm_g2, g2, assignment, pk.b_g2_query),
-            ("MSM-C", self._msm_g1, g1, witness, pk.c_query),
-            ("MSM-H", self._msm_g1, g1, list(h)[: len(pk.h_query)],
+            ("MSM-A", self._msm_g1, assignment, pk.a_query),
+            ("MSM-B-G1", self._msm_g1, assignment, pk.b_g1_query),
+            ("MSM-B-G2", self._msm_g2, assignment, pk.b_g2_query),
+            ("MSM-C", self._msm_g1, witness, pk.c_query),
+            ("MSM-H", self._msm_g1, list(h)[: len(pk.h_query)],
              pk.h_query),
         ]
-        with maybe_span(telemetry, "MSM") as msm_span:
-            parent = msm_span if telemetry is not None else None
+        with maybe_span(telemetry, "MSM"):
             sum_a, sum_b_g1, sum_b_g2, sum_c, h_term = self._dispatch_msms(
-                tasks, telemetry, parent
-            )
+                tasks, telemetry)
 
         with maybe_span(telemetry, "assemble"):
             return self._assemble(g1, g2, pk, sum_a, sum_b_g1, sum_b_g2,

@@ -252,8 +252,7 @@ class TestWarmService:
         a context-cache hit, MSM context-cache hits, and no preprocess
         span (hence zero preprocess doublings) — the per-job hot path
         is fully amortized."""
-        with ProvingService(workers=0, parallel_msm=False,
-                            warm=[("ALT-BN128", "cubic")]) as svc:
+        with ProvingService(workers=0, warm=[("ALT-BN128", "cubic")]) as svc:
             job1, job2 = svc.prove_batch([
                 ProofJob("ALT-BN128", "cubic", (3,)),
                 ProofJob("ALT-BN128", "cubic", (7,)),
@@ -272,7 +271,7 @@ class TestWarmService:
                         span["name"] != "preprocess"
 
     def test_cold_then_warm_second_job(self):
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             cold, warm = svc.prove_batch([
                 ProofJob("ALT-BN128", "square", (4,)),
                 ProofJob("ALT-BN128", "square", (5,)),
@@ -289,7 +288,7 @@ class TestWarmService:
             assert _preprocess_spans(warm.job_span) == []
 
     def test_inline_contexts_persist_across_batches(self):
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             svc.prove_batch([ProofJob("ALT-BN128", "cubic", (2,))])
             res = svc.prove_batch([ProofJob("ALT-BN128", "cubic", (9,))])[0]
             events = {(e["kind"], e["detail"])
@@ -297,7 +296,7 @@ class TestWarmService:
             assert ("prover-context-cache", "hit") in events
 
     def test_warm_pool_worker(self):
-        with ProvingService(workers=1, parallel_msm=False, timeout=300,
+        with ProvingService(workers=1, timeout=300,
                             warm=[("ALT-BN128", "square", "python")]) as svc:
             res = svc.prove_batch([
                 ProofJob("ALT-BN128", "square", (6,), backend="python")

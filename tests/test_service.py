@@ -96,6 +96,9 @@ def test_batch_msm_spans_and_ops(batch_results):
         # legitimately empty for 1-constraint circuits: |h_query| = 0)
         for child in msm["children"]:
             assert child["ops"] or child["name"] == "MSM-H", child["name"]
+        # the five MSMs run one after the other: their spans tile MSM
+        assert sum(c["seconds"] for c in msm["children"]) \
+            <= msm["seconds"]
         poly = next(c for c in r.job_span["children"]
                     if c["name"] == "POLY")
         assert poly["ops"].get("fr_mul", 0) > 0
@@ -144,7 +147,7 @@ def test_validation_rejects_without_reaching_workers():
         ProofJob("ALT-BN128", "square", (fr.modulus,)),   # range
         ProofJob("ALT-BN128", "square", (-1,)),           # negative
     ]
-    with ProvingService(workers=1, parallel_msm=False) as svc:
+    with ProvingService(workers=1) as svc:
         results = svc.prove_batch(bad_jobs + [
             ProofJob("ALT-BN128", "square", (7,)),
         ])
@@ -183,8 +186,7 @@ def test_timeout_kills_worker_retries_then_fails():
         # send to result, measured 0.15-0.40 s on a 2-core x86 host
         # (python, numpy and numpy with REPRO_NATIVE=0; 3 runs each):
         # 3 s is 7.5x the worst of those.
-        with ProvingService(workers=1, timeout=3.0, retries=1,
-                            parallel_msm=False) as svc:
+        with ProvingService(workers=1, timeout=3.0, retries=1) as svc:
             results = svc.prove_batch([
                 ProofJob("ALT-BN128", "sleepy", (3,)),
                 ProofJob("ALT-BN128", "square", (3,)),
@@ -257,7 +259,7 @@ def test_unknown_backend_downgrades_to_python():
 
 
 def test_inline_mode_matches_pool_contract():
-    with ProvingService(workers=0, parallel_msm=False) as svc:
+    with ProvingService(workers=0) as svc:
         results = svc.prove_batch([
             ProofJob("BLS12-381", "cubic", (5,)),
             encode_request("ALT-BN128", "square", [11]),
@@ -284,7 +286,7 @@ def test_inline_job_fault_fails_alone():
         "poisoned", 1, CIRCUIT_REGISTRY["square"].build, _poisoned_assign,
         "raises ValueError on witness 13 (test only)"))
     try:
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             results = svc.prove_batch([
                 ProofJob("ALT-BN128", "poisoned", (5,)),
                 ProofJob("ALT-BN128", "poisoned", (13,)),

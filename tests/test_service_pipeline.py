@@ -172,8 +172,7 @@ def _register_napper(name: str, naps: float) -> None:
 class TestBackpressure:
     def test_bounded_queue_rejects_with_retry_after(self):
         _register_napper("napper", 0.5)
-        with ProvingService(workers=1, parallel_msm=False,
-                            queue_depth=1, verify="off") as svc:
+        with ProvingService(workers=1, queue_depth=1, verify="off") as svc:
             futures, overloads = [], []
             for i in range(6):
                 try:
@@ -196,8 +195,7 @@ class TestBackpressure:
 
     def test_wait_true_blocks_instead_of_rejecting(self):
         _register_napper("napper", 0.5)
-        with ProvingService(workers=1, parallel_msm=False,
-                            queue_depth=1, verify="off") as svc:
+        with ProvingService(workers=1, queue_depth=1, verify="off") as svc:
             futures = [svc.submit(ProofJob(BN, "napper", (3,), "python"),
                                   wait=True)
                        for _ in range(4)]
@@ -209,8 +207,7 @@ class TestShardAffinity:
     def test_same_key_lands_on_same_shard_and_hits_warm_cache(self):
         jobs = [ProofJob(BN, circuit, (3,), "python")
                 for circuit in ("square", "cubic")] * 2
-        with ProvingService(workers=2, parallel_msm=False,
-                            verify="off") as svc:
+        with ProvingService(workers=2, verify="off") as svc:
             results = svc.prove_batch(jobs)
             assert all(r.ok for r in results)
             # distinct keys spread over both shards...
@@ -239,8 +236,7 @@ class TestShardAffinity:
         # uniform revisit misses (the unbounded case would hit)
         circuits = ("square", "cubic", "range4")
         jobs = [ProofJob(BN, c, (3,), "python") for c in circuits] * 2
-        with ProvingService(workers=1, parallel_msm=False, verify="off",
-                            worker_cache=1) as svc:
+        with ProvingService(workers=1, verify="off", worker_cache=1) as svc:
             results = svc.prove_batch(jobs)
             assert all(r.ok for r in results)
             stats = svc.shard_stats()[0]["context_cache"]
@@ -317,8 +313,7 @@ def _checked_after_blocker(svc, good, results):
 
 class TestVerifyModes:
     def test_verify_off_skips_verification(self):
-        with ProvingService(workers=1, parallel_msm=False,
-                            verify="off") as svc:
+        with ProvingService(workers=1, verify="off") as svc:
             r = svc.prove_batch([ProofJob(BN, "square", (5,),
                                           "python")])[0]
             assert r.ok and not r.verified
@@ -328,7 +323,7 @@ class TestVerifyModes:
     def test_window_of_one_splices_span(self):
         """A lone proof is a group of one: the exact single check
         (4 Miller loops, 1 final exponentiation), spliced in."""
-        with ProvingService(workers=1, parallel_msm=False) as svc:
+        with ProvingService(workers=1) as svc:
             r = svc.prove_batch([ProofJob(BN, "square", (5,),
                                           "python")])[0]
             assert r.ok and r.verified
@@ -343,7 +338,7 @@ class TestVerifyModes:
                                         "final_exps": 1}]
 
     def test_window_of_one_catches_forged_proof(self):
-        with ProvingService(workers=1, parallel_msm=False) as svc:
+        with ProvingService(workers=1) as svc:
             good = svc.prove_batch([ProofJob(BN, "square", (5,),
                                              "python")])[0]
             assert good.verified
@@ -375,7 +370,7 @@ class TestBatchedVerifyMode:
 
     def test_backlog_becomes_one_group(self):
         """Three proofs parked behind a busy check form one group."""
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             gate = _GatedFirstCheck(svc._batch_stage)
             first = svc.submit(ProofJob(BN, "square", (3,), "python"))
             gate.wait_blocked()
@@ -400,7 +395,7 @@ class TestBatchedVerifyMode:
             assert svc.shard_stats()[0]["jobs"] == 4
 
     def test_lone_submit_needs_no_timer(self):
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             future = svc.submit(ProofJob(BN, "square", (5,), "python"))
             r = future.result(timeout=120)
             assert r.ok and r.verified
@@ -413,8 +408,7 @@ class TestBatchedVerifyMode:
     def test_pooled_window_end_to_end(self):
         jobs = [ProofJob(BN, "square", (3 + i,), "python")
                 for i in range(3)]
-        with ProvingService(workers=1, parallel_msm=False,
-                            verify="batched") as svc:
+        with ProvingService(workers=1, verify="batched") as svc:
             results = svc.prove_batch(jobs)
             assert all(r.ok and r.verified for r in results)
             meta = _verify_meta(results[0])
@@ -425,7 +419,7 @@ class TestBatchedVerifyMode:
     def test_close_with_a_backlog_resolves_every_job_once(self, workers):
         """close() while a check is blocked and more proofs are parked:
         every accepted job reaches exactly one terminal state."""
-        svc = ProvingService(workers=workers, parallel_msm=False)
+        svc = ProvingService(workers=workers)
         stage = svc._batch_stage
         gate = _GatedFirstCheck(stage)
         resolved = {}
@@ -461,7 +455,7 @@ class TestBatchedVerifyMode:
     def test_forged_proof_isolated_from_window_siblings(self):
         """One forged proof in a group: the group fails, bisection
         pinpoints the forgery, and the sibling jobs still verify."""
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             good = svc.prove_batch(
                 [ProofJob(BN, "square", (5,), "python")])[0]
             assert good.verified
@@ -494,7 +488,7 @@ class TestBatchedVerifyMode:
 
     def test_wrong_arity_job_fails_alone_in_its_window(self):
         """Regression: the forged job failed its honest sibling too."""
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             good, pair = self._honest_and_wrong_arity(svc)
             finished = _checked_after_blocker(svc, good, pair)
             assert finished["honest"].ok and finished["honest"].verified
@@ -507,7 +501,7 @@ class TestBatchedVerifyMode:
 
     def test_aggregate_verify_names_wrong_arity_job(self):
         """Regression: aggregate_verify raised instead of answering."""
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             _, pair = self._honest_and_wrong_arity(svc)
             verdict = svc.aggregate_verify(pair)
             assert not verdict["ok"]
@@ -517,8 +511,7 @@ class TestBatchedVerifyMode:
     def test_aggregate_verify_verdict(self):
         jobs = [ProofJob(BN, "square", (3 + i,), "python")
                 for i in range(3)]
-        with ProvingService(workers=0, parallel_msm=False,
-                            verify="off") as svc:
+        with ProvingService(workers=0, verify="off") as svc:
             results = svc.prove_batch(jobs)
             assert all(r.ok and not r.verified for r in results)
             verdict = svc.aggregate_verify(results)
@@ -546,6 +539,65 @@ class TestBatchedVerifyMode:
                 ProvingService(workers=0, **{knob: 1})
         with pytest.raises(ServiceError, match="soundness_bits"):
             ProvingService(workers=0, verify="batched", soundness_bits=0)
+
+
+def test_msm_pool_knobs_rejected():
+    from repro.service.worker import WorkerState
+    from repro.snark.gzkp_prover import make_gzkp_prover
+    from repro.snark.prover import Groth16Prover
+
+    # the five MSMs run one after the other: no executor to hand in
+    for build in (Groth16Prover, make_gzkp_prover):
+        with pytest.raises(TypeError, match="msm_executor"):
+            build(None, None, None, msm_executor=object())
+    with pytest.raises(TypeError, match="parallel_msm"):
+        WorkerState(parallel_msm=True)
+    # benchmarks/ledger/stations.py still passes it to the service
+    ProvingService(workers=0, parallel_msm=False).close()
+
+
+class TestInlineConcurrency:
+    """Inline jobs submitted from several threads run one at a time:
+    they share the curve groups, whose op counter one job's MSMs swap
+    in and out."""
+
+    JOBS = {"square": (3,), "range4": (9,)}
+
+    @staticmethod
+    def _msm_ops(result):
+        msm = next(c for c in result.job_span["children"]
+                   if c["name"] == "MSM")
+        return {c["name"]: c["ops"] for c in msm["children"]}
+
+    def test_two_threads_leave_no_counter_and_count_alike(self):
+        from repro.curves.params import CURVES
+
+        groups = (CURVES[BN].g1, CURVES[BN].g2)
+        assert [g.counter for g in groups] == [None, None]
+        with ProvingService(workers=0, verify="off") as svc:
+            # single-threaded reference, one job per circuit
+            want = {c: self._msm_ops(svc.prove_batch(
+                        [ProofJob(BN, c, w)])[0])
+                    for c, w in self.JOBS.items()}
+            results = {c: [] for c in self.JOBS}
+
+            def submitter(circuit):
+                job = ProofJob(BN, circuit, self.JOBS[circuit])
+                futures = [svc.submit(job) for _ in range(30)]
+                results[circuit] = [f.result(timeout=120)
+                                    for f in futures]
+
+            threads = [threading.Thread(target=submitter, args=(c,))
+                       for c in self.JOBS]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert [g.counter for g in groups] == [None, None]
+        for circuit, got in results.items():
+            assert len(got) == 30 and all(r.ok for r in got)
+            for r in got:
+                assert self._msm_ops(r) == want[circuit], circuit
 
 
 class TestGroupCommitStage:
@@ -653,8 +705,7 @@ class TestPerShardTelemetry:
     def test_pooled_stats_export(self):
         jobs = [ProofJob(BN, c, (3,), "python")
                 for c in ("square", "cubic", "square", "cubic")]
-        with ProvingService(workers=2, parallel_msm=False,
-                            verify="off") as svc:
+        with ProvingService(workers=2, verify="off") as svc:
             assert all(r.ok for r in svc.prove_batch(jobs))
             stats = svc.shard_stats()
         assert [s["shard"] for s in stats] == [0, 1]
@@ -667,7 +718,7 @@ class TestPerShardTelemetry:
                 s["context_cache"]["misses"] == 2
 
     def test_inline_stats_export(self):
-        with ProvingService(workers=0, parallel_msm=False) as svc:
+        with ProvingService(workers=0) as svc:
             svc.prove_batch([ProofJob(BN, "square", (3,), "python")])
             stats = svc.shard_stats()
         assert len(stats) == 1
