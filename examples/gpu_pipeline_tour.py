@@ -15,7 +15,7 @@ Run:  python examples/gpu_pipeline_tour.py
 import random
 
 from repro.curves import CURVES
-from repro.ff import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.gpusim import V100
 from repro.msm import GzkpMsm, bucket_histogram, group_tasks_by_load, naive_msm
 from repro.ntt import GzkpNtt, block_chunks, ntt
@@ -44,7 +44,8 @@ def ntt_tour():
     rng = random.Random(1)
     values = [rng.randrange(bls.fr.modulus) for _ in range(n)]
     counter = OpCounter()
-    result = engine.compute(values, counter=counter)
+    with counting(counter):
+        result = engine.compute(values)
     assert result == ntt(bls.fr, values)
     plan = engine.plan(n)
     print(f"\n  functional run at 2^10: {counter.total('butterfly')} "
@@ -77,7 +78,8 @@ def msm_tour():
     scalars = [rng.randrange(bls.g1.order) for _ in range(n)]
     small = GzkpMsm(bls.g1, bls.fr.bits, V100, window=6, interval=3)
     counter = OpCounter()
-    result = small.compute(scalars, points, counter=counter)
+    with counting(counter):
+        result = small.compute(scalars, points)
     assert result == naive_msm(bls.g1, scalars, points)
     print(f"\n  functional run (n={n}, k=6, M=3): result matches the naive")
     print(f"  oracle; PADDs by phase: "

@@ -3,7 +3,7 @@
 Two modes:
 
 * ``python -m repro.analysis [paths]`` — the repo lint rules
-  (R001–R005, R010) over the given paths (default:
+  (R001–R005, R010, R011) over the given paths (default:
   ``src tests benchmarks examples``)
   plus the limb-bound certifier over every registered modulus; exits
   non-zero if any rule fires or any certificate has a violated bound.

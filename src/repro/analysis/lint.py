@@ -1,4 +1,4 @@
-"""Repo-specific AST lint rules (R001–R005, R010).
+"""Repo-specific AST lint rules (R001–R005, R010, R011).
 
 The rules encode discipline that reviewers otherwise enforce by hand:
 
@@ -35,6 +35,11 @@ The rules encode discipline that reviewers otherwise enforce by hand:
   Packages and ``__main__`` modules are roots. The finding sits on the
   module's first statement. Callers count only if they are among the
   linted files, so lint ``src`` with ``benchmarks`` and ``examples``.
+* **R011** — no function or lambda in the ``repro`` package takes a
+  parameter named ``counter``: ops are booked on the calling thread's
+  active scope (:func:`repro.ff.opcount.count`) and a caller opens one
+  with :func:`repro.ff.opcount.counting`, which is exempt. Tests,
+  benchmarks and examples are not checked.
 
 (R006–R009 are the witness-taint rules of :mod:`repro.analysis.taint`.)
 
@@ -586,6 +591,41 @@ class TestOnlyModule(Rule):
             for name, m in sorted(src.items())
             if not m.path.stem.startswith("_") and name not in reached
         ]
+
+
+# -- R011 ----------------------------------------------------------------------
+
+
+@register
+class CounterParameter(Rule):
+    code = "R011"
+    title = "op counter threaded through a parameter"
+
+    #: (module, function) that may take one: the scope itself
+    _EXEMPT = {("repro.ff.opcount", "counting")}
+
+    def visit_module(self, mod: ModuleInfo) -> List[LintFinding]:
+        if not (mod.module == "repro" or mod.module.startswith("repro.")):
+            return []
+        out: List[LintFinding] = []
+        for node in ast.walk(mod.tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if (mod.module, name) in self._EXEMPT:
+                continue
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                if arg.arg == "counter":
+                    out.append(self.finding(
+                        mod, arg,
+                        f"'{name}' takes a 'counter' parameter: count on "
+                        "the active scope (repro.ff.opcount.count) and let "
+                        "the caller open one with "
+                        "repro.ff.opcount.counting",
+                    ))
+        return out
 
 
 # -- runner --------------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.declass import declassify
 from repro.errors import CurveError, FieldError
+from repro.ff.opcount import count
 
 __all__ = ["ComputeBackend"]
 
@@ -163,8 +164,8 @@ class ComputeBackend:
 
     # -- fused NTT sweeps -------------------------------------------------------
 
-    def ntt(self, field, values: Sequence[int], omega: Optional[int] = None,
-            counter=None) -> List[int]:
+    def ntt(self, field, values: Sequence[int],
+            omega: Optional[int] = None) -> List[int]:
         """Full forward butterfly sweep, natural order in and out.
 
         Byte-identical to :func:`repro.ntt.reference.ntt` (which is the
@@ -179,23 +180,21 @@ class ComputeBackend:
         a = [v % field.modulus for v in values]
         if omega is None:
             omega = field.root_of_unity(len(a))
-        _ntt_inplace(field, a, omega, counter)
+        _ntt_inplace(field, a, omega)
         return a
 
-    def intt(self, field, values: Sequence[int], counter=None) -> List[int]:
+    def intt(self, field, values: Sequence[int]) -> List[int]:
         """Inverse sweep including the 1/N scale (counts fr_mul N)."""
         from repro.ntt.reference import _check_size
 
         n = len(values)
         _check_size(n)
-        a = self.ntt(field, values, omega=field.inv_root_of_unity(n),
-                     counter=counter)
+        a = self.ntt(field, values, omega=field.inv_root_of_unity(n))
         n_inv = field.inv(n)
         p = field.modulus
         for i in range(n):
             a[i] = a[i] * n_inv % p
-        if counter is not None:
-            counter.count("fr_mul", n)
+        count("fr_mul", n)
         return a
 
     # -- resident point rows ------------------------------------------------------
@@ -339,7 +338,7 @@ class ComputeBackend:
 
         This is the exact ordered running-suffix fold of
         :func:`repro.msm.pippenger.bucket_reduce` (2 jadds per bucket),
-        counting through ``group.counter`` as the fold always has. An
+        counting on the active op-count scope as the fold always has. An
         override must beat this loop (DESIGN.md, "Compute backends",
         records the scan that did not and the sequential C fold that
         does) and MAY return any group-equal Jacobian representative

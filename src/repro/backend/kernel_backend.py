@@ -63,6 +63,7 @@ from repro.backend import coverage
 from repro.backend.base import ComputeBackend
 from repro.backend.native import get_native_field
 from repro.errors import CurveError
+from repro.ff.opcount import count
 
 __all__ = ["KernelBackend", "ResidentVector", "ResidentPoints",
            "ResidentBuckets", "MIN_VECTOR_LANES", "SEGMENTED_MIN_ENTRIES"]
@@ -253,11 +254,11 @@ def _native_engine(group):
     return None if nf is None else _Lanes(group, nf, d)
 
 
-def _book(group, n_padd: int, n_pdbl: int = 0) -> None:
+def _book(n_padd: int, n_pdbl: int = 0) -> None:
     if n_padd:
-        group._count("padd", n_padd)
+        count("padd", n_padd)
     if n_pdbl:
-        group._count("pdbl", n_pdbl)
+        count("pdbl", n_pdbl)
 
 
 class _Lanes:
@@ -318,7 +319,7 @@ class _Lanes:
         out, n_padd, n_pdbl = self.nf.point_op(
             op, self.d, [pl for r in rows for pl in (r.x, r.y, r.z)],
             *self.curve_rows, **kernel_args)
-        _book(self.group, n_padd, n_pdbl)
+        _book(n_padd, n_pdbl)
         return out
 
 
@@ -374,7 +375,7 @@ def _tree_entries(ids, X, fold_flagged):
     return ~_np.isin(ids, flagged)
 
 
-def _merge_tree(eng, group, ids, X, Y):
+def _merge_tree(eng, ids, X, Y):
     """Point-merging over the entries :func:`_tree_entries` kept:
     ``ids`` holds their bucket ids in ascending order and ``X``/``Y``
     their packed Montgomery rows in the same order. One C call
@@ -385,7 +386,7 @@ def _merge_tree(eng, group, ids, X, Y):
     ``(ids, X, Y)`` of the surviving lanes, at most one per bucket."""
     out, n_padd, n_pdbl = eng.nf.point_op("merge", eng.d, (X, Y),
                                           *eng.curve_rows, ids=ids)
-    _book(group, n_padd, n_pdbl)
+    _book(n_padd, n_pdbl)
     return out
 
 
@@ -479,8 +480,8 @@ class KernelBackend(ComputeBackend):
 
     # -- fused NTT sweeps -------------------------------------------------------
 
-    def ntt(self, field, values: Sequence[int], omega: Optional[int] = None,
-            counter=None) -> List[int]:
+    def ntt(self, field, values: Sequence[int],
+            omega: Optional[int] = None) -> List[int]:
         """The native Stockham sweep when :meth:`_lift` hands back rows,
         the inherited sweep (which counts for itself) otherwise."""
         from repro.ntt.reference import _check_size
@@ -491,18 +492,17 @@ class KernelBackend(ComputeBackend):
             return values  # the identity
         lifted = self._lift(field, "ntt", 2, values)
         if lifted is None:
-            return super().ntt(field, values, omega, counter)
+            return super().ntt(field, values, omega)
         if omega is None:
             omega = field.root_of_unity(n)
-        if counter is not None:
-            # Identical totals to the scalar sweep's per-iteration counts.
-            counter.count("butterfly", (n // 2) * log_n)
-            counter.count("fr_mul", (n // 2) * log_n)
-            counter.count("fr_add", n * log_n)
+        # Identical totals to the scalar sweep's per-iteration counts.
+        count("butterfly", (n // 2) * log_n)
+        count("fr_mul", (n // 2) * log_n)
+        count("fr_add", n * log_n)
         nf, (rows,), wrap = lifted
         return wrap(nf.ntt_rows(field, rows, omega))
 
-    def intt(self, field, values: Sequence[int], counter=None) -> List[int]:
+    def intt(self, field, values: Sequence[int]) -> List[int]:
         """Inverse sweep; the 1/N scale runs through :meth:`vscale` with
         the reference's fr_mul count. Int callers are lifted once
         around both steps."""
@@ -511,10 +511,8 @@ class KernelBackend(ComputeBackend):
         n = len(values)
         _check_size(n)
         vec = self.resident(field, values)
-        out = self.ntt(field, vec, omega=field.inv_root_of_unity(n),
-                       counter=counter)
-        if counter is not None:
-            counter.count("fr_mul", n)
+        out = self.ntt(field, vec, omega=field.inv_root_of_unity(n))
+        count("fr_mul", n)
         out = self.vscale(field, out, field.inv(n))
         return out if vec is values else self.ints(out)
 
@@ -801,7 +799,7 @@ class KernelBackend(ComputeBackend):
             order = order[tree]
             pts = [p for p, kept in zip(pts, tree.tolist()) if kept]
             X = eng.rows([p[0] for p in pts])
-        ids, X, Y = _merge_tree(eng, group, idxs[order], X,
+        ids, X, Y = _merge_tree(eng, idxs[order], X,
                                 eng.rows([p[1] for p in pts]))
         if ids.size:
             o = group.ops
@@ -861,7 +859,7 @@ class KernelBackend(ComputeBackend):
             del X
             order, flat = order[tree], flat[tree]
             X = _table_lanes(table, flat, "x")
-        ids, X, Y = _merge_tree(eng, group, slots[order], X,
+        ids, X, Y = _merge_tree(eng, slots[order], X,
                                 _table_lanes(table, flat, "y"))
         # every bucket starts as the scalar fold's infinity, (1, 1, 0); the
         # survivors land as (x, y, 1), their merged rows as they are

@@ -31,10 +31,10 @@ computed over precomputed Frobenius maps. The MNT4753 surrogate is
 supersingular with embedding degree 2 and runs a reduced Tate pairing
 over Fq2 (:mod:`repro.curves.tate`) on the same base class.
 
-Every entry point takes an optional
-:class:`~repro.ff.opcount.OpCounter`: ``miller_loop`` counts once per
-loop, fresh or replayed, ``final_exp`` once per product, ``g2_precomp``
-once per table actually built — so callers can machine-check pairing
+The engines book on the active op-count scope
+(:func:`repro.ff.opcount.counting`): ``miller_loop`` once per loop,
+fresh or replayed, ``final_exp`` once per product, ``g2_precomp`` once
+per table actually built — so callers can machine-check pairing
 economics (a single verify is 4 / 1, a batch of N proofs N + 3 / 1)
 instead of trusting a docstring.
 
@@ -54,6 +54,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 from repro.errors import CurveError
 from repro.curves.params import BLS_FQ2, BN128_FQ2
 from repro.ff.extension import ExtElement, ExtensionField
+from repro.ff.opcount import count
 from repro.ff.params import ALT_BN128_R, BLS12_381_R
 
 __all__ = ["MillerEngine", "PairingEngine", "PreparedG2",
@@ -61,11 +62,6 @@ __all__ = ["MillerEngine", "PairingEngine", "PreparedG2",
            "bls12_381_pairing"]
 
 Point = Optional[Tuple[ExtElement, ExtElement]]
-
-
-def _count(counter, op: str, n: int = 1) -> None:
-    if counter is not None:
-        counter.count(op, n)
 
 
 def chord(p1: Point, p2: Point,
@@ -111,29 +107,26 @@ class MillerAccumulator:
     no Miller loop.
     """
 
-    def __init__(self, engine: "MillerEngine", counter=None):
+    def __init__(self, engine: "MillerEngine"):
         self.engine = engine
-        self.counter = counter
         self._acc = engine.unity
 
     def accumulate(self, g1_point, g2_point) -> "MillerAccumulator":
         """Fold e(P, Q)'s Miller value into the product (one loop)."""
-        self._acc = self._acc * self.engine.miller_pair(
-            g1_point, g2_point, counter=self.counter)
+        self._acc = self._acc * self.engine.miller_pair(g1_point, g2_point)
         return self
 
     def accumulate_prepared(self, g1_point,
                             prepared: PreparedG2) -> "MillerAccumulator":
         """Fold e(P, Q_fixed) via Q's line table (one replay, counted
         as one Miller loop — it is one, minus the point maths)."""
-        self._acc = self._acc * self.engine.miller_prepared(
-            g1_point, prepared, counter=self.counter)
+        self._acc = self._acc * self.engine.miller_prepared(g1_point,
+                                                            prepared)
         return self
 
     def result(self):
         """The reduced product: final-exponentiated accumulator."""
-        return self.engine.final_exponentiate(self._acc,
-                                              counter=self.counter)
+        return self.engine.final_exponentiate(self._acc)
 
     def is_one(self) -> bool:
         """True iff the accumulated pairing product is the identity."""
@@ -167,16 +160,16 @@ class MillerEngine:
     def _replay(self, g1_point, steps: Iterable[tuple]) -> ExtElement:
         raise NotImplementedError
 
-    def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
+    def miller_pair(self, g1_point, g2_point) -> ExtElement:
         """The Miller value of one (G1, G2) pair: the generator's lines
         replayed as they are produced. Nothing is cached — a proof's B
         is seen once."""
         if g1_point is None or g2_point is None:
             return self.unity
-        _count(counter, "miller_loop")
+        count("miller_loop")
         return self._replay(g1_point, self._lines(g2_point))
 
-    def prepare_g2(self, g2_point, counter=None) -> PreparedG2:
+    def prepare_g2(self, g2_point) -> PreparedG2:
         """The line table of a fixed G2 point, built on first sight and
         cached (``g2_precomp`` counts actual builds, so reuse is
         checkable)."""
@@ -187,13 +180,12 @@ class MillerEngine:
             prepared = self._prepared.get(key)
         if prepared is not None:
             return prepared
-        _count(counter, "g2_precomp")
+        count("g2_precomp")
         prepared = PreparedG2(self.name, tuple(self._lines(g2_point)))
         with self._prepared_lock:
             return self._prepared.setdefault(key, prepared)
 
-    def miller_prepared(self, g1_point, prepared: PreparedG2,
-                        counter=None) -> ExtElement:
+    def miller_prepared(self, g1_point, prepared: PreparedG2) -> ExtElement:
         """Replay a line table at a G1 point: the Miller value
         :meth:`miller_pair` produces, without the point maths."""
         if prepared.engine_name != self.name:
@@ -203,31 +195,29 @@ class MillerEngine:
             )
         if g1_point is None:
             return self.unity
-        _count(counter, "miller_loop")
+        count("miller_loop")
         return self._replay(g1_point, prepared.steps)
 
-    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
+    def final_exponentiate(self, f: ExtElement) -> ExtElement:
         """``f ** final_exp``, the plain power (zero stays zero); the
         optimal-ate engines split it into an easy and a hard part."""
-        _count(counter, "final_exp")
+        count("final_exp")
         return f ** self._final_exp
 
-    def accumulator(self, counter=None) -> MillerAccumulator:
+    def accumulator(self) -> MillerAccumulator:
         """A fresh multi-pairing accumulator over this engine."""
-        return MillerAccumulator(self, counter=counter)
+        return MillerAccumulator(self)
 
-    def pairing(self, g1_point, g2_point, counter=None) -> ExtElement:
+    def pairing(self, g1_point, g2_point) -> ExtElement:
         """e(P, Q) with P in G1 (int coords) and Q in G2."""
         if g1_point is None or g2_point is None:
             return self.unity
-        return self.final_exponentiate(
-            self.miller_pair(g1_point, g2_point, counter=counter),
-            counter=counter)
+        return self.final_exponentiate(self.miller_pair(g1_point, g2_point))
 
-    def pairing_product_is_one(self, pairs, counter=None) -> bool:
+    def pairing_product_is_one(self, pairs) -> bool:
         """Check prod e(P_i, Q_i) == 1 with one shared final
         exponentiation."""
-        acc = self.accumulator(counter=counter)
+        acc = self.accumulator()
         for g1_point, g2_point in pairs:
             acc.accumulate(g1_point, g2_point)
         return acc.is_one()
@@ -429,13 +419,13 @@ class PairingEngine(MillerEngine):
 
     # -- the final exponentiation ----------------------------------------------------
 
-    def final_exponentiate(self, f: ExtElement, counter=None) -> ExtElement:
+    def final_exponentiate(self, f: ExtElement) -> ExtElement:
         """f^((q^12 - 1)/r) = (f^((q^6 - 1)(q^2 + 1)))^h: the easy part
         conj(f)/f then a q^2-Frobenius times itself, the hard part one
         square-and-multiply chain over m, m^q, m^(q^2), m^(q^3) and
         their 16 products. Zero — a degenerate Miller product — stays
         zero, as under the plain power."""
-        _count(counter, "final_exp")
+        count("final_exp")
         if not f:
             return f
         m = self.frobenius(f, 6) * f.inverse()

@@ -69,10 +69,10 @@ class MntTatePairing(MillerEngine):
             return None
         return (self.field.element([p[0], 0]), self.field.element([p[1], 0]))
 
-    def miller_pair(self, g1_point, g2_point, counter=None) -> ExtElement:
+    def miller_pair(self, g1_point, g2_point) -> ExtElement:
         if g2_point is not None and g2_point == self.embed_g1(g1_point):
             raise CurveError("Tate Miller loop needs distinct P, Q")
-        return super().miller_pair(g1_point, g2_point, counter=counter)
+        return super().miller_pair(g1_point, g2_point)
 
     def _lines(self, g2_point: Fq2Point) -> Iterator[tuple]:
         """f_{r,Q} by double-and-add over the bits of r: each step's

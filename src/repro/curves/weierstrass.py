@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.errors import CurveError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import count
 from repro.curves.fieldops import make_ops
 
 __all__ = ["CurveGroup", "AffinePoint", "JacobianPoint"]
@@ -57,19 +57,12 @@ class CurveGroup:
         self.order = order
         self.cofactor = cofactor
         self.name = name
-        self.counter: Optional[OpCounter] = None
         self._a_is_zero = self.ops.is_zero(self.a)
         if generator is not None:
             generator = (self.ops.coerce(generator[0]), self.ops.coerce(generator[1]))
             if not self.is_on_curve(generator):
                 raise CurveError(f"{name}: generator is not on the curve")
         self._generator = generator
-
-    # -- instrumentation ---------------------------------------------------------
-
-    def _count(self, op: str, n: int = 1) -> None:
-        if self.counter is not None:
-            self.counter.count(op, n)
 
     def formula_constants(self) -> dict:
         """Everything a vectorized backend needs to mirror the Jacobian
@@ -172,7 +165,7 @@ class CurveGroup:
         lam = o.mul(num, o.inv(den))
         x3 = o.sub(o.sub(o.sqr(lam), x1), x2)
         y3 = o.sub(o.mul(lam, o.sub(x1, x3)), y1)
-        self._count("padd")
+        count("padd")
         return (x3, y3)
 
     def double(self, p: AffinePoint) -> AffinePoint:
@@ -212,8 +205,8 @@ class CurveGroup:
         x3 = o.sub(o.sqr(m), o.mul_small(s, 2))
         y3 = o.sub(o.mul(m, o.sub(s, x3)), o.mul_small(o.sqr(ysq), 8))
         z3 = o.mul_small(o.mul(y1, z1), 2)
-        self._count("pdbl")
-        self._count("padd")  # PADD in the paper's sense includes doubling
+        count("pdbl")
+        count("padd")  # PADD in the paper's sense includes doubling
         return (x3, y3, z3)
 
     def jadd(self, p: JacobianPoint, q: JacobianPoint) -> JacobianPoint:
@@ -243,7 +236,7 @@ class CurveGroup:
         x3 = o.sub(o.sub(o.sqr(r), hcu), o.mul_small(u1hsq, 2))
         y3 = o.sub(o.mul(r, o.sub(u1hsq, x3)), o.mul(s1, hcu))
         z3 = o.mul(h, o.mul(z1, z2))
-        self._count("padd")
+        count("padd")
         return (x3, y3, z3)
 
     def jmixed_add(self, p: JacobianPoint, q: AffinePoint) -> JacobianPoint:
@@ -271,7 +264,7 @@ class CurveGroup:
         x3 = o.sub(o.sub(o.sqr(r), hcu), o.mul_small(u1hsq, 2))
         y3 = o.sub(o.mul(r, o.sub(u1hsq, x3)), o.mul(y1, hcu))
         z3 = o.mul(h, z1)
-        self._count("padd")
+        count("padd")
         return (x3, y3, z3)
 
     def jneg(self, p: JacobianPoint) -> JacobianPoint:

@@ -1,10 +1,10 @@
 """Finite-field substrate: prime fields (with their 64-bit and base-2^52
-limb geometry), extension towers, polynomials, and operation counting."""
+limb geometry), extension towers and operation counting (polynomials
+are :mod:`repro.ff.poly`)."""
 
 from repro.ff.primefield import FieldElement, PrimeField
 from repro.ff.extension import ExtElement, ExtensionField
 from repro.ff.opcount import OpCounter
-from repro.ff.poly import Polynomial
 from repro.ff.params import (
     ALT_BN128_Q,
     ALT_BN128_R,
@@ -22,7 +22,6 @@ __all__ = [
     "ExtensionField",
     "ExtElement",
     "OpCounter",
-    "Polynomial",
     "ALT_BN128_R",
     "ALT_BN128_Q",
     "BLS12_381_R",

@@ -9,15 +9,24 @@ algorithms' analytic ``plan()``; tests assert the two agree.
 
 :class:`OpCounter` is a simple named-counter accumulator with context
 manager support so nested phases can be attributed separately.
+
+Counts reach a counter one way: the instrumented code calls
+:func:`count`, which books on the calling thread's active counter — the
+one the innermost :func:`counting` block installed — and on nothing
+when no block is open. The scope lives in a :class:`~contextvars.ContextVar`,
+so a thread (a verify pool thread, a pipeline loop) starts with none and
+can never book onto another thread's counter, and leaving a block puts
+back exactly the scope that was open before it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, Iterator, Optional
 
-__all__ = ["OpCounter", "OP_NAMES"]
+__all__ = ["OpCounter", "OP_NAMES", "count", "counting"]
 
 # Canonical operation names used across the library.
 OP_NAMES = (
@@ -85,3 +94,35 @@ class OpCounter:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v}" for k, v in sorted(self._totals.items()))
         return f"OpCounter({parts})"
+
+
+#: the calling thread's active counter (None: nothing is counted)
+_ACTIVE: ContextVar[Optional[OpCounter]] = ContextVar("repro_opcount",
+                                                      default=None)
+
+
+def count(op: str, n: int = 1) -> None:
+    """Record ``n`` occurrences of ``op`` on the active counter, if any."""
+    counter = _ACTIVE.get()
+    if counter is not None:
+        counter.count(op, n)
+
+
+@contextmanager
+def counting(counter: Optional[OpCounter] = None,
+             phase: Optional[str] = None) -> Iterator[None]:
+    """Count the block's ops on ``counter`` — or, when it is None, on
+    whichever counter is already active — attributed to ``phase`` when
+    one is named and a counter is active. On exit the outer scope is
+    back exactly as it was."""
+    token = _ACTIVE.set(counter) if counter is not None else None
+    try:
+        active = _ACTIVE.get()
+        if phase is not None and active is not None:
+            with active.phase(phase):
+                yield
+        else:
+            yield
+    finally:
+        if token is not None:
+            _ACTIVE.reset(token)

@@ -12,11 +12,10 @@ import math
 from typing import Optional, Sequence
 
 from repro.curves.weierstrass import AffinePoint, CurveGroup
-from repro.ff.opcount import OpCounter
 from repro.gpusim import cost
 from repro.gpusim.trace import Trace
 from repro.gpusim.device import CpuDevice
-from repro.msm.common import coord_bits, counting
+from repro.msm.common import coord_bits
 from repro.msm.pippenger import bucket_reduce
 from repro.msm.naive import check_msm_inputs
 from repro.msm.windows import DigitStats, num_windows, scalar_digits
@@ -45,8 +44,8 @@ class CpuMsm:
         self.device = device
         self.fq_mul_factor = fq_mul_factor
 
-    def compute(self, scalars: Sequence[int], points: Sequence[AffinePoint],
-                counter: Optional[OpCounter] = None) -> AffinePoint:
+    def compute(self, scalars: Sequence[int],
+                points: Sequence[AffinePoint]) -> AffinePoint:
         """Single bucket-method pass (the multi-thread split changes
         scheduling, not math)."""
         check_msm_inputs(self.group, scalars, points, self.scalar_bits)
@@ -54,21 +53,20 @@ class CpuMsm:
             return None
         k = optimal_cpu_window(len(scalars), self.scalar_bits)
         w = num_windows(self.scalar_bits, k)
-        with counting(self.group, counter):
-            o = self.group.ops
-            infinity = (o.one, o.one, o.zero)
-            acc = infinity
-            for t in range(w - 1, -1, -1):
-                if t < w - 1:
-                    for _ in range(k):
-                        acc = self.group.jdouble(acc)
-                buckets = [infinity] * ((1 << k) - 1)
-                for s, p in zip(scalars, points):
-                    d = scalar_digits(s, self.scalar_bits, k)[t]
-                    if d:
-                        buckets[d - 1] = self.group.jmixed_add(buckets[d - 1], p)
-                acc = self.group.jadd(acc, bucket_reduce(self.group, buckets))
-            return self.group.from_jacobian(acc)
+        o = self.group.ops
+        infinity = (o.one, o.one, o.zero)
+        acc = infinity
+        for t in range(w - 1, -1, -1):
+            if t < w - 1:
+                for _ in range(k):
+                    acc = self.group.jdouble(acc)
+            buckets = [infinity] * ((1 << k) - 1)
+            for s, p in zip(scalars, points):
+                d = scalar_digits(s, self.scalar_bits, k)[t]
+                if d:
+                    buckets[d - 1] = self.group.jmixed_add(buckets[d - 1], p)
+            acc = self.group.jadd(acc, bucket_reduce(self.group, buckets))
+        return self.group.from_jacobian(acc)
 
     def plan(self, n: int, stats: Optional[DigitStats] = None) -> Trace:
         k = optimal_cpu_window(n, self.scalar_bits)

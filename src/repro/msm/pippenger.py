@@ -25,11 +25,10 @@ from typing import List, Optional, Sequence
 
 from repro.curves.weierstrass import AffinePoint, CurveGroup
 from repro.errors import MsmError
-from repro.ff.opcount import OpCounter
 from repro.gpusim import cost
 from repro.gpusim.trace import INT_BACKEND, Trace
 from repro.gpusim.device import GpuDevice
-from repro.msm.common import affine_point_bytes, coord_bits, counting
+from repro.msm.common import affine_point_bytes, coord_bits
 from repro.msm.naive import check_msm_inputs
 from repro.msm.windows import DigitStats, num_windows, scalar_digits
 
@@ -90,52 +89,51 @@ class SubMsmPippenger:
 
     # -- functional execution ---------------------------------------------------
 
-    def compute(self, scalars: Sequence[int], points: Sequence[AffinePoint],
-                counter: Optional[OpCounter] = None) -> AffinePoint:
+    def compute(self, scalars: Sequence[int],
+                points: Sequence[AffinePoint]) -> AffinePoint:
         check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
         from repro.backend import get_backend
 
         backend = get_backend(self.backend)
-        with counting(self.group, counter):
-            cfg = self.configure(len(scalars))
-            w = num_windows(self.scalar_bits, self.window)
-            o = self.group.ops
-            infinity = (o.one, o.one, o.zero)
+        cfg = self.configure(len(scalars))
+        w = num_windows(self.scalar_bits, self.window)
+        o = self.group.ops
+        infinity = (o.one, o.one, o.zero)
 
-            # Per-window partial sums across all sub-MSMs.
-            window_totals = [infinity for _ in range(w)]
-            for start in range(0, len(scalars), cfg.sub_msm_size):
-                sub_s = scalars[start:start + cfg.sub_msm_size]
-                sub_p = points[start:start + cfg.sub_msm_size]
-                for t in range(w):
-                    # Point-merging for window t of this sub-MSM, as one
-                    # batch-accumulation (entries keep the scalar order,
-                    # so results and counts match the serial loop).
-                    buckets = [infinity] * ((1 << self.window) - 1)
-                    entries = []
-                    for s, p in zip(sub_s, sub_p):
-                        d = scalar_digits(s, self.scalar_bits, self.window)[t]
-                        if d:
-                            entries.append((d - 1, p))
-                    # The backend may reassociate each bucket's sum and
-                    # hand back group-equal (x, y, 1) representatives
-                    # (see ComputeBackend.accumulate_buckets); the
-                    # reduction below is representation-independent.
-                    backend.accumulate_buckets(self.group, buckets, entries)
-                    # Bucket-reduction.
-                    w_t = bucket_reduce(self.group, buckets)
-                    window_totals[t] = self.group.jadd(window_totals[t], w_t)
+        # Per-window partial sums across all sub-MSMs.
+        window_totals = [infinity for _ in range(w)]
+        for start in range(0, len(scalars), cfg.sub_msm_size):
+            sub_s = scalars[start:start + cfg.sub_msm_size]
+            sub_p = points[start:start + cfg.sub_msm_size]
+            for t in range(w):
+                # Point-merging for window t of this sub-MSM, as one
+                # batch-accumulation (entries keep the scalar order,
+                # so results and counts match the serial loop).
+                buckets = [infinity] * ((1 << self.window) - 1)
+                entries = []
+                for s, p in zip(sub_s, sub_p):
+                    d = scalar_digits(s, self.scalar_bits, self.window)[t]
+                    if d:
+                        entries.append((d - 1, p))
+                # The backend may reassociate each bucket's sum and
+                # hand back group-equal (x, y, 1) representatives
+                # (see ComputeBackend.accumulate_buckets); the
+                # reduction below is representation-independent.
+                backend.accumulate_buckets(self.group, buckets, entries)
+                # Bucket-reduction.
+                w_t = bucket_reduce(self.group, buckets)
+                window_totals[t] = self.group.jadd(window_totals[t], w_t)
 
-            # Window-reduction (CPU side in bellperson): Horner.
-            acc = infinity
-            for t in range(w - 1, -1, -1):
-                if t < w - 1:
-                    for _ in range(self.window):
-                        acc = self.group.jdouble(acc)
-                acc = self.group.jadd(acc, window_totals[t])
-            return self.group.from_jacobian(acc)
+        # Window-reduction (CPU side in bellperson): Horner.
+        acc = infinity
+        for t in range(w - 1, -1, -1):
+            if t < w - 1:
+                for _ in range(self.window):
+                    acc = self.group.jdouble(acc)
+            acc = self.group.jadd(acc, window_totals[t])
+        return self.group.from_jacobian(acc)
 
     # -- analytic plan ----------------------------------------------------------------
 

@@ -18,11 +18,10 @@ from typing import List, Optional, Sequence
 
 from repro.curves.weierstrass import AffinePoint, CurveGroup
 from repro.errors import GpuOutOfMemoryError
-from repro.ff.opcount import OpCounter
 from repro.gpusim import cost
 from repro.gpusim.trace import INT_BACKEND, Trace
 from repro.gpusim.device import GpuDevice
-from repro.msm.common import affine_point_bytes, coord_bits, counting
+from repro.msm.common import affine_point_bytes, coord_bits
 from repro.msm.naive import check_msm_inputs
 from repro.msm.windows import DigitStats, num_windows, scalar_digits
 
@@ -55,27 +54,26 @@ class StrausMsm:
             tables.append(row)
         return tables
 
-    def compute(self, scalars: Sequence[int], points: Sequence[AffinePoint],
-                counter: Optional[OpCounter] = None) -> AffinePoint:
+    def compute(self, scalars: Sequence[int],
+                points: Sequence[AffinePoint]) -> AffinePoint:
         check_msm_inputs(self.group, scalars, points, self.scalar_bits)
         if not scalars:
             return None
-        with counting(self.group, counter):
-            tables = self._tables(points)
-            digits = [scalar_digits(s, self.scalar_bits, self.window)
-                      for s in scalars]
-            w = num_windows(self.scalar_bits, self.window)
-            o = self.group.ops
-            acc = (o.one, o.one, o.zero)
-            for t in range(w - 1, -1, -1):
-                if t < w - 1:
-                    for _ in range(self.window):
-                        acc = self.group.jdouble(acc)
-                for i in range(len(scalars)):
-                    d = digits[i][t]
-                    if d:
-                        acc = self.group.jadd(acc, tables[i][d - 1])
-            return self.group.from_jacobian(acc)
+        tables = self._tables(points)
+        digits = [scalar_digits(s, self.scalar_bits, self.window)
+                  for s in scalars]
+        w = num_windows(self.scalar_bits, self.window)
+        o = self.group.ops
+        acc = (o.one, o.one, o.zero)
+        for t in range(w - 1, -1, -1):
+            if t < w - 1:
+                for _ in range(self.window):
+                    acc = self.group.jdouble(acc)
+            for i in range(len(scalars)):
+                d = digits[i][t]
+                if d:
+                    acc = self.group.jadd(acc, tables[i][d - 1])
+        return self.group.from_jacobian(acc)
 
     # -- analytic plan -----------------------------------------------------------------
 

@@ -15,10 +15,9 @@ analytic path shows the throughput benefit over serial dispatch.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import NttError
-from repro.ff.opcount import OpCounter
 from repro.ff.primefield import PrimeField
 from repro.gpusim.trace import DFP_BACKEND, Trace
 from repro.gpusim.device import GpuDevice
@@ -37,8 +36,7 @@ class BatchedNtt:
 
     # -- functional ---------------------------------------------------------------
 
-    def compute(self, batch: Sequence[Sequence[int]],
-                counter: Optional[OpCounter] = None) -> List[List[int]]:
+    def compute(self, batch: Sequence[Sequence[int]]) -> List[List[int]]:
         """Transform every vector in the batch (all must share a size)."""
         if not batch:
             return []
@@ -46,12 +44,11 @@ class BatchedNtt:
         for vec in batch:
             if len(vec) != n:
                 raise NttError("all transforms in a batch must share a size")
-        return [self._single.compute(vec, counter=counter) for vec in batch]
+        return [self._single.compute(vec) for vec in batch]
 
-    def compute_inverse(self, batch: Sequence[Sequence[int]],
-                        counter: Optional[OpCounter] = None) -> List[List[int]]:
-        return [self._single.compute_inverse(vec, counter=counter)
-                for vec in batch]
+    def compute_inverse(self,
+                        batch: Sequence[Sequence[int]]) -> List[List[int]]:
+        return [self._single.compute_inverse(vec) for vec in batch]
 
     # -- analytic --------------------------------------------------------------------
 

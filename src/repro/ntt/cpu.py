@@ -12,9 +12,8 @@ fixed overhead visible at small scales.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.ff.opcount import OpCounter
 from repro.ff.primefield import PrimeField
 from repro.gpusim import cost
 from repro.gpusim.trace import Trace
@@ -37,13 +36,11 @@ class CpuNtt:
         #: compute backend (name, instance or None = $REPRO_BACKEND)
         self.backend = backend
 
-    def compute(self, values: Sequence[int],
-                counter: Optional[OpCounter] = None) -> List[int]:
-        return ntt(self.field, values, counter=counter, backend=self.backend)
+    def compute(self, values: Sequence[int]) -> List[int]:
+        return ntt(self.field, values, backend=self.backend)
 
-    def compute_inverse(self, values: Sequence[int],
-                        counter: Optional[OpCounter] = None) -> List[int]:
-        return intt(self.field, values, counter=counter, backend=self.backend)
+    def compute_inverse(self, values: Sequence[int]) -> List[int]:
+        return intt(self.field, values, backend=self.backend)
 
     def plan(self, n: int) -> Trace:
         log_n = GzkpNtt._log(n)

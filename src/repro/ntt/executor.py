@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.errors import NttError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import count
 from repro.ff.primefield import PrimeField
 from repro.ntt.batching import BatchPlan, group_elements
 from repro.ntt.reference import bit_reverse_permute
@@ -23,7 +23,6 @@ __all__ = ["run_batched_ntt"]
 
 def run_batched_ntt(field: PrimeField, values: Sequence[int], plan: BatchPlan,
                     omega: Optional[int] = None,
-                    counter: Optional[OpCounter] = None,
                     backend=None) -> List[int]:
     """Execute a forward NTT according to ``plan``.
 
@@ -50,7 +49,7 @@ def run_batched_ntt(field: PrimeField, values: Sequence[int], plan: BatchPlan,
     if omega is None:
         omega = field.root_of_unity(n)
     if be.fuses_ntt_sweeps:
-        return be.ntt(field, values, omega=omega, counter=counter)
+        return be.ntt(field, values, omega=omega)
 
     p = field.modulus
     a = [field.reduce(v) for v in values]
@@ -61,15 +60,14 @@ def run_batched_ntt(field: PrimeField, values: Sequence[int], plan: BatchPlan,
             idx = group_elements(plan.log_n, batch.shift, batch.width, g)
             local = [a[i] for i in idx]  # gather (the internal shuffle)
             _local_butterflies(p, local, idx, omega, n, batch.shift,
-                               batch.width, counter)
+                               batch.width)
             for i, v in zip(idx, local):  # scatter back
                 a[i] = v
     return a
 
 
 def _local_butterflies(p: int, local: List[int], global_idx: List[int],
-                       omega: int, n: int, shift: int, width: int,
-                       counter: Optional[OpCounter]) -> None:
+                       omega: int, n: int, shift: int, width: int) -> None:
     """Run global iterations [shift, shift+width) on one group's
     sub-vector. Local index j maps to global index global_idx[j]; at
     global iteration i the butterfly partner distance is 2^i globally
@@ -92,7 +90,6 @@ def _local_butterflies(p: int, local: List[int], global_idx: List[int],
                 local[j] = s - p if s >= p else s
                 d = u - v
                 local[j + half] = d + p if d < 0 else d
-        if counter is not None:
-            counter.count("butterfly", len(local) // 2)
-            counter.count("fr_mul", len(local) // 2)
-            counter.count("fr_add", len(local))
+        count("butterfly", len(local) // 2)
+        count("fr_mul", len(local) // 2)
+        count("fr_add", len(local))

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.ff.opcount import OpCounter
 from repro.ff.primefield import PrimeField
 from repro.gpusim import cost
 from repro.gpusim.trace import DFP_BACKEND, INT_BACKEND, Trace
@@ -61,14 +60,12 @@ class BaselineGpuNtt:
 
     # -- functional execution -----------------------------------------------------
 
-    def compute(self, values: Sequence[int],
-                counter: Optional[OpCounter] = None) -> List[int]:
+    def compute(self, values: Sequence[int]) -> List[int]:
         """Functionally the baseline computes the same transform; only
         the schedule differs. Runs the fixed-8 batch plan."""
         plan = plan_batches(GzkpNtt._log(len(values)),
                             cost.BELLPERSON_NTT_BATCH_ITERS)
-        return run_batched_ntt(self.field, values, plan, counter=counter,
-                               backend=self.backend)
+        return run_batched_ntt(self.field, values, plan, backend=self.backend)
 
     # -- analytic plan ---------------------------------------------------------------
 

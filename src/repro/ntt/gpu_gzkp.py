@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.backend import get_backend
 from repro.errors import NttError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import count
 from repro.ff.primefield import PrimeField
 from repro.gpusim.trace import DFP_BACKEND, Trace
 from repro.gpusim.device import GpuDevice
@@ -103,18 +103,16 @@ class GzkpNtt:
 
     # -- functional execution ----------------------------------------------------------
 
-    def compute(self, values: Sequence[int],
-                counter: Optional[OpCounter] = None) -> List[int]:
+    def compute(self, values: Sequence[int]) -> List[int]:
         """Run the forward NTT with the GZKP schedule (ground-truth math,
         GPU-faithful gather/scatter order). Ints in, a list out; the
         backend's resident vector in, a resident vector out."""
         if len(values) == 1:  # the size-1 NTT is the identity
             return get_backend(self.backend).ntt(self.field, values)
         return run_batched_ntt(self.field, values, self.batch_plan(len(values)),
-                               counter=counter, backend=self.backend)
+                               backend=self.backend)
 
-    def compute_inverse(self, values: Sequence[int],
-                        counter: Optional[OpCounter] = None) -> List[int]:
+    def compute_inverse(self, values: Sequence[int]) -> List[int]:
         """Inverse transform plus the 1/N scale, in the caller's
         representation: an int vector is made resident once around
         both steps, a resident vector stays resident."""
@@ -125,9 +123,8 @@ class GzkpNtt:
         vec = be.resident(self.field, values)
         out = run_batched_ntt(self.field, vec, self.batch_plan(n),
                               omega=self.field.inv_root_of_unity(n),
-                              counter=counter, backend=be)
-        if counter is not None:
-            counter.count("fr_mul", n)
+                              backend=be)
+        count("fr_mul", n)
         out = be.vscale(self.field, out, self.field.inv(n))
         return out if vec is values else be.ints(out)
 

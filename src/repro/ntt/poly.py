@@ -17,10 +17,10 @@ vanishing polynomial is the constant g^N - 1 on the coset).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import NttError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import count, counting
 from repro.ff.primefield import PrimeField
 from repro.gpusim.trace import Trace
 from repro.service.telemetry import maybe_span
@@ -63,39 +63,33 @@ class PolyStage:
         non-residue works (its order does not divide (p-1)/2)."""
         return self.field.find_nonresidue()
 
-    def _scale_by_powers(self, values: Sequence[int], g: int,
-                         counter: Optional[OpCounter]) -> List[int]:
+    def _scale_by_powers(self, values: Sequence[int], g: int) -> List[int]:
         out = self._backend().vmul_powers(self.field, values, g)
-        if counter is not None:
-            counter.count("fr_mul", 2 * len(out))
+        count("fr_mul", 2 * len(out))
         return out
 
-    def coset_ntt(self, coeffs: Sequence[int],
-                  counter: Optional[OpCounter] = None) -> List[int]:
+    def coset_ntt(self, coeffs: Sequence[int]) -> List[int]:
         """Evaluate a coefficient vector on the coset g * <omega> (ints
         in, a list out; resident in, resident out)."""
         be = self._backend()
         vec = be.resident(self.field, coeffs)
         g = self._coset_generator()
-        out = self.engine.compute(self._scale_by_powers(vec, g, counter),
-                                  counter=counter)
+        out = self.engine.compute(self._scale_by_powers(vec, g))
         return out if vec is coeffs else be.ints(out)
 
-    def coset_intt(self, evals: Sequence[int],
-                   counter: Optional[OpCounter] = None) -> List[int]:
+    def coset_intt(self, evals: Sequence[int]) -> List[int]:
         """Interpolate coefficients from evaluations on the coset (ints
         in, a list out; resident in, resident out)."""
         be = self._backend()
         vec = be.resident(self.field, evals)
         g_inv = self.field.inv(self._coset_generator())
-        coeffs = self.engine.compute_inverse(vec, counter=counter)
-        out = self._scale_by_powers(coeffs, g_inv, counter)
+        coeffs = self.engine.compute_inverse(vec)
+        out = self._scale_by_powers(coeffs, g_inv)
         return out if vec is evals else be.ints(out)
 
     # -- the stage ----------------------------------------------------------------
 
     def compute_h(self, a: Sequence[int], b: Sequence[int], c: Sequence[int],
-                  counter: Optional[OpCounter] = None,
                   telemetry=None) -> List[int]:
         """Coefficients of H(x) = (A(x)B(x) - C(x)) / (x^N - 1).
 
@@ -105,7 +99,8 @@ class PolyStage:
 
         With ``telemetry`` attached, each of the seven NTT operations
         (and the pointwise quotient pass) reports its own sub-span under
-        the caller's current span. The int -> resident conversions of
+        the caller's current span and counts on it; without, the stage
+        counts on the active scope. The int -> resident conversions of
         a, b, c are inside the three INTT spans and the resident -> int
         conversion of h inside the last one.
         """
@@ -118,15 +113,15 @@ class PolyStage:
         backend = self._backend()
 
         def step(name, fn, values):
-            with maybe_span(telemetry, name) as sp:
-                return fn(values, sp.counter if telemetry else counter)
+            with maybe_span(telemetry, name) as sp, counting(sp.counter):
+                return fn(values)
 
-        def intt_of_ints(values, counter):
+        def intt_of_ints(values):
             return self.engine.compute_inverse(
-                backend.resident(self.field, values), counter=counter)
+                backend.resident(self.field, values))
 
-        def coset_intt_to_ints(evals, counter):
-            return backend.ints(self.coset_intt(evals, counter))
+        def coset_intt_to_ints(evals):
+            return backend.ints(self.coset_intt(evals))
 
         a_coeffs = step("INTT-a", intt_of_ints, a)                   # NTT 1
         b_coeffs = step("INTT-b", intt_of_ints, b)                   # NTT 2
@@ -136,8 +131,8 @@ class PolyStage:
         b_coset = step("coset-NTT-b", self.coset_ntt, b_coeffs)      # NTT 5
         c_coset = step("coset-NTT-c", self.coset_ntt, c_coeffs)      # NTT 6
 
-        with maybe_span(telemetry, "pointwise-quotient") as sp:
-            pw_counter = sp.counter if telemetry else counter
+        with maybe_span(telemetry, "pointwise-quotient") as sp, \
+                counting(sp.counter):
             g = self._coset_generator()
             z_inv = self.field.inv((pow(g, n, p) - 1) % p)
             h_coset = backend.vscale(
@@ -147,9 +142,8 @@ class PolyStage:
                              c_coset),
                 z_inv,
             )
-            if pw_counter is not None:
-                pw_counter.count("fr_mul", 2 * n)
-                pw_counter.count("fr_add", n)
+            count("fr_mul", 2 * n)
+            count("fr_add", n)
 
         return step("coset-INTT-h", coset_intt_to_ints, h_coset)     # NTT 7
 

@@ -13,10 +13,10 @@ the same op counts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import NttError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import count
 from repro.ff.primefield import PrimeField
 
 __all__ = ["bit_reverse_permute", "ntt", "intt", "naive_dft"]
@@ -39,7 +39,7 @@ def bit_reverse_permute(values: List) -> None:
 
 
 def ntt(field: PrimeField, values: Sequence[int],
-        counter: Optional[OpCounter] = None, backend=None) -> List[int]:
+        backend=None) -> List[int]:
     """Forward NTT: evaluations of the polynomial with coefficients
     ``values`` at the powers of the primitive N-th root of unity.
 
@@ -50,20 +50,19 @@ def ntt(field: PrimeField, values: Sequence[int],
     from repro.backend import get_backend
 
     _check_size(len(values))
-    return get_backend(backend).ntt(field, values, counter=counter)
+    return get_backend(backend).ntt(field, values)
 
 
 def intt(field: PrimeField, values: Sequence[int],
-         counter: Optional[OpCounter] = None, backend=None) -> List[int]:
+         backend=None) -> List[int]:
     """Inverse NTT: interpolates coefficients from evaluations."""
     from repro.backend import get_backend
 
     _check_size(len(values))
-    return get_backend(backend).intt(field, values, counter=counter)
+    return get_backend(backend).intt(field, values)
 
 
-def _ntt_inplace(field: PrimeField, a: List[int], omega: int,
-                 counter: Optional[OpCounter]) -> None:
+def _ntt_inplace(field: PrimeField, a: List[int], omega: int) -> None:
     """The shared butterfly engine (Figure 2's iteration structure)."""
     n = len(a)
     p = field.modulus
@@ -81,10 +80,9 @@ def _ntt_inplace(field: PrimeField, a: List[int], omega: int,
                 d = u - v
                 a[j + half] = d + p if d < 0 else d
                 w = w * w_step % p
-        if counter is not None:
-            counter.count("butterfly", n // 2)
-            counter.count("fr_mul", n // 2)
-            counter.count("fr_add", n)
+        count("butterfly", n // 2)
+        count("fr_mul", n // 2)
+        count("fr_add", n)
         half *= 2
 
 

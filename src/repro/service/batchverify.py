@@ -40,7 +40,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.service.telemetry import splice_phase
 
 __all__ = ["BatchVerifyStage", "check_group", "verify_results_aggregate"]
@@ -49,8 +49,8 @@ __all__ = ["BatchVerifyStage", "check_group", "verify_results_aggregate"]
 VERIFY_THREADS = 2
 
 
-def check_group(results, bundle, soundness_bits: int,
-                counter=None) -> List[Optional[str]]:
+def check_group(results, bundle,
+                soundness_bits: int) -> List[Optional[str]]:
     """Verify one (curve, circuit) group of ok results as a single RLC
     window. Returns, per result, ``None`` if its proof verified or the
     reason it did not.
@@ -77,7 +77,7 @@ def check_group(results, bundle, soundness_bits: int,
         proofs.append(proof)
         publics.append(list(result.public_inputs))
     _, bad = bundle.batch_verifier(soundness_bits).verify_window(
-        proofs, publics, counter=counter)
+        proofs, publics)
     for i in bad:
         reasons[slots[i]] = "proof failed batched verification"
     return reasons
@@ -161,9 +161,10 @@ class BatchVerifyStage:
         t0 = time.perf_counter()
         counter = OpCounter()
         try:
-            reasons = check_group([p.result for p in group],
-                                  self._bundle_for(*key),
-                                  self.soundness_bits, counter)
+            with counting(counter):
+                reasons = check_group([p.result for p in group],
+                                      self._bundle_for(*key),
+                                      self.soundness_bits)
         except Exception as exc:  # noqa: BLE001 — no verdict = no verified job
             reasons = [f"{type(exc).__name__}: {exc}"] * len(group)
         share = (time.perf_counter() - t0) / len(group)
@@ -209,8 +210,8 @@ def verify_results_aggregate(results, bundle_for: Callable,
             continue
         groups.setdefault((result.curve, result.circuit), []).append(result)
     for key, members in groups.items():
-        reasons = check_group(members, bundle_for(*key), soundness_bits,
-                              counter)
+        with counting(counter):
+            reasons = check_group(members, bundle_for(*key), soundness_bits)
         bad_jobs.extend(result.job_id
                         for result, reason in zip(members, reasons)
                         if reason is not None)

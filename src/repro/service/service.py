@@ -245,8 +245,7 @@ class ProvingService:
         self._pipeline = None
         self._inline_state: Optional[WorkerState] = None
         # inline mode is a worker minus the process boundary, and a
-        # worker proves one job at a time: jobs share the curve groups'
-        # op counters, which one job's MSMs swap in and out
+        # worker proves one job at a time
         self._inline_lock = threading.Lock()
         self._inline_stats = ShardStats(0)
         self._inline_stats_lock = threading.Lock()

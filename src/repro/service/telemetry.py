@@ -11,8 +11,10 @@ backends alike.
 Design:
 
 * A :class:`Span` owns its wall-clock interval, its own
-  :class:`OpCounter` (handed to the math layers while the span is
-  open), its children and free-form metadata.
+  :class:`OpCounter` (installed as the op-count scope,
+  :func:`repro.ff.opcount.counting`, by the code that opens it), its
+  children and free-form metadata. A span is not a scope by itself:
+  an enclosing span counts nothing its children's scopes book.
 * A :class:`Telemetry` object holds the span forest plus a flat event
   log (backend downgrades, retries, native-kernel loader events). Spans
   auto-nest via a thread-local current-span stack, so
@@ -37,20 +39,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.declass import declassify
-
-_OpCounter = None
-
-
-def _opcounter_class():
-    """Deferred import: ``repro.ff``'s package init pulls in the NTT
-    stack, whose POLY stage imports this module — a cycle if resolved
-    at import time. By first span creation everything is loaded."""
-    global _OpCounter
-    if _OpCounter is None:
-        from repro.ff.opcount import OpCounter as _OpCounter_cls
-
-        _OpCounter = _OpCounter_cls
-    return _OpCounter
+from repro.ff.opcount import OpCounter
 
 __all__ = ["Span", "Telemetry", "maybe_span", "phase_breakdown",
            "splice_phase", "scrub_payload", "NULL_SPAN"]
@@ -88,7 +77,7 @@ class Span:
         self.name = name
         self.meta: Dict[str, object] = scrub_payload(meta)
         self.children: List[Span] = []
-        self.counter = _opcounter_class()()
+        self.counter = OpCounter()
         self.wall_seconds: float = 0.0
         self._t0: Optional[float] = None
 
@@ -110,10 +99,10 @@ class Span:
         return self.counter.totals()
 
     def total_ops(self) -> Dict[str, int]:
-        """Own ops plus every descendant's (math layers receive the
+        """Own ops plus every descendant's (math layers count on the
         *innermost* open span's counter, so parents do not double-count
         their children)."""
-        rollup = _opcounter_class()()
+        rollup = OpCounter()
         rollup.merge(self.counter)
         for child in self.children:
             for op, n in child.total_ops().items():
@@ -143,7 +132,8 @@ class Span:
 
 class _NullSpan:
     """Stands in when no telemetry is attached: carries a None counter
-    so instrumented code can unconditionally pass ``span.counter``."""
+    so instrumented code can unconditionally enter
+    ``counting(span.counter)``, which then keeps the active scope."""
 
     counter = None
     name = "<null>"
@@ -182,8 +172,8 @@ class Telemetry:
     @contextmanager
     def span(self, name: str, **meta) -> Iterator[Span]:
         """Open a span under the calling thread's current span (or as a
-        new root). The span's :class:`OpCounter` should be handed to
-        the math layers executing inside the block."""
+        new root). Enter ``counting(span.counter)`` with it to count
+        the block's ops on the span."""
         sp = Span(name, **meta)
         attach_to = self.current()
         with self._lock:

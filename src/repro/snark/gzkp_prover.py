@@ -87,7 +87,7 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
                                        label=label)
             contexts.put(id(pts), ctx)
 
-    def _run(engine, scalars, points, counter, telemetry):
+    def _run(engine, scalars, points, telemetry):
         ctx = contexts.get(id(points))
         if telemetry is not None:
             telemetry.record_event(
@@ -96,14 +96,14 @@ def make_gzkp_prover(r1cs: R1CS, pk: ProvingKey, curve: CurvePair,
                 label=ctx.label if ctx is not None else "",
                 n=len(points),
             )
-        return engine.compute(list(scalars), list(points), counter=counter,
+        return engine.compute(list(scalars), list(points),
                               telemetry=telemetry, context=ctx)
 
-    def run_g1(scalars, points, counter=None, telemetry=None):
-        return _run(msm_g1, scalars, points, counter, telemetry)
+    def run_g1(scalars, points, telemetry=None):
+        return _run(msm_g1, scalars, points, telemetry)
 
-    def run_g2(scalars, points, counter=None, telemetry=None):
-        return _run(msm_g2, scalars, points, counter, telemetry)
+    def run_g2(scalars, points, telemetry=None):
+        return _run(msm_g2, scalars, points, telemetry)
 
     prover = Groth16Prover(r1cs, pk, curve, ntt_engine=ntt_engine,
                            msm_g1=run_g1, msm_g2=run_g2, backend=backend)

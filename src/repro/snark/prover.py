@@ -26,8 +26,7 @@ from repro.backend import get_backend
 from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint
 from repro.errors import ProofError
-from repro.ff.opcount import OpCounter
-from repro.msm.common import counting
+from repro.ff.opcount import counting
 from repro.msm.fixed_base import FixedBaseTable, batch_scalar_mul
 from repro.ntt.poly import PolyStage
 from repro.service.telemetry import Telemetry, maybe_span
@@ -71,13 +70,11 @@ class _BackendNttEngine:
         self.field = field
         self.backend = backend
 
-    def compute(self, values, counter=None):
-        return get_backend(self.backend).ntt(self.field, values,
-                                             counter=counter)
+    def compute(self, values):
+        return get_backend(self.backend).ntt(self.field, values)
 
-    def compute_inverse(self, values, counter=None):
-        return get_backend(self.backend).intt(self.field, values,
-                                              counter=counter)
+    def compute_inverse(self, values):
+        return get_backend(self.backend).intt(self.field, values)
 
 
 class Groth16Prover:
@@ -100,8 +97,8 @@ class Groth16Prover:
             ntt_engine or _BackendNttEngine(curve.fr, backend=backend),
             backend=backend,
         )
-        # MSM callables: (scalars, points, counter=, telemetry=) -> point.
-        # Default: direct sums.
+        # MSM callables: (scalars, points, telemetry=) -> point, counting
+        # on the active scope. Default: direct sums.
         self._msm_g1 = msm_g1 or self._naive_msm_factory(curve.g1)
         self._msm_g2 = msm_g2 or self._naive_msm_factory(curve.g2)
         # The masking terms r*delta, s*delta, rs*delta (G1) and s*delta
@@ -115,20 +112,17 @@ class Groth16Prover:
 
     @staticmethod
     def _naive_msm_factory(group):
-        def run(scalars, points, counter: Optional[OpCounter] = None,
-                telemetry: Optional[Telemetry] = None):
+        def run(scalars, points, telemetry: Optional[Telemetry] = None):
             acc = None
-            with counting(group, counter):
-                for s, p in zip(scalars, points):
-                    if s:
-                        acc = group.add(acc, group.scalar_mul(s, p))
+            for s, p in zip(scalars, points):
+                if s:
+                    acc = group.add(acc, group.scalar_mul(s, p))
             return acc
         return run
 
     # -- stages ---------------------------------------------------------------------
 
     def compute_h(self, assignment: Sequence[int],
-                  counter: Optional[OpCounter] = None,
                   telemetry: Optional[Telemetry] = None) -> Sequence[int]:
         """POLY stage: quotient coefficients from the abc evaluations
         (vectorized over the cached CSR matrices when the prover has a
@@ -136,8 +130,7 @@ class Groth16Prover:
         a_vec, b_vec, c_vec = self.r1cs.abc_evaluations(
             assignment, backend=self.backend
         )
-        return self.poly.compute_h(a_vec, b_vec, c_vec, counter=counter,
-                                   telemetry=telemetry)
+        return self.poly.compute_h(a_vec, b_vec, c_vec, telemetry=telemetry)
 
     def prove(self, assignment: Sequence[int],
               rng: Optional[random.Random] = None,
@@ -166,9 +159,8 @@ class Groth16Prover:
         ``MSM`` span and each counts on its own span's counter."""
         results = []
         for name, fn, scalars, points in tasks:
-            with maybe_span(telemetry, name) as sp:
-                results.append(fn(scalars, points, counter=sp.counter,
-                                  telemetry=telemetry))
+            with maybe_span(telemetry, name) as sp, counting(sp.counter):
+                results.append(fn(scalars, points, telemetry=telemetry))
         return results
 
     def _prove_with_masks(self, assignment: Sequence[int], r_mask: int,
@@ -178,9 +170,8 @@ class Groth16Prover:
         pk = self.pk
 
         # POLY stage.
-        with maybe_span(telemetry, "POLY") as poly_span:
-            h = self.compute_h(assignment, counter=poly_span.counter,
-                               telemetry=telemetry)
+        with maybe_span(telemetry, "POLY") as sp, counting(sp.counter):
+            h = self.compute_h(assignment, telemetry=telemetry)
 
         # MSM stage: the five MSMs of §5.2.
         witness = assignment[1 + pk.n_public:]

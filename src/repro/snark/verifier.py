@@ -27,8 +27,9 @@ tables the pairing engine caches for beta/gamma/delta
 Every curve in this reproduction has a real pairing engine: ALT-BN128
 and BLS12-381 run optimal-ate over the Fq12 tower
 (:mod:`repro.curves.pairing`), the MNT4753 surrogate a reduced Tate
-pairing over Fq2 (:mod:`repro.curves.tate`). The pairing op counters
-(``miller_loop`` / ``final_exp`` / ``g2_precomp``) make the economics
+pairing over Fq2 (:mod:`repro.curves.tate`). The pairing op counts
+(``miller_loop`` / ``final_exp`` / ``g2_precomp``, booked on the active
+:func:`~repro.ff.opcount.counting` scope) make the economics
 machine-checkable rather than asserted.
 
 A separate :class:`TrapdoorChecker` provides a fast white-box QAP check
@@ -45,6 +46,7 @@ from repro.curves.params import CurvePair
 from repro.curves.pairing import bls12_381_pairing, bn128_pairing
 from repro.curves.tate import mnt4753_pairing
 from repro.errors import ProofError
+from repro.ff.opcount import counting
 from repro.msm.fixed_base import batch_scalar_mul
 from repro.snark.keys import Trapdoor, VerifyingKey
 from repro.snark.prover import Proof
@@ -139,31 +141,33 @@ class Groth16Verifier:
                 and g1.is_on_curve(proof.c)
                 and self.curve.g2.is_on_curve(proof.b))
 
-    def _equation_holds(self, a_pairs, alpha_term, ic_term, c_term,
-                        counter=None) -> bool:
+    def _equation_holds(self, a_pairs, alpha_term, ic_term, c_term) -> bool:
         """prod e(P, Q) over ``a_pairs`` times e(alpha_term, beta)
         e(ic_term, gamma) e(c_term, delta) == 1: a fresh Miller loop
         per pair, the key's three fixed G2 points replayed from their
         cached line tables, one final exponentiation."""
         engine = self.engine
-        acc = engine.accumulator(counter=counter)
+        acc = engine.accumulator()
         for g1_point, g2_point in a_pairs:
             acc.accumulate(g1_point, g2_point)
         for g1_term, g2_fixed in zip((alpha_term, ic_term, c_term),
                                      self.vk.fixed_g2_points()):
-            acc.accumulate_prepared(
-                g1_term, engine.prepare_g2(g2_fixed, counter=counter))
+            acc.accumulate_prepared(g1_term, engine.prepare_g2(g2_fixed))
         return acc.is_one()
 
     def verify(self, proof: Proof, public_inputs: Sequence[int],
+               # repro: allow[R011] the frozen perf ledger passes it (item 9)
                counter=None) -> bool:
-        """e(-A, B) e(alpha, beta) e(IC, gamma) e(C, delta) == 1."""
+        """e(-A, B) e(alpha, beta) e(IC, gamma) e(C, delta) == 1;
+        ``counter`` (kept for the frozen perf ledger until ROADMAP item
+        9) receives the pairing equation's ops only."""
         if not self.check_proof_shape(proof):
             return False
         ic = self.ic_combination(public_inputs)
-        return self._equation_holds(
-            [(self.curve.g1.neg(proof.a), proof.b)],
-            self.vk.alpha_g1, ic, proof.c, counter=counter)
+        with counting(counter):
+            return self._equation_holds(
+                [(self.curve.g1.neg(proof.a), proof.b)],
+                self.vk.alpha_g1, ic, proof.c)
 
 
 class BatchVerifier:
@@ -218,13 +222,16 @@ class BatchVerifier:
 
     def verify_batch(self, proofs: Sequence[Proof],
                      public_inputs: Sequence[Sequence[int]],
-                     rng=None, counter=None) -> bool:
+                     rng=None,
+                     # repro: allow[R011] the frozen perf ledger passes it (item 9)
+                     counter=None) -> bool:
         """True iff every (proof, inputs) pair verifies (whp).
 
-        ``counter`` (an :class:`~repro.ff.opcount.OpCounter`) receives
-        the pairing economics: exactly ``len(proofs) + 3`` Miller
-        loops and one final exponentiation (plus ``g2_precomp`` builds
-        on the first batch under this verifying key).
+        ``counter`` (kept for the frozen perf ledger until ROADMAP item
+        9) receives the pairing equation's ops only: exactly
+        ``len(proofs) + 3`` Miller loops and one final exponentiation
+        (plus ``g2_precomp`` builds on the first batch under this
+        verifying key).
         """
         if len(proofs) != len(public_inputs):
             raise ProofError("proofs and public-input lists differ in length")
@@ -257,16 +264,17 @@ class BatchVerifier:
             g1, [self.vk.alpha_g1, *(proof.a for proof in proofs)],
             [coeff_sum, *coeffs], backend=self.backend)
 
-        return self._single._equation_holds(
-            [(g1.neg(a_term), proof.b)
-             for a_term, proof in zip(a_terms, proofs)],
-            alpha_term, ic_fold, c_fold, counter=counter)
+        with counting(counter):
+            return self._single._equation_holds(
+                [(g1.neg(a_term), proof.b)
+                 for a_term, proof in zip(a_terms, proofs)],
+                alpha_term, ic_fold, c_fold)
 
     # -- windowed check with bisection -----------------------------------------
 
     def verify_window(self, proofs: Sequence[Proof],
                       public_inputs: Sequence[Sequence[int]],
-                      rng=None, counter=None) -> Tuple[bool, List[int]]:
+                      rng=None) -> Tuple[bool, List[int]]:
         """(all_ok, bad_indices): one batched check, then bisection.
 
         A clean window costs the batched price (N + 3 Miller loops, one
@@ -287,14 +295,13 @@ class BatchVerifier:
             found not to are appended to ``bad``."""
             if len(indices) == 1:
                 i = indices[0]
-                ok = self._single.verify(proofs[i], public_inputs[i],
-                                         counter=counter)
+                ok = self._single.verify(proofs[i], public_inputs[i])
                 if not ok:
                     bad.append(i)
                 return ok
             if self.verify_batch([proofs[i] for i in indices],
                                  [public_inputs[i] for i in indices],
-                                 rng=rng, counter=counter):
+                                 rng=rng):
                 return True
             mid = len(indices) // 2
             check(indices[:mid])
@@ -308,7 +315,7 @@ class BatchVerifier:
             # pass), but never report a failed window without naming a
             # culprit: fall back to exact per-proof verification.
             for i, (proof, inputs) in enumerate(zip(proofs, public_inputs)):
-                if not self._single.verify(proof, inputs, counter=counter):
+                if not self._single.verify(proof, inputs):
                     bad.append(i)
             if not bad:
                 return True, []

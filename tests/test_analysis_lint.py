@@ -1,5 +1,6 @@
-"""Repo lint rules R001–R005 and R010: one failing fixture per rule, the
-suppression syntax, repo cleanliness at HEAD, and CLI exit codes."""
+"""Repo lint rules R001–R005, R010 and R011: one failing fixture per
+rule, the suppression syntax, repo cleanliness at HEAD, and CLI exit
+codes."""
 
 from pathlib import Path
 from typing import List
@@ -58,6 +59,19 @@ class BrokenBackend(ComputeBackend):
         return [field.add(x, y) for x, y in zip(wrong, ys)]
 """
 
+R011_SRC = """\
+def ntt(field, values, counter=None):
+    return values
+
+
+class Engine:
+    def compute(self, values, *, counter):
+        return values
+
+
+BOOK = lambda counter, op: counter.count(op)
+"""
+
 #: rule -> (relative fixture path, source, expected finding count)
 FIXTURES = {
     "R001": ("repro/msm/helper.py", R001_SRC, 2),
@@ -65,6 +79,7 @@ FIXTURES = {
     "R003": ("repro/service/spans.py", R003_SRC, 3),
     "R004": ("repro/ntt/clocked.py", R004_SRC, 2),
     "R005": ("repro/backend/broken.py", R005_SRC, 2),
+    "R011": ("repro/ntt/counted.py", R011_SRC, 3),
 }
 
 
@@ -77,7 +92,7 @@ def _write(tmp_path: Path, rel: str, src: str) -> Path:
 
 def test_rule_registry_is_complete():
     assert [r.code for r in all_rules()] == [
-        "R001", "R002", "R003", "R004", "R005", "R010"]
+        "R001", "R002", "R003", "R004", "R005", "R010", "R011"]
 
 
 def test_module_name_for():
@@ -172,6 +187,35 @@ class FineBackend(ComputeBackend):
         return [field.add(x, y) for x, y in zip(xs, ys)]
 """
     f = _write(tmp_path, "repro/backend/fine.py", src)
+    assert run_lint([str(f)]) == []
+
+
+def test_r011_quiet_on_the_scope_and_outside_the_package(tmp_path):
+    scope = _write(tmp_path, "repro/ff/opcount.py",
+                   "def counting(counter=None, phase=None):\n"
+                   "    return counter\n")
+    bench = _write(tmp_path, "benchmarks/ledger/stations.py", R011_SRC)
+    test = _write(tmp_path, "tests/test_counted.py", R011_SRC)
+    other = _write(tmp_path, "repro/msm/named.py",
+                   "def compute(values, counters=None, op_counter=None):\n"
+                   "    return values\n")
+    assert run_lint([str(scope), str(bench), str(test), str(other)]) == []
+
+
+def test_r011_counting_is_exempt_only_in_opcount(tmp_path):
+    f = _write(tmp_path, "repro/msm/common.py",
+               "def counting(group, counter, phase=None):\n"
+               "    return group\n")
+    assert [(fi.code, fi.line) for fi in run_lint([str(f)])] == [
+        ("R011", 1)]
+
+
+def test_r011_allow_comment_on_the_signature_suppresses(tmp_path):
+    src = ("def verify(proof, public_inputs,\n"
+           "           # repro: allow[R011] the perf ledger passes it\n"
+           "           counter=None):\n"
+           "    return True\n")
+    f = _write(tmp_path, "repro/snark/ledger_api.py", src)
     assert run_lint([str(f)]) == []
 
 

@@ -23,7 +23,7 @@ import pytest
 from repro.backend import coverage, get_backend, kernel_backend
 from repro.backend.native import native_available
 from repro.curves import CURVES
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 
 CURVE_NAMES = ["ALT-BN128", "BLS12-381", "MNT4753"]
 
@@ -63,14 +63,14 @@ class TestBatchKernelsBitIdentical:
 
     def _run(self, group, batch_fn, scalar_fn, ps, qs=None):
         c_ref, c_vec = OpCounter(), OpCounter()
-        group.counter = c_ref
-        if qs is None:
-            exp = [scalar_fn(p) for p in ps]
-        else:
-            exp = [scalar_fn(p, q) for p, q in zip(ps, qs)]
-        group.counter = c_vec
-        got = batch_fn(group, ps) if qs is None else batch_fn(group, ps, qs)
-        group.counter = None
+        with counting(c_ref):
+            if qs is None:
+                exp = [scalar_fn(p) for p in ps]
+            else:
+                exp = [scalar_fn(p, q) for p, q in zip(ps, qs)]
+        with counting(c_vec):
+            got = (batch_fn(group, ps) if qs is None
+                   else batch_fn(group, ps, qs))
         assert got == exp
         assert c_ref._totals == c_vec._totals
         return got
@@ -164,12 +164,11 @@ class TestSegmentedBuckets:
         ref = list(init) if init else [inf] * n_buckets
         got = list(init) if init else [inf] * n_buckets
         c_ref, c_vec = OpCounter(), OpCounter()
-        group.counter = c_ref
-        PY.accumulate_buckets(group, ref, entries)
-        group.counter = c_vec
+        with counting(c_ref):
+            PY.accumulate_buckets(group, ref, entries)
         coverage.reset()
-        NP.accumulate_buckets(group, got, entries)
-        group.counter = None
+        with counting(c_vec):
+            NP.accumulate_buckets(group, got, entries)
         assert coverage.snapshot() == {"jacobian": {"native": 1}}  # the tree ran
         for i in range(n_buckets):
             assert group.from_jacobian(ref[i]) == group.from_jacobian(got[i])
@@ -236,7 +235,8 @@ def test_e2e_msm_count_parity():
         msm = GzkpMsm(g1, curve.fr.bits, V100, window=4, interval=8,
                       backend=backend)
         counter = OpCounter()
-        results.append(msm.compute(scalars, list(pts), counter=counter))
+        with counting(counter):
+            results.append(msm.compute(scalars, list(pts)))
         totals.append(dict(counter._totals))
     assert results[0] == results[1]
     assert totals[0] == totals[1]

@@ -17,7 +17,7 @@ from repro.backend import (
 )
 from repro.backend.native import NATIVE_ENV_VAR, native_available
 from repro.curves import bn128_g1
-from repro.ff import OpCounter
+from repro.ff.opcount import _ACTIVE, OpCounter, counting
 from repro.ff.params import (
     ALT_BN128_R,
     BLS12_381_Q,
@@ -96,12 +96,16 @@ class TestNttEquivalence:
     def test_counts_identical(self, field):
         vals = rand_vec(field, 64, seed=3)
         c_py, c_np = OpCounter(), OpCounter()
-        PY.ntt(field, vals, counter=c_py)
-        NP.ntt(field, vals, counter=c_np)
+        with counting(c_py):
+            PY.ntt(field, vals)
+        with counting(c_np):
+            NP.ntt(field, vals)
         assert c_py.totals() == c_np.totals()
         c_py, c_np = OpCounter(), OpCounter()
-        PY.intt(field, vals, counter=c_py)
-        NP.intt(field, vals, counter=c_np)
+        with counting(c_py):
+            PY.intt(field, vals)
+        with counting(c_np):
+            NP.intt(field, vals)
         assert c_py.totals() == c_np.totals()
 
     def test_reference_api_routes_backends(self):
@@ -120,8 +124,10 @@ class TestNttEquivalence:
         eng_py = GzkpNtt(field, V100, backend="python")
         eng_np = GzkpNtt(field, V100, backend="numpy")
         c_py, c_np = OpCounter(), OpCounter()
-        assert (eng_np.compute(vals, counter=c_np)
-                == eng_py.compute(vals, counter=c_py))
+        with counting(c_np):
+            got = eng_np.compute(vals)
+        with counting(c_py):
+            assert got == eng_py.compute(vals)
         assert c_py.totals() == c_np.totals()
         assert (eng_np.compute_inverse(vals)
                 == eng_py.compute_inverse(vals))
@@ -152,8 +158,9 @@ class TestMsmEquivalence:
         totals = []
         for backend in ("python", "numpy"):
             counter = OpCounter()
-            GzkpMsm(bn128_g1, 254, V100, window=8, interval=4,
-                    backend=backend).compute(scs, pts, counter=counter)
+            with counting(counter):
+                GzkpMsm(bn128_g1, 254, V100, window=8, interval=4,
+                        backend=backend).compute(scs, pts)
             totals.append(counter.totals())
         assert totals[0] == totals[1]
 
@@ -287,16 +294,10 @@ class TestBucketReduce:
         n = 32
         buckets = self._buckets(n, infinity_at)
         ref_counter, np_counter = OpCounter(), OpCounter()
-        bn128_g1.counter = ref_counter
-        try:
+        with counting(ref_counter):
             ref = PY.bucket_reduce(bn128_g1, list(buckets))
-        finally:
-            bn128_g1.counter = None
-        bn128_g1.counter = np_counter
-        try:
+        with counting(np_counter):
             got = NP.bucket_reduce(bn128_g1, list(buckets))
-        finally:
-            bn128_g1.counter = None
         assert bn128_g1.from_jacobian(got) == bn128_g1.from_jacobian(ref)
         assert np_counter.totals() == ref_counter.totals()
 
@@ -308,9 +309,9 @@ class TestBucketReduce:
 
     def test_counter_not_installed_stays_uncounted(self):
         """bucket_reduce must not clobber a counter another caller
-        installs on the group mid-flight: with no counter installed it
-        leaves group.counter alone."""
+        installs mid-flight: with no counter installed it leaves the
+        op-count scope alone."""
         buckets = self._buckets(32, set())
-        assert bn128_g1.counter is None
+        assert _ACTIVE.get() is None
         NP.bucket_reduce(bn128_g1, buckets)
-        assert bn128_g1.counter is None
+        assert _ACTIVE.get() is None

@@ -155,29 +155,29 @@ class TestPairingEconomics:
     def test_batch_of_32_runs_35_miller_loops(self, batch_setup):
         """The tentpole claim, machine-checked: N + 3 Miller loops and
         exactly one final exponentiation for N = 32."""
-        from repro.ff.opcount import OpCounter
+        from repro.ff.opcount import OpCounter, counting
 
         keys, proofs, publics = batch_setup
         batch = BatchVerifier(keys.verifying_key, CURVE)
         tiled_p = [proofs[i % len(proofs)] for i in range(32)]
         tiled_x = [publics[i % len(publics)] for i in range(32)]
         counter = OpCounter()
-        assert batch.verify_batch(tiled_p, tiled_x, random.Random(9),
-                                  counter=counter)
+        with counting(counter):
+            assert batch.verify_batch(tiled_p, tiled_x, random.Random(9))
         assert counter.total("miller_loop") == 35
         assert counter.total("final_exp") == 1
         # the three fixed-argument precomputations build at most once
         assert counter.total("g2_precomp") <= 3
 
     def test_precomputation_reused_across_batches(self, batch_setup):
-        from repro.ff.opcount import OpCounter
+        from repro.ff.opcount import OpCounter, counting
 
         keys, proofs, publics = batch_setup
         batch = BatchVerifier(keys.verifying_key, CURVE)
         assert batch.verify_batch(proofs, publics, random.Random(10))
         counter = OpCounter()
-        assert batch.verify_batch(proofs, publics, random.Random(11),
-                                  counter=counter)
+        with counting(counter):
+            assert batch.verify_batch(proofs, publics, random.Random(11))
         assert counter.total("g2_precomp") == 0
         assert counter.total("miller_loop") == len(proofs) + 3
 
@@ -185,15 +185,15 @@ class TestPairingEconomics:
         """Two BatchVerifier instances over the same key share the
         memoized engine, so the second one's first batch pays no
         g2_precomp either."""
-        from repro.ff.opcount import OpCounter
+        from repro.ff.opcount import OpCounter, counting
 
         keys, proofs, publics = batch_setup
         first = BatchVerifier(keys.verifying_key, CURVE)
         assert first.verify_batch(proofs, publics, random.Random(12))
         second = BatchVerifier(keys.verifying_key, CURVE)
         counter = OpCounter()
-        assert second.verify_batch(proofs, publics, random.Random(13),
-                                   counter=counter)
+        with counting(counter):
+            assert second.verify_batch(proofs, publics, random.Random(13))
         assert counter.total("g2_precomp") == 0
 
 
@@ -220,23 +220,48 @@ class TestSingleVerifyEconomics:
         return keys, Groth16Prover(r1cs, keys.proving_key, CURVE)
 
     def test_four_loops_one_final_exp_three_tables_once(self, fresh_key):
-        from repro.ff.opcount import OpCounter
+        from repro.ff.opcount import OpCounter, counting
 
         keys, prover = fresh_key
         proof = prover.prove([1, 49, 7], random.Random(1))
         verifier = Groth16Verifier(keys.verifying_key, CURVE)
         first = OpCounter()
-        assert verifier.verify(proof, [49], counter=first)
+        with counting(first):
+            assert verifier.verify(proof, [49])
         assert first.total("miller_loop") == 4
         assert first.total("final_exp") == 1
         assert first.total("g2_precomp") <= 3
         for checker in (verifier,
                         Groth16Verifier(keys.verifying_key, CURVE)):
             later = OpCounter()
-            assert checker.verify(proof, [49], counter=later)
+            with counting(later):
+                assert checker.verify(proof, [49])
             assert later.total("miller_loop") == 4
             assert later.total("final_exp") == 1
             assert later.total("g2_precomp") == 0
+
+    def test_counter_keyword_gets_the_pairing_equation_only(self, fresh_key):
+        """The ``counter=`` the perf ledger passes to ``verify`` and
+        ``verify_batch`` books the pairing ops and none of the IC / C
+        folds' group ops, which the enclosing scope books."""
+        from repro.ff.opcount import OpCounter, counting
+
+        keys, prover = fresh_key
+        proof = prover.prove([1, 49, 7], random.Random(2))
+        pairing_ops = {"miller_loop", "final_exp", "g2_precomp"}
+        single = Groth16Verifier(keys.verifying_key, CURVE)
+        batch = BatchVerifier(keys.verifying_key, CURVE)
+        for check in (lambda c: single.verify(proof, [49], counter=c),
+                      lambda c: batch.verify_batch(
+                          [proof, proof], [[49], [49]], random.Random(3),
+                          counter=c)):
+            outer, inner = OpCounter(), OpCounter()
+            with counting(outer):
+                assert check(inner)
+            assert set(inner.totals()) <= pairing_ops
+            assert inner.total("miller_loop") >= 4
+            assert outer.total("padd") > 0
+            assert not set(outer.totals()) & pairing_ops
 
     def test_a_zero_miller_product_verifies_false(self, fresh_key,
                                                   monkeypatch):
@@ -262,7 +287,7 @@ class TestSingleVerifyEconomics:
         assert len(verifier.engine._prepared) == size
 
     def test_window_of_one_is_the_single_check(self, batch_setup):
-        from repro.ff.opcount import OpCounter
+        from repro.ff.opcount import OpCounter, counting
 
         keys, proofs, publics = batch_setup
         batch = BatchVerifier(keys.verifying_key, CURVE)
@@ -273,8 +298,9 @@ class TestSingleVerifyEconomics:
         for proof, verdict in ((proofs[0], (True, [])),
                                (forged, (False, [0]))):
             counter = OpCounter()
-            assert batch.verify_window([proof], [publics[0]], _NoDrawRng(),
-                                       counter=counter) == verdict
+            with counting(counter):
+                assert batch.verify_window([proof], [publics[0]],
+                                           _NoDrawRng()) == verdict
             assert single.verify(proof, publics[0]) is verdict[0]
             assert counter.total("miller_loop") == 4
             assert counter.total("final_exp") == 1
@@ -354,15 +380,15 @@ class TestBatchSizesFuzz:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=4, deadline=None)
     def test_tiled_batches_verify(self, batch_setup, n, seed):
-        from repro.ff.opcount import OpCounter
+        from repro.ff.opcount import OpCounter, counting
 
         keys, proofs, publics = batch_setup
         batch = BatchVerifier(keys.verifying_key, CURVE)
         tiled_p = [proofs[i % len(proofs)] for i in range(n)]
         tiled_x = [publics[i % len(publics)] for i in range(n)]
         counter = OpCounter()
-        assert batch.verify_batch(tiled_p, tiled_x, random.Random(seed),
-                                  counter=counter)
+        with counting(counter):
+            assert batch.verify_batch(tiled_p, tiled_x, random.Random(seed))
         if n:
             assert counter.total("miller_loop") == n + 3
             assert counter.total("final_exp") == 1
@@ -395,7 +421,7 @@ class TestMnt4753Batch:
         return curve, keys, proofs, publics
 
     def test_batch_matches_single(self, mnt_setup):
-        from repro.ff.opcount import OpCounter
+        from repro.ff.opcount import OpCounter, counting
 
         curve, keys, proofs, publics = mnt_setup
         single = Groth16Verifier(keys.verifying_key, curve)
@@ -403,8 +429,8 @@ class TestMnt4753Batch:
             assert single.verify(proof, inputs)
         batch = BatchVerifier(keys.verifying_key, curve)
         counter = OpCounter()
-        assert batch.verify_batch(proofs, publics, random.Random(41),
-                                  counter=counter)
+        with counting(counter):
+            assert batch.verify_batch(proofs, publics, random.Random(41))
         assert counter.total("miller_loop") == len(proofs) + 3
         assert counter.total("final_exp") == 1
 

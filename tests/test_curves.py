@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CurveError
-from repro.ff import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.curves import (
     CURVES,
     bls12_381_g1,
@@ -187,26 +187,56 @@ class TestScalarMul:
 class TestInstrumentation:
     def test_padd_counted(self):
         counter = OpCounter()
-        bn128_g1.counter = counter
-        try:
+        with counting(counter):
             g = bn128_g1.generator
             bn128_g1.add(g, bn128_g1.double(g))
-        finally:
-            bn128_g1.counter = None
         # one affine double + one affine add, each one 'padd';
         # double() also routes through add().
         assert counter.total("padd") == 2
 
     def test_scalar_mul_padd_count_scales_with_bits(self):
         counter = OpCounter()
-        bn128_g1.counter = counter
-        try:
+        with counting(counter):
             bn128_g1.scalar_mul((1 << 64) - 1, bn128_g1.generator)
-        finally:
-            bn128_g1.counter = None
         # 63 doublings + 63 true additions (the first addition onto the
         # infinity accumulator is a copy, not a PADD), all counted.
         assert counter.total("padd") == 63 + 63
+
+    def test_scopes_are_per_thread(self):
+        """Threads counting on one shared group at once each book only
+        their own ops, and a thread that opens no scope books nothing
+        onto theirs (switch interval shortened so they interleave)."""
+        import sys
+        import threading
+
+        g = bn128_g1.generator
+        counters = [OpCounter() for _ in range(6)]
+
+        def work(counter):
+            with counting(counter):
+                for _ in range(20):
+                    bn128_g1.scalar_mul(0xFFFF, g)
+
+        def unscoped():
+            for _ in range(20):
+                bn128_g1.scalar_mul(0xFFFF, g)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(c,))
+                       for c in counters]
+            threads += [threading.Thread(target=unscoped) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # 15 doublings (each also a padd) + 15 additions per multiplication
+        want = {"padd": 20 * 30, "pdbl": 20 * 15}
+        assert [c.totals() for c in counters] == [want] * 6
 
 
 @settings(max_examples=15, deadline=None)

@@ -60,30 +60,36 @@ class TestGzkpEnginesInGroth16:
     def test_backend_choice_preserves_proof_and_counts(self, curve_name):
         """The compute backend (scalar python vs numpy, which runs the
         native kernels, or the python floor under ``REPRO_NATIVE=0``)
-        changes neither the proof bits nor the curve-op totals of an
-        end-to-end Groth16 run, on every curve. ``product`` is the
-        smallest registry circuit whose H polynomial is non-zero."""
-        from repro.ff.opcount import OpCounter
+        changes neither the proof bits nor the op totals of an
+        end-to-end Groth16 run, on every curve: neither the whole
+        prove's nor any one MSM's (``MSM-B-G2`` carries the G2 share).
+        ``product`` is the smallest registry circuit whose H polynomial
+        is non-zero."""
+        from repro.ff.opcount import OpCounter, counting
+        from repro.service.telemetry import Telemetry
 
         curve = CURVES[curve_name]
         r1cs, assignment = build_instance("product", curve.fr, (3, 5))
         keys = setup(r1cs, curve, random.Random(31))
-        proofs, totals = [], []
+        proofs, totals, msm_ops = [], [], []
         for backend in ("python", "numpy"):
             gzkp = make_gzkp_prover(r1cs, keys.proving_key, curve,
                                     msm_window=5, msm_interval=2,
                                     backend=backend)
-            c_g1, c_g2 = OpCounter(), OpCounter()
-            curve.g1.counter = c_g1
-            curve.g2.counter = c_g2
-            try:
+            counter = OpCounter()
+            with counting(counter):
                 proofs.append(gzkp._prove_with_masks(assignment, 111, 222))
-            finally:
-                curve.g1.counter = None
-                curve.g2.counter = None
-            totals.append((dict(c_g1._totals), dict(c_g2._totals)))
-        assert proofs[0] == proofs[1]
+            totals.append(dict(counter._totals))
+            telemetry = Telemetry()
+            proofs.append(gzkp._prove_with_masks(assignment, 111, 222,
+                                                 telemetry=telemetry))
+            msm = next(s for s in telemetry.to_dict()["spans"]
+                       if s["name"] == "MSM")
+            msm_ops.append({c["name"]: c["ops"] for c in msm["children"]})
+        assert proofs[0] == proofs[1] == proofs[2] == proofs[3]
         assert totals[0] == totals[1]
+        assert msm_ops[0] == msm_ops[1]
+        assert msm_ops[0]["MSM-B-G2"]
 
 
 class TestWorkloadEndToEnd:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CurveError, FieldError
 from repro.ff import ALT_BN128_Q, ExtensionField, PrimeField
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.curves import (
     bls12_381_g1,
     bls12_381_g2,
@@ -295,8 +295,9 @@ class TestEngineApi:
         p15 = g1.scalar_mul(15, p)
         prepared = eng.prepare_g2(q)
         counter = OpCounter()
-        assert (eng.accumulator(counter).accumulate(p5, q3)
-                .accumulate_prepared(g1.neg(p15), prepared).is_one())
+        with counting(counter):
+            assert (eng.accumulator().accumulate(p5, q3)
+                    .accumulate_prepared(g1.neg(p15), prepared).is_one())
         # one loop fresh, one replayed, one shared final exponentiation
         assert counter.total("miller_loop") == 2
         assert counter.total("final_exp") == 1
@@ -315,11 +316,11 @@ class TestEngineApi:
         p, q = g1.generator, g2.generator
         prepared = eng.prepare_g2(q)
         counter = OpCounter()
-        assert eng.miller_pair(None, q, counter=counter) == eng.unity
-        assert eng.miller_pair(p, None, counter=counter) == eng.unity
-        assert eng.miller_prepared(None, prepared,
-                                   counter=counter) == eng.unity
-        assert eng.pairing(None, q, counter=counter) == eng.unity
+        with counting(counter):
+            assert eng.miller_pair(None, q) == eng.unity
+            assert eng.miller_pair(p, None) == eng.unity
+            assert eng.miller_prepared(None, prepared) == eng.unity
+            assert eng.pairing(None, q) == eng.unity
         assert counter.total("miller_loop") == 0
         assert counter.total("final_exp") == 0
         with pytest.raises(CurveError):
@@ -329,14 +330,17 @@ class TestEngineApi:
         eng, g1, g2, _, _ = api
         q9 = g2.scalar_mul(0x9E3779B9, g2.generator)
         first = OpCounter()
-        prepared = eng.prepare_g2(q9, counter=first)
+        with counting(first):
+            prepared = eng.prepare_g2(q9)
         assert first.total("g2_precomp") <= 1
         again = OpCounter()
-        assert eng.prepare_g2(q9, counter=again) is prepared
+        with counting(again):
+            assert eng.prepare_g2(q9) is prepared
         assert again.total("g2_precomp") == 0
         size = len(eng._prepared)
         q7 = g2.scalar_mul(0x7F4A7C15, g2.generator)
-        fresh = eng.miller_pair(g1.generator, q7, counter=again)
+        with counting(again):
+            fresh = eng.miller_pair(g1.generator, q7)
         assert len(eng._prepared) == size
         assert again.total("miller_loop") == 1
         assert fresh == eng.miller_prepared(g1.generator,

@@ -19,7 +19,7 @@ import pytest
 from repro import snark
 from repro.backend import get_backend, kernel_backend, native
 from repro.curves import CURVES
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.msm.fixed_base import (FixedBaseTable, _window_for,
                                   fixed_base_mul)
 from repro.service import Telemetry
@@ -237,16 +237,19 @@ KEYGEN_OPS = {
 
 
 @pytest.mark.parametrize("name", list(PROVE_OPS))
-def test_op_counts(name, floor):
+def test_op_counts(name, floor, monkeypatch):
     curve = CURVES[name]
-    counters = []
-    for group in (curve.g1, curve.g2):
-        group.counter = OpCounter()
-        counters.append(group.counter)
-    try:
+    outside, counters = OpCounter(), [OpCounter(), OpCounter()]
+
+    def counted(group, *args, **kwargs):
+        # keygen's fixed-base call on each group, on that group's counter
+        with counting(counters[group is curve.g2]):
+            return fixed_base_mul(group, *args, **kwargs)
+
+    with monkeypatch.context() as patch, counting(outside):
+        patch.setattr(snark.keys, "fixed_base_mul", counted)
         _, r1cs, keys = _seeded_setup(name, "range4", floor)
-    finally:
-        curve.g1.counter = curve.g2.counter = None
+    assert outside.totals() == {}
     assert tuple(c.totals() for c in counters) == KEYGEN_OPS[name]
 
     prover = snark.make_gzkp_prover(r1cs, keys.proving_key, curve,

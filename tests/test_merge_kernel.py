@@ -25,7 +25,7 @@ import pytest
 
 from repro.backend import get_backend, kernel_backend, native
 from repro.curves import CURVES
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from tests.test_backend_curve_equivalence import offset_chain
 
 PY = get_backend("python")
@@ -44,12 +44,10 @@ def _group(name, which):
     return getattr(CURVES[name], which)
 
 
-def _counting(group, fn, *args):
-    group.counter = counter = OpCounter()
-    try:
+def _counted(fn, *args):
+    counter = OpCounter()
+    with counting(counter):
         return fn(*args), +counter._totals
-    finally:
-        group.counter = None
 
 
 def _ordered_fold(group, entries):
@@ -106,8 +104,8 @@ def _crafted(group, seed):
 def test_kernel_equals_the_ordered_fold(name, which):
     group = _group(name, which)
     for label, entries in _crafted(group, seed=f"{name}{which}").items():
-        want, want_counts = _counting(group, _ordered_fold, group, entries)
-        (got, counts), booked = _counting(group, _merge, group, entries)
+        want, want_counts = _counted(_ordered_fold, group, entries)
+        (got, counts), booked = _counted(_merge, group, entries)
         assert got == want, label
         assert counts == want_counts, label
         assert booked == Counter(), label  # the caller books the tallies
@@ -165,11 +163,11 @@ def test_front_ends_equal_the_python_backend(name, which, monkeypatch):
     monkeypatch.setattr(native.NativeField, "point_op", spy)
     for label, entries in _front_end_sets(group, f"{name}/{which}").items():
         n_slots = 1 + max(b for b, _ in entries)
-        want, want_counts = _counting(
-            group, PY.accumulate_buckets, group, [inf] * n_slots, entries)
+        want, want_counts = _counted(
+            PY.accumulate_buckets, group, [inf] * n_slots, entries)
         del merges[:]
-        got, counts = _counting(
-            group, NP.accumulate_buckets, group, [inf] * n_slots, entries)
+        got, counts = _counted(
+            NP.accumulate_buckets, group, [inf] * n_slots, entries)
         assert [group.from_jacobian(p) for p in got] == \
             [group.from_jacobian(p) for p in want], label
         assert counts == want_counts, label
@@ -180,11 +178,11 @@ def test_front_ends_equal_the_python_backend(name, which, monkeypatch):
         slots = [b for b, _ in entries]
         cols = list(range(len(entries)))
         table = [NP.resident_points(group, row)]
-        want, want_counts = _counting(
-            group, PY.accumulate_table, group, [row], n_slots, slots,
+        want, want_counts = _counted(
+            PY.accumulate_table, group, [row], n_slots, slots,
             [0] * len(cols), cols)
-        got, counts = _counting(
-            group, NP.accumulate_table, group, table, n_slots, slots,
+        got, counts = _counted(
+            NP.accumulate_table, group, table, n_slots, slots,
             [0] * len(cols), cols)
         assert [group.from_jacobian(p) for p in got] == \
             [group.from_jacobian(p) for p in want], label

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.curves import bn128_g1, bn128_g2, bls12_381_g1, mnt4753_g1
 from repro.errors import MsmError
-from repro.ff import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.gpusim import V100
 from repro.gpusim.device import XEON_5117
 from repro.msm import (
@@ -207,9 +207,8 @@ class TestGzkpInternals:
     def test_phase_attribution(self):
         scs, pts = fixture_points(8, seed=14)
         counter = OpCounter()
-        GzkpMsm(G, L, V100, window=5, interval=2).compute(
-            scs, pts, counter=counter
-        )
+        with counting(counter):
+            GzkpMsm(G, L, V100, window=5, interval=2).compute(scs, pts)
         assert counter.by_phase["point-merging"]["padd"] > 0
         assert counter.by_phase["bucket-reduction"]["padd"] > 0
 

@@ -14,7 +14,7 @@ import pytest
 from repro.curves import bn128_g1
 from repro.curves.params import CURVES
 from repro.errors import MsmError, ServiceError
-from repro.ff import OpCounter
+from repro.ff.opcount import _ACTIVE, OpCounter, counting
 from repro.gpusim import V100
 from repro.gpusim.device import XEON_5117
 from repro.msm import (
@@ -72,11 +72,13 @@ class TestMsmContext:
         scs, pts = _inputs()
         engine = _engine()
         cold = OpCounter()
-        engine.compute(scs, pts, counter=cold)
+        with counting(cold):
+            engine.compute(scs, pts)
         assert cold.by_phase["preprocess"].get("pdbl", 0) > 0
         ctx = engine.build_context(pts)
         warm = OpCounter()
-        engine.compute(scs, pts, counter=warm, context=ctx)
+        with counting(warm):
+            engine.compute(scs, pts, context=ctx)
         assert "preprocess" not in warm.by_phase
         # the kernel phases are unaffected by amortization
         for phase in ("point-merging", "bucket-reduction"):
@@ -85,7 +87,8 @@ class TestMsmContext:
     def test_build_context_counts_preprocess_phase(self):
         _, pts = _inputs()
         counter = OpCounter()
-        _engine().build_context(pts, counter=counter)
+        with counting(counter):
+            _engine().build_context(pts)
         assert counter.by_phase["preprocess"].get("pdbl", 0) > 0
 
     def test_build_context_telemetry_span(self):
@@ -110,9 +113,10 @@ class TestMsmContext:
             _engine(window=7).compute(scs, pts, context=ctx)
 
     def test_group_counter_preserved(self):
-        """Every engine restores a pre-installed group counter instead
-        of resetting it to None (``msm.common.counting``) — also when
-        the call raises — and counts on its own counter meanwhile."""
+        """Every engine leaves a pre-installed counting scope in place
+        instead of resetting it (``repro.ff.opcount.counting``) — also
+        when the call raises — and counts on an inner scope's counter
+        meanwhile."""
         scs, pts = _inputs(n=6)
         runs = {
             "gzkp": _engine().compute,
@@ -123,24 +127,22 @@ class TestMsmContext:
             "cpu": CpuMsm(bn128_g1, L, XEON_5117).compute,
         }
         outer = OpCounter()
-        bn128_g1.counter = outer
-        try:
+        with counting(outer):
             for name, run in runs.items():
                 args = (pts,) if name == "gzkp-build-context" else (scs, pts)
                 run(*args)
-                assert bn128_g1.counter is outer, name
+                assert _ACTIVE.get() is outer, name
                 seen = dict(outer.totals())
                 inner = OpCounter()
-                run(*args, counter=inner)
-                assert bn128_g1.counter is outer, name
+                with counting(inner):
+                    run(*args)
+                assert _ACTIVE.get() is outer, name
                 assert inner.total("padd") > 0, name
                 assert outer.totals() == seen, name
                 if len(args) == 2:
-                    with pytest.raises(MsmError):
-                        run([-1] + scs[1:], pts, counter=OpCounter())
-                    assert bn128_g1.counter is outer, name
-        finally:
-            bn128_g1.counter = None
+                    with pytest.raises(MsmError), counting(OpCounter()):
+                        run([-1] + scs[1:], pts)
+                    assert _ACTIVE.get() is outer, name
 
     def test_raw_table_validated(self):
         scs, pts = _inputs()

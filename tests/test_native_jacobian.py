@@ -34,7 +34,7 @@ from repro.backend import coverage, get_backend
 from repro.backend import native
 from repro.backend import kernel_backend
 from repro.curves import CURVES
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from tests.test_backend_curve_equivalence import jacobian_reps, offset_chain
 
 pytestmark = pytest.mark.skipif(
@@ -104,13 +104,10 @@ def _on_rows(op):
 def _assert_parity(group, batch_fn, scalar_fn, ps, qs):
     """Batch output and op-count totals must equal the scalar loop's."""
     c_ref, c_vec = OpCounter(), OpCounter()
-    group.counter = c_ref
-    try:
+    with counting(c_ref):
         exp = [scalar_fn(p, q) for p, q in zip(ps, qs)]
-        group.counter = c_vec
+    with counting(c_vec):
         got = batch_fn(group, ps, qs)
-    finally:
-        group.counter = None
     assert got == exp
     assert c_ref._totals == c_vec._totals
 
@@ -270,13 +267,10 @@ def test_parity_smoke(name, which):
     pts[3] = _inf_nc(group, pool[3], 5)
     pts[4] = _y0(group, pool[4], 6)
     c_ref, c_vec = OpCounter(), OpCounter()
-    group.counter = c_ref
-    try:
+    with counting(c_ref):
         exp = [group.jdouble(p) for p in pts]
-        group.counter = c_vec
+    with counting(c_vec):
         got = _on_rows(NP.batch_jdouble)(group, pts)
-    finally:
-        group.counter = None
     assert got == exp
     assert c_ref._totals == c_vec._totals
 
@@ -327,13 +321,10 @@ def test_fuzz_bucket_fold_lane_mixes(name, kinds, data):
     group = _group(name, which)
     buckets = fold_lanes(group, _pool(name, which), kinds)
     c_ref, c_vec = OpCounter(), OpCounter()
-    group.counter = c_ref
-    try:
+    with counting(c_ref):
         exp = bucket_reduce(group, buckets)
-        group.counter = c_vec
+    with counting(c_vec):
         got = _on_rows(NP.bucket_reduce)(group, buckets)
-    finally:
-        group.counter = None
     assert got == exp
     assert +c_ref._totals == +c_vec._totals
 
@@ -356,11 +347,9 @@ def test_native_bucket_reduce_tallies_are_2m_minus_skips(name, which,
     calls = []
     with monkeypatch.context() as spy:
         spy.setattr(group, "jadd", lambda p, q: calls.append(1))
-        group.counter = counter = OpCounter()
-        try:
+        counter = OpCounter()
+        with counting(counter):
             got = NP.bucket_reduce(group, buckets)
-        finally:
-            group.counter = None
     assert calls == []
     # running += B_j is count-free for infinity buckets and for the
     # first finite one; total += running only for the very first

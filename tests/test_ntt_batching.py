@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import NttError
 from repro.ff import ALT_BN128_R, BLS12_381_R, MNT4753_R, OpCounter
+from repro.ff.opcount import counting
 from repro.gpusim import GTX1080TI, V100
 from repro.ntt import (
     BaselineGpuNtt,
@@ -137,8 +138,8 @@ class TestGzkpNtt:
         engine = GzkpNtt(F, V100)
         counter = OpCounter()
         rng = random.Random(2)
-        engine.compute([rng.randrange(F.modulus) for _ in range(n)],
-                       counter=counter)
+        with counting(counter):
+            engine.compute([rng.randrange(F.modulus) for _ in range(n)])
         plan = engine.plan(n)
         assert counter.total("fr_mul") == plan.gpu_muls[(F.bits, "dfp")]
         assert counter.total("fr_add") == plan.gpu_adds[F.bits]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import NttError
 from repro.ff import ALT_BN128_R, MNT4753_R, OpCounter, PrimeField
+from repro.ff.opcount import counting
 from repro.gpusim import V100
 from repro.ntt import (
     GzkpNtt,
@@ -99,7 +100,8 @@ class TestNtt:
 
     def test_butterfly_count(self):
         counter = OpCounter()
-        ntt(F, rand_vec(64, 6), counter=counter)
+        with counting(counter):
+            ntt(F, rand_vec(64, 6))
         # N/2 * log N butterflies.
         assert counter.total("butterfly") == 32 * 6
         assert counter.total("fr_mul") == 32 * 6

@@ -26,7 +26,7 @@ from repro.backend.kernel_backend import ResidentBuckets, ResidentPoints
 from repro.curves import CURVES
 from repro.curves.weierstrass import CurveGroup
 from repro.errors import MsmError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.gpusim import V100
 from repro.msm import GzkpMsm
 from repro.msm.context import check_table
@@ -166,7 +166,8 @@ def test_table_is_born_in_rows(boundary_spy):
     native.get_native_field(g1.ops.field.modulus)  # constants, not counted
     boundary_spy.clear()
     counter = OpCounter()
-    ctx = engine.build_context(pts, counter=counter)
+    with counting(counter):
+        ctx = engine.build_context(pts)
     rows = len(ctx.table)
     assert rows == 16
     assert boundary_spy["from_jacobian"] == 0
@@ -181,8 +182,8 @@ def test_table_is_born_in_rows(boundary_spy):
     assert boundary_spy["conversion_muls"] == 2
     # ... and counts what the scalar chain counts, under its phase
     ref = OpCounter()
-    _engine(g1, bits, "python", window=8, interval=2).build_context(
-        pts, counter=ref)
+    with counting(ref):
+        _engine(g1, bits, "python", window=8, interval=2).build_context(pts)
     assert _phases(counter) == _phases(ref)
     assert counter.by_phase["preprocess"]["pdbl"] == (rows - 1) * 16 * n
 
@@ -213,7 +214,7 @@ def test_compute_equals_python_backend(name, which, interval):
     per-phase op counts agree, for a point vector holding ``None``, a
     duplicated base and a negated base, with the table handed over as
     a context, as resident rows and as python lists, with and without
-    ``counter=``/``telemetry=``."""
+    a counting scope / ``telemetry=``."""
     group = _group(name, which)
     curve = CURVES[name]
     bits, r = curve.fr.bits, curve.fr.modulus
@@ -231,20 +232,20 @@ def test_compute_equals_python_backend(name, which, interval):
     as_lists = [list(row) for row in ctx.table]
     for label, scalars in _profiles(rng, r, n).items():
         ref_counter = OpCounter()
-        want = slow.compute(scalars, pts, table=ref_table,
-                            counter=ref_counter)
+        with counting(ref_counter):
+            want = slow.compute(scalars, pts, table=ref_table)
         assert want == slow.compute_literal(scalars, pts), label
         counter, telemetry = OpCounter(), Telemetry()
-        with telemetry.span("MSM"):
-            got = fast.compute(scalars, pts, context=ctx, counter=counter,
+        with telemetry.span("MSM"), counting(counter):
+            got = fast.compute(scalars, pts, context=ctx,
                                telemetry=telemetry)
         assert got == want, label
         assert _phases(counter) == _phases(ref_counter), label
         assert fast.compute(scalars, pts, context=ctx) == want, label
         for table in (ctx.table, as_lists):
             counter = OpCounter()
-            assert fast.compute(scalars, pts, table=table,
-                                counter=counter) == want, label
+            with counting(counter):
+                assert fast.compute(scalars, pts, table=table) == want, label
             assert _phases(counter) == _phases(ref_counter), label
 
 
@@ -301,11 +302,9 @@ def test_fuzz_bucket_reduce_over_rows_and_lists(name, which, kinds):
     rows = kernel_backend._lift_buckets(kernel_backend._native_engine(group), buckets)
 
     def fold(reduce_, arg):
-        group.counter = counter = OpCounter()
-        try:
+        counter = OpCounter()
+        with counting(counter):
             return group.from_jacobian(reduce_(group, arg)), +counter._totals
-        finally:
-            group.counter = None
 
     assert fold(NP.bucket_reduce, rows) == fold(scalar_bucket_reduce, buckets)
     # a list long enough to leave the scalar loop goes through the kernel
@@ -376,11 +375,9 @@ def test_curve_ops_preserve_representation_and_operands(name, which):
     before = _frozen(p), _frozen(q)
 
     def run(op, *args):
-        group.counter = counter = OpCounter()
-        try:
+        counter = OpCounter()
+        with counting(counter):
             return op(group, *args), +counter._totals
-        finally:
-            group.counter = None
 
     for op, py_op, rows, lists in (
             (NP.batch_jdouble, PY.batch_jdouble, (p,), (ps,)),

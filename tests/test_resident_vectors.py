@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.backend import get_backend, native
 from repro.backend.kernel_backend import ResidentVector
 from repro.errors import FieldError, NttError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.ff.params import SCALAR_FIELDS
 from repro.ff.primefield import PrimeField
 from repro.gpusim import V100, XEON_5117
@@ -133,7 +133,8 @@ def _compute_h_both_ways(field, a, b, c, engine="gzkp"):
     for backend in ("python", "numpy"):
         stage = _stage(field, backend, engine)
         counter = OpCounter()
-        h = stage.compute_h(a, b, c, counter=counter)
+        with counting(counter):
+            h = stage.compute_h(a, b, c)
         tel = Telemetry()
         with tel.span("POLY"):
             h_traced = stage.compute_h(a, b, c, telemetry=tel)
@@ -266,11 +267,11 @@ def test_engines_that_only_know_int_sequences_still_work(curve):
     class UserEngine:
         """Knows nothing but ``for v in values``."""
 
-        def compute(self, values, counter=None):
-            return PY.ntt(field, [int(v) for v in values], counter=counter)
+        def compute(self, values):
+            return PY.ntt(field, [int(v) for v in values])
 
-        def compute_inverse(self, values, counter=None):
-            return PY.intt(field, [int(v) for v in values], counter=counter)
+        def compute_inverse(self, values):
+            return PY.intt(field, [int(v) for v in values])
 
     for engine in (CpuNtt(field, XEON_5117, backend="python"), UserEngine()):
         assert PolyStage(field, engine,

@@ -557,9 +557,9 @@ def test_msm_pool_knobs_rejected():
 
 
 class TestInlineConcurrency:
-    """Inline jobs submitted from several threads run one at a time:
-    they share the curve groups, whose op counter one job's MSMs swap
-    in and out."""
+    """Inline jobs submitted from several threads run one at a time, as
+    a worker proves one job at a time, and every job counts its ops on
+    its own spans — also while the verify stage checks earlier jobs."""
 
     JOBS = {"square": (3,), "range4": (9,)}
 
@@ -570,10 +570,9 @@ class TestInlineConcurrency:
         return {c["name"]: c["ops"] for c in msm["children"]}
 
     def test_two_threads_leave_no_counter_and_count_alike(self):
-        from repro.curves.params import CURVES
+        from repro.ff.opcount import _ACTIVE
 
-        groups = (CURVES[BN].g1, CURVES[BN].g2)
-        assert [g.counter for g in groups] == [None, None]
+        assert _ACTIVE.get() is None
         with ProvingService(workers=0, verify="off") as svc:
             # single-threaded reference, one job per circuit
             want = {c: self._msm_ops(svc.prove_batch(
@@ -593,11 +592,25 @@ class TestInlineConcurrency:
                 t.start()
             for t in threads:
                 t.join()
-        assert [g.counter for g in groups] == [None, None]
+        assert _ACTIVE.get() is None
         for circuit, got in results.items():
             assert len(got) == 30 and all(r.ok for r in got)
             for r in got:
                 assert self._msm_ops(r) == want[circuit], circuit
+
+    def test_batched_verify_does_not_count_on_the_proving_job(self):
+        """With the default ``verify="batched"`` the stage's pool threads
+        verify earlier jobs (IC fold, C fold, the RLC multiples) while
+        the submitting thread proves the next one; none of that lands in
+        a proving job's MSM ops."""
+        job = ProofJob(BN, "range4", self.JOBS["range4"])
+        with ProvingService(workers=0) as svc:
+            want = self._msm_ops(svc.prove_batch([job])[0])
+            futures = [svc.submit(job) for _ in range(12)]
+            got = [f.result(timeout=120) for f in futures]
+        assert all(r.ok and r.verified for r in got)
+        for r in got:
+            assert self._msm_ops(r) == want
 
 
 class TestGroupCommitStage:
@@ -608,7 +621,7 @@ class TestGroupCommitStage:
     def _stage(monkeypatch, checked):
         from repro.service import batchverify
 
-        def fake_check_group(results, bundle, soundness_bits, counter):
+        def fake_check_group(results, bundle, soundness_bits):
             checked.append([r.job_id for r in results])
             return [None] * len(results)
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.backend import get_backend, kernel_backend, native
 from repro.curves import CURVES
 from repro.errors import MsmError
-from repro.ff.opcount import OpCounter
+from repro.ff.opcount import OpCounter, counting
 from repro.msm.fixed_base import _lane_window, batch_scalar_mul
 from tests.test_curves import random_curve_points
 from tests.test_fixed_base import GROUPS, floor  # floor: a fixture
@@ -165,12 +165,10 @@ def test_kernel_books_the_scalar_loops_counts(name, which):
     scalars = [0, 5, group.order, 1 << 40, 3][:len(points)]
     totals = []
     for backend in ("python", "numpy"):
-        group.counter = OpCounter()
-        try:
+        counter = OpCounter()
+        with counting(counter):
             batch_scalar_mul(group, points, scalars, backend=backend)
-            totals.append(group.counter.totals())
-        finally:
-            group.counter = None
+        totals.append(counter.totals())
     assert totals[0] == totals[1] and totals[0]["pdbl"] > 0
 
 
