@@ -21,12 +21,15 @@ families are covered:
 * ``native-jacobian`` — the Montgomery-domain point kernels built on
   those CIOS primitives; :func:`certify_native_jacobian` lists its
   gates.
+* ``native-pairing`` — the degree-d extension product and the
+  pairing's three loops on it, per pairing curve;
+  :func:`certify_native_pairing` lists its gates.
 
 This module depends only on the standard library and
 :mod:`repro.analysis.report`; the field registry is imported lazily
-inside :func:`certify_all`, and the windowed sum's kernel source and
-index guard (:mod:`repro.backend.native`, which loads nothing when
-imported) inside :func:`certify_native_jacobian`.
+inside :func:`certify_all`, and the kernel source and the guards in
+front of the kernels (:mod:`repro.backend.native`, which loads nothing
+when imported) inside the functions that read them.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.analysis.report import BoundCheck, KernelCertificate
 __all__ = [
     "certify_native_mont",
     "certify_native_jacobian",
+    "certify_native_pairing",
     "certify_modulus",
     "certify_all",
 ]
@@ -281,19 +285,26 @@ _WINDOWS_CALLEES = frozenset({"jpt_set_inf", "jpt_load", "jpt_dbl",
                               "jpt_add", "jpt_store"})
 
 
-def _windows_foreign_callees() -> List[str]:
-    """The functions the C body of ``windows`` calls beyond
-    :data:`_WINDOWS_CALLEES`, read from the kernel source itself."""
+def _foreign_callees(bodies, allowed) -> List[str]:
+    """The functions the C bodies named in ``bodies`` call beyond
+    ``allowed`` and one another, read from the kernel source itself; a
+    body the source lacks is listed as ``<no NAME>``."""
     import re
 
     from repro.backend.native import _C_SOURCE
 
     code = re.sub(r"/\*.*?\*/", "", _C_SOURCE, flags=re.S)
-    body = re.search(r"^void windows\(.*?^}", code, flags=re.S | re.M)
-    if body is None:
-        return ["<no windows kernel>"]
-    calls = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", body.group(0)))
-    return sorted(calls - _WINDOWS_CALLEES - {"windows", "for", "if"})
+    foreign = set()
+    for name in bodies:
+        body = re.search(rf"^(?:static\s+)?(?:void|int)\s+{name}\(.*?^}}",
+                         code, flags=re.S | re.M)
+        if body is None:
+            foreign.add(f"<no {name}>")
+            continue
+        calls = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", body.group(0)))
+        foreign |= calls - set(allowed) - set(bodies) - {
+            "for", "if", "while", "switch", "return", "sizeof"}
+    return sorted(foreign)
 
 
 def _windows_unguarded_indices() -> int:
@@ -472,7 +483,7 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
         "and to_affine feed it only non-zero products, dead and z = 0 "
         "lanes staying out of them",
     )
-    foreign = _windows_foreign_callees()
+    foreign = _foreign_callees(("windows",), _WINDOWS_CALLEES)
     trk.hit(
         "windows-no-new-primitive", len(foreign), 1, "structure",
         "the windowed sum composes jpt_dbl and jpt_add only, so the "
@@ -505,6 +516,178 @@ def certify_native_jacobian(name: str, modulus: int) -> KernelCertificate:
     )
 
 
+# -- the pairing over the extension product -----------------------------------
+
+#: the extension body: its product, square, reduction, fold and linear
+#: map call the Montgomery helpers and the word moves, nothing else
+_EXT_BODIES = ("ext_fold", "ext_reduce", "ext_mul", "ext_sqr", "ext_map")
+_EXT_CALLEES = frozenset({"mont_mul_one", "mod_add_one", "mont_mul_wide",
+                          "mont_redc", "words_zero", "words_copy"})
+#: the pairing's loops: the extension body, the degree-d field ops the
+#: point kernels are certified on, the Montgomery helpers, the word moves
+_PAIRING_LOOPS = ("fq2_chord", "miller_lines", "miller_replay", "final_exp")
+_PAIRING_LOOP_CALLEES = _EXT_CALLEES | set(_EXT_BODIES) | {
+    "fe_add", "fe_sub", "fe_mul", "fe_inv", "mod_sub_one", "words_eq"}
+
+
+def _pairing_unguarded() -> int:
+    """How many hostile arguments the guards in front of the pairing
+    kernels (``NativeField._pairing_degree`` / ``_pairing_chain`` /
+    ``_pairing_bytes``) let through: an extension of degree 0 or 13, a
+    hard chain that starts at entry 0, names entry 16, is empty, has
+    the wrong dtype or is a list, and a step schedule naming kind 4."""
+    import numpy as np
+
+    from repro.backend.native import NativeField as nf
+
+    hostile = [
+        (nf._pairing_degree, np.zeros((13, 4), dtype=np.uint64)),
+        (nf._pairing_degree, np.zeros((0, 4), dtype=np.uint64)),
+        (nf._pairing_chain, np.array([0, 1], dtype=np.uint8)),
+        (nf._pairing_chain, np.array([1, 16], dtype=np.uint8)),
+        (nf._pairing_chain, np.array([], dtype=np.uint8)),
+        (nf._pairing_chain, np.array([1, 2], dtype=np.int64)),
+        (nf._pairing_chain, [1, 2]),
+        (lambda s: nf._pairing_bytes(s, 4, "a step schedule"),
+         np.array([0, 4], dtype=np.uint8)),
+    ]
+    passed = 0
+    for guard, arg in hostile:
+        try:
+            guard(arg)
+        except ValueError:
+            continue
+        passed += 1
+    return passed
+
+
+def ext_lazy_headroom(modulus: int, degree: int):
+    """``(bound, limit)`` of the extension product's unreduced slot: at
+    most ``degree`` products of canonical residues, plus the m N 2^(64i)
+    that ``mont_redc``'s w rounds add (below R N), against the
+    accumulator's 2w + 1 words. The fold constants enter only after the
+    reduction, through ``mont_mul_one``, so they add nothing here."""
+    w = (modulus.bit_length() + 63) // 64
+    R = 1 << (64 * w)
+    return (degree * (modulus - 1) ** 2 + (R - 1) * modulus,
+            1 << (64 * (2 * w + 1)))
+
+
+def certify_native_pairing(name: str, engine, g2_point) -> KernelCertificate:
+    """Certify the pairing kernels of :mod:`repro.backend.native` for
+    one optimal-ate engine (:class:`~repro.curves.pairing.PairingEngine`;
+    ``g2_point`` a G2 point its python line generator is run on):
+
+    (1) ``ext-no-new-primitive`` — the extension body (``ext_mul``,
+    ``ext_sqr``, ``ext_reduce``, ``ext_fold``, ``ext_map``) calls the
+    Montgomery helpers — ``mont_mul_one``, ``mod_add_one`` and the lazy
+    pair ``mont_mul_wide`` / ``mont_redc`` — and the word moves only
+    (read from the source); (1b) ``ext-lazy-headroom`` — a product slot
+    sums at most d unreduced products of canonical residues, and with
+    what the reduction's rounds add it stays inside the 2w + 1
+    accumulator words (:func:`ext_lazy_headroom`), so ``mont_redc``
+    returns T R^-1 mod p, canonical after its subtractions, and the
+    ``native-mont`` gates cover the rest; (2) ``loops-no-new-primitive`` — the three loops
+    (``miller_lines`` with its chord, ``miller_replay``, ``final_exp``)
+    call that body, the degree-d field ops the point kernels are
+    certified on and the word moves only; (3) ``ext-degree`` and
+    ``ext-scratch-width`` — d <= 12 coefficients fit the loops'
+    ``[12 * 32]`` element buffers and a product's 2d - 1 accumulators
+    its ``acc[23 * 65]`` scratch; (4)
+    ``schedule-is-the-generator`` — the engine's step schedule, which
+    every loop of a multi-Miller replay shares, is the python line
+    generator's sequence of doubling and addition steps, step for step;
+    (5) ``hard-chain-is-h`` — run on exponent vectors, the hard chain
+    raises m, m^q, m^(q^2), m^(q^3) to exactly the base-q digits of
+    h = (q^4 - q^2 + 1)/r; (6) ``pairing-guards`` — the guards in
+    front of the kernels refuse every hostile degree, chain and
+    schedule they are shown.
+    """
+    q = engine.params.fq2.base.modulus
+    r = engine.params.curve_order
+    d = engine.fq12.degree
+    w = (q.bit_length() + 63) // 64
+    sched, chain = engine._schedule, engine._hard_chain
+    trk = _Tracker()
+    foreign = _foreign_callees(_EXT_BODIES, _EXT_CALLEES)
+    trk.hit(
+        "ext-no-new-primitive", len(foreign), 1, "structure",
+        "the extension product, square, reduction, fold and map "
+        "compose the Montgomery helpers only; they also call: "
+        + (", ".join(foreign) or "nothing else"),
+    )
+    foreign = _foreign_callees(_PAIRING_LOOPS, _PAIRING_LOOP_CALLEES)
+    bound, limit = ext_lazy_headroom(q, d)
+    trk.hit(
+        "ext-lazy-headroom", bound, limit, "carry",
+        "a product slot's d unreduced products plus mont_redc's m N "
+        "must fit the (2w + 1)-word accumulator",
+    )
+    trk.hit(
+        "loops-no-new-primitive", len(foreign), 1, "structure",
+        "the line generator, the multi-Miller replay and the final "
+        "exponentiation compose the extension body and the certified "
+        "fe_* ops only; they also call: "
+        + (", ".join(foreign) or "nothing else"),
+    )
+    trk.hit(
+        "ext-degree", d, 13, "structure",
+        "an extension element must fit the loops' [12 * 32]-word "
+        "buffers: d <= 12 coefficients of at most MAX_WORDS words",
+    )
+    trk.hit(
+        "ext-scratch-width", (2 * d - 1) * (2 * w + 1), 23 * 65 + 1,
+        "structure",
+        "an extension product's 2d - 1 accumulators of 2w + 1 words must "
+        "fit its acc[23 * 65] scratch (and so its 2d - 1 reduced slots "
+        "the prod[23 * 32] one)",
+    )
+    kinds = [step[0] for step in engine._lines(g2_point)]
+    trk.hit(
+        "schedule-is-the-generator",
+        abs(len(kinds) - len(sched))
+        + sum((kind == "sm") != (step == 0)
+              for kind, step in zip(kinds, sched)), 1, "structure",
+        "a multi-Miller replay is the product of its loops only if "
+        "every loop squares at the same steps: the schedule must be the "
+        "line generator's doubling/addition sequence",
+    )
+    hard = (q ** 4 - q ** 2 + 1) // r
+    exps = [0] * 4
+    for t, index in enumerate(chain):
+        exps = [(e << (t > 0)) + (index >> k & 1)
+                for k, e in enumerate(exps)]
+    trk.hit(
+        "hard-chain-is-h",
+        sum(e != hard // q ** k % q for k, e in enumerate(exps))
+        + (not chain or not chain[0]), 1, "structure",
+        "the hard part's chain must raise m^(q^k) to the k-th base-q "
+        "digit of (q^4 - q^2 + 1)/r, starting at a table entry that "
+        "is not 0",
+    )
+    trk.hit(
+        "pairing-guards", _pairing_unguarded(), 1, "structure",
+        "the kernels index their table by the chain, size their scratch "
+        "by the degree and branch on the schedule with no bound of their "
+        "own; the guards must refuse every hostile value first",
+    )
+    return KernelCertificate(
+        family="native-pairing",
+        modulus_name=name,
+        modulus_bits=q.bit_length(),
+        params={
+            "words": w,
+            "degree": d,
+            "fold_terms": sum(1 for c in engine.fq12.modulus_coeffs if c),
+            "ext_mul_products": d * d,
+            "ext_sqr_products": d * (d + 1) // 2,
+            "schedule_steps": len(sched),
+            "chain_length": len(chain),
+        },
+        checks=trk.checks(),
+    )
+
+
 # -- registry sweep ------------------------------------------------------------
 
 
@@ -518,7 +701,10 @@ def certify_modulus(name: str, modulus: int) -> List[KernelCertificate]:
 
 def certify_all() -> List[KernelCertificate]:
     """Certificates for every registered modulus (scalar and base
-    fields of all three curves)."""
+    fields of all three curves), then the pairing kernels' for the two
+    optimal-ate curves."""
+    from repro.curves import (bls12_381_g2, bls12_381_pairing, bn128_g2,
+                              bn128_pairing)
     from repro.ff.params import BASE_FIELDS, SCALAR_FIELDS
 
     certs: List[KernelCertificate] = []
@@ -530,4 +716,8 @@ def certify_all() -> List[KernelCertificate]:
             seen.add(field.modulus)
             certs.extend(certify_modulus(f"{curve}.{label}",
                                          field.modulus))
+    for engine, g2 in ((bn128_pairing(), bn128_g2),
+                       (bls12_381_pairing(), bls12_381_g2)):
+        certs.append(certify_native_pairing(f"{engine.name}.Fq12", engine,
+                                            g2.generator))
     return certs

@@ -16,8 +16,10 @@ addition over degree-d field ops that serve Fp and Fq2 alike, looped
 per lane, folded sequentially over buckets and run as a whole windowed
 scalar multiplication per lane, the point-merging tree and the
 Jacobian -> affine normalisation — a whole-vector Stockham NTT
-sweep, a sequential power ladder and a broadcast constant multiply, all
-over little-endian 64-bit word rows) with the system
+sweep, a sequential power ladder, a broadcast constant multiply, and
+the optimal-ate pairing's line generator, multi-Miller replay and final
+exponentiation over one degree-d extension product, all over
+little-endian 64-bit word rows) with the system
 compiler at first use, caches the shared object keyed by a hash of the
 source and the compile flags, and loads it with :mod:`ctypes`. There
 is no build step, no new package dependency, and no platform
@@ -879,6 +881,363 @@ void merge(uint64_t *out, uint64_t *tally, int64_t *ids, const uint64_t *x,
     tally[2] = live;
     free(pref);
 }
+
+/* -- The pairing: one extension product and its three loops ------------------
+
+   An element of Fq[w]/(f) is d <= 12 Montgomery coefficients, low-order
+   first, [c_0 words | ... | c_(d-1) words]. f is monic and sparse: fm
+   holds d Montgomery rows m_j with w^d = sum_j m_j w^j (w^12 =
+   18 w^6 - 82 on ALT-BN128), a zero row where f has no term. ext_mul is
+   ExtElement's product on these rows: the schoolbook products, skipping
+   zero coefficients (which keeps a line's product sparse), summed
+   unreduced per slot — at most d full 2w-word products of canonical
+   residues in a (2w+1)-word accumulator — then one Montgomery reduction
+   per slot, and the high slots folded down through the nonzero m_j, the
+   top slot first. ext_sqr takes the symmetric products only (each a_i^2
+   once, each (2 a_i) a_j once). ext_map adds the image of a under a
+   linear map of the flat basis — an untwist Fq2 -> Fq12, a
+   q^k-Frobenius — given as din rows of dout Montgomery rows, row i the
+   image of the i-th basis element. The body calls the Montgomery
+   helpers — mont_mul_one, mod_add_one, mont_mul_wide, mont_redc — and
+   the word moves, nothing else. ext_mul and ext_sqr may alias o with
+   their operands; ext_map may not. */
+
+/* acc += a * b: the full 2w-word product, unreduced, into a
+   (2w+1)-word accumulator whose total must fit it. */
+static inline __attribute__((always_inline)) void mont_mul_wide_w(
+    uint64_t *acc, const uint64_t *a, const uint64_t *b, int w)
+{
+    uint64_t t[64];
+    u128 c;
+    for (int k = 0; k < 2 * w; k++) t[k] = 0;
+#pragma GCC unroll 6
+    for (int i = 0; i < w; i++) {
+        c = 0;
+#pragma GCC unroll 6
+        for (int j = 0; j < w; j++) {
+            c = (u128)a[i] * b[j] + t[i + j] + (uint64_t)(c >> 64);
+            t[i + j] = (uint64_t)c;
+        }
+        t[i + w] = (uint64_t)(c >> 64);
+    }
+    c = 0;
+#pragma GCC unroll 12
+    for (int k = 0; k < 2 * w; k++) {
+        c = (u128)acc[k] + t[k] + (uint64_t)(c >> 64);
+        acc[k] = (uint64_t)c;
+    }
+    acc[2 * w] += (uint64_t)(c >> 64);
+}
+
+/* o = T R^-1 mod N, canonical, for a (2w+1)-word T (consumed): w
+   Montgomery rounds add m N 2^(64i) so the low w words vanish, leaving
+   (T + m N)/R < T/R + N in words w..2w, then N comes off while it fits.
+   The rounds' sum must fit the 2w+1 words too. */
+static inline __attribute__((always_inline)) void mont_redc_w(
+    uint64_t *o, uint64_t *T, const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t *t = T + w, top = 0;  /* top: the carry out of word i + w */
+#pragma GCC unroll 6
+    for (int i = 0; i < w; i++) {
+        uint64_t m = T[i] * n0inv;
+        u128 c = 0;
+#pragma GCC unroll 6
+        for (int j = 0; j < w; j++) {
+            c = (u128)m * N[j] + T[i + j] + (uint64_t)(c >> 64);
+            T[i + j] = (uint64_t)c;
+        }
+        c = (u128)T[i + w] + (uint64_t)(c >> 64) + top;
+        T[i + w] = (uint64_t)c;
+        top = (uint64_t)(c >> 64);
+    }
+    T[2 * w] += top;
+    for (;;) {
+        int ge = t[w] != 0;
+        if (!ge)
+            for (int j = w - 1; j >= 0; j--) {
+                if (t[j] != N[j]) { ge = t[j] > N[j]; break; }
+                if (j == 0) ge = 1;
+            }
+        if (!ge) break;
+        u128 borrow = 0;
+        for (int j = 0; j < w; j++) {
+            u128 d = (u128)t[j] - N[j] - (uint64_t)borrow;
+            t[j] = (uint64_t)d;
+            borrow = (d >> 64) ? 1 : 0;
+        }
+        t[w] -= (uint64_t)borrow;
+    }
+    words_copy(o, t, w);
+}
+
+/* Their width dispatch, as mont_mul_one's. */
+static __attribute__((noinline)) void mont_mul_wide(
+    uint64_t *acc, const uint64_t *a, const uint64_t *b, int w)
+{
+    switch (w) {
+    case 4: mont_mul_wide_w(acc, a, b, 4); break;
+    case 6: mont_mul_wide_w(acc, a, b, 6); break;
+    default: mont_mul_wide_w(acc, a, b, w);
+    }
+}
+
+static __attribute__((noinline)) void mont_redc(
+    uint64_t *o, uint64_t *T, const uint64_t *N, uint64_t n0inv, int w)
+{
+    switch (w) {
+    case 4: mont_redc_w(o, T, N, n0inv, 4); break;
+    case 6: mont_redc_w(o, T, N, n0inv, 6); break;
+    default: mont_redc_w(o, T, N, n0inv, w);
+    }
+}
+
+static void ext_fold(uint64_t *o, uint64_t *prod, int d, const uint64_t *fm,
+                     const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t t[32];
+    for (int k = 2 * d - 2; k >= d; k--) {
+        if (words_zero(prod + k * w, w)) continue;
+        for (int j = 0; j < d; j++) {
+            if (words_zero(fm + j * w, w)) continue;
+            mont_mul_one(t, prod + k * w, fm + j * w, N, n0inv, w);
+            mod_add_one(prod + (k - d + j) * w, prod + (k - d + j) * w, t,
+                        N, w);
+        }
+    }
+    words_copy(o, prod, d * w);
+}
+
+/* The 2d - 1 accumulators (2w+1 words each, zeroed by the caller) ->
+   reduced slots -> the d coefficients of o. */
+static void ext_reduce(uint64_t *o, uint64_t *acc, int d,
+                       const uint64_t *fm, const uint64_t *N,
+                       uint64_t n0inv, int w)
+{
+    uint64_t prod[23 * 32];
+    for (int k = 0; k < 2 * d - 1; k++)
+        mont_redc(prod + k * w, acc + k * (2 * w + 1), N, n0inv, w);
+    ext_fold(o, prod, d, fm, N, n0inv, w);
+}
+
+static void ext_mul(uint64_t *o, const uint64_t *a, const uint64_t *b,
+                    int d, const uint64_t *fm, const uint64_t *N,
+                    uint64_t n0inv, int w)
+{
+    uint64_t acc[23 * 65];
+    int aw = 2 * w + 1;
+    for (int k = 0; k < (2 * d - 1) * aw; k++) acc[k] = 0;
+    for (int j = 0; j < d; j++) {
+        if (words_zero(b + j * w, w)) continue;
+        for (int i = 0; i < d; i++) {
+            if (words_zero(a + i * w, w)) continue;
+            mont_mul_wide(acc + (i + j) * aw, a + i * w, b + j * w, w);
+        }
+    }
+    ext_reduce(o, acc, d, fm, N, n0inv, w);
+}
+
+static void ext_sqr(uint64_t *o, const uint64_t *a, int d,
+                    const uint64_t *fm, const uint64_t *N, uint64_t n0inv,
+                    int w)
+{
+    uint64_t acc[23 * 65], a2[32];
+    int aw = 2 * w + 1;
+    for (int k = 0; k < (2 * d - 1) * aw; k++) acc[k] = 0;
+    for (int i = 0; i < d; i++) {
+        if (words_zero(a + i * w, w)) continue;
+        mont_mul_wide(acc + 2 * i * aw, a + i * w, a + i * w, w);
+        mod_add_one(a2, a + i * w, a + i * w, N, w);
+        for (int j = i + 1; j < d; j++) {
+            if (words_zero(a + j * w, w)) continue;
+            mont_mul_wide(acc + (i + j) * aw, a2, a + j * w, w);
+        }
+    }
+    ext_reduce(o, acc, d, fm, N, n0inv, w);
+}
+
+static void ext_map(uint64_t *o, const uint64_t *a, int din,
+                    const uint64_t *rows, int dout, const uint64_t *N,
+                    uint64_t n0inv, int w)
+{
+    uint64_t t[32];
+    for (int i = 0; i < din; i++) {
+        if (words_zero(a + i * w, w)) continue;
+        for (int j = 0; j < dout; j++) {
+            const uint64_t *c = rows + ((size_t)i * dout + j) * w;
+            if (words_zero(c, w)) continue;
+            mont_mul_one(t, a + i * w, c, N, n0inv, w);
+            mod_add_one(o + j * w, o + j * w, t, N, w);
+        }
+    }
+}
+
+/* The slope of pairing.chord over Fq2 (a = 0 on both curves):
+   (y2 - y1)/(x2 - x1) for x1 != x2, the tangent's 3 x1^2/(2 y1) for
+   y1 == y2 != 0; 0 (no slope) when the line is vertical. */
+static int fq2_chord(uint64_t *lam, const uint64_t *x1, const uint64_t *y1,
+                     const uint64_t *x2, const uint64_t *y2,
+                     const uint64_t *c0m, const uint64_t *one,
+                     const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t num[64], den[64];
+    if (!words_eq(x1, x2, 2 * w)) {
+        fe_sub(num, y2, y1, 2, N, w);
+        fe_sub(den, x2, x1, 2, N, w);
+    } else if (words_eq(y1, y2, 2 * w) && !words_zero(y1, 2 * w)) {
+        fe_mul(num, x1, x1, 2, c0m, N, n0inv, w);
+        fe_add(den, num, num, 2, N, w);
+        fe_add(num, num, den, 2, N, w);
+        fe_add(den, y1, y1, 2, N, w);
+    } else {
+        return 0;
+    }
+    fe_inv(den, den, 2, c0m, one, N, n0inv, w);
+    fe_mul(lam, num, den, 2, c0m, N, n0inv, w);
+    return 1;
+}
+
+/* miller_lines: PairingEngine._lines over one G2 point q = (x | y),
+   packed Fq2 rows, in Fq2 and without the untwist. sched[s] says what
+   step s adds to the running point R (which starts at q): 0 R itself
+   (a doubling), 1 q, 2 psi(q), 3 -psi^2(q), where psi(x, y) =
+   (conj(x) psi_x, conj(y) psi_y) and psi holds (psi_x | psi_y). Step s
+   writes the row out + 4ws: (lam | y1 - lam x1) of the line through R
+   and the operand, R = (x1, y1), and vert[s] = 0; or, for a vertical
+   line, (x1 | 0) and vert[s] = 1, after which R is infinity. Returns 0,
+   or s + 1 when step s finds R at infinity (pairing.chord's
+   CurveError), its rows and those after it unwritten. Fq2 is
+   Fq[i]/(i^2 + 1) on both curves, so its c0 row is NULL. */
+int miller_lines(uint64_t *out, unsigned char *vert, const uint64_t *q,
+                 const unsigned char *sched, size_t ns, const uint64_t *psi,
+                 const uint64_t *one, const uint64_t *N, uint64_t n0inv,
+                 int w)
+{
+    uint64_t rx[64], ry[64], ox[64], oy[64], lam[64], t[64], x3[64];
+    uint64_t zero[64] = {0};
+    const uint64_t *c0m = NULL;
+    int w2 = 2 * w, inf = 0;
+    words_copy(rx, q, w2);
+    words_copy(ry, q + w2, w2);
+    for (size_t s = 0; s < ns; s++) {
+        uint64_t *row = out + s * 2 * w2;
+        if (inf) return (int)s + 1;
+        if (sched[s] == 0) {
+            words_copy(ox, rx, w2);
+            words_copy(oy, ry, w2);
+        } else {
+            words_copy(ox, q, w2);
+            words_copy(oy, q + w2, w2);
+            for (int k = 1; k < sched[s]; k++) {  /* psi, once or twice */
+                mod_sub_one(ox + w, zero, ox + w, N, w);
+                mod_sub_one(oy + w, zero, oy + w, N, w);
+                fe_mul(ox, ox, psi, 2, c0m, N, n0inv, w);
+                fe_mul(oy, oy, psi + w2, 2, c0m, N, n0inv, w);
+            }
+            if (sched[s] == 3) fe_sub(oy, zero, oy, 2, N, w);
+        }
+        if (fq2_chord(lam, rx, ry, ox, oy, c0m, one, N, n0inv, w)) {
+            vert[s] = 0;
+            fe_mul(t, lam, rx, 2, c0m, N, n0inv, w);
+            fe_sub(row + w2, ry, t, 2, N, w);
+            words_copy(row, lam, w2);
+            fe_mul(x3, lam, lam, 2, c0m, N, n0inv, w);
+            fe_sub(x3, x3, rx, 2, N, w);
+            fe_sub(x3, x3, ox, 2, N, w);
+            fe_sub(t, rx, x3, 2, N, w);
+            fe_mul(t, lam, t, 2, c0m, N, n0inv, w);
+            fe_sub(ry, t, ry, 2, N, w);
+            words_copy(rx, x3, w2);
+        } else {
+            vert[s] = 1;
+            words_copy(row, rx, w2);
+            words_copy(row + w2, zero, w2);
+            inf = 1;
+        }
+    }
+    return 0;
+}
+
+/* miller_replay: f = the product of nl Miller values, loop l the replay
+   of its line table tab + l*ns*4w (miller_lines' rows, vertical flags
+   at vert + l*ns) at its G1 point g1 + 2lw (x | y, Fq rows). Every loop
+   has the engine's one step schedule, so f is squared once per doubling
+   step for all of them — a multi-Miller loop, whose value is exactly the
+   product of the loops'. A line's value at (xt, yt) is
+   xt U1(lam) + U3(y1 - lam x1) - yt, a vertical one's xt - U2(x1),
+   where U_e is untw + 2(e-1)dw, the untwist map of PairingEngine
+   (2 rows of d). No loop at all leaves f = 1. */
+void miller_replay(uint64_t *f, const uint64_t *tab,
+                   const unsigned char *vert, const uint64_t *g1, size_t nl,
+                   const unsigned char *sched, size_t ns, int d,
+                   const uint64_t *fm, const uint64_t *untw,
+                   const uint64_t *one, const uint64_t *N, uint64_t n0inv,
+                   int w)
+{
+    uint64_t line[12 * 32], xa[64];
+    uint64_t zero[32] = {0};
+    size_t dw = (size_t)d * w;
+    for (size_t k = 0; k < dw; k++) f[k] = 0;
+    words_copy(f, one, w);
+    for (size_t s = 0; s < ns; s++) {
+        if (sched[s] == 0) ext_sqr(f, f, d, fm, N, n0inv, w);
+        for (size_t l = 0; l < nl; l++) {
+            const uint64_t *row = tab + (l * ns + s) * 4 * w;
+            const uint64_t *xt = g1 + 2 * l * w, *yt = xt + w;
+            for (size_t k = 0; k < dw; k++) line[k] = 0;
+            if (vert[l * ns + s]) {
+                ext_map(line, row, 2, untw + 2 * dw, d, N, n0inv, w);
+                for (int c = 0; c < d; c++)
+                    mod_sub_one(line + c * w, zero, line + c * w, N, w);
+                mod_add_one(line, line, xt, N, w);
+            } else {
+                mont_mul_one(xa, row, xt, N, n0inv, w);
+                mont_mul_one(xa + w, row + w, xt, N, n0inv, w);
+                ext_map(line, xa, 2, untw, d, N, n0inv, w);
+                ext_map(line, row + 2 * w, 2, untw + 4 * dw, d, N, n0inv, w);
+                mod_sub_one(line, line, yt, N, w);
+            }
+            ext_mul(f, f, line, d, fm, N, n0inv, w);
+        }
+    }
+}
+
+/* final_exp: o = f^((q^12 - 1)/r) for f != 0, given fi = 1/f (the one
+   inversion stays in python), as PairingEngine.final_exponentiate: the
+   easy part m = frob6(f) fi, m = frob2(m) m, then the hard part's chain
+   over the 16 products of m, m^q, m^(q^2), m^(q^3) (entry i the product
+   of those whose bit is set in i), built in table (16 rows of dw words,
+   the caller's scratch): chain[0] names the first entry, every later
+   chain[t] squares the accumulator and multiplies entry chain[t] in
+   when it is not 0. frob holds the maps k = 1, 2, 3, 6, d rows of d
+   each. */
+void final_exp(uint64_t *o, uint64_t *table, const uint64_t *f,
+               const uint64_t *fi, const uint64_t *frob,
+               const unsigned char *chain, size_t nc, int d,
+               const uint64_t *fm, const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t m[12 * 32], acc[12 * 32];
+    size_t dw = (size_t)d * w, map = dw * d;
+    for (size_t k = 0; k < 16 * dw; k++) table[k] = 0;
+    for (size_t k = 0; k < dw; k++) m[k] = acc[k] = 0;
+    ext_map(m, f, d, frob + 3 * map, d, N, n0inv, w);
+    ext_mul(m, m, fi, d, fm, N, n0inv, w);
+    ext_map(acc, m, d, frob + map, d, N, n0inv, w);
+    ext_mul(table + dw, acc, m, d, fm, N, n0inv, w);
+    for (int k = 0; k < 3; k++)
+        ext_map(table + ((size_t)2 << k) * dw, table + dw, d,
+                frob + k * map, d, N, n0inv, w);
+    for (int i = 3; i < 16; i++)
+        if (i & (i - 1))
+            ext_mul(table + i * dw, table + (i & (i - 1)) * dw,
+                    table + (i & -i) * dw, d, fm, N, n0inv, w);
+    words_copy(acc, table + chain[0] * dw, (int)dw);
+    for (size_t t = 1; t < nc; t++) {
+        ext_sqr(acc, acc, d, fm, N, n0inv, w);
+        if (chain[t])
+            ext_mul(acc, acc, table + chain[t] * dw, d, fm, N, n0inv, w);
+    }
+    words_copy(o, acc, (int)dw);
+}
 """
 
 # module-level load state: None = not attempted, False = unavailable
@@ -1139,6 +1498,14 @@ def _bind(lib) -> None:
                        + [size, i32] + [ptr] * 4 + [u64, i32]
                        + ([size, i32] if op == "windows" else []))
         fn.restype = None
+    # the pairing's loops (see the C source for their arguments)
+    lib.miller_lines.argtypes = [ptr] * 4 + [size] + [ptr] * 3 + [u64, i32]
+    lib.miller_lines.restype = i32
+    lib.miller_replay.argtypes = ([ptr] * 4 + [size, ptr, size, i32]
+                                  + [ptr] * 4 + [u64, i32])
+    lib.miller_replay.restype = None
+    lib.final_exp.argtypes = [ptr] * 6 + [size, i32, ptr, ptr, u64, i32]
+    lib.final_exp.restype = None
 
 
 def _compile_and_load():
@@ -1499,6 +1866,127 @@ class NativeField:
                                   "failed")
             out = ids[:live], out[0, :live], out[1, :live]
         return out, int(tally[0]), int(tally[1])
+
+    # -- the pairing's three loops over Fq[w]/(f) --------------------------------
+    #
+    # Everything crossing is Montgomery rows, (n, w) uint64: an Fq2 value
+    # is 2 rows, an element of the degree-d extension d rows, a linear
+    # map (an untwist, a Frobenius) one row per (input, output)
+    # coefficient pair, input-major. Fq2 is Fq[i]/(i^2 + 1) on both
+    # curves the loops serve. Every shape is checked before a pointer
+    # crosses; results and scratch are allocated per call.
+
+    def _pairing_rows(self, arr, rows: int, what: str) -> "_np.ndarray":
+        if not isinstance(arr, _np.ndarray) or arr.dtype != _np.uint64 \
+                or arr.shape != (rows, self.w) \
+                or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"{what} takes a contiguous ({rows}, {self.w}) uint64 "
+                f"array, got {type(arr).__name__} "
+                f"{getattr(arr, 'dtype', '')} {getattr(arr, 'shape', '')}")
+        return arr
+
+    @staticmethod
+    def _pairing_bytes(arr, limit: int, what: str) -> "_np.ndarray":
+        if not isinstance(arr, _np.ndarray) or arr.dtype != _np.uint8 \
+                or arr.ndim != 1 or not arr.flags.c_contiguous \
+                or (arr.size and int(arr.max()) >= limit):
+            raise ValueError(f"{what} takes a contiguous 1-D uint8 array "
+                             f"of entries below {limit}")
+        return arr
+
+    @staticmethod
+    def _pairing_chain(chain) -> "_np.ndarray":
+        chain = NativeField._pairing_bytes(chain, 16, "the hard chain")
+        if not chain.size or not chain[0]:
+            raise ValueError("the hard chain starts at a table entry "
+                             "that is not 0")
+        return chain
+
+    @staticmethod
+    def _pairing_degree(fm: "_np.ndarray") -> int:
+        d = fm.shape[0] if isinstance(fm, _np.ndarray) and fm.ndim else 0
+        if not 1 <= d <= 12:
+            raise ValueError(f"the extension degree must be in [1, 12], "
+                             f"got {d}")
+        return d
+
+    def miller_lines(self, q, sched, psi):
+        """The line table of the G2 point ``q`` (4 rows: x, then y) over
+        the step schedule ``sched`` (one uint8 per step: 0 doubles the
+        running point, 1 adds q, 2 psi(q), 3 -psi^2(q); ``psi`` is the
+        4 rows of psi_x then psi_y). Returns ``(table, vert)``: step s's
+        line as the Fq2 pair ``table[s] = (lam | y1 - lam x1)``, or,
+        where ``vert[s]`` is 1, a vertical line's ``(x1 | 0)`` — or
+        ``None`` when the loop runs into the point at infinity."""
+        w = self.w
+        q = self._pairing_rows(q, 4, "a G2 point")
+        psi = self._pairing_rows(psi, 4, "psi")
+        sched = self._pairing_bytes(sched, 4, "a step schedule")
+        ns = sched.shape[0]
+        table = _np.zeros((ns, 4 * w), dtype=_np.uint64)
+        vert = _np.zeros(ns, dtype=_np.uint8)
+        failed = self.lib.miller_lines(
+            table.ctypes.data, vert.ctypes.data, q.ctypes.data,
+            sched.ctypes.data, ns, psi.ctypes.data,
+            self.mont_one.ctypes.data, self._n_words.ctypes.data,
+            self.n0inv, w)
+        return None if failed else (table, vert)
+
+    def miller_replay(self, tables, verts, g1, sched, fm, untwist):
+        """The product of the Miller values of n loops, as d rows: loop
+        l replays ``tables[l]``/``verts[l]`` (:meth:`miller_lines`'
+        output, stacked to ``(n, steps, 4w)`` / ``(n, steps)``) at the G1
+        point ``g1[2l], g1[2l + 1]`` (``(2n, w)`` rows), one shared
+        squaring per doubling step of ``sched``. ``fm`` is the d rows of
+        the extension's fold (w^d = sum_j fm[j] w^j), ``untwist`` the
+        three untwist maps, each 2 x d rows (``(6d, w)``)."""
+        w = self.w
+        d = self._pairing_degree(fm)
+        self._pairing_rows(fm, d, "the fold")
+        self._pairing_rows(untwist, 6 * d, "the untwist maps")
+        sched = self._pairing_bytes(sched, 4, "a step schedule")
+        n, ns = len(tables), sched.shape[0]
+        if not (isinstance(tables, _np.ndarray)
+                and tables.dtype == _np.uint64
+                and tables.shape == (n, ns, 4 * w)
+                and tables.flags.c_contiguous
+                and isinstance(verts, _np.ndarray)
+                and verts.dtype == _np.uint8 and verts.shape == (n, ns)
+                and verts.flags.c_contiguous):
+            raise ValueError("the replay takes (n, steps, 4w) uint64 line "
+                             "tables and (n, steps) uint8 vertical flags "
+                             "of the schedule's length")
+        self._pairing_rows(g1, 2 * n, "the G1 points")
+        f = _np.empty((d, w), dtype=_np.uint64)
+        self.lib.miller_replay(
+            f.ctypes.data, tables.ctypes.data, verts.ctypes.data,
+            g1.ctypes.data, n, sched.ctypes.data, ns, d, fm.ctypes.data,
+            untwist.ctypes.data, self.mont_one.ctypes.data,
+            self._n_words.ctypes.data, self.n0inv, w)
+        return f
+
+    def final_exp(self, f, f_inv, frobenius, chain, fm):
+        """f^((q^12 - 1)/r) as d rows, given f != 0 and its inverse:
+        the easy part over the q^6- and q^2-Frobenius, then the hard
+        part's ``chain`` (uint8 indices into the 16 products of m, m^q,
+        m^(q^2), m^(q^3); the first one not 0). ``frobenius`` stacks
+        the maps k = 1, 2, 3, 6, d x d rows each (``(4d^2, w)``)."""
+        w = self.w
+        d = self._pairing_degree(fm)
+        self._pairing_rows(fm, d, "the fold")
+        self._pairing_rows(f, d, "f")
+        self._pairing_rows(f_inv, d, "1/f")
+        self._pairing_rows(frobenius, 4 * d * d, "the Frobenius maps")
+        chain = self._pairing_chain(chain)
+        out = _np.empty((d, w), dtype=_np.uint64)
+        table = _np.empty((16 * d, w), dtype=_np.uint64)
+        self.lib.final_exp(
+            out.ctypes.data, table.ctypes.data, f.ctypes.data,
+            f_inv.ctypes.data, frobenius.ctypes.data, chain.ctypes.data,
+            chain.shape[0], d, fm.ctypes.data, self._n_words.ctypes.data,
+            self.n0inv, w)
+        return out
 
     # -- NTT / pointwise over raw rows ------------------------------------------
 

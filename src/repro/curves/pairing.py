@@ -38,19 +38,30 @@ per table actually built — so callers can machine-check pairing
 economics (a single verify is 4 / 1, a batch of N proofs N + 3 / 1)
 instead of trusting a docstring.
 
-Everything stays in python ints; the speed comes from the algorithm
-(an Fq12 product is one lazy reduction, a square takes the symmetric
-products only, see :mod:`repro.ff.extension`), and every GT value,
-Miller value and line table is the one the plain ``f ** ((q^12-1)/r)``
-over Fq12-twisted lines produced.
+The optimal-ate engines run on the compiled kernels whenever they load
+(:mod:`repro.backend.native`): the line generator over a fresh G2 point
+is one C call (``miller_lines``, in Fq2), all the loops of a check are
+one multi-Miller replay (``miller_replay``: one shared Fq12 squaring
+per doubling step, the lines evaluated at their G1 points in C) and
+the final exponentiation is one C chain (``final_exp``) after python's
+one Fq12 inversion. A prepared table carries its packed rows beside its
+python steps. Without the kernels (or under ``REPRO_NATIVE=0``) every
+engine runs in python ints, the reference: an Fq12 product is one lazy
+reduction and a square takes the symmetric products only (see
+:mod:`repro.ff.extension`). Both floors give every GT value, Miller
+value and line table the plain ``f ** ((q^12-1)/r)`` over
+Fq12-twisted lines produced, with the same op counts.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.backend.native import get_native_field
 from repro.errors import CurveError
 from repro.curves.params import BLS_FQ2, BN128_FQ2
 from repro.ff.extension import ExtElement, ExtensionField
@@ -88,10 +99,13 @@ def chord(p1: Point, p2: Point,
 class PreparedG2:
     """The line table of one fixed G2 point: the ordered output of its
     engine's line generator, replayable against any G1 point. The step
-    layout belongs to the engine that built it."""
+    layout belongs to the engine that built it. ``rows`` is the same
+    table packed for the native replay (``NativeField.miller_lines``'
+    output), or ``None`` when it was built without the kernels."""
 
     engine_name: str
     steps: Tuple[tuple, ...]
+    rows: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 class MillerAccumulator:
@@ -105,28 +119,53 @@ class MillerAccumulator:
 
     Pairs with an infinity component contribute the identity and cost
     no Miller loop.
+
+    On an engine with native loops a pair's lines are made when it is
+    accumulated (so a loop that runs into infinity raises there, as in
+    python) and its replay waits in ``_loops`` for :meth:`result`, which
+    replays every waiting loop in one multi-Miller call on the native
+    field they were made on.
     """
 
     def __init__(self, engine: "MillerEngine"):
         self.engine = engine
         self._acc = engine.unity
+        self._nf = engine._native_field()
+        self._loops: List[tuple] = []
 
     def accumulate(self, g1_point, g2_point) -> "MillerAccumulator":
         """Fold e(P, Q)'s Miller value into the product (one loop)."""
-        self._acc = self._acc * self.engine.miller_pair(g1_point, g2_point)
+        engine = self.engine
+        if self._nf is None or g1_point is None or g2_point is None:
+            self._acc = self._acc * engine.miller_pair(g1_point, g2_point)
+        else:
+            count("miller_loop")
+            self._loops.append((g1_point,
+                                engine._lines_rows(self._nf, g2_point)))
         return self
 
     def accumulate_prepared(self, g1_point,
                             prepared: PreparedG2) -> "MillerAccumulator":
         """Fold e(P, Q_fixed) via Q's line table (one replay, counted
         as one Miller loop — it is one, minus the point maths)."""
-        self._acc = self._acc * self.engine.miller_prepared(g1_point,
-                                                            prepared)
+        engine = self.engine
+        if self._nf is None or g1_point is None or prepared.rows is None:
+            self._acc = self._acc * engine.miller_prepared(g1_point,
+                                                           prepared)
+        else:
+            engine._check_prepared(prepared)
+            count("miller_loop")
+            self._loops.append((g1_point, prepared.rows))
         return self
 
     def result(self):
         """The reduced product: final-exponentiated accumulator."""
-        return self.engine.final_exponentiate(self._acc)
+        f = self._acc
+        if self._loops:
+            engine = self.engine
+            g = engine._replay_rows(self._nf, self._loops)
+            f = g if f == engine.unity else f * g
+        return self.engine.final_exponentiate(f)
 
     def is_one(self) -> bool:
         """True iff the accumulated pairing product is the identity."""
@@ -140,7 +179,10 @@ class MillerEngine:
 
     A subclass supplies :meth:`_lines` (its line generator over a G2
     point) and :meth:`_replay` (its loop over such lines at a G1
-    point). ``unity`` is the identity of the pairing target group.
+    point). ``unity`` is the identity of the pairing target group. An
+    engine with C loops also returns its native field from
+    :meth:`_native_field` and supplies :meth:`_lines_rows` and
+    :meth:`_replay_rows`, the same two bodies on packed rows.
     """
 
     def __init__(self, name: str, unity: ExtElement, final_exp: int):
@@ -160,6 +202,17 @@ class MillerEngine:
     def _replay(self, g1_point, steps: Iterable[tuple]) -> ExtElement:
         raise NotImplementedError
 
+    def _native_field(self):
+        """The native field the engine's C loops run on, or None: the
+        python engine (always, on this class)."""
+        return None
+
+    def _lines_rows(self, nf, g2_point) -> tuple:
+        raise NotImplementedError
+
+    def _replay_rows(self, nf, loops) -> ExtElement:
+        raise NotImplementedError
+
     def miller_pair(self, g1_point, g2_point) -> ExtElement:
         """The Miller value of one (G1, G2) pair: the generator's lines
         replayed as they are produced. Nothing is cached — a proof's B
@@ -167,6 +220,10 @@ class MillerEngine:
         if g1_point is None or g2_point is None:
             return self.unity
         count("miller_loop")
+        nf = self._native_field()
+        if nf is not None:
+            return self._replay_rows(
+                nf, [(g1_point, self._lines_rows(nf, g2_point))])
         return self._replay(g1_point, self._lines(g2_point))
 
     def prepare_g2(self, g2_point) -> PreparedG2:
@@ -181,21 +238,30 @@ class MillerEngine:
         if prepared is not None:
             return prepared
         count("g2_precomp")
-        prepared = PreparedG2(self.name, tuple(self._lines(g2_point)))
+        nf = self._native_field()
+        prepared = PreparedG2(
+            self.name, tuple(self._lines(g2_point)),
+            None if nf is None else self._lines_rows(nf, g2_point))
         with self._prepared_lock:
             return self._prepared.setdefault(key, prepared)
 
-    def miller_prepared(self, g1_point, prepared: PreparedG2) -> ExtElement:
-        """Replay a line table at a G1 point: the Miller value
-        :meth:`miller_pair` produces, without the point maths."""
+    def _check_prepared(self, prepared: PreparedG2) -> None:
         if prepared.engine_name != self.name:
             raise CurveError(
                 f"prepared lines are for {prepared.engine_name}, "
                 f"engine is {self.name}"
             )
+
+    def miller_prepared(self, g1_point, prepared: PreparedG2) -> ExtElement:
+        """Replay a line table at a G1 point: the Miller value
+        :meth:`miller_pair` produces, without the point maths."""
+        self._check_prepared(prepared)
         if g1_point is None:
             return self.unity
         count("miller_loop")
+        nf = self._native_field()
+        if nf is not None and prepared.rows is not None:
+            return self._replay_rows(nf, [(g1_point, prepared.rows)])
         return self._replay(g1_point, prepared.steps)
 
     def final_exponentiate(self, f: ExtElement) -> ExtElement:
@@ -279,6 +345,11 @@ class PairingEngine(MillerEngine):
     input coefficient, ``((slot, factor), ...)``: the q^k-Frobenius
     (k = 1, 2, 3, 6) and the untwists Fq2 -> Fq12 are such maps, built
     at construction from w^6's value in Fq2.
+
+    The native loops read the same constants as Montgomery rows
+    (:class:`_EngineRows`, packed on first use) and the loop's step
+    schedule: per step, 0 for a doubling, 1 for an addition of Q, 2 of
+    psi(Q), 3 of -psi^2(Q).
     """
 
     def __init__(self, params: _PairingParams):
@@ -329,6 +400,12 @@ class PairingEngine(MillerEngine):
         self._hard_chain = tuple(
             sum((lam >> bit & 1) << k for k, lam in enumerate(digits))
             for bit in range(max(d.bit_length() for d in digits) - 1, -1, -1))
+        schedule = []
+        for i in range(params.log_ate_loop_count, -1, -1):
+            schedule += [0, 1] if params.ate_loop_count >> i & 1 else [0]
+        self._schedule = bytes(schedule + ([2, 3] if params.bn_final_steps
+                                           else []))
+        self._rows: Optional[_EngineRows] = None
         super().__init__(params.name, self.fq12.one, final_exp)
 
     # -- linear maps of the flat w-basis ------------------------------------------
@@ -417,17 +494,57 @@ class PairingEngine(MillerEngine):
             f = f.square() * line if kind == "sm" else f * line
         return f
 
+    # -- the native loops ----------------------------------------------------------------
+
+    def _native_field(self):
+        """The base field's native field when the kernels load (the
+        engine's constant rows are packed on first sight), else None."""
+        nf = get_native_field(self.params.fq2.base.modulus)
+        if nf is not None and self._rows is None:
+            self._rows = _EngineRows.pack(self, nf)
+        return nf
+
+    def _lines_rows(self, nf, g2_point) -> tuple:
+        """:meth:`_lines` over Q as one C call: the table in Fq2, not
+        untwisted (``NativeField.miller_lines``)."""
+        x, y = g2_point
+        lines = nf.miller_lines(nf.encode(x.coeffs + y.coeffs),
+                                self._rows.schedule, self._rows.psi)
+        if lines is None:
+            raise CurveError("Miller loop ran into the point at infinity")
+        return lines
+
+    def _replay_rows(self, nf, loops) -> ExtElement:
+        """The product of the Miller values of ``loops``, (G1 point,
+        packed table) pairs, as one multi-Miller C call."""
+        q = self.params.fq2.base.modulus
+        rows = self._rows
+        f = nf.miller_replay(
+            np.stack([table for _, (table, _) in loops]),
+            np.stack([vert for _, (_, vert) in loops]),
+            nf.encode([c % q for point, _ in loops for c in point]),
+            rows.schedule, rows.fold, rows.untwist)
+        return ExtElement(self.fq12, tuple(nf.decode(f)))
+
     # -- the final exponentiation ----------------------------------------------------
 
     def final_exponentiate(self, f: ExtElement) -> ExtElement:
         """f^((q^12 - 1)/r) = (f^((q^6 - 1)(q^2 + 1)))^h: the easy part
         conj(f)/f then a q^2-Frobenius times itself, the hard part one
         square-and-multiply chain over m, m^q, m^(q^2), m^(q^3) and
-        their 16 products. Zero — a degenerate Miller product — stays
-        zero, as under the plain power."""
+        their 16 products — one C call after python's inversion of f
+        when the kernels load. Zero — a degenerate Miller product —
+        stays zero, as under the plain power."""
         count("final_exp")
         if not f:
             return f
+        nf = self._native_field()
+        if nf is not None:
+            rows = self._rows
+            out = nf.final_exp(nf.encode(f.coeffs),
+                               nf.encode(f.inverse().coeffs),
+                               rows.frobenius, rows.chain, rows.fold)
+            return ExtElement(self.fq12, tuple(nf.decode(out)))
         m = self.frobenius(f, 6) * f.inverse()
         m = self.frobenius(m, 2) * m
         images = (m, self.frobenius(m, 1), self.frobenius(m, 2),
@@ -445,6 +562,44 @@ class PairingEngine(MillerEngine):
             if index:
                 acc = acc * table[index]
         return acc
+
+
+@dataclass(frozen=True, eq=False)
+class _EngineRows:
+    """A :class:`PairingEngine`'s constants as the native loops read
+    them: Montgomery rows of one native field (see
+    ``NativeField.miller_lines`` and its two siblings for the layouts)."""
+
+    schedule: np.ndarray
+    psi: np.ndarray
+    fold: np.ndarray
+    untwist: np.ndarray
+    frobenius: np.ndarray
+    chain: np.ndarray
+
+    @classmethod
+    def pack(cls, engine: PairingEngine, nf) -> "_EngineRows":
+        q = engine.params.fq2.base.modulus
+        assert engine.params.fq2.modulus_coeffs == (1, 0)  # i^2 = -1
+
+        def dense(rows) -> List[int]:
+            out = []
+            for row in rows:
+                image = [0] * 12
+                for j, c in row:
+                    image[j] = c
+                out += image
+            return out
+
+        return cls(
+            schedule=np.frombuffer(engine._schedule, dtype=np.uint8),
+            psi=nf.encode(engine._psi_x.coeffs + engine._psi_y.coeffs),
+            fold=nf.encode([-c % q for c in engine.fq12.modulus_coeffs]),
+            untwist=nf.encode([c for e in (1, 2, 3)
+                               for c in dense(engine._untwist[e])]),
+            frobenius=nf.encode([c for k in (1, 2, 3, 6)
+                                 for c in dense(engine._frobenius[k])]),
+            chain=np.array(engine._hard_chain, dtype=np.uint8))
 
 
 _ENGINES = {}

@@ -26,8 +26,10 @@ tables the pairing engine caches for beta/gamma/delta
 
 Every curve in this reproduction has a real pairing engine: ALT-BN128
 and BLS12-381 run optimal-ate over the Fq12 tower
-(:mod:`repro.curves.pairing`), the MNT4753 surrogate a reduced Tate
-pairing over Fq2 (:mod:`repro.curves.tate`). The pairing op counts
+(:mod:`repro.curves.pairing`, whose line generator, multi-Miller replay
+and final exponentiation run in the compiled kernels when they load),
+the MNT4753 surrogate a reduced Tate pairing over Fq2
+(:mod:`repro.curves.tate`). The pairing op counts
 (``miller_loop`` / ``final_exp`` / ``g2_precomp``, booked on the active
 :func:`~repro.ff.opcount.counting` scope) make the economics
 machine-checkable rather than asserted.
@@ -101,8 +103,12 @@ def _msm_engine_for(curve: CurvePair, backend=None):
 
 class Groth16Verifier:
     """Pairing-based verification with the short verifying key (the
-    "few milliseconds" step of Figure 1 — here pure Python, so a good
-    fraction of a second): the batch equation at N = 1, r = 1."""
+    "few milliseconds" step of Figure 1 — on ALT-BN128 and BLS12-381 the
+    pairing runs in the compiled kernels and a verify takes
+    milliseconds; MNT4753's Tate pairing and the ``REPRO_NATIVE=0``
+    floor take tens to hundreds of them in python): the batch equation
+    at N = 1, r = 1. Public inputs must be canonical scalars in [0, r):
+    one that is not is rejected, never reduced."""
 
     def __init__(self, vk: VerifyingKey, curve: CurvePair, backend=None):
         self.vk = vk
@@ -131,6 +137,13 @@ class Groth16Verifier:
                                                        label="vk-ic")
         return self._msm.compute(list(scalars), self.vk.ic,
                                  context=self._ic_context)
+
+    def inputs_in_field(self, public_inputs: Sequence[int]) -> bool:
+        """Every public input is a canonical scalar, in [0, r). IC(x)
+        only sees x mod r, so without this rule x + r would verify as
+        x: a second encoding of one statement."""
+        r = self.curve.fr.modulus
+        return all(0 <= x < r for x in public_inputs)
 
     def check_proof_shape(self, proof: Proof) -> bool:
         """Structural validity: no infinity components, all on-curve."""
@@ -161,7 +174,8 @@ class Groth16Verifier:
         """e(-A, B) e(alpha, beta) e(IC, gamma) e(C, delta) == 1;
         ``counter`` (kept for the frozen perf ledger until ROADMAP item
         9) receives the pairing equation's ops only."""
-        if not self.check_proof_shape(proof):
+        if not (self.check_proof_shape(proof)
+                and self.inputs_in_field(public_inputs)):
             return False
         ic = self.ic_combination(public_inputs)
         with counting(counter):
@@ -238,7 +252,8 @@ class BatchVerifier:
         if not proofs:
             return True
         for proof, inputs in zip(proofs, public_inputs):
-            if not self._single.check_proof_shape(proof):
+            if not (self._single.check_proof_shape(proof)
+                    and self._single.inputs_in_field(inputs)):
                 return False
             self.vk.check_public_inputs(inputs)
         g1 = self.curve.g1

@@ -19,9 +19,14 @@ BN254_R = SCALAR_FIELDS["ALT-BN128"].modulus
 
 def test_certify_all_passes_at_head():
     certs = certify_all()
-    # 2 families x 6 distinct moduli (Fr + Fq of three curves)
-    assert len(certs) == 12
-    assert {c.family for c in certs} == {"native-mont", "native-jacobian"}
+    # 2 families x 6 distinct moduli (Fr + Fq of three curves), then the
+    # pairing kernels' for the two optimal-ate curves
+    assert len(certs) == 14
+    assert {c.family for c in certs} == {"native-mont", "native-jacobian",
+                                         "native-pairing"}
+    assert [c.modulus_name for c in certs
+            if c.family == "native-pairing"] == ["ALT-BN128.Fq12",
+                                                 "BLS12-381.Fq12"]
     bad = [(c.family, c.modulus_name, [v.name for v in c.violations()])
            for c in certs if not c.ok]
     assert bad == []
@@ -133,3 +138,101 @@ def test_report_json_round_trips():
         for check in cert["checks"]:
             assert check["bound"] < check["limit"]
 
+
+
+# -- the pairing kernels' certificate ------------------------------------------
+
+PAIRING_CHECKS = ("ext-no-new-primitive", "ext-lazy-headroom",
+                  "loops-no-new-primitive",
+                  "ext-degree", "ext-scratch-width",
+                  "schedule-is-the-generator", "hard-chain-is-h",
+                  "pairing-guards")
+
+
+def _pairing_violations(engine=None):
+    from repro.analysis.bounds import certify_native_pairing
+    from repro.curves import bn128_g2, bn128_pairing
+
+    cert = certify_native_pairing("ALT-BN128.Fq12", engine or bn128_pairing(),
+                                  bn128_g2.generator)
+    return {v.name for v in cert.violations()}, cert
+
+
+def test_native_pairing_certificate_states_each_gate_once():
+    bad, cert = _pairing_violations()
+    assert bad == set()
+    assert [c.name for c in cert.checks] == list(PAIRING_CHECKS)
+    assert cert.params["degree"] == 12 and cert.params["fold_terms"] == 2
+    assert cert.params["ext_sqr_products"] == 78
+
+
+def _mutated(monkeypatch, old, new):
+    from repro.backend import native
+
+    assert native._C_SOURCE.count(old) == 1, old
+    monkeypatch.setattr(native, "_C_SOURCE",
+                        native._C_SOURCE.replace(old, new))
+
+
+def test_ext_gate_fails_on_a_new_primitive(monkeypatch):
+    """A mutant extension product that inverts a coefficient calls a
+    primitive the Montgomery gates do not cover."""
+    _mutated(monkeypatch, "    ext_reduce(o, acc, d, fm, N, n0inv, w);\n}\n\n"
+             "static void ext_sqr",
+             "    ext_reduce(o, acc, d, fm, N, n0inv, w);\n"
+             "    fp_inv(o, o, N, N, n0inv, w);\n}\n\n"
+             "static void ext_sqr")
+    bad, cert = _pairing_violations()
+    assert bad == {"ext-no-new-primitive"}
+    assert "fp_inv" in cert.check("ext-no-new-primitive").detail
+
+
+def test_lazy_headroom_gate_fails_past_the_accumulator():
+    """d unreduced products fit 2w + 1 words with ~60 bits to spare at
+    d = 12; a degree of 2^70 does not."""
+    from repro.analysis.bounds import ext_lazy_headroom
+
+    q = BASE_FIELDS["ALT-BN128"].modulus
+    bound, limit = ext_lazy_headroom(q, 12)
+    assert bound < limit and limit.bit_length() - bound.bit_length() > 56
+    bound, limit = ext_lazy_headroom(q, 1 << 70)
+    assert bound >= limit
+
+
+def test_loops_gate_fails_on_a_new_primitive(monkeypatch):
+    _mutated(monkeypatch, "        if (sched[s] == 0) ext_sqr(f, f, d, fm, N, n0inv, w);",
+             "        if (sched[s] == 0) jpt_dbl(0, 0, 0, d, 0, 0, 0, N, "
+             "n0inv, w);")
+    assert _pairing_violations()[0] == {"loops-no-new-primitive"}
+    _mutated(monkeypatch, "int miller_lines(", "int miller_lines_gone(")
+    bad, cert = _pairing_violations()
+    assert "<no miller_lines>" in cert.check(
+        "loops-no-new-primitive").detail
+
+
+def test_schedule_and_chain_gates_fail_on_mutated_engines():
+    import copy
+
+    from repro.curves import bn128_pairing
+
+    engine = copy.copy(bn128_pairing())
+    step = engine._schedule.index(0, 5)          # a doubling, made an add
+    engine._schedule = engine._schedule[:step] + bytes([1]) \
+        + engine._schedule[step + 1:]
+    assert _pairing_violations(engine)[0] == {"schedule-is-the-generator"}
+    engine = copy.copy(bn128_pairing())
+    engine._schedule = engine._schedule[:-1]
+    assert _pairing_violations(engine)[0] == {"schedule-is-the-generator"}
+    engine = copy.copy(bn128_pairing())
+    chain = list(engine._hard_chain)
+    chain[7] ^= 4
+    engine._hard_chain = tuple(chain)
+    assert _pairing_violations(engine)[0] == {"hard-chain-is-h"}
+
+
+def test_pairing_guard_gate_fails_on_an_open_guard(monkeypatch):
+    from repro.backend import native
+
+    monkeypatch.setattr(native.NativeField, "_pairing_chain",
+                        staticmethod(lambda chain: chain))
+    assert _pairing_violations()[0] == {"pairing-guards"}

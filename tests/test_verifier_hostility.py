@@ -1,0 +1,99 @@
+"""Forged proofs against every verifier entry point, on both floors.
+
+Each curve's verifier — the optimal-ate engines on ALT-BN128 and
+BLS12-381 (C loops by default, python under ``REPRO_NATIVE=0``) and the
+MNT4753 Tate engine (python on both) — must reject six forgeries of an
+honest proof for a circuit with two public inputs: A + G, C + G, B
+taken from another proof, a public input + 1, a public input + r (the
+same residue, so a verifier that reduced its inputs would accept it),
+and the two public inputs swapped. ``verify`` and ``verify_batch``
+reject each one; ``verify_window`` names exactly the forged indices of
+a group of four. The two floors differ only where an engine has C
+loops, so MNT4753 runs on the floor the suite runs on (CI's
+``REPRO_NATIVE=0`` leg gives it the other) and the two optimal-ate
+curves on both.
+"""
+
+import functools
+import random
+
+import pytest
+
+from repro.curves import CURVES
+from repro.snark import (BatchVerifier, Groth16Prover, Groth16Verifier,
+                         R1CS, setup)
+from repro.snark.prover import Proof
+
+CASES = [(curve, floor) for curve in ("ALT-BN128", "BLS12-381")
+         for floor in ("default", "REPRO_NATIVE=0")] + [("MNT4753", "default")]
+
+
+@functools.lru_cache(maxsize=None)
+def _forged(curve_name):
+    """Honest (proof, inputs) pairs and the six forgeries of one of them:
+    x^2 = y1 and x y1 = y2 with y1, y2 public."""
+    curve = CURVES[curve_name]
+    fr, g1 = curve.fr, curve.g1
+    r1cs = R1CS(field=fr, n_public=2)
+    x = r1cs.new_variable()
+    r1cs.add_constraint({x: 1}, {x: 1}, {1: 1})
+    r1cs.add_constraint({x: 1}, {1: 1}, {2: 1})
+    keys = setup(r1cs, curve, random.Random(17))
+    prover = Groth16Prover(r1cs, keys.proving_key, curve)
+
+    def honest(value, seed):
+        public = [value * value % fr.modulus, value ** 3 % fr.modulus]
+        return prover.prove([1, *public, value], random.Random(seed)), public
+
+    (p1, pub1), (p2, _), (p3, pub3) = (honest(7, 1), honest(7, 2),
+                                       honest(5, 3))
+    gen = g1.generator
+    forgeries = {
+        "A+G": (Proof(a=g1.add(p1.a, gen), b=p1.b, c=p1.c), pub1),
+        "C+G": (Proof(a=p1.a, b=p1.b, c=g1.add(p1.c, gen)), pub1),
+        "B of another proof": (Proof(a=p1.a, b=p2.b, c=p1.c), pub1),
+        "input+1": (p1, [pub1[0] + 1, pub1[1]]),
+        "input+r": (p1, [pub1[0] + fr.modulus, pub1[1]]),
+        "swapped inputs": (p1, [pub1[1], pub1[0]]),
+    }
+    verifier = Groth16Verifier(keys.verifying_key, curve)
+    batch = BatchVerifier(keys.verifying_key, curve)
+    assert verifier.verify(p2, pub1) and verifier.verify(p3, pub3)
+    return verifier, batch, [(p1, pub1), (p2, pub1), (p3, pub3)], forgeries
+
+
+@pytest.fixture(params=CASES, ids=lambda case: "-".join(case))
+def forged(request, monkeypatch):
+    curve_name, floor = request.param
+    if floor != "default":
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+    return _forged(curve_name)
+
+
+def test_single_and_batched_checks_reject_every_forgery(forged):
+    verifier, batch, honest, forgeries = forged
+    good, good_inputs = honest[0]
+    assert verifier.verify(good, good_inputs)
+    for name, (proof, inputs) in forgeries.items():
+        assert verifier.verify(proof, inputs) is False, name
+        assert batch.verify_batch([honest[2][0], proof],
+                                  [honest[2][1], inputs],
+                                  random.Random(5)) is False, name
+
+
+def test_a_window_names_exactly_the_forged_indices(forged):
+    _, batch, honest, forgeries = forged
+    fakes = list(forgeries.values())
+    for positions in ((0, 1), (2, 3), (1, 2)):
+        group, honest_left = [], iter(honest)
+        for i in range(4):
+            group.append(fakes.pop(0) if i in positions
+                         else next(honest_left))
+        ok, bad = batch.verify_window([p for p, _ in group],
+                                      [x for _, x in group],
+                                      random.Random(sum(positions)))
+        assert (ok, bad) == (False, list(positions))
+    assert not fakes
+    assert batch.verify_window([p for p, _ in honest],
+                               [x for _, x in honest],
+                               random.Random(9)) == (True, [])
