@@ -15,28 +15,35 @@ argument** and is evaluated at the embedded G1 point,
     e(P, Q) = f_{r,Q}(P) ^ ((q^2 - 1) / r),
 
 so that a verifying key's fixed beta/gamma/delta own the loop's point
-arithmetic and their ~1100 lines are a table built once per key — the
+arithmetic and their 759 lines are a table built once per key — the
 same :class:`~repro.curves.pairing.MillerEngine` shape as the
 optimal-ate engines. It is bilinear in both arguments, non-degenerate
 and lands in mu_r (asserted by tests), which is all a
 product-of-pairings check needs.
 
-The Miller loop is the textbook affine version (r has ~750 bits; an
-Fq2 inversion is one base-field inversion of its norm, which keeps this
-fast enough for a verifier that the paper budgets "a few milliseconds"
-on native code), with
-numerator and denominator accumulated separately and one inversion at
-the end.
+The python floor is the textbook affine loop, numerator and
+denominator accumulated separately and divided once at the end. With
+the kernels loaded (:mod:`repro.backend.native`) the line generator is
+the C walk the optimal-ate engines use — Jacobian over Fq2, one batched
+inversion per table, the affine table bit for bit — and every loop of
+a check is one multi-loop replay in Fq2 (``tate_replay``) before
+python's one division. The final exponentiation is python's on both
+floors and costs one inversion: q + 1 = 8r, so (q^2 - 1)/r = 8(q - 1)
+and f^((q^2 - 1)/r) = (conj(f)/f)^8.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
+from repro.backend.native import get_native_field
 from repro.curves.pairing import MillerEngine, chord
 from repro.curves.params import MNT_FQ2, mnt4753_g2_ready
 from repro.errors import CurveError
 from repro.ff.extension import ExtElement
+from repro.ff.opcount import count
 from repro.ff.params import MNT4753_Q, MNT4753_R
 
 __all__ = ["MntTatePairing", "mnt4753_pairing"]
@@ -52,16 +59,24 @@ class MntTatePairing(MillerEngine):
     ``lam`` the slope of the line through ``(x, y)`` (``None`` when
     vertical), ``den_x`` the abscissa of the step's new point — its
     vertical-line correction — or ``None`` once that point is infinity.
+
+    The native loops read the step schedule (per step, 0 for a
+    doubling, 1 for an addition of Q) and the curve's a as Montgomery
+    rows, packed on first use.
     """
 
     def __init__(self):
         self.field = MNT_FQ2
-        self.q = MNT4753_Q.modulus
-        self.r = MNT4753_R.modulus
+        q = self.q = MNT4753_Q.modulus
+        r = self.r = MNT4753_R.modulus
         self.group = mnt4753_g2_ready()  # curve over Fq2 (a = 1)
         self._a = self.group.a
-        super().__init__("MNT4753", self.field.one,
-                         (self.q * self.q - 1) // self.r)
+        super().__init__("MNT4753", self.field.one, (q * q - 1) // r)
+        assert q + 1 == 8 * r and self._final_exp == 8 * (q - 1)
+        assert q % 4 == 3 and self.field.modulus_coeffs == (1, 0)
+        self._schedule = bytes(step for bit in bin(r)[3:]
+                               for step in ((0, 1) if bit == "1" else (0,)))
+        self._rows: Optional[tuple] = None
 
     def embed_g1(self, p) -> Fq2Point:
         """Lift a G1 point (int coordinates) into E(Fq2)."""
@@ -69,10 +84,9 @@ class MntTatePairing(MillerEngine):
             return None
         return (self.field.element([p[0], 0]), self.field.element([p[1], 0]))
 
-    def miller_pair(self, g1_point, g2_point) -> ExtElement:
-        if g2_point is not None and g2_point == self.embed_g1(g1_point):
+    def _check_pair(self, g1_point, g2_point) -> None:
+        if g2_point == self.embed_g1(g1_point):
             raise CurveError("Tate Miller loop needs distinct P, Q")
-        return super().miller_pair(g1_point, g2_point)
 
     def _lines(self, g2_point: Fq2Point) -> Iterator[tuple]:
         """f_{r,Q} by double-and-add over the bits of r: each step's
@@ -101,6 +115,49 @@ class MntTatePairing(MillerEngine):
             if den_x is not None:
                 f_den = f_den * (xt - den_x)
         return f_num / f_den
+
+    # -- the native loops ----------------------------------------------------------
+
+    def _native_field(self):
+        """The base field's native field when the kernels load (the
+        schedule and a packed on first sight), else None."""
+        nf = get_native_field(self.q)
+        if nf is not None and self._rows is None:
+            self._rows = (np.frombuffer(self._schedule, dtype=np.uint8),
+                          nf.encode(self._a.coeffs))
+        return nf
+
+    def _lines_rows(self, nf, g2_point) -> tuple:
+        """:meth:`_lines` over Q as one C call (``NativeField.
+        miller_lines``): rows (lam | y - lam x | den_x)."""
+        schedule, a = self._rows
+        x, y = g2_point
+        return nf.miller_lines(nf.encode(x.coeffs + y.coeffs), schedule,
+                               a=a)
+
+    def _replay_rows(self, nf, loops) -> ExtElement:
+        """The product of the Miller values of ``loops``, (G1 point,
+        packed table) pairs: one multi-loop C call, then python's one
+        division."""
+        q = self.q
+        f = nf.tate_replay(
+            np.stack([table for _, (table, _) in loops]),
+            np.stack([vert for _, (_, vert) in loops]),
+            nf.encode([c % q for point, _ in loops for c in point]),
+            self._rows[0])
+        num, den = (self.field.element(nf.decode(f[k:k + 2]))
+                    for k in (0, 2))
+        return num / den
+
+    def final_exponentiate(self, f: ExtElement) -> ExtElement:
+        """f^((q^2 - 1)/r) = (f^(q - 1))^8 = (conj(f)/f)^8: the exponent
+        is 8(q - 1) because q + 1 = 8r, and f^q = conj(f) in Fq2.
+        Zero — a degenerate Miller product — stays zero, as under the
+        plain power."""
+        count("final_exp")
+        if not f:
+            return f
+        return (f.conjugate() * f.inverse()).square().square().square()
 
 
 _ENGINE = None

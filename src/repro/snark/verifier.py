@@ -29,7 +29,8 @@ and BLS12-381 run optimal-ate over the Fq12 tower
 (:mod:`repro.curves.pairing`, whose line generator, multi-Miller replay
 and final exponentiation run in the compiled kernels when they load),
 the MNT4753 surrogate a reduced Tate pairing over Fq2
-(:mod:`repro.curves.tate`). The pairing op counts
+(:mod:`repro.curves.tate`, whose line generator and multi-loop replay
+run in the same kernels). The pairing op counts
 (``miller_loop`` / ``final_exp`` / ``g2_precomp``, booked on the active
 :func:`~repro.ff.opcount.counting` scope) make the economics
 machine-checkable rather than asserted.
@@ -103,10 +104,10 @@ def _msm_engine_for(curve: CurvePair, backend=None):
 
 class Groth16Verifier:
     """Pairing-based verification with the short verifying key (the
-    "few milliseconds" step of Figure 1 — on ALT-BN128 and BLS12-381 the
-    pairing runs in the compiled kernels and a verify takes
-    milliseconds; MNT4753's Tate pairing and the ``REPRO_NATIVE=0``
-    floor take tens to hundreds of them in python): the batch equation
+    "few milliseconds" step of Figure 1 — the pairing runs in the
+    compiled kernels on all three curves and a verify takes milliseconds,
+    about twenty on the 753-bit MNT4753; the ``REPRO_NATIVE=0`` floor
+    takes tens to hundreds of them in python): the batch equation
     at N = 1, r = 1. Public inputs must be canonical scalars in [0, r):
     one that is not is rejected, never reduced."""
 

@@ -297,7 +297,7 @@ def test_cli_bounds_only_passes_and_writes_json(tmp_path, capsys):
 
     data = json.loads(out.read_text())
     assert data["ok"] is True
-    assert len(data["certificates"]) == 14
+    assert len(data["certificates"]) == 15
 
 
 def test_cli_fails_on_bound_violation(tmp_path, monkeypatch, capsys):

@@ -440,7 +440,7 @@ def test_no_dead_kernels():
         "mont_mul_batch", "mont_mul_const_batch", "mod_sub_batch",
         "mod_add_batch", "mont_powers", "ntt_stockham", "jac_dbl",
         "jac_add", "bucket_fold", "merge", "to_affine", "windows",
-        "miller_lines", "miller_replay", "final_exp"}
+        "miller_lines", "miller_replay", "tate_replay", "final_exp"}
     lib = native._get_lib()
     for name in exported:
         assert getattr(lib, name).argtypes, f"{name} bound without argtypes"

@@ -2,6 +2,8 @@
 real verification substrate)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.curves import mnt4753_g1, mnt4753_g2_ready, mnt4753_pairing
 from repro.errors import CurveError
@@ -74,8 +76,26 @@ class TestTatePairing:
         embedded = engine.embed_g1(mnt4753_g1.generator)
         with pytest.raises(CurveError):
             engine.miller_pair(mnt4753_g1.generator, embedded)
+        with pytest.raises(CurveError):
+            engine.accumulator().accumulate(mnt4753_g1.generator, embedded)
 
     def test_engine_cached(self):
         from repro.curves.tate import mnt4753_pairing as factory
 
         assert factory() is factory()
+
+
+#: coefficients below 2^760 (reduced mod q by ``element``), zero often
+#: enough that zero and base-field values are drawn too
+_COEFF = st.one_of(st.just(0), st.integers(min_value=1,
+                                           max_value=(1 << 760) - 1))
+
+
+@settings(max_examples=6, deadline=None)
+@given(coeffs=st.lists(_COEFF, min_size=2, max_size=2))
+def test_final_exponentiation_is_the_plain_power(coeffs):
+    """(conj(f)/f)^8 is f ** ((q^2 - 1)/r), zero included: q + 1 = 8r."""
+    engine = mnt4753_pairing()
+    f = engine.field.element(coeffs)
+    assert engine._final_exp == 8 * (engine.q - 1)
+    assert engine.final_exponentiate(f) == f ** engine._final_exp
