@@ -351,7 +351,8 @@ class TestEngineApi:
         steps = eng.prepare_g2(g2.generator).steps
         with pytest.raises(CurveError, match="prepared lines are for"):
             eng.miller_prepared(g1.generator,
-                                PreparedG2("some-other-engine", steps))
+                                PreparedG2("some-other-engine",
+                                           lambda: steps))
 
 
 # -- the final exponentiation's algebra --------------------------------------------
