@@ -130,7 +130,11 @@ class FixedBaseTable:
     @declassify("fixed-base window gather: which table row a lane reads "
                 "is chosen by a digit of its scalar, and keygen's "
                 "scalars are toxic waste, the prover's its zk masks — "
-                "not the MSM's public workload shape. Accepted here on "
+                "not the MSM's public workload shape; the verifier's IC "
+                "fold puts public inputs and their sums with the batch's "
+                "random-linear-combination coefficients through it, "
+                "whose secrecy from the prover is what makes a forged "
+                "batch fail. Accepted here on "
                 "its own terms: the per-bit ladder this replaces "
                 "(CurveGroup.scalar_mul) already branches on every "
                 "secret bit and returns early on a zero scalar, so the "

@@ -114,7 +114,7 @@ class SetupBundle:
     def batch_verifier(self, soundness_bits: int = 128):
         """The memoized :class:`~repro.snark.verifier.BatchVerifier`
         for this bundle — shared across checks so its verifying-key
-        G2 line precomputation and IC checkpoint table build once."""
+        G2 line precomputation and IC window tables build once."""
         from repro.snark.verifier import BatchVerifier
 
         with self._batch_lock:

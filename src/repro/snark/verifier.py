@@ -17,12 +17,17 @@ tables the pairing engine caches for beta/gamma/delta
   fresh loop and three replays — 4 Miller loops, 1 final exponentiation,
   no coefficient, no scalar multiplication.
 * :meth:`BatchVerifier.verify_batch` draws independent r_i, folds the
-  C and IC(x) terms on the backend MSM and pays **N + 3 Miller loops
-  and one final exponentiation** for N proofs (down from 4 and 1 per
-  proof).
+  alpha, A, C and IC(x) terms and pays **N + 3 Miller loops and one
+  final exponentiation** for N proofs (down from 4 and 1 per proof).
 * :meth:`BatchVerifier.verify_window` adds bisection, so a dirty window
   names its offenders; its leaves — and a window of one — are the exact
   single check.
+
+The folds run on :mod:`repro.msm.fixed_base` alone: each IC_j (j >= 1)
+is fixed by the key and gets a window table once per verifier, and the
+points a batch brings — alpha and IC_0 times sum r_i, A_i and C_i times
+r_i — are the lanes of one ``batch_scalar_mul`` call. No MSM engine
+runs and no table is built per batch.
 
 Every curve in this reproduction has a real pairing engine: ALT-BN128
 and BLS12-381 run optimal-ate over the Fq12 tower
@@ -43,6 +48,7 @@ seconds), not part of the protocol.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from typing import List, Sequence, Tuple
 
 from repro.curves.params import CurvePair
@@ -50,7 +56,7 @@ from repro.curves.pairing import bls12_381_pairing, bn128_pairing
 from repro.curves.tate import mnt4753_pairing
 from repro.errors import ProofError
 from repro.ff.opcount import counting
-from repro.msm.fixed_base import batch_scalar_mul
+from repro.msm.fixed_base import FixedBaseTable, batch_scalar_mul
 from repro.snark.keys import Trapdoor, VerifyingKey
 from repro.snark.prover import Proof
 from repro.snark.r1cs import R1CS
@@ -61,6 +67,10 @@ __all__ = ["pairing_engine_for", "Groth16Verifier", "BatchVerifier",
 #: Default width of the batch coefficients r_i: a batch containing an
 #: invalid proof survives with probability < 2^-(bits) per attempt.
 DEFAULT_SOUNDNESS_BITS = 128
+
+#: how many scalars each IC window table is sized for: every verify and
+#: every batch puts one through it, and a verifier is built to be reused
+_FOLDS_PER_TABLE = 16
 
 _ENGINE_FACTORIES = {
     "ALT-BN128": bn128_pairing,
@@ -84,24 +94,6 @@ def pairing_engine_for(curve: CurvePair):
     return engine
 
 
-_MSM_ENGINES: dict = {}
-
-
-def _msm_engine_for(curve: CurvePair, backend=None):
-    """The backend G1 MSM engine for verifier-side folds — memoized per
-    (curve, backend) so its per-scale window profiling runs once."""
-    key = (curve.name, backend if isinstance(backend, str) else None)
-    engine = _MSM_ENGINES.get(key)
-    if engine is None:
-        from repro.gpusim import V100
-        from repro.msm.gzkp import GzkpMsm
-
-        engine = GzkpMsm(curve.g1, curve.fr.bits, V100, backend=backend)
-        if key[1] is not None or backend is None:
-            _MSM_ENGINES[key] = engine
-    return engine
-
-
 class Groth16Verifier:
     """Pairing-based verification with the short verifying key (the
     "few milliseconds" step of Figure 1 — the pairing runs in the
@@ -115,29 +107,27 @@ class Groth16Verifier:
         self.vk = vk
         self.curve = curve
         self.engine = pairing_engine_for(curve)
-        self._msm = _msm_engine_for(curve, backend)
-        # The IC points never change for a verifying key: preprocess
-        # their checkpoint table once and amortize it across verifies.
-        self._ic_context = None
+        # IC_1 .. IC_m never change for a key: their window tables.
+        self._ic_tables = [
+            FixedBaseTable(curve.g1, point, _FOLDS_PER_TABLE,
+                           backend=backend)
+            for point in vk.ic[1:]]
 
     def ic_combination(self, public_inputs: Sequence[int]):
-        """IC(x) = IC_0 + sum x_i IC_i over the public inputs, computed
-        as one backend MSM over the fixed IC point vector (scalars
-        ``[1, x_1, ..., x_m]``) instead of a per-input scalar-mul/add
-        loop — this runs on every verify, batched or not."""
+        """IC(x) = IC_0 + sum x_j IC_j over the public inputs — this
+        runs on every verify, batched or not."""
         self.vk.check_public_inputs(public_inputs)
-        r = self.curve.fr.modulus
-        scalars = [1] + [x % r for x in public_inputs]
-        return self._ic_msm(scalars)
+        return self._ic_sum(self.vk.ic[0], public_inputs)
 
-    def _ic_msm(self, scalars: Sequence[int]):
-        """MSM over the verifying key's IC vector, reusing the
-        preprocessed checkpoint table after the first call."""
-        if self._ic_context is None:
-            self._ic_context = self._msm.build_context(self.vk.ic,
-                                                       label="vk-ic")
-        return self._msm.compute(list(scalars), self.vk.ic,
-                                 context=self._ic_context)
+    def _ic_sum(self, constant, scalars: Sequence[int]):
+        """``constant + sum_j scalars[j] * IC_(j+1)``, the multiples
+        read from the IC tables (scalars reduced mod the order there)."""
+        g1 = self.curve.g1
+        total = constant
+        for table, scalar in zip(self._ic_tables, scalars):
+            (term,) = table.multiples([scalar])
+            total = g1.add(total, term)
+        return total
 
     def inputs_in_field(self, public_inputs: Sequence[int]) -> bool:
         """Every public input is a canonical scalar, in [0, r). IC(x)
@@ -197,14 +187,13 @@ class BatchVerifier:
 
     holds for honest proofs by bilinearity, and an invalid batch
     survives with probability < 2^-soundness_bits. The IC fold
-    flattens to a single MSM over the verifying key's IC vector
-    (scalar ``sum r_i x_ij`` per point), the C fold is an MSM over the
-    batch's C points, and the equation itself is the single
-    verifier's (:meth:`Groth16Verifier._equation_holds`, which replays
-    the key's cached G2 line tables). Total cost: N + 3 Miller loops,
-    1 final exponentiation, 2 MSMs and one call for the N + 1 scalar
-    muls (:func:`~repro.msm.fixed_base.batch_scalar_mul`) — versus N
-    per-proof checks at 4 Miller loops + 1 final exponentiation each.
+    flattens to one multiple per IC point (``sum_i r_i x_ij`` times
+    IC_j), and the equation is the single verifier's
+    (:meth:`Groth16Verifier._equation_holds`). Total cost: N + 3
+    Miller loops, 1 final exponentiation, one ``batch_scalar_mul`` call
+    for the 2N + 2 multiples of alpha, IC_0, A_i and C_i and one table
+    read per IC_j — versus N per-proof checks at 4 Miller loops + 1
+    final exponentiation each.
     The r_i lower bound of 1 is load-bearing: a zero coefficient would
     silently exclude its proof from the check.
     """
@@ -219,7 +208,6 @@ class BatchVerifier:
         self.soundness_bits = soundness_bits
         self.backend = backend
         self._single = Groth16Verifier(vk, curve, backend=backend)
-        self._msm = self._single._msm
 
     # -- coefficient draws ------------------------------------------------------
 
@@ -258,27 +246,22 @@ class BatchVerifier:
                 return False
             self.vk.check_public_inputs(inputs)
         g1 = self.curve.g1
-        r = self.curve.fr.modulus
-        coeffs = self.draw_coefficients(len(proofs), rng)
-        coeff_sum = sum(coeffs) % r
+        n = len(proofs)
+        coeffs = self.draw_coefficients(n, rng)
+        coeff_sum = self.curve.fr.reduce(sum(coeffs))
 
-        # IC fold, flattened: sum_i r_i (IC_0 + sum_j x_ij IC_j)
-        # = MSM over the IC vector with scalar sum_i r_i x_ij per point.
-        ic_scalars = [coeff_sum]
-        for j in range(len(self.vk.ic) - 1):
-            ic_scalars.append(
-                sum(c * (inputs[j] % r)
-                    for c, inputs in zip(coeffs, public_inputs)) % r)
-        ic_fold = self._single._ic_msm(ic_scalars)
-
-        # C fold: one MSM over the batch's C points.
-        c_fold = self._msm.compute(list(coeffs),
-                                   [proof.c for proof in proofs])
-
-        # The N + 1 multiples alpha * sum r_i and r_i * A_i: one call.
-        alpha_term, *a_terms = batch_scalar_mul(
-            g1, [self.vk.alpha_g1, *(proof.a for proof in proofs)],
-            [coeff_sum, *coeffs], backend=self.backend)
+        # alpha and IC_0 times sum r_i, every r_i A_i and r_i C_i.
+        alpha_term, ic_constant, *terms = batch_scalar_mul(
+            g1, [self.vk.alpha_g1, self.vk.ic[0],
+                 *(proof.a for proof in proofs),
+                 *(proof.c for proof in proofs)],
+            [coeff_sum, coeff_sum, *coeffs, *coeffs], backend=self.backend)
+        a_terms, c_fold = terms[:n], reduce(g1.add, terms[n:])
+        # IC fold: sum_i r_i (IC_0 + sum_j x_ij IC_j)
+        # = (sum r_i) IC_0 + sum_j (sum_i r_i x_ij) IC_j, on the tables.
+        ic_fold = self._single._ic_sum(ic_constant, [
+            sum(c * x for c, x in zip(coeffs, column))
+            for column in zip(*public_inputs)])
 
         with counting(counter):
             return self._single._equation_holds(

@@ -448,3 +448,156 @@ class TestMnt4753Batch:
         ok, bad = batch.verify_window(tampered, publics, random.Random(42))
         assert not ok
         assert bad == [0]
+
+
+# -- the folds on window tables and lanes, on both floors -----------------------------
+
+
+@pytest.fixture(params=("default", "REPRO_NATIVE=0"))
+def floor(request, monkeypatch):
+    """The compiled kernels, or the python floor. Verifiers are built
+    inside the tests, after the floor is set, so their IC tables are
+    built on it."""
+    if request.param != "default":
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def product_setup():
+    """The registry's two-input ``product`` circuit (out = x y and
+    s = x + y, both public) and honest proofs whose public inputs are
+    0, 1 and r - 1."""
+    from repro.service.registry import build_instance
+
+    r = F.modulus
+    proofs, publics, prover = [], [], None
+    for i, witness in enumerate(((0, 0), (1, 1), (r - 1, 1), (r - 1, 0),
+                                 (1, 0))):
+        r1cs, assignment = build_instance("product", F, witness)
+        if prover is None:
+            keys = setup(r1cs, CURVE, random.Random(4242))
+            prover = Groth16Prover(r1cs, keys.proving_key, CURVE)
+        proofs.append(prover.prove(assignment, random.Random(700 + i)))
+        publics.append(assignment[1:3])
+    assert {x for inputs in publics for x in inputs} == {0, 1, 2, r - 1}
+    return keys, proofs, publics
+
+
+def _ic_reference(vk, public_inputs):
+    """IC_0 + sum_j x_j IC_j by one ladder per input."""
+    g1 = CURVE.g1
+    total = vk.ic[0]
+    for x, point in zip(public_inputs, vk.ic[1:]):
+        total = g1.add(total, g1.scalar_mul(x, point))
+    return total
+
+
+def _folds_against_reference(batch, proofs, publics, seed, monkeypatch):
+    """Run ``verify_batch`` and compare the terms it hands the pairing
+    equation with the ladder-built sum_i r_i A_i / alpha / IC(x_i) /
+    C_i for the same coefficients; return the batch verdict."""
+    g1, vk = CURVE.g1, batch.vk
+    seen = []
+    holds = batch._single._equation_holds
+    monkeypatch.setattr(batch._single, "_equation_holds",
+                        lambda *terms: seen.append(terms) or holds(*terms))
+    verdict = batch.verify_batch(proofs, publics, random.Random(seed))
+    coeffs = batch.draw_coefficients(len(proofs), random.Random(seed))
+    a_pairs, alpha_term, ic_term, c_term = seen[0]
+    assert a_pairs == [(g1.neg(g1.scalar_mul(c, proof.a)), proof.b)
+                       for c, proof in zip(coeffs, proofs)]
+    assert alpha_term == g1.scalar_mul(sum(coeffs), vk.alpha_g1)
+    ic_fold = c_fold = None
+    for c, proof, inputs in zip(coeffs, proofs, publics):
+        ic_fold = g1.add(ic_fold, g1.scalar_mul(c, _ic_reference(vk, inputs)))
+        c_fold = g1.add(c_fold, g1.scalar_mul(c, proof.c))
+    assert (ic_term, c_term) == (ic_fold, c_fold)
+    return verdict
+
+
+class TestFoldsRunNoMsmEngine:
+    """The verifier's folds are window-table reads and one
+    ``batch_scalar_mul`` call: no MSM engine runs and no checkpoint
+    table is preprocessed, on the first verify or any batch."""
+
+    def test_no_preprocess_phase_and_no_msm_compute(self, batch_setup, floor,
+                                                    monkeypatch):
+        from repro.ff.opcount import OpCounter, counting
+        from repro.msm.gzkp import GzkpMsm
+
+        def refuse(*_, **__):
+            raise AssertionError("the verifier ran an MSM engine")
+
+        monkeypatch.setattr(GzkpMsm, "compute", refuse)
+        keys, proofs, publics = batch_setup
+        counter = OpCounter()
+        with counting(counter):
+            single = Groth16Verifier(keys.verifying_key, CURVE)
+            batch = BatchVerifier(keys.verifying_key, CURVE)
+            assert single.verify(proofs[0], publics[0])
+            for seed in (21, 22):
+                assert batch.verify_batch(proofs, publics,
+                                          random.Random(seed))
+        assert "preprocess" not in counter.by_phase
+        assert counter.total("padd") > 0
+
+
+class TestFoldEdgeCases:
+    """The IC fold on window tables and the A / C / alpha / IC_0 lanes
+    against one ladder per term, and the batch verdict against the
+    per-proof ``verify``."""
+
+    def test_ic_combination_at_edge_inputs(self, product_setup, floor):
+        keys, _, _ = product_setup
+        vk, r = keys.verifying_key, F.modulus
+        verifier = Groth16Verifier(vk, CURVE)
+        for inputs in ([0, 0], [1, 1], [r - 1, r - 1], [0, r - 1],
+                       [r - 1, 1], [2, 0]):
+            assert verifier.ic_combination(inputs) == _ic_reference(vk,
+                                                                    inputs)
+
+    def test_product_batch_at_edge_inputs(self, product_setup, floor,
+                                          monkeypatch):
+        keys, proofs, publics = product_setup
+        single = Groth16Verifier(keys.verifying_key, CURVE)
+        batch = BatchVerifier(keys.verifying_key, CURVE)
+        assert all(single.verify(p, x) for p, x in zip(proofs, publics))
+        assert _folds_against_reference(batch, proofs, publics, 31,
+                                        monkeypatch)
+
+    def test_ic_point_at_infinity(self, product_setup, floor, monkeypatch):
+        import dataclasses
+
+        keys, proofs, publics = product_setup
+        vk = keys.verifying_key
+        hollow = dataclasses.replace(vk, ic=[vk.ic[0], None, vk.ic[2]])
+        single = Groth16Verifier(hollow, CURVE)
+        assert single._ic_tables[0].table == []
+        for inputs in publics:
+            assert single.ic_combination(inputs) == _ic_reference(hollow,
+                                                                  inputs)
+        verdicts = [single.verify(p, x) for p, x in zip(proofs, publics)]
+        batch = BatchVerifier(hollow, CURVE)
+        assert (_folds_against_reference(batch, proofs, publics, 33,
+                                         monkeypatch)
+                is all(verdicts))
+
+    @pytest.mark.parametrize("shape", ["one", "same proof twice"])
+    def test_batch_of_one_and_a_repeated_proof(self, batch_setup, floor,
+                                               monkeypatch, shape):
+        keys, proofs, publics = batch_setup
+        picks = [1] if shape == "one" else [1, 1]
+        batch = BatchVerifier(keys.verifying_key, CURVE)
+        single = Groth16Verifier(keys.verifying_key, CURVE)
+        assert single.verify(proofs[1], publics[1])
+        assert _folds_against_reference(
+            batch, [proofs[i] for i in picks], [publics[i] for i in picks],
+            34, monkeypatch)
+        g1 = CURVE.g1
+        forged = type(proofs[1])(a=proofs[1].a, b=proofs[1].b,
+                                 c=g1.add(proofs[1].c, g1.generator))
+        assert not single.verify(forged, publics[1])
+        assert not batch.verify_batch([forged] * len(picks),
+                                      [publics[1]] * len(picks),
+                                      random.Random(35))
