@@ -414,26 +414,46 @@ static inline void fe_mul(uint64_t *o, const uint64_t *a, const uint64_t *b,
         fq2_mul_one(o, o + w, a, a + w, b, b + w, c0m, N, n0inv, w);
 }
 
-/* o = 1/a over Fp for a != 0: Fermat's a^(N-2), square-and-multiply
-   from the top bit of the w-word exponent. */
-static void fp_inv(uint64_t *o, const uint64_t *a, const uint64_t *one,
-                   const uint64_t *N, uint64_t n0inv, int w)
+/* o = a^e over Fp: square-and-multiply from the top bit of the
+   ew-word exponent e (e = 0 gives one). o may alias a. */
+static void fp_pow(uint64_t *o, const uint64_t *a, const uint64_t *e,
+                   int ew, const uint64_t *one, const uint64_t *N,
+                   uint64_t n0inv, int w)
 {
-    uint64_t e[32], r[32];
-    uint64_t sub = 2;
-    for (int j = 0; j < w; j++) {
-        u128 d = (u128)N[j] - sub;
-        e[j] = (uint64_t)d;
-        sub = (d >> 64) ? 1 : 0;
-    }
+    uint64_t r[32];
     words_copy(r, one, w);
-    for (int j = w - 1; j >= 0; j--)
+    for (int j = ew - 1; j >= 0; j--)
         for (int b = 63; b >= 0; b--) {
             mont_mul_one(r, r, r, N, n0inv, w);
             if ((e[j] >> b) & 1)
                 mont_mul_one(r, r, a, N, n0inv, w);
         }
     words_copy(o, r, w);
+}
+
+/* o = 1/a over Fp for a != 0: Fermat's a^(N-2), the w-word exponent
+   derived from N. */
+static void fp_inv(uint64_t *o, const uint64_t *a, const uint64_t *one,
+                   const uint64_t *N, uint64_t n0inv, int w)
+{
+    uint64_t e[32];
+    uint64_t sub = 2;
+    for (int j = 0; j < w; j++) {
+        u128 d = (u128)N[j] - sub;
+        e[j] = (uint64_t)d;
+        sub = (d >> 64) ? 1 : 0;
+    }
+    fp_pow(o, a, e, w, one, N, n0inv, w);
+}
+
+/* out[k] = a[k]^e for n Montgomery rows and one w-word exponent: the
+   decoder's square roots. out may alias a. */
+void mont_pow_batch(uint64_t *out, const uint64_t *a, size_t n,
+                    const uint64_t *e, const uint64_t *one,
+                    const uint64_t *N, uint64_t n0inv, int w)
+{
+    for (size_t k = 0; k < n; k++)
+        fp_pow(out + k * w, a + k * w, e, w, one, N, n0inv, w);
 }
 
 /* o = 1/a for a != 0; over Fq2 through the norm,
@@ -1572,6 +1592,8 @@ def _bind(lib) -> None:
     lib.mod_add_batch.restype = None
     lib.mont_powers.argtypes = [ptr, ptr, ptr, size, ptr, u64, i32]
     lib.mont_powers.restype = None
+    lib.mont_pow_batch.argtypes = [ptr, ptr, size, ptr, ptr, ptr, u64, i32]
+    lib.mont_pow_batch.restype = None
     lib.ntt_stockham.argtypes = [ptr, ptr, ptr, size, i32, ptr, u64, i32]
     lib.ntt_stockham.restype = None
     # point kernels: out, tally, (merge: ids; windows: idx), the
@@ -1846,6 +1868,24 @@ class NativeField:
                                       row.ctypes.data, a.shape[0],
                                       self._n_words.ctypes.data,
                                       self.n0inv, self.w)
+        return out
+
+    def pow(self, a: "_np.ndarray", exponent: int,
+            out: Optional["_np.ndarray"] = None) -> "_np.ndarray":
+        """Every Montgomery row of ``a`` to one power ``exponent`` in
+        [0, 2^(64w)), square-and-multiply in C; ``out`` may be ``a``."""
+        a = self._prep(a)
+        if out is None:
+            out = _np.empty_like(a)
+        for rows in (a, out):
+            if rows.dtype != _np.uint64 or rows.shape != (a.shape[0], self.w) \
+                    or not rows.flags.c_contiguous:
+                raise ValueError(f"pow takes (n, {self.w}) uint64 rows")
+        e = self._row(exponent)
+        self.lib.mont_pow_batch(out.ctypes.data, a.ctypes.data, a.shape[0],
+                                e.ctypes.data, self.mont_one.ctypes.data,
+                                self._n_words.ctypes.data, self.n0inv,
+                                self.w)
         return out
 
     def sub(self, a: "_np.ndarray", b: "_np.ndarray",

@@ -69,6 +69,7 @@ import numpy as np
 
 from repro.backend.native import get_native_field
 from repro.errors import CurveError
+from repro.curves.endomorphism import endomorphisms
 from repro.curves.params import BLS_FQ2, BN128_FQ2
 from repro.ff.extension import ExtElement, ExtensionField
 from repro.ff.opcount import count
@@ -416,11 +417,8 @@ class PairingEngine(MillerEngine):
             ue = ue * u
             self._untwist[e] = self._map_rows(
                 ue * self._embed(fq2.element(c)) for c in ((1, 0), (0, 1)))
-        # psi(x, y) = (conj(x) g_1^(+-2), conj(y) g_1^(+-3)): the
-        # q-Frobenius of an untwisted G2 point, kept in Fq2.
-        g = gammas[1].inverse() if params.m_twist else gammas[1]
-        self._psi_x = g.square()
-        self._psi_y = self._psi_x * g
+        # psi: the q-Frobenius of an untwisted G2 point, kept in Fq2.
+        self._endo = endomorphisms(params.name)
         # The hard part h = (q^4 - q^2 + 1)/r by its base-q digits, as
         # one chain: per bit of the digits, msb first, which of m,
         # m^q, m^(q^2), m^(q^3) multiply in (a 4-bit table index).
@@ -470,10 +468,6 @@ class PairingEngine(MillerEngine):
     def _untwisted(self, z: ExtElement, e: int) -> ExtElement:
         return self._apply(self._untwist[e], z.coeffs)
 
-    def _psi(self, pt: Point) -> Point:
-        x, y = pt
-        return (x.conjugate() * self._psi_x, y.conjugate() * self._psi_y)
-
     # -- embeddings ---------------------------------------------------------------
 
     def cast_g1(self, p) -> Point:
@@ -510,8 +504,8 @@ class PairingEngine(MillerEngine):
                 yield self._step("m", lam, r_pt)
                 r_pt = added
         if prm.bn_final_steps:
-            q1 = self._psi(q_pt)
-            x2, y2 = self._psi(q1)
+            q1 = self._endo.psi(q_pt)
+            x2, y2 = self._endo.psi(q1)
             for frobenius_pt in (q1, (x2, -y2)):
                 lam, added = chord(r_pt, frobenius_pt, a)
                 yield self._step("m", lam, r_pt)
@@ -621,7 +615,8 @@ class _EngineRows:
 
         return cls(
             schedule=np.frombuffer(engine._schedule, dtype=np.uint8),
-            psi=nf.encode(engine._psi_x.coeffs + engine._psi_y.coeffs),
+            psi=nf.encode(engine._endo.psi_x.coeffs
+                          + engine._endo.psi_y.coeffs),
             fold=nf.encode([-c % q for c in engine.fq12.modulus_coeffs]),
             untwist=nf.encode([c for e in (1, 2, 3)
                                for c in dense(engine._untwist[e])]),

@@ -90,8 +90,9 @@ def _multiples(backend, group: CurveGroup, lanes: Sequence[AffinePoint],
 class FixedBaseTable:
     """The window table of one base, ``T[t][d] = d * 2^(t*k) * B`` for
     every window t of an order-sized scalar and digit d < 2^k, as one
-    affine row of the backend's resident form, :attr:`table`, indexed
-    ``t * 2^k + d`` (``T[t][0]`` is the point at infinity).
+    Jacobian row (z = 1) of the backend's resident form, :attr:`table`,
+    indexed ``t * 2^k + d`` (``T[t][0]`` is the point at infinity) —
+    the row :meth:`multiples` hands the windowed sum as it is.
 
     ``serves`` is how many scalars the builder expects to put through
     the table; with the scalar width it fixes the window
@@ -106,9 +107,11 @@ class FixedBaseTable:
         self.backend = get_backend(backend)
         self.scalar_bits = group.order.bit_length()
         self.window = _window_for(self.scalar_bits, serves)
-        #: every T[t][d]; empty for the point at infinity, whose every
-        #: multiple is the point at infinity
-        self.table = [] if base is None else self._build(base)
+        #: every T[t][d], lifted to Jacobian once here; empty for the
+        #: point at infinity, whose every multiple is the point at
+        #: infinity
+        self.table = [] if base is None else self.backend.batch_to_jacobian(
+            group, self._build(base))
 
     def _build(self, base: AffinePoint) -> Sequence[AffinePoint]:
         group, backend, k = self.group, self.backend, self.window
@@ -144,21 +147,22 @@ class FixedBaseTable:
                 "(DESIGN.md section 7)")
     def multiples(self, scalars: Sequence[int]) -> List[AffinePoint]:
         """``[group.scalar_mul(s, base) for s in scalars]``: the scalars
-        reduced mod the group order, every window of every scalar from
-        one ``digits_matrix`` call, and then one ``window_sum`` that
-        adds ``T[t][digit]`` over the windows — no doubling. A zero
-        scalar gathers only the point at infinity and comes back
-        ``None``."""
+        reduced mod the group order, their windows up to the widest
+        one's top bit from one ``digits_matrix`` call (the windows above
+        it would add only ``T[t][0]``), and then one ``window_sum`` that
+        adds ``T[t][digit]`` over them — no doubling. A zero scalar
+        gathers only the point at infinity and comes back ``None``."""
         if not self.table or not scalars:
             return [None] * len(scalars)
         group, backend, k = self.group, self.backend, self.window
         order = group.order
+        reduced = [s % order for s in scalars]
         digits = _np.asarray(backend.digits_matrix(
-            [s % order for s in scalars], self.scalar_bits, k),
+            reduced, max(1, *(s.bit_length() for s in reduced)), k),
             dtype=_np.int64)
         idx = digits + (_np.arange(digits.shape[1], dtype=_np.int64) << k)
         return list(backend.batch_from_jacobian(group, backend.window_sum(
-            group, backend.batch_to_jacobian(group, self.table), idx, 0)))
+            group, self.table, idx, 0)))
 
 
 def fixed_base_mul(group: CurveGroup, base: AffinePoint,

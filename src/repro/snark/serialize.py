@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.backend.native import get_native_field
+from repro.curves.endomorphism import membership
 from repro.curves.params import CurvePair
 from repro.curves.weierstrass import AffinePoint, CurveGroup
 from repro.errors import ProofError
@@ -51,6 +53,15 @@ def _fq_bytes(group: CurveGroup) -> int:
     return (modulus.bit_length() + 7) // 8
 
 
+def _pow(modulus: int, value: int, exponent: int) -> int:
+    """value^exponent mod a prime: one C exponentiation when the
+    kernels load, python's ``pow`` on the floor."""
+    nf = get_native_field(modulus)
+    if nf is None:
+        return pow(value, exponent, modulus)  # repro: allow[R001]
+    return nf.decode_one(nf.pow(nf.encode_const(value)[None], exponent)[0])
+
+
 def fq_sqrt(modulus: int, value: int) -> Optional[int]:
     """Square root mod a prime with q = 3 (mod 4); None if non-residue."""
     if modulus % 4 != 3:
@@ -58,40 +69,38 @@ def fq_sqrt(modulus: int, value: int) -> Optional[int]:
     # Wire-format helper on raw ints: callers hand in a bare modulus
     # word, not a PrimeField, so the field API is out of reach here.
     value %= modulus  # repro: allow[R001]
-    root = pow(value, (modulus + 1) // 4, modulus)  # repro: allow[R001]
+    root = _pow(modulus, value, (modulus + 1) // 4)
     return root if root * root % modulus == value else None  # repro: allow[R001]
 
 
 def fq2_sqrt(field: ExtensionField, value) -> Optional[object]:
     """Square root in Fq2 = Fq[i]/(i^2+1), complex method for
-    q = 3 (mod 4); None when the element is a non-square."""
+    q = 3 (mod 4); None when the element is a non-square.
+
+    Two exponentiations at most: with q = 3 (mod 4), t = v^((q+1)/4)
+    squares to v when v is a residue and to -v when it is not, so the
+    one power gives the root whichever it is."""
     q = field.base.modulus
+    if q % 4 != 3:
+        raise ProofError("fq2_sqrt supports q = 3 (mod 4) moduli only")
     a, b = value.coeffs
     if b == 0:
-        root = fq_sqrt(q, a)
-        if root is not None:
-            return field.element([root, 0])
-        # a is a non-residue: sqrt(a) = i * sqrt(-a).
-        root = fq_sqrt(q, (-a) % q)
-        if root is None:
-            return None
-        return field.element([0, root])
+        # sqrt(a) = t, or i t when a is a non-residue (t^2 = -a).
+        t = _pow(q, a, (q + 1) // 4)
+        return field.element([t, 0] if t * t % q == a else [0, t])
     # norm = a^2 + b^2 must be a residue.
     norm_root = fq_sqrt(q, (a * a + b * b) % q)
     if norm_root is None:
         return None
-    # x^2 = (a + norm_root) / 2, y = b / (2x).
-    half_inv = pow(2, -1, q)
-    for candidate_norm in (norm_root, (-norm_root) % q):
-        x_sq = (a + candidate_norm) * half_inv % q
-        x = fq_sqrt(q, x_sq)
-        if x is None or x == 0:
-            continue
-        y = b * pow(2 * x, -1, q) % q
-        root = field.element([x, y])
-        if root * root == value:
-            return root
-    return None
+    # x^2 = (a + norm_root) / 2, y = b / (2x). Exactly one of
+    # (a +- norm_root) / 2 is a residue (their product -b^2/4 is not):
+    # if it is not this one, t^2 = -(a + norm_root) / 2 and the root is
+    # (b / 2t, t). Neither half is zero while b is not.
+    x_sq = (a + norm_root) * ((q + 1) // 2) % q
+    t = _pow(q, x_sq, (q + 1) // 4)
+    u = b * pow(2 * t, -1, q) % q
+    root = field.element([t, u] if t * t % q == x_sq else [u, t])
+    return root if root * root == value else None
 
 
 # -- G1 -----------------------------------------------------------------------
@@ -118,13 +127,26 @@ def _check_infinity_payload(data: bytes, what: str) -> None:
         )
 
 
+def _in_subgroup(group: CurveGroup, point: AffinePoint) -> bool:
+    """``group.in_subgroup`` for an on-curve point. With cofactor 1
+    the curve is the subgroup. Where the curve has an endomorphism, P
+    is in it iff map(P) = [c]P for one short c
+    (:mod:`repro.curves.endomorphism`); otherwise (MNT4753) iff [r]P is
+    infinity. Either way one windowed multiplication."""
+    if group.cofactor == 1:
+        return True
+    test = membership(group)
+    if test is None:
+        return batch_scalar_mul(group, [point], [group.order]) == [None]
+    endomorphism, c = test
+    (multiple,) = batch_scalar_mul(group, [point], [abs(c)])
+    return endomorphism(point) == (group.neg(multiple) if c < 0
+                                   else multiple)
+
+
 def _check_subgroup(group: CurveGroup, point: AffinePoint,
                     what: str) -> None:
-    """``group.in_subgroup`` for an on-curve point: with cofactor 1 the
-    curve is the subgroup, otherwise [r]P must be infinity — one
-    windowed multiplication by the unreduced order."""
-    if group.cofactor != 1 and batch_scalar_mul(
-            group, [point], [group.order]) != [None]:
+    if not _in_subgroup(group, point):
         raise ProofError(
             f"invalid {what} encoding: point is not in the prime-order "
             "subgroup"

@@ -313,8 +313,10 @@ def test_cofactor_clears_into_the_subgroup(name):
 
 def test_cofactor_one_decodes_without_a_ladder(monkeypatch):
     """ALT-BN128 G1 is the whole curve, so decoding a point checks that
-    it is on the curve and runs no [r]P multiplication; a group with
-    h > 1 still runs one."""
+    it is on the curve and runs no multiplication; a group with h > 1
+    still runs one, on BLS12-381 G1 by x^2 (the endomorphism test
+    phi(P) = [-x^2]P, 128 bits), not by the 255-bit order."""
+    from repro.curves.endomorphism import endomorphisms
     from repro.snark import serialize
     from repro.snark.serialize import compress_g1, decompress_g1
 
@@ -329,4 +331,6 @@ def test_cofactor_one_decodes_without_a_ladder(monkeypatch):
     for group in (bn128_g1, bls12_381_g1):
         point = group.scalar_mul(0x9E3779B9, group.generator)
         assert decompress_g1(group, compress_g1(group, point)) == point
-    assert calls == [(bls12_381_g1.name, [bls12_381_g1.order])]
+    x_squared = -endomorphisms("BLS12-381").g1_test
+    assert x_squared == 0xD201000000010000 ** 2
+    assert calls == [(bls12_381_g1.name, [x_squared])]

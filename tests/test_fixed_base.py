@@ -119,11 +119,12 @@ def test_table_rows_are_the_backends_resident_form():
     if native.native_available():
         table = FixedBaseTable(group, group.generator, 40,
                                backend="numpy").table
-        assert isinstance(table, kernel_backend.ResidentPoints)
+        assert isinstance(table, kernel_backend.ResidentBuckets)
     table = FixedBaseTable(group, group.generator, 40,
                            backend="python").table
     assert type(table) is list
-    assert table[0] is None and table[1] == group.generator
+    assert group.jis_infinity(table[0])
+    assert table[1] == group.to_jacobian(group.generator)
 
 
 # -- the pieces -------------------------------------------------------------------

@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -438,7 +439,8 @@ def test_no_dead_kernels():
     # one body per point formula serves G1 and G2 alike
     assert exported == {
         "mont_mul_batch", "mont_mul_const_batch", "mod_sub_batch",
-        "mod_add_batch", "mont_powers", "ntt_stockham", "jac_dbl",
+        "mod_add_batch", "mont_powers", "mont_pow_batch", "ntt_stockham",
+        "jac_dbl",
         "jac_add", "bucket_fold", "merge", "to_affine", "windows",
         "miller_lines", "miller_replay", "tate_replay", "final_exp"}
     lib = native._get_lib()
@@ -523,6 +525,40 @@ def test_primitives_match_python_ints_on_every_width(w, data):
         (x + y) % p for x, y in zip(xs, ys)]
     assert nf.ints_from_words(nf.sub(a, b)) == [
         (x - y) % p for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("w", sorted(WIDTH_MODULI))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_pow_matches_python_pow_on_every_width(w, data):
+    """``NativeField.pow`` (``mont_pow_batch`` over ``fp_pow``, the body
+    the inversion calls too) against python's ``pow`` on each width:
+    exponents 0, 1, p - 2, (p + 1) / 4 and drawn ones up to the widest
+    the w words hold, bases 0, 1, p - 1 and drawn ones, and the result
+    written over its input. An exponent the words cannot hold, and an
+    ``out`` that is not (n, w) C-contiguous uint64 rows, are refused
+    before the call."""
+    p = WIDTH_MODULI[w]
+    nf = native.get_native_field(p)
+    assert nf.w == w
+    bases = [0, 1, p - 1] + data.draw(st.lists(st.integers(0, p - 1),
+                                               max_size=4))
+    exponents = [0, 1, p - 2, (p + 1) // 4,
+                 data.draw(st.integers(0, p - 1)),
+                 data.draw(st.integers(0, (1 << (64 * w)) - 1))]
+    rows = nf.encode(bases)
+    for e in exponents:
+        assert nf.decode(nf.pow(rows, e)) == [pow(x, e, p) for x in bases]
+    e = exponents[-1]
+    assert nf.pow(rows, e, out=rows) is rows
+    assert nf.decode(rows) == [pow(x, e, p) for x in bases]
+    for bad in (-1, 1 << (64 * w)):
+        with pytest.raises(OverflowError):
+            nf.pow(rows, bad)
+    for bad_out in (rows[:-1].copy(), rows.astype(np.int64),
+                    np.empty_like(rows, order="F")):
+        with pytest.raises(ValueError):
+            nf.pow(rows, 1, out=bad_out)
 
 
 @settings(max_examples=25, deadline=None)

@@ -145,6 +145,50 @@ def test_off_curve_x_rejected(curve):
     pytest.fail("no off-curve x found in [1, 200)")
 
 
+# -- square roots on both floors ------------------------------------------------------
+
+
+@pytest.mark.parametrize("floor", ["default", "REPRO_NATIVE=0"])
+def test_square_roots_agree_across_floors_and_refuse_non_squares(
+        curve, floor, monkeypatch):
+    """The decoder's roots run in C by default and on python's ``pow``
+    under ``REPRO_NATIVE=0``: both give the same root of a square
+    (0, 1 and p - 1 included) and None for a non-square, in Fq and in
+    Fq2."""
+    if floor != "default":
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+    p = curve.fq.modulus
+    field = curve.g2.coord_field
+    rng = random.Random(p)
+    for x in (0, 1, p - 1, rng.randrange(p)):
+        root = fq_sqrt(p, x * x % p)
+        assert root is not None and root * root % p == x * x % p
+        assert root == pow(x * x % p, (p + 1) // 4, p)
+    non_residue = next(c for c in range(2, 100)
+                       if pow(c, (p - 1) // 2, p) == p - 1)
+    assert fq_sqrt(p, non_residue) is None
+    assert fq_sqrt(p, p - 1) is None     # -1: q = 3 (mod 4)
+    # a + i with a^2 + 1 a non-residue: its norm is no square
+    a = next(a for a in range(1, 100)
+             if pow(a * a + 1, (p - 1) // 2, p) == p - 1)
+    assert fq2_sqrt(field, field.element([a, 1])) is None
+    # b = 0 with a residue and a non-residue a, then squares whose
+    # half-norm (a + sqrt(a^2 + b^2)) / 2 is a residue and is not: the
+    # root's two branches.
+    for a in (4, non_residue):
+        root = fq2_sqrt(field, field.element([a, 0]))
+        assert root * root == field.element([a, 0])
+    branches = set()
+    while len(branches) < 2:
+        z = field.element([rng.randrange(p), rng.randrange(1, p)])
+        square = z * z
+        assert fq2_sqrt(field, square) in (z, -z)
+        c0, c1 = square.coeffs
+        norm_root = fq_sqrt(p, (c0 * c0 + c1 * c1) % p)
+        branches.add(fq_sqrt(p, (c0 + norm_root) * (p + 1) // 2 % p)
+                     is None)
+
+
 # -- subgroup membership -----------------------------------------------------------
 
 

@@ -9,6 +9,11 @@ same residue, so a verifier that reduced its inputs would accept it),
 and the two public inputs swapped. ``verify`` and ``verify_batch``
 reject each one; ``verify_window`` names exactly the forged indices of
 a group of four. Every curve runs on both floors.
+
+The decoder stands before all three: ``deserialize_proof`` refuses a
+proof whose A, B or C was moved off the order-r subgroup by a cofactor
+component (the endomorphism tests on ALT-BN128 and BLS12-381, [r]P on
+MNT4753).
 """
 
 import functools
@@ -17,9 +22,12 @@ import random
 import pytest
 
 from repro.curves import CURVES
+from repro.errors import ProofError
 from repro.snark import (BatchVerifier, Groth16Prover, Groth16Verifier,
                          R1CS, setup)
 from repro.snark.prover import Proof
+from repro.snark.serialize import deserialize_proof, serialize_proof
+from tests.test_curves import random_curve_points
 
 CASES = [(curve, floor) for curve in ("ALT-BN128", "BLS12-381", "MNT4753")
          for floor in ("default", "REPRO_NATIVE=0")]
@@ -94,3 +102,43 @@ def test_a_window_names_exactly_the_forged_indices(forged):
     assert batch.verify_window([p for p, _ in honest],
                                [x for _, x in honest],
                                random.Random(9)) == (True, [])
+
+
+@functools.lru_cache(maxsize=None)
+def _cofactor_components(curve_name):
+    """[r]R in G1 and in G2, R a random point of the whole curve: on the
+    curve and off the order-r subgroup; None for ALT-BN128's G1, which
+    is the whole curve."""
+    curve = CURVES[curve_name]
+    parts = []
+    for group in (curve.g1, curve.g2):
+        if group.cofactor == 1:
+            parts.append(None)
+            continue
+        (point,) = random_curve_points(
+            group, random.Random(f"{group.name}/component"), 1)
+        parts.append(group.scalar_mul_unchecked(group.order, point))
+    return tuple(parts)
+
+
+def test_decode_refuses_wrong_subgroup_a_b_and_c(forged):
+    verifier, _, honest, _ = forged
+    curve = verifier.curve
+    g1, g2 = curve.g1, curve.g2
+    proof = honest[0][0]
+    assert deserialize_proof(serialize_proof(proof, curve), curve) == proof
+    g1_part, g2_part = _cofactor_components(curve.name)
+    moved = {"G2": [Proof(a=proof.a, b=g2.add(proof.b, g2_part),
+                          c=proof.c)]}
+    if g1_part is None:
+        assert curve.name == "ALT-BN128"
+    else:
+        moved["G1"] = [Proof(a=g1.add(proof.a, g1_part), b=proof.b,
+                             c=proof.c),
+                       Proof(a=proof.a, b=proof.b,
+                             c=g1.add(proof.c, g1_part))]
+    for what, proofs in moved.items():
+        for bad in proofs:
+            with pytest.raises(ProofError, match=f"invalid {what} encoding: "
+                               "point is not in the prime-order subgroup"):
+                deserialize_proof(serialize_proof(bad, curve), curve)
