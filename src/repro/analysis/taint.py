@@ -166,7 +166,7 @@ class TaintRegistry:
     long_lived_classes: FrozenSet[str] = frozenset({
         "ShardStats", "ShardMap", "Pipeline", "ProvingService",
         "WorkerState", "SetupBundle", "MsmContextCache",
-        "ScopedContextCache", "BatchVerifyStage",
+        "ScopedContextCache", "VerifyStage",
     })
     #: method names treated as logging sinks when called on an object
     #: whose name mentions log/logger

@@ -18,20 +18,18 @@ Layering (ingest -> shard dispatch -> worker -> verify stage):
   worker death) the process is terminated and respawned and the job
   retried up to ``retries`` more times on its shard.
 * **Verify stage** — workers prove and serialize; they never touch a
-  verifier.  Each ok result is parked in the parent-side group-commit
-  stage (:class:`~repro.service.batchverify.BatchVerifyStage`) *after*
-  the worker round-trip, so the prover pipeline is never serialized
-  behind pairing checks (the fork-pool design spent ~70% of its wall
-  clock there): whatever is parked for a (curve, circuit) when a
-  verify thread is free is checked as one random-linear-combination
-  batch — N + 3 Miller loops and one final exponentiation for N
-  proofs, the exact 4 + 1 single check for a lone proof — with
-  bisection isolating any offending job.  The verify span is spliced
-  back into the job's exported span tree, keeping the
-  phases-tile-the-wall telemetry invariant.  Stage callbacks marshal back to the loop thread
+  verifier.  Each ok result goes to the parent-side verify stage
+  (:class:`~repro.service.verify.VerifyStage`) *after* the worker
+  round-trip, so the prover pipeline is never serialized behind
+  pairing checks (the fork-pool design spent ~70% of its wall clock
+  there): each proof gets one single-proof check, 4 Miller loops and
+  1 final exponentiation, on the stage's own threads, and fails alone
+  if it is bad.  The verify span is spliced back into the job's
+  exported span tree, keeping the phases-tile-the-wall telemetry
+  invariant.  Stage callbacks marshal back to the loop thread
   (:meth:`Pipeline._complete`) before shard stats or futures are
-  touched.  Without a stage (``verify="off"``) results complete as they
-  arrive.
+  touched.  Without a stage (``verify="off"``) results complete as
+  they arrive.
 
 The pipeline reports per-shard utilization
 (:class:`~repro.service.shard.ShardStats`): queue-depth high-water
@@ -184,7 +182,7 @@ class Pipeline:
                  timeout: Optional[float], retries: int,
                  worker_cfg: dict, setups: Dict[Tuple[str, str], SetupBundle],
                  warm_handles: dict, shard_map: ShardMap,
-                 wrap_result, batch_stage=None):
+                 wrap_result, verify_stage=None):
         if "fork" not in mp.get_all_start_methods():
             raise ServiceError(
                 "the pooled proving service requires the fork start "
@@ -197,7 +195,7 @@ class Pipeline:
         self._warm_handles = warm_handles
         self.shard_map = shard_map
         self._wrap_result = wrap_result
-        self._batch_stage = batch_stage
+        self._verify_stage = verify_stage
         self.stats: List[ShardStats] = [ShardStats(s) for s in range(shards)]
         self._ticket = 0
         self._closing = False
@@ -325,11 +323,11 @@ class Pipeline:
 
     def _finalize(self, item: JobItem, raw: dict) -> None:
         result = self._wrap_result(raw, item.attempts)
-        if self._batch_stage is not None and result.ok:
-            # Park the result in the verify stage; its completion
+        if self._verify_stage is not None and result.ok:
+            # Hand the result to the verify stage; its completion
             # callback runs on a stage pool thread, so marshal back to
             # the loop before touching shard stats or the future.
-            self._batch_stage.add(
+            self._verify_stage.add(
                 result,
                 lambda res: self._loop.call_soon_threadsafe(
                     self._complete, item, res))
@@ -366,10 +364,11 @@ class Pipeline:
         if self._dispatchers:
             await asyncio.gather(*self._dispatchers,
                                  return_exceptions=True)
-        if self._batch_stage is not None:
-            # wait out the verify stage so every accepted job's future
-            # resolves before the loop stops
-            await self._loop.run_in_executor(None, self._batch_stage.drain)
+        if self._verify_stage is not None:
+            # no result arrives after the dispatchers: close the stage
+            # so every accepted job's future resolves before the loop
+            # stops
+            await self._loop.run_in_executor(None, self._verify_stage.close)
             await asyncio.sleep(0)  # let marshalled completions land
         for slot in self._slots:
             await self._loop.run_in_executor(None, slot.proc.shutdown)

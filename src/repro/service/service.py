@@ -17,11 +17,11 @@ serving layer for that shape of work, now an async sharded pipeline
 * **workers** — forked processes fed strict binary frames over pipes
   (:mod:`repro.service.wire`); witness bytes cross the boundary in the
   request's wire form, never as a pickle;
-* **verify** — workers only prove; the parent's group-commit stage
-  (:mod:`repro.service.batchverify`) re-verifies finished proofs while
-  the workers move on to the next job: whatever is parked for a key
-  when a verify thread is free is checked as one batch
-  (``verify="batched"``, the default).  ``"off"`` skips verification.
+* **verify** — workers only prove; the parent's verify stage
+  (:mod:`repro.service.verify`) checks each finished proof with one
+  single-proof verify on its own threads while the workers move on to
+  the next job (``verify="batched"``, the default).  ``"off"`` skips
+  verification.
 
 Parallelism is across jobs only: ``workers`` processes, the multi-GPU
 batch mode.  Within a job the five Groth16 MSMs run one after the
@@ -170,16 +170,12 @@ class ProvingService:
       wait=False)`` raises :class:`ServiceOverloadedError` (with a
       ``retry_after`` priced from the shard's smoothed job time) once
       the shard queue is full; ``wait=True`` blocks instead.
-    * ``verify`` — ``"batched"`` (default) verifies finished proofs in
-      the parent, off the workers' critical path: as soon as a verify
-      thread is free, everything parked for a (curve, circuit) is
-      checked as one random-linear-combination batch — N + 3 Miller
-      loops and one final exponentiation for N proofs, the exact
-      4 + 1 check for a lone proof (:mod:`repro.service.batchverify`);
+    * ``verify`` — ``"batched"`` (default) verifies each finished
+      proof in the parent, off the workers' critical path: one
+      single-proof check, 4 Miller loops and 1 final exponentiation,
+      on the verify stage's threads (:mod:`repro.service.verify`; the
+      name is kept from when the stage checked groups);
       ``"off"`` skips verification (results have ``verified=False``).
-    * ``soundness_bits`` — width of the batch's random coefficients; an
-      invalid batch survives with probability below
-      ``2**-soundness_bits``.
     * ``worker_cache`` — bound on each worker's resident prover
       handles (the MSM checkpoint tables; GZKP Figure 9's
       preprocessing-memory budget).  ``None`` means unbounded.
@@ -201,7 +197,6 @@ class ProvingService:
                  shards: Optional[int] = None,
                  queue_depth: int = 16,
                  verify: str = "batched",
-                 soundness_bits: int = 128,
                  worker_cache: Optional[int] = None):
         if workers < 0:
             raise ServiceError("workers must be >= 0")
@@ -220,8 +215,6 @@ class ProvingService:
                 f"workers={workers}")
         if worker_cache is not None and worker_cache < 1:
             raise ServiceError("worker_cache must be >= 1 (or None)")
-        if soundness_bits < 1:
-            raise ServiceError("soundness_bits must be >= 1")
         check_override(msm_window, msm_interval, ServiceError)
         # ``parallel_msm`` is accepted and unused: the frozen perf ledger
         # (benchmarks/ledger/stations.py) still passes it.
@@ -235,7 +228,6 @@ class ProvingService:
         self.shards = shards
         self.queue_depth = queue_depth
         self.verify = verify
-        self.soundness_bits = soundness_bits
         self.worker_cache = worker_cache
 
         self._job_seq = 0
@@ -249,12 +241,11 @@ class ProvingService:
         self._inline_lock = threading.Lock()
         self._inline_stats = ShardStats(0)
         self._inline_stats_lock = threading.Lock()
-        self._batch_stage = None
+        self._verify_stage = None
         if verify == "batched":
-            from repro.service.batchverify import BatchVerifyStage
+            from repro.service.verify import VerifyStage
 
-            self._batch_stage = BatchVerifyStage(self._bundle_for,
-                                                 soundness_bits)
+            self._verify_stage = VerifyStage(self._bundle_for)
 
         if workers:
             self._start_pipeline()
@@ -329,7 +320,7 @@ class ProvingService:
             retries=self.retries, worker_cfg=worker_cfg,
             setups=self._setups, warm_handles=self._warm_handles,
             shard_map=shard_map, wrap_result=self._wrap,
-            batch_stage=self._batch_stage,
+            verify_stage=self._verify_stage,
         )
 
     def _bundle_for(self, curve_name: str, circuit_name: str) -> SetupBundle:
@@ -347,9 +338,9 @@ class ProvingService:
         if self._pipeline is not None:
             self._pipeline.close()
             self._pipeline = None
-        if self._batch_stage is not None:
-            self._batch_stage.close()
-            self._batch_stage = None
+        if self._verify_stage is not None:
+            self._verify_stage.close()
+            self._verify_stage = None
 
     def __enter__(self) -> "ProvingService":
         return self
@@ -411,10 +402,10 @@ class ProvingService:
         if not self.workers:
             future = concurrent.futures.Future()
             result = self._run_one_inline(job)
-            if self._batch_stage is not None and result.ok:
-                # park for the verify stage; the future resolves once
-                # the group it joins is checked
-                self._batch_stage.add(
+            if self._verify_stage is not None and result.ok:
+                # the future resolves once the verify stage has
+                # checked the proof
+                self._verify_stage.add(
                     result,
                     lambda res, fut=future: self._finish_inline(fut, res))
             else:
@@ -439,21 +430,6 @@ class ProvingService:
         futures = [self.submit(item, wait=True) for item in jobs]
         return [f.result() for f in futures]
 
-    def aggregate_verify(self, results: Sequence[JobResult]) -> dict:
-        """One accept/reject verdict over a finished job batch: every
-        returned proof is re-checked in per-(curve, circuit) RLC
-        batches (N + 3 Miller loops, one final exponentiation per
-        group) and the verdicts folded.  Returns ``{"ok", "bad_jobs",
-        "proofs_checked", "miller_loops", "final_exps"}`` — ``ok`` is
-        True iff every job succeeded *and* every proof verifies, and
-        ``bad_jobs`` pinpoints offenders (malformed ones by screening,
-        forged ones by bisection) without failing their group
-        siblings."""
-        from repro.service.batchverify import verify_results_aggregate
-
-        return verify_results_aggregate(results, self._bundle_for,
-                                        self.soundness_bits)
-
     def _note_inline(self, result: JobResult) -> None:
         span = result.job_span
         with self._inline_stats_lock:
@@ -463,8 +439,8 @@ class ProvingService:
                 (result.telemetry or {}).get("events", []))
 
     def _finish_inline(self, future, result: JobResult) -> None:
-        """Completion callback for inline batched verify — runs on a
-        stage pool thread, hence the stats lock."""
+        """Completion callback for the inline verify — runs on a stage
+        pool thread, hence the stats lock."""
         self._note_inline(result)
         future.set_result(result)
 

@@ -4,7 +4,7 @@ A shard worker is a forked process that consumes binary job frames from
 a pipe, proves them, and writes binary result frames back — no pickle
 in either direction (:mod:`repro.service.wire`).  A worker proves and
 serializes; verification is the parent's verify stage
-(:mod:`repro.service.batchverify`).  The code here also
+(:mod:`repro.service.verify`).  The code here also
 backs the service's ``workers=0`` inline mode: both paths share one
 :class:`WorkerState` and one :func:`execute_job`, so inline behaviour
 is the pool behaviour minus the process boundary.
@@ -13,7 +13,7 @@ Warm-state layering (the dedupe the fork-pool design lacked):
 
 * **Setup bundles** (:class:`SetupBundle`) — the deterministic
   per-(curve, circuit) R1CS + trusted setup (and, in the parent, the
-  batch verifier over its key).  The parent builds these once before
+  verifier over its key).  The parent builds these once before
   forking; every shard worker inherits them copy-on-write instead of
   re-deriving them per process.
 * **Prover handles** (:class:`ProverHandle`) — a backend-specific
@@ -91,7 +91,7 @@ def resolve_backend(requested: Optional[str],
 
 class SetupBundle:
     """Deterministic per-(curve, circuit) artifacts: R1CS, trusted
-    setup, and the memoized batch verifier over its key.
+    setup, and the memoized verifier over its key.
     Backend-independent (field elements are plain ints), so one bundle
     serves every backend and survives a fork.  This constructor is the
     one place the seeded setup is derived."""
@@ -108,22 +108,20 @@ class SetupBundle:
         rng = random.Random(SETUP_SEED_FMT.format(curve=curve_name,
                                                   circuit=circuit_name))
         self.keys = setup(self.r1cs, self.curve, rng=rng)
-        self._batch_verifiers: Dict[int, object] = {}
-        self._batch_lock = threading.Lock()
+        self._verifier = None
+        self._verifier_lock = threading.Lock()
 
-    def batch_verifier(self, soundness_bits: int = 128):
-        """The memoized :class:`~repro.snark.verifier.BatchVerifier`
-        for this bundle — shared across checks so its verifying-key
-        G2 line precomputation and IC window tables build once."""
-        from repro.snark.verifier import BatchVerifier
+    def verifier(self):
+        """The memoized :class:`~repro.snark.verifier.Groth16Verifier`
+        over this bundle's key — shared across checks so its IC window
+        tables build once per key."""
+        from repro.snark.verifier import Groth16Verifier
 
-        with self._batch_lock:
-            checker = self._batch_verifiers.get(soundness_bits)
-            if checker is None:
-                checker = self._batch_verifiers[soundness_bits] = \
-                    BatchVerifier(self.keys.verifying_key, self.curve,
-                                  soundness_bits=soundness_bits)
-            return checker
+        with self._verifier_lock:
+            if self._verifier is None:
+                self._verifier = Groth16Verifier(self.keys.verifying_key,
+                                                 self.curve)
+            return self._verifier
 
 
 class ProverHandle:

@@ -19,9 +19,6 @@ tables the pairing engine caches for beta/gamma/delta
 * :meth:`BatchVerifier.verify_batch` draws independent r_i, folds the
   alpha, A, C and IC(x) terms and pays **N + 3 Miller loops and one
   final exponentiation** for N proofs (down from 4 and 1 per proof).
-* :meth:`BatchVerifier.verify_window` adds bisection, so a dirty window
-  names its offenders; its leaves — and a window of one — are the exact
-  single check.
 
 The folds run on :mod:`repro.msm.fixed_base` alone: each IC_j (j >= 1)
 is fixed by the key and gets a window table once per verifier, and the
@@ -49,7 +46,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.curves.params import CurvePair
 from repro.curves.pairing import bls12_381_pairing, bn128_pairing
@@ -268,57 +265,6 @@ class BatchVerifier:
                 [(g1.neg(a_term), proof.b)
                  for a_term, proof in zip(a_terms, proofs)],
                 alpha_term, ic_fold, c_fold)
-
-    # -- windowed check with bisection -----------------------------------------
-
-    def verify_window(self, proofs: Sequence[Proof],
-                      public_inputs: Sequence[Sequence[int]],
-                      rng=None) -> Tuple[bool, List[int]]:
-        """(all_ok, bad_indices): one batched check, then bisection.
-
-        A clean window costs the batched price (N + 3 Miller loops, one
-        final exponentiation). A dirty window bisects: each half is
-        re-checked batched (fresh coefficients) and only failing halves
-        split further, so one bad proof among N is pinpointed in
-        O(log N) extra batched checks without failing its siblings.
-        A subset of one — a bisection leaf, or a whole window of one —
-        is verified singly: the per-proof verdict is exact, never a
-        probabilistic false accusation, and draws no coefficient.
-        """
-        if len(proofs) != len(public_inputs):
-            raise ProofError("proofs and public-input lists differ in length")
-        bad: List[int] = []
-
-        def check(indices: List[int]) -> bool:
-            """Whether every proof in ``indices`` verifies; the ones
-            found not to are appended to ``bad``."""
-            if len(indices) == 1:
-                i = indices[0]
-                ok = self._single.verify(proofs[i], public_inputs[i])
-                if not ok:
-                    bad.append(i)
-                return ok
-            if self.verify_batch([proofs[i] for i in indices],
-                                 [public_inputs[i] for i in indices],
-                                 rng=rng):
-                return True
-            mid = len(indices) // 2
-            check(indices[:mid])
-            check(indices[mid:])
-            return False
-
-        if check(list(range(len(proofs)))):
-            return True, []
-        if not bad:
-            # Vanishingly unlikely (a subset rejected whose halves both
-            # pass), but never report a failed window without naming a
-            # culprit: fall back to exact per-proof verification.
-            for i, (proof, inputs) in enumerate(zip(proofs, public_inputs)):
-                if not self._single.verify(proof, inputs):
-                    bad.append(i)
-            if not bad:
-                return True, []
-        return False, sorted(bad)
 
 
 class TrapdoorChecker:

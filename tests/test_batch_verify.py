@@ -197,13 +197,6 @@ class TestPairingEconomics:
         assert counter.total("g2_precomp") == 0
 
 
-class _NoDrawRng:
-    """An rng nobody may draw from."""
-
-    def randrange(self, lo, hi=None):
-        raise AssertionError("a window of one draws no coefficient")
-
-
 class TestSingleVerifyEconomics:
     """Groth16Verifier.verify is the batch equation at N = 1, r = 1:
     one fresh loop for e(-A, B), three replays of the key's cached
@@ -289,25 +282,6 @@ class TestSingleVerifyEconomics:
         assert all(verifier.verify(proof, [49]) for proof in proofs[1:])
         assert len(verifier.engine._prepared) == size
 
-    def test_window_of_one_is_the_single_check(self, batch_setup):
-        from repro.ff.opcount import OpCounter, counting
-
-        keys, proofs, publics = batch_setup
-        batch = BatchVerifier(keys.verifying_key, CURVE)
-        single = Groth16Verifier(keys.verifying_key, CURVE)
-        g1 = CURVE.g1
-        forged = type(proofs[0])(a=proofs[0].a, b=proofs[0].b,
-                                 c=g1.add(proofs[0].c, g1.generator))
-        for proof, verdict in ((proofs[0], (True, [])),
-                               (forged, (False, [0]))):
-            counter = OpCounter()
-            with counting(counter):
-                assert batch.verify_window([proof], [publics[0]],
-                                           _NoDrawRng()) == verdict
-            assert single.verify(proof, publics[0]) is verdict[0]
-            assert counter.total("miller_loop") == 4
-            assert counter.total("final_exp") == 1
-
 
 class TestCancellationAttack:
     """Correlated batch coefficients are the classic RLC failure mode:
@@ -345,34 +319,6 @@ class TestCancellationAttack:
         for seed in (21, 22, 23):
             assert not batch.verify_batch(tampered, publics,
                                           random.Random(seed))
-
-
-class TestWindowBisection:
-    def test_clean_window(self, batch_setup):
-        keys, proofs, publics = batch_setup
-        batch = BatchVerifier(keys.verifying_key, CURVE)
-        assert batch.verify_window(proofs, publics,
-                                   random.Random(31)) == (True, [])
-
-    def test_window_pinpoints_bad_proof(self, batch_setup):
-        """One forged proof among siblings: the window fails, bisection
-        names exactly the offender, the siblings are not accused."""
-        keys, proofs, publics = batch_setup
-        batch = BatchVerifier(keys.verifying_key, CURVE)
-        g1 = CURVE.g1
-        tampered = list(proofs)
-        tampered[1] = type(proofs[1])(
-            a=g1.add(proofs[1].a, g1.generator), b=proofs[1].b,
-            c=proofs[1].c)
-        ok, bad = batch.verify_window(tampered, publics, random.Random(32))
-        assert not ok
-        assert bad == [1]
-
-    def test_window_length_mismatch_raises(self, batch_setup):
-        keys, proofs, publics = batch_setup
-        batch = BatchVerifier(keys.verifying_key, CURVE)
-        with pytest.raises(ProofError):
-            batch.verify_window(proofs, publics[:-1], random.Random(33))
 
 
 class TestBatchSizesFuzz:
@@ -445,9 +391,7 @@ class TestMnt4753Batch:
         tampered[0] = type(proofs[0])(
             a=g1.add(proofs[0].a, g1.generator), b=proofs[0].b,
             c=proofs[0].c)
-        ok, bad = batch.verify_window(tampered, publics, random.Random(42))
-        assert not ok
-        assert bad == [0]
+        assert not batch.verify_batch(tampered, publics, random.Random(42))
 
 
 # -- the folds on window tables and lanes, on both floors -----------------------------

@@ -266,9 +266,8 @@ def _verify_meta(result):
 
 class _GatedFirstCheck:
     """Holds the verify stage's first check inside its ``bundle_for``
-    until :meth:`release`, so whatever is parked for the key meanwhile
-    is checked as the drainer's next group — a real group of several,
-    whatever the thread timing."""
+    until :meth:`release`, so that check stays in flight, whatever the
+    thread timing."""
 
     def __init__(self, stage):
         self.entered = threading.Event()
@@ -290,25 +289,14 @@ class _GatedFirstCheck:
         self._released.set()
 
 
-def _checked_after_blocker(svc, good, results):
-    """Block the stage on a check of an honest replay of ``good``, park
-    ``results`` behind it, then release: ``results`` form one group.
-    Returns every finished result by job id."""
-    stage = svc._batch_stage
-    gate = _GatedFirstCheck(stage)
-    finished = {}
-
-    def park(result):
-        stage.add(result, lambda res: finished.setdefault(res.job_id, res))
-
-    park(_replayed(svc, good, "blocker", tuple(good.public_inputs)))
-    gate.wait_blocked()
-    for result in results:
-        park(result)
-    gate.release()
-    stage.drain()
-    assert _verify_meta(finished.pop("blocker"))[0]["window"] == 1
-    return finished
+def _assert_single_check_meta(result):
+    """One verify phase: the 4 + 1 single check, and its decode and
+    queue-wait seconds."""
+    (meta,) = _verify_meta(result)
+    assert set(meta) == {"miller_loops", "final_exps", "decode_s",
+                         "wait_s"}
+    assert (meta["miller_loops"], meta["final_exps"]) == (4, 1)
+    assert meta["decode_s"] >= 0 and meta["wait_s"] >= 0
 
 
 class TestVerifyModes:
@@ -321,8 +309,8 @@ class TestVerifyModes:
             assert "verify" not in r.phase_seconds()
 
     def test_window_of_one_splices_span(self):
-        """A lone proof is a group of one: the exact single check
-        (4 Miller loops, 1 final exponentiation), spliced in."""
+        """A proof's verify is the single check (4 Miller loops, 1 final
+        exponentiation), spliced in with its decode inside the phase."""
         with ProvingService(workers=1) as svc:
             r = svc.prove_batch([ProofJob(BN, "square", (5,),
                                           "python")])[0]
@@ -333,9 +321,8 @@ class TestVerifyModes:
             total = sum(phases.values())
             wall = r.wall_seconds()
             assert 0.5 * wall <= total <= 1.05 * wall
-            assert _verify_meta(r) == [{"stage": "batched", "window": 1,
-                                        "miller_loops": 4,
-                                        "final_exps": 1}]
+            _assert_single_check_meta(r)
+            assert _verify_meta(r)[0]["decode_s"] <= phases["verify"]
 
     def test_window_of_one_catches_forged_proof(self):
         with ProvingService(workers=1) as svc:
@@ -347,8 +334,8 @@ class TestVerifyModes:
             forged = _replayed(svc, good, "forged",
                                (int(good.public_inputs[0]) + 1,))
             finished = []
-            svc._batch_stage.add(forged, finished.append)
-            svc._batch_stage.drain()
+            svc._verify_stage.add(forged, finished.append)
+            svc._verify_stage.close()
             assert finished == [forged]
             assert not forged.ok and not forged.verified
             assert forged.error_kind == "verify"
@@ -363,45 +350,50 @@ class TestVerifyModes:
                 ProvingService(workers=0, verify=mode)
 
 
-class TestBatchedVerifyMode:
-    """verify="batched": whatever is parked for a key when a verify
-    thread is free is checked as one RLC batch — N + 3 Miller loops and
-    one final exponentiation per group."""
+def _forging(svc, forgeries):
+    """Make ``svc`` hand its verify stage forged results: the job whose
+    id is a key of ``forgeries`` has its ok worker result passed
+    through that function first — what a corrupted or lying worker
+    would send the parent."""
+    wrap = svc._wrap
 
-    def test_backlog_becomes_one_group(self):
-        """Three proofs parked behind a busy check form one group."""
-        with ProvingService(workers=0) as svc:
-            gate = _GatedFirstCheck(svc._batch_stage)
-            first = svc.submit(ProofJob(BN, "square", (3,), "python"))
-            gate.wait_blocked()
-            backlog = [svc.submit(ProofJob(BN, "square", (4 + i,),
-                                           "python"))
-                       for i in range(3)]
-            gate.release()
-            assert _verify_meta(first.result(timeout=120)) == [
-                {"stage": "batched", "window": 1, "miller_loops": 4,
-                 "final_exps": 1}]
-            results = [f.result(timeout=120) for f in backlog]
-            assert all(r.ok and r.verified for r in results)
-            spans = [[c for c in r.job_span["children"]
-                      if c["name"] == "verify"] for r in results]
-            # one check, one span: same meta and the same wall share
-            assert spans[0] == spans[1] == spans[2]
-            assert len(spans[0]) == 1
-            assert spans[0][0]["meta"] == {
-                "stage": "batched", "window": 3,
-                # a group of N = 3: N + 3 Miller loops, 1 final exp
-                "miller_loops": 6, "final_exps": 1}
-            assert svc.shard_stats()[0]["jobs"] == 4
+    def wrapped(raw, attempts):
+        result = wrap(raw, attempts)
+        forge = forgeries.get(result.job_id)
+        return forge(result) if forge and result.ok else result
+
+    if svc._pipeline is not None:
+        svc._pipeline._wrap_result = wrapped
+    else:
+        svc._wrap = wrapped
+
+
+def _plus_one(result):
+    result.public_inputs = (int(result.public_inputs[0]) + 1,)
+    return result
+
+
+def _undecodable(result):
+    result.proof_bytes = result.proof_bytes[:-1]
+    return result
+
+
+def _wrong_arity(result):
+    result.public_inputs = (*result.public_inputs, 7)
+    return result
+
+
+class TestBatchedVerifyMode:
+    """verify="batched": each finished proof gets one single-proof
+    check — 4 Miller loops and 1 final exponentiation — on the verify
+    stage's threads."""
 
     def test_lone_submit_needs_no_timer(self):
         with ProvingService(workers=0) as svc:
             future = svc.submit(ProofJob(BN, "square", (5,), "python"))
             r = future.result(timeout=120)
             assert r.ok and r.verified
-            meta = _verify_meta(r)
-            assert meta[0]["window"] == 1
-            assert meta[0]["miller_loops"] == 4
+            _assert_single_check_meta(r)
             assert not [t for t in threading.enumerate()
                         if isinstance(t, threading.Timer)]
 
@@ -411,16 +403,49 @@ class TestBatchedVerifyMode:
         with ProvingService(workers=1, verify="batched") as svc:
             results = svc.prove_batch(jobs)
             assert all(r.ok and r.verified for r in results)
-            meta = _verify_meta(results[0])
-            assert meta and meta[0]["stage"] == "batched"
+            for r in results:
+                _assert_single_check_meta(r)
             assert sum(s["jobs"] for s in svc.shard_stats()) == 3
+
+    @pytest.mark.parametrize("floor", ["default", "REPRO_NATIVE=0"])
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_forged_jobs_fail_alone_in_a_burst(self, workers, floor,
+                                               monkeypatch):
+        """A burst of one key mixing honest jobs with forgeries — a
+        wrong public input, proof bytes that do not decode, a public
+        input too many: exactly the forged jobs fail, each on its
+        own, and every sibling verifies."""
+        if floor != "default":
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        forgeries = {"input+1": _plus_one, "undecodable": _undecodable,
+                     "arity": _wrong_arity}
+        ids = ["honest-0", "input+1", "honest-1", "undecodable",
+               "honest-2", "arity", "honest-3"]
+        with ProvingService(workers=workers) as svc:
+            _forging(svc, forgeries)
+            futures = [svc.submit(ProofJob(BN, "square", (3 + i,),
+                                           job_id=job_id))
+                       for i, job_id in enumerate(ids)]
+            finished = {f.result(timeout=120).job_id: f.result()
+                        for f in futures}
+        assert set(finished) == set(ids)
+        for job_id, r in finished.items():
+            if job_id in forgeries:
+                assert not r.ok and not r.verified, job_id
+                assert r.error_kind == "verify", job_id
+                assert r.proof_bytes is None, job_id
+            else:
+                assert r.ok and r.verified, job_id
+                _assert_single_check_meta(r)
+        assert "expected 1 public inputs, got 2" in finished["arity"].error
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_close_with_a_backlog_resolves_every_job_once(self, workers):
-        """close() while a check is blocked and more proofs are parked:
-        every accepted job reaches exactly one terminal state."""
+        """close() while a check is in flight: every accepted job
+        reaches exactly one terminal state, and the stage refuses any
+        later add."""
         svc = ProvingService(workers=workers)
-        stage = svc._batch_stage
+        stage = svc._verify_stage
         gate = _GatedFirstCheck(stage)
         resolved = {}
 
@@ -436,109 +461,54 @@ class TestBatchedVerifyMode:
         futures += [submit(4 + i) for i in range(3)]
         closer = threading.Thread(target=svc.close)
         closer.start()
-        # the parked jobs are proved (pooled: by close's dispatcher
-        # shutdown) and wait behind the blocked check
+        # the later jobs are proved (pooled: by close's dispatcher
+        # shutdown) and checked on the other stage thread, while close
+        # waits on the blocked check
         deadline = time.monotonic() + 120
-        while sum(len(g) for g in stage._parked.values()) < 3:
+        while not all(f.done() for f in futures[1:]):
             assert time.monotonic() < deadline
             time.sleep(0.01)
-        assert closer.is_alive()
+        assert closer.is_alive() and not futures[0].done()
         gate.release()
         closer.join(timeout=120)
         assert not closer.is_alive()
         assert all(f.done() for f in futures)
         assert [len(resolved[f]) for f in futures] == [1] * len(futures)
         assert all(f.result().ok and f.result().verified for f in futures)
-        with pytest.raises(RuntimeError, match="closed"):
+        with pytest.raises(RuntimeError, match="shutdown"):
             stage.add(futures[0].result(), lambda res: None)
 
-    def test_forged_proof_isolated_from_window_siblings(self):
-        """One forged proof in a group: the group fails, bisection
-        pinpoints the forgery, and the sibling jobs still verify."""
+    def test_a_raising_done_does_not_stop_later_checks(self):
+        """A ``done`` that raises (say, on a future its caller
+        cancelled) is that job's problem: the stage checks what is
+        added after it."""
         with ProvingService(workers=0) as svc:
             good = svc.prove_batch(
                 [ProofJob(BN, "square", (5,), "python")])[0]
-            assert good.verified
-            finished = _checked_after_blocker(svc, good, [
-                _replayed(svc, good, "sibling-1",
-                          tuple(good.public_inputs)),
-                _replayed(svc, good, "forged",
-                          (int(good.public_inputs[0]) + 1,)),
-                _replayed(svc, good, "sibling-2",
-                          tuple(good.public_inputs)),
-            ])
-            assert finished["sibling-1"].verified
-            assert finished["sibling-2"].verified
-            assert not finished["forged"].ok
-            assert finished["forged"].error_kind == "verify"
-            # the three really were one group
-            assert {_verify_meta(r)[0]["window"]
-                    for r in finished.values()} == {3}
+            stage, fired, raised = svc._verify_stage, [], threading.Event()
 
-    @staticmethod
-    def _honest_and_wrong_arity(svc):
-        """An honest result and a replay of it carrying one public
-        input too many.  The pair used to raise out of the window
-        check: ``ProofError: expected 1 public inputs, got 2``."""
-        good = svc.prove_batch([ProofJob(BN, "square", (5,), "python")])[0]
-        assert good.verified
-        publics = tuple(good.public_inputs)
-        return good, [_replayed(svc, good, "honest", publics),
-                      _replayed(svc, good, "forged", publics + (7,))]
+            def raises(result):
+                raised.set()
+                raise RuntimeError("caller went away")
 
-    def test_wrong_arity_job_fails_alone_in_its_window(self):
-        """Regression: the forged job failed its honest sibling too."""
-        with ProvingService(workers=0) as svc:
-            good, pair = self._honest_and_wrong_arity(svc)
-            finished = _checked_after_blocker(svc, good, pair)
-            assert finished["honest"].ok and finished["honest"].verified
-            assert not finished["forged"].ok
-            assert finished["forged"].error_kind == "verify"
-            assert "expected 1 public inputs, got 2" in \
-                finished["forged"].error
-            assert {_verify_meta(r)[0]["window"]
-                    for r in finished.values()} == {2}
-
-    def test_aggregate_verify_names_wrong_arity_job(self):
-        """Regression: aggregate_verify raised instead of answering."""
-        with ProvingService(workers=0) as svc:
-            _, pair = self._honest_and_wrong_arity(svc)
-            verdict = svc.aggregate_verify(pair)
-            assert not verdict["ok"]
-            assert verdict["bad_jobs"] == ["forged"]
-            assert verdict["proofs_checked"] == 2
-
-    def test_aggregate_verify_verdict(self):
-        jobs = [ProofJob(BN, "square", (3 + i,), "python")
-                for i in range(3)]
-        with ProvingService(workers=0, verify="off") as svc:
-            results = svc.prove_batch(jobs)
-            assert all(r.ok and not r.verified for r in results)
-            verdict = svc.aggregate_verify(results)
-            assert verdict["ok"]
-            assert verdict["bad_jobs"] == []
-            assert verdict["proofs_checked"] == 3
-            # one group window: N + 3 Miller loops, one final exp
-            assert verdict["miller_loops"] == 6
-            assert verdict["final_exps"] == 1
-            # corrupt one job's public input: verdict flips, the
-            # offender is named, siblings are not
-            results[1].public_inputs = (
-                int(results[1].public_inputs[0]) + 1,)
-            verdict = svc.aggregate_verify(results)
-            assert not verdict["ok"]
-            assert verdict["bad_jobs"] == [results[1].job_id]
+            publics = tuple(good.public_inputs)
+            stage.add(_replayed(svc, good, "first", publics), raises)
+            assert raised.wait(timeout=120)
+            for job_id in ("later-1", "later-2", "later-3"):
+                stage.add(_replayed(svc, good, job_id, publics),
+                          fired.append)
+            stage.close()
+        assert sorted(r.job_id for r in fired) == \
+            ["later-1", "later-2", "later-3"]
+        assert all(r.verified for r in fired)
 
     def test_bad_window_knobs_rejected(self):
-        from repro.errors import ServiceError
-
-        # the window size, its timer and the verify pool size are gone
+        # the window size, its timer, the verify pool size and the
+        # group check's coefficient width are gone
         for knob in ("verify_window", "verify_window_timeout",
-                     "verify_workers"):
+                     "verify_workers", "soundness_bits"):
             with pytest.raises(TypeError, match=knob):
                 ProvingService(workers=0, **{knob: 1})
-        with pytest.raises(ServiceError, match="soundness_bits"):
-            ProvingService(workers=0, verify="batched", soundness_bits=0)
 
 
 def test_msm_pool_knobs_rejected():
@@ -600,9 +570,9 @@ class TestInlineConcurrency:
 
     def test_batched_verify_does_not_count_on_the_proving_job(self):
         """With the default ``verify="batched"`` the stage's pool threads
-        verify earlier jobs (IC fold, C fold, the RLC multiples) while
-        the submitting thread proves the next one; none of that lands in
-        a proving job's MSM ops."""
+        verify earlier jobs (decode, IC fold, pairing) while the
+        submitting thread proves the next one; none of that lands in a
+        proving job's MSM ops."""
         job = ProofJob(BN, "range4", self.JOBS["range4"])
         with ProvingService(workers=0) as svc:
             want = self._msm_ops(svc.prove_batch([job])[0])
@@ -611,107 +581,6 @@ class TestInlineConcurrency:
         assert all(r.ok and r.verified for r in got)
         for r in got:
             assert self._msm_ops(r) == want
-
-
-class TestGroupCommitStage:
-    """The stage's bookkeeping with the pairing check stubbed out: one
-    drainer per key, every parked result checked once."""
-
-    @staticmethod
-    def _stage(monkeypatch, checked):
-        from repro.service import batchverify
-
-        def fake_check_group(results, bundle, soundness_bits):
-            checked.append([r.job_id for r in results])
-            return [None] * len(results)
-
-        monkeypatch.setattr(batchverify, "check_group", fake_check_group)
-        return batchverify.BatchVerifyStage(lambda *key: None)
-
-    @staticmethod
-    def _result(job_id, circuit="square"):
-        import types
-
-        return types.SimpleNamespace(
-            job_id=job_id, curve=BN, circuit=circuit, job_span=None,
-            ok=True, verified=False, proof_bytes=b"", error=None,
-            error_kind=None)
-
-    def test_concurrent_adds_each_checked_once(self, monkeypatch):
-        import sys
-
-        class YieldingLock:
-            """The stage's lock, but every acquire first yields the
-            interpreter — widening each window between two critical
-            sections that a lost update would fall into."""
-
-            def __init__(self):
-                self._lock = threading.Lock()
-
-            def __enter__(self):
-                time.sleep(0)
-                self._lock.acquire()
-
-            def __exit__(self, *exc):
-                self._lock.release()
-
-        checked, fired = [], {}
-        lock = threading.Lock()
-        stage = self._stage(monkeypatch, checked)
-        stage._lock = YieldingLock()
-
-        def done(result):
-            with lock:
-                fired[result.job_id] = fired.get(result.job_id, 0) + 1
-
-        def producer(r, t):
-            for i in range(6):
-                stage.add(self._result(f"{r}-{t}-{i}", "abc"[i % 3]), done)
-
-        # a result parked as a drainer retires is lost only if no later
-        # add revives its key, so check after every short burst
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for r in range(60):
-                threads = [threading.Thread(target=producer, args=(r, t))
-                           for t in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
-                    assert not thread.is_alive()
-                stage.drain()
-                assert len(fired) == (r + 1) * 8 * 6
-        finally:
-            sys.setswitchinterval(interval)
-            stage.close()
-        assert set(fired.values()) == {1}
-        assert sorted(j for group in checked for j in group) == \
-            sorted(fired)
-        assert not stage._parked and not stage._drainers
-
-    def test_a_raising_done_does_not_strand_its_key(self, monkeypatch):
-        """A ``done`` that raises (say, on a future its caller cancelled)
-        ends its drainer; what is parked behind it is still checked."""
-        checked, fired = [], []
-        stage = self._stage(monkeypatch, checked)
-        entered, released = threading.Event(), threading.Event()
-
-        def blocked_then_raises(result):
-            entered.set()
-            assert released.wait(timeout=120)
-            raise RuntimeError("caller went away")
-
-        stage.add(self._result("first"), blocked_then_raises)
-        assert entered.wait(timeout=120)
-        stage.add(self._result("parked"), fired.append)
-        released.set()
-        stage.drain()
-        stage.add(self._result("later"), fired.append)
-        stage.close()
-        assert [r.job_id for r in fired] == ["parked", "later"]
-        assert checked == [["first"], ["parked"], ["later"]]
 
 
 class TestPerShardTelemetry:

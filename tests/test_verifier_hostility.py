@@ -7,8 +7,7 @@ honest proof for a circuit with two public inputs: A + G, C + G, B
 taken from another proof, a public input + 1, a public input + r (the
 same residue, so a verifier that reduced its inputs would accept it),
 and the two public inputs swapped. ``verify`` and ``verify_batch``
-reject each one; ``verify_window`` names exactly the forged indices of
-a group of four. Every curve runs on both floors.
+reject each one. Every curve runs on both floors.
 
 The decoder stands before all three: ``deserialize_proof`` refuses a
 proof whose A, B or C was moved off the order-r subgroup by a cofactor
@@ -64,7 +63,7 @@ def _forged(curve_name):
     verifier = Groth16Verifier(keys.verifying_key, curve)
     batch = BatchVerifier(keys.verifying_key, curve)
     assert verifier.verify(p2, pub1) and verifier.verify(p3, pub3)
-    return verifier, batch, [(p1, pub1), (p2, pub1), (p3, pub3)], forgeries
+    return verifier, batch, [(p1, pub1), (p3, pub3)], forgeries
 
 
 @pytest.fixture(params=CASES, ids=lambda case: "-".join(case))
@@ -81,27 +80,9 @@ def test_single_and_batched_checks_reject_every_forgery(forged):
     assert verifier.verify(good, good_inputs)
     for name, (proof, inputs) in forgeries.items():
         assert verifier.verify(proof, inputs) is False, name
-        assert batch.verify_batch([honest[2][0], proof],
-                                  [honest[2][1], inputs],
+        assert batch.verify_batch([honest[1][0], proof],
+                                  [honest[1][1], inputs],
                                   random.Random(5)) is False, name
-
-
-def test_a_window_names_exactly_the_forged_indices(forged):
-    _, batch, honest, forgeries = forged
-    fakes = list(forgeries.values())
-    for positions in ((0, 1), (2, 3), (1, 2)):
-        group, honest_left = [], iter(honest)
-        for i in range(4):
-            group.append(fakes.pop(0) if i in positions
-                         else next(honest_left))
-        ok, bad = batch.verify_window([p for p, _ in group],
-                                      [x for _, x in group],
-                                      random.Random(sum(positions)))
-        assert (ok, bad) == (False, list(positions))
-    assert not fakes
-    assert batch.verify_window([p for p, _ in honest],
-                               [x for _, x in honest],
-                               random.Random(9)) == (True, [])
 
 
 @functools.lru_cache(maxsize=None)
